@@ -10,17 +10,49 @@ claim for ``repro.tuner``: after one tuning pass, the dispatcher
 - beats the classical dgemm baseline on at least one regime.
 
 Run with ``-s`` to see the per-shape dispatch table.
+
+As a script it is the CI gate on the *untuned* path -- what every shape
+is served before anyone has tuned it::
+
+    PYTHONPATH=src python benchmarks/bench_tuner.py [--quick] \
+        [--json BENCH_tuner.json] [--max-ratio R]
+
+Over the same three regimes, the plan the cost model picks on an empty
+cache is timed interleaved with dgemm and must satisfy
+``t_model / t_dgemm <= max_model_regret_ratio`` (checked in at
+``benchmarks/workspace_threshold.json``, 1.25): the machine-calibrated
+model may be wrong about a fast plan by a quarter, never by the 1.6-6x
+the hand-set constants were.
 """
 
-from conftest import bench_once
+from __future__ import annotations
 
+import argparse
+import json
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+from bench_workspace import interleaved_medians
 from repro.algorithms import get_algorithm
 from repro.bench.metrics import median_time
 from repro.bench.workloads import scaled
 from repro.codegen import compile_algorithm
 from repro.parallel import blas
-from repro.tuner import PlanCache, execute_plan, get_plan, tune
+from repro.tuner import (
+    PlanCache,
+    execute_plan,
+    get_plan,
+    reset_workspaces,
+    tune,
+    workspace_for,
+)
 from repro.util.matrices import random_matrix
+
+THRESHOLD_FILE = Path(__file__).parent / "workspace_threshold.json"
+RETRIES = 3
 
 #: fixed single-algorithm contenders (each applied to *every* shape)
 FIXED = ("strassen", "s424", "s433")
@@ -44,6 +76,8 @@ def _time_fixed(name, A, B):
 
 
 def test_dispatch_vs_fixed(benchmark, tmp_path):
+    from conftest import bench_once
+
     cache = PlanCache(tmp_path / "plans.json")
     with blas.blas_threads(1):
         tune([(p, q, r) for _, p, q, r in SHAPES], cache=cache,
@@ -84,6 +118,7 @@ def test_online_policy_amortization(benchmark, tmp_path):
     a *bounded* exploration overhead (the shortlist is each run once or
     twice), converges to a cached plan, and from then on dispatches at
     cache-hit cost -- no offline tuning pass ever ran."""
+    from conftest import bench_once
     from repro.tuner import OnlineTunePolicy, matmul
 
     n = scaled(512)
@@ -125,6 +160,7 @@ def test_dispatch_overhead(benchmark, tmp_path):
     n = scaled(512)
     A = random_matrix(n, n, 0)
     B = random_matrix(n, n, 1)
+    from conftest import bench_once
     from repro.tuner import matmul, tune_shape
 
     tune_shape(n, n, n, threads=1, budget_s=5.0, trials=1, cache=cache,
@@ -137,3 +173,72 @@ def test_dispatch_overhead(benchmark, tmp_path):
           f"(x{t_auto / t_direct:.2f})")
     bench_once(benchmark, lambda: None)
     assert t_auto < 5 * t_direct
+
+
+def model_regret(label: str, p: int, q: int, r: int, trials: int) -> dict:
+    """The model-stage plan for one shape (an empty, in-memory cache: the
+    plan an untuned ``repro.matmul`` serves) against dgemm, the two
+    interleaved; the ratio is the min over RETRIES rounds because one
+    noisy scheduling event should not fail CI."""
+    cache = PlanCache(Path("/nonexistent/bench_tuner_plans.json"))
+    A = random_matrix(p, q, 0)
+    B = random_matrix(q, r, 1)
+    out = np.empty((p, r))
+    with blas.blas_threads(1):
+        plan, source = get_plan(p, q, r, threads=1, cache=cache)
+        ws = workspace_for(plan, p, q, r, A.dtype, B.dtype)
+        execute_plan(plan, A, B, out=out, workspace=ws)     # warm
+        rounds = [interleaved_medians(
+            lambda: execute_plan(plan, A, B, out=out, workspace=ws),
+            lambda: np.matmul(A, B, out=out), trials)
+            for _ in range(RETRIES)]
+    t_model, t_gemm = min(rounds, key=lambda tg: tg[0] / tg[1])
+    return {"regime": label, "shape": [p, q, r], "plan": plan.describe(),
+            "source": source, "seconds_model": t_model,
+            "seconds_dgemm": t_gemm, "regret_ratio": t_model / t_gemm}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--quick", action="store_true",
+                    help="fewer trials (the CI smoke job)")
+    ap.add_argument("--json", type=Path, default=Path("BENCH_tuner.json"))
+    ap.add_argument("--max-ratio", type=float, default=None,
+                    help="fail if t_model / t_dgemm exceeds this on any "
+                         "regime (default: benchmarks/workspace_threshold"
+                         ".json max_model_regret_ratio)")
+    args = ap.parse_args(argv)
+
+    threshold = args.max_ratio
+    if threshold is None:
+        try:
+            threshold = json.loads(THRESHOLD_FILE.read_text())[
+                "max_model_regret_ratio"]
+        except (OSError, KeyError, ValueError):
+            threshold = 1.25
+
+    reset_workspaces()
+    rows = [model_regret(label, p, q, r, 5 if args.quick else 11)
+            for label, p, q, r in SHAPES]
+    for row in rows:
+        print(f"{row['regime']:<14} dgemm {row['seconds_dgemm'] * 1e3:9.3f} ms"
+              f"  model plan {row['seconds_model'] * 1e3:9.3f} ms "
+              f"(x{row['regret_ratio']:.3f})  {row['plan']} "
+              f"[{row['source']}]")
+    worst = max(row["regret_ratio"] for row in rows)
+    ok = worst <= threshold
+    args.json.write_text(json.dumps({
+        "benchmark": "tuner-model-regret",
+        "quick": args.quick,
+        "max_model_regret_ratio": threshold,
+        "regimes": rows,
+        "pass": ok,
+        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
+    }, indent=1))
+    print(f"wrote {args.json}; worst t_model/t_dgemm x{worst:.3f} vs gate "
+          f"x{threshold:.2f} -> {'PASS' if ok else 'FAIL'}")
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

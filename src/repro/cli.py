@@ -409,13 +409,14 @@ def _explain(args, A, B, p: int, q: int, r: int, cache, out) -> int:
     """``repro multiply --explain``: the full decision trace of one call.
 
     Everything dispatch decides silently, spelled out: the cost-ranked
-    candidate shortlist with model scores, the resolved plan and where it
-    came from (cache / nearest / transfer / model), the arena that will
-    serve it, then one observed call with its dispatch record and span
-    timings.
+    candidate shortlist with predicted times, the resolved plan and where
+    it came from (cache / nearest / transfer / model), the arena that will
+    serve it, then one observed call with its dispatch record (prediction
+    beside measurement) and span timings.
     """
     from repro import obs, tuner
     from repro.algorithms import get_algorithm
+    from repro.bench.metrics import effective_gflops
     from repro.core.cost import plan_cost
     from repro.parallel import available_cores
 
@@ -425,15 +426,21 @@ def _explain(args, A, B, p: int, q: int, r: int, cache, out) -> int:
     print(f"== decision trace: {p}x{q}x{r} {dtype}, {threads} threads ==",
           file=out)
 
+    def predicted(pl) -> float:
+        alg = None if pl.is_dgemm else get_algorithm(pl.algorithm)
+        return plan_cost(alg, p, q, r, pl.steps, scheme=pl.scheme,
+                         threads=pl.threads, subgroup=pl.subgroup,
+                         backend=pl.backend, dtype=dtype,
+                         strategy=pl.strategy)
+
     plans = tuner.enumerate_plans(p, q, r, threads=threads, dtype=dtype,
                                   max_candidates=8)
-    print("cost-ranked shortlist (analytical model):", file=out)
+    print("cost-ranked shortlist (seconds model, this machine's "
+          "calibration):", file=out)
     for i, pl in enumerate(plans, 1):
-        alg = None if pl.is_dgemm else get_algorithm(pl.algorithm)
-        cost = plan_cost(alg, p, q, r, pl.steps, scheme=pl.scheme,
-                         threads=pl.threads, subgroup=pl.subgroup,
-                         backend=pl.backend)
-        print(f"  #{i} {pl.describe():<40} cost {cost:.4g}", file=out)
+        sec = predicted(pl)
+        print(f"  #{i} {pl.describe():<40} predicted {sec * 1e3:9.3f} ms "
+              f"{effective_gflops(p, q, r, sec):8.2f} eff.GFLOPS", file=out)
 
     plan, source = tuner.get_plan(p, q, r, dtype=dtype, threads=threads,
                                   cache=cache)
@@ -470,6 +477,11 @@ def _explain(args, A, B, p: int, q: int, r: int, cache, out) -> int:
         print(f"observed call: {rec['seconds']:.4f}s "
               f"{rec['gflops']:.2f} eff.GFLOPS "
               f"(scheme {rec['scheme']}, rel.err {err:.1e})", file=out)
+        if rec["plan"] == plan.describe():
+            sec = predicted(plan)
+            print(f"predicted vs measured: {sec * 1e3:.3f} ms vs "
+                  f"{rec['seconds'] * 1e3:.3f} ms "
+                  f"(x{rec['seconds'] / sec:.2f})", file=out)
         if "arena_high_water" in rec:
             print(f"arena high water: {rec['arena_high_water']:,} bytes, "
                   f"overflows: {rec['arena_overflows']}", file=out)
@@ -512,10 +524,11 @@ def _explain(args, A, B, p: int, q: int, r: int, cache, out) -> int:
         bplans = tuner.enumerate_batch_plans(p, q, r, batch,
                                              threads=threads, dtype=dtype,
                                              max_candidates=6)
-        print("batch-mode shortlist (batch_cost, per-batch):", file=out)
+        print("batch-mode shortlist (seconds model, per batch):", file=out)
         for i, bp in enumerate(bplans, 1):
-            cost = tuner.batch_plan_cost(bp, p, q, r, batch)
-            print(f"  #{i} {bp.describe():<52} cost {cost:.4g}", file=out)
+            sec = tuner.batch_plan_cost(bp, p, q, r, batch, dtype)
+            print(f"  #{i} {bp.describe():<52} predicted "
+                  f"{sec * 1e3:9.3f} ms", file=out)
         bplan, bsource = tuner.get_batch_plan(p, q, r, batch, dtype=dtype,
                                               threads=threads, cache=cache)
         print(f"chosen batch plan: {bplan.describe()}  "

@@ -276,6 +276,9 @@ def _source_key(src: str) -> str:
     ``-march=native`` objects are machine-specific, and a ``REPRO_CC`` or
     flag change produces different code from identical source — so the
     key digests (source, compiler, flags, machine fingerprint) together.
+    The fingerprint includes the CPU's ISA flags: two hosts sharing a
+    model string and a ``REPRO_CACHE_DIR`` but not an AVX level must not
+    share an object.
     """
     from repro.bench.machine import fingerprint_digest
 
@@ -295,13 +298,9 @@ def _cache_dir_locked() -> Path | None:
     cur = _CACHE_STATE["dir"]
     if cur is not False:
         return cur
-    env = os.environ.get("REPRO_CACHE_DIR")
-    if env:
-        root = Path(env).expanduser() / "cbackend"
-    else:
-        base = os.environ.get("XDG_CACHE_HOME")
-        home = Path(base).expanduser() if base else Path.home() / ".cache"
-        root = home / "repro" / "cbackend"
+    from repro.bench.machine import cache_root
+
+    root = cache_root() / "cbackend"
     try:
         root.mkdir(parents=True, exist_ok=True)
         probe = root / f".write-probe-{os.getpid()}"

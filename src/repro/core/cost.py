@@ -29,34 +29,28 @@ def classical_flops(p: int, q: int, r: int) -> int:
     return 2 * p * q * r - p * r
 
 
-def _addition_flops_per_level(alg: FastAlgorithm, p: int, q: int, r: int) -> int:
-    """Flops spent in S/T/C addition chains at one recursion level.
+def _chain_counts(alg: FastAlgorithm) -> tuple[tuple[int, int, int, int], ...]:
+    """Per side (S chains over A blocks, T over B blocks, C over products):
+    ``(chains, nonzeros, single-term chains, non-unit coefficients)``.
 
-    A chain with ``t`` nonzero terms costs ``t - 1`` additions per entry
-    (scalar multiplications by +-1 are free; generic scalars add one
-    multiply per entry, which we count too).
-    """
-    m, k, n = alg.base_case
-    bs_a = (p // m) * (q // k)  # block sizes
-    bs_b = (q // k) * (r // n)
-    bs_c = (p // m) * (r // n)
-    total = 0
-    for col in alg.U.T:
-        t = int(np.count_nonzero(col))
-        scal = int(np.count_nonzero(np.abs(col[col != 0]) != 1.0))
-        if t:
-            total += (t - 1 + scal) * bs_a
-    for col in alg.V.T:
-        t = int(np.count_nonzero(col))
-        scal = int(np.count_nonzero(np.abs(col[col != 0]) != 1.0))
-        if t:
-            total += (t - 1 + scal) * bs_b
-    for row in alg.W:
-        t = int(np.count_nonzero(row))
-        scal = int(np.count_nonzero(np.abs(row[row != 0]) != 1.0))
-        if t:
-            total += (t - 1 + scal) * bs_c
-    return total
+    Counted once per algorithm and kept on the instance (immutable, but
+    its factor arrays make it unhashable, so ``functools`` caches cannot
+    key on it): the tuner scores hundreds of candidates per shape."""
+    try:
+        return alg.__dict__["_chain_counts"]
+    except KeyError:
+        pass
+    sides = []
+    for mat, axis in ((alg.U, 0), (alg.V, 0), (alg.W, 1)):
+        terms = np.count_nonzero(mat, axis=axis)
+        sides.append((
+            int(np.count_nonzero(terms)),
+            int(terms.sum()),
+            int(np.count_nonzero(terms == 1)),
+            int(np.count_nonzero((mat != 0) & (np.abs(mat) != 1.0))),
+        ))
+    # straight into __dict__: the dataclass is frozen
+    return alg.__dict__.setdefault("_chain_counts", tuple(sides))
 
 
 def recursive_flops(alg: FastAlgorithm, p: int, q: int, r: int, steps: int) -> int:
@@ -72,10 +66,13 @@ def recursive_flops(alg: FastAlgorithm, p: int, q: int, r: int, steps: int) -> i
         raise ValueError(
             f"dimensions {(p, q, r)} not divisible by base case {(m, k, n)}"
         )
-    adds = _addition_flops_per_level(alg, p, q, r)
-    return adds + alg.rank * recursive_flops(
-        alg, p // m, q // k, r // n, steps - 1
-    )
+    bp, bq, br = p // m, q // k, r // n
+    # a chain of t terms costs t - 1 additions per entry (+-1 scalings
+    # are free; a generic coefficient adds one multiply, counted too)
+    wa, wb, wc = (nnz - chains + scal
+                  for chains, nnz, _, scal in _chain_counts(alg))
+    adds = wa * bp * bq + wb * bq * br + wc * bp * br
+    return adds + alg.rank * recursive_flops(alg, bp, bq, br, steps - 1)
 
 
 def strassen_flops(N: int) -> int:
@@ -92,55 +89,6 @@ def speedup_per_step(alg: FastAlgorithm) -> float:
 
 
 # --------------------------------------------------- tuner ranking model
-def _nnz_addition_weight(alg: FastAlgorithm) -> tuple[float, float, float]:
-    """Per-level addition flops in units of (A-block, B-block, C-block) area.
-
-    Mirrors ``_addition_flops_per_level`` but returns the three block-area
-    coefficients so callers can evaluate them at fractional block sizes.
-    """
-    wa = wb = wc = 0.0
-    for col in alg.U.T:
-        t = int(np.count_nonzero(col))
-        scal = int(np.count_nonzero(np.abs(col[col != 0]) != 1.0))
-        if t:
-            wa += t - 1 + scal
-    for col in alg.V.T:
-        t = int(np.count_nonzero(col))
-        scal = int(np.count_nonzero(np.abs(col[col != 0]) != 1.0))
-        if t:
-            wb += t - 1 + scal
-    for row in alg.W:
-        t = int(np.count_nonzero(row))
-        scal = int(np.count_nonzero(np.abs(row[row != 0]) != 1.0))
-        if t:
-            wc += t - 1 + scal
-    return wa, wb, wc
-
-
-def estimate_recursive_flops(
-    alg: FastAlgorithm, p: float, q: float, r: float, steps: int
-) -> tuple[float, float]:
-    """(leaf-multiply flops, addition flops) of ``steps`` recursion levels
-    on an *arbitrary*-shape ``p x q x r`` problem.
-
-    Unlike :func:`recursive_flops` this does not require divisibility:
-    block sizes are fractional, which approximates dynamic peeling's
-    smoothing of the true step function.  Used by ``repro.tuner`` to rank
-    candidate plans without running them.
-    """
-    m, k, n = alg.base_case
-    if steps <= 0 or p < m or q < k or r < n:
-        return 2.0 * p * q * r, 0.0
-    wa, wb, wc = _nnz_addition_weight(alg)
-    adds = (
-        wa * (p / m) * (q / k)
-        + wb * (q / k) * (r / n)
-        + wc * (p / m) * (r / n)
-    )
-    mults, sub_adds = estimate_recursive_flops(alg, p / m, q / k, r / n, steps - 1)
-    return alg.rank * mults, adds + alg.rank * sub_adds
-
-
 def parallel_traffic(
     alg: FastAlgorithm | None,
     p: int,
@@ -200,65 +148,102 @@ def parallel_traffic(
     return traffic
 
 
-#: relative bandwidth charge of one addition flop under the compiled C
-#: chain backend.  The NumPy strategies make one fused in-place pass *per
-#: operand pair* of a chain (a length-L chain streams its destination
-#: L-1 times), while the emitted C forms each S_r/T_r/C_ij row in a
-#: single fused loop -- every operand read once, the destination written
-#: once -- so the memory traffic per addition flop roughly halves.  The
-#: leaf gemms are identical on both backends, which is why the discount
-#: applies only to the addition term.
-COMPILED_ADD_DISCOUNT = 0.5
-
-
 def plan_cost(
     alg: FastAlgorithm | None,
     p: int,
     q: int,
     r: int,
     steps: int,
-    add_penalty: float = 4.0,
     scheme: str = "sequential",
     threads: int = 1,
     subgroup: int | None = None,
     backend: str = "numpy",
+    dtype: str = "float64",
+    strategy: str = "write_once",
 ) -> float:
-    """Tuner ranking score for running ``alg`` at ``steps`` on ``p x q x r``.
+    """Predicted seconds of running ``alg`` at ``steps`` on ``p x q x r``,
+    from this machine's :func:`repro.bench.machine.calibration`:
 
-    Additions are bandwidth-bound while leaf gemms are compute-bound
-    (Section 3.2's central observation), so an addition flop is charged
-    ``add_penalty`` times a multiply flop.  Parallel schemes additionally
-    pay :func:`parallel_traffic` -- the Section 4.2 per-level ``R/(MN)``
-    bandwidth factor plus the Ballard-style inter-group term for the
-    sub-group hybrid's P' (``subgroup``) -- charged at the same
-    bandwidth penalty, which is what makes P' candidates cost-rankable
-    before any of them is timed.  ``alg=None`` scores the plain vendor
-    gemm.  Lower is better; the unit is "gemm-equivalent flops".
+    - **leaf gemms** at the rate the gemm curve gives for the leaf's size
+      and per-gemm thread count, so the Section 3.4 ramp-up is in the
+      score.  Sequential and DFS leaves run one after another on all
+      ``threads``; BFS leaves one thread each in ``ceil(R^L / threads)``
+      waves; the hybrids run the full waves that way and the remainder on
+      all threads (or in waves of ``threads / P'`` groups of P' threads);
+    - **S/T/C chain traffic** (:func:`addition_rw_counts` x block bytes,
+      plus :func:`parallel_traffic` and the peel fix-ups of non-divisible
+      dimensions) over the streaming-add bandwidth (Section 3.2:
+      additions are bandwidth-bound, gemms compute-bound).
+      The emitted C forms a chain in one fused loop (write-once counts);
+      the NumPy executors make one pass *per term* whatever the strategy
+      is called (pairwise counts), except ``streaming``;
+    - a **fixed cost per product** of every fast call, and **per pool
+      task** of the parallel schemes.
 
-    ``backend="compiled"`` scores the fused single-pass C chain kernels:
-    the addition penalty shrinks by :data:`COMPILED_ADD_DISCOUNT` (the
-    leaf gemms and the traffic term are backend-independent), which is
-    what lets a compiled sequential twin outrank its NumPy sibling in the
-    candidate shortlist without a measurement.
+    ``alg=None`` (or ``steps <= 0``) is the plain vendor gemm: exactly the
+    curve's prediction.  ``backend="compiled"`` is scored in float64 -- the
+    C kernels compute in double whatever the operands are.
     """
+    from repro.bench.machine import calibration
+
+    volume = p * q * r
     if alg is None or steps <= 0:
-        return 2.0 * p * q * r
-    mults, adds = estimate_recursive_flops(alg, p, q, r, steps)
-    eff_penalty = add_penalty
+        return calibration(dtype, threads, volume).gemm.seconds(p, q, r)
     if backend == "compiled":
-        eff_penalty *= COMPILED_ADD_DISCOUNT
-    cost = mults + eff_penalty * adds
-    cost += add_penalty * parallel_traffic(
-        alg, p, q, r, steps, scheme=scheme, threads=threads, subgroup=subgroup
-    )
+        dtype = "float64"
+    cal = calibration(dtype, threads, volume)
+    one = cal if threads == 1 else calibration(dtype, 1, volume)
+    # only DFS and the tree schemes spread their additions over the pool
+    adders = one if scheme == "sequential" else cal
+    if backend == "compiled":
+        strategy = "write_once"
+    elif strategy != "streaming":
+        strategy = "pairwise"
+    passes = [rd + wr for rd, wr in _rw_by_side(alg, strategy)]
+    m, k, n = alg.base_case
+    words = parallel_traffic(alg, p, q, r, steps, scheme=scheme,
+                             threads=threads, subgroup=subgroup)
+    products = 0
+    leaves, lp, lq, lr = 1, p, q, r
+    for _ in range(steps):
+        if lp < m or lq < k or lr < n:
+            break       # a dimension ran out: the rest stays a leaf
+        # dynamic peeling (Section 3.5): the divisible core recurses and
+        # thin, bandwidth-bound products fix the strips up -- a pass over
+        # A, over B, and (product out, core in, core out) over the core
+        words += leaves * ((lr % n > 0) * lp * lq + (lp % m > 0) * lq * lr
+                           + (lq % k > 0) * 4 * lp * lr)
+        lp, lq, lr = lp // m, lq // k, lr // n
+        words += leaves * (passes[0] * lp * lq + passes[1] * lq * lr
+                           + passes[2] * lp * lr)
+        leaves *= alg.rank
+        products += leaves
+    cost = (words * np.dtype(dtype).itemsize / (adders.add_gbs * 1e9)
+            + products * cal.call_s)
+    wide = cal.gemm.seconds(lp, lq, lr)
+    if scheme in ("sequential", "dfs"):
+        cost += leaves * wide
+        if scheme == "dfs":
+            # every chain is a fan-out of one slab task per worker
+            (ca, _, sa, _), (cb, _, sb, _), (_, nc, _, _) = _chain_counts(alg)
+            fanouts = ca - sa + cb - sb + nc
+            cost += products / alg.rank * fanouts * threads * cal.task_s
+        return cost
+    # one task to form each child, to multiply each leaf, to combine each node
+    cost += (2 * products + 1) * cal.task_s
+    narrow = one.gemm.seconds(lp, lq, lr)
+    if scheme == "bfs":
+        return cost + math.ceil(leaves / threads) * narrow
+    cost += leaves // threads * narrow
+    rem = leaves % threads
+    if rem and scheme == "hybrid-subgroup" and subgroup:
+        # P' threads per gemm: between the two measured rates, by log(threads)
+        share = math.log(subgroup) / math.log(threads)
+        cost += (math.ceil(rem * subgroup / threads)
+                 * narrow ** (1.0 - share) * wide ** share)
+    else:
+        cost += rem * wide
     return cost
-
-
-#: modeled per-task fan-out overhead (submission, wakeup, barrier) in
-#: gemm-equivalent flops.  Calibrated to the Section 3.4 observation that
-#: dispatch/fan-out overhead is what dominates below the dgemm ramp-up
-#: knee: ~0.1 ms of a core's time at a few GFLOP/s.
-BATCH_FANOUT_FLOPS = 5.0e5
 
 
 def batch_cost(
@@ -272,50 +257,48 @@ def batch_cost(
     mode: str = "within",
     scheme: str = "sequential",
     subgroup: int | None = None,
-    add_penalty: float = 4.0,
+    backend: str = "numpy",
+    dtype: str = "float64",
 ) -> float:
-    """Ranking score for executing a *batch* of same-shape products.
-
-    Extends :func:`plan_cost` with the batch-parallelism axis: run the
-    pool **within** each multiply (the existing parallel schedules, one
-    element at a time) or fan the pool across **elementwise** batch
-    entries (each element sequential, BLAS pinned to 1).  The unit is
-    per-worker wall-clock in gemm-equivalent flops, so the two modes are
-    directly comparable:
-
-    - ``elementwise`` pays ``ceil(batch / threads)`` waves of the
-      *sequential* per-element cost, one fan-out charge per wave, plus a
-      cache/bandwidth contention term -- each extra concurrently active
-      worker streams its own operands and output through the shared
-      memory system (the Ballard et al. bandwidth argument applied to
-      independent products instead of subtrees).
-    - ``within`` pays the full batch serially, each element at the
-      parallel plan's per-thread cost plus a per-element fan-out charge
-      that grows with the pool size -- the overhead that dominates below
-      the Section 3.4 ramp-up knee and makes small-shape batches prefer
-      elementwise fan-out.
-
-    ``threads`` is the worker budget of the whole batch (the pool size in
-    elementwise mode, the plan's thread count in within mode).
+    """Predicted seconds of a *batch* of same-shape products: the pool
+    **within** each multiply (``batch`` elements one after another, each at
+    :func:`plan_cost` on all ``threads``) or fanned across **elementwise**
+    entries (``ceil(batch / threads)`` waves of the single-thread
+    sequential prediction plus one pool task per element).  Which wins is
+    the measured curves' call: below the Section 3.4 knee a
+    ``threads``-way gemm is barely faster than a single-threaded one, so
+    fanning out wins unless the pool's per-task cost eats it.
     """
+    from repro.bench.machine import calibration
+
     if batch < 1:
         raise ValueError("batch must be >= 1")
     if mode == "elementwise":
         workers = max(1, threads)
-        per = plan_cost(alg, p, q, r, steps, add_penalty=add_penalty,
-                        scheme="sequential", threads=1)
-        waves = math.ceil(batch / workers)
-        contention = add_penalty * (p * q + q * r + p * r) * (workers - 1)
-        return waves * (per + BATCH_FANOUT_FLOPS + contention)
+        per = plan_cost(alg, p, q, r, steps, backend=backend, dtype=dtype)
+        return (math.ceil(batch / workers) * per
+                + batch * calibration(dtype, workers).task_s)
     if mode != "within":
         raise ValueError(f"unknown batch mode {mode!r}")
-    per = plan_cost(alg, p, q, r, steps, add_penalty=add_penalty,
-                    scheme=scheme, threads=threads, subgroup=subgroup)
-    fanout = BATCH_FANOUT_FLOPS * threads if threads > 1 else 0.0
-    return batch * (per / max(1, threads) + fanout)
+    return batch * plan_cost(alg, p, q, r, steps, scheme=scheme,
+                             threads=threads, subgroup=subgroup,
+                             backend=backend, dtype=dtype)
 
 
 # ------------------------------------------------------ reads/writes, Sec 3.2
+def _rw_by_side(alg: FastAlgorithm, strategy: str):
+    """``(reads, writes)`` in A blocks, in B blocks, in C blocks."""
+    m, k, n = alg.base_case
+    (ca, na, sa, _), (cb, nb, sb, _), (cc, nc, _, _) = _chain_counts(alg)
+    if strategy == "pairwise":
+        return (2 * na - ca, na), (2 * nb - cb, nb), (2 * nc - cc, nc)
+    if strategy == "write_once":
+        return (na, ca - sa), (nb, cb - sb), (nc, cc)
+    if strategy == "streaming":
+        return (m * k, ca - sa), (k * n, cb - sb), (alg.rank, cc)
+    raise ValueError(f"unknown strategy {strategy!r}")
+
+
 def addition_rw_counts(alg: FastAlgorithm, strategy: str) -> tuple[int, int]:
     """(submatrix reads, submatrix writes) per recursion level, Section 3.2.
 
@@ -326,21 +309,8 @@ def addition_rw_counts(alg: FastAlgorithm, strategy: str) -> tuple[int, int]:
     For write-once/streaming we report the paper's upper bounds minus the
     copy-only chains (single-nonzero U/V columns need no temporary at all).
     """
-    m, k, n = alg.base_case
-    R = alg.rank
-    nu, nv, nw = alg.nnz()
-    nnz_total = nu + nv + nw
-    singles = int(
-        np.sum(np.count_nonzero(alg.U, axis=0) == 1)
-        + np.sum(np.count_nonzero(alg.V, axis=0) == 1)
-    )
-    if strategy == "pairwise":
-        return 2 * nnz_total - 2 * R - m * n, nnz_total
-    if strategy == "write_once":
-        return nnz_total, 2 * R + m * n - singles
-    if strategy == "streaming":
-        return m * k + k * n + R, 2 * R + m * n - singles
-    raise ValueError(f"unknown strategy {strategy!r}")
+    sides = _rw_by_side(alg, strategy)
+    return sum(rd for rd, _ in sides), sum(wr for _, wr in sides)
 
 
 def cse_rw_delta(occurrences: int) -> int:

@@ -263,7 +263,7 @@ def get_batch_plan(
         candidates.append(BatchPlan(plan=elem, mode="elementwise",
                                     workers=threads))
     best = min(candidates,
-               key=lambda bp: (batch_plan_cost(bp, p, q, r, batch),
+               key=lambda bp: (batch_plan_cost(bp, p, q, r, batch, dtype),
                                bp.describe()))
     return best, "model"
 

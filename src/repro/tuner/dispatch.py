@@ -53,17 +53,8 @@ from repro.parallel.pool import WorkerPool, resolve_threads
 from repro.parallel.schedules import multiply_parallel
 from repro.tuner.cache import PlanCache
 from repro.tuner.policy import TuningPolicy, get_policy
-from repro.tuner.space import (
-    DEFAULT_MIN_LEAF,
-    Plan,
-    enumerate_plans,
-    trivial_dim,
-)
+from repro.tuner.space import Plan, enumerate_plans, trivial_dim
 from repro.util.validation import check_matmul_dims, require_2d
-
-#: float64 threshold below which problems always run plain BLAS
-#: (dtype-aware callers use :func:`repro.tuner.space.trivial_dim`)
-TRIVIAL_DIM = 2 * DEFAULT_MIN_LEAF
 
 #: arenas kept warm at once (each is sized for one plan/shape/dtype; the
 #: serving sweet spot is a few hot shapes hit over and over)

@@ -6,9 +6,11 @@ how many recursive steps, which parallel schedule (including the
 sub-group hybrid's P', swept over the divisors of the thread count),
 which matrix-addition strategy, the leaf cutoff and the thread count.
 ``enumerate_plans`` generates the candidates for one problem shape and
-ranks them with the ``core.cost`` analytical model -- arithmetic plus the
-Section 4.2 / Ballard-style communication terms -- so measurement
-(``repro.tuner.measure``) only has to time a short, promising shortlist.
+ranks them by ``core.cost.plan_cost``'s predicted seconds on this machine,
+so measurement (``repro.tuner.measure``) only has to time a short,
+promising shortlist and an untuned shape is served a plan that respects
+the Section 3.4 cutoff.  The ranking is memoised: dispatch's model stage
+is a dictionary hit after the first call for a shape.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ import dataclasses
 import functools
 
 from repro.algorithms import get_algorithm, list_algorithms
-from repro.core.cost import batch_cost, parallel_traffic, plan_cost
+from repro.bench import machine
+from repro.core.cost import batch_cost, plan_cost
 from repro.core.stability import max_stable_steps
 from repro.core.transforms import permutation_family
 from repro.parallel.schedules import SCHEMES
@@ -262,14 +265,14 @@ class BatchPlan:
 
 
 def batch_plan_cost(bplan: BatchPlan, p: int, q: int, r: int, batch: int,
-                    add_penalty: float = 4.0) -> float:
-    """Modeled batch wall-clock of ``bplan`` (gemm-equivalent flops)."""
+                    dtype: str = "float64") -> float:
+    """Predicted seconds of running the whole batch as ``bplan``."""
     plan = bplan.plan
     alg = None if plan.is_dgemm else get_algorithm(plan.algorithm)
     return batch_cost(
         alg, p, q, r, plan.steps, batch, threads=bplan.workers,
         mode=bplan.mode, scheme=plan.scheme, subgroup=plan.subgroup,
-        add_penalty=add_penalty,
+        backend=plan.backend, dtype=dtype,
     )
 
 
@@ -280,7 +283,6 @@ def enumerate_batch_plans(
     batch: int,
     threads: int = 1,
     max_candidates: int | None = None,
-    add_penalty: float = 4.0,
     dtype: str = "float64",
 ) -> list[BatchPlan]:
     """Candidate batch plans for ``batch`` same-shape products, best first.
@@ -299,18 +301,15 @@ def enumerate_batch_plans(
     head = max_candidates if max_candidates is not None else 8
     scored: list[tuple[float, BatchPlan]] = []
     for plan in enumerate_plans(p, q, r, threads=threads,
-                                max_candidates=head, add_penalty=add_penalty,
-                                dtype=dtype):
+                                max_candidates=head, dtype=dtype):
         bplan = BatchPlan(plan=plan, mode="within", workers=plan.threads)
-        scored.append((batch_plan_cost(bplan, p, q, r, batch,
-                                       add_penalty=add_penalty), bplan))
+        scored.append((batch_plan_cost(bplan, p, q, r, batch, dtype), bplan))
     if threads > 1:
         for plan in enumerate_plans(p, q, r, threads=1,
-                                    max_candidates=head,
-                                    add_penalty=add_penalty, dtype=dtype):
+                                    max_candidates=head, dtype=dtype):
             bplan = BatchPlan(plan=plan, mode="elementwise", workers=threads)
-            scored.append((batch_plan_cost(bplan, p, q, r, batch,
-                                           add_penalty=add_penalty), bplan))
+            scored.append((batch_plan_cost(bplan, p, q, r, batch, dtype),
+                           bplan))
     scored.sort(key=lambda cb: (cb[0], cb[1].describe()))
     bplans = [bp for _, bp in scored]
     if max_candidates is not None:
@@ -378,20 +377,19 @@ def enumerate_plans(
     threads: int = 1,
     min_leaf: int | None = None,
     max_candidates: int | None = None,
-    add_penalty: float = 4.0,
     dtype: str = "float64",
 ) -> list[Plan]:
     """Candidate plans for one shape, best-ranked (by the cost model) first.
 
     The space is algorithm x steps x schedule (x P' for the sub-group
     hybrid), pruned: recursion depths whose leaves drop below ``min_leaf``
-    are skipped, and fast plans whose modeled cost exceeds plain dgemm are
+    are skipped, and fast plans predicted no faster than plain dgemm are
     dropped (they cannot win).  The dgemm baseline plan is always
     included, so the list is never empty.
 
     With ``threads > 1`` every parallel scheme is enumerated -- ranking
-    (the cost model's :func:`repro.core.cost.parallel_traffic` term), not
-    list slicing, decides which schemes make a shortlist -- and the
+    (:func:`repro.core.cost.plan_cost`'s waves, traffic and task terms),
+    not list slicing, decides which schemes make a shortlist -- and the
     ``hybrid-subgroup`` scheme is swept over :func:`subgroup_candidates`
     per (algorithm, steps) pair, so the decisive P' knob of the paper's
     Section 4.3 is an explicit tuning dimension.
@@ -403,63 +401,61 @@ def enumerate_plans(
     exceeds the precision's growth budget.
 
     On hosts with a working C compiler every sequential candidate gets a
-    ``backend="compiled"`` twin, costed with the fused-chain discount
-    (:data:`repro.core.cost.COMPILED_ADD_DISCOUNT`); hosts without one
-    never see a compiled candidate, so tuning stays portable.
+    ``backend="compiled"`` twin, scored with the fused chains' lower
+    traffic; hosts without one never see a compiled candidate, so tuning
+    stays portable.
+
+    Memoised per shape, dtype, thread count, cutoff, compiler availability
+    and machine calibration (taken lazily here, on the first lookup for a
+    ``(dtype, threads)`` pair): only the first call for a shape scores.
     """
     dtype = str(dtype)
     if min_leaf is None:
         min_leaf = default_min_leaf(dtype)
+    compiled_ok = threads <= 1 and compiled_backend_available()
+    plans = _ranked_plans(p, q, r, dtype, threads, min_leaf, compiled_ok,
+                          machine.calibration(dtype, threads, p * q * r))
+    if max_candidates is None:
+        return list(plans)
+    head = list(plans[:max_candidates])
+    if not any(pl.is_dgemm for pl in head):
+        head[-1:] = [next(pl for pl in plans if pl.is_dgemm)]
+    return head
+
+
+@functools.lru_cache(maxsize=4096)
+def _ranked_plans(p: int, q: int, r: int, dtype: str, threads: int,
+                  min_leaf: int, compiled_ok: bool,
+                  calibration) -> tuple[Plan, ...]:
+    """The whole ranked space behind :func:`enumerate_plans`.
+    ``calibration`` (what the scores are computed from) is part of the
+    key only: a new calibration is a new ranking."""
     cap = MAX_STEPS.get(dtype, MAX_STEPS["float64"])
-    schemes = ("sequential",) if threads <= 1 else SCHEMES
-    compiled_ok = "sequential" in schemes and compiled_backend_available()
-    subgroups = subgroup_candidates(threads)
+    variants = [(scheme, sub, "numpy")
+                for scheme in (SCHEMES if threads > 1 else ("sequential",))
+                for sub in (subgroup_candidates(threads)
+                            if scheme == "hybrid-subgroup" else [None])]
+    if compiled_ok:
+        variants.append(("sequential", None, "compiled"))
+    dgemm_cost = plan_cost(None, p, q, r, 0, threads=threads, dtype=dtype)
     scored: list[tuple[float, Plan]] = [
-        (plan_cost(None, p, q, r, 0), Plan(threads=threads, min_leaf=min_leaf))
+        (dgemm_cost, Plan(threads=threads, min_leaf=min_leaf))
     ]
-    dgemm_cost = scored[0][0]
     for name in candidate_algorithms():
         alg = get_algorithm(name)
         depth = max_useful_steps(alg.base_case, p, q, r,
                                  min_leaf=min_leaf, cap=cap)
         depth = min(depth, max_stable_steps(alg, dtype))
         for steps in range(1, depth + 1):
-            # the arithmetic term depends only on (algorithm, steps);
-            # schemes differ by their (non-negative) traffic term, so an
-            # (alg, steps) pair that already loses to dgemm sequentially
-            # cannot win under any scheme
-            arith = plan_cost(alg, p, q, r, steps, add_penalty=add_penalty)
-            if arith >= dgemm_cost:
-                continue
-            for scheme in schemes:
-                sweep = subgroups if scheme == "hybrid-subgroup" else [None]
-                for sub in sweep:
-                    cost = arith + add_penalty * parallel_traffic(
-                        alg, p, q, r, steps, scheme=scheme,
-                        threads=threads, subgroup=sub,
-                    )
-                    if cost >= dgemm_cost:
-                        continue
+            for scheme, sub, backend in variants:
+                cost = plan_cost(alg, p, q, r, steps, scheme=scheme,
+                                 threads=threads, subgroup=sub,
+                                 backend=backend, dtype=dtype)
+                if cost < dgemm_cost:
                     scored.append((cost, Plan(
                         algorithm=name, steps=steps, scheme=scheme,
                         threads=threads, min_leaf=min_leaf, subgroup=sub,
-                    )))
-            if compiled_ok:
-                # the compiled twin of the sequential candidate: same
-                # arithmetic, fused single-pass additions (cheaper traffic)
-                ccost = plan_cost(alg, p, q, r, steps,
-                                  add_penalty=add_penalty, backend="compiled")
-                if ccost < dgemm_cost:
-                    scored.append((ccost, Plan(
-                        algorithm=name, steps=steps, scheme="sequential",
-                        threads=threads, min_leaf=min_leaf,
-                        backend="compiled",
+                        backend=backend,
                     )))
     scored.sort(key=lambda cp_: (cp_[0], cp_[1].describe()))
-    plans = [pl for _, pl in scored]
-    if max_candidates is not None:
-        head = plans[:max_candidates]
-        if not any(pl.is_dgemm for pl in head):
-            head[-1:] = [next(pl for pl in plans if pl.is_dgemm)]
-        plans = head
-    return plans
+    return tuple(pl for _, pl in scored)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms import classical, get_algorithm, strassen, winograd
+from repro.bench import machine
 
 #: worker-thread count the multicore tier exercises; single-core boxes can
 #: still run the tier by exporting REPRO_TEST_THREADS (thread pools work
@@ -87,6 +88,72 @@ class FakeClock:
 
     def advance(self, dt):
         self.t += dt
+
+
+#: the measuring ``machine.calibration``, captured before the synthetic
+#: machine below replaces it (see the ``real_calibration`` fixture)
+_REAL_CALIBRATION = machine.calibration
+
+
+def synthetic_calibration(dtype="float64", threads=1, gflops=10.0,
+                          sizes=(32, 4096), add_gbs=60.0, call_s=0.0,
+                          task_s=0.0, blas_scaling=1.0):
+    """A made-up machine for the seconds model: ``gflops`` (a number for a
+    flat curve, or one value per entry of ``sizes``) and ``add_gbs`` are
+    per thread; additions scale perfectly with ``threads``, a gemm by
+    ``threads ** blas_scaling``."""
+    rates = [gflops] * len(sizes) if np.isscalar(gflops) else list(gflops)
+    curve = machine.GemmCurve(list(sizes),
+                              [g * threads ** blas_scaling for g in rates],
+                              threads=threads, dtype=dtype)
+    return machine.Calibration(dtype, threads, curve, add_gbs * threads,
+                               call_s, task_s)
+
+
+def calibration_source(**machine_kw):
+    """A stand-in for ``machine.calibration`` that serves (and keeps) one
+    :func:`synthetic_calibration` per ``(dtype, threads)``."""
+    made = {}
+
+    def lookup(dtype="float64", threads=1, volume=0):
+        key = ("float32" if str(dtype) == "float32" else "float64",
+               int(threads))
+        if key not in made:
+            made[key] = synthetic_calibration(*key, **machine_kw)
+        return made[key]
+    return lookup
+
+
+@pytest.fixture(autouse=True, scope="session")
+def synthetic_machine():
+    """The suite never times this machine: the cost model reads a flat
+    10 GFLOPS/thread gemm curve, 60 GB/s/thread additions and no fixed
+    costs -- an addition flop worth about four gemm flops, so fast plans
+    win from a few hundred up and every tuner test has a shortlist to
+    work with, identically on every host."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(machine, "calibration", calibration_source())
+        yield
+
+
+@pytest.fixture
+def use_machine(monkeypatch):
+    """``use_machine(gflops=..., add_gbs=..., ...)``: run the rest of the
+    test on another synthetic machine."""
+    def install(**machine_kw):
+        source = calibration_source(**machine_kw)
+        monkeypatch.setattr(machine, "calibration", source)
+        return source
+    return install
+
+
+@pytest.fixture
+def real_calibration(monkeypatch, tmp_path):
+    """The measuring ``machine.calibration``, for the tests of calibration
+    itself: nothing in memory yet, files under ``tmp_path``."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(machine, "_calibrations", {})
+    return _REAL_CALIBRATION
 
 
 @pytest.fixture(scope="session")

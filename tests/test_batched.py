@@ -467,6 +467,22 @@ class TestBatchCost:
                             mode="within")
         assert elem < within
 
+    def test_gemm_curves_and_task_cost_decide_the_axis(self, use_machine):
+        """Seconds, both modes: where a 2-way gemm is no faster than one
+        thread (below the Section 3.4 knee) fanning elements out wins,
+        until a pool task costs more than an element; with perfectly
+        scaling BLAS and free tasks the two tie."""
+        def costs():
+            return [batch_cost(None, 96, 96, 96, 0, 4, threads=2, mode=mode)
+                    for mode in ("elementwise", "within")]
+        elem = 2 * 96**3 / 10e9
+        use_machine(blas_scaling=0.0)
+        assert costs() == pytest.approx([2 * elem, 4 * elem])
+        use_machine(blas_scaling=0.0, task_s=elem)
+        assert costs() == pytest.approx([2 * elem + 4 * elem, 4 * elem])
+        use_machine()
+        assert costs() == pytest.approx([2 * elem, 2 * elem])
+
     def test_invalid_args_raise(self):
         alg = get_algorithm("strassen")
         with pytest.raises(ValueError):

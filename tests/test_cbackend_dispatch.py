@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from repro.algorithms import get_algorithm
 from repro.codegen import cbackend
-from repro.core.cost import COMPILED_ADD_DISCOUNT, plan_cost
+from repro.core.cost import plan_cost
 from repro.core.stability import error_bound
 from repro.core.workspace import Workspace, track_allocations
 from repro.guard import faults
@@ -119,15 +119,41 @@ class TestPlanBackend:
         legacy.pop("backend")
         assert Plan.from_dict(legacy).backend == "numpy"
 
-    def test_compiled_cost_discounts_additions_only(self):
+    def test_compiled_cost_discounts_additions_only(self, use_machine):
+        """One fused pass per chain against one pass per term: the same
+        plan never costs more compiled, and by exactly the traffic saved
+        (strassen: 50 block passes a level instead of 90)."""
+        use_machine(gflops=10.0, add_gbs=20.0, call_s=2e-6)
+        for name in ("strassen", "s424", "s333"):
+            alg = get_algorithm(name)
+            for steps in (1, 2):
+                base = plan_cost(alg, 512, 512, 512, steps)
+                cc = plan_cost(alg, 512, 512, 512, steps, backend="compiled")
+                assert cc <= base
         alg = get_algorithm("strassen")
-        base = plan_cost(alg, 512, 512, 512, 2)
-        cc = plan_cost(alg, 512, 512, 512, 2, backend="compiled")
-        assert cc < base
+        saved = (90 - 50) * 256 * 256 * 8 / 20e9
+        assert plan_cost(alg, 512, 512, 512, 1) - plan_cost(
+            alg, 512, 512, 512, 1, backend="compiled") == pytest.approx(saved)
         # dgemm has no additions to discount
         assert plan_cost(None, 512, 512, 512, 0) == \
-            plan_cost(None, 512, 512, 512, 0, backend="numpy")
-        assert 0.0 < COMPILED_ADD_DISCOUNT < 1.0
+            plan_cost(None, 512, 512, 512, 0, backend="compiled")
+
+    def test_compiled_float32_is_scored_in_double(self, use_machine,
+                                                  monkeypatch):
+        """The C kernels compute in float64 whatever the operands are, so
+        a float32 compiled plan runs dgemm leaves, not sgemm ones: it is
+        priced from the float64 calibration alone."""
+        import repro.bench.machine as machine
+
+        source, asked = use_machine(), []
+        monkeypatch.setattr(
+            machine, "calibration", lambda dtype, threads, volume:
+            asked.append(dtype) or source(dtype, threads))
+        alg = get_algorithm("strassen")
+        plan_cost(alg, 512, 512, 512, 1, backend="compiled", dtype="float32")
+        assert set(asked) == {"float64"}
+        plan_cost(alg, 512, 512, 512, 1, dtype="float32")
+        assert "float32" in asked
 
 
 # ---------------------------------------------------------------- .so cache
@@ -150,6 +176,35 @@ class TestCompileCache:
         # every perturbation must produce a distinct key: a .so built by
         # another compiler/flags/machine is never reused
         assert len(keys) == 5
+
+    def test_key_covers_isa_flags(self, monkeypatch, tmp_path,
+                                  real_calibration):
+        """Regression: the objects are built ``-march=native`` but the
+        fingerprint recorded only the CPU model string, so two VMs with
+        one model name and different AVX levels shared a key (and, under
+        a shared ``REPRO_CACHE_DIR``, an illegal-instruction crash).  The
+        calibration files are keyed the same way."""
+        import repro.bench.machine as machine
+
+        monkeypatch.setattr(machine, "measure_calibration",
+                            lambda dtype, threads: machine.Calibration(
+                                dtype, threads,
+                                machine.GemmCurve([64], [1.0]), 1.0, 0.0, 0.0))
+        src = _probe_src("isa")
+        keys, digests = set(), set()
+        for flags in ("fma avx2", "fma avx2 avx512f"):
+            monkeypatch.setattr(machine, "_isa_flags", lambda f=flags: f)
+            machine.machine_fingerprint.cache_clear()
+            machine._calibrations.clear()
+            try:
+                keys.add(cbackend._source_key(src))
+                digests.add(machine.fingerprint_digest())
+                real_calibration("float64", 1)
+            finally:
+                machine.machine_fingerprint.cache_clear()
+        assert len(keys) == 2 and len(digests) == 2
+        assert sorted(f.name for f in tmp_path.iterdir()) == sorted(
+            f"calibration-{d}-float64-1t.json" for d in digests)
 
     @needs_cc
     def test_cache_dir_env_honored_and_writes_atomic(

@@ -260,3 +260,14 @@ class TestExplain:
         assert "arena footprint:" in text
         assert "observed call:" in text
         assert "dispatch.lookup" in text
+        # every shortlisted plan carries a prediction in real units, and
+        # the served plan's prediction sits beside its measurement
+        import re
+
+        rows = re.findall(r"#\d+ .* predicted +([\d.]+) ms +([\d.]+) "
+                          r"eff\.GFLOPS", text)
+        assert rows and float(rows[0][0]) > 0
+        assert [float(ms) for ms, _ in rows] == sorted(
+            float(ms) for ms, _ in rows)
+        assert re.search(r"predicted vs measured: [\d.]+ ms vs [\d.]+ ms "
+                         r"\(x[\d.]+\)", text)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro import tuner
-from repro.core.cost import estimate_recursive_flops, plan_cost
+from repro.core.cost import plan_cost
 from repro.algorithms import get_algorithm
 from repro.tuner.cache import PlanCache, problem_key
 from repro.tuner.space import Plan
@@ -66,15 +66,20 @@ class TestPlan:
 
 
 class TestCostModel:
-    def test_matches_exact_recurrence_on_divisible_shape(self):
+    def test_matches_exact_recurrence_on_divisible_shape(self, use_machine):
+        """At one flop and one byte a nanosecond the seconds model walks
+        the levels the paper's recurrence walks: 49 leaf gemms, and per
+        level-0 / level-1 block 18 additions there, 90 block passes (54
+        reads + 36 writes, pairwise) of 8-byte words here."""
         from repro.core.cost import recursive_flops
 
         alg = get_algorithm("strassen")
-        mults, adds = estimate_recursive_flops(alg, 256, 256, 256, 2)
-        exact = recursive_flops(alg, 256, 256, 256, 2)
-        # fractional-block estimate equals the exact model up to the
-        # classical-leaf -pr term (<1% at this size)
-        assert mults + adds == pytest.approx(exact, rel=1e-2)
+        blocks = 128**2 + 7 * 64**2
+        assert recursive_flops(alg, 256, 256, 256, 2) == (
+            49 * (2 * 64**3 - 64**2) + 18 * blocks)
+        use_machine(gflops=1.0, add_gbs=1.0)
+        assert plan_cost(alg, 256, 256, 256, 2) * 1e9 == pytest.approx(
+            49 * 2 * 64**3 + 8 * 90 * blocks)
 
     def test_fast_beats_classical_at_depth(self):
         alg = get_algorithm("strassen")
@@ -82,11 +87,100 @@ class TestCostModel:
             None, 4096, 4096, 4096, 0
         )
 
-    def test_penalty_disfavors_addition_heavy_plans(self):
+    def test_penalty_disfavors_addition_heavy_plans(self, use_machine):
+        """Additions are charged at the machine's streaming bandwidth: a
+        tenth of it makes the same plan dearer and leaves dgemm alone."""
         alg = get_algorithm("strassen")
-        cheap = plan_cost(alg, 1024, 1024, 1024, 1, add_penalty=1.0)
-        dear = plan_cost(alg, 1024, 1024, 1024, 1, add_penalty=10.0)
-        assert dear > cheap
+        use_machine(add_gbs=60.0)
+        cheap = plan_cost(alg, 1024, 1024, 1024, 1)
+        dgemm = plan_cost(None, 1024, 1024, 1024, 0)
+        use_machine(add_gbs=6.0)
+        assert plan_cost(alg, 1024, 1024, 1024, 1) > cheap
+        assert plan_cost(None, 1024, 1024, 1024, 0) == dgemm
+
+    def test_dgemm_cost_is_the_curves_prediction(self, use_machine):
+        from repro.bench import machine
+
+        use_machine(gflops=[2.0, 8.0, 10.0], sizes=[64, 512, 2048])
+        for threads in (1, 4):
+            curve = machine.calibration("float64", threads).gemm
+            for shape in ((300, 300, 300), (1000, 40, 1000), (4096,) * 3):
+                want = curve.seconds(*shape)
+                assert plan_cost(None, *shape, 0, threads=threads) == want
+                assert plan_cost(get_algorithm("strassen"), *shape, 0,
+                                 threads=threads) == want
+        # the rate is read at the cube of the same volume
+        assert curve.seconds(512, 512, 512) == pytest.approx(
+            2 * 512**3 / (4 * 8.0e9))
+
+    @staticmethod
+    def _best_steps(n, cap=3):
+        alg = get_algorithm("strassen")
+        return min(range(cap + 1), key=lambda s: plan_cost(
+            alg if s else None, n, n, n, s))
+
+    def test_flat_curve_recurses_deeper_as_n_grows(self, use_machine):
+        """With no ramp to fall down, only additions and fixed costs hold
+        recursion back, and both shrink against N^3."""
+        use_machine(gflops=10.0, add_gbs=20.0, call_s=5e-6)
+        depths = [self._best_steps(n) for n in (128, 512, 2048, 8192)]
+        assert depths == sorted(depths)
+        assert depths[0] == 0 and depths[-1] == 3
+
+    def test_steep_ramp_returns_dgemm_only(self, use_machine):
+        """Section 3.4: where halving the size halves the gemm rate, a
+        step's 8/7 cannot pay -- with free additions, on every algorithm."""
+        sizes = [32, 64, 128, 256, 512, 1024, 2048]
+        use_machine(gflops=[n / 64 for n in sizes], sizes=sizes,
+                    add_gbs=1e6)
+        assert self._best_steps(2048) == 0
+        plans = tuner.enumerate_plans(2048, 2048, 2048)
+        assert [pl.describe() for pl in plans] == ["dgemm(1t)"]
+
+    def test_bfs_pays_the_extra_wave(self, use_machine):
+        """7 leaves on 7 workers are one wave, on 6 workers two; the
+        hybrids run the odd leaf on all threads instead."""
+        use_machine(add_gbs=1e9)
+        alg = get_algorithm("strassen")
+        leaf = plan_cost(None, 512, 512, 512, 0)
+
+        def cost(scheme, threads, **kw):
+            return plan_cost(alg, 1024, 1024, 1024, 1, scheme=scheme,
+                             threads=threads, **kw)
+        assert cost("bfs", 7) == pytest.approx(leaf)
+        assert cost("bfs", 6) == pytest.approx(2 * leaf)
+        assert cost("hybrid", 6) == pytest.approx(leaf + leaf / 6)
+        # P' = 2: the odd leaf on one group of two threads
+        assert cost("hybrid-subgroup", 6, subgroup=2) == pytest.approx(
+            leaf + leaf / 2)
+
+    def test_odd_dimensions_pay_their_peel_passes(self, use_machine):
+        """Dynamic peeling recurses on the divisible core (same leaves)
+        and fixes the strips up with thin products: a pass over B for an
+        odd p, over A for an odd r, four over the core of C for an odd q."""
+        use_machine(add_gbs=8.0)        # one float64 word a nanosecond
+        alg = get_algorithm("strassen")
+        even = plan_cost(alg, 1024, 1024, 1024, 1)
+        words = 1024 * 1024
+        for shape, extra in (((1025, 1024, 1024), words),
+                             ((1024, 1024, 1025), words),
+                             ((1024, 1025, 1024), 4 * words),
+                             ((1025, 1025, 1025), 4 * 1025**2 + 2 * 1025**2)):
+            assert (plan_cost(alg, *shape, 1) - even) * 1e9 == pytest.approx(
+                extra)
+
+    def test_fixed_costs_are_charged_per_product_and_task(self, use_machine):
+        alg = get_algorithm("strassen")
+        use_machine()
+        seq = plan_cost(alg, 1024, 1024, 1024, 2)
+        bfs = plan_cost(alg, 1024, 1024, 1024, 2, scheme="bfs", threads=4)
+        use_machine(call_s=1e-5, task_s=1e-4)
+        assert plan_cost(alg, 1024, 1024, 1024, 2) == pytest.approx(
+            seq + (7 + 49) * 1e-5)
+        # bfs: 7 + 49 children formed, 49 leaves multiplied, 1 + 7 combined
+        assert plan_cost(alg, 1024, 1024, 1024, 2, scheme="bfs",
+                         threads=4) == pytest.approx(
+            bfs + (7 + 49) * 1e-5 + (56 + 49 + 8) * 1e-4)
 
     def test_parallel_traffic_baselines_are_free(self):
         from repro.core.cost import parallel_traffic
@@ -127,10 +221,12 @@ class TestCostModel:
         assert costs[1] != costs[2]
 
     def test_plan_cost_charges_communication(self):
+        """On the same four threads bfs pays its Section 4.2 pools (and
+        a 13th wave for 49 leaves) over dfs, which has neither."""
         alg = get_algorithm("strassen")
-        seq = plan_cost(alg, 1024, 1024, 1024, 2)
-        par = plan_cost(alg, 1024, 1024, 1024, 2, scheme="bfs", threads=4)
-        assert par > seq
+        dfs = plan_cost(alg, 1024, 1024, 1024, 2, scheme="dfs", threads=4)
+        bfs = plan_cost(alg, 1024, 1024, 1024, 2, scheme="bfs", threads=4)
+        assert bfs > dfs
 
 
 class TestEnumeration:
@@ -173,7 +269,9 @@ class TestEnumeration:
 
     def test_hybrid_subgroup_sweeps_pprime_divisors(self):
         """The P' sub-space: one candidate per proper divisor of the
-        thread count, per (algorithm, steps) pair."""
+        thread count, per (algorithm, steps) pair -- less the ones the
+        model already puts behind dgemm (P' changes the remainder waves,
+        so one pair's sweep can straddle that line)."""
         from repro.tuner.space import subgroup_candidates
 
         assert subgroup_candidates(4) == [1, 2]
@@ -186,11 +284,13 @@ class TestEnumeration:
         assert swept == {1, 2, 3}
         by_alg_steps = {(pl.algorithm, pl.steps) for pl in plans
                         if pl.scheme == "hybrid-subgroup"}
-        for key in by_alg_steps:
-            subs = [pl.subgroup for pl in plans
-                    if pl.scheme == "hybrid-subgroup"
-                    and (pl.algorithm, pl.steps) == key]
-            assert sorted(subs) == [1, 2, 3]
+        sweeps = [sorted(pl.subgroup for pl in plans
+                         if pl.scheme == "hybrid-subgroup"
+                         and (pl.algorithm, pl.steps) == key)
+                  for key in by_alg_steps]
+        assert [1, 2, 3] in sweeps
+        assert all(len(set(subs)) == len(subs) and set(subs) <= {1, 2, 3}
+                   for subs in sweeps)
 
     def test_sequential_space_has_no_subgroup_plans(self):
         for pl in tuner.enumerate_plans(1024, 1024, 1024, threads=1):
@@ -275,6 +375,39 @@ class TestDispatchResolution:
         assert source == "model"
         assert not plan.is_dgemm  # at this size the model expects a win
         assert plan == tuner.enumerate_plans(768, 768, 768)[0]
+
+    def test_model_stage_ranks_a_shape_once(self, cache, monkeypatch):
+        """The model stage is memoised: a second lookup of the same shape
+        on an empty cache scores nothing."""
+        from repro.tuner import space
+
+        scored = []
+
+        def counting(*args, **kwargs):
+            scored.append(args)
+            return plan_cost(*args, **kwargs)
+
+        monkeypatch.setattr(space, "plan_cost", counting)
+        first = tuner.get_plan(776, 552, 1000, threads=1, cache=cache)
+        ranked = len(scored)
+        assert ranked > 1 and first[1] == "model"
+        assert tuner.get_plan(776, 552, 1000, threads=1, cache=cache) == first
+        assert tuner.get_policy("never").select(
+            776, 552, 1000, "float64", 1, cache) == first
+        assert len(scored) == ranked
+        # another thread count, dtype or calibration is another ranking
+        tuner.get_plan(776, 552, 1000, threads=2, cache=cache)
+        assert len(scored) > ranked
+
+    def test_quarantined_head_of_memoised_ranking_is_skipped(self, cache):
+        head, second = tuner.enumerate_plans(768, 768, 768)[:2]
+        assert tuner.get_plan(768, 768, 768, threads=1, cache=cache)[0] == head
+        for _ in range(2):
+            cache.record_failure(768, 768, 768, "float64", 1, head, "test")
+        assert tuner.get_plan(768, 768, 768, threads=1,
+                              cache=cache) == (second, "model")
+        cache.record_success(768, 768, 768, "float64", 1, head)
+        assert tuner.get_plan(768, 768, 768, threads=1, cache=cache)[0] == head
 
 
 class TestMatmulCorrectness:

@@ -40,7 +40,12 @@ import numpy as np
 
 from repro.algorithms import get_algorithm
 from repro.core.recursion import multiply
-from repro.core.workspace import Workspace, track_allocations
+from repro.core.workspace import (
+    Workspace,
+    bfs_footprint,
+    codegen_footprint,
+    track_allocations,
+)
 from repro.parallel import blas
 from repro.parallel.pool import WorkerPool, available_cores
 from repro.parallel.schedules import multiply_parallel
@@ -100,8 +105,8 @@ def bench_config(scheme: str, dtype: str, n: int, steps: int,
             ws = Workspace.for_recursion([alg.base_case] * steps, n, n, n,
                                          A.dtype, B.dtype)
         else:
-            ws = Workspace.for_parallel(alg, steps, n, n, n,
-                                        A.dtype, B.dtype)
+            ws = Workspace(bfs_footprint(alg, steps, n, n, n,
+                                         A.dtype, B.dtype))
 
         def run_alloc():
             multiply_parallel(A, B, alg, steps=steps, scheme=scheme,
@@ -154,8 +159,8 @@ def bench_codegen(strategy: str, dtype: str, n: int, steps: int,
     B = random_matrix(n, n, 1, dtype=np.dtype(dtype))
     out = np.empty((n, n), dtype=np.result_type(A, B))
     fn = compile_algorithm(alg, strategy=strategy)
-    ws = Workspace.for_codegen(alg, strategy, False, (n, n, n),
-                               A.dtype, steps, dtype_b=B.dtype)
+    ws = Workspace(codegen_footprint(alg, strategy, False, (n, n, n),
+                                     A.dtype, steps, dtype_b=B.dtype))
 
     def run_alloc():
         with blas.blas_threads(threads):

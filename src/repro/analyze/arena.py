@@ -29,12 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.analyze.base import Finding
-
-_ALIGNMENT = 64
-
-
-def _align_up(n: int) -> int:
-    return (n + _ALIGNMENT - 1) & ~(_ALIGNMENT - 1)
+from repro.core.workspace import _align_up
 
 
 def _call_name(node: ast.Call) -> str:

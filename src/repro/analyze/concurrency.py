@@ -92,8 +92,9 @@ REGISTRY: tuple[SharedState, ...] = (
                 "warn is benign"),
 )
 
-#: Files whose arena-served functions get the allocation lint.
-HOT_ALLOC_FILES = ("codegen/runtime.py",)
+#: Files whose arena-served functions get the allocation lint: the
+#: generated modules' runtime, and the peeling fix-up every executor calls.
+HOT_ALLOC_FILES = ("codegen/runtime.py", "util/matrices.py")
 
 
 def _src_root() -> Path:

@@ -314,7 +314,7 @@ def measure_calibration(dtype: str = "float64", threads: int = 1) -> Calibration
     """Measure one :class:`Calibration` (~0.05 s of CPU, nothing cached)."""
     from repro.algorithms import get_algorithm
     from repro.codegen import compile_algorithm
-    from repro.core.workspace import Workspace
+    from repro.core.workspace import Workspace, codegen_footprint
     from repro.parallel.pool import WorkerPool
 
     gemm = measure_gemm_curve(list(CALIBRATION_SIZES), threads=threads,
@@ -325,7 +325,8 @@ def measure_calibration(dtype: str = "float64", threads: int = 1) -> Calibration
     fast = compile_algorithm(alg)
     A = random_matrix(16, 16, 0, dtype=dtype)
     C = np.empty_like(A)
-    ws = Workspace.for_codegen(alg, "write_once", False, (16, 16, 16), dtype)
+    ws = Workspace(codegen_footprint(alg, "write_once", False, (16, 16, 16),
+                                     dtype))
     call_s = median_time(lambda: fast(A, A, steps=1, out=C, workspace=ws),
                          trials=5, warmup=2) / alg.rank
 
@@ -410,3 +411,16 @@ def calibration(dtype: str = "float64", threads: int = 1,
                 pass
         _calibrations[key] = cal
     return cal
+
+
+def forget_calibrations() -> int:
+    """Delete every ``calibration-*.json`` under :func:`cache_root` and drop
+    the in-process copies, so the next model-stage lookup measures again
+    (``repro cache doctor --fix``: one noisy first calibration is otherwise
+    kept for good).  Returns the number of files removed."""
+    with _calibration_lock:
+        _calibrations.clear()
+        paths = list(cache_root().glob("calibration-*.json"))
+        for path in paths:
+            path.unlink(missing_ok=True)
+    return len(paths)

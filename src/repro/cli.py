@@ -21,7 +21,9 @@ Subcommands map onto the library's main entry points:
   scheme/P' columns for parallel plans) and are the default target of
   invalidation; ``doctor`` additionally reports quarantined plans (the
   ``repro.guard`` failure ledger), unparsable entries, corrupt-file
-  sidecars, and load errors, and ``doctor --fix`` repairs what it can;
+  sidecars, and load errors, lists the machine calibrations the cost
+  model runs on, and ``doctor --fix`` repairs what it can (and removes
+  the calibrations, so the next lookup measures again);
 - ``codegen``   — print the generated Python (or C) source for an
   algorithm/strategy/CSE combination;
 - ``search``    — run the §2.3 ALS search (delegates to
@@ -159,7 +161,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fix", action="store_true",
                    help="with doctor: drop unparsable entries, invalidate "
                         "stale ones, clear the failure ledger, remove the "
-                        ".corrupt sidecar, and rewrite the cache file")
+                        ".corrupt sidecar and the machine calibrations, and "
+                        "rewrite the cache file")
 
     p = sub.add_parser("codegen", help="print generated source")
     p.add_argument("--algorithm", "-a", default="strassen")
@@ -850,7 +853,11 @@ def _cache_doctor(args, cache, out) -> int:
     files (the ``.corrupt`` sidecar the loader left), entries from a
     stale schema or foreign machine fingerprint, entries whose plan no
     longer parses, and plans the ``repro.guard`` failure ledger has
-    quarantined.  Exit code 0 when healthy (or fixed), 1 when problems
+    quarantined.  Also lists the machine calibrations the cost model runs
+    on (``calibration-*.json`` next to the compiled objects); they are
+    never a problem in themselves, but ``--fix`` removes them so that the
+    next model-stage lookup measures again -- the way out of a noisy
+    first calibration.  Exit code 0 when healthy (or fixed), 1 when problems
     remain.
     """
     import os
@@ -860,6 +867,11 @@ def _cache_doctor(args, cache, out) -> int:
     print(f"plan cache: {cache.path}", file=out)
     len(cache)  # force the lazy load so load_error/corrupt_sidecar are set
     problems = 0
+    if _report_calibrations(out) and args.fix:
+        from repro.bench import machine
+
+        print(f"  fixed: removed {machine.forget_calibrations()} "
+              f"calibration file(s); the next lookup re-measures", file=out)
 
     if cache.load_error is not None:
         problems += 1
@@ -946,6 +958,29 @@ def _cache_doctor(args, cache, out) -> int:
           f"{len(removed)} stale entrie(s), cleared {cleared} ledger "
           f"key(s), rewrote {cache.path}", file=out)
     return 0
+
+
+def _report_calibrations(out) -> int:
+    """List the calibration files under ``machine.cache_root()``; returns
+    how many there are."""
+    import json
+
+    from repro.bench import machine
+
+    paths = sorted(machine.cache_root().glob("calibration-*.json"))
+    current = machine.fingerprint_digest()
+    for path in paths:
+        digest = path.name.split("-")[1]
+        origin = "current" if digest == current else "foreign"
+        try:
+            cal = machine.Calibration.from_dict(json.loads(path.read_text()))
+            what = (f"{cal.dtype} {cal.threads}t: peak gemm "
+                    f"{cal.gemm.peak:.1f} GFLOPS, add {cal.add_gbs:.1f} GB/s")
+        except (OSError, ValueError, KeyError, TypeError):
+            what = "unreadable"
+        print(f"  [calibration] {path.name} ({origin} fingerprint) {what}",
+              file=out)
+    return len(paths)
 
 
 def cmd_codegen(args, out=sys.stdout) -> int:

@@ -73,9 +73,10 @@ import numpy as np
 from repro.codegen import cse as cse_mod
 from repro.codegen.chains import Chain, extract_chains
 from repro.core.algorithm import FastAlgorithm
+from repro.core.recursion import should_split
 from repro.core.stability import stability_factors
 from repro.obs import telemetry
-from repro.util.matrices import peel_split
+from repro.util.matrices import peel_fixup, peel_split
 from repro.util.validation import check_matmul_dims
 
 _CC = os.environ.get("REPRO_CC", "cc")
@@ -514,45 +515,13 @@ class CompiledChains:
         p, q = A.shape
         r = B.shape[1]
         m, k, n = self.algorithm.base_case
-        if steps <= 0 or p < m or q < k or r < n:
+        if not should_split(steps, p, q, r, m, k, n):
             np.matmul(A, B, out=C)
             return
-        A11, A12, A21, A22 = peel_split(A, m, k)
-        B11, B12, B21, B22 = peel_split(B, k, n)
-        pc, qc = A11.shape
-        rc = B11.shape[1]
-        self._core(A11, B11, C[:pc, :rc], steps, ws)
-        # dynamic-peeling fix-ups run through arena temporaries: matmul
-        # into a contiguous buffer, then one in-place combine into the
-        # strided C quadrant (a strided matmul out= would buffer anyway)
-        mark = ws.mark() if ws is not None else None
-        if q - qc:
-            t = _take(ws, (pc, rc))
-            np.matmul(A12, B21, out=t)
-            C[:pc, :rc] += t
-        if r - rc:
-            t = _take(ws, (pc, r - rc))
-            np.matmul(A11, B12, out=t)
-            C[:pc, rc:] = t
-            if q - qc:
-                np.matmul(A12, B22, out=t)
-                C[:pc, rc:] += t
-        if p - pc:
-            t = _take(ws, (p - pc, rc))
-            np.matmul(A21, B11, out=t)
-            C[pc:, :rc] = t
-            if q - qc:
-                np.matmul(A22, B21, out=t)
-                C[pc:, :rc] += t
-        if (p - pc) and (r - rc):
-            t = _take(ws, (p - pc, r - rc))
-            np.matmul(A21, B12, out=t)
-            C[pc:, rc:] = t
-            if q - qc:
-                np.matmul(A22, B22, out=t)
-                C[pc:, rc:] += t
-        if ws is not None:
-            ws.release(mark)
+        parts = peel_split(A, m, k) + peel_split(B, k, n)
+        A11, B11 = parts[0], parts[4]
+        self._core(A11, B11, C[:A11.shape[0], :B11.shape[1]], steps, ws)
+        peel_fixup(C, parts, np.matmul, ws)
 
     def _core(self, A, B, Cout, steps, ws) -> None:
         """One level on an evenly divisible core; writes into ``Cout``."""
@@ -585,21 +554,15 @@ class CompiledChains:
         # form_C pointer array addresses, and a deeper recursion level
         # writes its result straight into the row (no per-product heap)
         Mslab = _take(ws, (R, bp * bn))
-        deeper = steps > 1 and min(bp, bq, bn) >= max(m, k, n)
         for rr in range(R):
             S = operand(self._s["layout"], Sslab, A, bp, bq, k, rr)
             T = operand(self._t["layout"], Tslab, B, bq, bn, n, rr)
-            Mview = Mslab[rr].reshape(bp, bn)
             rmark = ws.mark() if ws is not None else None
-            if deeper:
-                self._recurse(_as_contiguous(S, ws), _as_contiguous(T, ws),
-                              steps - 1, Mview, ws)
-            else:
-                # alias operands are strided block views; BLAS wants them
-                # packed, so pack into the arena instead of letting
-                # np.matmul buffer on the heap
-                np.matmul(_as_contiguous(S, ws), _as_contiguous(T, ws),
-                          out=Mview)
+            # alias operands are strided block views; BLAS (and the C
+            # kernels of a deeper level) want them packed, so pack into
+            # the arena instead of letting np.matmul buffer on the heap
+            self._recurse(_as_contiguous(S, ws), _as_contiguous(T, ws),
+                          steps - 1, Mslab[rr].reshape(bp, bn), ws)
             if ws is not None:
                 ws.release(rmark)
 

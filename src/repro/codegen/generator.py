@@ -27,9 +27,8 @@ point is ``multiply(A, B, steps=1, base=None, out=None, workspace=None)``:
   definitions, the per-level ``M_r`` product slab, the streaming block
   stacks, the general-coefficient axpy scratch, and dynamic peeling's
   core-size fix-up buffer.  Size it with
-  :func:`repro.core.workspace.codegen_footprint` (or the
-  ``Workspace.for_codegen`` factory), which mirrors this module's peel
-  loop and per-strategy slot counts exactly.
+  :func:`repro.core.workspace.codegen_footprint`, which mirrors this
+  module's level loop and per-strategy slot counts exactly.
 
 With a workspace the module runs a second, arena-lowered core
 (``_core_ws``): the arena is ``reset()`` at call entry, each recursion
@@ -224,7 +223,7 @@ def generate_source(
         def _run(A, B, steps, base):
             p, q = A.shape
             r = B.shape[1]
-            if steps <= 0 or p < M or q < K or r < N:
+            if not runtime.should_split(steps, p, q, r, M, K, N):
                 return base(A, B)
             return runtime.peel_apply(
                 A, B, M, K, N, lambda a, b: _core(a, b, steps, base))
@@ -233,7 +232,7 @@ def generate_source(
         def _run_ws(A, B, steps, base, out, ws):
             p, q = A.shape
             r = B.shape[1]
-            if steps <= 0 or p < M or q < K or r < N:
+            if not runtime.should_split(steps, p, q, r, M, K, N):
                 return runtime.leaf(base, A, B, out)
             return runtime.peel_apply(
                 A, B, M, K, N,

@@ -1,8 +1,9 @@
 """Runtime support for generated fast-matmul modules.
 
 Generated code is plain Python over numpy; everything it calls beyond numpy
-lives here: the default BLAS base case, dynamic peeling, axpy-style
-accumulation, and the stacked-gemm primitives used by the *streaming*
+is reachable from here: the leaf (``default_base``/``leaf``), the split
+predicate and ``axpy`` accumulation -- the interpreter's own, re-exported
+-- dynamic peeling, and the stacked-gemm primitives used by the *streaming*
 addition strategy (stack the input's blocks once -- one read of the input --
 then form every S_r/T_r in a single BLAS pass).
 
@@ -23,62 +24,20 @@ from typing import Callable
 
 import numpy as np
 
-from repro.core.workspace import Workspace, check_out, scratch_view
-from repro.util.matrices import peel_split
+from repro.core.recursion import _dot as default_base
+from repro.core.recursion import _leaf as leaf
+from repro.core.recursion import should_split
+from repro.core.workspace import Workspace, axpy, check_out, scratch_view
+from repro.util.matrices import peel_fixup, peel_split
 from repro.util.validation import require_2d
 
 as2d = require_2d
 
 __all__ = [
     "as2d", "axpy", "check_out", "default_base", "leaf", "peel_apply",
-    "scratch_view", "stack_blocks", "streaming_combine", "streaming_output",
-    "streaming_output_stacked",
+    "scratch_view", "should_split", "stack_blocks", "streaming_combine",
+    "streaming_output", "streaming_output_stacked",
 ]
-
-
-def default_base(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Leaf multiply: the vendor gemm."""
-    return A @ B
-
-
-def leaf(base: Callable, A: np.ndarray, B: np.ndarray,
-         out: np.ndarray | None = None) -> np.ndarray:
-    """Run the base case, writing into ``out`` when one is supplied.
-
-    The default gemm base writes straight into ``out`` (no temporary); a
-    custom base without ``out`` support is copied -- custom bases are a
-    correctness/testing hook, not a steady-state serving path.
-    """
-    if out is None:
-        return base(A, B)
-    if base is default_base:
-        np.matmul(A, B, out=out)
-        return out
-    np.copyto(out, base(A, B))
-    return out
-
-
-def axpy(out: np.ndarray, x: np.ndarray, alpha: float,
-         scratch: np.ndarray | None = None) -> None:
-    """``out += alpha * x`` with the fewest temporaries numpy allows.
-
-    ``scratch`` (a byte buffer at least ``out.nbytes`` long, typically an
-    arena view) absorbs the ``alpha * x`` product of general coefficients,
-    making the update allocation-free; without it that branch falls back to
-    one temporary.  ``alpha`` is coerced to python float so NEP 50 does not
-    upcast float32 operands through a float64 numpy scalar.
-    """
-    alpha = float(alpha)
-    if alpha == 1.0:
-        np.add(out, x, out=out)
-    elif alpha == -1.0:
-        np.subtract(out, x, out=out)
-    elif scratch is not None:
-        t = scratch_view(scratch, out.shape, out.dtype)
-        np.multiply(x, alpha, out=t)
-        np.add(out, t, out=out)
-    else:
-        out += alpha * x
 
 
 def peel_apply(
@@ -94,68 +53,32 @@ def peel_apply(
     """Dynamic peeling (Section 3.5) around a divisible-core multiply.
 
     ``core_fn`` gets the largest ``(m,k,n)``-divisible leading submatrices;
-    boundary strips are fixed up with thin classical products.
+    the boundary strips are fixed up by
+    :func:`repro.util.matrices.peel_fixup`, which draws its one core-size
+    product (``Ccore += A12 @ B21`` when the inner dimension peels) from
+    ``workspace`` so non-divisible shapes stay allocation-free.
 
-    Without ``out``/``workspace`` this is the historical allocating path
-    and ``core_fn`` is called as ``core_fn(A11, B11)``.  With either, the
-    product is written into ``out`` (or a single fresh array when ``out``
-    is None) and ``core_fn`` is called as ``core_fn(A11, B11, Cview)`` --
-    it must write its result into the view.  The one core-size fix-up
-    product (``Ccore += A12 @ B21`` when the inner dimension peels) is
-    drawn from ``workspace`` so non-divisible shapes stay allocation-free;
-    the remaining strips are O(boundary)-thin.
+    Without ``out``/``workspace`` this is the allocating path: ``core_fn``
+    is called as ``core_fn(A11, B11)`` and returns its product.  With
+    either, the product is written into ``out`` (or a single fresh array
+    when ``out`` is None) and ``core_fn`` is called as
+    ``core_fn(A11, B11, Cview)`` -- it must write its result into the view.
     """
-    p, q = A.shape
-    r = B.shape[1]
-    A11, A12, A21, A22 = peel_split(A, m, k)
-    B11, B12, B21, B22 = peel_split(B, k, n)
-    pc, qc = A11.shape
-    rc = B11.shape[1]
-
+    parts = peel_split(A, m, k) + peel_split(B, k, n)
+    A11, B11 = parts[0], parts[4]
+    pc, rc = A11.shape[0], B11.shape[1]
+    p, r = A.shape[0], B.shape[1]
     if out is None and workspace is None:
-        if pc == p and qc == q and rc == r:
-            return core_fn(A11, B11)
+        core = core_fn(A11, B11)
+        if A11.shape == A.shape and rc == r:
+            return core
         C = np.empty((p, r), dtype=np.result_type(A, B))
-        C[:pc, :rc] = core_fn(A11, B11)
-        if q - qc:
-            C[:pc, :rc] += A12 @ B21
-        if r - rc:
-            C[:pc, rc:] = A11 @ B12
-            if q - qc:
-                C[:pc, rc:] += A12 @ B22
-        if p - pc:
-            C[pc:, :rc] = A21 @ B11
-            if q - qc:
-                C[pc:, :rc] += A22 @ B21
-        if (p - pc) and (r - rc):
-            C[pc:, rc:] = A21 @ B12 + A22 @ B22
-        return C
-
-    C = out if out is not None else np.empty((p, r), dtype=np.result_type(A, B))
-    if pc == p and qc == q and rc == r:
-        core_fn(A11, B11, C)
-        return C
-    Ccore = C[:pc, :rc]
-    core_fn(A11, B11, Ccore)
-    if q - qc:
-        if workspace is not None:
-            fix = workspace.mark()
-            t = workspace.take((pc, rc), C.dtype)
-            np.matmul(A12, B21, out=t)
-            np.add(Ccore, t, out=Ccore)
-            workspace.release(fix)
-        else:
-            Ccore += A12 @ B21
-    if r - rc:
-        np.matmul(A11, B12, out=C[:pc, rc:])
-        if q - qc:
-            C[:pc, rc:] += A12 @ B22
-    if p - pc:
-        np.matmul(A21, B11, out=C[pc:, :rc])
-        if q - qc:
-            C[pc:, :rc] += A22 @ B21
-    if (p - pc) and (r - rc):
-        C[pc:, rc:] = A21 @ B12 + A22 @ B22
+        C[:pc, :rc] = core
+    else:
+        C = out if out is not None else np.empty((p, r),
+                                                 dtype=np.result_type(A, B))
+        core_fn(A11, B11, C[:pc, :rc])
+    peel_fixup(C, parts, np.matmul, workspace)
     return C
 
 

@@ -18,6 +18,13 @@ the per-level ``S``/``T``/``M_r`` triples of Section 4.1).  With both
 supplied, a call performs no array allocations at steady state; the
 arithmetic is the *same sequence of ufunc/gemm calls* as the allocating
 path, so results match it bit for bit.
+
+One recursive step is stated here once.  The parallel DFS scheme is
+:func:`_recurse` run with pool adders and a threaded gemm (the private
+:class:`_Ops` hooks); the BFS/hybrid task tree calls
+:func:`accumulate_products` and :func:`repro.util.matrices.peel_fixup` in
+its combine stage; every driver and every footprint simulator asks
+:meth:`CutoffPolicy.should_recurse` whether to split.
 """
 
 from __future__ import annotations
@@ -25,18 +32,19 @@ from __future__ import annotations
 import dataclasses
 import inspect
 import weakref
-from typing import Callable
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
 from repro.core.algorithm import FastAlgorithm
 from repro.core.workspace import (
     Workspace,
+    axpy,
     check_out,
+    combine_into,
     needs_scratch,
-    scratch_view,
 )
-from repro.util.matrices import block_views, peel_split
+from repro.util.matrices import block_views, peel_fixup, peel_split
 from repro.util.validation import check_matmul_dims, require_2d
 
 BaseMultiply = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -54,22 +62,6 @@ _accepts_out_memo: "weakref.WeakKeyDictionary[Callable, bool]" = (
 )
 
 
-def _signature_accepts_out(base: Callable) -> bool:
-    try:
-        return _accepts_out_memo[base]
-    except (KeyError, TypeError):  # miss, or a non-weakrefable builtin
-        pass
-    try:
-        result = "out" in inspect.signature(base).parameters
-    except (TypeError, ValueError):  # builtins without introspectable sigs
-        result = False
-    try:
-        _accepts_out_memo[base] = result
-    except TypeError:
-        pass
-    return result
-
-
 def _base_accepts_out(base: Callable) -> bool:
     """Whether a base-case callable takes an ``out=`` destination.
 
@@ -80,17 +72,33 @@ def _base_accepts_out(base: Callable) -> bool:
     accepts = getattr(base, "_accepts_out", None)
     if accepts is not None:
         return bool(accepts)
-    return _signature_accepts_out(base)
+    try:
+        return _accepts_out_memo[base]
+    except (KeyError, TypeError):  # miss, or a non-weakrefable builtin
+        pass
+    try:
+        accepts = "out" in inspect.signature(base).parameters
+    except (TypeError, ValueError):  # builtins without introspectable sigs
+        accepts = False
+    try:
+        _accepts_out_memo[base] = accepts
+    except TypeError:
+        pass
+    return accepts
 
 
 def _leaf(base: BaseMultiply, A: np.ndarray, B: np.ndarray,
-          out: np.ndarray | None) -> np.ndarray:
-    """Run the base case, writing into ``out`` when one is supplied."""
+          out: np.ndarray | None = None) -> np.ndarray:
+    """Run the base case, writing into ``out`` when one is supplied.
+
+    The default gemm base writes straight into ``out`` (no temporary); a
+    custom base without ``out`` support is copied -- custom bases are a
+    correctness/testing hook, not a steady-state serving path.
+    """
     if out is None:
         return base(A, B)
     if base is _dot:
-        np.matmul(A, B, out=out)
-        return out
+        return np.matmul(A, B, out=out)
     if _base_accepts_out(base):
         return base(A, B, out=out)
     np.copyto(out, base(A, B))
@@ -117,6 +125,20 @@ class CutoffPolicy:
         return min(p // m, q // k, r // n) >= max(self.min_dim, 1)
 
 
+#: the policy of a composed schedule's level: split once, deeper levels
+#: come from the next algorithm
+ONE_STEP = CutoffPolicy(max_steps=1)
+
+
+def should_split(steps: int, p: int, q: int, r: int,
+                 m: int, k: int, n: int) -> bool:
+    """:meth:`CutoffPolicy.should_recurse` for the callers that count
+    ``steps`` down themselves -- the generated modules, the compiled
+    driver and the footprint simulators -- so that every executor and the
+    arena sized for it stop splitting at the same subproblem."""
+    return steps > 0 and ONE_STEP.should_recurse(0, p, q, r, m, k, n)
+
+
 def combine_blocks(
     blocks: list[np.ndarray],
     coeffs: np.ndarray,
@@ -136,6 +158,13 @@ def combine_blocks(
     fused path performs the identical ufunc sequence on identical values,
     so it is bit-for-bit equal to the allocating path.
     """
+    return _chain(blocks, coeffs, out, scratch, combine_into)
+
+
+def _chain(blocks, coeffs, out, scratch, into: Callable):
+    """:func:`combine_blocks` with the chain written by ``into`` -- serially,
+    or by the pool's row-slab adder under the parallel DFS (which has no
+    allocating expression form: without ``out`` it fills a fresh array)."""
     nz = np.nonzero(coeffs)[0]
     if nz.size == 0:
         return None
@@ -143,32 +172,29 @@ def combine_blocks(
     # python-float coefficients: under NEP 50 a numpy float64 scalar would
     # silently upcast float32 blocks
     c0 = float(coeffs[first])
-    if nz.size == 1:
-        if c0 == 1.0:
-            return blocks[first]
-        if out is None:
-            return c0 * blocks[first]
-        np.multiply(blocks[first], c0, out=out)
+    if nz.size == 1 and c0 == 1.0:
+        return blocks[first]
+    if out is None and into is combine_into:
+        out = blocks[first] * c0 if c0 != 1.0 else blocks[first].copy()
+        for i in nz[1:]:
+            axpy(out, blocks[i], coeffs[i])
         return out
     if out is None:
-        out = blocks[first] * c0 if c0 != 1.0 else blocks[first].copy()
-    elif c0 == 1.0:
-        np.copyto(out, blocks[first])
-    else:
-        np.multiply(blocks[first], c0, out=out)
-    for i in nz[1:]:
-        c = float(coeffs[i])
-        if c == 1.0:
-            np.add(out, blocks[i], out=out)
-        elif c == -1.0:
-            np.subtract(out, blocks[i], out=out)
-        elif scratch is not None:
-            t = scratch_view(scratch, out.shape, out.dtype)
-            np.multiply(blocks[i], c, out=t)
-            np.add(out, t, out=out)
-        else:
-            out += c * blocks[i]
+        out = np.empty(blocks[first].shape, dtype=blocks[first].dtype)
+    into(out, blocks, coeffs, scratch)
     return out
+
+
+def _operands(A, B, out, workspace):
+    """The validated ``(A, B, out)`` of one call; rewinds ``workspace``."""
+    A = require_2d(A, "A")
+    B = require_2d(B, "B")
+    check_matmul_dims(A, B)
+    if out is not None:
+        out = check_out(out, A, B)
+    if workspace is not None:
+        workspace.reset()
+    return A, B, out
 
 
 def multiply(
@@ -194,17 +220,55 @@ def multiply(
     ``Workspace.for_recursion([algorithm.base_case] * steps, p, q, r,
     A.dtype, B.dtype)``.  With both, a warm call allocates nothing.
     """
-    A = require_2d(A, "A")
-    B = require_2d(B, "B")
-    check_matmul_dims(A, B)
-    if out is not None:
-        out = check_out(out, A, B)
-    if base is None:
-        base = _dot
+    A, B, out = _operands(A, B, out, workspace)
     policy = cutoff if cutoff is not None else CutoffPolicy(max_steps=steps)
-    if workspace is not None:
-        workspace.reset()
-    return _recurse(A, B, algorithm, 0, base, policy, out=out, ws=workspace)
+    return _recurse(A, B, algorithm, 0, base or _dot, policy, out=out,
+                    ws=workspace)
+
+
+class _Ops(NamedTuple):
+    """The arithmetic of one recursive step, beside the ``base`` leaf hook.
+
+    The defaults are the serial reference; the parallel DFS driver
+    (:mod:`repro.parallel.schedules`) runs the same :func:`_recurse` with
+    the pool's row-slab adders and a threaded gemm.
+    """
+
+    #: ``(out, blocks, coeffs, scratch)``: ``out = sum_i coeffs[i] * blocks[i]``
+    into: Callable = combine_into
+    #: ``(out, x, alpha, scratch)``: ``out += alpha * x``
+    axpy: Callable = axpy
+    #: ``(X, Y, out=None)``: the classical product of the peeling fix-ups
+    gemm: Callable = np.matmul
+
+
+_SERIAL = _Ops()
+
+
+def accumulate_products(
+    blocksC: list[np.ndarray],
+    W: np.ndarray,
+    products: Iterable[tuple[int, np.ndarray]],
+    ops: _Ops = _SERIAL,
+    scratch: np.ndarray | None = None,
+) -> None:
+    """``C_i = sum_r W[i, r] * M_r`` over ``products`` = ``(r, M_r)`` pairs.
+
+    Each product is consumed as it arrives (the DFS executors reuse one
+    ``M_r`` buffer across ranks); a block no product reaches is zeroed.
+    """
+    started = [False] * len(blocksC)
+    for rr, Mr in products:
+        wcol = W[:, rr]
+        for i in np.nonzero(wcol)[0]:
+            if started[i]:
+                ops.axpy(blocksC[i], Mr, float(wcol[i]), scratch)
+            else:  # a block's first contribution: C_i = c * M_r
+                ops.into(blocksC[i], (Mr,), (float(wcol[i]),), scratch)
+                started[i] = True
+    for i, s in enumerate(started):
+        if not s:  # all-zero W row can only happen for degenerate inputs
+            blocksC[i][:] = 0.0
 
 
 def _recurse(
@@ -216,6 +280,7 @@ def _recurse(
     policy: CutoffPolicy,
     out: np.ndarray | None = None,
     ws: Workspace | None = None,
+    ops: _Ops = _SERIAL,
 ) -> np.ndarray:
     p, q = A.shape
     r = B.shape[1]
@@ -224,42 +289,17 @@ def _recurse(
         return _leaf(base, A, B, out)
 
     # ---- dynamic peeling: carve the evenly divisible core ----
-    A11, A12, A21, A22 = peel_split(A, m, k)
-    B11, B12, B21, B22 = peel_split(B, k, n)
-    pc, qc = A11.shape
-    rc = B11.shape[1]
+    parts = peel_split(A, m, k) + peel_split(B, k, n)
+    A11, B11 = parts[0], parts[4]
 
     # the top-level C is the caller's ``out`` or a fresh array -- never
     # arena memory, which the next call would overwrite
     C = out if out is not None else np.empty((p, r), dtype=np.result_type(A, B))
-    Ccore = C[:pc, :rc]
 
-    # ---- fast product on the core ----
-    _core_multiply(A11, B11, Ccore, alg, step, base, policy, ws)
-
-    # ---- boundary fix-ups with thin classical products ----
-    if q - qc:  # inner-dimension strip contributes to the core block of C
-        # the one full-core-size (pc x rc) fix-up product: draw it from the
-        # arena so non-divisible shapes stay allocation-free too (the other
-        # strips below are O(boundary)-thin and negligible)
-        if ws is not None:
-            fix_mark = ws.mark()
-            t = ws.take((pc, rc), C.dtype)
-            np.matmul(A12, B21, out=t)
-            np.add(Ccore, t, out=Ccore)
-            ws.release(fix_mark)
-        else:
-            Ccore += A12 @ B21
-    if r - rc:  # right strip of C
-        np.matmul(A11, B12, out=C[:pc, rc:])
-        if q - qc:
-            C[:pc, rc:] += A12 @ B22
-    if p - pc:  # bottom strip of C
-        np.matmul(A21, B11, out=C[pc:, :rc])
-        if q - qc:
-            C[pc:, :rc] += A22 @ B21
-    if (p - pc) and (r - rc):  # corner
-        C[pc:, rc:] = A21 @ B12 + A22 @ B22
+    # ---- fast product on the core, thin classical products around it ----
+    _core_multiply(A11, B11, C[:A11.shape[0], :B11.shape[1]], alg, step,
+                   base, policy, ws, ops)
+    peel_fixup(C, parts, ops.gemm, ws)
     return C
 
 
@@ -282,17 +322,8 @@ def multiply_schedule(
     ``out``/``workspace`` follow :func:`multiply`; size the arena with
     ``Workspace.for_recursion([alg.base_case for alg in schedule], ...)``.
     """
-    A = require_2d(A, "A")
-    B = require_2d(B, "B")
-    check_matmul_dims(A, B)
-    if out is not None:
-        out = check_out(out, A, B)
-    if base is None:
-        base = _dot
-    if workspace is not None:
-        workspace.reset()
-    if not schedule:
-        return _leaf(base, A, B, out)
+    A, B, out = _operands(A, B, out, workspace)
+    base = base or _dot
 
     def run(X: np.ndarray, Y: np.ndarray, level: int,
             out: np.ndarray | None = None) -> np.ndarray:
@@ -306,7 +337,7 @@ def multiply_schedule(
             return run(S, T, level + 1, out=out)
 
         inner_base._accepts_out = True
-        return _recurse(X, Y, alg, 0, inner_base, CutoffPolicy(max_steps=1),
+        return _recurse(X, Y, alg, 0, inner_base, ONE_STEP,
                         out=out, ws=workspace)
 
     return run(A, B, 0, out=out)
@@ -321,13 +352,12 @@ def _core_multiply(
     base: BaseMultiply,
     policy: CutoffPolicy,
     ws: Workspace | None = None,
+    ops: _Ops = _SERIAL,
 ) -> None:
     """One recursion level on an evenly divisible core, writing into C."""
     m, k, n = alg.base_case
     blocksA = block_views(A, m, k)
     blocksB = block_views(B, k, n)
-    blocksC = block_views(C, m, n)
-    started = [False] * len(blocksC)
 
     S_buf = T_buf = M_buf = scratch = None
     level_mark = None
@@ -345,40 +375,22 @@ def _core_multiply(
             scratch = ws.take_scratch(max(S_buf.nbytes, T_buf.nbytes,
                                           M_buf.nbytes))
 
-    for rr in range(alg.rank):
-        S = combine_blocks(blocksA, alg.U[:, rr], out=S_buf, scratch=scratch)
-        T = combine_blocks(blocksB, alg.V[:, rr], out=T_buf, scratch=scratch)
-        if S is None or T is None:
-            continue  # dead product (possible in composed algorithms)
-        if ws is None:
-            Mr = _recurse(S, T, alg, step + 1, base, policy)
-        else:
-            inner = ws.mark()
-            Mr = _recurse(S, T, alg, step + 1, base, policy,
-                          out=M_buf, ws=ws)
-            ws.release(inner)
-        wcol = alg.W[:, rr]
-        for i in np.nonzero(wcol)[0]:
-            c = float(wcol[i])
-            blk = blocksC[i]
-            if not started[i]:
-                if c == 1.0:
-                    blk[:] = Mr
-                else:
-                    np.multiply(Mr, c, out=blk)
-                started[i] = True
-            elif c == 1.0:
-                blk += Mr
-            elif c == -1.0:
-                blk -= Mr
-            elif scratch is not None:
-                t = scratch_view(scratch, blk.shape, blk.dtype)
-                np.multiply(Mr, c, out=t)
-                np.add(blk, t, out=blk)
+    def products():
+        for rr in range(alg.rank):
+            S = _chain(blocksA, alg.U[:, rr], S_buf, scratch, ops.into)
+            T = _chain(blocksB, alg.V[:, rr], T_buf, scratch, ops.into)
+            if S is None or T is None:
+                continue  # dead product (possible in composed algorithms)
+            if ws is None:
+                yield rr, _recurse(S, T, alg, step + 1, base, policy, ops=ops)
             else:
-                blk += c * Mr
+                inner = ws.mark()
+                Mr = _recurse(S, T, alg, step + 1, base, policy,
+                              out=M_buf, ws=ws, ops=ops)
+                ws.release(inner)
+                yield rr, Mr
+
+    accumulate_products(block_views(C, m, n), alg.W, products(), ops,
+                        scratch)
     if ws is not None:
         ws.release(level_mark)
-    for i, s in enumerate(started):
-        if not s:  # all-zero W row can only happen for degenerate inputs
-            blocksC[i][:] = 0.0

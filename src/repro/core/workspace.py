@@ -47,18 +47,30 @@ anyway.  Per-level pools are laid out contiguously in expansion order, so
 the combine sweep still releases them level by level logically (the bump
 pointer rewinds wholesale at the next ``reset``).
 
-All sizes are computed by *simulating* the executor's level loop
-(:func:`dfs_level_shapes` / :func:`bfs_level_shapes`), so peeling, early
-termination (a dimension dropping below the base case) and composed
-per-level schedules are all accounted exactly rather than bounded.
+All four footprints (:func:`dfs_footprint`, :func:`bfs_footprint`,
+:func:`codegen_footprint`, :func:`cbackend_footprint`) walk the levels with
+one iterator, :func:`_split_levels`, which asks the executors' own
+question -- :func:`repro.core.recursion.should_split`, i.e.
+``CutoffPolicy.should_recurse`` -- whether a level splits, and they charge
+dynamic peeling with one term, :func:`_peel_bytes`, which mirrors the one
+boundary fix-up every executor calls
+(:func:`repro.util.matrices.peel_fixup`: a core-size buffer where the inner
+dimension peels, nothing for the thin strips).  Peeling, early termination
+(a block dimension dropping below the cutoff) and composed per-level
+schedules are therefore accounted exactly rather than bounded, and an
+executor and its arena cannot disagree on where the recursion stops.  What
+differs between the four is only what one level holds.
 
 **Generated sequential modules** (Section 3.1 codegen) have a third memory
 shape: all ``R`` products of a level live until the C-assembly pass, plus
-per-strategy slots (CSE ``Y`` definitions, streaming block stacks).
-:func:`codegen_footprint` sizes those by simulating the generated module's
-own peel loop; :func:`repro.tuner.dispatch` uses it for every sequential
-plan so the generated code is served *from* the arena instead of falling
-back to this interpreter.
+per-strategy slots (CSE ``Y`` definitions, streaming block stacks) --
+:func:`codegen_footprint`.  The **compiled chain driver** has a fourth
+(float64 slabs filled by one C call per side) -- :func:`cbackend_footprint`.
+
+Which formula sizes a tuner plan is decided in exactly one place,
+:func:`repro.tuner.dispatch.plan_footprint` (scheme, backend, strategy ->
+bytes, 0 for plain BLAS): per-call arenas, measurement arenas and the
+per-worker pools of elementwise batches all come from it.
 
 The arena is not thread-safe for concurrent ``take`` calls; the parallel
 schedules preassign every buffer *before* fanning tasks out, which is also
@@ -185,13 +197,22 @@ class Workspace:
         }
 
     # ------------------------------------------------------------- hand-out
-    def _carve(self, nbytes: int) -> np.ndarray | None:
+    def _carve(self, nbytes: int, *what) -> np.ndarray:
+        """``nbytes`` of the arena -- of the heap (counted) once it is full."""
+        if _faults.active and _faults.should_fire("workspace.overflow"):
+            # forced overflow *with* a failing heap fallback: arena
+            # exhaustion under true memory pressure, the case the graceful
+            # everyday overflow below can't exercise
+            self.overflow_allocations += 1
+            raise MemoryError("injected: workspace.overflow taking "
+                              + " ".join(map(str, what)))
         if self._buf is None:
             self._alloc()
         start = _align_up(self._top)
         end = start + nbytes
         if end + self._base > self._buf.nbytes:
-            return None
+            self.overflow_allocations += 1
+            return np.empty(nbytes, dtype=np.uint8)
         self._top = end
         if end > self.high_water:
             self.high_water = end
@@ -200,32 +221,12 @@ class Workspace:
     def take(self, shape: tuple[int, ...], dtype) -> np.ndarray:
         """A C-contiguous ``shape``/``dtype`` view of the arena."""
         dtype = np.dtype(dtype)
-        raw = None
-        if _faults.active and _faults.should_fire("workspace.overflow"):
-            # forced overflow *with* a failing heap fallback: arena
-            # exhaustion under true memory pressure, the case the graceful
-            # everyday overflow below can't exercise
-            self.overflow_allocations += 1
-            raise MemoryError(
-                f"injected: workspace.overflow taking {shape} {dtype}")
-        else:
-            raw = self._carve(_prod(shape) * dtype.itemsize)
-        if raw is None:
-            self.overflow_allocations += 1
-            return np.empty(shape, dtype=dtype)
+        raw = self._carve(_prod(shape) * dtype.itemsize, shape, dtype)
         return raw.view(dtype).reshape(shape)
 
     def take_scratch(self, nbytes: int) -> np.ndarray:
         """An untyped byte buffer (viewed per use via :func:`scratch_view`)."""
-        if _faults.active and _faults.should_fire("workspace.overflow"):
-            self.overflow_allocations += 1
-            raise MemoryError(
-                f"injected: workspace.overflow taking {nbytes} scratch bytes")
-        raw = self._carve(int(nbytes))
-        if raw is None:
-            self.overflow_allocations += 1
-            return np.empty(int(nbytes), dtype=np.uint8)
-        return raw
+        return self._carve(int(nbytes), nbytes, "scratch bytes")
 
     # ------------------------------------------------------------ factories
     @classmethod
@@ -250,65 +251,6 @@ class Workspace:
         """
         nbytes = dfs_footprint(base_cases, p, q, r, dtype_a, dtype_b,
                                algorithms=algorithms)
-        return cls(nbytes)
-
-    @classmethod
-    def for_parallel(
-        cls,
-        algorithm,
-        steps: int,
-        p: int,
-        q: int,
-        r: int,
-        dtype_a="float64",
-        dtype_b=None,
-    ) -> "Workspace":
-        """Arena for the BFS/hybrid task tree (Section 4.2 footprint)."""
-        nbytes = bfs_footprint(algorithm, steps, p, q, r, dtype_a, dtype_b)
-        return cls(nbytes)
-
-    @classmethod
-    def for_codegen(
-        cls,
-        algorithm,
-        strategy: str,
-        cse: bool,
-        shape: tuple[int, int, int],
-        dtype_a="float64",
-        steps: int = 1,
-        dtype_b=None,
-    ) -> "Workspace":
-        """Arena for a *generated* sequential module (Section 3.1 codegen).
-
-        Sized by :func:`codegen_footprint`, which mirrors the generated
-        module's peel loop and per-strategy slot counts (all ``R`` product
-        buffers of a level live until C assembly, unlike the interpreter's
-        single reused ``M_r``).
-        """
-        nbytes = codegen_footprint(algorithm, strategy, cse, shape,
-                                   dtype_a, steps, dtype_b=dtype_b)
-        return cls(nbytes)
-
-    @classmethod
-    def for_cbackend(
-        cls,
-        algorithm,
-        cse: bool,
-        shape: tuple[int, int, int],
-        dtype_a="float64",
-        steps: int = 1,
-        dtype_b=None,
-    ) -> "Workspace":
-        """Arena for the compiled C chain driver (``backend="compiled"``).
-
-        Sized by :func:`cbackend_footprint`, which mirrors
-        :meth:`repro.codegen.cbackend.CompiledChains.multiply`: float64
-        conversion copies, per-level S/T slabs, the contiguous product
-        slab, C-side ``Y`` scratch and the dynamic-peeling fix-up
-        temporaries.
-        """
-        nbytes = cbackend_footprint(algorithm, cse, shape, dtype_a, steps,
-                                    dtype_b=dtype_b)
         return cls(nbytes)
 
 
@@ -383,6 +325,48 @@ def scratch_view(scratch: np.ndarray, shape: tuple[int, ...], dtype) -> np.ndarr
     return scratch[:nbytes].view(dtype).reshape(shape)
 
 
+def axpy(out: np.ndarray, x: np.ndarray, alpha: float,
+         scratch: np.ndarray | None = None) -> None:
+    """``out += alpha * x`` with the fewest temporaries numpy allows.
+
+    ``scratch`` (a byte buffer at least ``out.nbytes`` long, typically an
+    arena view) absorbs the ``alpha * x`` product of general coefficients,
+    making the update allocation-free; without it that branch falls back to
+    one temporary.  ``alpha`` is coerced to python float so NEP 50 does not
+    upcast float32 operands through a float64 numpy scalar.
+    """
+    alpha = float(alpha)
+    if alpha == 1.0:
+        np.add(out, x, out=out)
+    elif alpha == -1.0:
+        np.subtract(out, x, out=out)
+    elif scratch is not None:
+        t = scratch_view(scratch, out.shape, out.dtype)
+        np.multiply(x, alpha, out=t)
+        np.add(out, t, out=out)
+    else:
+        out += alpha * x
+
+
+def combine_into(out: np.ndarray, blocks: Sequence[np.ndarray], coeffs,
+                 scratch: np.ndarray | None = None) -> None:
+    """``out = sum_i coeffs[i] * blocks[i]`` skipping zeros, fused into
+    ``out`` (zeros when every coefficient is zero): the first term is
+    copied or scaled in, the rest accumulate through :func:`axpy`.  The
+    serial chains and the pool's row-slab chains are both this body."""
+    nz = np.nonzero(coeffs)[0]
+    if nz.size == 0:
+        out[:] = 0.0
+        return
+    c0 = float(coeffs[nz[0]])
+    if c0 == 1.0:
+        np.copyto(out, blocks[nz[0]])
+    else:
+        np.multiply(blocks[nz[0]], c0, out=out)
+    for i in nz[1:]:
+        axpy(out, blocks[i], coeffs[i], scratch)
+
+
 def needs_scratch(coeffs: np.ndarray) -> bool:
     """Whether a coefficient matrix forces ``c * X`` scaling temporaries.
 
@@ -419,30 +403,73 @@ def check_out(out: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # footprint formulas (Sections 4.1 / 4.2)
 # ---------------------------------------------------------------------------
+def _split_levels(base_cases: Sequence[tuple[int, int, int]],
+                  p: int, q: int, r: int):
+    """The level loop every footprint shares with every executor.
+
+    Yields ``(level index, (m, k, n), (p, q, r), (bp, bq, br))`` -- the
+    base case, the dimensions the level receives and the block dimensions
+    its children inherit (peeled core / base case, Section 3.5) -- for
+    each level that splits.  Whether it does is the executors' own
+    question, :func:`repro.core.recursion.should_split`; a level that does
+    not is *skipped with the dimensions unchanged*, because
+    ``multiply_schedule`` falls through to the next level's algorithm on
+    the full subproblem (for one repeated base case that is the same as
+    stopping).
+    """
+    # recursion.py imports this module, not vice versa
+    from repro.core.recursion import should_split
+
+    for lvl, (m, k, n) in enumerate(base_cases):
+        if should_split(1, p, q, r, m, k, n):
+            blk = (p // m, q // k, r // n)
+            yield lvl, (m, k, n), (p, q, r), blk
+            p, q, r = blk
+
+
+def _peel_bytes(dims: tuple[int, int, int], base: tuple[int, int, int],
+                blk: tuple[int, int, int], itemsize: int) -> int:
+    """What :func:`repro.util.matrices.peel_fixup` draws at one level: the
+    core-size ``A12 @ B21`` product when the inner dimension peels, nothing
+    otherwise (the thin strips are written straight into ``C``)."""
+    if dims[1] % base[1] == 0:
+        return 0
+    return (blk[0] * base[0]) * (blk[2] * base[2]) * itemsize
+
+
+def _itemsizes(dtype_a, dtype_b) -> tuple[int, int, int]:
+    """Item sizes of ``A``, ``B`` and ``np.result_type(A, B)``."""
+    a = np.dtype(dtype_a)
+    b = np.dtype(dtype_b if dtype_b is not None else dtype_a)
+    return a.itemsize, b.itemsize, np.result_type(a, b).itemsize
+
+
+class _Tally:
+    """Prices arena takes of ``itemsize``-byte elements: ``tally(n, count)``
+    is the aligned bytes of ``count`` equal takes of ``n`` elements, and
+    :meth:`total` adds one alignment slack per take priced so far (rounding
+    the bump pointer up can cost that much)."""
+
+    def __init__(self, itemsize: int = 1) -> None:
+        self.itemsize = itemsize
+        self.takes = 0
+
+    def __call__(self, nelems: int, count: int = 1) -> int:
+        if nelems <= 0:
+            return 0
+        self.takes += count
+        return count * _align_up(int(nelems) * self.itemsize)
+
+    def total(self, nbytes: int) -> int:
+        return nbytes + self.takes * _ALIGN_SLACK + ALIGNMENT
+
+
 def dfs_level_shapes(
     base_cases: Sequence[tuple[int, int, int]], p: int, q: int, r: int
 ) -> list[tuple[int, int, int]]:
-    """Per-level ``(S rows, S cols == T rows, T cols)`` of the DFS recursion.
-
-    Simulates dynamic peeling level by level: the level-``l`` core is the
-    largest leading submatrix divisible by that level's base case, and the
-    children inherit ``core / (M, K, N)``.  A level whose split would drop
-    a block dimension below ``CutoffPolicy``'s default ``min_dim`` (2) is
-    *skipped with the dimensions unchanged*, matching the executors:
-    ``multiply_schedule`` falls through to the next level's algorithm on
-    the full subproblem when one level's split is too big.  (The parallel
-    DFS recursion descends even onto 1-wide blocks; those byte-scale
-    buffers fall back to the heap, which the overflow counter records and
-    the 1 MiB allocation budget never notices.)
-    """
-    shapes: list[tuple[int, int, int]] = []
-    for m, k, n in base_cases:
-        if min(p // m, q // k, r // n) < 2:
-            continue
-        sp, sq, sr = (p - p % m) // m, (q - q % k) // k, (r - r % n) // n
-        shapes.append((sp, sq, sr))
-        p, q, r = sp, sq, sr
-    return shapes
+    """Per-level ``(S rows, S cols == T rows, T cols)`` of the DFS recursion
+    (sequential or parallel): the block dimensions of :func:`_split_levels`."""
+    return [blk for *_, blk in _split_levels(base_cases, p, q, r)]
 
 
 def dfs_footprint(
@@ -455,41 +482,25 @@ def dfs_footprint(
     algorithms: Sequence | None = None,
 ) -> int:
     """Exact DFS/sequential arena bytes: per level one S + T + M_r + scratch
-    (+ a core-size fix-up buffer at levels where the inner dimension peels).
+    (+ the peel term at levels where the inner dimension peels).
 
     With ``algorithms`` (one per level, matching ``base_cases``), the
     scratch term is only charged at levels whose U/V/W carry coefficients
     outside {0, +-1} -- the executors take no scratch otherwise.
     """
-    isa = np.dtype(dtype_a).itemsize
-    isb = np.dtype(dtype_b if dtype_b is not None else dtype_a).itemsize
-    isc = np.result_type(np.dtype(dtype_a),
-                         np.dtype(dtype_b if dtype_b is not None else dtype_a)
-                         ).itemsize
+    isa, isb, isc = _itemsizes(dtype_a, dtype_b)
+    take = _Tally()
     total = 0
-    takes = 0
-    cp, cq, cr = p, q, r
-    for lvl, (m, k, n) in enumerate(base_cases):
-        # a non-fitting level is skipped, dims unchanged (see
-        # dfs_level_shapes) -- composed schedules keep recursing below it
-        if min(cp // m, cq // k, cr // n) < 2:
-            continue
-        sp, sq, sr = (cp - cp % m) // m, (cq - cq % k) // k, (cr - cr % n) // n
-        total += _align_up(sp * sq * isa)      # S
-        total += _align_up(sq * sr * isb)      # T
-        total += _align_up(sp * sr * isc)      # M_r
-        takes += 3
+    for lvl, base, dims, blk in _split_levels(base_cases, p, q, r):
+        sp, sq, sr = blk
+        triple = (sp * sq * isa, sq * sr * isb, sp * sr * isc)  # S, T, M_r
+        total += sum(take(nbytes) for nbytes in triple)
         alg = algorithms[lvl] if algorithms is not None else None
         if alg is None or (needs_scratch(alg.U) or needs_scratch(alg.V)
                            or needs_scratch(alg.W)):
-            total += _align_up(max(sp * sq * isa, sq * sr * isb,
-                                   sp * sr * isc))
-            takes += 1
-        if cq % k:  # peel fix-up Ccore += A12 @ B21 is core-sized
-            total += _align_up((sp * m) * (sr * n) * isc)
-            takes += 1
-        cp, cq, cr = sp, sq, sr
-    return total + takes * _ALIGN_SLACK + ALIGNMENT
+            total += take(max(triple))
+        total += take(_peel_bytes(dims, base, blk, isc))
+    return take.total(total)
 
 
 def bfs_level_shapes(
@@ -506,17 +517,8 @@ def bfs_level_shapes(
     same peeled core), so the level-synchronous tree is fully described by
     ``steps`` (count, shape) pairs -- count grows by ``R`` per level.
     """
-    levels: list[tuple[int, tuple[int, int, int]]] = []
-    m, k, n = base_case
-    count = 1
-    for _ in range(steps):
-        if p < m or q < k or r < n:
-            break
-        sp, sq, sr = (p - p % m) // m, (q - q % k) // k, (r - r % n) // n
-        count *= rank
-        levels.append((count, (sp, sq, sr)))
-        p, q, r = sp, sq, sr
-    return levels
+    shapes = dfs_level_shapes([base_case] * steps, p, q, r)
+    return [(rank ** (i + 1), blk) for i, blk in enumerate(shapes)]
 
 
 def bfs_footprint(
@@ -536,38 +538,26 @@ def bfs_footprint(
     either the caller's ``out`` or a per-call fresh allocation (arena
     memory must never be handed back to the caller).
     """
-    isa = np.dtype(dtype_a).itemsize
-    isb = np.dtype(dtype_b if dtype_b is not None else dtype_a).itemsize
-    isc = np.result_type(np.dtype(dtype_a),
-                         np.dtype(dtype_b if dtype_b is not None else dtype_a)
-                         ).itemsize
+    isa, isb, isc = _itemsizes(dtype_a, dtype_b)
     uv_scratch = needs_scratch(algorithm.U) or needs_scratch(algorithm.V)
     w_scratch = needs_scratch(algorithm.W)
-    m, k, n = algorithm.base_case
-    rank = algorithm.rank
+    take = _Tally()
     total = 0
-    takes = 0
     count = 1
-    cp, cq, cr = p, q, r
-    for _ in range(steps):
-        if cp < m or cq < k or cr < n:
-            break
-        sp, sq, sr = (cp - cp % m) // m, (cq - cq % k) // k, (cr - cr % n) // n
-        if cq % k:  # each parent combine needs a core-size peel fix-up
-            total += count * _align_up((sp * m) * (sr * n) * isc)
-            takes += count
+    for _, base, dims, blk in _split_levels([algorithm.base_case] * steps,
+                                            p, q, r):
+        sp, sq, sr = blk
+        # each of the level's parents combines with the peel term and, for
+        # general W coefficients, a scratch sized to its C block
+        total += take(_peel_bytes(dims, base, blk, isc), count)
         if w_scratch:
-            # one combine scratch per internal node, sized to its C block
-            total += count * _align_up(sp * sr * isc)
-            takes += count
-        count *= rank
-        st = _align_up(sp * sq * isa) + _align_up(sq * sr * isb)
+            total += take(sp * sr * isc, count)
+        count *= algorithm.rank
+        total += take(sp * sq * isa, count) + take(sq * sr * isb, count)
         if uv_scratch:
-            st += _align_up(max(sp * sq * isa, sq * sr * isb))
-        total += count * (st + _align_up(sp * sr * isc))   # S/T + result pool
-        takes += count * (4 if uv_scratch else 3)
-        cp, cq, cr = sp, sq, sr
-    return total + takes * _ALIGN_SLACK + ALIGNMENT
+            total += take(max(sp * sq * isa, sq * sr * isb), count)
+        total += take(sp * sr * isc, count)                # result pool
+    return take.total(total)
 
 
 def codegen_footprint(
@@ -582,8 +572,8 @@ def codegen_footprint(
     """Exact arena bytes for a *generated* sequential module (Section 3.1).
 
     The generated code's memory shape differs from the interpreter DFS
-    formula in three ways, all accounted here by simulating the module's
-    own recursion (``_run_ws``/``_core_ws`` in the emitted source):
+    formula in two ways, both accounted here level by level
+    (``_run_ws``/``_core_ws`` in the emitted source):
 
     - **all R product buffers of a level live at once** (one ``(R, bp, br)``
       slab), because the generated C assembly reads every ``M_r`` after the
@@ -595,19 +585,17 @@ def codegen_footprint(
       ``(R, bp, bq)``/``(R, bq, br)`` combine slabs, the product slab with
       its ``|C defs|`` tail rows (the products double as the C-formation
       stack head, so it is never copied) and, transiently, the block
-      stacks (``m*k + |defs|`` rows) and the combined C rows;
-    - **the peel loop**: the generated ``_run`` recurses whenever the
-      dimensions admit one split (no interpreter ``min_dim`` cutoff), and
-      each level where the inner dimension peels draws one core-size
-      fix-up buffer inside ``runtime.peel_apply``.
+      stacks (``m*k + |defs|`` rows) and the combined C rows.
 
-    Sizing uses the result dtype (``np.result_type(A, B)``) for every
-    slot, which matches the emitted write_once/streaming temporaries and
-    upper-bounds arena pairwise's operand-dtype chains.  Chain and CSE
-    slot counts come from the generator's own
-    :func:`repro.codegen.generator.prepared_chains` (imported lazily --
-    ``repro.codegen`` depends on this module, not vice versa), so arena
-    sizing cannot drift from what the emitted module actually takes.
+    The levels and the peel term are the shared :func:`_split_levels` /
+    :func:`_peel_bytes`.  Sizing uses the result dtype
+    (``np.result_type(A, B)``) for every slot, which matches the emitted
+    write_once/streaming temporaries and upper-bounds arena pairwise's
+    operand-dtype chains.  Chain and CSE slot counts come from the
+    generator's own :func:`repro.codegen.generator.prepared_chains`
+    (imported lazily -- ``repro.codegen`` depends on this module, not vice
+    versa), so arena sizing cannot drift from what the emitted module
+    actually takes.
     """
     from repro.codegen.generator import prepared_chains
     from repro.codegen.strategies import needs_axpy_scratch
@@ -617,27 +605,15 @@ def codegen_footprint(
 
     m, k, n = algorithm.base_case
     R = algorithm.rank
-    isz = np.result_type(np.dtype(dtype_a),
-                         np.dtype(dtype_b if dtype_b is not None else dtype_a)
-                         ).itemsize
+    isz = _itemsizes(dtype_a, dtype_b)[2]
     scratch_needed = needs_axpy_scratch(
         s_chains + t_chains + c_chains + s_defs + t_defs + c_defs)
     nsd, ntd, ncd = len(s_defs), len(t_defs), len(c_defs)
-    state = {"takes": 0}
-
-    def take(nelems: int) -> int:
-        state["takes"] += 1
-        return _align_up(int(nelems) * isz)
-
-    def level(p: int, q: int, r: int, left: int) -> int:
-        if left <= 0 or p < m or q < k or r < n:
-            return 0
-        pc, qc, rcore = p - p % m, q - q % k, r - r % n
-        bp, bq, br = pc // m, qc // k, rcore // n
-        total = 0
-        if q - qc:  # peel_apply's core-size inner-dimension fix-up
-            total += take(pc * rcore)
-        child = level(bp, bq, br, left - 1)
+    take = _Tally(isz)
+    levels = list(_split_levels([algorithm.base_case] * steps, *shape))
+    child = 0  # bytes of the level below, innermost first
+    for _, base, dims, (bp, bq, br) in reversed(levels):
+        total = take(_peel_bytes(dims, base, (bp, bq, br), 1))
         if strategy == "streaming":
             total += take(R * bp * bq) + take(R * bq * br)   # _SS, _TT slabs
             total += take((R + ncd) * bp * br)               # _ST slab
@@ -651,17 +627,12 @@ def codegen_footprint(
         else:
             if scratch_needed:
                 total += take(max(bp * bq, bq * br, bp * br))
-            total += sum(take(bp * bq) for _ in range(nsd))
-            total += sum(take(bq * br) for _ in range(ntd))
+            total += take(bp * bq, nsd) + take(bq * br, ntd)
             total += take(R * bp * br)                       # _MM slab
             st = take(bp * bq) + take(bq * br)  # one live S + T per rank
-            c_assembly = sum(take(bp * br) for _ in range(ncd))
-            total += max(st + child, c_assembly)
-        return total
-
-    p, q, r = shape
-    total = level(int(p), int(q), int(r), int(steps))
-    return total + state["takes"] * _ALIGN_SLACK + ALIGNMENT
+            total += max(st + child, take(bp * br, ncd))     # vs C assembly
+        child = total
+    return take.total(child)
 
 
 def cbackend_footprint(
@@ -689,10 +660,10 @@ def cbackend_footprint(
     - alias (zero-traffic) chains are strided block views that get packed
       into the arena right before the leaf dgemm or a deeper recursion
       (one S-sized + one T-sized buffer, marked/released per rank);
-    - ``form_C`` takes ``|C defs|`` scratch rows, and each level where a
-      dimension peels draws per-quadrant fix-up buffers.
+    - ``form_C`` takes ``|C defs|`` scratch rows.
 
-    Slot counts come from the backend's own
+    The levels and the peel term are the shared :func:`_split_levels` /
+    :func:`_peel_bytes`.  Slot counts come from the backend's own
     :func:`repro.codegen.cbackend._prepare` (imported lazily --
     ``repro.codegen`` depends on this module, not vice versa), so arena
     sizing cannot drift from the slab layout the emitted C actually uses.
@@ -700,58 +671,34 @@ def cbackend_footprint(
     from repro.codegen.cbackend import _prepare
 
     s, t, c = _prepare(algorithm, cse)
-    m, k, n = algorithm.base_case
     R = algorithm.rank
-    isz = np.dtype(np.float64).itemsize
-    res = np.result_type(np.dtype(dtype_a),
-                         np.dtype(dtype_b if dtype_b is not None else dtype_a))
-    state = {"takes": 0}
-
-    def take(nelems: int) -> int:
-        if nelems <= 0:
-            return 0
-        state["takes"] += 1
-        return _align_up(int(nelems) * isz)
-
+    f64 = np.dtype(np.float64)
+    take = _Tally(f64.itemsize)
     p, q, r = (int(d) for d in shape)
+    a = np.dtype(dtype_a)
+    b = np.dtype(dtype_b if dtype_b is not None else dtype_a)
     total = 0
-    if np.dtype(dtype_a) != np.float64:
+    if a != f64:
         total += take(p * q)                        # Ad conversion copy
-    if np.dtype(dtype_b if dtype_b is not None else dtype_a) != np.float64:
+    if b != f64:
         total += take(q * r)                        # Bd conversion copy
-    if res != np.float64:
+    if np.result_type(a, b) != f64:
         total += take(p * r)                        # double result buffer
-
-    def level(p: int, q: int, r: int, left: int) -> int:
-        if left <= 0 or p < m or q < k or r < n:
-            return 0
-        pc, qc, rc = p - p % m, q - q % k, r - r % n
-        bp, bq, bn = pc // m, qc // k, rc // n
-        lvl = take(max(s["slots"], 1) * bp * bq)    # form_S slab
-        lvl += take(max(t["slots"], 1) * bq * bn)   # form_T slab
-        lvl += take(R * bp * bn)                    # product slab
-        lvl += take(max(len(c["defs"]), 1) * bn)    # form_C Y scratch
+    for _, base, dims, (bp, bq, bn) in _split_levels(
+            [algorithm.base_case] * steps, p, q, r):
+        total += take(max(s["slots"], 1) * bp * bq)    # form_S slab
+        total += take(max(t["slots"], 1) * bq * bn)    # form_T slab
+        total += take(R * bp * bn)                     # product slab
+        total += take(max(len(c["defs"]), 1) * bn)     # form_C Y scratch
         # per-rank packing of alias (strided block view) operands before
         # the leaf dgemm or a deeper recursion; released before the next
         # rank, so one instance bounds all R
         if any(kind == "alias" for kind, _ in s["layout"]):
-            lvl += take(bp * bq)
+            total += take(bp * bq)
         if any(kind == "alias" for kind, _ in t["layout"]):
-            lvl += take(bq * bn)
-        if left > 1 and min(bp, bq, bn) >= max(m, k, n):
-            lvl += level(bp, bq, bn, left - 1)
-        if q - qc:
-            lvl += take(pc * rc)                    # core += A12 @ B21
-        if r - rc:
-            lvl += take(pc * (r - rc))
-        if p - pc:
-            lvl += take((p - pc) * rc)
-        if (p - pc) and (r - rc):
-            lvl += take((p - pc) * (r - rc))
-        return lvl
-
-    total += level(p, q, r, int(steps))
-    return total + state["takes"] * _ALIGN_SLACK + ALIGNMENT
+            total += take(bq * bn)
+        total += take(_peel_bytes(dims, base, (bp, bq, bn), 1))
+    return take.total(total)
 
 
 # ---------------------------------------------------------------------------

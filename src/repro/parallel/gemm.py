@@ -26,10 +26,7 @@ def dgemm(
 ) -> np.ndarray:
     """Vendor gemm at an explicit thread count, into ``out`` when given."""
     with blas.blas_threads(threads):
-        if out is None:
-            return A @ B
-        np.matmul(A, B, out=out)
-        return out
+        return np.matmul(A, B, out=out)
 
 
 def tiled_gemm(

@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from repro.core.workspace import scratch_view
+from repro.core.workspace import axpy, combine_into
 from repro.guard import faults
 from repro.obs import telemetry
 
@@ -248,48 +248,49 @@ def _row_slabs(nrows: int, parts: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
 
 
-def parallel_copy(pool: WorkerPool, dst: np.ndarray, src: np.ndarray) -> None:
+def _on_row_slabs(pool: WorkerPool, fn: Callable, out: np.ndarray,
+                  arrays: Sequence[np.ndarray],
+                  scratch: np.ndarray | None = None,
+                  retryable: bool = False) -> None:
+    """Run ``fn(out[sl], [a[sl] for a in arrays], scratch rows sl)`` as one
+    task per row slab of ``out``.
+
+    ``scratch`` (an untyped byte buffer of at least ``out.nbytes``) is cut
+    along the same rows, so slabs write disjoint scratch and one buffer
+    serves every worker.  ``retryable`` says a crashed worker's slab can
+    simply be run again by the waiter (its ``fn`` must be idempotent).
+    """
+    rowbytes = out[:1].nbytes
+
+    def work(sl: slice) -> None:
+        rows = None
+        if scratch is not None:
+            rows = scratch[sl.start * rowbytes:sl.stop * rowbytes]
+        fn(out[sl], [a[sl] for a in arrays], rows)
+
     g = pool.group()
-    for sl in _row_slabs(dst.shape[0], pool.workers):
-        # a slab copy is idempotent: a crashed worker's slab can simply
-        # be copied again by the waiter
-        g.run(np.copyto, dst[sl], src[sl], retryable=True)
+    for sl in _row_slabs(out.shape[0], pool.workers):
+        g.run(work, sl, retryable=retryable)
     g.wait()
+
+
+def parallel_copy(pool: WorkerPool, dst: np.ndarray, src: np.ndarray) -> None:
+    _on_row_slabs(pool, lambda o, a, _: np.copyto(o, a[0]), dst, (src,),
+                  retryable=True)
 
 
 def parallel_axpy(
     pool: WorkerPool, out: np.ndarray, x: np.ndarray, alpha: float,
     scratch: np.ndarray | None = None,
 ) -> None:
-    """``out += alpha * x`` split row-wise across the pool.
+    """``out += alpha * x`` split row-wise across the pool: :func:`axpy
+    <repro.core.workspace.axpy>` per slab, allocation-free with ``scratch``.
 
-    ``scratch`` (an untyped byte buffer of at least ``out.nbytes``) absorbs
-    the ``alpha * x`` product for general ``alpha`` so the update stays
-    allocation-free; slabs write disjoint scratch rows, so one buffer
-    serves every worker.
+    NOT retryable: ``out += ...`` accumulates in place, so a re-run after a
+    partially-applied slab would double-add.
     """
-    alpha = float(alpha)  # numpy scalars would upcast float32 slabs (NEP 50)
-    view = None
-    if scratch is not None:
-        view = scratch_view(scratch, out.shape, out.dtype)
-
-    def work(sl: slice) -> None:
-        if alpha == 1.0:
-            np.add(out[sl], x[sl], out=out[sl])
-        elif alpha == -1.0:
-            np.subtract(out[sl], x[sl], out=out[sl])
-        elif view is not None:
-            np.multiply(x[sl], alpha, out=view[sl])
-            np.add(out[sl], view[sl], out=out[sl])
-        else:
-            out[sl] += alpha * x[sl]
-
-    # NOT retryable: `out += ...` accumulates in place, so a re-run after
-    # a partially-applied slab would double-add
-    g = pool.group()
-    for sl in _row_slabs(out.shape[0], pool.workers):
-        g.run(work, sl)
-    g.wait()
+    _on_row_slabs(pool, lambda o, a, rows: axpy(o, a[0], alpha, rows),
+                  out, (x,), scratch)
 
 
 def parallel_combine(
@@ -302,40 +303,11 @@ def parallel_combine(
     """``out = sum_i coeffs[i] * blocks[i]`` with row-slab parallelism.
 
     This is how the DFS scheme parallelizes every addition chain ("matrix
-    additions are trivially parallelized", Section 4.1).  ``scratch``
-    (bytes, >= ``out.nbytes``) makes general-coefficient terms
-    allocation-free, as in :func:`parallel_axpy`.
+    additions are trivially parallelized", Section 4.1): the serial chain,
+    :func:`repro.core.workspace.combine_into`, per slab.  Retryable: each
+    slab starts from a copy/scale of its first term, so re-running it
+    recomputes the slab from scratch.
     """
-    # python-float coefficients: a numpy float64 scalar would silently
-    # upcast float32 slabs under NEP 50
-    nz = [(float(c), blk) for c, blk in zip(coeffs, blocks) if c != 0.0]
-    if not nz:
-        out[:] = 0.0
-        return
-    view = None
-    if scratch is not None and any(c not in (1.0, -1.0) for c, _ in nz[1:]):
-        view = scratch_view(scratch, out.shape, out.dtype)
-
-    def work(sl: slice) -> None:
-        c0, b0 = nz[0]
-        if c0 == 1.0:
-            np.copyto(out[sl], b0[sl])
-        else:
-            np.multiply(b0[sl], c0, out=out[sl])
-        for c, blk in nz[1:]:
-            if c == 1.0:
-                np.add(out[sl], blk[sl], out=out[sl])
-            elif c == -1.0:
-                np.subtract(out[sl], blk[sl], out=out[sl])
-            elif view is not None:
-                np.multiply(blk[sl], c, out=view[sl])
-                np.add(out[sl], view[sl], out=out[sl])
-            else:
-                out[sl] += c * blk[sl]
-
-    # retryable: each slab starts from a copyto/multiply of its first
-    # term, so re-running it recomputes the slab from scratch
-    g = pool.group()
-    for sl in _row_slabs(out.shape[0], pool.workers):
-        g.run(work, sl, retryable=True)
-    g.wait()
+    _on_row_slabs(pool,
+                  lambda o, blks, rows: combine_into(o, blks, coeffs, rows),
+                  out, blocks, scratch, retryable=True)

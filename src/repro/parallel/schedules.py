@@ -4,8 +4,9 @@ Three schemes over the recursion tree:
 
 - **DFS** (Section 4.1): ordinary depth-first recursion; every leaf gemm
   uses *all* P threads (vendor-BLAS parallelism) and every addition chain
-  is row-slab parallelized.  Code path identical to sequential; needs large
-  leaves to profit (the parallel dgemm ramp-up is flatter).
+  is row-slab parallelized.  Code path identical to sequential
+  (:func:`repro.core.recursion._recurse` itself); needs large leaves to
+  profit (the parallel dgemm ramp-up is flatter).
 
 - **BFS** (Section 4.2): task parallelism.  The recursion tree is expanded
   level-synchronously: one task per (node, r) forms ``S_r``/``T_r`` with
@@ -21,8 +22,8 @@ Three schemes over the recursion tree:
   sub-group variant assigns the remainder to disjoint groups of P' < P
   threads; both are implemented.
 
-Dynamic peeling applies at every node: boundary fix-up products are
-attached to the node and executed during its combine stage.
+Dynamic peeling applies at every node: the boundary fix-up products
+(:func:`repro.util.matrices.peel_fixup`) run during its combine stage.
 
 Every scheme accepts ``out=`` and ``workspace=`` (a
 :class:`repro.core.workspace.Workspace`): DFS reuses one per-level
@@ -36,17 +37,14 @@ task body), so a warm call performs no large allocations.
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
 from repro.core.algorithm import FastAlgorithm
-from repro.core.recursion import combine_blocks
-from repro.core.workspace import (
-    Workspace,
-    check_out,
-    needs_scratch,
-    scratch_view,
-)
+from repro.core import recursion
+from repro.core.recursion import accumulate_products, combine_blocks
+from repro.core.workspace import Workspace, needs_scratch
 from repro.obs import telemetry
 from repro.parallel import blas
 from repro.parallel.gemm import dgemm
@@ -55,8 +53,7 @@ from repro.parallel.pool import (
     parallel_axpy,
     parallel_combine,
 )
-from repro.util.matrices import block_views, peel_split
-from repro.util.validation import check_matmul_dims, require_2d
+from repro.util.matrices import block_views, peel_fixup, peel_split
 
 SCHEMES = ("dfs", "bfs", "hybrid", "hybrid-subgroup")
 
@@ -84,125 +81,43 @@ def default_subgroup(threads: int) -> int:
 
 
 # =========================================================================
-# DFS
+# DFS: the reference recursion with every addition and gemm on all threads
 # =========================================================================
-def _dfs_recurse(
-    A: np.ndarray,
-    B: np.ndarray,
-    alg: FastAlgorithm,
-    steps: int,
-    pool: WorkerPool,
-    threads: int,
-    out: np.ndarray | None = None,
-    ws: Workspace | None = None,
-) -> np.ndarray:
-    p, q = A.shape
-    r = B.shape[1]
-    m, k, n = alg.base_case
-    if steps <= 0 or p < m or q < k or r < n:
-        return dgemm(A, B, threads=threads, out=out)
-
-    A11, A12, A21, A22 = peel_split(A, m, k)
-    B11, B12, B21, B22 = peel_split(B, k, n)
-    pc, qc = A11.shape
-    rc = B11.shape[1]
-
-    C = out if out is not None else np.empty((p, r), dtype=np.result_type(A, B))
-    Ccore = C[:pc, :rc]
-    _dfs_core(A11, B11, Ccore, alg, steps, pool, threads, ws)
-
-    if q - qc:
-        # full-core-size fix-up: from the arena, like recursion._recurse
-        if ws is not None:
-            fix_mark = ws.mark()
-            t = ws.take((pc, rc), C.dtype)
-            dgemm(A12, B21, threads=threads, out=t)
-            np.add(Ccore, t, out=Ccore)
-            ws.release(fix_mark)
-        else:
-            Ccore += dgemm(A12, B21, threads=threads)
-    if r - rc:
-        dgemm(A11, B12, threads=threads, out=C[:pc, rc:])
-        if q - qc:
-            C[:pc, rc:] += dgemm(A12, B22, threads=threads)
-    if p - pc:
-        dgemm(A21, B11, threads=threads, out=C[pc:, :rc])
-        if q - qc:
-            C[pc:, :rc] += dgemm(A22, B21, threads=threads)
-    if (p - pc) and (r - rc):
-        C[pc:, rc:] = dgemm(A21, B12, threads=threads) + dgemm(
-            A22, B22, threads=threads
-        )
-    return C
-
-
-def _dfs_core(A, B, C, alg, steps, pool, threads, ws=None) -> None:
-    m, k, n = alg.base_case
-    blocksA = block_views(A, m, k)
-    blocksB = block_views(B, k, n)
-    blocksC = block_views(C, m, n)
-    bp, bq = blocksA[0].shape
-    br = blocksB[0].shape[1]
-    started = [False] * len(blocksC)
-
-    S_buf = T_buf = M_buf = scratch = None
-    level_mark = None
-    if ws is not None:
-        # one S/T/M_r triple per level, reused across every rank (the
-        # Section 4.1 DFS memory discipline)
-        level_mark = ws.mark()
-        S_buf = ws.take((bp, bq), A.dtype)
-        T_buf = ws.take((bq, br), B.dtype)
-        M_buf = ws.take((bp, br), C.dtype)
-        if (needs_scratch(alg.U) or needs_scratch(alg.V)
-                or needs_scratch(alg.W)):
-            scratch = ws.take_scratch(max(S_buf.nbytes, T_buf.nbytes,
-                                          M_buf.nbytes))
-
-    for rr in range(alg.rank):
-        ucol = alg.U[:, rr]
-        vcol = alg.V[:, rr]
-        unz = np.nonzero(ucol)[0]
-        vnz = np.nonzero(vcol)[0]
-        # additions fully parallelized (Section 4.1)
-        if unz.size == 1 and float(ucol[unz[0]]) == 1.0:
-            S = blocksA[int(unz[0])]
-        else:
-            S = S_buf if S_buf is not None else np.empty((bp, bq),
-                                                         dtype=A.dtype)
-            parallel_combine(pool, S, blocksA, ucol, scratch=scratch)
-        if vnz.size == 1 and float(vcol[vnz[0]]) == 1.0:
-            T = blocksB[int(vnz[0])]
-        else:
-            T = T_buf if T_buf is not None else np.empty((bq, br),
-                                                         dtype=B.dtype)
-            parallel_combine(pool, T, blocksB, vcol, scratch=scratch)
-        if ws is None:
-            Mr = _dfs_recurse(S, T, alg, steps - 1, pool, threads)
-        else:
-            inner = ws.mark()
-            Mr = _dfs_recurse(S, T, alg, steps - 1, pool, threads,
-                              out=M_buf, ws=ws)
-            ws.release(inner)
-        wcol = alg.W[:, rr]
-        for i in np.nonzero(wcol)[0]:
-            c = float(wcol[i])
-            blk = blocksC[i]
-            if not started[i]:
-                parallel_combine(pool, blk, (Mr,), (c,), scratch=scratch)
-                started[i] = True
-            else:
-                parallel_axpy(pool, blk, Mr, c, scratch=scratch)
-    if ws is not None:
-        ws.release(level_mark)
-    for i, s in enumerate(started):
-        if not s:
-            blocksC[i][:] = 0.0
+def _run_dfs(A, B, alg: FastAlgorithm, steps: int, pool: WorkerPool,
+             threads: int, out, ws: Workspace | None) -> np.ndarray:
+    """:func:`repro.core.recursion._recurse` with the pool's row-slab adders
+    ("matrix additions are trivially parallelized", Section 4.1) and a
+    ``threads``-wide gemm for the leaves and the peeling fix-ups."""
+    gemm = functools.partial(dgemm, threads=threads)
+    gemm._accepts_out = True  # spares _leaf the reflection
+    ops = recursion._Ops(functools.partial(parallel_combine, pool),
+                         functools.partial(parallel_axpy, pool), gemm)
+    return recursion._recurse(A, B, alg, 0, gemm,
+                              recursion.CutoffPolicy(max_steps=steps),
+                              out=out, ws=ws, ops=ops)
 
 
 # =========================================================================
 # BFS / HYBRID: level-synchronous task tree
 # =========================================================================
+@dataclasses.dataclass
+class _Preassigned:
+    """What a combine task hands :func:`peel_fixup` as its arena: the one
+    buffer carved for it before the tasks fanned out (a task body must
+    never touch the shared bump pointer)."""
+
+    buf: np.ndarray
+
+    def mark(self) -> None:
+        return None
+
+    def take(self, shape, dtype) -> np.ndarray:
+        return self.buf
+
+    def release(self, mark) -> None:
+        pass
+
+
 @dataclasses.dataclass
 class _Node:
     """One subproblem in the recursion tree."""
@@ -215,119 +130,57 @@ class _Node:
     result: np.ndarray | None = None
     #: preassigned result storage (arena pool view, or the caller's ``out``)
     result_buf: np.ndarray | None = None
-    # peeling views captured at expansion time, applied at combine time
+    # the eight peeling views, captured at expansion, applied at combine
     _peel: tuple | None = None
     # (S_buf, T_buf, scratch) per rank, preassigned before the form tasks run
     _child_bufs: list | None = None
     # combine-stage scratch for W coefficients outside {0, +-1}
     _scratch: np.ndarray | None = None
     # preassigned (pc x rc) buffer for the inner-dimension peel fix-up
-    _qfix: np.ndarray | None = None
+    _qfix: _Preassigned | None = None
 
     def expand(self) -> list[tuple["_Node", int]]:
         """Split into per-rank child subproblems; returns (self, r) work
         items whose S/T formation runs as tasks."""
         m, k, n = self.alg.base_case
-        A11, A12, A21, A22 = peel_split(self.A, m, k)
-        B11, B12, B21, B22 = peel_split(self.B, k, n)
-        self._peel = (A11, A12, A21, A22, B11, B12, B21, B22)
+        self._peel = peel_split(self.A, m, k) + peel_split(self.B, k, n)
         self.children = [None] * self.alg.rank  # type: ignore[list-item]
+        self._child_bufs = [(None, None, None)] * self.alg.rank
         return [(self, r) for r in range(self.alg.rank)]
 
-    def child_shapes(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        """(S shape, T shape) of this node's children (all ranks equal)."""
-        m, k, n = self.alg.base_case
-        pc, qc = self._peel[0].shape
-        rc = self._peel[4].shape[1]
-        return (pc // m, qc // k), (qc // k, rc // n)
+    def core_shape(self) -> tuple[int, int, int]:
+        """``(pc, qc, rc)`` of the evenly divisible core."""
+        return self._peel[0].shape + self._peel[4].shape[1:]
 
     def form_child(self, r: int) -> "_Node":
         """Task body: form (S_r, T_r) with serial additions (they belong to
         the task, Section 4.2)."""
         m, k, n = self.alg.base_case
-        A11 = self._peel[0]
-        B11 = self._peel[4]
-        blocksA = block_views(A11, m, k)
-        blocksB = block_views(B11, k, n)
-        bufs = self._child_bufs[r] if self._child_bufs is not None else None
-        if bufs is None:
-            S = combine_blocks(blocksA, self.alg.U[:, r])
-            T = combine_blocks(blocksB, self.alg.V[:, r])
-        else:
-            S_buf, T_buf, scr = bufs
-            S = combine_blocks(blocksA, self.alg.U[:, r], out=S_buf,
-                               scratch=scr)
-            T = combine_blocks(blocksB, self.alg.V[:, r], out=T_buf,
-                               scratch=scr)
+        S_buf, T_buf, scr = self._child_bufs[r]
+        S = combine_blocks(block_views(self._peel[0], m, k),
+                           self.alg.U[:, r], out=S_buf, scratch=scr)
+        T = combine_blocks(block_views(self._peel[4], k, n),
+                           self.alg.V[:, r], out=T_buf, scratch=scr)
         child = _Node(S, T, self.level + 1, self.alg)
         self.children[r] = child
         return child
 
     def leaf_multiply(self) -> None:
-        if self.result_buf is not None:
-            np.matmul(self.A, self.B, out=self.result_buf)
-            self.result = self.result_buf
-        else:
-            self.result = self.A @ self.B
+        self.result = np.matmul(self.A, self.B, out=self.result_buf)
 
     def combine(self) -> None:
         """Task body: assemble C from children products + peel fix-ups."""
-        A11, A12, A21, A22, B11, B12, B21, B22 = self._peel
-        p, q = self.A.shape
-        r = self.B.shape[1]
-        pc, qc = A11.shape
-        rc = B11.shape[1]
-        m, k, n = self.alg.base_case
+        pc, _, rc = self.core_shape()
+        m, _, n = self.alg.base_case
         C = self.result_buf
         if C is None:
-            C = np.empty((p, r), dtype=np.result_type(self.A, self.B))
-        Ccore = C[:pc, :rc]
-        blocksC = block_views(Ccore, m, n)
-        started = [False] * len(blocksC)
-        for rr, child in enumerate(self.children):
-            Mr = child.result
-            wcol = self.alg.W[:, rr]
-            for i in np.nonzero(wcol)[0]:
-                c = float(wcol[i])
-                blk = blocksC[i]
-                if not started[i]:
-                    if c == 1.0:
-                        blk[:] = Mr
-                    else:
-                        np.multiply(Mr, c, out=blk)
-                    started[i] = True
-                elif c == 1.0:
-                    blk += Mr
-                elif c == -1.0:
-                    blk -= Mr
-                elif self._scratch is not None:
-                    t = scratch_view(self._scratch, blk.shape, blk.dtype)
-                    np.multiply(Mr, c, out=t)
-                    np.add(blk, t, out=blk)
-                else:
-                    blk += c * Mr
-        for i, s in enumerate(started):
-            if not s:
-                blocksC[i][:] = 0.0
-        # thin classical fix-ups (dynamic peeling, Section 3.5); the
-        # inner-dimension strip is the one full-core-size product, so it
-        # uses the preassigned arena buffer when one exists
-        if q - qc:
-            if self._qfix is not None:
-                np.matmul(A12, B21, out=self._qfix)
-                np.add(Ccore, self._qfix, out=Ccore)
-            else:
-                Ccore += A12 @ B21
-        if r - rc:
-            np.matmul(A11, B12, out=C[:pc, rc:])
-            if q - qc:
-                C[:pc, rc:] += A12 @ B22
-        if p - pc:
-            np.matmul(A21, B11, out=C[pc:, :rc])
-            if q - qc:
-                C[pc:, :rc] += A22 @ B21
-        if (p - pc) and (r - rc):
-            C[pc:, rc:] = A21 @ B12 + A22 @ B22
+            C = np.empty((self.A.shape[0], self.B.shape[1]),
+                         dtype=np.result_type(self.A, self.B))
+        accumulate_products(
+            block_views(C[:pc, :rc], m, n), self.alg.W,
+            ((rr, child.result) for rr, child in enumerate(self.children)),
+            scratch=self._scratch)
+        peel_fixup(C, self._peel, np.matmul, self._qfix)
         self.result = C
         self.children = []  # release child references promptly
 
@@ -337,44 +190,39 @@ def _expand_tree(
     levels: int,
     pool: WorkerPool,
     ws: Workspace | None = None,
-    uv_scratch: bool = False,
 ) -> list[list[_Node]]:
     """Level-synchronous expansion with a taskwait barrier per level.
 
-    With an arena, each level's S/T pool is carved *serially* here before
-    the form tasks fan out -- the per-level pools of Section 4.2, assigned
-    deterministically so no task body ever touches the bump pointer.
+    Every node of a level has the same shape (children inherit one peeled
+    core), so a level splits whole or not at all and the leaves are
+    exactly ``tree[-1]``.  With an arena, each level's S/T pool is carved
+    *serially* here before the form tasks fan out -- the per-level pools
+    of Section 4.2, assigned deterministically so no task body ever
+    touches the bump pointer.
     """
+    policy = recursion.CutoffPolicy(max_steps=levels)
+    m, k, n = root.alg.base_case
+    uv_scratch = needs_scratch(root.alg.U) or needs_scratch(root.alg.V)
     tree: list[list[_Node]] = [[root]]
-    frontier = [root]
-    for _ in range(levels):
-        work: list[tuple[_Node, int]] = []
-        for node in frontier:
-            m, k, n = node.alg.base_case
-            p, q = node.A.shape
-            r = node.B.shape[1]
-            if p < m or q < k or r < n:
-                continue  # too small: stays a leaf, multiplied directly
-            work.extend(node.expand())
-        if not work:
-            break
+    for level in range(levels):
+        head = tree[-1][0]
+        if not policy.should_recurse(level, *head.A.shape, head.B.shape[1],
+                                     m, k, n):
+            break  # too small: the level stays leaves, multiplied directly
+        work = [item for node in tree[-1] for item in node.expand()]
         if ws is not None:
-            for node, r in work:
-                s_shape, t_shape = node.child_shapes()
-                S_buf = ws.take(s_shape, node.A.dtype)
-                T_buf = ws.take(t_shape, node.B.dtype)
+            for node, rr in work:
+                pc, qc, rc = node.core_shape()
+                S_buf = ws.take((pc // m, qc // k), node.A.dtype)
+                T_buf = ws.take((qc // k, rc // n), node.B.dtype)
                 scr = None
                 if uv_scratch:
                     scr = ws.take_scratch(max(S_buf.nbytes, T_buf.nbytes))
-                if node._child_bufs is None:
-                    node._child_bufs = [None] * node.alg.rank
-                node._child_bufs[r] = (S_buf, T_buf, scr)
+                node._child_bufs[rr] = (S_buf, T_buf, scr)
         # forming a child recomputes S/T from the parent's operands
         # into preassigned buffers -- idempotent, so retryable
-        children = pool.map_wait(lambda wi: wi[0].form_child(wi[1]), work,
-                                 retryable=True)
-        frontier = children
-        tree.append(children)
+        tree.append(pool.map_wait(lambda wi: wi[0].form_child(wi[1]), work,
+                                  retryable=True))
     return tree
 
 
@@ -382,114 +230,77 @@ def _combine_tree(
     tree: list[list[_Node]],
     pool: WorkerPool,
     ws: Workspace | None = None,
-    w_scratch: bool = False,
 ) -> None:
-    for level in range(len(tree) - 2, -1, -1):
-        nodes = [nd for nd in tree[level] if nd.children]
+    w_scratch = needs_scratch(tree[0][0].alg.W)
+    for nodes in reversed(tree[:-1]):
         if ws is not None:
+            _assign_result_buffers(nodes, ws)
             for nd in nodes:
-                # the root's storage is the caller's ``out`` (or a fresh
-                # array) -- arena memory must never escape to the caller
-                if nd.result_buf is None and nd.level > 0:
-                    nd.result_buf = ws.take(
-                        (nd.A.shape[0], nd.B.shape[1]),
-                        np.result_type(nd.A, nd.B),
-                    )
-                if w_scratch and nd._scratch is None:
-                    bs, ts = nd.child_shapes()
-                    itemsize = np.result_type(nd.A, nd.B).itemsize
-                    nd._scratch = ws.take_scratch(bs[0] * ts[1] * itemsize)
-                if nd._qfix is None and nd._peel[1].shape[1]:
-                    nd._qfix = ws.take(
-                        (nd._peel[0].shape[0], nd._peel[4].shape[1]),
-                        np.result_type(nd.A, nd.B),
-                    )
+                pc, qc, rc = nd.core_shape()
+                ctype = np.result_type(nd.A, nd.B)
+                if w_scratch:
+                    m, _, n = nd.alg.base_case
+                    nd._scratch = ws.take_scratch(
+                        (pc // m) * (rc // n) * ctype.itemsize)
+                if nd.A.shape[1] != qc:
+                    nd._qfix = _Preassigned(ws.take((pc, rc), ctype))
         pool.map_wait(lambda nd: nd.combine(), nodes)
 
 
 def _bfs_leaves(tree: list[list[_Node]]) -> list[_Node]:
-    leaves = [nd for nd in tree[-1]]
-    # nodes that stopped early (too small to split) are also leaves
-    for level in tree[:-1]:
-        leaves.extend(nd for nd in level if not nd.children)
-    return [nd for nd in leaves if nd.result is None]
+    return tree[-1]  # a level splits whole or not at all (_expand_tree)
 
 
-def _assign_leaf_buffers(leaves: list[_Node], ws: Workspace) -> None:
-    for nd in leaves:
-        if nd.result_buf is None and nd.level > 0:
+def _assign_result_buffers(nodes: list[_Node], ws: Workspace) -> None:
+    for nd in nodes:
+        # the root's storage is the caller's ``out`` (or a fresh array) --
+        # arena memory must never escape to the caller
+        if nd.level > 0:
             nd.result_buf = ws.take((nd.A.shape[0], nd.B.shape[1]),
                                     np.result_type(nd.A, nd.B))
 
 
-def _run_bfs(
-    root: _Node,
-    steps: int,
-    pool: WorkerPool,
-    ws: Workspace | None = None,
-) -> np.ndarray:
-    uv_scratch = w_scratch = False
-    if ws is not None:
-        ws.reset()
-        uv_scratch = needs_scratch(root.alg.U) or needs_scratch(root.alg.V)
-        w_scratch = needs_scratch(root.alg.W)
-    with telemetry.span("parallel.bfs.expand"):
-        _label_tasks(pool, "bfs.expand")
-        tree = _expand_tree(root, steps, pool, ws, uv_scratch)
-    leaves = _bfs_leaves(tree)
-    if ws is not None:
-        _assign_leaf_buffers(leaves, ws)
-    with telemetry.span("parallel.bfs.leaf"):
-        _label_tasks(pool, "bfs.leaf")
-        with blas.blas_threads(1):  # one BLAS thread per task: pure task parallelism
-            pool.map_wait(lambda nd: nd.leaf_multiply(), leaves,
-                          retryable=True)
-    with telemetry.span("parallel.bfs.combine"):
-        _label_tasks(pool, "bfs.combine")
-        _combine_tree(tree, pool, ws, w_scratch)
-    return root.result
-
-
-def _run_hybrid(
+def _run_tree(
     root: _Node,
     steps: int,
     pool: WorkerPool,
     threads: int,
+    hybrid: bool,
     subgroup: int | None = None,
     ws: Workspace | None = None,
 ) -> np.ndarray:
-    uv_scratch = w_scratch = False
-    if ws is not None:
-        ws.reset()
-        uv_scratch = needs_scratch(root.alg.U) or needs_scratch(root.alg.V)
-        w_scratch = needs_scratch(root.alg.W)
-    with telemetry.span("parallel.hybrid.expand"):
-        _label_tasks(pool, "hybrid.expand")
-        tree = _expand_tree(root, steps, pool, ws, uv_scratch)
+    """BFS, or HYBRID when ``hybrid``: the two differ in which leaves run
+    as single-BLAS-thread tasks (all of them vs. the largest multiple of
+    ``threads``) and in what happens to the rest."""
+    name = "hybrid" if hybrid else "bfs"
+    batch = "bfs_batch" if hybrid else "leaf"
+
+    def phase(part: str):
+        _label_tasks(pool, f"{name}.{part}")
+        return telemetry.span(f"parallel.{name}.{part}")
+
+    with phase("expand"):
+        tree = _expand_tree(root, steps, pool, ws)
     leaves = _bfs_leaves(tree)
     if ws is not None:
-        _assign_leaf_buffers(leaves, ws)
-    n_bfs = len(leaves) - (len(leaves) % threads)
+        _assign_result_buffers(leaves, ws)
+    n_bfs = len(leaves) - (len(leaves) % threads if hybrid else 0)
     bfs_part, dfs_part = leaves[:n_bfs], leaves[n_bfs:]
-    # 1) perfectly balanced BFS batch
+    # 1) perfectly balanced BFS batch, pure task parallelism
     if bfs_part:
-        with telemetry.span("parallel.hybrid.bfs_batch"):
-            _label_tasks(pool, "hybrid.bfs_batch")
-            with blas.blas_threads(1):
-                pool.map_wait(lambda nd: nd.leaf_multiply(), bfs_part,
-                              retryable=True)
+        with phase(batch), blas.blas_threads(1):
+            pool.map_wait(lambda nd: nd.leaf_multiply(), bfs_part,
+                          retryable=True)
     # 2) remainder after an explicit barrier (paper's lock scheme): DFS
     if dfs_part:
-        with telemetry.span("parallel.hybrid.remainder"):
-            _label_tasks(pool, "hybrid.remainder")
+        with phase("remainder"):
             if subgroup is None:
                 with blas.blas_threads(threads):
                     for nd in dfs_part:
                         nd.leaf_multiply()
             else:
                 # Section 4.3 alternative: disjoint groups of P' threads
-                if threads % subgroup:
-                    raise ValueError("subgroup size must divide thread count")
+                # (multiply_parallel checked that P' divides P)
                 waves = threads // subgroup
                 with blas.blas_threads(subgroup):
                     for i in range(0, len(dfs_part), waves):
@@ -498,9 +309,8 @@ def _run_hybrid(
                             dfs_part[i : i + waves],
                             retryable=True,
                         )
-    with telemetry.span("parallel.hybrid.combine"):
-        _label_tasks(pool, "hybrid.combine")
-        _combine_tree(tree, pool, ws, w_scratch)
+    with phase("combine"):
+        _combine_tree(tree, pool, ws)
     return root.result
 
 
@@ -526,15 +336,12 @@ def multiply_parallel(
     P' of the sub-group hybrid.
 
     ``out`` receives the product; ``workspace`` is an arena sized by
-    :meth:`Workspace.for_recursion` (dfs) or :meth:`Workspace.for_parallel`
-    (bfs/hybrid) from which every temporary is drawn, so a warm
-    ``(out, workspace)`` call performs no large allocations.
+    :func:`repro.core.workspace.dfs_footprint` (dfs) or
+    :func:`~repro.core.workspace.bfs_footprint` (bfs/hybrid) from which
+    every temporary is drawn, so a warm ``(out, workspace)`` call performs
+    no large allocations.
     """
-    A = require_2d(A, "A")
-    B = require_2d(B, "B")
-    check_matmul_dims(A, B)
-    if out is not None:
-        out = check_out(out, A, B)
+    A, B, out = recursion._operands(A, B, out, workspace)
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
     if subgroup is not None and scheme != "hybrid-subgroup":
@@ -547,30 +354,23 @@ def multiply_parallel(
     owns_pool = pool is None
     pool = pool or WorkerPool(threads)
     P = threads or pool.workers
-    sg = None
-    if scheme == "hybrid-subgroup":
-        sg = subgroup if subgroup is not None else default_subgroup(P)
-        if sg < 1 or P % sg:
-            # validated before any work runs, not mid-combine
-            if owns_pool:
-                pool.shutdown()
-            raise ValueError(
-                f"subgroup (P') must divide the thread count ({P}), "
-                f"got {sg}"
-            )
     try:
+        sg = None
+        if scheme == "hybrid-subgroup":
+            sg = subgroup if subgroup is not None else default_subgroup(P)
+            if sg < 1 or P % sg:  # validated before any work runs
+                raise ValueError(
+                    f"subgroup (P') must divide the thread count ({P}), "
+                    f"got {sg}"
+                )
         with telemetry.span("parallel." + scheme, threads=P):
             if scheme == "dfs":
-                if workspace is not None:
-                    workspace.reset()
                 _label_tasks(pool, "dfs")
-                return _dfs_recurse(A, B, algorithm, steps, pool, P,
-                                    out=out, ws=workspace)
+                return _run_dfs(A, B, algorithm, steps, pool, P, out,
+                                workspace)
             root = _Node(A, B, 0, algorithm, result_buf=out)
-            if scheme == "bfs":
-                return _run_bfs(root, steps, pool, ws=workspace)
-            return _run_hybrid(root, steps, pool, P, subgroup=sg,
-                               ws=workspace)
+            return _run_tree(root, steps, pool, P, hybrid=scheme != "bfs",
+                             subgroup=sg, ws=workspace)
     finally:
         if owns_pool:
             pool.shutdown()

@@ -37,8 +37,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.algorithms import get_algorithm
-from repro.core.workspace import WorkspacePool, codegen_footprint
+from repro.core.workspace import WorkspacePool
 from repro.guard import chain
 from repro.obs import telemetry
 from repro.parallel import blas
@@ -159,26 +158,18 @@ def _check_batch_out(out, a_list, b_list, p: int, r: int, stacked: bool):
 # ---------------------------------------------------------------------------
 # per-worker arena pools (the batched footprint)
 # ---------------------------------------------------------------------------
-def _element_nbytes(plan: Plan, p: int, q: int, r: int,
-                    dtype_a, dtype_b) -> int:
-    """Arena bytes one elementwise worker needs for one element (0 for
-    plain BLAS, which needs no workspace)."""
-    if plan.is_dgemm:
-        return 0
-    alg = get_algorithm(plan.algorithm)
-    return codegen_footprint(alg, plan.strategy, False, (p, q, r),
-                             dtype_a, plan.steps, dtype_b=dtype_b)
-
-
 def _arena_pool(plan: Plan, p: int, q: int, r: int, dtype_a, dtype_b,
-                workers: int) -> WorkspacePool | None:
-    """The cached per-worker arena pool for an elementwise batch plan --
-    built on first use (counted by ``workspace.batch_arena_builds``),
-    LRU-kept up to :data:`BATCH_POOL_CACHE_SIZE`.  ``None`` when the
-    element plan needs no workspace (plain BLAS)."""
-    nbytes = _element_nbytes(plan, p, q, r, dtype_a, dtype_b)
+                workers: int, cached: bool = True) -> WorkspacePool | None:
+    """The per-worker arena pool for an elementwise batch plan: the cached
+    one -- built on first use (counted by ``workspace.batch_arena_builds``),
+    LRU-kept up to :data:`BATCH_POOL_CACHE_SIZE` -- or, for measurement
+    sweeps, a throwaway.  ``None`` when the element plan needs no
+    workspace (plain BLAS)."""
+    nbytes = dispatch.plan_footprint(plan, p, q, r, dtype_a, dtype_b)
     if nbytes == 0:
         return None
+    if not cached:
+        return WorkspacePool(nbytes, workers)
     key = (plan, p, q, r, str(np.dtype(dtype_a)), str(np.dtype(dtype_b)),
            workers)
     with _batch_lock:
@@ -316,10 +307,8 @@ def _run_within(plan: Plan, a_list, b_list, c_list, p, q, r,
     """Elements serially, each under the plan's own schedule: one arena
     (the executors reset it at call start) and one pool for the batch."""
     dtype_a, dtype_b = a_list[0].dtype, b_list[0].dtype
-    if warm:
-        workspace = dispatch.workspace_for(plan, p, q, r, dtype_a, dtype_b)
-    else:
-        workspace = dispatch.build_workspace(plan, p, q, r, dtype_a, dtype_b)
+    arena = dispatch.workspace_for if warm else dispatch.build_workspace
+    workspace = arena(plan, p, q, r, dtype_a, dtype_b)
     if pool is None and not plan.is_dgemm and plan.scheme != "sequential":
         pool = dispatch._shared_pool(plan.threads)
     for a, b, c in zip(a_list, b_list, c_list):
@@ -335,11 +324,7 @@ def _run_elementwise(bplan: BatchPlan, a_list, b_list, c_list, p, q, r,
     plan = bplan.plan
     workers = bplan.workers
     dtype_a, dtype_b = a_list[0].dtype, b_list[0].dtype
-    if warm:
-        apool = _arena_pool(plan, p, q, r, dtype_a, dtype_b, workers)
-    else:
-        nbytes = _element_nbytes(plan, p, q, r, dtype_a, dtype_b)
-        apool = WorkspacePool(nbytes, workers) if nbytes else None
+    apool = _arena_pool(plan, p, q, r, dtype_a, dtype_b, workers, cached=warm)
     if pool is None:
         pool = dispatch._shared_pool(workers)
 

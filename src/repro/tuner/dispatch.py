@@ -44,7 +44,14 @@ import numpy as np
 from repro.algorithms import get_algorithm
 from repro.bench.metrics import effective_gflops
 from repro.codegen import compile_algorithm
-from repro.core.workspace import Workspace, check_out
+from repro.core.workspace import (
+    Workspace,
+    bfs_footprint,
+    cbackend_footprint,
+    check_out,
+    codegen_footprint,
+    dfs_footprint,
+)
 from repro.guard import chain as _guard_chain
 from repro.guard import faults
 from repro.obs import telemetry
@@ -168,6 +175,35 @@ def rebuild_shared_pool(workers: int) -> WorkerPool:
     return _shared_pool(workers)
 
 
+def plan_footprint(plan: Plan, p: int, q: int, r: int,
+                   dtype_a, dtype_b) -> int:
+    """Arena bytes one execution of ``plan`` draws (0 for plain BLAS).
+
+    The one place a plan's (scheme, backend, strategy) picks its footprint
+    formula: per-call arenas, measurement arenas and the per-worker pools
+    of elementwise batches are all sized here, by the formula of the
+    executor :func:`execute_plan` will run.
+    """
+    if plan.is_dgemm:
+        return 0
+    alg = get_algorithm(plan.algorithm)
+    if plan.scheme == "sequential":
+        if plan.backend == "compiled":
+            # the C chain kernels: fused S/T slabs, the R-row product
+            # slab, Y scratch, alias packing
+            return cbackend_footprint(alg, False, (p, q, r), dtype_a,
+                                      plan.steps, dtype_b=dtype_b)
+        # the *generated* module: all R products of a level live until C
+        # assembly, strategy slabs, CSE temporaries -- the interpreter's
+        # one-triple-per-level DFS formula would overflow
+        return codegen_footprint(alg, plan.strategy, False, (p, q, r),
+                                 dtype_a, plan.steps, dtype_b=dtype_b)
+    if plan.scheme == "dfs":
+        return dfs_footprint([alg.base_case] * plan.steps, p, q, r,
+                             dtype_a, dtype_b, algorithms=[alg] * plan.steps)
+    return bfs_footprint(alg, plan.steps, p, q, r, dtype_a, dtype_b)
+
+
 def build_workspace(plan: Plan, p: int, q: int, r: int,
                     dtype_a, dtype_b) -> Workspace | None:
     """A fresh, *uncached* arena sized for one plan/shape/dtype (``None``
@@ -176,27 +212,7 @@ def build_workspace(plan: Plan, p: int, q: int, r: int,
     serving cache."""
     if plan.is_dgemm:
         return None
-    alg = get_algorithm(plan.algorithm)
-    if plan.scheme == "sequential":
-        if plan.backend == "compiled":
-            # compiled plans run the C chain kernels, whose memory shape
-            # (fused S/T slabs, the R-row product slab, Y scratch, alias
-            # packing) cbackend_footprint mirrors -- the codegen formula
-            # below charges for a different executor and would mis-size
-            return Workspace.for_cbackend(alg, False, (p, q, r),
-                                          dtype_a, plan.steps,
-                                          dtype_b=dtype_b)
-        # sequential plans are served by the *generated* module, whose
-        # memory shape (all R products of a level live until C assembly,
-        # strategy slabs, CSE temporaries) the codegen footprint mirrors --
-        # the interpreter's one-triple-per-level DFS formula would overflow
-        return Workspace.for_codegen(alg, plan.strategy, False, (p, q, r),
-                                     dtype_a, plan.steps, dtype_b=dtype_b)
-    if plan.scheme == "dfs":
-        return Workspace.for_recursion([alg.base_case] * plan.steps,
-                                       p, q, r, dtype_a, dtype_b,
-                                       algorithms=[alg] * plan.steps)
-    return Workspace.for_parallel(alg, plan.steps, p, q, r, dtype_a, dtype_b)
+    return Workspace(plan_footprint(plan, p, q, r, dtype_a, dtype_b))
 
 
 def workspace_for(plan: Plan, p: int, q: int, r: int,
@@ -335,10 +351,7 @@ def execute_plan(
             f"injected: plan.raise executing [{plan.describe()}]")
     if plan.is_dgemm:
         with blas.blas_threads(plan.threads):
-            if out is None:
-                return A @ B
-            np.matmul(A, B, out=out)
-            return out
+            return np.matmul(A, B, out=out)
     alg = get_algorithm(plan.algorithm)
     if plan.scheme == "sequential":
         if plan.backend == "compiled":

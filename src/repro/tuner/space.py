@@ -21,6 +21,7 @@ import functools
 from repro.algorithms import get_algorithm, list_algorithms
 from repro.bench import machine
 from repro.core.cost import batch_cost, plan_cost
+from repro.core.recursion import CutoffPolicy
 from repro.core.stability import max_stable_steps
 from repro.core.transforms import permutation_family
 from repro.parallel.schedules import SCHEMES
@@ -354,10 +355,10 @@ def max_useful_steps(
 ) -> int:
     """Deepest recursion whose leaves stay >= ``min_leaf`` in every dim."""
     m, k, n = base
+    policy = CutoffPolicy(max_steps=cap, min_dim=min_leaf)
     steps = 0
-    cp, cq, cr = p, q, r
-    while steps < cap and min(cp // m, cq // k, cr // n) >= min_leaf:
-        cp, cq, cr = cp // m, cq // k, cr // n
+    while policy.should_recurse(steps, p, q, r, m, k, n):
+        p, q, r = p // m, q // k, r // n
         steps += 1
     return steps
 

@@ -57,6 +57,45 @@ def peel_split(X: np.ndarray, row_div: int, col_div: int):
     return X[:pc, :qc], X[:pc, qc:], X[pc:, :qc], X[pc:, qc:]
 
 
+def peel_fixup(C: np.ndarray, parts: tuple, gemm, ws=None) -> None:
+    """The boundary products of dynamic peeling (paper Section 3.5).
+
+    ``parts`` is ``peel_split(A, m, k) + peel_split(B, k, n)`` and
+    ``C[:pc, :rc]`` already holds the fast product ``A11 @ B11``; this adds
+    what the peeled strips contribute, with classical products through
+    ``gemm(X, Y, out=None)``.  Every executor -- interpreter, parallel
+    schedules, generated modules, compiled driver -- calls this one body.
+
+    ``A12 @ B21`` is the only core-size temporary; it is drawn from the
+    arena ``ws`` when one is given (so peeled shapes stay allocation-free)
+    and :func:`repro.core.workspace._peel_bytes` sizes exactly that.  The
+    other strips are O(boundary)-thin and are written straight into ``C``.
+    """
+    A11, A12, A21, A22, B11, B12, B21, B22 = parts
+    pc, rc = A11.shape[0], B11.shape[1]
+    dp, dq, dr = A21.shape[0], A12.shape[1], B12.shape[1]
+    if dq:  # inner-dimension strip contributes to the core block of C
+        Ccore = C[:pc, :rc]
+        if ws is None:
+            Ccore += gemm(A12, B21)
+        else:
+            mark = ws.mark()
+            t = ws.take((pc, rc), C.dtype)
+            gemm(A12, B21, out=t)
+            np.add(Ccore, t, out=Ccore)
+            ws.release(mark)
+    if dr:  # right strip of C
+        gemm(A11, B12, out=C[:pc, rc:])
+        if dq:
+            C[:pc, rc:] += gemm(A12, B22)
+    if dp:  # bottom strip of C
+        gemm(A21, B11, out=C[pc:, :rc])
+        if dq:
+            C[pc:, :rc] += gemm(A22, B21)
+    if dp and dr:  # corner
+        C[pc:, rc:] = gemm(A21, B12) + gemm(A22, B22)
+
+
 def random_matrix(
     rows: int,
     cols: int,

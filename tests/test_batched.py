@@ -291,6 +291,29 @@ class TestAmortization:
                                batch_mode="elementwise")
         assert telemetry.counter_value("workspace.batch_arena_builds") == 1
 
+    def test_compiled_element_plan_fits_its_worker_arenas(self, cache):
+        """The per-worker arenas follow the element plan's *backend*: sized
+        for the generated module, every warm compiled element overflowed."""
+        from repro.codegen import cbackend
+        from repro.core.stability import error_bound
+
+        if not cbackend.available():
+            pytest.skip("no C compiler")
+        n, batch = 256, 8
+        cache.put(n, n, n, "float64", 1,
+                  Plan(algorithm="strassen", steps=1, threads=1,
+                       backend="compiled"))
+        A, B = batch_operands(n, n, n, batch, seed=5)
+        for _ in range(3):
+            C = batched.matmul_batched(A, B, threads=2, cache=cache,
+                                       batch_mode="elementwise")
+        pools = list(batched._arena_pools.values())
+        assert pools and all(ws.overflow_allocations == 0
+                             for apool in pools for ws in apool._arenas)
+        exact = np.matmul(A, B)
+        rel = np.linalg.norm(C - exact) / np.linalg.norm(exact)
+        assert rel <= error_bound(get_algorithm("strassen"), 1, n, "float64")
+
     @pytest.mark.parametrize("mode", ["within", "elementwise"])
     def test_warm_batch_is_allocation_free(self, mode, cache):
         """With ``out=``, a warm batched call stays under the per-call

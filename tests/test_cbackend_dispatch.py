@@ -24,7 +24,11 @@ from repro.algorithms import get_algorithm
 from repro.codegen import cbackend
 from repro.core.cost import plan_cost
 from repro.core.stability import error_bound
-from repro.core.workspace import Workspace, track_allocations
+from repro.core.workspace import (
+    Workspace,
+    cbackend_footprint,
+    track_allocations,
+)
 from repro.guard import faults
 from repro.tuner import dispatch, measure
 from repro.tuner.cache import PlanCache
@@ -336,10 +340,10 @@ class TestCompiledDispatch:
                     threads=1, backend="compiled")
         ws = dispatch.build_workspace(plan, 160, 160, 160,
                                       np.dtype("f8"), np.dtype("f8"))
-        expect = Workspace.for_cbackend(get_algorithm("winograd"), False,
-                                        (160, 160, 160), "float64", 2)
+        expect = cbackend_footprint(get_algorithm("winograd"), False,
+                                    (160, 160, 160), "float64", 2)
         assert isinstance(ws, Workspace)
-        assert ws.nbytes == expect.nbytes
+        assert ws.nbytes == expect
 
     def test_measure_plan_forces_warmup_for_compiled(self, monkeypatch):
         seen = {}

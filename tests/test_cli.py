@@ -271,3 +271,34 @@ class TestExplain:
             float(ms) for ms, _ in rows)
         assert re.search(r"predicted vs measured: [\d.]+ ms vs [\d.]+ ms "
                          r"\(x[\d.]+\)", text)
+
+
+class TestCacheDoctorCalibrations:
+    def test_lists_and_fix_removes_calibrations(self, tmp_path, monkeypatch):
+        """A noisy first calibration used to stay until its file was
+        deleted by hand: the doctor shows what the cost model runs on and
+        ``--fix`` makes the next lookup measure again."""
+        import dataclasses
+        import json
+
+        from conftest import synthetic_calibration
+
+        from repro.bench import machine
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr(machine, "_calibrations", {})
+        cal = synthetic_calibration("float32", 2, gflops=12.5, add_gbs=7.0)
+        mine = tmp_path / (f"calibration-{machine.fingerprint_digest()}"
+                           f"-float32-2t.json")
+        theirs = tmp_path / "calibration-0123456789abcdef-float32-2t.json"
+        for path in (mine, theirs):
+            path.write_text(json.dumps(dataclasses.asdict(cal)))
+        plans = str(tmp_path / "plans.json")
+        rc, text = run_cli("cache", "doctor", "--cache", plans)
+        assert rc == 0 and "healthy" in text
+        assert (f"{mine.name} (current fingerprint) float32 2t: peak gemm "
+                f"25.0 GFLOPS, add 14.0 GB/s") in text
+        assert f"{theirs.name} (foreign fingerprint)" in text
+        rc, text = run_cli("cache", "doctor", "--cache", plans, "--fix")
+        assert rc == 0 and "removed 2 calibration file(s)" in text
+        assert not list(tmp_path.glob("calibration-*.json"))

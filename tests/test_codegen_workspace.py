@@ -44,7 +44,8 @@ ALGS = ("strassen", "winograd", "s234", "s333")
 
 
 def _codegen_workspace(alg, strategy, cse, p, q, r, dtype, steps):
-    return Workspace.for_codegen(alg, strategy, cse, (p, q, r), dtype, steps)
+    return Workspace(codegen_footprint(alg, strategy, cse, (p, q, r), dtype,
+                                       steps))
 
 
 # =========================================================================
@@ -76,8 +77,8 @@ def test_generated_arena_bit_for_bit(name, strategy, cse, dtype_a, dtype_b,
     fn = compile_algorithm(alg, strategy, cse)
     ref = fn(A, B, steps=steps)
 
-    ws = Workspace.for_codegen(alg, strategy, cse, (p, q, r), A.dtype,
-                               steps, dtype_b=B.dtype)
+    ws = Workspace(codegen_footprint(alg, strategy, cse, (p, q, r), A.dtype,
+                                     steps, dtype_b=B.dtype))
     out = np.empty((p, r), dtype=result_dtype)
     got = fn(A, B, steps=steps, out=out, workspace=ws)
 

@@ -245,6 +245,37 @@ class TestGemm:
         np.testing.assert_allclose(out, A @ B, atol=1e-10)
 
 
+class TestDfsIsTheReferenceRecursion:
+    @pytest.mark.parametrize("steps", [1, 2, 3])
+    @pytest.mark.parametrize("shape", [(3, 3, 3), (5, 7, 9), (6, 6, 6),
+                                       (64, 64, 64)])
+    def test_same_cutoff_same_bits_same_arena(self, shape, steps):
+        """``scheme="dfs"`` stops splitting where the interpreter and
+        ``dfs_footprint`` do (it used to descend onto 1-wide blocks):
+        bit-equal products, and an arena sized for one fits the other."""
+        from repro.algorithms import strassen
+        from repro.core.recursion import multiply
+        from repro.core.workspace import Workspace
+        from repro.parallel.schedules import multiply_parallel
+
+        p, q, r = shape
+        alg = strassen()
+        A = random_matrix(p, q, 12)
+        B = random_matrix(q, r, 13)
+
+        def arena():
+            return Workspace.for_recursion([alg.base_case] * steps, p, q, r,
+                                           algorithms=[alg] * steps)
+
+        ref = multiply(A, B, alg, steps=steps, workspace=arena())
+        ws = arena()
+        with WorkerPool(2) as pool:
+            got = multiply_parallel(A, B, alg, steps=steps, scheme="dfs",
+                                    pool=pool, threads=2, workspace=ws)
+        assert ws.overflow_allocations == 0
+        assert np.array_equal(ref, got)
+
+
 class TestStream:
     def test_triad_positive_bandwidth(self):
         with WorkerPool(2) as pool:

@@ -29,7 +29,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.algorithms import get_algorithm
 from repro.core.recursion import multiply as interpreter_multiply
-from repro.core.workspace import Workspace
+from repro.core.workspace import Workspace, bfs_footprint
 from repro.parallel import blas
 from repro.parallel.pool import WorkerPool
 from repro.parallel.schedules import SCHEMES, multiply_parallel
@@ -80,7 +80,7 @@ def _workspace(alg, scheme, steps, p, q, r, dtype_a, dtype_b):
         return Workspace.for_recursion([alg.base_case] * steps, p, q, r,
                                        dtype_a, dtype_b,
                                        algorithms=[alg] * steps)
-    return Workspace.for_parallel(alg, steps, p, q, r, dtype_a, dtype_b)
+    return Workspace(bfs_footprint(alg, steps, p, q, r, dtype_a, dtype_b))
 
 
 # =========================================================================

@@ -83,14 +83,6 @@ class TestPeelApply:
         np.testing.assert_allclose(C, A @ B, atol=1e-12)
         assert calls == [((8, 8), (8, 8))]
 
-    @given(st.integers(2, 25), st.integers(2, 25), st.integers(2, 25))
-    @settings(max_examples=25, deadline=None)
-    def test_peeling_property(self, p, q, r):
-        A = random_matrix(p, q, p + q)
-        B = random_matrix(q, r, q + r)
-        C = runtime.peel_apply(A, B, 2, 3, 2, lambda a, b: a @ b)
-        np.testing.assert_allclose(C, A @ B, rtol=1e-10, atol=1e-10)
-
     def test_core_gets_divisible_dims(self):
         A = random_matrix(7, 8, 3)
         B = random_matrix(8, 9, 4)

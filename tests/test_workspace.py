@@ -173,7 +173,7 @@ class TestFootprints:
         p, q, r = shape
         A = random_matrix(p, q, 2)
         B = random_matrix(q, r, 3)
-        ws = Workspace.for_parallel(alg, steps, p, q, r, A.dtype, B.dtype)
+        ws = Workspace(bfs_footprint(alg, steps, p, q, r, A.dtype, B.dtype))
         out = np.empty((p, r))
         for scheme in ("bfs", "hybrid"):
             multiply_parallel(A, B, alg, steps=steps, scheme=scheme,
@@ -389,7 +389,7 @@ def test_parallel_arena_bit_for_bit(name, dtype, scheme, n, seed):
             ws = Workspace.for_recursion([alg.base_case], n, n, n,
                                          A.dtype, B.dtype)
         else:
-            ws = Workspace.for_parallel(alg, 1, n, n, n, A.dtype, B.dtype)
+            ws = Workspace(bfs_footprint(alg, 1, n, n, n, A.dtype, B.dtype))
         out = np.empty((n, n), dtype=np.result_type(A, B))
         got = multiply_parallel(A, B, alg, steps=1, scheme=scheme,
                                 pool=pool, threads=2, out=out, workspace=ws)

@@ -1,7 +1,8 @@
 """Telemetry overhead benchmark: the instrumented dispatch path vs bare.
 
 The repro.obs design contract is that observability is (a) *free* when
-disabled -- the hot path pays one ``telemetry.enabled()`` branch -- and
+disabled -- the serving tail pays two shared null spans and one
+``telemetry.enabled()`` branch -- and
 (b) *cheap* when enabled: spans on ``time.perf_counter_ns``, counter
 bumps under one lock, and a bounded dispatch ring.  This benchmark holds
 the contract to a number: the median warm-dispatch call with telemetry

@@ -72,7 +72,8 @@ REGISTRY: tuple[SharedState, ...] = (
     SharedState("tuner/policy.py", "POLICIES", "_policy_lock",
                 "named policy registry"),
     SharedState("tuner/policy.py", "_shared", "_policy_lock",
-                "process-shared policy singletons"),
+                "process-shared policy singletons; hits read lock-free, "
+                "construction is double-checked under the lock"),
     SharedState("obs/telemetry.py", "_counters", "_lock"),
     SharedState("obs/telemetry.py", "_gauges", "_lock"),
     SharedState("obs/telemetry.py", "_spans", "_lock"),

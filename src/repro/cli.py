@@ -656,12 +656,11 @@ def _render_stats(snap: dict, origin: str, out) -> None:
             print(f"  {g['name']}{labels} = {g['value']:.4g}", file=out)
     if summary["records"]:
         rec = summary["records"][-1]
-        # batch records carry no per-call seconds (the span does)
-        took = (f" {rec['seconds']:.4f}s" if "seconds" in rec
-                else f" batch={rec.get('batch', '?')}")
+        batch = (f" x batch {rec['batch']} ({rec['batch_mode']})"
+                 if "batch" in rec else "")
         print(f"last dispatch: {rec['shape'][0]}x{rec['shape'][1]}"
-              f"x{rec['shape'][2]} {rec['dtype']} -> {rec['plan']} "
-              f"[{rec['source']}]{took}", file=out)
+              f"x{rec['shape'][2]} {rec['dtype']}{batch} -> {rec['plan']} "
+              f"[{rec['source']}] {rec['seconds']:.4f}s", file=out)
 
 
 def _parse_shape(text: str) -> tuple[int, int, int]:

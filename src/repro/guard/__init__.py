@@ -27,7 +27,6 @@ _CHAIN_EXPORTS = (
     "reset_default_guard",
     "resolve_guard",
     "run_guarded",
-    "run_batch_guarded",
     "shutdown_watchdog",
 )
 

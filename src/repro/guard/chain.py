@@ -3,17 +3,22 @@
 A serving layer may never surface a tuner, codegen, arena, or worker-pool
 bug as a failed matmul, and an APA plan (Bini / Schonhage entries, whose
 error growth Section 6 of the paper characterizes) may never silently
-return garbage.  This module wraps plan execution in a three-stage
-degradation ladder that always lands on a correct product:
+return garbage.  This module is the guard-specific half of a guarded
+call and nothing else: the serving tail (``tuner.dispatch._serve``, or
+``matmul_batched`` for a batch) resolves the plan, takes its arena,
+times, observes and reports exactly as it does unguarded, and hands
+:func:`run_guarded` the resolved plan and a way to run it.  The ladder
+always lands on a correct product:
 
-1. **tuned plan** -- whatever the policy resolved (cache / nearest /
-   transfer / model / online), executed normally, optionally under a
-   watchdog deadline (``GuardConfig.timeout_s``);
+1. **resolved plan** -- whatever the tail resolved (cache / nearest /
+   transfer / model / online), run in the tail's arena, optionally under
+   a watchdog deadline (``GuardConfig.timeout_s``);
 2. **cost-model plan** -- on a *plan-implicating* failure, the best
    not-quarantined candidate from :func:`repro.tuner.space.enumerate_plans`
-   that differs from the failed plan, in a throwaway arena;
-3. **classical** -- a direct ``np.matmul`` with no plan, no pool, no
-   arena, and no injection points: the stage that cannot fail.
+   that differs from the failed plan, in a throwaway arena (per-call
+   requests only; a batch goes straight to 3);
+3. **classical** -- a direct ``np.matmul`` per element with no plan, no
+   pool, no arena, and no injection points: the stage that cannot fail.
 
 Failures that implicate the *infrastructure* rather than the plan (a
 watchdog timeout, a broken pool, a task deadline, ``MemoryError``) skip
@@ -21,22 +26,24 @@ stage 2 -- retrying a different fast plan on a broken substrate wastes
 the deadline budget -- and drop straight to classical, after optionally
 tearing down and rebuilding the shared worker pool.
 
-Every product that leaves a guarded attempt passes the **numerical
-guardrail** (:func:`check_product`): a sampled NaN/Inf scan for all
-plans, plus a sampled residual check against
+Stages 1 and 2 and the batch ladder run one body, :func:`_guarded`:
+every product that leaves an attempt passes the **numerical guardrail**
+(:func:`check_product`): a sampled NaN/Inf scan for all plans, plus a
+sampled residual check against
 :func:`repro.core.stability.error_bound` for APA plans; a violation is
 treated exactly like a raised exception.  Each plan failure is recorded
 in the cache's quarantine ledger (:meth:`PlanCache.record_failure`) so
-repeat offenders stop being resolved at all, and every fallback /
-violation / rebuild is counted through :mod:`repro.obs.telemetry`
-(``guard.*`` counters) for ``repro stats`` / ``repro multiply --explain``.
+repeat offenders stop being resolved at all, a failed warm attempt's
+arena is evicted, and every fallback / violation / rebuild is counted
+through :mod:`repro.obs.telemetry` (``guard.*`` counters) for
+``repro stats`` / ``repro multiply --explain``.
 
 The guard is opt-in and free when off: ``guard=None`` (the default)
 defers to the ``REPRO_GUARD`` environment variable, and with no guard
-resolved dispatch runs its usual unguarded path untouched.  With the
-default ``timeout_s=None`` the guarded warm path adds only the
-try/except bracket and the sampled check -- the ``bench_guard.py`` CI
-gate holds it within 3% of unguarded dispatch.
+resolved the tail never enters this module.  With the default
+``timeout_s=None`` the guarded warm path adds only the try/except
+bracket and the sampled check -- the ``bench_guard.py`` CI gate holds it
+within 3% of unguarded dispatch.
 """
 
 from __future__ import annotations
@@ -275,51 +282,56 @@ def _poison(C: np.ndarray) -> None:
         raise faults.InjectedFault("injected: apa.nan on non-float product")
 
 
-def _attempt(cfg: GuardConfig, plan: Plan, A: np.ndarray, B: np.ndarray,
-             pool, out, workspace) -> np.ndarray:
-    """Execute ``plan`` once under the config's watchdog (if any).
+def _elements(result):
+    """The 2-D products of a result: a per-call product is a batch of one."""
+    if isinstance(result, np.ndarray) and result.ndim == 2:
+        return (result,)
+    return result
 
-    With a deadline, execution targets a private buffer and the result is
-    copied to ``out`` only on in-time success, so a timed-out zombie
-    attempt can never scribble on the caller's array.
+
+def _guarded(cfg: GuardConfig, stage: str, plan: Plan, run, operands, out,
+             fresh, cache, key: tuple, batch: int | None):
+    """The one guarded attempt: ``(result, None)``, or ``(None, exc)``
+    once the failure has been dealt with.
+
+    ``run(plan, dest)`` executes under the config's watchdog, if any.
+    With a deadline it targets a private ``fresh()`` destination and the
+    result is copied to ``out`` only on in-time success, so a timed-out
+    zombie attempt can never scribble on the caller's array.  Whatever
+    comes back passes the numeric guardrail (first and last element of a
+    batch); a violation is a failure like any raised exception -- noted,
+    charged to the plan's quarantine ledger, and followed by substrate
+    repair.
     """
-    from repro.tuner import dispatch
-
-    if cfg.timeout_s is None:
-        C = dispatch.execute_plan(plan, A, B, pool=pool, out=out,
-                                  workspace=workspace)
-    else:
-        p, r = A.shape[0], B.shape[1]
-        dest = np.empty((p, r), dtype=np.result_type(A, B))
-        _watchdog_run(
-            lambda: dispatch.execute_plan(plan, A, B, pool=pool, out=dest,
-                                          workspace=workspace),
-            cfg.timeout_s,
-        )
-        if out is not None:
-            np.copyto(out, dest, casting="same_kind")
-            C = out
+    try:
+        if cfg.timeout_s is None:
+            result = run(plan, out)
         else:
-            C = dest
-    if faults.active and faults.should_fire("apa.nan"):
-        _poison(C)
-    return C
-
-
-def _classical(A: np.ndarray, B: np.ndarray, out) -> np.ndarray:
-    """Stage 3: plain ``np.matmul`` -- no plan, no pool, no arena, no
-    injection points.  The floor the chain always reaches."""
-    if out is None:
-        return np.matmul(A, B)
-    np.matmul(A, B, out=out)
-    return out
-
-
-def _note_failure(stage: str, plan: Plan, exc: BaseException) -> None:
-    telemetry.incr("guard.failures", stage=stage,
-                   reason=type(exc).__name__)
-    _log.warning("guarded %s-stage execution of [%s] failed: %s",
-                 stage, plan.describe(), exc)
+            result = fresh()
+            _watchdog_run(lambda: run(plan, result), cfg.timeout_s)
+            if out is not None:
+                for c, src in zip(_elements(out), _elements(result)):
+                    np.copyto(c, src, casting="same_kind")
+                result = out
+        elements = _elements(result)
+        if faults.active and faults.should_fire("apa.nan"):
+            _poison(elements[0])
+        if cfg.numeric_check:
+            for i in {0, len(elements) - 1}:
+                reason = check_product(plan, operands[0][i], operands[1][i],
+                                       elements[i], cfg)
+                if reason is not None:
+                    telemetry.incr("guard.numeric_violations")
+                    raise NumericViolation(reason)
+    except Exception as exc:
+        telemetry.incr("guard.failures", stage=stage,
+                       reason=type(exc).__name__)
+        _log.warning("guarded %s-stage execution of [%s] failed: %s",
+                     stage, plan.describe(), exc)
+        cache.record_failure(*key, plan, exc, batch=batch)
+        _recover_infrastructure(cfg, plan, exc)
+        return None, exc
+    return result, None
 
 
 def _recover_infrastructure(cfg: GuardConfig, plan: Plan,
@@ -341,185 +353,57 @@ def _fallback_plan(failed: Plan, p: int, q: int, r: int, dtype: str,
     """The cost-model stage's candidate: best-ranked plan that is neither
     the plan that just failed nor quarantined for this shape."""
     for cand in enumerate_plans(p, q, r, threads=threads, dtype=dtype):
-        if cand == failed:
-            continue
-        if cache is not None and cache.plan_quarantined(
+        if cand != failed and not cache.plan_quarantined(
                 p, q, r, dtype, threads, cand):
-            continue
-        return cand
+            return cand
     return None
 
 
 # ---------------------------------------------------------------------------
 # the chain
 # ---------------------------------------------------------------------------
-def run_guarded(cfg: GuardConfig, policy, A: np.ndarray, B: np.ndarray,
-                p: int, q: int, r: int, dtype: str, threads: int,
-                cache, pool, out) -> np.ndarray:
-    """Guarded dispatch: tuned plan -> cost-model plan -> classical.
+def run_guarded(cfg: GuardConfig, plan: Plan, run, operands, out, fresh,
+                cache, key: tuple, warm: bool, batch: int | None = None):
+    """Walk the ladder for one resolved request; ``(result, served)``.
 
-    The resolved-plan stage mirrors unguarded dispatch exactly (policy
-    selection, timed-vs-warm workspaces, observation, telemetry) so a
-    healthy call behaves identically; the ladder only engages on failure.
+    The serving tail hands over what it resolved -- ``plan`` (a batch's
+    per-element plan) and ``run(plan, dest)``, which executes a plan for
+    this request into ``dest`` -- plus what degrading needs: ``operands``
+    (the ``A`` and ``B`` of every element, one per call), the caller's
+    ``out`` (or ``None``), ``fresh()`` for a new destination of the same
+    form, the quarantine ledger (``cache`` under ``key = (p, q, r, dtype,
+    threads)`` and ``batch``), and whether ``plan`` ran in a ``warm``
+    cached arena.  ``served`` is the plan that produced the result:
+    ``plan`` itself, the cost-model fallback, or plain dgemm for
+    classical.
     """
     from repro.tuner import dispatch
 
-    plan, source = policy.select(p, q, r, dtype, threads, cache)
-    timed = policy.wants_timing(source)
-    dtype_a, dtype_b = A.dtype, B.dtype
-    if timed:
-        workspace = dispatch.build_workspace(plan, p, q, r, dtype_a, dtype_b)
-    else:
-        workspace = dispatch.workspace_for(plan, p, q, r, dtype_a, dtype_b)
-    try:
-        start = policy.clock()
-        C = _attempt(cfg, plan, A, B, pool, out, workspace)
-        seconds = policy.clock() - start
-        if cfg.numeric_check:
-            reason = check_product(plan, A, B, C, cfg)
-            if reason is not None:
-                telemetry.incr("guard.numeric_violations")
-                raise NumericViolation(reason)
-    except Exception as exc:
-        _note_failure("plan", plan, exc)
-        if cache is not None:
-            cache.record_failure(p, q, r, dtype, threads, plan, exc)
-        _recover_infrastructure(cfg, plan, exc)
-        if not timed:
-            dispatch.evict_workspace(plan, p, q, r, dtype_a, dtype_b)
-        infra = isinstance(exc, INFRASTRUCTURE_FAILURES)
-    else:
-        if timed:
-            policy.observe(p, q, r, dtype, threads, cache, plan, seconds)
-        if cache is not None:
-            cache.record_success(p, q, r, dtype, threads, plan)
-        if telemetry.enabled():
-            dispatch._record_call(plan, source, p, q, r, dtype, threads,
-                                  seconds, timed, workspace)
-        return C
+    result, exc = _guarded(cfg, "plan" if batch is None else "batch", plan,
+                           run, operands, out, fresh, cache, key, batch)
+    if exc is None:
+        cache.record_success(*key, plan, batch=batch)
+        return result, plan
+    if warm:
+        # a zombie worker might still touch the failed attempt's views
+        dispatch.evict_workspace(plan, *key[:3], operands[0][0].dtype,
+                                 operands[1][0].dtype)
 
     # stage 2: cost-model fallback (skipped for infrastructure failures)
-    if not infra:
-        fallback = _fallback_plan(plan, p, q, r, dtype, threads, cache)
+    if batch is None and not isinstance(exc, INFRASTRUCTURE_FAILURES):
+        fallback = _fallback_plan(plan, *key, cache)
         if fallback is not None:
             telemetry.incr("guard.fallbacks", stage="model")
-            ws = dispatch.build_workspace(fallback, p, q, r,
-                                          dtype_a, dtype_b)
-            try:
-                C = _attempt(cfg, fallback, A, B, pool, out, ws)
-                if cfg.numeric_check:
-                    reason = check_product(fallback, A, B, C, cfg)
-                    if reason is not None:
-                        telemetry.incr("guard.numeric_violations")
-                        raise NumericViolation(reason)
-            except Exception as exc:
-                _note_failure("model", fallback, exc)
-                if cache is not None:
-                    cache.record_failure(p, q, r, dtype, threads,
-                                         fallback, exc)
-                _recover_infrastructure(cfg, fallback, exc)
-            else:
-                if telemetry.enabled():
-                    dispatch._record_call(fallback, "guard", p, q, r,
-                                          dtype, threads, 0.0, False, ws)
-                return C
+            result, exc = _guarded(cfg, "model", fallback, run, operands,
+                                   out, fresh, cache, key, batch)
+            if exc is None:
+                return result, fallback
 
-    # stage 3: classical -- cannot fail
+    # stage 3: classical -- plain ``np.matmul`` per element: no plan, no
+    # pool, no arena, no injection points.  The floor that cannot fail.
     telemetry.incr("guard.fallbacks", stage="classical")
-    C = _classical(A, B, out)
-    if telemetry.enabled():
-        dispatch._record_call(Plan(threads=threads), "guard", p, q, r,
-                              dtype, threads, 0.0, False, None)
-    return C
-
-
-def run_batch_guarded(cfg: GuardConfig, bplan, A, B, out, pool, cache,
-                      p: int, q: int, r: int, dtype: str, threads: int,
-                      batch: int):
-    """Guarded batched execution: batch plan -> classical per-element.
-
-    The batch analogue collapses the ladder to two stages -- a failing
-    batch plan degrades straight to classical ``np.matmul`` per element
-    (re-resolving a second fast batch plan is not worth the latency on a
-    serving batch).  The numeric guardrail samples the first and last
-    elements of the batch.
-    """
-    from repro.tuner import batched
-
-    def execute():
-        if cfg.timeout_s is None:
-            return batched.execute_batch_plan(bplan, A, B, out=out,
-                                              pool=pool)
-        result = _watchdog_run(
-            lambda: batched.execute_batch_plan(bplan, A, B, pool=pool),
-            cfg.timeout_s,
-        )
-        return _copy_batch_result(result, A, B, out)
-
-    try:
-        result = execute()
-        elements = _batch_elements(result)
-        if faults.active and elements and faults.should_fire("apa.nan"):
-            _poison(elements[0])
-        if cfg.numeric_check and elements:
-            a_list, b_list, _, _, _, _ = batched._normalize_operands(A, B)
-            for idx in {0, len(elements) - 1}:
-                reason = check_product(bplan.plan, a_list[idx], b_list[idx],
-                                       elements[idx], cfg)
-                if reason is not None:
-                    telemetry.incr("guard.numeric_violations")
-                    raise NumericViolation(reason)
-    except Exception as exc:
-        _note_failure("batch", bplan.plan, exc)
-        if cache is not None:
-            cache.record_failure(p, q, r, dtype, threads, bplan.plan, exc,
-                                 batch=batch)
-        _recover_infrastructure(cfg, bplan.plan, exc)
-    else:
-        if cache is not None:
-            cache.record_success(p, q, r, dtype, threads, bplan.plan,
-                                 batch=batch)
-        return result
-
-    telemetry.incr("guard.fallbacks", stage="classical")
-    return _classical_batch(A, B, out)
-
-
-def _batch_elements(result) -> list:
-    if isinstance(result, np.ndarray):
-        return list(result)
-    return list(result)
-
-
-def _copy_batch_result(result, A, B, out):
-    """Copy a watchdog-private batch result into the caller's ``out``."""
-    from repro.tuner import batched
-
     if out is None:
-        return result
-    a_list, b_list, p, q, r, stacked = batched._normalize_operands(A, B)
-    c_list = batched._check_batch_out(out, a_list, b_list, p, r, stacked)
-    for c, src in zip(c_list, _batch_elements(result)):
-        np.copyto(c, src, casting="same_kind")
-    return out
-
-
-def _classical_batch(A, B, out):
-    """Per-element ``np.matmul`` honoring the batched operand forms."""
-    from repro.tuner import batched
-
-    a_list, b_list, p, q, r, stacked = batched._normalize_operands(A, B)
-    batch = len(a_list)
-    dtype = np.result_type(a_list[0], b_list[0]) if batch else np.dtype("f8")
-    if out is not None:
-        c_list = batched._check_batch_out(out, a_list, b_list, p, r, stacked)
-        result = out
-    elif stacked:
-        result = np.empty((batch, p, r), dtype=dtype)
-        c_list = list(result)
-    else:
-        c_list = [np.empty((p, r), dtype=dtype) for _ in range(batch)]
-        result = c_list
-    for a, b, c in zip(a_list, b_list, c_list):
+        out = fresh()
+    for a, b, c in zip(*operands, _elements(out)):
         np.matmul(a, b, out=c)
-    return result
+    return out, Plan(threads=key[4])

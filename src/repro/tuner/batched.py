@@ -30,14 +30,15 @@ and remembered in the plan cache under a ``batch``-suffixed key
 
 from __future__ import annotations
 
-import contextlib
+import dataclasses
 import threading
 from collections import OrderedDict
 from collections.abc import Sequence
+from typing import NamedTuple
 
 import numpy as np
 
-from repro.core.workspace import WorkspacePool
+from repro.core.workspace import WorkspacePool, check_out
 from repro.guard import chain
 from repro.obs import telemetry
 from repro.parallel import blas
@@ -70,8 +71,20 @@ def reset_batch_pools() -> None:
 # ---------------------------------------------------------------------------
 # operand normalization: stacked 3-D arrays or lists of same-shape 2-D
 # ---------------------------------------------------------------------------
-def _normalize_operands(A, B):
-    """Validate batched operands; returns ``(a_list, b_list, p, q, r, stacked)``.
+class _Batch(NamedTuple):
+    """A batch's operands, validated once per call and passed down."""
+
+    a_list: list
+    b_list: list
+    p: int
+    q: int
+    r: int
+    stacked: bool
+    dtype: np.dtype  # of the products
+
+
+def _normalize_operands(A, B) -> _Batch:
+    """Validate batched operands.
 
     Two accepted forms: stacked 3-D arrays ``(b, p, q) @ (b, q, r)``, or
     sequences of same-shape 2-D arrays (the list convenience path).  One
@@ -96,8 +109,8 @@ def _normalize_operands(A, B):
                 f"inner dimensions do not match: A is {A.shape[1]}x{A.shape[2]} "
                 f"per element, B is {B.shape[1]}x{B.shape[2]}"
             )
-        batch = A.shape[0]
-        return (list(A), list(B), A.shape[1], A.shape[2], B.shape[2], True)
+        return _Batch(list(A), list(B), A.shape[1], A.shape[2], B.shape[2],
+                      True, np.result_type(A, B))
     a_list = [require_2d(np.asarray(a), f"A[{i}]") for i, a in enumerate(A)]
     b_list = [require_2d(np.asarray(b), f"B[{i}]") for i, b in enumerate(B)]
     if len(a_list) != len(b_list):
@@ -123,36 +136,44 @@ def _normalize_operands(A, B):
                 f"{a_list[0].dtype.name}@{b_list[0].dtype.name}"
             )
     p, q = a_list[0].shape
-    return (a_list, b_list, p, q, b_list[0].shape[1], False)
+    return _Batch(a_list, b_list, p, q, b_list[0].shape[1], False,
+                  np.result_type(a_list[0], b_list[0]))
 
 
-def _check_batch_out(out, a_list, b_list, p: int, r: int, stacked: bool):
-    """Validate ``out=`` at the batch level; returns per-element views."""
-    batch = len(a_list)
-    dtype = np.result_type(a_list[0], b_list[0]) if batch else None
-    if stacked:
+def _batch_result(ops: _Batch, out=None):
+    """The batch's destination in the operands' form -- a ``(b, p, r)``
+    stack for stacked operands, a list of ``b`` products otherwise: the
+    caller's ``out=`` once validated, else a fresh one."""
+    batch = len(ops.a_list)
+    if out is None:
+        if ops.stacked:
+            return np.empty((batch, ops.p, ops.r), dtype=ops.dtype)
+        return [np.empty((ops.p, ops.r), dtype=ops.dtype)
+                for _ in range(batch)]
+    if ops.stacked:
         if not isinstance(out, np.ndarray) or out.ndim != 3:
             raise ValueError("out must be a 3-D ndarray for stacked operands")
-        if out.shape != (batch, p, r):
+        if out.shape != (batch, ops.p, ops.r):
             raise ValueError(
-                f"out has shape {out.shape}, expected {(batch, p, r)}"
+                f"out has shape {out.shape}, expected "
+                f"{(batch, ops.p, ops.r)}"
             )
-        if dtype is not None and out.dtype != dtype:
-            raise ValueError(f"out has dtype {out.dtype}, expected {dtype}")
+        if out.dtype != ops.dtype:
+            raise ValueError(
+                f"out has dtype {out.dtype}, expected {ops.dtype}")
         if not out.flags.writeable:
             raise ValueError("out must be writeable")
-        for x in a_list + b_list:
+        for x in ops.a_list + ops.b_list:
             if np.may_share_memory(out, x):
                 raise ValueError("out must not overlap A or B")
-        return list(out)
+        return out
     if not isinstance(out, (list, tuple)) or len(out) != batch:
         raise ValueError(
             f"out must be a list of {batch} 2-D arrays for list operands"
         )
-    from repro.core.workspace import check_out
-
-    return [check_out(c, a, b)
-            for c, a, b in zip(out, a_list, b_list)]
+    for c, a, b in zip(out, ops.a_list, ops.b_list):
+        check_out(c, a, b)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +216,6 @@ def _sequential_element_plan(p: int, q: int, r: int, dtype: str,
     resolution for this shape, coerced onto the sequential path (a
     cross-thread transfer can hand back a retargeted parallel scheme,
     which one fanned-out element cannot run)."""
-    import dataclasses
-
     plan, _ = dispatch.get_plan(p, q, r, dtype, threads=1, cache=cache)
     if plan.scheme != "sequential" or plan.threads != 1:
         plan = dataclasses.replace(plan, scheme="sequential", threads=1,
@@ -262,6 +281,30 @@ def get_batch_plan(
 # ---------------------------------------------------------------------------
 # execution
 # ---------------------------------------------------------------------------
+def _batch_arena(bplan: BatchPlan, ops: _Batch, warm: bool):
+    """What the whole batch draws temporaries from: one arena (``within``)
+    or one per-worker arena pool (``elementwise``), ``None`` for plain
+    BLAS.  ``warm=True`` (the serving path) draws from the process-wide
+    caches (:func:`repro.tuner.dispatch.workspace_for` /
+    :func:`_arena_pool`); ``warm=False`` builds throwaways so measurement
+    sweeps never evict the serving set."""
+    shape_dtypes = (ops.p, ops.q, ops.r,
+                    ops.a_list[0].dtype, ops.b_list[0].dtype)
+    if bplan.mode == "elementwise":
+        return _arena_pool(bplan.plan, *shape_dtypes, bplan.workers,
+                           cached=warm)
+    arena = dispatch.workspace_for if warm else dispatch.build_workspace
+    return arena(bplan.plan, *shape_dtypes)
+
+
+def _run_batch(bplan: BatchPlan, ops: _Batch, result, arena,
+               pool: WorkerPool | None):
+    """Every element of ``ops`` into ``result``, as ``bplan`` prescribes."""
+    run = _run_elementwise if bplan.mode == "elementwise" else _run_within
+    run(bplan, ops, list(result), arena, pool)
+    return result
+
+
 def execute_batch_plan(
     bplan: BatchPlan,
     A,
@@ -272,61 +315,38 @@ def execute_batch_plan(
 ) -> np.ndarray | list:
     """Run a whole batch exactly as ``bplan`` prescribes.
 
-    Operands as in :func:`matmul_batched`.  ``warm=True`` (the serving
-    path) draws arenas from the process-wide caches
-    (:func:`repro.tuner.dispatch.workspace_for` / :func:`_arena_pool`);
-    ``warm=False`` builds throwaway arenas so measurement sweeps
-    (:func:`repro.tuner.measure.tune_batch`) never evict the serving set.
+    Operands as in :func:`matmul_batched`; ``warm`` as in
+    :func:`_batch_arena` (:func:`repro.tuner.measure.tune_batch` passes
+    ``False``).
     """
-    a_list, b_list, p, q, r, stacked = _normalize_operands(A, B)
-    batch = len(a_list)
-    dtype = np.result_type(a_list[0], b_list[0]) if batch else np.dtype("f8")
-    if out is not None:
-        c_list = _check_batch_out(out, a_list, b_list, p, r, stacked)
-        result = out
-    elif stacked:
-        result = np.empty((batch, p, r), dtype=dtype)
-        c_list = list(result)
-    else:
-        c_list = [np.empty((p, r), dtype=dtype) for _ in range(batch)]
-        result = c_list
-    if batch == 0:
-        return result
-    plan = bplan.plan
-    if bplan.mode == "elementwise":
-        _run_elementwise(bplan, a_list, b_list, c_list, p, q, r,
-                         pool=pool, warm=warm)
-    else:
-        _run_within(plan, a_list, b_list, c_list, p, q, r,
-                    pool=pool, warm=warm)
+    ops = _normalize_operands(A, B)
+    result = _batch_result(ops, out)
+    if ops.a_list:
+        _run_batch(bplan, ops, result, _batch_arena(bplan, ops, warm), pool)
     return result
 
 
-def _run_within(plan: Plan, a_list, b_list, c_list, p, q, r,
-                pool: WorkerPool | None, warm: bool) -> None:
+def _run_within(bplan: BatchPlan, ops: _Batch, c_list, workspace,
+                pool: WorkerPool | None) -> None:
     """Elements serially, each under the plan's own schedule: one arena
     (the executors reset it at call start) and one pool for the batch."""
-    dtype_a, dtype_b = a_list[0].dtype, b_list[0].dtype
-    arena = dispatch.workspace_for if warm else dispatch.build_workspace
-    workspace = arena(plan, p, q, r, dtype_a, dtype_b)
+    plan = bplan.plan
     if pool is None and not plan.is_dgemm and plan.scheme != "sequential":
         pool = dispatch._shared_pool(plan.threads)
-    for a, b, c in zip(a_list, b_list, c_list):
+    for a, b, c in zip(ops.a_list, ops.b_list, c_list):
         dispatch.execute_plan(plan, a, b, pool=pool, out=c,
                               workspace=workspace)
 
 
-def _run_elementwise(bplan: BatchPlan, a_list, b_list, c_list, p, q, r,
-                     pool: WorkerPool | None, warm: bool) -> None:
+def _run_elementwise(bplan: BatchPlan, ops: _Batch, c_list, apool,
+                     pool: WorkerPool | None) -> None:
     """Elements fanned across the pool, each sequential under a private
     per-worker arena, BLAS pinned to one thread for the whole fan-out
     (the inner per-element BLAS contexts are then nested no-ops)."""
     plan = bplan.plan
-    workers = bplan.workers
-    dtype_a, dtype_b = a_list[0].dtype, b_list[0].dtype
-    apool = _arena_pool(plan, p, q, r, dtype_a, dtype_b, workers, cached=warm)
+    a_list, b_list = ops.a_list, ops.b_list
     if pool is None:
-        pool = dispatch._shared_pool(workers)
+        pool = dispatch._shared_pool(bplan.workers)
 
     def element(i: int):
         if apool is None:
@@ -388,16 +408,15 @@ def matmul_batched(
             f"(the per-call online policies do not sweep the batch axis); "
             f"got {tune!r}"
         )
-    a_list, b_list, p, q, r, stacked = _normalize_operands(A, B)
-    batch = len(a_list)
+    t_call = telemetry.clock_ns()
+    ops = _normalize_operands(A, B)
+    result = _batch_result(ops, out)
+    batch = len(ops.a_list)
     if batch == 0:  # an empty stacked batch: nothing to resolve or run
-        dtype = np.result_type(np.asarray(A).dtype, np.asarray(B).dtype)
-        if out is not None:
-            _check_batch_out(out, a_list, b_list, p, r, stacked)
-            return out
-        return np.empty((0, p, r), dtype=dtype)
+        return result
+    p, q, r = ops.p, ops.q, ops.r
     threads = resolve_threads(threads)
-    dtype = np.result_type(a_list[0], b_list[0]).name
+    dtype = ops.dtype.name
     cache = cache if cache is not None else dispatch._shared_cache()
     bplan, source = get_batch_plan(p, q, r, batch, dtype=dtype,
                                    threads=threads, cache=cache,
@@ -410,33 +429,24 @@ def matmul_batched(
         bplan = tune_batch(p, q, r, batch, dtype=dtype, threads=threads,
                            cache=cache)
         source = "tuned"
-    operands = (a_list, b_list) if not stacked else (A, B)
-    if telemetry.enabled():
-        telemetry.incr("dispatch.batch_calls")
-        telemetry.incr("dispatch.batch_elements", batch)
-        telemetry.set_gauge("dispatch.batch_size", batch)
-        telemetry.incr("dispatch.source", source=source)
-        span = telemetry.span("dispatch.batch", mode=bplan.mode)
-    else:
-        span = contextlib.nullcontext()
+    arena = _batch_arena(bplan, ops, warm=True)
+    spilled_before = arena.overflow_allocations if arena is not None else 0
+    served = bplan.plan
+    telemetry.incr("dispatch.batch_calls")
+    telemetry.incr("dispatch.batch_elements", batch)
+    telemetry.set_gauge("dispatch.batch_size", batch)
     cfg = chain.resolve_guard(guard)
-    with span:
-        if cfg is not None:
-            result = chain.run_batch_guarded(
-                cfg, bplan, operands[0], operands[1], out, pool, cache,
-                p, q, r, dtype, threads, batch)
+    with telemetry.span("dispatch.batch", mode=bplan.mode):
+        if cfg is None:
+            _run_batch(bplan, ops, result, arena, pool)
         else:
-            result = execute_batch_plan(bplan, operands[0], operands[1],
-                                        out=out, pool=pool)
-    if telemetry.enabled():
-        telemetry.record_dispatch({
-            "shape": [p, q, r],
-            "dtype": dtype,
-            "threads": threads,
-            "source": source,
-            "plan": bplan.describe(),
-            "scheme": bplan.plan.scheme,
-            "batch": batch,
-            "batch_mode": bplan.mode,
-        })
+            result, served = chain.run_guarded(
+                cfg, bplan.plan,
+                lambda _, dest: _run_batch(bplan, ops, dest, arena, pool),
+                (ops.a_list, ops.b_list), result,
+                lambda: _batch_result(ops), cache,
+                (p, q, r, dtype, threads), warm=True, batch=batch)
+    dispatch._report(bplan.plan, served, source, p, q, r, dtype, threads,
+                     arena, spilled_before, False, t_call,
+                     batch=batch, batch_mode=bplan.mode)
     return result

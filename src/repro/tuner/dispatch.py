@@ -31,6 +31,26 @@ about.  Arenas are additionally keyed by calling thread (a bump-pointer
 arena cannot be shared mid-call), so concurrent ``matmul`` callers each
 warm their own; timed tuning/exploration calls use throwaway arenas so
 losing candidates never evict the serving set.
+
+**The serving tail.**  What a call does around its gemms is written once:
+:func:`_serve` is the only tail ``matmul`` has -- plain, telemetry-on and
+guarded calls all cross it -- and the only caller of ``policy.select``
+(under the ``dispatch.lookup`` span) and ``policy.observe``.  It resolves
+the plan; takes the arena (a *timed* call's is a ``build_workspace``
+throwaway that never enters ``_workspaces``, a warm call's comes from
+``workspace_for``); executes under the ``dispatch.execute`` span,
+bracketed by ``policy.clock`` -- directly, or through
+:func:`repro.guard.chain.run_guarded`, which only walks the fallback
+ladder and says which plan served; feeds the execute-only duration of a
+timed call to the policy; and hands the outcome to :func:`_report`.
+``matmul_batched`` resolves a batch plan and a batch arena instead and
+reports through the same function, so for every request -- per-call,
+guarded, guard-fallback, batched -- a warm arena that spilled to the heap
+is counted (``workspace.overflows``) and warned about once per (plan,
+shape, dtype) with or without telemetry, and one record of one schema
+(``seconds`` is whole-call wall time) lands in the telemetry ring.  With
+telemetry off the spans are the shared ``NULL_SPAN`` and the report is
+one branch.
 """
 
 from __future__ import annotations
@@ -59,8 +79,8 @@ from repro.parallel import blas
 from repro.parallel.pool import WorkerPool, resolve_threads
 from repro.parallel.schedules import multiply_parallel
 from repro.tuner.cache import PlanCache
-from repro.tuner.policy import TuningPolicy, get_policy
-from repro.tuner.space import Plan, enumerate_plans, trivial_dim
+from repro.tuner.policy import TuningPolicy, get_policy, measured_plan
+from repro.tuner.space import Plan, enumerate_plans
 from repro.util.validation import check_matmul_dims, require_2d
 
 #: arenas kept warm at once (each is sized for one plan/shape/dtype; the
@@ -404,15 +424,10 @@ def get_plan(
     deeper within its stability budget, see :mod:`repro.tuner.space`).
     """
     threads = resolve_threads(threads)
-    if min(p, q, r) < trivial_dim(dtype):
-        return Plan(threads=threads), "trivial"
     cache = cache if cache is not None else _shared_cache()
-    plan = cache.get(p, q, r, dtype, threads)
-    if plan is not None:
-        return plan, "cache"
-    plan = cache.nearest(p, q, r, dtype, threads, cross_thread=False)
-    if plan is not None:
-        return plan, "nearest"
+    hit = measured_plan(p, q, r, dtype, threads, cache)
+    if hit is not None:
+        return hit
     plan = cache.nearest(p, q, r, dtype, threads)
     if plan is not None:
         return plan, "transfer"
@@ -451,16 +466,34 @@ def _warn_overflow(plan: Plan, p: int, q: int, r: int, dtype: str,
         )
 
 
-def _record_call(plan: Plan, source: str, p: int, q: int, r: int,
-                 dtype: str, threads: int, seconds: float, timed: bool,
-                 workspace: Workspace | None) -> None:
-    """Fold one dispatch call into the telemetry registry: source
-    counters, the latest effective-GFLOPS/arena gauges, and a full
-    per-call record into the introspection ring buffer."""
+def _report(plan: Plan, served: Plan, source: str, p: int, q: int, r: int,
+            dtype: str, threads: int, arena, spilled_before: int,
+            timed: bool, t_call: int, **batch) -> None:
+    """What every request reports once it has executed -- the one
+    overflow comparison and the one record builder.
+
+    ``arena`` is what ``plan`` drew temporaries from (a
+    :class:`Workspace`, a batch's :class:`WorkspacePool`, or ``None``)
+    and ``spilled_before`` its ``overflow_allocations`` read before
+    execution.  The record describes the plan that ``served``: under
+    guard that may be a fallback, reported as source ``"guard"`` with no
+    arena.  A batched request (whose plans are its per-element ones)
+    adds ``batch`` and ``batch_mode``.
+    """
+    if arena is not None and not timed:
+        spilled = arena.overflow_allocations - spilled_before
+        if spilled > 0:
+            _warn_overflow(plan, p, q, r, dtype, spilled)
+    if not telemetry.enabled():
+        return
+    if served is not plan:
+        source, arena, timed = "guard", None, False
+    seconds = (telemetry.clock_ns() - t_call) * 1e-9
     telemetry.incr("dispatch.calls")
     telemetry.incr("dispatch.source", source=source)
-    telemetry.incr("dispatch.backend", backend=plan.backend)
-    gflops = effective_gflops(p, q, r, seconds) if seconds > 0 else 0.0
+    telemetry.incr("dispatch.backend", backend=served.backend)
+    gflops = (effective_gflops(p, q, r, seconds / batch.get("batch", 1))
+              if seconds > 0 else 0.0)
     telemetry.set_gauge("dispatch.last_gflops", gflops)
     telemetry.set_gauge("dispatch.last_seconds", seconds)
     record = {
@@ -468,15 +501,16 @@ def _record_call(plan: Plan, source: str, p: int, q: int, r: int,
         "dtype": dtype,
         "threads": threads,
         "source": source,
-        "plan": plan.describe(),
-        "scheme": plan.scheme,
-        "backend": plan.backend,
+        "plan": served.describe(),
+        "scheme": served.scheme,
+        "backend": served.backend,
         "seconds": seconds,
         "gflops": gflops,
         "timed": timed,
+        **batch,
     }
-    if workspace is not None:
-        stats = workspace.stats()
+    if arena is not None:
+        stats = arena.stats()
         telemetry.set_gauge("workspace.arena_bytes", stats["nbytes"])
         telemetry.set_gauge("workspace.high_water", stats["high_water"])
         telemetry.set_gauge("workspace.max_mark_depth",
@@ -487,50 +521,47 @@ def _record_call(plan: Plan, source: str, p: int, q: int, r: int,
     telemetry.record_dispatch(record)
 
 
-def _matmul_observed(
-    policy: TuningPolicy,
-    A: np.ndarray,
-    B: np.ndarray,
-    p: int,
-    q: int,
-    r: int,
-    dtype: str,
-    threads: int,
-    cache: PlanCache,
-    pool: WorkerPool | None,
-    out: np.ndarray | None,
-) -> np.ndarray:
-    """The telemetry-enabled twin of :func:`matmul`'s dispatch tail.
-
-    Same resolution/execution logic, with the lookup and execution under
-    ``dispatch.lookup`` / ``dispatch.execute`` spans and a per-call record
-    emitted at the end.  Kept separate so the disabled hot path pays one
-    ``telemetry.enabled()`` branch and nothing else.
-    """
+def _serve(policy: TuningPolicy, cfg, A: np.ndarray, B: np.ndarray,
+           p: int, q: int, r: int, dtype: str, threads: int,
+           cache: PlanCache, pool: WorkerPool | None,
+           out: np.ndarray | None) -> np.ndarray:
+    """The serving tail of every :func:`matmul` call (see the module
+    docstring): resolve, take the arena, execute, learn, report."""
     t_call = telemetry.clock_ns()
     with telemetry.span("dispatch.lookup"):
         plan, source = policy.select(p, q, r, dtype, threads, cache)
     timed = policy.wants_timing(source)
-    if timed:
-        workspace = build_workspace(plan, p, q, r, A.dtype, B.dtype)
-        with telemetry.span("dispatch.execute", scheme=plan.scheme):
-            t0 = policy.clock()
-            C = execute_plan(plan, A, B, pool=pool, out=out,
-                             workspace=workspace)
-            elapsed = policy.clock() - t0
+    # timed exploration: a throwaway arena, so losing shortlist candidates
+    # never pollute (or evict from) the serving cache
+    arena = build_workspace if timed else workspace_for
+    workspace = arena(plan, p, q, r, A.dtype, B.dtype)
+    spilled_before = (workspace.overflow_allocations
+                      if workspace is not None else 0)
+    elapsed = 0.0
+
+    def run(pl: Plan, dest):
+        # the resolved plan runs in the call's arena; any other plan is a
+        # guard fallback and gets a throwaway of its own
+        nonlocal elapsed
+        ws = (workspace if pl is plan
+              else build_workspace(pl, p, q, r, A.dtype, B.dtype))
+        t0 = policy.clock()
+        C = execute_plan(pl, A, B, pool=pool, out=dest, workspace=ws)
+        elapsed = policy.clock() - t0
+        return C
+
+    with telemetry.span("dispatch.execute", scheme=plan.scheme):
+        if cfg is None:
+            C, served = run(plan, out), plan
+        else:
+            C, served = _guard_chain.run_guarded(
+                cfg, plan, run, ((A,), (B,)), out,
+                lambda: np.empty((p, r), dtype=dtype),
+                cache, (p, q, r, dtype, threads), warm=not timed)
+    if timed and served is plan:
         policy.observe(p, q, r, dtype, threads, cache, plan, elapsed)
-    else:
-        workspace = workspace_for(plan, p, q, r, A.dtype, B.dtype)
-        before = workspace.overflow_allocations if workspace else 0
-        with telemetry.span("dispatch.execute", scheme=plan.scheme):
-            C = execute_plan(plan, A, B, pool=pool, out=out,
-                             workspace=workspace)
-        if workspace is not None and workspace.overflow_allocations > before:
-            _warn_overflow(plan, p, q, r, dtype,
-                           workspace.overflow_allocations - before)
-    seconds = (telemetry.clock_ns() - t_call) * 1e-9
-    _record_call(plan, source, p, q, r, dtype, threads, seconds, timed,
-                 workspace)
+    _report(plan, served, source, p, q, r, dtype, threads, workspace,
+            spilled_before, timed, t_call)
     return C
 
 
@@ -580,30 +611,5 @@ def matmul(
     dtype = np.result_type(A, B).name
     threads = resolve_threads(threads)
     cache = cache if cache is not None else _shared_cache()
-    cfg = _guard_chain.resolve_guard(guard)
-    if cfg is not None:
-        return _guard_chain.run_guarded(cfg, policy, A, B, p, q, r, dtype,
-                                        threads, cache, pool, out)
-    if telemetry.enabled():
-        # the one telemetry branch the disabled hot path pays
-        return _matmul_observed(policy, A, B, p, q, r, dtype, threads,
-                                cache, pool, out)
-    plan, source = policy.select(p, q, r, dtype, threads, cache)
-    if policy.wants_timing(source):
-        # timed exploration: a throwaway arena, so losing shortlist
-        # candidates never pollute (or evict from) the serving cache
-        workspace = build_workspace(plan, p, q, r, A.dtype, B.dtype)
-        t0 = policy.clock()
-        C = execute_plan(plan, A, B, pool=pool, out=out, workspace=workspace)
-        policy.observe(p, q, r, dtype, threads, cache, plan,
-                       policy.clock() - t0)
-        return C
-    workspace = workspace_for(plan, p, q, r, A.dtype, B.dtype)
-    before = workspace.overflow_allocations if workspace else 0
-    C = execute_plan(plan, A, B, pool=pool, out=out, workspace=workspace)
-    if workspace is not None and workspace.overflow_allocations > before:
-        # satellite bugfix: warm-path heap overflows were counted but
-        # never surfaced -- warn (and count) with or without telemetry
-        _warn_overflow(plan, p, q, r, dtype,
-                       workspace.overflow_allocations - before)
-    return C
+    return _serve(policy, _guard_chain.resolve_guard(guard), A, B, p, q, r,
+                  dtype, threads, cache, pool, out)

@@ -41,7 +41,7 @@ import zlib
 from repro.bench.metrics import effective_gflops
 from repro.obs import telemetry
 from repro.tuner.cache import PlanCache, problem_key
-from repro.tuner.space import Plan, enumerate_plans
+from repro.tuner.space import Plan, enumerate_plans, trivial_dim
 from repro.util.rng import default_rng
 
 #: shortlist size policies explore (cost-model-ranked head of the space)
@@ -56,6 +56,26 @@ DEFAULT_EPSILON = 0.25
 #: hard per-shape dispatch budget: promotion happens at the latest here,
 #: even if some candidate never got ``min_trials`` observations
 DEFAULT_MAX_DISPATCHES = 32
+
+
+def measured_plan(p: int, q: int, r: int, dtype: str, threads: int,
+                  cache: PlanCache) -> tuple[Plan, str] | None:
+    """The resolution stages that rest on measured evidence -- trivial
+    shape, exact cache hit, same-thread nearest neighbour -- or ``None``.
+
+    Shared by ``dispatch.get_plan`` and the online policies, so the two
+    cannot disagree on where serving as-is ends and guessing (or
+    exploring) begins.
+    """
+    if min(p, q, r) < trivial_dim(dtype):
+        return Plan(threads=threads), "trivial"
+    plan = cache.get(p, q, r, dtype, threads)
+    if plan is not None:
+        return plan, "cache"
+    plan = cache.nearest(p, q, r, dtype, threads, cross_thread=False)
+    if plan is not None:
+        return plan, "nearest"
+    return None
 
 
 class TuningPolicy:
@@ -248,16 +268,9 @@ class OnlineTunePolicy(TuningPolicy):
         return 0
 
     def select(self, p, q, r, dtype, threads, cache):
-        from repro.tuner.space import trivial_dim
-
-        if min(p, q, r) < trivial_dim(dtype):
-            return Plan(threads=threads), "trivial"
-        hit = cache.get(p, q, r, dtype, threads)
+        hit = measured_plan(p, q, r, dtype, threads, cache)
         if hit is not None:
-            return hit, "cache"
-        near = cache.nearest(p, q, r, dtype, threads, cross_thread=False)
-        if near is not None:
-            return near, "nearest"
+            return hit
         key = (p, q, r, dtype, threads)
         st = self._state(key, p, q, r, dtype, threads)
         if st.done:
@@ -435,10 +448,15 @@ def get_policy(spec: str | TuningPolicy, **kwargs) -> TuningPolicy:
         ) from None
     if kwargs:
         return cls(**kwargs)
-    with _policy_lock:
-        if spec not in _shared:
-            _shared[spec] = cls()
-        return _shared[spec]
+    policy = _shared.get(spec)
+    if policy is None:
+        # double-checked: the hit (every ``matmul`` call) takes no lock,
+        # and racing first uses still construct exactly one instance
+        with _policy_lock:
+            policy = _shared.get(spec)
+            if policy is None:
+                policy = _shared[spec] = POLICIES[spec]()
+    return policy
 
 
 def reset_shared_policies() -> None:

@@ -98,7 +98,6 @@ class Plan:
     scheme: str = "sequential"
     strategy: str = "write_once"
     threads: int = 1
-    min_leaf: int = DEFAULT_MIN_LEAF
     subgroup: int | None = None
     backend: str = "numpy"
 
@@ -440,7 +439,7 @@ def _ranked_plans(p: int, q: int, r: int, dtype: str, threads: int,
         variants.append(("sequential", None, "compiled"))
     dgemm_cost = plan_cost(None, p, q, r, 0, threads=threads, dtype=dtype)
     scored: list[tuple[float, Plan]] = [
-        (dgemm_cost, Plan(threads=threads, min_leaf=min_leaf))
+        (dgemm_cost, Plan(threads=threads))
     ]
     for name in candidate_algorithms():
         alg = get_algorithm(name)
@@ -455,8 +454,7 @@ def _ranked_plans(p: int, q: int, r: int, dtype: str, threads: int,
                 if cost < dgemm_cost:
                     scored.append((cost, Plan(
                         algorithm=name, steps=steps, scheme=scheme,
-                        threads=threads, min_leaf=min_leaf, subgroup=sub,
-                        backend=backend,
+                        threads=threads, subgroup=sub, backend=backend,
                     )))
     scored.sort(key=lambda cp_: (cp_[0], cp_[1].describe()))
     return tuple(pl for _, pl in scored)

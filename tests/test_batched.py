@@ -24,6 +24,8 @@ Five claims are pinned down here:
 
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -332,6 +334,37 @@ class TestAmortization:
                                    cache=cache, batch_mode=mode)
         assert rep.peak_bytes is not None and rep.peak_bytes < LARGE, mode
         np.testing.assert_allclose(out, np.matmul(A, B), atol=1e-8 * n)
+
+    @pytest.mark.parametrize("mode", ["within", "elementwise"])
+    def test_warm_batch_surfaces_arena_overflow(self, mode, cache,
+                                                monkeypatch, caplog):
+        """Undersized batch arenas are counted and warned about once per
+        (plan, shape, dtype), like a per-call arena (they used to spill
+        silently); timed sweeps on throwaway arenas stay exempt."""
+        n, batch = 256, 4
+        plan = Plan(algorithm="strassen", steps=1, threads=1)
+        cache.put(n, n, n, "float64", 1, plan)
+        monkeypatch.setattr(dispatch, "plan_footprint",
+                            lambda plan, *a: 0 if plan.is_dgemm else 64)
+        A, B = batch_operands(n, n, n, batch, seed=6)
+        threads = 2 if mode == "elementwise" else 1
+        telemetry.enable()
+        with caplog.at_level(logging.WARNING, logger=dispatch.__name__):
+            batched.execute_batch_plan(
+                BatchPlan(plan=plan, mode=mode, workers=threads), A, B,
+                warm=False)
+            assert telemetry.counter_value("workspace.overflows") == 0
+            for _ in range(2):
+                batched.matmul_batched(A, B, threads=threads, cache=cache,
+                                       batch_mode=mode)
+        arenas = (batched._arena_pools if mode == "elementwise"
+                  else dispatch._workspaces)
+        spilled = sum(a.overflow_allocations for a in arenas.values())
+        assert spilled > 0
+        assert telemetry.counter_value("workspace.overflows") == spilled
+        warned = [rec for rec in caplog.records
+                  if "workspace arena overflowed" in rec.message]
+        assert len(warned) == 1
 
     def test_arena_pool_cache_is_bounded(self):
         plan = Plan(algorithm="strassen", steps=1, scheme="sequential",

@@ -272,6 +272,19 @@ class TestExplain:
         assert re.search(r"predicted vs measured: [\d.]+ ms vs [\d.]+ ms "
                          r"\(x[\d.]+\)", text)
 
+        # a guarded call crosses the same serving tail: same spans, same
+        # record (it used to open no dispatch.* span at all)
+        from repro import obs
+
+        obs.reset()
+        rc, text = run_cli("multiply", "--explain", "--guard", "-n", "192",
+                           "--threads", "1",
+                           "--cache", str(tmp_path / "plans.json"))
+        assert rc == 0
+        assert "observed call:" in text and "guard: on" in text
+        for name in ("dispatch.lookup", "dispatch.execute"):
+            assert re.search(rf"span {name} +x1 ", text), name
+
 
 class TestCacheDoctorCalibrations:
     def test_lists_and_fix_removes_calibrations(self, tmp_path, monkeypatch):

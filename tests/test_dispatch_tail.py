@@ -1,0 +1,151 @@
+"""The serving tail's oracle: ``dispatch._serve`` is one function, so every
+way of calling ``matmul`` must resolve, take its arena, execute, learn and
+report identically.
+
+{telemetry off, on} x {guard off, on} x {warm ``tune="never"``, timed
+online exploration under a scripted clock} x four plans spanning the
+executors: same ``(plan, source)``, a product bit-equal to the plan's own,
+``observe`` fed exactly the execute-only duration of a timed call, timed
+arenas kept out of the serving cache -- and, under guard, an injected
+failure still lands on the classical product.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro import obs
+from repro.codegen import cbackend
+from repro.guard import faults
+from repro.tuner import PlanCache, dispatch, matmul, policy as policy_mod
+from repro.tuner.policy import OnlineTunePolicy, TuningPolicy
+from repro.tuner.space import Plan
+from repro.util.matrices import random_matrix
+
+N = 192
+TICK = 0.25
+
+PLANS = [
+    Plan(threads=1),
+    Plan(algorithm="strassen", steps=1, threads=1),
+    pytest.param(
+        Plan(algorithm="strassen", steps=1, threads=1, backend="compiled"),
+        marks=pytest.mark.skipif(not cbackend.available(),
+                                 reason="no C compiler")),
+    Plan(algorithm="strassen", steps=1, scheme="dfs", threads=2),
+]
+
+
+@pytest.fixture(autouse=True)
+def clean_state():
+    def reset():
+        faults.clear()
+        faults.reset_fired()
+        obs.disable()
+        obs.reset()
+        dispatch.reset_workspaces()
+
+    reset()
+    yield
+    reset()
+
+
+class _TickClock:
+    """Advances ``TICK`` per reading: a bracket of two readings measures
+    exactly ``TICK``, whatever else the call does in between."""
+
+    def __init__(self):
+        self.t = 0.0
+
+    def now(self) -> float:
+        self.t += TICK
+        return self.t
+
+
+def _recorded(policy: TuningPolicy) -> dict:
+    """Spy on the two policy calls only the tail may make."""
+    seen = {"selected": [], "observed": []}
+    select, observe = policy.select, policy.observe
+
+    def spy_select(*args):
+        seen["selected"].append(select(*args))
+        return seen["selected"][-1]
+
+    def spy_observe(p, q, r, dtype, threads, cache, plan, seconds):
+        seen["observed"].append((plan, seconds))
+        return observe(p, q, r, dtype, threads, cache, plan, seconds)
+
+    policy.select, policy.observe = spy_select, spy_observe
+    return seen
+
+
+def _request(plan: Plan, timed: bool, tmp_path, monkeypatch):
+    """``(policy, cache, source)`` making ``plan`` the resolved plan: a
+    cache hit served warm, or the online policy's only (timed) candidate."""
+    cache = PlanCache(tmp_path / "plans.json")
+    if timed:
+        monkeypatch.setattr(policy_mod, "enumerate_plans",
+                            lambda *a, **k: [plan])
+        return (OnlineTunePolicy(min_trials=2, clock=_TickClock().now,
+                                 persist=False), cache, "online")
+    cache.put(N, N, N, "float64", plan.threads, plan, seconds=0.01,
+              gflops=1.0)
+    return TuningPolicy(), cache, "cache"
+
+
+@pytest.mark.parametrize("plan", PLANS, ids=lambda p: p.describe())
+@pytest.mark.parametrize("timed", [False, True], ids=["warm", "timed"])
+@pytest.mark.parametrize("guard", [False, True], ids=["plain", "guarded"])
+@pytest.mark.parametrize("observed", [False, True], ids=["quiet", "traced"])
+def test_every_call_crosses_the_same_tail(observed, guard, timed, plan,
+                                          tmp_path, monkeypatch):
+    policy, cache, source = _request(plan, timed, tmp_path, monkeypatch)
+    seen = _recorded(policy)
+    A, B = random_matrix(N, N, 0), random_matrix(N, N, 1)
+    want = dispatch.execute_plan(plan, A, B)
+    if observed:
+        obs.enable()
+    C = matmul(A, B, threads=plan.threads, cache=cache, tune=policy,
+               guard=guard)
+
+    assert seen["selected"] == [(plan, source)]
+    assert np.array_equal(C, want)
+    # learning: once per timed call, from the execute-only bracket
+    assert seen["observed"] == ([(plan, TICK)] if timed else [])
+    # arenas: a timed call's is a throwaway, a warm call's is cached
+    cached = [key[0] for key in dispatch._workspaces]
+    assert cached == ([] if timed or plan.is_dgemm else [plan])
+    if observed:
+        (rec,) = obs.dispatch_records()
+        assert (rec["plan"], rec["source"], rec["timed"]) == (
+            plan.describe(), source, timed)
+        assert obs.span_stats("dispatch.lookup")["count"] == 1
+        assert obs.span_stats("dispatch.execute",
+                              scheme=plan.scheme)["count"] == 1
+    else:
+        assert obs.is_empty()
+
+
+@pytest.mark.parametrize("plan", PLANS, ids=lambda p: p.describe())
+@pytest.mark.parametrize("timed", [False, True], ids=["warm", "timed"])
+@pytest.mark.parametrize("observed", [False, True], ids=["quiet", "traced"])
+def test_guarded_failure_lands_on_classical(observed, timed, plan, tmp_path,
+                                            monkeypatch):
+    policy, cache, _ = _request(plan, timed, tmp_path, monkeypatch)
+    seen = _recorded(policy)
+    A, B = random_matrix(N, N, 2), random_matrix(N, N, 3)
+    if observed:
+        obs.enable()
+    with faults.inject("plan.raise"):
+        C = matmul(A, B, threads=plan.threads, cache=cache, tune=policy,
+                   guard=True)
+
+    assert np.array_equal(C, np.matmul(A, B))
+    assert seen["observed"] == []  # a failed plan teaches nothing
+    assert not dispatch._workspaces  # the failed warm arena was evicted
+    if observed:
+        assert obs.counter_value("guard.fallbacks", stage="classical") == 1
+        (rec,) = obs.dispatch_records()
+        assert (rec["plan"], rec["source"]) == (
+            Plan(threads=plan.threads).describe(), "guard")

@@ -10,6 +10,8 @@ cache files) is repaired rather than left broken.
 
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -387,6 +389,37 @@ def test_guard_fallback_bit_exact_property(dtype, n, seed):
         faults.clear()
     assert C.dtype == np.result_type(A, B)
     assert np.array_equal(C, np.matmul(A, B))
+
+
+# ------------------------------------------- the serving tail under guard
+@pytest.mark.parametrize("observed", [False, True])
+def test_guarded_warm_call_surfaces_arena_overflow(observed, monkeypatch,
+                                                   caplog):
+    """A guarded call takes its arena and reports through the same tail
+    as an unguarded one: an undersized warm arena is counted and warned
+    about once (guarded calls used to overflow silently)."""
+    from repro.algorithms import get_algorithm
+    from repro.core.stability import error_bound
+
+    n = 256
+    cache = _cache_with(n, 1, Plan("strassen", steps=1, threads=1))
+    monkeypatch.setattr(dispatch, "plan_footprint",
+                        lambda plan, *a: 0 if plan.is_dgemm else 64)
+    A, B = _operands(n)
+    C = np.empty((n, n))
+    if observed:
+        obs.enable()
+    with caplog.at_level(logging.WARNING, logger=dispatch.__name__):
+        for _ in range(2):
+            matmul(A, B, out=C, threads=1, cache=cache, guard=True)
+    warned = [rec for rec in caplog.records
+              if "workspace arena overflowed" in rec.message]
+    assert len(warned) == 1
+    if observed:
+        assert obs.counter_value("workspace.overflows") > 0
+    exact = A @ B
+    assert (np.linalg.norm(C - exact) / np.linalg.norm(exact)
+            <= error_bound(get_algorithm("strassen"), 1, n, "float64"))
 
 
 # ------------------------------------------------------- pool supervision

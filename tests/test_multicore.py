@@ -119,7 +119,7 @@ class TestCrossThreadTransfer:
         n = 192
         cache = PlanCache(tmp_path / "plans.json")
         tuned = Plan(algorithm="strassen", steps=1, scheme="hybrid-subgroup",
-                     threads=2, subgroup=1, min_leaf=32)
+                     threads=2, subgroup=1)
         cache.put(n, n, n, "float64", 2, tuned)
 
         # cold at threads=4: no exact hit, the cross-thread fallback kicks in
@@ -150,9 +150,9 @@ class TestCrossThreadTransfer:
         cache = PlanCache(tmp_path / "plans.json")
         cache.put(n, n, n, "float64", 2,
                   Plan(algorithm="strassen", steps=1, scheme="bfs",
-                       threads=2, min_leaf=32))
+                       threads=2))
         exact = Plan(algorithm="winograd", steps=1, scheme="hybrid",
-                     threads=4, min_leaf=32)
+                     threads=4)
         cache.put(n, n, n, "float64", 4, exact)
         plan, source = tuner.get_plan(n, n, n, dtype="float64", threads=4,
                                       cache=cache)

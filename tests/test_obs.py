@@ -236,6 +236,71 @@ class TestDispatchIntegration:
         assert obs.is_empty()
 
 
+class TestOneServingTail:
+    """Plain, guarded, guard-fallback and batched requests report through
+    one function: the same spans per call, one record schema, ``seconds``
+    the whole call's wall time."""
+
+    BASE = {"shape", "dtype", "threads", "source", "plan", "scheme",
+            "backend", "seconds", "gflops", "timed"}
+    ARENA = {"arena_bytes", "arena_high_water", "arena_overflows"}
+
+    @pytest.mark.parametrize("guard", [False, True])
+    def test_every_call_opens_both_dispatch_spans(self, guard, tmp_path):
+        plan = Plan(algorithm="strassen", steps=1, scheme="dfs", threads=1)
+        cache = _plan_cache(tmp_path, (192, 192, 192, "float64", 1, plan))
+        A = random_matrix(192, 192, 4)
+        obs.enable()
+        for _ in range(3):
+            matmul(A, A, threads=1, cache=cache, guard=guard)
+        assert obs.span_stats("dispatch.lookup")["count"] == 3
+        assert obs.span_stats("dispatch.execute", scheme="dfs")["count"] == 3
+        assert obs.counter_value("dispatch.calls") == 3
+
+    def test_one_record_schema(self, tmp_path):
+        from repro.guard import faults
+        from repro.tuner import matmul_batched
+
+        plan = Plan(algorithm="strassen", steps=1, threads=1)
+        cache = _plan_cache(tmp_path, (192, 192, 192, "float64", 1, plan))
+        A = random_matrix(192, 192, 5)
+        stack = np.stack([A] * 3)
+
+        def poisoned():
+            with faults.inject("plan.raise"):
+                return matmul(A, A, threads=1, cache=cache, guard=True)
+
+        requests = {
+            "call": lambda: matmul(A, A, threads=1, cache=cache),
+            "guarded": lambda: matmul(A, A, threads=1, cache=cache,
+                                      guard=True),
+            "fallback": poisoned,
+            "batched": lambda: matmul_batched(stack, stack, threads=1,
+                                              cache=cache),
+        }
+        obs.enable()
+        for kind, request in requests.items():
+            obs.reset()
+            t0 = telemetry.clock()
+            request()
+            wall = telemetry.clock() - t0
+            (rec,) = obs.dispatch_records()
+            extra = set(rec) - self.BASE
+            assert self.BASE <= set(rec), kind
+            if kind == "batched":
+                assert (rec["batch"], rec["batch_mode"]) == (3, "within")
+                extra -= {"batch", "batch_mode"}
+            assert extra in (set(), self.ARENA), kind
+            assert (rec["source"] == "guard") == (kind == "fallback")
+            inside = sum(row["total_s"] for row in obs.snapshot()["spans"]
+                         if row["name"].startswith("dispatch."))
+            assert inside <= rec["seconds"] <= wall, kind
+            assert rec["gflops"] > 0
+            assert obs.counter_value("dispatch.backend",
+                                     backend=rec["backend"]) == 1
+        faults.reset_fired()
+
+
 class TestOverflowSurfacing:
     def _overflowing_call(self, tmp_path, monkeypatch):
         plan = Plan(algorithm="strassen", steps=1, scheme="dfs", threads=1)

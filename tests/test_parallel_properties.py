@@ -168,7 +168,7 @@ class TestDispatchExecutesSubgroup:
         n = 160
         cache = PlanCache(tmp_path / "plans.json")
         plan = Plan(algorithm="strassen", steps=1, scheme="hybrid-subgroup",
-                    threads=4, subgroup=2, min_leaf=32)
+                    threads=4, subgroup=2)
         cache.put(n, n, n, "float64", 4, plan)
         rng = np.random.default_rng(7)
         A = rng.random((n, n))
@@ -192,7 +192,7 @@ class TestDispatchExecutesSubgroup:
 
         monkeypatch.setattr(dispatch, "multiply_parallel", spy)
         plan = Plan(algorithm="strassen", steps=1, scheme="hybrid-subgroup",
-                    threads=4, subgroup=1, min_leaf=32)
+                    threads=4, subgroup=1)
         rng = np.random.default_rng(8)
         A = rng.random((140, 140))
         B = rng.random((140, 140))

@@ -380,6 +380,22 @@ class TestOnlineConvergence:
         tuner.reset_shared_policies()
         assert get_policy("online") is not a
 
+    def test_shared_policy_hit_takes_no_lock(self, monkeypatch):
+        """Every ``matmul`` call resolves its policy by name: the hit must
+        not serialize concurrent dispatchers on ``_policy_lock``."""
+        from repro.tuner import policy as policy_mod
+
+        class Forbidden:
+            def __enter__(self):
+                raise AssertionError("get_policy hit took _policy_lock")
+
+            def __exit__(self, *exc):
+                return False
+
+        first = get_policy("never")
+        monkeypatch.setattr(policy_mod, "_policy_lock", Forbidden())
+        assert get_policy("never") is first
+
     def test_policy_rejects_bad_epsilon(self):
         with pytest.raises(ValueError):
             OnlineTunePolicy(epsilon=1.5)

@@ -45,7 +45,6 @@ plans = st.builds(
     scheme=st.sampled_from(PLAN_SCHEMES),
     strategy=st.sampled_from(["pairwise", "write_once", "streaming"]),
     threads=threads_st,
-    min_leaf=st.sampled_from([32, 64, 128]),
 )
 
 
@@ -62,7 +61,6 @@ def subgroup_plans(draw):
         strategy=draw(st.sampled_from(["pairwise", "write_once",
                                        "streaming"])),
         threads=threads,
-        min_leaf=draw(st.sampled_from([32, 64, 128])),
         subgroup=sub,
     )
 
@@ -342,7 +340,7 @@ class TestDispatchCorrectness:
         to a correct product (dynamic peeling covers ragged shapes)."""
         p, q, r = shape
         cache = PlanCache(tmp_path / "plans.json")
-        plan = Plan(algorithm=algorithm, steps=steps, min_leaf=16)
+        plan = Plan(algorithm=algorithm, steps=steps)
         cache.put(p, q, r, dtype, 1, plan)
         A, B = tuner.tuning_operands(p, q, r, dtype=dtype, seed=3)
         got, source = tuner.get_plan(p, q, r, dtype=dtype, threads=1,

@@ -42,13 +42,12 @@ from repro.algorithms import get_algorithm
 from repro.core.recursion import multiply
 from repro.core.workspace import (
     Workspace,
-    bfs_footprint,
     codegen_footprint,
     track_allocations,
 )
 from repro.parallel import blas
 from repro.parallel.pool import WorkerPool, available_cores
-from repro.parallel.schedules import multiply_parallel
+from repro.parallel.schedules import multiply_parallel, parallel_footprint
 from repro.util.matrices import random_matrix
 
 THRESHOLD_FILE = Path(__file__).parent / "workspace_threshold.json"
@@ -101,12 +100,9 @@ def bench_config(scheme: str, dtype: str, n: int, steps: int,
             with blas.blas_threads(threads):
                 multiply(A, B, alg, steps=steps, out=out, workspace=ws)
     else:
-        if scheme == "dfs":
-            ws = Workspace.for_recursion([alg.base_case] * steps, n, n, n,
-                                         A.dtype, B.dtype)
-        else:
-            ws = Workspace(bfs_footprint(alg, steps, n, n, n,
-                                         A.dtype, B.dtype))
+        # sized for the kernels the schedule picks (fused C for float64)
+        ws = Workspace(parallel_footprint(alg, steps, scheme, n, n, n,
+                                          A.dtype, B.dtype))
 
         def run_alloc():
             multiply_parallel(A, B, alg, steps=steps, scheme=scheme,

@@ -23,9 +23,19 @@ Every statement must match one of the emitter's declared forms
 ``product_ptr``, ``scratch_ptr``, ``output_ptr``, ``fused_store``) --
 anything else is a finding, never silently skipped.
 
+The kernels take a row range (``long i0, long i1``) and the parallel
+schedules run ranges of one kernel concurrently, so the pass also proves
+that a call touches rows ``[i0, i1)`` and nothing else: the signature
+ends in the range, the body is exactly one ``for (long i = i0; i < i1;
+++i)`` loop, every pointer and store sits inside it, every pointer form
+addresses row ``i`` of its block (or the per-call ``Y`` scratch) and is
+indexed by ``j`` in ``[0, bq)`` only, and no contract form can assign
+``i``, ``i0`` or ``i1``.
+
 Finding codes: ``CEMIT-PARSE`` (statement outside the contract),
 ``CEMIT-HEADER`` (provenance header disagrees with the algorithm),
 ``CEMIT-BLOCK`` (block pointer offsets disagree with its index),
+``CEMIT-RANGE`` (a kernel does not confine itself to rows ``[i0, i1)``),
 ``CEMIT-UNINIT`` (store reads a slab row before it is written),
 ``CEMIT-LAYOUT`` (slab row in C disagrees with the driver layout),
 ``CEMIT-RANK`` (``form_C`` consumes != rank products),
@@ -47,7 +57,17 @@ TENSOR_RTOL = 1e-8
 
 _RE_HEADER = re.compile(
     r" \* algorithm (\S+) <(\d+),(\d+),(\d+)> rank (\d+), cse=(True|False)")
-_RE_FN = re.compile(r"void (form_[STC])\(")
+_RE_FN = re.compile(r"void (form_[STC])\((.*)\)$")
+#: what a kernel's parameter list must be, row range last
+_SIGNATURES = {
+    "form_S": "const double *X, long ldx, long bp, long bq, double *S,"
+              " long i0, long i1",
+    "form_C": "const double **M, long bp, long bq, double *C, long ldc,"
+              " double *Y, long i0, long i1",
+}
+_SIGNATURES["form_T"] = _SIGNATURES["form_S"]
+_ROW_LOOP = "for (long i = i0; i < i1; ++i) {"
+_COL_LOOP = "for (long j = 0; j < bq; ++j)"
 _RE_BLOCK = re.compile(
     r"const double \*p([AB])(\d+) = X \+ \(\(size_t\)\((\d+)\*bp \+ i\)\)"
     r"\*ldx \+ \(size_t\)\((\d+)\)\*bq;")
@@ -67,7 +87,6 @@ _RE_TERM = re.compile(
 _BOILERPLATE = (
     "{", "}", "(void)Y;",
     "const size_t blk = (size_t)bp * (size_t)bq;",
-    "for (long i = 0; i < bp; ++i) {",
     "#include <stddef.h>",
 )
 
@@ -108,6 +127,9 @@ class _Kernel:
         self.out_block: dict[str, int] = {}      # C target -> output block
         self.products: dict[str, int] = {}       # M target -> product index
         self.stored: list[str] = []              # store order
+        #: the one ``i0 <= i < i1`` loop: None before it, True inside,
+        #: False once its brace closed
+        self.in_rows: bool | None = None
 
 
 def _parse_unit(source: str, nblocks: dict[str, int],
@@ -137,6 +159,22 @@ def _parse_unit(source: str, nblocks: dict[str, int],
             current = _Kernel(m.group(1))
             kernels[current.name] = current
             pending_store = False
+            if m.group(2) != _SIGNATURES[current.name]:
+                findings.append(Finding(
+                    "cemit", "CEMIT-RANGE", loc,
+                    f"{current.name} takes ({m.group(2)}), not a row range:"
+                    f" expected ({_SIGNATURES[current.name]})"))
+            continue
+        if current is not None and line.startswith("for (long i"):
+            if line != _ROW_LOOP or current.in_rows is not None:
+                findings.append(Finding(
+                    "cemit", "CEMIT-RANGE", loc,
+                    f"{current.name} must sweep its rows in exactly one"
+                    f" {_ROW_LOOP!r} loop, found {line!r}"))
+            current.in_rows = True
+            continue
+        if line == "}" and current is not None and current.in_rows:
+            current.in_rows = False      # the j-loops carry no braces
             continue
         if line in _BOILERPLATE:
             continue
@@ -179,7 +217,13 @@ def _parse_unit(source: str, nblocks: dict[str, int],
                 current.env[target] = vec
                 current.stored.append(target)
             continue
-        if line.startswith("for (long j"):
+        if not current.in_rows:
+            findings.append(Finding(
+                "cemit", "CEMIT-RANGE", loc,
+                f"{current.name} statement outside its i0 <= i < i1 row"
+                f" loop: {line!r}"))
+            continue
+        if line == _COL_LOOP:
             pending_store = True
             continue
         m = _RE_BLOCK.match(line)
@@ -285,6 +329,11 @@ def verify_source(source: str, algorithm, cse: bool,
     nblocks = {"A": m * k, "Acols": k, "B": k * n, "Bcols": n,
                "M": rank, "Ccols": n}
     kernels, header, findings = _parse_unit(source, nblocks, where)
+    for kernel in kernels.values():
+        if kernel.in_rows is not False:
+            findings.append(Finding(
+                "cemit", "CEMIT-RANGE", f"{where}.{kernel.name}",
+                "kernel has no closed i0 <= i < i1 row loop"))
     if findings:
         return findings
     if header.get("algorithm") != algorithm.name or \

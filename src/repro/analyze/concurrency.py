@@ -88,7 +88,9 @@ REGISTRY: tuple[SharedState, ...] = (
                 "loaded shared-library cache"),
     SharedState("codegen/cbackend.py", "_CACHE_STATE", "_lib_lock",
                 "resolved on-disk cache dir + warn-once flag"),
-    SharedState("tuner/dispatch.py", "_cbackend_warned", None,
+    SharedState("codegen/cbackend.py", "_CHAINS", "_lib_lock",
+                "compiled kernels by emitted algorithm"),
+    SharedState("codegen/cbackend.py", "_fallback_warned", None,
                 "once-per-algorithm fallback warning set; duplicate "
                 "warn is benign"),
 )

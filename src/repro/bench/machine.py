@@ -152,13 +152,18 @@ class GemmCurve:
         ``1/rate = a + b/n`` (Hockney's r_inf / n_half: a gemm's n^2
         overheads amortise over n^3 flops) through the last two points, so
         a curve still climbing at its top is not taken to have flattened
-        there; one that fell is held flat.
+        there.  One that fell is held at the higher of the two: the top
+        size gets the fewest runs and alone prices everything beyond it,
+        and interference only ever slows a gemm down -- a dip up there is
+        a neighbour's burst, and believing it makes every plan that cuts
+        the product into smaller gemms look better than the vendor's.
         """
         n = (p * q * r) ** (1.0 / 3.0)
         rate = self.at(n)
         if n > self.sizes[-1] and len(self.sizes) > 1:
             (n1, n2), (r1, r2) = self.sizes[-2:], self.gflops[-2:]
             slope = (1 / r1 - 1 / r2) / (1 / n1 - 1 / n2)
+            rate = max(r1, r2)
             if slope > 0:
                 rate = 1 / (1 / r2 + slope * (1 / n - 1 / n2))
         return 2.0 * p * q * r / (rate * 1e9)

@@ -477,9 +477,16 @@ def _explain(args, A, B, p: int, q: int, r: int, cache, out) -> int:
     records = obs.dispatch_records()
     if records:
         rec = records[-1]
+        # which kernels formed a parallel scheme's chains is the
+        # schedule's own per-call decision; its span says which
+        chains = "".join(
+            f", chains {row['labels']['chains']}"
+            for row in obs.snapshot()["spans"]
+            if row["name"] == f"parallel.{rec['scheme']}")
         print(f"observed call: {rec['seconds']:.4f}s "
               f"{rec['gflops']:.2f} eff.GFLOPS "
-              f"(scheme {rec['scheme']}, rel.err {err:.1e})", file=out)
+              f"(scheme {rec['scheme']}{chains}, rel.err {err:.1e})",
+              file=out)
         if rec["plan"] == plan.describe():
             sec = predicted(plan)
             print(f"predicted vs measured: {sec * 1e3:.3f} ms vs "

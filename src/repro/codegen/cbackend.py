@@ -13,10 +13,12 @@ stay in Python/BLAS exactly as before.
 
 Generated interface per algorithm (one shared object each)::
 
-    void form_S(const double *A, long lda, long bp, long bq, double *S);
-    void form_T(const double *B, long ldb, long bp, long bq, double *T);
+    void form_S(const double *A, long lda, long bp, long bq, double *S,
+                long i0, long i1);
+    void form_T(const double *B, long ldb, long bp, long bq, double *T,
+                long i0, long i1);
     void form_C(const double **M, long bp, long bq,
-                double *C, long ldc, double *Y);
+                double *C, long ldc, double *Y, long i0, long i1);
 
 ``form_S``/``form_T`` read the m·k (k·n) sub-blocks of the parent operand
 in place (row stride ``lda``, in elements) and write CSE definitions plus
@@ -25,7 +27,13 @@ columns after scalar piping) are zero-traffic views handled on the Python
 side, mirroring the paper's "no temporary is formed" rule.  ``form_C``
 assembles the output blocks from an array of product-row pointers in one
 fused pass per block; ``Y`` is caller-provided scratch for C-side CSE
-definitions (NULL when there are none).
+definitions (NULL when there are none).  Every kernel works on the rows
+``[i0, i1)`` of its blocks and touches no other row (the ``cemit``
+analyzer proves it from the emitted text), so one sweep can be cut into
+ranges that run concurrently: the sequential driver below passes the whole
+range, the parallel schedules (:mod:`repro.parallel.schedules`) fan ranges
+out over their worker pool -- whenever :func:`chains_fused` says the
+operands allow it.
 
 Shared objects are cached on disk under ``$REPRO_CACHE_DIR/cbackend``
 (default ``~/.cache/repro/cbackend``), keyed by (source, compiler, flags,
@@ -40,10 +48,12 @@ in-memory degradation).
 Use :func:`available` to test for a working compiler,
 :func:`compile_chains` for a :class:`CompiledChains`, and
 :func:`multiply` for the one-call API.  Everything degrades loudly
-(``RuntimeError``), never silently, when no compiler exists; dispatch
-(:func:`repro.tuner.dispatch.execute_plan`) catches that and falls back
-to the NumPy-source modules so a ``backend="compiled"`` plan never fails
-a multiply.
+(``RuntimeError``), never silently, when no compiler exists; the serving
+paths (:func:`repro.tuner.dispatch.execute_plan` for ``backend="compiled"``
+plans, :func:`repro.parallel.schedules.multiply_parallel` for its chains)
+go through :func:`serving_chains`, which counts and warns instead, and
+fall back to the NumPy executors so a compile failure never fails a
+multiply.
 
 The kernels are float64-only; the driver computes in double and returns
 ``np.result_type(A, B)`` (float32 in -> float32 out, rounded once on
@@ -61,6 +71,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import hashlib
+import logging
 import os
 import subprocess
 import tempfile
@@ -81,7 +92,7 @@ from repro.util.validation import check_matmul_dims
 
 _CC = os.environ.get("REPRO_CC", "cc")
 _CFLAGS = ["-O3", "-march=native", "-std=c99", "-fPIC", "-shared"]
-_DPTR = ctypes.POINTER(ctypes.c_double)
+_log = logging.getLogger(__name__)
 
 #: loaded shared objects keyed by :func:`_source_key`; guarded by
 #: ``_lib_lock`` (registered in the concurrency shared-state registry) --
@@ -120,7 +131,15 @@ def _prepare(algorithm: FastAlgorithm, cse: bool):
     occupy the leading slab rows in their creation order, which is also
     emission order (``eliminate`` only creates a definition before its
     first use, so dependencies always point backwards).
+
+    Kept on the algorithm (:meth:`FastAlgorithm.memo`): the arena
+    footprint asks on every parallel call.
     """
+    return algorithm.memo(f"_cbackend_prepared_{int(cse)}",
+                          functools.partial(_extract, cse=cse))
+
+
+def _extract(algorithm: FastAlgorithm, cse: bool):
     prog = extract_chains(algorithm, pipe_scalars=True)
     sides = {}
     for key, chains, prefix in (
@@ -186,10 +205,11 @@ def _emit_side(fn: str, side: dict, blocks_cols: int, prefix: str) -> list[str]:
         slot_of[d.target] = i
 
     lines = [
-        f"void {fn}(const double *X, long ldx, long bp, long bq, double *S)",
+        f"void {fn}(const double *X, long ldx, long bp, long bq, double *S,"
+        " long i0, long i1)",
         "{",
         "  const size_t blk = (size_t)bp * (size_t)bq;",
-        "  for (long i = 0; i < bp; ++i) {",
+        "  for (long i = i0; i < i1; ++i) {",
     ]
     for s in _referenced_sources(body):
         if s.startswith(prefix):
@@ -217,10 +237,10 @@ def _emit_output(side: dict, m: int, n: int) -> list[str]:
     defs, chains = side["defs"], side["chains"]
     lines = [
         "void form_C(const double **M, long bp, long bq,"
-        " double *C, long ldc, double *Y)",
+        " double *C, long ldc, double *Y, long i0, long i1)",
         "{",
         "  (void)Y;" if not defs else "",
-        "  for (long i = 0; i < bp; ++i) {",
+        "  for (long i = i0; i < i1; ++i) {",
     ]
     body = list(defs) + list(chains)
     for s in _referenced_sources(body):
@@ -395,15 +415,74 @@ def _take(ws, shape) -> np.ndarray:
     return ws.take(shape, np.float64)
 
 
-def _as_contiguous(X: np.ndarray, ws) -> np.ndarray:
-    """Contiguous float64 view/copy of ``X``, arena-backed when possible."""
-    if X.dtype == np.float64 and X.flags.c_contiguous:
-        return X
-    if ws is None:
-        return np.ascontiguousarray(X, dtype=np.float64)
-    buf = ws.take(X.shape, np.float64)
+def _packed(X: np.ndarray, ws) -> np.ndarray:
+    """A contiguous float64 copy of ``X``, arena-backed when possible."""
+    buf = _take(ws, X.shape)
     np.copyto(buf, X)
     return buf
+
+
+def kernel_ready(X: np.ndarray) -> bool:
+    """Can the kernels address ``X`` in place?  They walk a float64 matrix
+    row by row (``X + i*ldx``, unit stride inside a row), so anything else
+    -- another dtype, strided or reversed columns, reversed rows -- has to
+    be packed first (:meth:`CompiledChains.multiply`) or served by the
+    NumPy chains (the parallel schedules)."""
+    return (X.dtype == np.float64 and X.ndim == 2 and X.flags.aligned
+            and (X.strides[1] == 8 or X.shape[1] <= 1)
+            and X.strides[0] >= 0 and X.strides[0] % 8 == 0)
+
+
+def chains_fused(dtype_a, dtype_b=None, operands=()) -> bool:
+    """Will the parallel schedules form S, T and C with these kernels?
+
+    Asked by :func:`repro.parallel.schedules.multiply_parallel` before it
+    runs, by :func:`repro.tuner.dispatch.plan_footprint` to size the arena
+    of the path that will run, and by :func:`repro.core.cost.plan_cost` to
+    price it: float64 operands the kernels can address in place
+    (:func:`kernel_ready`; ``operands`` may hold ``None`` for an absent
+    ``out``) on a host with a working compiler.  Everything else -- other
+    dtypes, exotic strides, no toolchain -- is formed by the NumPy
+    row-slab adders.  It is not a plan dimension: nothing selects it.
+    """
+    f64 = np.dtype(np.float64)
+    return (np.dtype(dtype_a) == f64
+            and (dtype_b is None or np.dtype(dtype_b) == f64)
+            and all(X is None or kernel_ready(X) for X in operands)
+            and available())
+
+
+def product_homes(s_layout, t_layout, bp: int, bq: int,
+                  bn: int) -> tuple[list[tuple[str, int]], int]:
+    """Where the depth-first driver keeps each product until ``form_C``.
+
+    Rank ``r``'s product is the last reader of its S and T chains, so the
+    slab rows they occupy (when they have one -- alias chains are views of
+    the parent -- and it is big enough) are free for a later product.  Per
+    rank: ``("s", row)`` / ``("t", row)`` to overwrite that slab row, or
+    ``("m", i)`` for row ``i`` of a slab of its own; returned with the
+    number of such rows -- one for Strassen instead of seven -- which is
+    what the arena footprint charges.
+    """
+    homes: list[tuple[str, int]] = []
+    free: list[tuple[str, int]] = []
+    own = 0
+    for (s_kind, s_row), (t_kind, t_row) in zip(s_layout, t_layout):
+        if free:
+            homes.append(free.pop())
+        else:
+            homes.append(("m", own))
+            own += 1
+        if s_kind == "slot" and bn <= bq:       # bp*bn fits in bp*bq
+            free.append(("s", s_row))
+        if t_kind == "slot" and bp <= bq:       # bp*bn fits in bq*bn
+            free.append(("t", t_row))
+    return homes, own
+
+
+def _whole(kernel, nrows: int) -> None:
+    """The sequential sweep: one call over every row."""
+    kernel(0, nrows)
 
 
 class CompiledChains:
@@ -411,7 +490,11 @@ class CompiledChains:
 
     The driver mirrors :func:`repro.core.recursion.multiply` — dynamic
     peeling, leaf dgemm — but forms every S/T/C linear combination with
-    the fused single-pass C kernels.
+    the fused single-pass C kernels.  Each kernel works on a row range
+    ``[i0, i1)`` of its blocks and touches nothing outside those rows, so
+    ranges may run concurrently (ctypes releases the GIL) and re-running
+    one recomputes it from its inputs: :meth:`form_S`, :meth:`form_T` and
+    :meth:`form_C` are what the parallel schedules fan out.
     """
 
     def __init__(self, algorithm: FastAlgorithm, cse: bool = False):
@@ -420,8 +503,56 @@ class CompiledChains:
         self._s, self._t, self._c = _prepare(algorithm, cse)
         self.source = generate_c_source(algorithm, cse=cse)
         self.lib = _compile_source(self.source)
-        for fn in ("form_S", "form_T", "form_C"):
-            getattr(self.lib, fn).restype = None
+        ptr, lng = ctypes.c_void_p, ctypes.c_long
+        for fn in (self.lib.form_S, self.lib.form_T):
+            fn.restype = None
+            fn.argtypes = [ptr, lng, lng, lng, ptr, lng, lng]
+        self.lib.form_C.restype = None
+        self.lib.form_C.argtypes = [ctypes.POINTER(ptr), lng, lng, ptr, lng,
+                                    ptr, lng, lng]
+
+    # ------------------------------------------------------------ kernels
+    def slab_rows(self) -> tuple[int, int, int]:
+        """Rows of the S slab, of the T slab (definitions + non-alias
+        chains; never empty) and of ``form_C``'s ``Y`` scratch."""
+        return (max(self._s["slots"], 1), max(self._t["slots"], 1),
+                len(self._c["defs"]))
+
+    def form_S(self, A, bp: int, bq: int, slab, i0: int, i1: int) -> None:
+        """Rows ``[i0, i1)`` of every S chain over the ``bp x bq`` blocks
+        of ``A`` (:func:`kernel_ready`) into ``slab``."""
+        self.lib.form_S(A.ctypes.data, A.strides[0] // 8, bp, bq,
+                        slab.ctypes.data, i0, i1)
+
+    def form_T(self, B, bq: int, bn: int, slab, i0: int, i1: int) -> None:
+        self.lib.form_T(B.ctypes.data, B.strides[0] // 8, bq, bn,
+                        slab.ctypes.data, i0, i1)
+
+    @staticmethod
+    def product_rows(products):
+        """The row-pointer array ``form_C`` reads the ``R`` products
+        through: the rows of a ``(R, bp * bn)`` slab, or any sequence of
+        contiguous product buffers."""
+        return (ctypes.c_void_p * len(products))(
+            *(M.ctypes.data for M in products))
+
+    def form_C(self, Mrows, bp: int, bn: int, C, Y, i0: int, i1: int) -> None:
+        """Rows ``[i0, i1)`` of every ``bp x bn`` block of ``C``
+        (:func:`kernel_ready`) from :meth:`product_rows`.  ``Y`` holds the
+        C-side definitions of one row at a time (``None`` without any), so
+        ranges that run concurrently must not share it."""
+        self.lib.form_C(Mrows, bp, bn, C.ctypes.data, C.strides[0] // 8,
+                        None if Y is None else Y.ctypes.data, i0, i1)
+
+    def operand(self, side: str, rr: int, slab, X, rows: int, cols: int):
+        """Rank ``rr``'s S (``side="s"``) or T operand: its slab row, or
+        for an alias chain the block of ``X`` itself -- a row-strided view
+        that ``np.matmul`` and a deeper level's kernels take as it is."""
+        kind, idx = (self._s if side == "s" else self._t)["layout"][rr]
+        if kind == "slot":
+            return slab[idx].reshape(rows, cols)
+        bi, bj = divmod(idx, X.shape[1] // cols)
+        return X[bi * rows:(bi + 1) * rows, bj * cols:(bj + 1) * cols]
 
     # ------------------------------------------------------------- driver
     def multiply(
@@ -447,7 +578,9 @@ class CompiledChains:
         :func:`repro.core.workspace.cbackend_footprint` every slab,
         product buffer and peel temporary comes from the arena; the
         returned array is never arena memory (a float64 ``out`` is
-        written directly, any other result is a fresh cast).
+        written directly, any other result is a fresh cast).  Only what
+        the kernels cannot address in place (:func:`kernel_ready`) is
+        packed, once, on entry.
         """
         from repro.core.workspace import check_out
 
@@ -467,8 +600,7 @@ class CompiledChains:
         ws = workspace
         if ws is not None:
             ws.reset()
-        Ad = _as_contiguous(A, ws)
-        Bd = _as_contiguous(B, ws)
+        Ad, Bd = (X if kernel_ready(X) else _packed(X, ws) for X in (A, B))
         if dtype.kind in "iub" and Ad.size and Bd.size:
             # double holds integers exactly only up to 2^53, and the fast
             # algorithm's *intermediates* (S_r/T_r sums, M_r products)
@@ -489,29 +621,32 @@ class CompiledChains:
                     " double -- use the interpreter for big-integer products"
                 )
         p, r = A.shape[0], B.shape[1]
-        if out is not None and dtype == np.float64 and out.dtype == np.float64:
+        if out is not None and kernel_ready(out):
             dest = out
-        elif dtype == np.float64:
+        elif dtype == np.float64 and out is None:
             # the returned array must never be arena memory (the next
             # call resets the workspace), so it comes from the heap
             dest = np.empty((p, r), dtype=np.float64)
         else:
             dest = _take(ws, (p, r))
         self._recurse(Ad, Bd, steps, dest, ws)
-        if dtype == np.float64:
-            return dest
-        C = dest
-        if dtype.kind in "iub":
-            C = np.rint(C)
-        if out is not None:
-            np.copyto(out, C, casting="unsafe")
+        if dest is out:
             return out
-        return C.astype(dtype)
+        if dtype.kind in "iub":
+            np.rint(dest, out=dest)
+        if out is not None:
+            np.copyto(out, dest, casting="unsafe")
+            return out
+        return dest if dtype == np.float64 else dest.astype(dtype)
 
     __call__ = multiply
 
-    def _recurse(self, A, B, steps: int, C: np.ndarray, ws) -> None:
-        """Write ``A @ B`` (float64) into ``C`` with ``steps`` levels."""
+    def _recurse(self, A, B, steps: int, C: np.ndarray, ws,
+                 sweep=_whole) -> None:
+        """Write ``A @ B`` into ``C`` with ``steps`` levels (all three
+        ``kernel_ready``).  ``sweep(kernel, nrows)`` runs ``kernel(i0, i1)``
+        over ``[0, nrows)``: in one call here, in row ranges on the pool
+        under the parallel DFS schedule."""
         p, q = A.shape
         r = B.shape[1]
         m, k, n = self.algorithm.base_case
@@ -520,70 +655,56 @@ class CompiledChains:
             return
         parts = peel_split(A, m, k) + peel_split(B, k, n)
         A11, B11 = parts[0], parts[4]
-        self._core(A11, B11, C[:A11.shape[0], :B11.shape[1]], steps, ws)
+        self._core(A11, B11, C[:A11.shape[0], :B11.shape[1]], steps, ws,
+                   sweep)
         peel_fixup(C, parts, np.matmul, ws)
 
-    def _core(self, A, B, Cout, steps, ws) -> None:
+    def _core(self, A, B, Cout, steps, ws, sweep) -> None:
         """One level on an evenly divisible core; writes into ``Cout``."""
         m, k, n = self.algorithm.base_case
         R = self.algorithm.rank
         p, q = A.shape
         r = B.shape[1]
         bp, bq, bn = p // m, q // k, r // n
+        s_rows, t_rows, y_rows = self.slab_rows()
 
         mark = ws.mark() if ws is not None else None
-        Sslab = _take(ws, (max(self._s["slots"], 1), bp * bq))
-        Tslab = _take(ws, (max(self._t["slots"], 1), bq * bn))
-        self.lib.form_S(
-            A.ctypes.data_as(_DPTR), ctypes.c_long(A.strides[0] // 8),
-            ctypes.c_long(bp), ctypes.c_long(bq), Sslab.ctypes.data_as(_DPTR),
-        )
-        self.lib.form_T(
-            B.ctypes.data_as(_DPTR), ctypes.c_long(B.strides[0] // 8),
-            ctypes.c_long(bq), ctypes.c_long(bn), Tslab.ctypes.data_as(_DPTR),
-        )
+        Sslab = _take(ws, (s_rows, bp * bq))
+        Tslab = _take(ws, (t_rows, bq * bn))
+        sweep(functools.partial(self.form_S, A, bp, bq, Sslab), bp)
+        sweep(functools.partial(self.form_T, B, bq, bn, Tslab), bq)
 
-        def operand(layout, slab, X, rows, cols, block_cols, rr):
-            kind, idx = layout[rr]
-            if kind == "slot":
-                return slab[idx].reshape(rows, cols)
-            bi, bj = divmod(idx, block_cols)
-            return X[bi * rows:(bi + 1) * rows, bj * cols:(bj + 1) * cols]
-
-        # one contiguous slab holds all R products: its rows are what the
-        # form_C pointer array addresses, and a deeper recursion level
-        # writes its result straight into the row (no per-product heap)
-        Mslab = _take(ws, (R, bp * bn))
+        # depth first, a product may overwrite a chain an earlier rank
+        # consumed (product_homes); only the rest get rows of their own.
+        # A deeper recursion level writes its result straight into them.
+        homes, own = product_homes(self._s["layout"], self._t["layout"],
+                                   bp, bq, bn)
+        slabs = {"s": Sslab, "t": Tslab, "m": _take(ws, (own, bp * bn))}
+        products = [slabs[kind][row][:bp * bn] for kind, row in homes]
         for rr in range(R):
-            S = operand(self._s["layout"], Sslab, A, bp, bq, k, rr)
-            T = operand(self._t["layout"], Tslab, B, bq, bn, n, rr)
-            rmark = ws.mark() if ws is not None else None
-            # alias operands are strided block views; BLAS (and the C
-            # kernels of a deeper level) want them packed, so pack into
-            # the arena instead of letting np.matmul buffer on the heap
-            self._recurse(_as_contiguous(S, ws), _as_contiguous(T, ws),
-                          steps - 1, Mslab[rr].reshape(bp, bn), ws)
-            if ws is not None:
-                ws.release(rmark)
+            self._recurse(self.operand("s", rr, Sslab, A, bp, bq),
+                          self.operand("t", rr, Tslab, B, bq, bn),
+                          steps - 1, products[rr].reshape(bp, bn), ws, sweep)
 
-        Mptrs = (_DPTR * R)(*[Mslab[rr].ctypes.data_as(_DPTR)
-                              for rr in range(R)])
-        ndefs = len(self._c["defs"])
-        scratch = _take(ws, (max(ndefs, 1) * bn,))
-        self.lib.form_C(
-            Mptrs, ctypes.c_long(bp), ctypes.c_long(bn),
-            Cout.ctypes.data_as(_DPTR), ctypes.c_long(Cout.strides[0] // 8),
-            scratch.ctypes.data_as(_DPTR),
-        )
+        Y = _take(ws, (y_rows * bn,)) if y_rows else None
+        sweep(functools.partial(self.form_C, self.product_rows(products),
+                                bp, bn, Cout, Y), bp)
         if ws is not None:
             ws.release(mark)
 
 
-@functools.lru_cache(maxsize=64)
-def _compiled_cached(name: str, cse: bool) -> CompiledChains:
-    from repro.algorithms import get_algorithm
+#: compiled kernels by what was emitted for them -- an algorithm's name,
+#: base case and coefficients, and the cse flag -- so the catalog entries,
+#: and any transformed or ad hoc algorithm handed to the schedules, are a
+#: dictionary hit after their first use (``FastAlgorithm`` itself is
+#: unhashable: its factors are arrays).  Guarded by ``_lib_lock``.
+_CHAINS: dict[tuple, CompiledChains] = {}
+_CHAINS_MAX = 64
 
-    return CompiledChains(get_algorithm(name), cse=cse)
+
+def _emitted_key(alg: FastAlgorithm) -> tuple:
+    return (alg.name, alg.base_case, alg.U.tobytes(), alg.V.tobytes(),
+            alg.W.tobytes())
 
 
 def compile_chains(
@@ -596,8 +717,43 @@ def compile_chains(
             "(set REPRO_CC or install gcc)"
         )
     if isinstance(algorithm, str):
-        return _compiled_cached(algorithm, cse)
-    return CompiledChains(algorithm, cse=cse)
+        from repro.algorithms import get_algorithm
+
+        algorithm = get_algorithm(algorithm)
+    key = (algorithm.memo("_emitted_key", _emitted_key), cse)
+    cc = _CHAINS.get(key)
+    if cc is None:
+        built = CompiledChains(algorithm, cse=cse)   # may run the compiler
+        with _lib_lock:
+            cc = _CHAINS.setdefault(key, built)
+            while len(_CHAINS) > _CHAINS_MAX:
+                del _CHAINS[next(iter(_CHAINS))]
+    return cc
+
+
+#: algorithms already warned about in :func:`serving_chains`; the warning
+#: fires once, the counter every time, a duplicate from two racing threads
+#: is benign
+_fallback_warned: set[str] = set()
+
+
+def serving_chains(algorithm: str | FastAlgorithm) -> CompiledChains | None:
+    """:func:`compile_chains` for a serving path that must not fail a
+    multiply the NumPy chains could have served: a compile or load error
+    (compiler uninstalled since tuning, cache dir yanked,
+    ``cbackend.compilefail`` chaos) is counted in ``cbackend.fallbacks``,
+    warned once per algorithm and answered with ``None``."""
+    try:
+        return compile_chains(algorithm)
+    except (OSError, RuntimeError) as exc:
+        telemetry.incr("cbackend.fallbacks")
+        name = getattr(algorithm, "name", algorithm)
+        if name not in _fallback_warned:
+            _fallback_warned.add(name)
+            _log.warning(
+                "compiled chain kernels unavailable for %r (%s); its chains "
+                "are formed by the NumPy executors instead", name, exc)
+        return None
 
 
 def multiply(

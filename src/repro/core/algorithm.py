@@ -106,6 +106,20 @@ class FastAlgorithm:
             int(np.count_nonzero(self.W)),
         )
 
+    def memo(self, key: str, compute):
+        """``compute(self)``, evaluated once per instance and kept on it.
+
+        For what hot paths derive from the factors over and over (chain
+        counts, the C backend's slab layout, cache keys): the instance is
+        immutable, but its factor arrays make it unhashable, so ``functools``
+        caches cannot key on it.  The result is shared -- read it only.
+        """
+        try:
+            return self.__dict__[key]
+        except KeyError:
+            # straight into __dict__: the dataclass is frozen
+            return self.__dict__.setdefault(key, compute(self))
+
     # ------------------------------------------------------------ validation
     def residual(self) -> float:
         """``||T_{<m,k,n>} - [[U,V,W]]||_F``."""

@@ -33,13 +33,12 @@ def _chain_counts(alg: FastAlgorithm) -> tuple[tuple[int, int, int, int], ...]:
     """Per side (S chains over A blocks, T over B blocks, C over products):
     ``(chains, nonzeros, single-term chains, non-unit coefficients)``.
 
-    Counted once per algorithm and kept on the instance (immutable, but
-    its factor arrays make it unhashable, so ``functools`` caches cannot
-    key on it): the tuner scores hundreds of candidates per shape."""
-    try:
-        return alg.__dict__["_chain_counts"]
-    except KeyError:
-        pass
+    Counted once per algorithm (:meth:`FastAlgorithm.memo`): the tuner
+    scores hundreds of candidates per shape."""
+    return alg.memo("_chain_counts", _count_chains)
+
+
+def _count_chains(alg: FastAlgorithm):
     sides = []
     for mat, axis in ((alg.U, 0), (alg.V, 0), (alg.W, 1)):
         terms = np.count_nonzero(mat, axis=axis)
@@ -49,8 +48,7 @@ def _chain_counts(alg: FastAlgorithm) -> tuple[tuple[int, int, int, int], ...]:
             int(np.count_nonzero(terms == 1)),
             int(np.count_nonzero((mat != 0) & (np.abs(mat) != 1.0))),
         ))
-    # straight into __dict__: the dataclass is frozen
-    return alg.__dict__.setdefault("_chain_counts", tuple(sides))
+    return tuple(sides)
 
 
 def recursive_flops(alg: FastAlgorithm, p: int, q: int, r: int, steps: int) -> int:
@@ -169,7 +167,11 @@ def plan_cost(
       score.  Sequential and DFS leaves run one after another on all
       ``threads``; BFS leaves one thread each in ``ceil(R^L / threads)``
       waves; the hybrids run the full waves that way and the remainder on
-      all threads (or in waves of ``threads / P'`` groups of P' threads);
+      all threads (or in waves of ``threads / P'`` groups of P' threads).
+      A full wave takes the single-thread leaf time or the all-threads
+      gemm over the wave's work, whichever is longer: leaves side by side
+      share the machine, a lone thread's measured rate is not theirs, and
+      both sides of the comparison with dgemm then read the same curve;
     - **S/T/C chain traffic** (:func:`addition_rw_counts` x block bytes,
       plus :func:`parallel_traffic` and the peel fix-ups of non-divisible
       dimensions) over the streaming-add bandwidth (Section 3.2:
@@ -178,13 +180,18 @@ def plan_cost(
       the NumPy executors make one pass *per term* whatever the strategy
       is called (pairwise counts), except ``streaming``;
     - a **fixed cost per product** of every fast call, and **per pool
-      task** of the parallel schemes.
+      task** of the parallel schemes -- the tasks the schedule submits.
 
     ``alg=None`` (or ``steps <= 0``) is the plain vendor gemm: exactly the
     curve's prediction.  ``backend="compiled"`` is scored in float64 -- the
-    C kernels compute in double whatever the operands are.
+    C kernels compute in double whatever the operands are.  A parallel
+    scheme is priced for the kernels its schedule will pick
+    (:func:`repro.codegen.cbackend.chains_fused`, the same question the
+    schedule and its arena ask): fused chains and one task per row range,
+    or NumPy passes and one task per chain (``dfs``) or child (the tree).
     """
     from repro.bench.machine import calibration
+    from repro.codegen.cbackend import chains_fused
 
     volume = p * q * r
     if alg is None or steps <= 0:
@@ -195,7 +202,8 @@ def plan_cost(
     one = cal if threads == 1 else calibration(dtype, 1, volume)
     # only DFS and the tree schemes spread their additions over the pool
     adders = one if scheme == "sequential" else cal
-    if backend == "compiled":
+    fused = scheme != "sequential" and chains_fused(dtype)
+    if backend == "compiled" or fused:
         strategy = "write_once"
     elif strategy != "streaming":
         strategy = "pairwise"
@@ -203,7 +211,7 @@ def plan_cost(
     m, k, n = alg.base_case
     words = parallel_traffic(alg, p, q, r, steps, scheme=scheme,
                              threads=threads, subgroup=subgroup)
-    products = 0
+    products = range_tasks = 0
     leaves, lp, lq, lr = 1, p, q, r
     for _ in range(steps):
         if lp < m or lq < k or lr < n:
@@ -216,6 +224,9 @@ def plan_cost(
         lp, lq, lr = lp // m, lq // k, lr // n
         words += leaves * (passes[0] * lp * lq + passes[1] * lq * lr
                            + passes[2] * lp * lr)
+        # a kernel sweep of the tree cuts each node into enough row ranges
+        # that the level has a task per thread
+        range_tasks += leaves * -(-threads // leaves)
         leaves *= alg.rank
         products += leaves
     cost = (words * np.dtype(dtype).itemsize / (adders.add_gbs * 1e9)
@@ -224,18 +235,27 @@ def plan_cost(
     if scheme in ("sequential", "dfs"):
         cost += leaves * wide
         if scheme == "dfs":
-            # every chain is a fan-out of one slab task per worker
+            # every sweep is a fan-out of one row-range task per worker:
+            # form_S, form_T and form_C per node when fused, else a sweep
+            # per chain
             (ca, _, sa, _), (cb, _, sb, _), (_, nc, _, _) = _chain_counts(alg)
-            fanouts = ca - sa + cb - sb + nc
+            fanouts = 3 if fused else ca - sa + cb - sb + nc
             cost += products / alg.rank * fanouts * threads * cal.task_s
         return cost
-    # one task to form each child, to multiply each leaf, to combine each node
-    cost += (2 * products + 1) * cal.task_s
+    if fused:
+        # a task per row range to expand and to combine, one per leaf
+        cost += (2 * range_tasks + leaves) * cal.task_s
+    else:
+        # one task to form each child, multiply each leaf, combine each node
+        cost += (2 * products + 1) * cal.task_s
     narrow = one.gemm.seconds(lp, lq, lr)
-    if scheme == "bfs":
-        return cost + math.ceil(leaves / threads) * narrow
-    cost += leaves // threads * narrow
+    # a full wave -- a leaf per thread, side by side -- is no faster than
+    # the vendor's own gemm on all threads over the wave's work
+    wave = max(narrow, cal.gemm.seconds(lp, lq, lr * threads))
     rem = leaves % threads
+    cost += leaves // threads * wave
+    if scheme == "bfs":
+        return cost + (rem > 0) * narrow
     if rem and scheme == "hybrid-subgroup" and subgroup:
         # P' threads per gemm: between the two measured rates, by log(threads)
         share = math.log(subgroup) / math.log(threads)

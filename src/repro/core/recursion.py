@@ -19,9 +19,10 @@ supplied, a call performs no array allocations at steady state; the
 arithmetic is the *same sequence of ufunc/gemm calls* as the allocating
 path, so results match it bit for bit.
 
-One recursive step is stated here once.  The parallel DFS scheme is
-:func:`_recurse` run with pool adders and a threaded gemm (the private
-:class:`_Ops` hooks); the BFS/hybrid task tree calls
+One recursive step is stated here once.  Where the compiled chain
+kernels do not serve, the parallel DFS scheme is :func:`_recurse` run with
+pool adders and a threaded gemm (the private :class:`_Ops` hooks) and the
+BFS/hybrid task tree calls
 :func:`accumulate_products` and :func:`repro.util.matrices.peel_fixup` in
 its combine stage; every driver and every footprint simulator asks
 :meth:`CutoffPolicy.should_recurse` whether to split.

@@ -70,7 +70,12 @@ per-strategy slots (CSE ``Y`` definitions, streaming block stacks) --
 Which formula sizes a tuner plan is decided in exactly one place,
 :func:`repro.tuner.dispatch.plan_footprint` (scheme, backend, strategy ->
 bytes, 0 for plain BLAS): per-call arenas, measurement arenas and the
-per-worker pools of elementwise batches all come from it.
+per-worker pools of elementwise batches all come from it.  A parallel
+scheme is sized for the kernels its schedule will form the chains with
+(:func:`repro.parallel.schedules.parallel_footprint`): the compiled ones
+use the slab layout -- :func:`cbackend_footprint`, per level for DFS, per
+node with ``tree=True`` -- and the NumPy adders :func:`dfs_footprint` /
+:func:`bfs_footprint`.
 
 The arena is not thread-safe for concurrent ``take`` calls; the parallel
 schedules preassign every buffer *before* fanning tasks out, which is also
@@ -642,8 +647,12 @@ def cbackend_footprint(
     dtype_a="float64",
     steps: int = 1,
     dtype_b=None,
+    tree: bool = False,
 ) -> int:
-    """Arena bytes for the compiled C chain driver (``backend="compiled"``).
+    """Arena bytes for the compiled C chain kernels: the sequential driver
+    (``backend="compiled"``), the parallel DFS that fans the same driver's
+    kernels out over row ranges, and -- with ``tree`` -- the BFS/hybrid
+    task tree when its chains are formed by those kernels.
 
     Mirrors :meth:`repro.codegen.cbackend.CompiledChains.multiply`, whose
     memory shape differs from both the interpreter and the generated
@@ -654,13 +663,18 @@ def cbackend_footprint(
       copy each, and a non-double result draws a double accumulation
       buffer that is cast once on exit;
     - ``form_S``/``form_T`` fill whole **slab arrays** (one row per CSE
-      definition + non-alias chain) in a single call, so all slab rows of
-      a level are live at once, alongside the contiguous ``(R, bp, bn)``
-      product slab that ``form_C`` reads after the rank loop;
-    - alias (zero-traffic) chains are strided block views that get packed
-      into the arena right before the leaf dgemm or a deeper recursion
-      (one S-sized + one T-sized buffer, marked/released per rank);
+      definition + non-alias chain), so all slab rows of a level are live
+      at once, alongside the products ``form_C`` reads after the rank
+      loop -- depth first, a product overwrites a chain an earlier rank
+      consumed (:func:`repro.codegen.cbackend.product_homes`), so only the
+      first few need rows of their own; alias (zero-traffic) chains are
+      block views of the parent operand and cost nothing;
     - ``form_C`` takes ``|C defs|`` scratch rows.
+
+    The depth-first drivers hold one such set per level; the ``tree``
+    holds one per *node* -- ``R^l`` of them at level ``l``, the Section
+    4.2 pools with ``slots`` rows where the NumPy tree
+    (:func:`bfs_footprint`) holds ``R`` separate buffers.
 
     The levels and the peel term are the shared :func:`_split_levels` /
     :func:`_peel_bytes`.  Slot counts come from the backend's own
@@ -668,7 +682,7 @@ def cbackend_footprint(
     ``repro.codegen`` depends on this module, not vice versa), so arena
     sizing cannot drift from the slab layout the emitted C actually uses.
     """
-    from repro.codegen.cbackend import _prepare
+    from repro.codegen.cbackend import _prepare, product_homes
 
     s, t, c = _prepare(algorithm, cse)
     R = algorithm.rank
@@ -684,20 +698,20 @@ def cbackend_footprint(
         total += take(q * r)                        # Bd conversion copy
     if np.result_type(a, b) != f64:
         total += take(p * r)                        # double result buffer
+    nodes = 1
     for _, base, dims, (bp, bq, bn) in _split_levels(
             [algorithm.base_case] * steps, p, q, r):
-        total += take(max(s["slots"], 1) * bp * bq)    # form_S slab
-        total += take(max(t["slots"], 1) * bq * bn)    # form_T slab
-        total += take(R * bp * bn)                     # product slab
-        total += take(max(len(c["defs"]), 1) * bn)     # form_C Y scratch
-        # per-rank packing of alias (strided block view) operands before
-        # the leaf dgemm or a deeper recursion; released before the next
-        # rank, so one instance bounds all R
-        if any(kind == "alias" for kind, _ in s["layout"]):
-            total += take(bp * bq)
-        if any(kind == "alias" for kind, _ in t["layout"]):
-            total += take(bq * bn)
-        total += take(_peel_bytes(dims, base, (bp, bq, bn), 1))
+        total += take(max(s["slots"], 1) * bp * bq, nodes)   # form_S slab
+        total += take(max(t["slots"], 1) * bq * bn, nodes)   # form_T slab
+        # all R products live until form_C: a slab of their own per tree
+        # node; depth first, those that found no consumed chain to overwrite
+        own = R if tree else product_homes(s["layout"], t["layout"],
+                                           bp, bq, bn)[1]
+        total += take(own * bp * bn, nodes)                  # product slab
+        total += take(len(c["defs"]) * bn, nodes)            # form_C Y rows
+        total += take(_peel_bytes(dims, base, (bp, bq, bn), 1), nodes)
+        if tree:
+            nodes *= R
     return take.total(total)
 
 

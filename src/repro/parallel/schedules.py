@@ -4,16 +4,16 @@ Three schemes over the recursion tree:
 
 - **DFS** (Section 4.1): ordinary depth-first recursion; every leaf gemm
   uses *all* P threads (vendor-BLAS parallelism) and every addition chain
-  is row-slab parallelized.  Code path identical to sequential
-  (:func:`repro.core.recursion._recurse` itself); needs large leaves to
-  profit (the parallel dgemm ramp-up is flatter).
+  is row parallelized.  Code path identical to sequential -- the compiled
+  driver, or the interpreter; needs large leaves to profit (the parallel
+  dgemm ramp-up is flatter).
 
 - **BFS** (Section 4.2): task parallelism.  The recursion tree is expanded
-  level-synchronously: one task per (node, r) forms ``S_r``/``T_r`` with
-  its additions, a ``taskwait`` barrier separates levels, the ``R^L`` leaf
+  level-synchronously: tasks form every node's ``S_r``/``T_r`` with its
+  additions, a ``taskwait`` barrier separates levels, the ``R^L`` leaf
   products run as independent single-BLAS-thread tasks, and combine stages
-  walk back up with one task per node.  Needs ~R/(MN) extra memory per
-  level and suffers load imbalance when P does not divide the task count.
+  walk back up.  Needs ~R/(MN) extra memory per level and suffers load
+  imbalance when P does not divide the task count.
 
 - **HYBRID** (Section 4.3): the first ``R^L - (R^L mod P)`` leaves run BFS
   style (perfectly load balanced), the remaining ``R^L mod P`` run DFS
@@ -25,31 +25,62 @@ Three schemes over the recursion tree:
 Dynamic peeling applies at every node: the boundary fix-up products
 (:func:`repro.util.matrices.peel_fixup`) run during its combine stage.
 
+**Which kernels form the chains** is decided per call by
+:func:`repro.codegen.cbackend.chains_fused` -- it is not a plan dimension
+and nothing selects it.  Float64 operands the compiled kernels can address
+in place, on a host where the algorithm's module loads, get the fused C
+kernels (``form_S``/``form_T``/``form_C``) over row ranges, one pool task
+per range (ctypes releases the GIL; a range recomputes its rows from the
+kernel's inputs, so the tasks are retryable): DFS is the compiled driver
+with three fan-outs per level, and a tree level is ``form_S`` + ``form_T``
+per (node, row range) on the way down and ``form_C`` per (node, row range)
+on the way up, with enough ranges that every level -- the root included --
+has at least P tasks.  Everything else (float32, exotic strides, no
+compiler, a compile that fails at the call) is formed by the NumPy
+row-slab adders: one fan-out per chain under DFS, one task per child and
+per combine in the tree.  The arithmetic per element is the same sequence
+either way, so both agree with the interpreter bit for bit on the +-1
+catalog entries.
+
 Every scheme accepts ``out=`` and ``workspace=`` (a
-:class:`repro.core.workspace.Workspace`): DFS reuses one per-level
-``S``/``T``/``M_r`` triple from the arena, BFS/HYBRID draw every node's
-``S``/``T`` operands and result storage from per-level arena pools whose
-sizes follow the Section 4.2 per-level memory formula.  Buffers are
-preassigned *before* tasks fan out (deterministic, no allocator in any
-task body), so a warm call performs no large allocations.
+:class:`repro.core.workspace.Workspace` of :func:`parallel_footprint`
+bytes).  With the compiled kernels a DFS level, and every node of the
+tree, holds one S slab and one T slab (a row per non-alias chain; alias
+chains are views of the node's own blocks) and its products (one
+contiguous slab per tree node, which ``form_C`` reads and the children
+write as their results).  With the NumPy adders DFS reuses one
+``S``/``T``/``M_r`` triple per level and the tree draws a buffer per child
+from per-level pools whose sizes follow the Section 4.2 memory formula.
+Buffers are preassigned *before* tasks fan out (deterministic, no
+allocator in any task body), so a warm call performs no large
+allocations.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 
 import numpy as np
 
+from repro.codegen import cbackend
 from repro.core.algorithm import FastAlgorithm
 from repro.core import recursion
 from repro.core.recursion import accumulate_products, combine_blocks
-from repro.core.workspace import Workspace, needs_scratch
+from repro.core.workspace import (
+    Workspace,
+    bfs_footprint,
+    cbackend_footprint,
+    dfs_footprint,
+    needs_scratch,
+)
 from repro.obs import telemetry
 from repro.parallel import blas
 from repro.parallel.gemm import dgemm
 from repro.parallel.pool import (
     WorkerPool,
+    _row_slabs,
     parallel_axpy,
     parallel_combine,
 )
@@ -81,13 +112,30 @@ def default_subgroup(threads: int) -> int:
 
 
 # =========================================================================
-# DFS: the reference recursion with every addition and gemm on all threads
+# DFS: the sequential recursion with every addition and gemm on all threads
 # =========================================================================
 def _run_dfs(A, B, alg: FastAlgorithm, steps: int, pool: WorkerPool,
-             threads: int, out, ws: Workspace | None) -> np.ndarray:
-    """:func:`repro.core.recursion._recurse` with the pool's row-slab adders
-    ("matrix additions are trivially parallelized", Section 4.1) and a
-    ``threads``-wide gemm for the leaves and the peeling fix-ups."""
+             threads: int, out, ws: Workspace | None,
+             cc: "cbackend.CompiledChains | None") -> np.ndarray:
+    """Section 4.1: the same routine as the sequential code, "matrix
+    additions are trivially parallelized" over rows and the leaves and
+    peeling fix-ups run a ``threads``-wide gemm.
+
+    With compiled kernels that routine is the compiled driver
+    (:meth:`CompiledChains._recurse`) and a level is three fan-outs --
+    ``form_S``, ``form_T``, ``form_C``, one task per row range; without
+    them it is the interpreter (:func:`repro.core.recursion._recurse`)
+    with the pool's row-slab adders, one fan-out per chain."""
+    if cc is not None:
+        def sweep(kernel, nrows: int) -> None:
+            # a range is recomputed from the kernel's inputs: retryable
+            pool.map_wait(lambda sl: kernel(sl.start, sl.stop),
+                          _row_slabs(nrows, threads), retryable=True)
+
+        C = out if out is not None else np.empty((A.shape[0], B.shape[1]))
+        with blas.blas_threads(threads):
+            cc._recurse(A, B, steps, C, ws, sweep)
+        return C
     gemm = functools.partial(dgemm, threads=threads)
     gemm._accepts_out = True  # spares _leaf the reflection
     ops = recursion._Ops(functools.partial(parallel_combine, pool),
@@ -102,7 +150,7 @@ def _run_dfs(A, B, alg: FastAlgorithm, steps: int, pool: WorkerPool,
 # =========================================================================
 @dataclasses.dataclass
 class _Preassigned:
-    """What a combine task hands :func:`peel_fixup` as its arena: the one
+    """What a fix-up task hands :func:`peel_fixup` as its arena: the one
     buffer carved for it before the tasks fanned out (a task body must
     never touch the shared bump pointer)."""
 
@@ -120,7 +168,19 @@ class _Preassigned:
 
 @dataclasses.dataclass
 class _Node:
-    """One subproblem in the recursion tree."""
+    """One subproblem in the recursion tree.
+
+    A level is expanded and, on the way back up, combined in the same
+    three moves whichever kernels form the chains: :meth:`split` carves
+    every buffer the node's children and its own combine will use
+    (serially -- no task body touches the bump pointer) and returns the
+    work items whose :meth:`form` tasks fill the children's operands;
+    :meth:`assemble` tasks write the core of C from the children's
+    products; :meth:`fixup` adds what dynamic peeling stripped.  This
+    class forms its chains with the serial NumPy adders, one task per
+    child and one per combine (Section 4.2: the additions belong to the
+    task); :class:`_FusedNode` with the compiled kernels over row ranges.
+    """
 
     A: np.ndarray
     B: np.ndarray
@@ -128,61 +188,174 @@ class _Node:
     alg: FastAlgorithm
     children: list["_Node"] = dataclasses.field(default_factory=list)
     result: np.ndarray | None = None
-    #: preassigned result storage (arena pool view, or the caller's ``out``)
+    #: preassigned result storage (arena view, or the caller's ``out``)
     result_buf: np.ndarray | None = None
     # the eight peeling views, captured at expansion, applied at combine
     _peel: tuple | None = None
-    # (S_buf, T_buf, scratch) per rank, preassigned before the form tasks run
+    # (S_buf, T_buf, scratch, result_buf) per rank, preassigned by split
     _child_bufs: list | None = None
     # combine-stage scratch for W coefficients outside {0, +-1}
     _scratch: np.ndarray | None = None
     # preassigned (pc x rc) buffer for the inner-dimension peel fix-up
     _qfix: _Preassigned | None = None
 
-    def expand(self) -> list[tuple["_Node", int]]:
-        """Split into per-rank child subproblems; returns (self, r) work
-        items whose S/T formation runs as tasks."""
-        m, k, n = self.alg.base_case
-        self._peel = peel_split(self.A, m, k) + peel_split(self.B, k, n)
-        self.children = [None] * self.alg.rank  # type: ignore[list-item]
-        self._child_bufs = [(None, None, None)] * self.alg.rank
-        return [(self, r) for r in range(self.alg.rank)]
-
     def core_shape(self) -> tuple[int, int, int]:
         """``(pc, qc, rc)`` of the evenly divisible core."""
         return self._peel[0].shape + self._peel[4].shape[1:]
 
-    def form_child(self, r: int) -> "_Node":
-        """Task body: form (S_r, T_r) with serial additions (they belong to
-        the task, Section 4.2)."""
+    def _peel_core(self, ws: Workspace | None, ctype) -> tuple[int, int, int]:
+        """Capture the peeling views; returns the block dims ``(bp, bq,
+        bn)`` the children inherit."""
         m, k, n = self.alg.base_case
-        S_buf, T_buf, scr = self._child_bufs[r]
-        S = combine_blocks(block_views(self._peel[0], m, k),
-                           self.alg.U[:, r], out=S_buf, scratch=scr)
-        T = combine_blocks(block_views(self._peel[4], k, n),
-                           self.alg.V[:, r], out=T_buf, scratch=scr)
-        child = _Node(S, T, self.level + 1, self.alg)
-        self.children[r] = child
-        return child
+        self._peel = peel_split(self.A, m, k) + peel_split(self.B, k, n)
+        pc, qc, rc = self.core_shape()
+        if ws is not None and self.A.shape[1] != qc:
+            self._qfix = _Preassigned(ws.take((pc, rc), ctype))
+        return pc // m, qc // k, rc // n
 
+    # ------------------------------------------------------------ expansion
+    def split(self, ws: Workspace | None, parts: int) -> list:
+        ctype = np.result_type(self.A, self.B)
+        bp, bq, bn = self._peel_core(ws, ctype)
+        R = self.alg.rank
+        self.children = [None] * R  # type: ignore[list-item]
+        self._child_bufs = [(None, None, None, None)] * R
+        if ws is not None:
+            uv_scratch, w_scratch = _scratch_needs(self.alg)
+            if w_scratch:
+                self._scratch = ws.take_scratch(bp * bn * ctype.itemsize)
+            for rr in range(R):
+                S_buf = ws.take((bp, bq), self.A.dtype)
+                T_buf = ws.take((bq, bn), self.B.dtype)
+                scr = None
+                if uv_scratch:
+                    scr = ws.take_scratch(max(S_buf.nbytes, T_buf.nbytes))
+                self._child_bufs[rr] = (S_buf, T_buf, scr,
+                                        ws.take((bp, bn), ctype))
+        return list(range(R))
+
+    def form(self, rr: int) -> None:
+        """Task body: form (S_r, T_r) with serial additions."""
+        m, k, n = self.alg.base_case
+        S_buf, T_buf, scr, M_buf = self._child_bufs[rr]
+        S = combine_blocks(block_views(self._peel[0], m, k),
+                           self.alg.U[:, rr], out=S_buf, scratch=scr)
+        T = combine_blocks(block_views(self._peel[4], k, n),
+                           self.alg.V[:, rr], out=T_buf, scratch=scr)
+        self.children[rr] = _Node(S, T, self.level + 1, self.alg,
+                                  result_buf=M_buf)
+
+    # --------------------------------------------------------------- leaves
     def leaf_multiply(self) -> None:
         self.result = np.matmul(self.A, self.B, out=self.result_buf)
 
-    def combine(self) -> None:
-        """Task body: assemble C from children products + peel fix-ups."""
+    # -------------------------------------------------------------- combine
+    def _destination(self) -> None:
+        if self.result_buf is None:  # a root without ``out``
+            self.result_buf = np.empty(
+                (self.A.shape[0], self.B.shape[1]),
+                dtype=np.result_type(self.A, self.B))
+
+    def assemble_items(self, parts: int) -> list:
+        """Serial prelude of :meth:`assemble`; its work items."""
+        self._destination()
+        return [None]
+
+    def assemble(self, _item) -> None:
+        """Task body: the core of C from the children's products."""
         pc, _, rc = self.core_shape()
         m, _, n = self.alg.base_case
-        C = self.result_buf
-        if C is None:
-            C = np.empty((self.A.shape[0], self.B.shape[1]),
-                         dtype=np.result_type(self.A, self.B))
         accumulate_products(
-            block_views(C[:pc, :rc], m, n), self.alg.W,
+            block_views(self.result_buf[:pc, :rc], m, n), self.alg.W,
             ((rr, child.result) for rr, child in enumerate(self.children)),
             scratch=self._scratch)
-        peel_fixup(C, self._peel, np.matmul, self._qfix)
-        self.result = C
+
+    def peeled(self) -> bool:
+        return (self.A.shape + self.B.shape[1:]) != self.core_shape()
+
+    def fixup(self) -> None:
+        """Task body: the boundary products of dynamic peeling."""
+        peel_fixup(self.result_buf, self._peel, np.matmul, self._qfix)
+
+    def finish(self) -> None:
+        self.result = self.result_buf
         self.children = []  # release child references promptly
+
+
+@dataclasses.dataclass
+class _FusedNode(_Node):
+    """A node whose chains the compiled kernels form (float64 throughout).
+
+    Its children's operands live in one S and one T slab (``slots`` rows,
+    not ``R``: alias chains are views of this node's own blocks) and
+    their products in one contiguous ``(R, bp * bn)`` slab -- the layout
+    of the sequential compiled driver, per node.  Expansion is ``form_S``
+    + ``form_T`` and the combine ``form_C``, each per row range, so a
+    level has at least ``threads`` tasks however few nodes it has.
+    """
+
+    cc: "cbackend.CompiledChains | None" = None
+    # the S, T and product slabs (the kernels hold raw pointers into them)
+    _slabs: tuple | None = None
+    # form_C's row pointers into the product slab
+    _products: object = None
+    # (bp, bq, bn): the block dimensions the children inherit
+    _blk: tuple | None = None
+
+    def split(self, ws: Workspace | None, parts: int) -> list:
+        cc, R = self.cc, self.alg.rank
+        self._blk = bp, bq, bn = self._peel_core(ws, np.float64)
+        A11, B11 = self._peel[0], self._peel[4]
+        s_rows, t_rows, _ = cc.slab_rows()
+        take = ws.take if ws is not None else np.empty
+        Sslab = take((s_rows, bp * bq), np.float64)
+        Tslab = take((t_rows, bq * bn), np.float64)
+        Mslab = take((R, bp * bn), np.float64)
+        self._slabs = (Sslab, Tslab, Mslab)
+        self._products = cc.product_rows(Mslab)
+        self.children = [
+            _FusedNode(cc.operand("s", rr, Sslab, A11, bp, bq),
+                       cc.operand("t", rr, Tslab, B11, bq, bn),
+                       self.level + 1, self.alg,
+                       result_buf=Mslab[rr].reshape(bp, bn), cc=cc)
+            for rr in range(R)]
+        return list(itertools.zip_longest(_row_slabs(bp, parts),
+                                          _row_slabs(bq, parts)))
+
+    def form(self, item) -> None:
+        """Task body: one row range of every S chain and of every T chain."""
+        (bp, bq, bn), (Sslab, Tslab, _) = self._blk, self._slabs
+        s_rows, t_rows = item
+        if s_rows is not None:
+            self.cc.form_S(self._peel[0], bp, bq, Sslab,
+                           s_rows.start, s_rows.stop)
+        if t_rows is not None:
+            self.cc.form_T(self._peel[4], bq, bn, Tslab,
+                           t_rows.start, t_rows.stop)
+
+    def assemble_items(self, parts: int) -> list:
+        self._destination()
+        return _row_slabs(self._blk[0], parts)
+
+    def assemble(self, rows: slice) -> None:
+        """Task body: one row range of every block of the core of C."""
+        bp, _, bn = self._blk
+        self.cc.form_C(self._products, bp, bn, self.result_buf, None,
+                       rows.start, rows.stop)
+
+
+def _scratch_needs(alg: FastAlgorithm) -> tuple[bool, bool]:
+    """Whether ``alg``'s (U or V, W) carry coefficients outside {0, +-1},
+    i.e. whether the NumPy chains need scaling scratch to stay
+    allocation-free.  Every node of every call asks, so it is kept on the
+    algorithm."""
+    return alg.memo("_scratch_needs", lambda a: (
+        needs_scratch(a.U) or needs_scratch(a.V), needs_scratch(a.W)))
+
+
+def _fan_out(pool: WorkerPool, work: list[tuple], retryable: bool) -> None:
+    """One level-wide barrier over ``(bound task body, item)`` pairs."""
+    pool.map_wait(lambda wi: wi[0](wi[1]), work, retryable=retryable)
 
 
 def _expand_tree(
@@ -190,74 +363,55 @@ def _expand_tree(
     levels: int,
     pool: WorkerPool,
     ws: Workspace | None = None,
+    threads: int | None = None,
 ) -> list[list[_Node]]:
     """Level-synchronous expansion with a taskwait barrier per level.
 
     Every node of a level has the same shape (children inherit one peeled
     core), so a level splits whole or not at all and the leaves are
-    exactly ``tree[-1]``.  With an arena, each level's S/T pool is carved
-    *serially* here before the form tasks fan out -- the per-level pools
-    of Section 4.2, assigned deterministically so no task body ever
+    exactly ``tree[-1]``.  Each level's buffers are carved *serially* here
+    (:meth:`_Node.split`) before the form tasks fan out -- the per-level
+    pools of Section 4.2, assigned deterministically so no task body ever
     touches the bump pointer.
     """
+    threads = threads or pool.workers
     policy = recursion.CutoffPolicy(max_steps=levels)
     m, k, n = root.alg.base_case
-    uv_scratch = needs_scratch(root.alg.U) or needs_scratch(root.alg.V)
     tree: list[list[_Node]] = [[root]]
     for level in range(levels):
-        head = tree[-1][0]
+        nodes = tree[-1]
+        head = nodes[0]
         if not policy.should_recurse(level, *head.A.shape, head.B.shape[1],
                                      m, k, n):
             break  # too small: the level stays leaves, multiplied directly
-        work = [item for node in tree[-1] for item in node.expand()]
-        if ws is not None:
-            for node, rr in work:
-                pc, qc, rc = node.core_shape()
-                S_buf = ws.take((pc // m, qc // k), node.A.dtype)
-                T_buf = ws.take((qc // k, rc // n), node.B.dtype)
-                scr = None
-                if uv_scratch:
-                    scr = ws.take_scratch(max(S_buf.nbytes, T_buf.nbytes))
-                node._child_bufs[rr] = (S_buf, T_buf, scr)
-        # forming a child recomputes S/T from the parent's operands
-        # into preassigned buffers -- idempotent, so retryable
-        tree.append(pool.map_wait(lambda wi: wi[0].form_child(wi[1]), work,
-                                  retryable=True))
+        parts = -(-threads // len(nodes))
+        # forming a child recomputes its operands from the parent's into
+        # preassigned buffers -- idempotent, so retryable
+        _fan_out(pool, [(nd.form, item) for nd in nodes
+                        for item in nd.split(ws, parts)], retryable=True)
+        tree.append([child for nd in nodes for child in nd.children])
     return tree
 
 
-def _combine_tree(
-    tree: list[list[_Node]],
-    pool: WorkerPool,
-    ws: Workspace | None = None,
-) -> None:
-    w_scratch = needs_scratch(tree[0][0].alg.W)
+def _combine_tree(tree: list[list[_Node]], pool: WorkerPool,
+                  threads: int) -> None:
+    """Walk back up: per level, assemble every core of C from its
+    children's products, then -- behind a barrier, they accumulate into
+    those cores -- run the peeling fix-ups of the nodes that have any."""
     for nodes in reversed(tree[:-1]):
-        if ws is not None:
-            _assign_result_buffers(nodes, ws)
-            for nd in nodes:
-                pc, qc, rc = nd.core_shape()
-                ctype = np.result_type(nd.A, nd.B)
-                if w_scratch:
-                    m, _, n = nd.alg.base_case
-                    nd._scratch = ws.take_scratch(
-                        (pc // m) * (rc // n) * ctype.itemsize)
-                if nd.A.shape[1] != qc:
-                    nd._qfix = _Preassigned(ws.take((pc, rc), ctype))
-        pool.map_wait(lambda nd: nd.combine(), nodes)
+        parts = -(-threads // len(nodes))
+        # assembling overwrites the core from the products: retryable;
+        # a fix-up accumulates into it: not
+        _fan_out(pool, [(nd.assemble, item) for nd in nodes
+                        for item in nd.assemble_items(parts)], retryable=True)
+        pool.map_wait(lambda nd: nd.fixup(),
+                      [nd for nd in nodes if nd.peeled()])
+        for nd in nodes:
+            nd.finish()
 
 
 def _bfs_leaves(tree: list[list[_Node]]) -> list[_Node]:
     return tree[-1]  # a level splits whole or not at all (_expand_tree)
-
-
-def _assign_result_buffers(nodes: list[_Node], ws: Workspace) -> None:
-    for nd in nodes:
-        # the root's storage is the caller's ``out`` (or a fresh array) --
-        # arena memory must never escape to the caller
-        if nd.level > 0:
-            nd.result_buf = ws.take((nd.A.shape[0], nd.B.shape[1]),
-                                    np.result_type(nd.A, nd.B))
 
 
 def _run_tree(
@@ -280,10 +434,8 @@ def _run_tree(
         return telemetry.span(f"parallel.{name}.{part}")
 
     with phase("expand"):
-        tree = _expand_tree(root, steps, pool, ws)
+        tree = _expand_tree(root, steps, pool, ws, threads)
     leaves = _bfs_leaves(tree)
-    if ws is not None:
-        _assign_result_buffers(leaves, ws)
     n_bfs = len(leaves) - (len(leaves) % threads if hybrid else 0)
     bfs_part, dfs_part = leaves[:n_bfs], leaves[n_bfs:]
     # 1) perfectly balanced BFS batch, pure task parallelism
@@ -310,13 +462,45 @@ def _run_tree(
                             retryable=True,
                         )
     with phase("combine"):
-        _combine_tree(tree, pool, ws)
+        _combine_tree(tree, pool, threads)
     return root.result
 
 
 # =========================================================================
-# public entry point
+# public entry points
 # =========================================================================
+def parallel_footprint(
+    algorithm: FastAlgorithm,
+    steps: int,
+    scheme: str,
+    p: int,
+    q: int,
+    r: int,
+    dtype_a="float64",
+    dtype_b=None,
+    fused: bool | None = None,
+) -> int:
+    """Arena bytes one :func:`multiply_parallel` call draws.
+
+    The layout follows the kernels that form the chains (``fused``;
+    default: what :func:`repro.codegen.cbackend.chains_fused` says for
+    these dtypes).  Compiled kernels fill whole slabs --
+    :func:`repro.core.workspace.cbackend_footprint`, one set per level for
+    ``dfs``, one per node for the tree schemes; the NumPy adders use one
+    S/T/M_r triple per level (:func:`~repro.core.workspace.dfs_footprint`)
+    resp. a buffer per child (:func:`~repro.core.workspace.bfs_footprint`).
+    """
+    if fused is None:
+        fused = cbackend.chains_fused(dtype_a, dtype_b)
+    if fused:
+        return cbackend_footprint(algorithm, False, (p, q, r), dtype_a,
+                                  steps, dtype_b, tree=scheme != "dfs")
+    if scheme == "dfs":
+        return dfs_footprint([algorithm.base_case] * steps, p, q, r,
+                             dtype_a, dtype_b, algorithms=[algorithm] * steps)
+    return bfs_footprint(algorithm, steps, p, q, r, dtype_a, dtype_b)
+
+
 def multiply_parallel(
     A: np.ndarray,
     B: np.ndarray,
@@ -335,11 +519,20 @@ def multiply_parallel(
     ``threads`` defaults to the pool's worker count; ``subgroup`` is the
     P' of the sub-group hybrid.
 
-    ``out`` receives the product; ``workspace`` is an arena sized by
-    :func:`repro.core.workspace.dfs_footprint` (dfs) or
-    :func:`~repro.core.workspace.bfs_footprint` (bfs/hybrid) from which
-    every temporary is drawn, so a warm ``(out, workspace)`` call performs
-    no large allocations.
+    Which kernels form the chains is decided here, per call, from what
+    the call can observe (:func:`repro.codegen.cbackend.chains_fused`):
+    float64 operands the compiled kernels can address in place, and a
+    module that loads for ``algorithm``, get the fused C kernels over row
+    ranges; anything else the NumPy adders -- also when the compile fails
+    at this very call (counted in ``cbackend.fallbacks``, warned once per
+    algorithm).
+
+    ``out`` receives the product; ``workspace`` is an arena of
+    :func:`parallel_footprint` bytes from which every temporary is drawn,
+    so a warm ``(out, workspace)`` call performs no large allocations.
+    (The tree's slab layout never needs more than its NumPy layout; a
+    ``dfs`` arena of the Section 4.1 size, one triple per level, is served
+    by the adders it was laid out for.)
     """
     A, B, out = recursion._operands(A, B, out, workspace)
     if scheme not in SCHEMES:
@@ -351,6 +544,20 @@ def multiply_parallel(
             f"subgroup (P') only applies to scheme 'hybrid-subgroup', "
             f"not {scheme!r}"
         )
+    fused = cbackend.chains_fused(A.dtype, B.dtype, (A, B, out))
+    cc = cbackend.serving_chains(algorithm) if fused else None
+    if fused and cc is None:
+        # the kernels failed to load at this very call: the arena was laid
+        # out for them, so the (counted) fallback allocates for itself
+        # rather than mis-fit it -- as the sequential compiled path does
+        workspace = None
+    elif (cc is not None and scheme == "dfs" and workspace is not None
+          and workspace.nbytes < parallel_footprint(
+              algorithm, steps, scheme, A.shape[0], *B.shape, fused=True)):
+        # Section 4.1's arena -- one S/T/M_r triple per level, "no extra
+        # memory" (Workspace.for_recursion) -- cannot hold the slabs; the
+        # adders it was laid out for can run in it
+        cc = None
     owns_pool = pool is None
     pool = pool or WorkerPool(threads)
     P = threads or pool.workers
@@ -363,12 +570,15 @@ def multiply_parallel(
                     f"subgroup (P') must divide the thread count ({P}), "
                     f"got {sg}"
                 )
-        with telemetry.span("parallel." + scheme, threads=P):
+        with telemetry.span("parallel." + scheme, threads=P,
+                            chains="numpy" if cc is None else "fused"):
             if scheme == "dfs":
                 _label_tasks(pool, "dfs")
                 return _run_dfs(A, B, algorithm, steps, pool, P, out,
-                                workspace)
-            root = _Node(A, B, 0, algorithm, result_buf=out)
+                                workspace, cc)
+            node = (_Node if cc is None
+                    else functools.partial(_FusedNode, cc=cc))
+            root = node(A, B, 0, algorithm, result_buf=out)
             return _run_tree(root, steps, pool, P, hybrid=scheme != "bfs",
                              subgroup=sg, ws=workspace)
     finally:

@@ -63,21 +63,19 @@ import numpy as np
 
 from repro.algorithms import get_algorithm
 from repro.bench.metrics import effective_gflops
-from repro.codegen import compile_algorithm
+from repro.codegen import cbackend, compile_algorithm
 from repro.core.workspace import (
     Workspace,
-    bfs_footprint,
     cbackend_footprint,
     check_out,
     codegen_footprint,
-    dfs_footprint,
 )
 from repro.guard import chain as _guard_chain
 from repro.guard import faults
 from repro.obs import telemetry
 from repro.parallel import blas
 from repro.parallel.pool import WorkerPool, resolve_threads
-from repro.parallel.schedules import multiply_parallel
+from repro.parallel.schedules import multiply_parallel, parallel_footprint
 from repro.tuner.cache import PlanCache
 from repro.tuner.policy import TuningPolicy, get_policy, measured_plan
 from repro.tuner.space import Plan, enumerate_plans
@@ -106,10 +104,6 @@ _workspaces: "OrderedDict[tuple, Workspace]" = OrderedDict()
 #: A duplicate warning from two racing threads is benign, so membership is
 #: checked without the dispatch lock.
 _overflow_warned: set[tuple] = set()
-#: algorithms already warned about a serving-time compile/load failure --
-#: like ``_overflow_warned``, the warning fires once, the telemetry
-#: counter every time, and a duplicate from racing threads is benign
-_cbackend_warned: set[str] = set()
 _pools: dict[int, WorkerPool] = {}
 #: guards _workspaces/_pools/_default_cache mutation -- concurrent
 #: dispatchers are a supported pattern (arenas are thread-keyed), so the
@@ -140,7 +134,7 @@ def reset_workspaces() -> None:
     with _dispatch_lock:
         _workspaces.clear()
         _overflow_warned.clear()
-        _cbackend_warned.clear()
+    cbackend._fallback_warned.clear()
 
 
 def shutdown_shared_pools() -> None:
@@ -202,7 +196,9 @@ def plan_footprint(plan: Plan, p: int, q: int, r: int,
     The one place a plan's (scheme, backend, strategy) picks its footprint
     formula: per-call arenas, measurement arenas and the per-worker pools
     of elementwise batches are all sized here, by the formula of the
-    executor :func:`execute_plan` will run.
+    executor :func:`execute_plan` will run -- for a parallel scheme, of
+    the chain kernels its schedule will pick for these dtypes
+    (:func:`repro.codegen.cbackend.chains_fused`).
     """
     if plan.is_dgemm:
         return 0
@@ -210,7 +206,7 @@ def plan_footprint(plan: Plan, p: int, q: int, r: int,
     if plan.scheme == "sequential":
         if plan.backend == "compiled":
             # the C chain kernels: fused S/T slabs, the R-row product
-            # slab, Y scratch, alias packing
+            # slab, Y scratch
             return cbackend_footprint(alg, False, (p, q, r), dtype_a,
                                       plan.steps, dtype_b=dtype_b)
         # the *generated* module: all R products of a level live until C
@@ -218,10 +214,10 @@ def plan_footprint(plan: Plan, p: int, q: int, r: int,
         # one-triple-per-level DFS formula would overflow
         return codegen_footprint(alg, plan.strategy, False, (p, q, r),
                                  dtype_a, plan.steps, dtype_b=dtype_b)
-    if plan.scheme == "dfs":
-        return dfs_footprint([alg.base_case] * plan.steps, p, q, r,
-                             dtype_a, dtype_b, algorithms=[alg] * plan.steps)
-    return bfs_footprint(alg, plan.steps, p, q, r, dtype_a, dtype_b)
+    # a parallel scheme's layout follows the kernels that will form its
+    # chains, which the schedules decide from the operands
+    return parallel_footprint(alg, plan.steps, plan.scheme, p, q, r,
+                              dtype_a, dtype_b)
 
 
 def build_workspace(plan: Plan, p: int, q: int, r: int,
@@ -320,33 +316,6 @@ def evict_workspace(plan: Plan, p: int, q: int, r: int,
         return _workspaces.pop(key, None) is not None
 
 
-def _compiled_chains(plan: Plan):
-    """The compiled C chain module serving ``plan``, or ``None`` when the
-    toolchain fails at dispatch time.
-
-    A ``backend="compiled"`` plan must never fail a multiply that the
-    NumPy-source module could have served: a compile/load error (compiler
-    uninstalled since tuning, cache dir yanked, ``cbackend.compilefail``
-    chaos) is counted in ``cbackend.fallbacks``, warned once per
-    algorithm, and answered with ``None`` so :func:`execute_plan` degrades
-    in-band to :func:`repro.codegen.compile_algorithm`.
-    """
-    from repro.codegen import cbackend
-
-    try:
-        return cbackend.compile_chains(plan.algorithm)
-    except (OSError, RuntimeError) as exc:
-        telemetry.incr("cbackend.fallbacks")
-        if plan.algorithm not in _cbackend_warned:
-            _cbackend_warned.add(plan.algorithm)
-            _log.warning(
-                "compiled backend unavailable for %r (%s); serving plan "
-                "[%s] with the generated NumPy module instead",
-                plan.algorithm, exc, plan.describe(),
-            )
-        return None
-
-
 def execute_plan(
     plan: Plan,
     A: np.ndarray,
@@ -364,7 +333,9 @@ def execute_plan(
     with neither an interpreter fallback nor a final full-matrix copy.
     Parallel plans carry their sub-group P' (``plan.subgroup``) through to
     the schedule verbatim -- the tuner's swept value is what executes, not
-    a derived default.
+    a derived default -- and leave the choice of chain kernels (fused C
+    over row ranges, or the NumPy adders) to the schedule, which makes it
+    from the operands.
     """
     if faults.active and faults.should_fire("plan.raise"):
         raise faults.InjectedFault(
@@ -375,7 +346,7 @@ def execute_plan(
     alg = get_algorithm(plan.algorithm)
     if plan.scheme == "sequential":
         if plan.backend == "compiled":
-            cc = _compiled_chains(plan)
+            cc = cbackend.serving_chains(plan.algorithm)
             if cc is not None:
                 with blas.blas_threads(plan.threads):
                     return cc.multiply(A, B, steps=plan.steps, out=out,

@@ -131,12 +131,14 @@ def measure_plan(
 
     Timed through the same workspace-arena path dispatch serves (the
     warmup call builds the arena), so the cache commits to numbers the
-    steady state will actually reproduce.  Compiled-backend candidates
-    always get at least one warmup call: their first execution may pay a
-    C compile + ``dlopen``, which belongs to no steady state and must
-    never land inside a timed trial.
+    steady state will actually reproduce.  Candidates that may run the
+    compiled chain kernels -- ``backend="compiled"``, and every parallel
+    scheme, whose schedule picks them by itself -- always get at least
+    one warmup call: their first execution may pay a C compile +
+    ``dlopen``, which belongs to no steady state and must never land
+    inside a timed trial.
     """
-    if plan.backend == "compiled":
+    if plan.backend == "compiled" or plan.scheme != "sequential":
         warmup = max(warmup, 1)
     p, q = A.shape
     r = B.shape[1]

@@ -85,12 +85,15 @@ class Plan:
     to :func:`repro.parallel.schedules.default_subgroup` at execution
     time and is the only legal value for every other scheme.
 
-    ``backend`` picks the serving kernels for a sequential fast plan:
+    ``backend`` picks the *sequential* executor of a fast plan:
     ``"numpy"`` (the generated NumPy-source modules) or ``"compiled"``
-    (the fused single-pass C chain kernels of
-    :mod:`repro.codegen.cbackend`).  Compiled plans are sequential-only
-    -- the parallel schemes schedule the NumPy executors -- and
-    meaningless for dgemm, which has no chains to fuse.
+    (the driver and fused single-pass C chain kernels of
+    :mod:`repro.codegen.cbackend`).  It is sequential-only and
+    meaningless for dgemm, which has no chains to fuse.  Which kernels
+    form the chains of a *parallel* scheme is not a plan dimension: the
+    schedule decides per call from its operands
+    (:func:`repro.codegen.cbackend.chains_fused`), and the arena and the
+    cost model follow the same predicate.
     """
 
     algorithm: str = DGEMM
@@ -123,7 +126,8 @@ class Plan:
             if self.scheme != "sequential":
                 raise ValueError(
                     f"backend='compiled' serves the sequential path only, "
-                    f"not scheme {self.scheme!r}"
+                    f"not scheme {self.scheme!r} (a parallel schedule "
+                    f"picks its chain kernels itself)"
                 )
         if self.subgroup is not None:
             if self.scheme != "hybrid-subgroup":
@@ -170,10 +174,11 @@ class Plan:
 def retarget_backend(plan: Plan, backend: str) -> Plan:
     """The same plan pinned to ``backend``, validating compatibility.
 
-    ``backend="compiled"`` requires a sequential fast plan (dgemm and the
-    parallel schemes have nothing for the C chain kernels to serve) --
+    ``backend`` names the sequential executor, so ``"compiled"`` requires
+    a sequential fast plan: dgemm has no chains, and a parallel scheme
+    picks its chain kernels by itself, per call (see :class:`Plan`) --
     incompatible retargets raise ``ValueError`` rather than silently
-    returning a plan that would degrade on every call.
+    returning a plan whose field means nothing.
     """
     if backend not in PLAN_BACKENDS:
         raise ValueError(
@@ -406,14 +411,15 @@ def enumerate_plans(
     stays portable.
 
     Memoised per shape, dtype, thread count, cutoff, compiler availability
+    (which also decides the kernels the parallel schemes are priced for)
     and machine calibration (taken lazily here, on the first lookup for a
     ``(dtype, threads)`` pair): only the first call for a shape scores.
     """
     dtype = str(dtype)
     if min_leaf is None:
         min_leaf = default_min_leaf(dtype)
-    compiled_ok = threads <= 1 and compiled_backend_available()
-    plans = _ranked_plans(p, q, r, dtype, threads, min_leaf, compiled_ok,
+    plans = _ranked_plans(p, q, r, dtype, threads, min_leaf,
+                          compiled_backend_available(),
                           machine.calibration(dtype, threads, p * q * r))
     if max_candidates is None:
         return list(plans)
@@ -425,17 +431,19 @@ def enumerate_plans(
 
 @functools.lru_cache(maxsize=4096)
 def _ranked_plans(p: int, q: int, r: int, dtype: str, threads: int,
-                  min_leaf: int, compiled_ok: bool,
+                  min_leaf: int, compiler: bool,
                   calibration) -> tuple[Plan, ...]:
     """The whole ranked space behind :func:`enumerate_plans`.
     ``calibration`` (what the scores are computed from) is part of the
-    key only: a new calibration is a new ranking."""
+    key only: a new calibration is a new ranking.  So is ``compiler`` at
+    ``threads > 1``, where it adds no candidate but decides which kernels
+    :func:`repro.core.cost.plan_cost` prices the parallel schemes for."""
     cap = MAX_STEPS.get(dtype, MAX_STEPS["float64"])
     variants = [(scheme, sub, "numpy")
                 for scheme in (SCHEMES if threads > 1 else ("sequential",))
                 for sub in (subgroup_candidates(threads)
                             if scheme == "hybrid-subgroup" else [None])]
-    if compiled_ok:
+    if compiler and threads <= 1:
         variants.append(("sequential", None, "compiled"))
     dgemm_cost = plan_cost(None, p, q, r, 0, threads=threads, dtype=dtype)
     scored: list[tuple[float, Plan]] = [

@@ -156,6 +156,32 @@ def real_calibration(monkeypatch, tmp_path):
     return _REAL_CALIBRATION
 
 
+@pytest.fixture
+def fresh_cache_state():
+    """Snapshot and restore cbackend's module-level cache state so tests
+    can redirect the cache dir / clear loaded libraries and kernels (the
+    next use has to go through the compiler -- where the
+    ``cbackend.compilefail`` fault point is) without leaking into the
+    rest of the suite."""
+    from repro.codegen import cbackend
+
+    with cbackend._lib_lock:
+        saved_state = dict(cbackend._CACHE_STATE)
+        saved_libs = dict(cbackend._LIB_CACHE)
+        saved_chains = dict(cbackend._CHAINS)
+        cbackend._CACHE_STATE.update({"dir": False, "warned": False})
+        cbackend._LIB_CACHE.clear()
+        cbackend._CHAINS.clear()
+    yield
+    with cbackend._lib_lock:
+        cbackend._CACHE_STATE.clear()
+        cbackend._CACHE_STATE.update(saved_state)
+        cbackend._LIB_CACHE.clear()
+        cbackend._LIB_CACHE.update(saved_libs)
+        cbackend._CHAINS.clear()
+        cbackend._CHAINS.update(saved_chains)
+
+
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20150207)

@@ -196,6 +196,21 @@ def test_mutation_cemit_corruptions_are_detected():
                         "#include <stddef.h>\nint rogue = 1;")
     assert has_code(cemit.verify_source(alien, alg, False, where="mut"),
                     "CEMIT-PARSE")
+    # a kernel that strays outside its row range [i0, i1): a loop over
+    # every row, an off-by-one bound, a signature without the range
+    for good, bad in (
+            ("for (long i = i0; i < i1; ++i) {",
+             "for (long i = 0; i < bp; ++i) {"),
+            ("for (long i = i0; i < i1; ++i) {",
+             "for (long i = i0; i <= i1; ++i) {"),
+            ("double *S, long i0, long i1)", "double *S)"),
+            ("for (long j = 0; j < bq; ++j)",
+             "for (long j = 0; j <= bq; ++j)")):
+        strayed = src.replace(good, bad, 1)
+        assert strayed != src
+        assert has_code(cemit.verify_source(strayed, alg, False,
+                                            where="mut"),
+                        "CEMIT-PARSE" if "long j" in bad else "CEMIT-RANGE")
     # provenance header drift
     stale = src.replace("rank 7", "rank 8", 1)
     assert stale != src

@@ -157,11 +157,15 @@ class TestMachineModel:
         assert 2 * 1e15 / c.seconds(1e5, 1e5, 1e5) == pytest.approx(
             1e9 / (2 / 56 - 1 / 50), rel=2e-2)
         assert c.at(4096) == 56.0                       # the curve itself
-        # a top that fell, or a lone point, is held flat
-        for flat in (machine.GemmCurve([512, 1024], [56.0, 50.0]),
-                     machine.GemmCurve([1024], [50.0])):
+        # a lone point is held flat; a top that fell is interference (it
+        # only ever slows a gemm down): held at the higher of the two
+        for flat, rate in ((machine.GemmCurve([1024], [50.0]), 50e9),
+                           (machine.GemmCurve([512, 1024], [56.0, 50.0]),
+                            56e9)):
             assert flat.seconds(4096, 4096, 4096) == pytest.approx(
-                2 * 4096**3 / 50e9)
+                2 * 4096**3 / rate)
+        assert flat.seconds(1024, 1024, 1024) == pytest.approx(
+            2 * 1024**3 / 50e9)                         # measured: as is
 
     def test_recommended_steps_agree_with_the_cost_model(self, use_machine):
         """With additions and fixed costs out of the picture the seconds

@@ -120,6 +120,43 @@ class TestCorrectness:
         C = cbackend.multiply(A, B, "strassen", steps=1)
         np.testing.assert_allclose(C, A @ B)
 
+    def test_only_what_the_kernels_cannot_address_is_packed(self):
+        """The kernels take a row stride, so row-strided operands and the
+        alias (block-view) operands of every rank go in as they are: the
+        arena has no packing slots and must not miss them.  Strided or
+        reversed columns are packed once on entry (into the heap here --
+        that copy is the caller's layout, not the plan's footprint)."""
+        from repro.core.workspace import Workspace, cbackend_footprint
+
+        cc = cbackend.compile_chains("strassen")
+        A, B = _rand(90, 70), _rand(70, 110)
+        wide = np.zeros((90, 75))
+        wide[:, 3:73] = A
+        ws = Workspace(cbackend_footprint(cc.algorithm, False, (90, 70, 110),
+                                          steps=2))
+        ref = cc.multiply(A, B, steps=2)
+        for Av, Bv in ((wide[:, 3:73], B), (A[::1], np.repeat(B, 2, 0)[::2])):
+            assert cbackend.kernel_ready(Av) and cbackend.kernel_ready(Bv)
+            C = cc.multiply(Av, Bv, steps=2, workspace=ws)
+            assert np.array_equal(C, ref)
+            assert ws.overflow_allocations == 0
+        for Av, Bv in ((A[:, ::-1], B[::-1]), (np.asfortranarray(A), B)):
+            assert not cbackend.kernel_ready(Av)
+            np.testing.assert_allclose(cc.multiply(Av, Bv, steps=2),
+                                       Av @ Bv, atol=1e-10)
+
+    def test_out_of_any_layout(self):
+        """``out`` is written in place when the kernels can address it and
+        through a packed product otherwise -- a column-major ``out`` used
+        to be written with its column stride taken for a row stride."""
+        cc = cbackend.compile_chains("strassen")
+        A, B = _rand(33, 40), _rand(40, 37)
+        for out in (np.empty((33, 37)), np.empty((33, 50))[:, 5:42],
+                    np.empty((37, 33)).T, np.empty((33, 37))[::-1, ::-1]):
+            out[:] = np.nan
+            assert cc.multiply(A, B, steps=2, out=out) is out
+            np.testing.assert_allclose(out, A @ B, atol=1e-10)
+
     def test_explicit_algorithm_object(self):
         alg = get_algorithm("winograd")
         cc = cbackend.CompiledChains(alg)

@@ -59,27 +59,6 @@ def _probe_src(tag: str) -> str:
     return f"/* {tag} */\nvoid repro_probe_{tag}(void) {{}}\n"
 
 
-@pytest.fixture
-def fresh_cache_state():
-    """Snapshot and restore cbackend's module-level cache state so tests
-    can redirect the cache dir / clear loaded libraries without leaking
-    into the rest of the suite."""
-    with cbackend._lib_lock:
-        saved_state = dict(cbackend._CACHE_STATE)
-        saved_libs = dict(cbackend._LIB_CACHE)
-    cbackend._compiled_cached.cache_clear()
-    with cbackend._lib_lock:
-        cbackend._CACHE_STATE.update({"dir": False, "warned": False})
-        cbackend._LIB_CACHE.clear()
-    yield
-    cbackend._compiled_cached.cache_clear()
-    with cbackend._lib_lock:
-        cbackend._CACHE_STATE.clear()
-        cbackend._CACHE_STATE.update(saved_state)
-        cbackend._LIB_CACHE.clear()
-        cbackend._LIB_CACHE.update(saved_libs)
-
-
 # ---------------------------------------------------------------- plan field
 class TestPlanBackend:
     def test_backend_default_and_describe(self):

@@ -286,6 +286,28 @@ class TestExplain:
             assert re.search(rf"span {name} +x1 ", text), name
 
 
+    def test_parallel_plan_says_which_kernels_formed_its_chains(
+            self, tmp_path):
+        """The schedule's per-call choice (fused C kernels or the NumPy
+        adders) is no plan field, so the trace reads it off the
+        ``parallel.<scheme>`` span and prints it next to the scheme."""
+        from repro.codegen import cbackend
+        from repro.tuner import Plan, PlanCache
+
+        cache = PlanCache(tmp_path / "plans.json")
+        cache.put(192, 192, 192, "float64", 2,
+                  Plan(algorithm="strassen", steps=1, scheme="dfs",
+                       threads=2), seconds=0.01, gflops=1.0)
+        cache.save()
+        rc, text = run_cli("multiply", "--explain", "-n", "192",
+                           "--threads", "2", "--cache", str(cache.path))
+        assert rc == 0
+        assert "[source: cache]" in text
+        kind = "fused" if cbackend.available() else "numpy"
+        assert f"(scheme dfs, chains {kind}, rel.err" in text
+        assert "span parallel.dfs" in text
+
+
 class TestCacheDoctorCalibrations:
     def test_lists_and_fix_removes_calibrations(self, tmp_path, monkeypatch):
         """A noisy first calibration used to stay until its file was

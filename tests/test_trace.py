@@ -62,22 +62,37 @@ class TestTracedPool:
         with TracedPool(2) as pool:
             assert pool.map_wait(lambda x: x + 1, range(5)) == [1, 2, 3, 4, 5]
 
+    @staticmethod
+    def _tasks_by_phase(pool):
+        counts = {}
+        for ev in pool.trace.events:
+            counts[ev.label] = counts.get(ev.label, 0) + 1
+        return counts
+
     def test_multiply_parallel_through_traced_pool(self):
         A = random_matrix(64, 64, 0)
         with TracedPool(2) as pool:
             C = multiply_parallel(A, A, strassen(), steps=1, scheme="bfs",
                                   pool=pool)
             np.testing.assert_allclose(C, A @ A, atol=1e-10)
-            # 7 S/T-formation tasks + 7 leaf tasks + combine task(s)
-            assert len(pool.trace.events) >= 14
+            # every phase keeps both workers busy -- the root included,
+            # whichever kernels form the chains (7 tasks per node with the
+            # NumPy adders, one per row range with the compiled kernels)
+            counts = self._tasks_by_phase(pool)
+            assert counts["bfs.leaf"] == 7
+            assert counts["bfs.expand"] >= 2
+            assert counts["bfs.combine"] >= 1
 
     def test_bfs_leaf_count_visible(self):
         A = random_matrix(64, 64, 1)
         with TracedPool(2) as pool:
             multiply_parallel(A, A, strassen(), steps=2, scheme="bfs",
                               pool=pool)
-            # 7 + 49 formation tasks, 49 leaves, 8 combines
-            assert len(pool.trace.events) >= 100
+            counts = self._tasks_by_phase(pool)
+            assert counts["bfs.leaf"] == 49
+            # two levels of expansion and of combine, >= 1 task per node
+            assert counts["bfs.expand"] >= 2 + 7
+            assert counts["bfs.combine"] >= 7 + 1
 
 
 class TestDegenerateTraces:

@@ -169,7 +169,18 @@ class TestCostModel:
             assert (plan_cost(alg, *shape, 1) - even) * 1e9 == pytest.approx(
                 extra)
 
-    def test_fixed_costs_are_charged_per_product_and_task(self, use_machine):
+    @pytest.mark.parametrize("fused,tasks", [
+        # NumPy adders: 7 + 49 children formed, 49 leaves multiplied,
+        # 1 + 7 nodes combined
+        (False, 56 + 49 + 8),
+        # compiled kernels: the root in 4 row ranges and its 7 children in
+        # one each, to expand and again to combine, and the 49 leaves
+        (True, 2 * (4 + 7) + 49)])
+    def test_fixed_costs_are_charged_per_product_and_task(
+            self, use_machine, monkeypatch, fused, tasks):
+        from repro.codegen import cbackend
+
+        monkeypatch.setattr(cbackend, "available", lambda: fused)
         alg = get_algorithm("strassen")
         use_machine()
         seq = plan_cost(alg, 1024, 1024, 1024, 2)
@@ -177,10 +188,9 @@ class TestCostModel:
         use_machine(call_s=1e-5, task_s=1e-4)
         assert plan_cost(alg, 1024, 1024, 1024, 2) == pytest.approx(
             seq + (7 + 49) * 1e-5)
-        # bfs: 7 + 49 children formed, 49 leaves multiplied, 1 + 7 combined
         assert plan_cost(alg, 1024, 1024, 1024, 2, scheme="bfs",
                          threads=4) == pytest.approx(
-            bfs + (7 + 49) * 1e-5 + (56 + 49 + 8) * 1e-4)
+            bfs + (7 + 49) * 1e-5 + tasks * 1e-4)
 
     def test_parallel_traffic_baselines_are_free(self):
         from repro.core.cost import parallel_traffic

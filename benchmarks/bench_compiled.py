@@ -44,11 +44,17 @@ from repro.tuner import Plan, dispatch, measure
 
 THRESHOLD_FILE = Path(__file__).parent / "workspace_threshold.json"
 
-#: the gate's shapes: mid sizes where chain-formation traffic is a
+#: the gate's square shapes: mid sizes where chain-formation traffic is a
 #: visible share of the multiply but the leaf dgemm does not yet drown it
 SIZES = (384, 512, 768)
 STEPS = 2
 DTYPE = "float64"
+#: ... and a peeled outer product (every dimension odd, the paper's
+#: N x k x N regime): the inner strip rides in ``form_C``, and the dense
+#: <4,2,4> entry's 26-term chains only keep up while they vectorise
+PEELED = (1499, 401, 1499)
+GRID = ([("strassen", STEPS, (n, n, n)) for n in SIZES]
+        + [("strassen", 1, PEELED), ("s424", 1, PEELED)])
 
 
 def interleaved_medians(fn_a, fn_b, trials: int) -> tuple[float, float]:
@@ -68,15 +74,17 @@ def interleaved_medians(fn_a, fn_b, trials: int) -> tuple[float, float]:
     return ta[len(ta) // 2], tb[len(tb) // 2]
 
 
-def bench_size(n: int, trials: int, max_warm_bytes: int) -> dict:
-    A, B = measure.tuning_operands(n, n, n, dtype=DTYPE, seed=0)
-    plan_cc = Plan(algorithm="strassen", steps=STEPS, scheme="sequential",
+def bench_case(algorithm: str, steps: int, shape: tuple[int, int, int],
+               trials: int, max_warm_bytes: int) -> dict:
+    p, q, r = shape
+    A, B = measure.tuning_operands(p, q, r, dtype=DTYPE, seed=0)
+    plan_cc = Plan(algorithm=algorithm, steps=steps, scheme="sequential",
                    threads=1, backend="compiled")
     plan_np = dataclasses.replace(plan_cc, backend="numpy")
-    C_cc = np.empty((n, n))
-    C_np = np.empty((n, n))
-    ws_cc = dispatch.build_workspace(plan_cc, n, n, n, A.dtype, B.dtype)
-    ws_np = dispatch.build_workspace(plan_np, n, n, n, A.dtype, B.dtype)
+    C_cc = np.empty((p, r))
+    C_np = np.empty((p, r))
+    ws_cc = dispatch.build_workspace(plan_cc, p, q, r, A.dtype, B.dtype)
+    ws_np = dispatch.build_workspace(plan_np, p, q, r, A.dtype, B.dtype)
 
     def run_compiled():
         dispatch.execute_plan(plan_cc, A, B, out=C_cc, workspace=ws_cc)
@@ -88,16 +96,16 @@ def bench_size(n: int, trials: int, max_warm_bytes: int) -> dict:
     # land here, never in a timed trial
     run_compiled()
     run_numpy()
-    if not np.allclose(C_cc, C_np, atol=1e-8 * n):
-        raise AssertionError(f"compiled result diverged at n={n}")
+    if not np.allclose(C_cc, C_np, atol=1e-8 * q):
+        raise AssertionError(f"compiled result diverged at {shape}")
 
     with track_allocations() as rep_cc:
         run_compiled()
     t_np, t_cc = interleaved_medians(run_numpy, run_compiled, trials)
 
     return {
-        "n": n,
-        "steps": STEPS,
+        "shape": list(shape),
+        "steps": steps,
         "dtype": DTYPE,
         "plan": plan_cc.describe(),
         "seconds_numpy": t_np,
@@ -110,7 +118,7 @@ def bench_size(n: int, trials: int, max_warm_bytes: int) -> dict:
 
 
 def _print_row(row: dict) -> None:
-    print(f"n={row['n']:5d}  "
+    print(f"{'x'.join(map(str, row['shape'])):>14}  "
           f"numpy {row['seconds_numpy'] * 1e3:8.2f} ms "
           f"-> compiled {row['seconds_compiled'] * 1e3:8.2f} ms "
           f"(x{row['throughput_ratio']:.2f})  "
@@ -151,8 +159,10 @@ def main(argv=None) -> int:
     trials = 7 if args.quick else 15
 
     rows = []
-    for n in SIZES[:2] if args.quick else SIZES:
-        row = bench_size(n, trials, max_warm_bytes)
+    for algorithm, steps, shape in GRID:
+        if args.quick and shape[0] == SIZES[-1]:
+            continue
+        row = bench_case(algorithm, steps, shape, trials, max_warm_bytes)
         rows.append(row)
         _print_row(row)
 

@@ -20,8 +20,23 @@ runs (and proves) on hosts with no C toolchain at all.
 
 Every statement must match one of the emitter's declared forms
 (``EMISSION_CONTRACT["cbackend"]``: ``block_ptr``, ``slab_ptr``,
-``product_ptr``, ``scratch_ptr``, ``output_ptr``, ``fused_store``) --
-anything else is a finding, never silently skipped.
+``product_ptr``, ``scratch_ptr``, ``output_ptr``, ``fused_store``,
+``nodep_hint``, and the ``strip_*`` forms of the peeled inner-dimension
+strip) -- anything else is a finding, never silently skipped.
+
+Each ``j`` loop carries a vectoriser hint (``NODEP``: no iteration reads
+what another writes), which the compiler takes on trust -- so the pass
+proves the kernel's half of it: the store target of a hinted loop and each
+of its sources are distinct objects, a different row of the slab, of the
+scratch or of the output grid, or a different buffer altogether.  That
+buffers passed as different arguments do not overlap is the caller's half
+(:class:`repro.codegen.cbackend.CompiledChains`).
+
+``form_C`` also adds the peeled inner-dimension strip (paper Section 3.5),
+``C[i, :] += sum_t A12[i, t] * B21[t, :]``, to each block row right after
+storing it.  The pass proves that every output block takes the strip
+exactly once, after its store, inside the row loop, from the rows of
+``A12`` and columns of ``B21`` that belong to that block.
 
 The kernels take a row range (``long i0, long i1``) and the parallel
 schedules run ranges of one kernel concurrently, so the pass also proves
@@ -34,12 +49,14 @@ indexed by ``j`` in ``[0, bq)`` only, and no contract form can assign
 
 Finding codes: ``CEMIT-PARSE`` (statement outside the contract),
 ``CEMIT-HEADER`` (provenance header disagrees with the algorithm),
-``CEMIT-BLOCK`` (block pointer offsets disagree with its index),
+``CEMIT-BLOCK`` (block pointer or strip offsets disagree with the block),
+``CEMIT-ALIAS`` (a hinted loop's target is also one of its sources),
 ``CEMIT-RANGE`` (a kernel does not confine itself to rows ``[i0, i1)``),
 ``CEMIT-UNINIT`` (store reads a slab row before it is written),
 ``CEMIT-LAYOUT`` (slab row in C disagrees with the driver layout),
 ``CEMIT-RANK`` (``form_C`` consumes != rank products),
-``CEMIT-CBLOCK`` (an output block is never written),
+``CEMIT-CBLOCK`` (an output block is never written, or its strip is
+missing, repeated or ahead of its store),
 ``CEMIT-TENSOR`` (recovered bilinear form differs from the scheme).
 """
 
@@ -63,11 +80,19 @@ _SIGNATURES = {
     "form_S": "const double *X, long ldx, long bp, long bq, double *S,"
               " long i0, long i1",
     "form_C": "const double **M, long bp, long bq, double *C, long ldc,"
-              " double *Y, long i0, long i1",
+              " double *Y, const double *A12, long lda, const double *B21,"
+              " long ldb, long dq, long i0, long i1",
 }
 _SIGNATURES["form_T"] = _SIGNATURES["form_S"]
 _ROW_LOOP = "for (long i = i0; i < i1; ++i) {"
 _COL_LOOP = "for (long j = 0; j < bq; ++j)"
+_HINT = "NODEP"
+_STRIP_LOOP = "for (long t = 0; t < dq; ++t) {"
+_RE_STRIP_COEFF = re.compile(
+    r"const double a = A12\[\(\(size_t\)\((\d+)\*bp \+ i\)\)\*lda \+ t\];")
+_RE_STRIP_ROW = re.compile(
+    r"const double \*b = B21 \+ \(size_t\)t\*ldb \+ \(size_t\)\((\d+)\)\*bq;")
+_RE_STRIP_UPDATE = re.compile(r"p(C\d+)\[j\] \+= a \* b\[j\];$")
 _RE_BLOCK = re.compile(
     r"const double \*p([AB])(\d+) = X \+ \(\(size_t\)\((\d+)\*bp \+ i\)\)"
     r"\*ldx \+ \(size_t\)\((\d+)\)\*bq;")
@@ -88,6 +113,12 @@ _BOILERPLATE = (
     "{", "}", "(void)Y;",
     "const size_t blk = (size_t)bp * (size_t)bq;",
     "#include <stddef.h>",
+    # what NODEP may stand for: "no loop-carried dependence", per compiler
+    "#if defined(__clang__)",
+    '#define NODEP _Pragma("clang loop vectorize(assume_safety)")',
+    "#elif defined(__GNUC__)",
+    '#define NODEP _Pragma("GCC ivdep")',
+    "#else", "#define NODEP", "#endif",
 )
 
 
@@ -127,9 +158,43 @@ class _Kernel:
         self.out_block: dict[str, int] = {}      # C target -> output block
         self.products: dict[str, int] = {}       # M target -> product index
         self.stored: list[str] = []              # store order
+        #: pointer name -> the object it addresses, ``(buffer, row...)``
+        self.obj: dict[str, tuple] = {}
+        #: output blocks that took the inner strip; ``strip`` is the open
+        #: strip loop's ``{"row": bi, "col": bj}`` as far as parsed
+        self.stripped: list[str] = []
+        self.strip: dict | None = None
         #: the one ``i0 <= i < i1`` loop: None before it, True inside,
         #: False once its brace closed
         self.in_rows: bool | None = None
+
+
+def _strip_update(kernel: _Kernel, line: str, loc: str, ccols: int,
+                  findings: list[Finding]) -> None:
+    """The j-loop body of an open strip loop: ``pC<idx>[j] += a * b[j]``
+    for the block just stored, from that block's rows of ``A12`` and
+    columns of ``B21``."""
+    m = _RE_STRIP_UPDATE.match(line)
+    if m is None or m.group(1) not in kernel.out_block:
+        findings.append(Finding(
+            "cemit", "CEMIT-PARSE", loc,
+            f"strip loop body is not an output-block update: {line!r}"))
+        return
+    target, strip = m.group(1), kernel.strip
+    strip["done"] = True
+    block = divmod(kernel.out_block[target], ccols)
+    if (strip.get("row"), strip.get("col")) != block:
+        findings.append(Finding(
+            "cemit", "CEMIT-BLOCK", loc,
+            f"strip of p{target}, output block {block}, reads A12 block"
+            f" row {strip.get('row')} and B21 block column"
+            f" {strip.get('col')}"))
+    elif kernel.stored[-1:] != [target] or target in kernel.stripped:
+        findings.append(Finding(
+            "cemit", "CEMIT-CBLOCK", loc,
+            f"the strip of p{target} must follow its store, once"))
+    else:
+        kernel.stripped.append(target)
 
 
 def _parse_unit(source: str, nblocks: dict[str, int],
@@ -140,7 +205,7 @@ def _parse_unit(source: str, nblocks: dict[str, int],
     kernels: dict[str, _Kernel] = {}
     header: dict = {}
     current: _Kernel | None = None
-    pending_store = False
+    pending_store = hinted = False
     for lineno, raw in enumerate(source.splitlines(), start=1):
         line = raw.strip()
         loc = f"{where}:{lineno}"
@@ -158,7 +223,7 @@ def _parse_unit(source: str, nblocks: dict[str, int],
         if m:
             current = _Kernel(m.group(1))
             kernels[current.name] = current
-            pending_store = False
+            pending_store = hinted = False
             if m.group(2) != _SIGNATURES[current.name]:
                 findings.append(Finding(
                     "cemit", "CEMIT-RANGE", loc,
@@ -173,6 +238,13 @@ def _parse_unit(source: str, nblocks: dict[str, int],
                     f" {_ROW_LOOP!r} loop, found {line!r}"))
             current.in_rows = True
             continue
+        if line == "}" and current is not None and current.strip is not None:
+            if "done" not in current.strip:
+                findings.append(Finding(
+                    "cemit", "CEMIT-PARSE", loc,
+                    f"{current.name} strip loop updates no block"))
+            current.strip = None
+            continue
         if line == "}" and current is not None and current.in_rows:
             current.in_rows = False      # the j-loops carry no braces
             continue
@@ -185,6 +257,10 @@ def _parse_unit(source: str, nblocks: dict[str, int],
             continue
         if pending_store:
             pending_store = False
+            was_hinted, hinted = hinted, False
+            if current.strip is not None:
+                _strip_update(current, line, loc, nblocks["Ccols"], findings)
+                continue
             m = _RE_STORE.match(line)
             if m is None:
                 findings.append(Finding(
@@ -198,6 +274,20 @@ def _parse_unit(source: str, nblocks: dict[str, int],
                     "cemit", "CEMIT-PARSE", loc,
                     f"store RHS outside the term grammar: {rhs!r}"))
                 continue
+            if target not in current.env:
+                findings.append(Finding(
+                    "cemit", "CEMIT-PARSE", loc,
+                    f"store targets undeclared pointer {target!r}"))
+                continue
+            clash = [src for _, src in terms
+                     if current.obj.get(src) == current.obj[target]]
+            if was_hinted and clash:
+                findings.append(Finding(
+                    "cemit", "CEMIT-ALIAS", loc,
+                    f"hinted loop stores {target!r} = {current.obj[target]}"
+                    f" and reads it through {clash}: NODEP asserts no"
+                    " iteration reads what another writes"))
+                continue
             vec = None
             for coeff, src in terms:
                 src_vec = current.env.get(src)
@@ -209,11 +299,6 @@ def _parse_unit(source: str, nblocks: dict[str, int],
                     break
                 vec = coeff * src_vec if vec is None else vec + coeff * src_vec
             else:
-                if target not in current.env:
-                    findings.append(Finding(
-                        "cemit", "CEMIT-PARSE", loc,
-                        f"store targets undeclared pointer {target!r}"))
-                    continue
                 current.env[target] = vec
                 current.stored.append(target)
             continue
@@ -223,8 +308,31 @@ def _parse_unit(source: str, nblocks: dict[str, int],
                 f"{current.name} statement outside its i0 <= i < i1 row"
                 f" loop: {line!r}"))
             continue
+        if line == _HINT:
+            hinted = True
+            continue
         if line == _COL_LOOP:
             pending_store = True
+            continue
+        if hinted:
+            hinted = False
+            findings.append(Finding(
+                "cemit", "CEMIT-PARSE", loc,
+                f"{_HINT} must sit on a j loop, found {line!r}"))
+        if current.strip is not None:
+            for key, pattern in (("row", _RE_STRIP_COEFF),
+                                 ("col", _RE_STRIP_ROW)):
+                m = pattern.match(line)
+                if m:
+                    current.strip[key] = int(m.group(1))
+                    break
+            else:
+                findings.append(Finding(
+                    "cemit", "CEMIT-PARSE", loc,
+                    f"statement outside the strip forms: {line!r}"))
+            continue
+        if line == _STRIP_LOOP and current.name == "form_C":
+            current.strip = {}
             continue
         m = _RE_BLOCK.match(line)
         if m:
@@ -241,11 +349,13 @@ def _parse_unit(source: str, nblocks: dict[str, int],
             vec[idx] = 1.0
             current.env[f"{space}{idx}"] = vec
             current.block_of[f"{space}{idx}"] = idx
+            current.obj[f"{space}{idx}"] = ("X", idx)
             continue
         m = _RE_SLAB.match(line)
         if m:
             current.env.setdefault(m.group(1), None)
             current.slab_rows[m.group(1)] = int(m.group(2))
+            current.obj[m.group(1)] = ("S", int(m.group(2)))
             continue
         m = _RE_PRODUCT.match(line)
         if m:
@@ -259,10 +369,12 @@ def _parse_unit(source: str, nblocks: dict[str, int],
             vec[idx] = 1.0
             current.env[name] = vec
             current.products[name] = idx
+            current.obj[name] = ("M", idx)
             continue
         m = _RE_SCRATCH.match(line)
         if m:
             current.env.setdefault(m.group(1), None)
+            current.obj[m.group(1)] = ("Y", int(m.group(2)))
             continue
         m = _RE_OUTPUT.match(line)
         if m:
@@ -275,6 +387,7 @@ def _parse_unit(source: str, nblocks: dict[str, int],
                 continue
             current.env.setdefault(f"C{idx}", None)
             current.out_block[f"C{idx}"] = idx
+            current.obj[f"C{idx}"] = ("C", idx)
             continue
         findings.append(Finding(
             "cemit", "CEMIT-PARSE", loc,
@@ -373,6 +486,12 @@ def verify_source(source: str, algorithm, cse: bool,
         findings.append(Finding(
             "cemit", "CEMIT-CBLOCK", f"{where}.form_C",
             f"output block(s) {missing} never written"))
+        return findings
+    bare = [idx for idx in range(m * n) if f"C{idx}" not in fc.stripped]
+    if bare:
+        findings.append(Finding(
+            "cemit", "CEMIT-CBLOCK", f"{where}.form_C",
+            f"output block(s) {bare} never take the inner-dimension strip"))
         return findings
     T = np.einsum("ir,jr,kr->ijk", U_hat, V_hat, W_hat)
     T_scheme = np.einsum("ir,jr,kr->ijk",

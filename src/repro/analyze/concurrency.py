@@ -19,10 +19,11 @@ once-per-key warning set) and are skipped but kept in the registry so
 the exemption is explicit and reviewed.
 
 The second half is the hot-path allocation lint (``CONC-ALLOC``): inside
-arena-served functions (a ``workspace``/``ws`` parameter), every bare
-``np.empty``/``np.zeros`` must sit under an ``is None``/``is not None``
-guard on the workspace or output -- an unconditional allocation there
-re-introduces exactly the per-call heap traffic the arenas eliminated.
+arena-served functions (a ``workspace``/``ws`` parameter, or a ``scratch``
+buffer carved from one), every bare ``np.empty``/``np.zeros`` must sit
+under an ``is None``/``is not None`` guard on the workspace or output --
+an unconditional allocation there re-introduces exactly the per-call
+heap traffic the arenas eliminated.
 """
 
 from __future__ import annotations
@@ -244,7 +245,7 @@ def check_alloc_source(source: str, where: str) -> tuple[int, list[Finding]]:
         if not isinstance(fn, ast.FunctionDef):
             continue
         params = {a.arg for a in fn.args.args + fn.args.kwonlyargs}
-        if not params & {"workspace", "ws"}:
+        if not params & {"workspace", "ws", "scratch"}:
             continue
         checked += 1
         for node in ast.walk(fn):

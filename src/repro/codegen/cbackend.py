@@ -18,7 +18,9 @@ Generated interface per algorithm (one shared object each)::
     void form_T(const double *B, long ldb, long bp, long bq, double *T,
                 long i0, long i1);
     void form_C(const double **M, long bp, long bq,
-                double *C, long ldc, double *Y, long i0, long i1);
+                double *C, long ldc, double *Y,
+                const double *A12, long lda, const double *B21, long ldb,
+                long dq, long i0, long i1);
 
 ``form_S``/``form_T`` read the m·k (k·n) sub-blocks of the parent operand
 in place (row stride ``lda``, in elements) and write CSE definitions plus
@@ -27,13 +29,38 @@ columns after scalar piping) are zero-traffic views handled on the Python
 side, mirroring the paper's "no temporary is formed" rule.  ``form_C``
 assembles the output blocks from an array of product-row pointers in one
 fused pass per block; ``Y`` is caller-provided scratch for C-side CSE
-definitions (NULL when there are none).  Every kernel works on the rows
-``[i0, i1)`` of its blocks and touches no other row (the ``cemit``
-analyzer proves it from the emitted text), so one sweep can be cut into
-ranges that run concurrently: the sequential driver below passes the whole
-range, the parallel schedules (:mod:`repro.parallel.schedules`) fan ranges
-out over their worker pool -- whenever :func:`chains_fused` says the
-operands allow it.
+definitions (NULL when there are none).  Where dynamic peeling (Section
+3.5) stripped ``dq`` columns off the inner dimension, ``form_C`` also adds
+their contribution -- ``C[i, :] += A12[i, t] * B21[t, :]``, ``t = 0 ..
+dq-1`` -- to each block row right after storing it, while the row is in
+L1: the strip gets no pass over ``C`` of its own and no buffer
+(``dq = 0``: nothing peeled, the pointers may be NULL).  Every kernel
+works on the rows ``[i0, i1)`` of its blocks and touches no other row (the
+``cemit`` analyzer proves it from the emitted text), so one sweep can be
+cut into ranges that run concurrently: the sequential driver below passes
+the whole range, the parallel schedules (:mod:`repro.parallel.schedules`)
+fan ranges out over their worker pool -- whenever :func:`chains_fused`
+says the operands allow it.
+
+**Every emitted ``j`` loop is marked dependence-free** (``NODEP``: ``#pragma
+GCC ivdep``, clang's ``vectorize(assume_safety)``, nothing elsewhere).
+With more than ten pointer pairs in a loop gcc stops versioning it for
+aliasing and runs it scalar -- the dense catalog entries' ``form_C`` (26
+terms a chain for ``s424``) three times slower than the memory system
+allows.  The hint asserts what holds by construction, in two halves.  The
+kernel's: a loop's store target and each of its sources are different
+rows of the slab, of ``Y`` or of the output grid, or live in different
+arguments -- proven per unit by :mod:`repro.analyze.cemit`.  The
+caller's, **the no-overlap contract of these kernels**: buffers passed as
+different arguments do not overlap -- the slabs, products and ``Y`` are
+distinct arena takes (or fresh arrays), never the operands; ``C`` is the
+caller's ``out`` (checked against ``A`` and ``B`` by
+:func:`repro.core.workspace.check_out`), a fresh array, or a buffer of the
+level above that none of this level's operands occupies
+(:func:`product_homes` frees a chain's row only once its rank is done);
+``A12``/``B21`` are views of the operands.  ``-ffp-contract=off`` keeps
+the strip's multiply and add separately rounded, as NumPy rounds them,
+whatever the compiler's default.
 
 Shared objects are cached on disk under ``$REPRO_CACHE_DIR/cbackend``
 (default ``~/.cache/repro/cbackend``), keyed by (source, compiler, flags,
@@ -62,8 +89,8 @@ extended-precision floats -- are rejected with ``ValueError`` and belong
 on the python codegen or interpreter paths.  :meth:`CompiledChains.multiply`
 accepts ``out=``/``workspace=`` like the generated NumPy modules: with a
 workspace sized by :func:`repro.core.workspace.cbackend_footprint` the
-warm path draws every slab, product buffer and peel temporary from the
-arena and allocates nothing from the heap.
+warm path draws every slab and product buffer from the arena and
+allocates nothing from the heap (peeling needs no buffer at all).
 """
 
 from __future__ import annotations
@@ -91,7 +118,11 @@ from repro.util.matrices import peel_fixup, peel_split
 from repro.util.validation import check_matmul_dims
 
 _CC = os.environ.get("REPRO_CC", "cc")
-_CFLAGS = ["-O3", "-march=native", "-std=c99", "-fPIC", "-shared"]
+#: ``-ffp-contract=off``: a fused multiply-add rounds once where NumPy
+#: rounds twice, and the bit-for-bit agreement with the NumPy executors
+#: must not rest on gcc's ISO-mode default
+_CFLAGS = ["-O3", "-march=native", "-std=c99", "-ffp-contract=off", "-fPIC",
+           "-shared"]
 _log = logging.getLogger(__name__)
 
 #: loaded shared objects keyed by :func:`_source_key`; guarded by
@@ -193,6 +224,27 @@ def _referenced_sources(chains: list[Chain]) -> list[str]:
     return seen
 
 
+#: the vectoriser hint every emitted ``j`` loop carries (module docstring):
+#: no iteration reads what another writes.  An unknown compiler gets an
+#: empty macro and compiles the loops as it always did.
+_NODEP_MACRO = [
+    "#if defined(__clang__)",
+    '#define NODEP _Pragma("clang loop vectorize(assume_safety)")',
+    "#elif defined(__GNUC__)",
+    '#define NODEP _Pragma("GCC ivdep")',
+    "#else",
+    "#define NODEP",
+    "#endif",
+]
+
+
+def _store_loop(ch: Chain) -> list[str]:
+    """One fused pass: the chain's target row from its source rows."""
+    return ["    NODEP",
+            "    for (long j = 0; j < bq; ++j)",
+            f"      p{ch.target}[j] = {_rhs(ch.terms)};"]
+
+
 def _emit_side(fn: str, side: dict, blocks_cols: int, prefix: str) -> list[str]:
     """Emit ``form_S``/``form_T``: one fused j-loop per definition/chain."""
     defs, chains, layout = side["defs"], side["chains"], side["layout"]
@@ -226,40 +278,51 @@ def _emit_side(fn: str, side: dict, blocks_cols: int, prefix: str) -> list[str]:
             f" + (size_t)i*bq;"
         )
     for ch in body:
-        lines.append("    for (long j = 0; j < bq; ++j)")
-        lines.append(f"      p{ch.target}[j] = {_rhs(ch.terms)};")
+        lines += _store_loop(ch)
     lines += ["  }", "}"]
     return lines
 
 
 def _emit_output(side: dict, m: int, n: int) -> list[str]:
-    """Emit ``form_C``; products come in as row-pointer array ``M``."""
+    """Emit ``form_C``; products come in as row-pointer array ``M``.  Each
+    row of each block takes the peeled inner-dimension strip right after
+    it is stored: ``dq`` rank-one terms, in order, no pass of their own."""
     defs, chains = side["defs"], side["chains"]
     lines = [
         "void form_C(const double **M, long bp, long bq,"
-        " double *C, long ldc, double *Y, long i0, long i1)",
+        " double *C, long ldc, double *Y,"
+        " const double *A12, long lda, const double *B21, long ldb, long dq,"
+        " long i0, long i1)",
         "{",
         "  (void)Y;" if not defs else "",
         "  for (long i = i0; i < i1; ++i) {",
     ]
-    body = list(defs) + list(chains)
-    for s in _referenced_sources(body):
+    for s in _referenced_sources(list(defs) + list(chains)):
         if s.startswith("M"):
             lines.append(
                 f"    const double *p{s} = M[{int(s[1:])}] + (size_t)i*bq;"
             )
     for d_i, d in enumerate(defs):
         lines.append(f"    double *p{d.target} = Y + {d_i}*bq;")
-    for ch in chains:
-        idx = int(ch.target[1:])
-        bi, bj = divmod(idx, n)
+    blocks = [divmod(int(ch.target[1:]), n) for ch in chains]
+    for ch, (bi, bj) in zip(chains, blocks):
         lines.append(
             f"    double *p{ch.target} = C + ((size_t)({bi}*bp + i))*ldc"
             f" + (size_t)({bj})*bq;"
         )
-    for ch in body:
-        lines.append("    for (long j = 0; j < bq; ++j)")
-        lines.append(f"      p{ch.target}[j] = {_rhs(ch.terms)};")
+    for d in defs:
+        lines += _store_loop(d)
+    for ch, (bi, bj) in zip(chains, blocks):
+        lines += _store_loop(ch)
+        lines += [
+            "    for (long t = 0; t < dq; ++t) {",
+            f"      const double a = A12[((size_t)({bi}*bp + i))*lda + t];",
+            f"      const double *b = B21 + (size_t)t*ldb + (size_t)({bj})*bq;",
+            "      NODEP",
+            "      for (long j = 0; j < bq; ++j)",
+            f"        p{ch.target}[j] += a * b[j];",
+            "    }",
+        ]
     lines += ["  }", "}"]
     return [ln for ln in lines if ln != ""]
 
@@ -277,6 +340,7 @@ def generate_c_source(algorithm: FastAlgorithm, cse: bool = False) -> str:
         f" C scratch rows: {len(c['defs'])}",
         " */",
         "#include <stddef.h>",
+        *_NODEP_MACRO,
         "",
     ]
     lines += _emit_side("form_S", s, k, "A")
@@ -495,6 +559,11 @@ class CompiledChains:
     ranges may run concurrently (ctypes releases the GIL) and re-running
     one recomputes it from its inputs: :meth:`form_S`, :meth:`form_T` and
     :meth:`form_C` are what the parallel schedules fan out.
+
+    Whoever calls the kernels keeps their no-overlap contract (module
+    docstring): slab, product, ``Y`` and destination buffers are distinct
+    allocations that overlap neither each other nor the operands.  The
+    loops are compiled on that promise.
     """
 
     def __init__(self, algorithm: FastAlgorithm, cse: bool = False):
@@ -509,7 +578,7 @@ class CompiledChains:
             fn.argtypes = [ptr, lng, lng, lng, ptr, lng, lng]
         self.lib.form_C.restype = None
         self.lib.form_C.argtypes = [ctypes.POINTER(ptr), lng, lng, ptr, lng,
-                                    ptr, lng, lng]
+                                    ptr, ptr, lng, ptr, lng, lng, lng, lng]
 
     # ------------------------------------------------------------ kernels
     def slab_rows(self) -> tuple[int, int, int]:
@@ -536,13 +605,26 @@ class CompiledChains:
         return (ctypes.c_void_p * len(products))(
             *(M.ctypes.data for M in products))
 
-    def form_C(self, Mrows, bp: int, bn: int, C, Y, i0: int, i1: int) -> None:
+    def form_C(self, Mrows, bp: int, bn: int, C, Y, i0: int, i1: int,
+               strip=None) -> None:
         """Rows ``[i0, i1)`` of every ``bp x bn`` block of ``C``
         (:func:`kernel_ready`) from :meth:`product_rows`.  ``Y`` holds the
         C-side definitions of one row at a time (``None`` without any), so
-        ranges that run concurrently must not share it."""
+        ranges that run concurrently must not share it.  ``strip`` is the
+        peeled inner-dimension strip ``(A12, B21)`` of the level whose core
+        ``C`` is (views of ``kernel_ready`` operands, zero columns wide
+        where nothing peeled): each stored row takes its ``A12[i, :] @ B21``
+        on the spot, in the term order of
+        :func:`repro.util.matrices.peel_fixup`."""
+        if strip is None:
+            strip_args = (None, 0, None, 0, 0)
+        else:
+            A12, B21 = strip
+            strip_args = (A12.ctypes.data, A12.strides[0] // 8,
+                          B21.ctypes.data, B21.strides[0] // 8, A12.shape[1])
         self.lib.form_C(Mrows, bp, bn, C.ctypes.data, C.strides[0] // 8,
-                        None if Y is None else Y.ctypes.data, i0, i1)
+                        None if Y is None else Y.ctypes.data, *strip_args,
+                        i0, i1)
 
     def operand(self, side: str, rr: int, slab, X, rows: int, cols: int):
         """Rank ``rr``'s S (``side="s"``) or T operand: its slab row, or
@@ -575,8 +657,8 @@ class CompiledChains:
         ``out`` receives the product (same contract as the generated
         NumPy modules: result dtype, writeable, non-overlapping).  With a
         ``workspace`` sized by
-        :func:`repro.core.workspace.cbackend_footprint` every slab,
-        product buffer and peel temporary comes from the arena; the
+        :func:`repro.core.workspace.cbackend_footprint` every slab and
+        product buffer comes from the arena; the
         returned array is never arena memory (a float64 ``out`` is
         written directly, any other result is a fresh cast).  Only what
         the kernels cannot address in place (:func:`kernel_ready`) is
@@ -653,14 +735,15 @@ class CompiledChains:
         if not should_split(steps, p, q, r, m, k, n):
             np.matmul(A, B, out=C)
             return
-        parts = peel_split(A, m, k) + peel_split(B, k, n)
-        A11, B11 = parts[0], parts[4]
+        A11, A12 = peel_split(A, m, k)[:2]
+        B11, _, B21, _ = peel_split(B, k, n)
         self._core(A11, B11, C[:A11.shape[0], :B11.shape[1]], steps, ws,
-                   sweep)
-        peel_fixup(C, parts, np.matmul, ws)
+                   sweep, (A12, B21))
+        peel_fixup(C, A, B, (m, k, n), np.matmul, strip=False)
 
-    def _core(self, A, B, Cout, steps, ws, sweep) -> None:
-        """One level on an evenly divisible core; writes into ``Cout``."""
+    def _core(self, A, B, Cout, steps, ws, sweep, strip) -> None:
+        """One level on an evenly divisible core; writes into ``Cout``,
+        the peeled inner ``strip`` ``(A12, B21)`` included."""
         m, k, n = self.algorithm.base_case
         R = self.algorithm.rank
         p, q = A.shape
@@ -688,7 +771,7 @@ class CompiledChains:
 
         Y = _take(ws, (y_rows * bn,)) if y_rows else None
         sweep(functools.partial(self.form_C, self.product_rows(products),
-                                bp, bn, Cout, Y), bp)
+                                bp, bn, Cout, Y, strip=strip), bp)
         if ws is not None:
             ws.release(mark)
 

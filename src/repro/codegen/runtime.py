@@ -10,10 +10,11 @@ then form every S_r/T_r in a single BLAS pass).
 Every helper on the generated modules' hot path takes optional ``out=`` /
 ``workspace=`` arguments so arena-backed generated code (see
 :mod:`repro.codegen.generator` for the protocol) runs allocation-free:
-``peel_apply`` writes the product into caller storage and draws its one
-core-size fix-up buffer from the arena, ``axpy`` absorbs general-coefficient
-scaling into a scratch view, and the streaming primitives assemble their
-block stacks inside arena slabs instead of fresh stacked copies.  Without
+``peel_apply`` writes the product into caller storage and draws the
+peel's one fixed-size strip scratch from the arena, ``axpy`` absorbs
+general-coefficient scaling into a scratch view, and the streaming
+primitives assemble their block stacks inside arena slabs instead of
+fresh stacked copies.  Without
 those arguments each helper behaves exactly as the historical allocating
 path (same ufunc/gemm sequence, bit-for-bit identical results).
 """
@@ -28,7 +29,7 @@ from repro.core.recursion import _dot as default_base
 from repro.core.recursion import _leaf as leaf
 from repro.core.recursion import should_split
 from repro.core.workspace import Workspace, axpy, check_out, scratch_view
-from repro.util.matrices import peel_fixup, peel_split
+from repro.util.matrices import peel_fixup, peel_split, strip_scratch
 from repro.util.validation import require_2d
 
 as2d = require_2d
@@ -53,10 +54,10 @@ def peel_apply(
     """Dynamic peeling (Section 3.5) around a divisible-core multiply.
 
     ``core_fn`` gets the largest ``(m,k,n)``-divisible leading submatrices;
-    the boundary strips are fixed up by
-    :func:`repro.util.matrices.peel_fixup`, which draws its one core-size
-    product (``Ccore += A12 @ B21`` when the inner dimension peels) from
-    ``workspace`` so non-divisible shapes stay allocation-free.
+    the boundary contributions are added by
+    :func:`repro.util.matrices.peel_fixup`, whose one scratch buffer (a
+    fixed-size chunk for the inner-dimension strip, never core-size) is
+    drawn from ``workspace`` so non-divisible shapes stay allocation-free.
 
     Without ``out``/``workspace`` this is the allocating path: ``core_fn``
     is called as ``core_fn(A11, B11)`` and returns its product.  With
@@ -64,8 +65,7 @@ def peel_apply(
     when ``out`` is None) and ``core_fn`` is called as
     ``core_fn(A11, B11, Cview)`` -- it must write its result into the view.
     """
-    parts = peel_split(A, m, k) + peel_split(B, k, n)
-    A11, B11 = parts[0], parts[4]
+    A11, B11 = peel_split(A, m, k)[0], peel_split(B, k, n)[0]
     pc, rc = A11.shape[0], B11.shape[1]
     p, r = A.shape[0], B.shape[1]
     if out is None and workspace is None:
@@ -78,7 +78,9 @@ def peel_apply(
         C = out if out is not None else np.empty((p, r),
                                                  dtype=np.result_type(A, B))
         core_fn(A11, B11, C[:pc, :rc])
-    peel_fixup(C, parts, np.matmul, workspace)
+    peel_fixup(C, A, B, (m, k, n), np.matmul,
+               strip_scratch(workspace, p, A.shape[1], r, (m, k, n),
+                             C.dtype.itemsize))
     return C
 
 

@@ -60,7 +60,8 @@ EMISSION_CONTRACT = {
     # drift does.
     "cbackend": (
         "block_ptr", "slab_ptr", "product_ptr", "scratch_ptr",
-        "output_ptr", "fused_store",
+        "output_ptr", "fused_store", "nodep_hint",
+        "strip_loop", "strip_coeff", "strip_row", "strip_update",
     ),
 }
 

@@ -174,7 +174,9 @@ def plan_cost(
       both sides of the comparison with dgemm then read the same curve;
     - **S/T/C chain traffic** (:func:`addition_rw_counts` x block bytes,
       plus :func:`parallel_traffic` and the peel fix-ups of non-divisible
-      dimensions) over the streaming-add bandwidth (Section 3.2:
+      dimensions -- a peeled inner dimension costs the NumPy executors a
+      read and a write of the core, the compiled kernels nothing: the strip
+      rides in ``form_C``) over the streaming-add bandwidth (Section 3.2:
       additions are bandwidth-bound, gemms compute-bound).
       The emitted C forms a chain in one fused loop (write-once counts);
       the NumPy executors make one pass *per term* whatever the strategy
@@ -208,6 +210,7 @@ def plan_cost(
     elif strategy != "streaming":
         strategy = "pairwise"
     passes = [rd + wr for rd, wr in _rw_by_side(alg, strategy)]
+    strip_words = 0 if backend == "compiled" or fused else 2
     m, k, n = alg.base_case
     words = parallel_traffic(alg, p, q, r, steps, scheme=scheme,
                              threads=threads, subgroup=subgroup)
@@ -218,9 +221,11 @@ def plan_cost(
             break       # a dimension ran out: the rest stays a leaf
         # dynamic peeling (Section 3.5): the divisible core recurses and
         # thin, bandwidth-bound products fix the strips up -- a pass over
-        # A, over B, and (product out, core in, core out) over the core
+        # A, over B, and for a peeled inner dimension the NumPy executors'
+        # in-place update of the core (in, out); the compiled kernels add
+        # that strip to the rows form_C is storing anyway
         words += leaves * ((lr % n > 0) * lp * lq + (lp % m > 0) * lq * lr
-                           + (lq % k > 0) * 4 * lp * lr)
+                           + (lq % k > 0) * strip_words * lp * lr)
         lp, lq, lr = lp // m, lq // k, lr // n
         words += leaves * (passes[0] * lp * lq + passes[1] * lq * lr
                            + passes[2] * lp * lr)

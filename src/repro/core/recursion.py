@@ -45,7 +45,12 @@ from repro.core.workspace import (
     combine_into,
     needs_scratch,
 )
-from repro.util.matrices import block_views, peel_fixup, peel_split
+from repro.util.matrices import (
+    block_views,
+    peel_fixup,
+    peel_split,
+    strip_scratch,
+)
 from repro.util.validation import check_matmul_dims, require_2d
 
 BaseMultiply = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -290,8 +295,7 @@ def _recurse(
         return _leaf(base, A, B, out)
 
     # ---- dynamic peeling: carve the evenly divisible core ----
-    parts = peel_split(A, m, k) + peel_split(B, k, n)
-    A11, B11 = parts[0], parts[4]
+    A11, B11 = peel_split(A, m, k)[0], peel_split(B, k, n)[0]
 
     # the top-level C is the caller's ``out`` or a fresh array -- never
     # arena memory, which the next call would overwrite
@@ -300,7 +304,8 @@ def _recurse(
     # ---- fast product on the core, thin classical products around it ----
     _core_multiply(A11, B11, C[:A11.shape[0], :B11.shape[1]], alg, step,
                    base, policy, ws, ops)
-    peel_fixup(C, parts, ops.gemm, ws)
+    peel_fixup(C, A, B, alg.base_case, ops.gemm,
+               strip_scratch(ws, p, q, r, alg.base_case, C.dtype.itemsize))
     return C
 
 

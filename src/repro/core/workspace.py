@@ -51,11 +51,14 @@ All four footprints (:func:`dfs_footprint`, :func:`bfs_footprint`,
 :func:`codegen_footprint`, :func:`cbackend_footprint`) walk the levels with
 one iterator, :func:`_split_levels`, which asks the executors' own
 question -- :func:`repro.core.recursion.should_split`, i.e.
-``CutoffPolicy.should_recurse`` -- whether a level splits, and they charge
-dynamic peeling with one term, :func:`_peel_bytes`, which mirrors the one
-boundary fix-up every executor calls
-(:func:`repro.util.matrices.peel_fixup`: a core-size buffer where the inner
-dimension peels, nothing for the thin strips).  Peeling, early termination
+``CutoffPolicy.should_recurse`` -- whether a level splits.  Dynamic peeling
+costs an arena next to nothing: the one boundary fix-up every executor
+calls (:func:`repro.util.matrices.peel_fixup`) writes its thin products
+straight into ``C``, and where the inner dimension peels the NumPy
+executors add that strip through one fixed-size chunk
+(:func:`repro.util.matrices.strip_scratch_bytes`, at most 256 KiB) while
+the compiled kernels add it inside ``form_C`` and take nothing -- no
+buffer grows with the core.  Peeling, early termination
 (a block dimension dropping below the cutoff) and composed per-level
 schedules are therefore accounted exactly rather than bounded, and an
 executor and its arena cannot disagree on where the recursion stops.  What
@@ -96,6 +99,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.guard import faults as _faults
+from repro.util.matrices import strip_scratch_bytes
 
 #: byte alignment of every handed-out buffer (one cache line)
 ALIGNMENT = 64
@@ -432,16 +436,6 @@ def _split_levels(base_cases: Sequence[tuple[int, int, int]],
             p, q, r = blk
 
 
-def _peel_bytes(dims: tuple[int, int, int], base: tuple[int, int, int],
-                blk: tuple[int, int, int], itemsize: int) -> int:
-    """What :func:`repro.util.matrices.peel_fixup` draws at one level: the
-    core-size ``A12 @ B21`` product when the inner dimension peels, nothing
-    otherwise (the thin strips are written straight into ``C``)."""
-    if dims[1] % base[1] == 0:
-        return 0
-    return (blk[0] * base[0]) * (blk[2] * base[2]) * itemsize
-
-
 def _itemsizes(dtype_a, dtype_b) -> tuple[int, int, int]:
     """Item sizes of ``A``, ``B`` and ``np.result_type(A, B)``."""
     a = np.dtype(dtype_a)
@@ -487,7 +481,7 @@ def dfs_footprint(
     algorithms: Sequence | None = None,
 ) -> int:
     """Exact DFS/sequential arena bytes: per level one S + T + M_r + scratch
-    (+ the peel term at levels where the inner dimension peels).
+    (+ the strip chunk at levels where the inner dimension peels).
 
     With ``algorithms`` (one per level, matching ``base_cases``), the
     scratch term is only charged at levels whose U/V/W carry coefficients
@@ -504,7 +498,7 @@ def dfs_footprint(
         if alg is None or (needs_scratch(alg.U) or needs_scratch(alg.V)
                            or needs_scratch(alg.W)):
             total += take(max(triple))
-        total += take(_peel_bytes(dims, base, blk, isc))
+        total += take(strip_scratch_bytes(*dims, base, isc))
     return take.total(total)
 
 
@@ -552,11 +546,11 @@ def bfs_footprint(
     for _, base, dims, blk in _split_levels([algorithm.base_case] * steps,
                                             p, q, r):
         sp, sq, sr = blk
-        # each of the level's parents combines with the peel term and, for
-        # general W coefficients, a scratch sized to its C block
-        total += take(_peel_bytes(dims, base, blk, isc), count)
-        if w_scratch:
-            total += take(sp * sr * isc, count)
+        # each of the level's parents combines through one scratch: for
+        # general W coefficients sized to its C block, for a peeled inner
+        # dimension the strip chunk
+        total += take(max(w_scratch * sp * sr * isc,
+                          strip_scratch_bytes(*dims, base, isc)), count)
         count *= algorithm.rank
         total += take(sp * sq * isa, count) + take(sq * sr * isb, count)
         if uv_scratch:
@@ -592,8 +586,8 @@ def codegen_footprint(
       stack head, so it is never copied) and, transiently, the block
       stacks (``m*k + |defs|`` rows) and the combined C rows.
 
-    The levels and the peel term are the shared :func:`_split_levels` /
-    :func:`_peel_bytes`.  Sizing uses the result dtype
+    The levels are the shared :func:`_split_levels`; a level whose inner
+    dimension peels adds the strip chunk.  Sizing uses the result dtype
     (``np.result_type(A, B)``) for every slot, which matches the emitted
     write_once/streaming temporaries and upper-bounds arena pairwise's
     operand-dtype chains.  Chain and CSE slot counts come from the
@@ -618,7 +612,7 @@ def codegen_footprint(
     levels = list(_split_levels([algorithm.base_case] * steps, *shape))
     child = 0  # bytes of the level below, innermost first
     for _, base, dims, (bp, bq, br) in reversed(levels):
-        total = take(_peel_bytes(dims, base, (bp, bq, br), 1))
+        total = take(strip_scratch_bytes(*dims, base, isz) // isz)
         if strategy == "streaming":
             total += take(R * bp * bq) + take(R * bq * br)   # _SS, _TT slabs
             total += take((R + ncd) * bp * br)               # _ST slab
@@ -676,8 +670,9 @@ def cbackend_footprint(
     4.2 pools with ``slots`` rows where the NumPy tree
     (:func:`bfs_footprint`) holds ``R`` separate buffers.
 
-    The levels and the peel term are the shared :func:`_split_levels` /
-    :func:`_peel_bytes`.  Slot counts come from the backend's own
+    The levels are the shared :func:`_split_levels`; peeling takes nothing
+    (the inner strip rides in ``form_C``).  Slot counts come from the
+    backend's own
     :func:`repro.codegen.cbackend._prepare` (imported lazily --
     ``repro.codegen`` depends on this module, not vice versa), so arena
     sizing cannot drift from the slab layout the emitted C actually uses.
@@ -699,7 +694,7 @@ def cbackend_footprint(
     if np.result_type(a, b) != f64:
         total += take(p * r)                        # double result buffer
     nodes = 1
-    for _, base, dims, (bp, bq, bn) in _split_levels(
+    for *_, (bp, bq, bn) in _split_levels(
             [algorithm.base_case] * steps, p, q, r):
         total += take(max(s["slots"], 1) * bp * bq, nodes)   # form_S slab
         total += take(max(t["slots"], 1) * bq * bn, nodes)   # form_T slab
@@ -709,7 +704,6 @@ def cbackend_footprint(
                                            bp, bq, bn)[1]
         total += take(own * bp * bn, nodes)                  # product slab
         total += take(len(c["defs"]) * bn, nodes)            # form_C Y rows
-        total += take(_peel_bytes(dims, base, (bp, bq, bn), 1), nodes)
         if tree:
             nodes *= R
     return take.total(total)

@@ -22,8 +22,12 @@ Three schemes over the recursion tree:
   sub-group variant assigns the remainder to disjoint groups of P' < P
   threads; both are implemented.
 
-Dynamic peeling applies at every node: the boundary fix-up products
-(:func:`repro.util.matrices.peel_fixup`) run during its combine stage.
+Dynamic peeling applies at every node: the boundary fix-ups
+(:func:`repro.util.matrices.peel_fixup`) run during its combine stage --
+two thin products, and the peeled inner-dimension strip, which the
+compiled ``form_C`` adds as it stores each row and the NumPy nodes add in
+fixed-size chunks through their combine scratch.  No buffer is
+core-size.
 
 **Which kernels form the chains** is decided per call by
 :func:`repro.codegen.cbackend.chains_fused` -- it is not a plan dimension
@@ -84,7 +88,12 @@ from repro.parallel.pool import (
     parallel_axpy,
     parallel_combine,
 )
-from repro.util.matrices import block_views, peel_fixup, peel_split
+from repro.util.matrices import (
+    block_views,
+    peel_fixup,
+    peel_split,
+    strip_scratch_bytes,
+)
 
 SCHEMES = ("dfs", "bfs", "hybrid", "hybrid-subgroup")
 
@@ -149,24 +158,6 @@ def _run_dfs(A, B, alg: FastAlgorithm, steps: int, pool: WorkerPool,
 # BFS / HYBRID: level-synchronous task tree
 # =========================================================================
 @dataclasses.dataclass
-class _Preassigned:
-    """What a fix-up task hands :func:`peel_fixup` as its arena: the one
-    buffer carved for it before the tasks fanned out (a task body must
-    never touch the shared bump pointer)."""
-
-    buf: np.ndarray
-
-    def mark(self) -> None:
-        return None
-
-    def take(self, shape, dtype) -> np.ndarray:
-        return self.buf
-
-    def release(self, mark) -> None:
-        pass
-
-
-@dataclasses.dataclass
 class _Node:
     """One subproblem in the recursion tree.
 
@@ -190,40 +181,45 @@ class _Node:
     result: np.ndarray | None = None
     #: preassigned result storage (arena view, or the caller's ``out``)
     result_buf: np.ndarray | None = None
-    # the eight peeling views, captured at expansion, applied at combine
+    # captured at expansion: the evenly divisible cores A11 and B11, and
+    # the peeled inner strip (A12, B21)
     _peel: tuple | None = None
     # (S_buf, T_buf, scratch, result_buf) per rank, preassigned by split
     _child_bufs: list | None = None
-    # combine-stage scratch for W coefficients outside {0, +-1}
+    # combine-stage scratch: W coefficients outside {0, +-1} scale in it,
+    # then the peeled inner strip is added through it
     _scratch: np.ndarray | None = None
-    # preassigned (pc x rc) buffer for the inner-dimension peel fix-up
-    _qfix: _Preassigned | None = None
 
     def core_shape(self) -> tuple[int, int, int]:
         """``(pc, qc, rc)`` of the evenly divisible core."""
-        return self._peel[0].shape + self._peel[4].shape[1:]
+        A11, B11, _ = self._peel
+        return A11.shape + B11.shape[1:]
 
-    def _peel_core(self, ws: Workspace | None, ctype) -> tuple[int, int, int]:
+    def _peel_core(self) -> tuple[int, int, int]:
         """Capture the peeling views; returns the block dims ``(bp, bq,
         bn)`` the children inherit."""
         m, k, n = self.alg.base_case
-        self._peel = peel_split(self.A, m, k) + peel_split(self.B, k, n)
+        A11, A12 = peel_split(self.A, m, k)[:2]
+        B11, _, B21, _ = peel_split(self.B, k, n)
+        self._peel = (A11, B11, (A12, B21))
         pc, qc, rc = self.core_shape()
-        if ws is not None and self.A.shape[1] != qc:
-            self._qfix = _Preassigned(ws.take((pc, rc), ctype))
         return pc // m, qc // k, rc // n
 
     # ------------------------------------------------------------ expansion
     def split(self, ws: Workspace | None, parts: int) -> list:
         ctype = np.result_type(self.A, self.B)
-        bp, bq, bn = self._peel_core(ws, ctype)
+        bp, bq, bn = self._peel_core()
         R = self.alg.rank
         self.children = [None] * R  # type: ignore[list-item]
         self._child_bufs = [(None, None, None, None)] * R
         if ws is not None:
             uv_scratch, w_scratch = _scratch_needs(self.alg)
-            if w_scratch:
-                self._scratch = ws.take_scratch(bp * bn * ctype.itemsize)
+            nbytes = max(
+                w_scratch * bp * bn * ctype.itemsize,
+                strip_scratch_bytes(self.A.shape[0], *self.B.shape,
+                                    self.alg.base_case, ctype.itemsize))
+            if nbytes:
+                self._scratch = ws.take_scratch(nbytes)
             for rr in range(R):
                 S_buf = ws.take((bp, bq), self.A.dtype)
                 T_buf = ws.take((bq, bn), self.B.dtype)
@@ -240,7 +236,7 @@ class _Node:
         S_buf, T_buf, scr, M_buf = self._child_bufs[rr]
         S = combine_blocks(block_views(self._peel[0], m, k),
                            self.alg.U[:, rr], out=S_buf, scratch=scr)
-        T = combine_blocks(block_views(self._peel[4], k, n),
+        T = combine_blocks(block_views(self._peel[1], k, n),
                            self.alg.V[:, rr], out=T_buf, scratch=scr)
         self.children[rr] = _Node(S, T, self.level + 1, self.alg,
                                   result_buf=M_buf)
@@ -274,8 +270,9 @@ class _Node:
         return (self.A.shape + self.B.shape[1:]) != self.core_shape()
 
     def fixup(self) -> None:
-        """Task body: the boundary products of dynamic peeling."""
-        peel_fixup(self.result_buf, self._peel, np.matmul, self._qfix)
+        """Task body: the boundary contributions of dynamic peeling."""
+        peel_fixup(self.result_buf, self.A, self.B, self.alg.base_case,
+                   np.matmul, self._scratch)
 
     def finish(self) -> None:
         self.result = self.result_buf
@@ -304,8 +301,8 @@ class _FusedNode(_Node):
 
     def split(self, ws: Workspace | None, parts: int) -> list:
         cc, R = self.cc, self.alg.rank
-        self._blk = bp, bq, bn = self._peel_core(ws, np.float64)
-        A11, B11 = self._peel[0], self._peel[4]
+        self._blk = bp, bq, bn = self._peel_core()
+        A11, B11, _ = self._peel
         s_rows, t_rows, _ = cc.slab_rows()
         take = ws.take if ws is not None else np.empty
         Sslab = take((s_rows, bp * bq), np.float64)
@@ -330,7 +327,7 @@ class _FusedNode(_Node):
             self.cc.form_S(self._peel[0], bp, bq, Sslab,
                            s_rows.start, s_rows.stop)
         if t_rows is not None:
-            self.cc.form_T(self._peel[4], bq, bn, Tslab,
+            self.cc.form_T(self._peel[1], bq, bn, Tslab,
                            t_rows.start, t_rows.stop)
 
     def assemble_items(self, parts: int) -> list:
@@ -338,10 +335,16 @@ class _FusedNode(_Node):
         return _row_slabs(self._blk[0], parts)
 
     def assemble(self, rows: slice) -> None:
-        """Task body: one row range of every block of the core of C."""
+        """Task body: one row range of every block of the core of C, the
+        peeled inner strip included."""
         bp, _, bn = self._blk
         self.cc.form_C(self._products, bp, bn, self.result_buf, None,
-                       rows.start, rows.stop)
+                       rows.start, rows.stop, strip=self._peel[2])
+
+    def fixup(self) -> None:
+        """Task body: the thin products; ``form_C`` added the strip."""
+        peel_fixup(self.result_buf, self.A, self.B, self.alg.base_case,
+                   np.matmul, strip=False)
 
 
 def _scratch_needs(alg: FastAlgorithm) -> tuple[bool, bool]:

@@ -57,43 +57,85 @@ def peel_split(X: np.ndarray, row_div: int, col_div: int):
     return X[:pc, :qc], X[:pc, qc:], X[pc:, :qc], X[pc:, qc:]
 
 
-def peel_fixup(C: np.ndarray, parts: tuple, gemm, ws=None) -> None:
-    """The boundary products of dynamic peeling (paper Section 3.5).
+#: bytes of the one scratch buffer the NumPy inner-strip update works in:
+#: small enough to stay in L2 beside the rows of ``C`` it is added to, and
+#: the only thing dynamic peeling ever asks an arena for
+STRIP_SCRATCH_BYTES = 256 * 1024
 
-    ``parts`` is ``peel_split(A, m, k) + peel_split(B, k, n)`` and
-    ``C[:pc, :rc]`` already holds the fast product ``A11 @ B11``; this adds
-    what the peeled strips contribute, with classical products through
-    ``gemm(X, Y, out=None)``.  Every executor -- interpreter, parallel
-    schedules, generated modules, compiled driver -- calls this one body.
 
-    ``A12 @ B21`` is the only core-size temporary; it is drawn from the
-    arena ``ws`` when one is given (so peeled shapes stay allocation-free)
-    and :func:`repro.core.workspace._peel_bytes` sizes exactly that.  The
-    other strips are O(boundary)-thin and are written straight into ``C``.
+def strip_scratch_bytes(p: int, q: int, r: int,
+                        base: tuple[int, int, int], itemsize: int) -> int:
+    """Scratch :func:`peel_fixup` wants to add the inner strip of a
+    ``p x q x r`` product under ``base`` without allocating: nothing when
+    the inner dimension divides, else the core of ``C`` capped at
+    :data:`STRIP_SCRATCH_BYTES`.  The executors take exactly this from
+    their arena and the footprints charge exactly this."""
+    m, k, n = base
+    if q % k == 0:
+        return 0
+    return min(STRIP_SCRATCH_BYTES, (p - p % m) * (r - r % n) * itemsize)
+
+
+def strip_scratch(ws, p: int, q: int, r: int,
+                  base: tuple[int, int, int], itemsize: int):
+    """That scratch, taken from the arena ``ws``: ``None`` without an arena
+    or where the inner dimension divides.  No mark of its own -- the take
+    follows the level's release, so the enclosing level's mark (or the
+    next call's reset) takes it back."""
+    nbytes = strip_scratch_bytes(p, q, r, base, itemsize)
+    return ws.take_scratch(nbytes) if ws is not None and nbytes else None
+
+
+def peel_fixup(C: np.ndarray, A: np.ndarray, B: np.ndarray,
+               base: tuple[int, int, int], gemm,
+               scratch: np.ndarray | None = None, strip: bool = True) -> None:
+    """The boundary contributions of dynamic peeling (paper Section 3.5).
+
+    ``C[:pc, :rc]`` already holds the fast product of the cores ``A[:pc,
+    :qc] @ B[:qc, :rc]`` (the largest leading submatrices divisible by
+    ``base`` = ``(m, k, n)``).  Every executor -- interpreter, parallel
+    schedules, generated modules, compiled driver -- calls this one body
+    for the rest:
+
+    - the right and bottom strips of ``C`` are two classical products over
+      the *whole* inner dimension, ``C[:pc, rc:] = A[:pc] @ B[:, rc:]`` and
+      ``C[pc:] = A[pc:] @ B``, through ``gemm(X, Y, out=)`` straight into
+      ``C`` -- thin, and no temporaries;
+    - the inner strip ``A[:pc, qc:] @ B[qc:, :rc]`` is a rank-``dq`` update
+      of the core (``dq < k``), far too thin for a gemm call to pay: it is
+      accumulated in place, ``C_rows += a[:, t] * b[t, :]`` for ``t = 0 ..
+      dq-1`` over row chunks that fit ``scratch`` (a byte buffer of
+      :func:`strip_scratch_bytes`, from the caller's arena; allocated here
+      when ``None``).  The compiled kernels add the same terms in the same
+      order inside ``form_C`` -- while the row they just stored is still in
+      L1 -- so their callers pass ``strip=False``, and both agree bit for
+      bit.
+
+    No buffer here grows with the core.
     """
-    A11, A12, A21, A22, B11, B12, B21, B22 = parts
-    pc, rc = A11.shape[0], B11.shape[1]
-    dp, dq, dr = A21.shape[0], A12.shape[1], B12.shape[1]
-    if dq:  # inner-dimension strip contributes to the core block of C
-        Ccore = C[:pc, :rc]
-        if ws is None:
-            Ccore += gemm(A12, B21)
-        else:
-            mark = ws.mark()
-            t = ws.take((pc, rc), C.dtype)
-            gemm(A12, B21, out=t)
-            np.add(Ccore, t, out=Ccore)
-            ws.release(mark)
-    if dr:  # right strip of C
-        gemm(A11, B12, out=C[:pc, rc:])
-        if dq:
-            C[:pc, rc:] += gemm(A12, B22)
-    if dp:  # bottom strip of C
-        gemm(A21, B11, out=C[pc:, :rc])
-        if dq:
-            C[pc:, :rc] += gemm(A22, B21)
-    if dp and dr:  # corner
-        C[pc:, rc:] = gemm(A21, B12) + gemm(A22, B22)
+    m, k, n = base
+    p, q = A.shape
+    r = B.shape[1]
+    pc, qc, rc = p - p % m, q - q % k, r - r % n
+    if strip and qc < q:
+        if scratch is None:
+            scratch = np.empty(
+                strip_scratch_bytes(p, q, r, base, C.dtype.itemsize), np.uint8)
+        Ccore, A12, B21 = C[:pc, :rc], A[:pc, qc:], B[qc:, :rc]
+        cap = min(scratch.nbytes, STRIP_SCRATCH_BYTES) // C.dtype.itemsize
+        cols = min(rc, cap)
+        rows = max(1, cap // cols)
+        for j0 in range(0, rc, cols):
+            for i0 in range(0, pc, rows):
+                Cv = Ccore[i0:i0 + rows, j0:j0 + cols]
+                t = scratch[:Cv.nbytes].view(C.dtype).reshape(Cv.shape)
+                for a, b in zip(A12[i0:i0 + rows].T, B21[:, j0:j0 + cols]):
+                    np.multiply(a[:, None], b, out=t)
+                    np.add(Cv, t, out=Cv)
+    if rc < r:  # right strip of C
+        gemm(A[:pc], B[:, rc:], out=C[:pc, rc:])
+    if pc < p:  # bottom strip of C, corner included
+        gemm(A[pc:], B, out=C[pc:])
 
 
 def random_matrix(

@@ -218,6 +218,58 @@ def test_mutation_cemit_corruptions_are_detected():
                     "CEMIT-HEADER")
 
 
+def test_mutation_cemit_hint_and_strip_are_proven():
+    """The vectoriser takes ``NODEP`` on trust and nothing but this pass
+    reads the strip's addressing: a hinted loop whose target is one of its
+    source rows, a strip that reads another block's rows or columns, runs
+    outside the row loop, ahead of its store, twice or not at all -- each
+    has its finding."""
+    from repro.codegen.cbackend import generate_c_source
+
+    alg = get_algorithm("strassen")
+    src = generate_c_source(alg, False)
+
+    def codes(mutant, algorithm=alg, cse=False):
+        assert mutant != src
+        return {f.code for f in cemit.verify_source(mutant, algorithm, cse,
+                                                    where="mut")}
+
+    # the target row read back by name ...
+    assert "CEMIT-ALIAS" in codes(
+        src.replace("pS0[j] = pA0[j] + pA3[j]", "pS0[j] = pS0[j] + pA3[j]"))
+    # ... and through a second pointer to the same slab row: a chain that
+    # reads a CSE definition, re-pointed at the definition's row
+    s333 = get_algorithm("s333")
+    unit = generate_c_source(s333, True)
+    chain, definition = re.search(
+        r"p(S\d+)\[j\] = [^;]*p(YA\d+)\[j\]", unit).groups()
+    row = re.search(rf"double \*p{definition} = S \+ (\d+)\*blk", unit).group(1)
+    alias = re.sub(rf"(double \*p{chain} = S \+ )\d+(\*blk)",
+                   rf"\g<1>{row}\g<2>", unit)
+    assert alias != unit
+    assert "CEMIT-ALIAS" in codes(alias, s333, True)
+    # the strip of block (0, 0) reading block row 1 of A12, column 1 of B21
+    assert "CEMIT-BLOCK" in codes(src.replace(
+        "A12[((size_t)(0*bp + i))*lda + t]",
+        "A12[((size_t)(1*bp + i))*lda + t]", 1))
+    assert "CEMIT-BLOCK" in codes(src.replace(
+        "B21 + (size_t)t*ldb + (size_t)(0)*bq",
+        "B21 + (size_t)t*ldb + (size_t)(1)*bq", 1))
+    # the strip of pC0, cut out and pasted elsewhere
+    lines = src.splitlines()
+    at = lines.index("    for (long t = 0; t < dq; ++t) {")
+    strip, rest = lines[at:at + 7], lines[:at] + lines[at + 7:]
+    assert strip[-1] == "    }" and "pC0[j] += a * b[j];" in strip[-2]
+    assert "CEMIT-CBLOCK" in codes("\n".join(rest))            # nowhere
+    end = len(rest) - 1 - rest[::-1].index("  }")
+    assert "CEMIT-RANGE" in codes(
+        "\n".join(rest[:end + 1] + strip + rest[end + 1:]))    # after the rows
+    assert "CEMIT-CBLOCK" in codes(
+        "\n".join(rest[:at - 3] + strip + rest[at - 3:]))      # before its store
+    assert "CEMIT-CBLOCK" in codes(
+        "\n".join(lines[:at] + strip + lines[at:]))            # twice
+
+
 def test_mutation_unlocked_lib_cache_is_detected():
     # satellite regression: the shared-library cache must stay behind its
     # lock.  The shipped source is proven clean, then the cache store is

@@ -104,6 +104,41 @@ class TestReadWriteCounts:
             cost.addition_rw_counts(strassen(), "magic")
 
 
+class TestPeelPricing:
+    """Section 3.5 as it now runs: a peeled inner dimension costs the NumPy
+    executors one in-place update of the core (a read and a write of C);
+    the compiled kernels add the strip to rows ``form_C`` is storing
+    anyway -- compiled and fused chains pay nothing for it."""
+
+    CORE = 1024 * 1024 * 8 / 60e9   # one pass over C on the suite's machine
+
+    @pytest.mark.parametrize("kw,passes", [
+        (dict(), 2),
+        (dict(strategy="streaming"), 2),
+        (dict(backend="compiled"), 0),
+        (dict(scheme="dfs", threads=2, dtype="float32"), 2),
+    ])
+    def test_inner_strip(self, kw, passes):
+        alg = get_algorithm("strassen")
+        cal_passes = passes / (kw.get("threads", 1)
+                               * (2 if kw.get("dtype") == "float32" else 1))
+        extra = (cost.plan_cost(alg, 1024, 513, 1024, 1, **kw)
+                 - cost.plan_cost(alg, 1024, 512, 1024, 1, **kw))
+        assert extra == pytest.approx(cal_passes * self.CORE, abs=1e-12)
+
+    def test_fused_chains_pay_nothing_for_it(self, monkeypatch):
+        from repro.codegen import cbackend
+
+        alg = get_algorithm("strassen")
+        for fused, passes in ((True, 0), (False, 2)):
+            monkeypatch.setattr(cbackend, "available", lambda: fused)
+            extra = (cost.plan_cost(alg, 1024, 513, 1024, 1, scheme="bfs",
+                                    threads=2)
+                     - cost.plan_cost(alg, 1024, 512, 1024, 1, scheme="bfs",
+                                      threads=2))
+            assert extra == pytest.approx(passes / 2 * self.CORE, abs=1e-12)
+
+
 class TestCseDelta:
     def test_breakeven_at_four_uses(self):
         """Section 3.3: a length-2 subexpression must appear at least four

@@ -10,22 +10,18 @@ parallel schemes (``dfs``, ``hybrid``) plus the sequential interpreter:
   the steady-state win of eliminating allocator traffic and page faults
   from the recursion/schedule/dispatch hot loops.
 
-``--codegen`` switches the grid to the *generated* sequential modules
-(ISSUE 4): one row per addition strategy (write_once / pairwise /
-streaming), allocating ``multiply(A, B)`` vs the warm arena path
-``multiply(A, B, out=, workspace=)`` with the
-``workspace.codegen_footprint``-sized arena -- what ``tuner.dispatch``
-serves for sequential plans.
+The ``sequential`` rows are what ``tuner.dispatch`` serves for sequential
+NumPy plans: the interpreter in its Section 4.1 arena.
 
 Emits ``BENCH_workspace.json`` and exits non-zero when the warm path's
 allocated bytes regress above the checked-in threshold
 (``benchmarks/workspace_threshold.json``) -- the CI smoke job runs
-``--quick`` (both grids) on every push.
+``--quick`` on every push.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_workspace.py [--quick] \
-        [--codegen] [--json BENCH_workspace.json] [--max-warm-bytes N]
+        [--json BENCH_workspace.json] [--max-warm-bytes N]
 """
 
 from __future__ import annotations
@@ -40,11 +36,7 @@ import numpy as np
 
 from repro.algorithms import get_algorithm
 from repro.core.recursion import multiply
-from repro.core.workspace import (
-    Workspace,
-    codegen_footprint,
-    track_allocations,
-)
+from repro.core.workspace import Workspace, track_allocations
 from repro.parallel import blas
 from repro.parallel.pool import WorkerPool, available_cores
 from repro.parallel.schedules import multiply_parallel, parallel_footprint
@@ -59,7 +51,6 @@ FULL_SIZES = (1024, 1025, 1536)
 QUICK_SIZES = (256, 257)
 DTYPES = ("float32", "float64")
 SCHEMES = ("sequential", "dfs", "hybrid")
-CODEGEN_STRATEGIES = ("write_once", "pairwise", "streaming")
 STEPS = 2
 
 
@@ -113,12 +104,6 @@ def bench_config(scheme: str, dtype: str, n: int, steps: int,
                               pool=pool, threads=threads, out=out,
                               workspace=ws)
 
-    return _measure(scheme, dtype, n, steps, alg, ws, run_alloc, run_warm,
-                    trials)
-
-
-def _measure(scheme, dtype, n, steps, alg, ws, run_alloc, run_warm,
-             trials) -> dict:
     run_alloc()  # warm numpy/BLAS internals
     run_warm()   # warm the arena (first call sizes nothing, it's prebuilt)
 
@@ -144,32 +129,6 @@ def _measure(scheme, dtype, n, steps, alg, ws, run_alloc, run_warm,
     }
 
 
-def bench_codegen(strategy: str, dtype: str, n: int, steps: int,
-                  threads: int, trials: int) -> dict:
-    """One row for a generated sequential module: allocating ``multiply``
-    vs the warm ``out=``/``workspace=`` arena path dispatch serves."""
-    from repro.codegen import compile_algorithm
-
-    alg = get_algorithm("strassen")
-    A = random_matrix(n, n, 0, dtype=np.dtype(dtype))
-    B = random_matrix(n, n, 1, dtype=np.dtype(dtype))
-    out = np.empty((n, n), dtype=np.result_type(A, B))
-    fn = compile_algorithm(alg, strategy=strategy)
-    ws = Workspace(codegen_footprint(alg, strategy, False, (n, n, n),
-                                     A.dtype, steps, dtype_b=B.dtype))
-
-    def run_alloc():
-        with blas.blas_threads(threads):
-            fn(A, B, steps=steps)
-
-    def run_warm():
-        with blas.blas_threads(threads):
-            fn(A, B, steps=steps, out=out, workspace=ws)
-
-    return _measure(f"codegen-{strategy}", dtype, n, steps, alg, ws,
-                    run_alloc, run_warm, trials)
-
-
 def _print_row(row: dict) -> None:
     print(f"{row['scheme']:18s} {row['dtype']:8s} n={row['n']:5d}  "
           f"alloc {row['alloc_bytes_per_call'] / 1e6:8.2f} MB/call "
@@ -183,10 +142,6 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--quick", action="store_true",
                     help="small sizes / few trials (the CI smoke job)")
-    ap.add_argument("--codegen", action="store_true",
-                    help="benchmark the generated sequential modules "
-                         "(one row per addition strategy) instead of the "
-                         "scheme grid")
     ap.add_argument("--json", type=Path, default=Path("BENCH_workspace.json"))
     ap.add_argument("--max-warm-bytes", type=int, default=None,
                     help="fail if any warm path allocates more than this "
@@ -206,29 +161,20 @@ def main(argv=None) -> int:
     threads = min(4, available_cores())
 
     rows = []
-    if args.codegen:
+    with WorkerPool(threads) as pool:
         for n in sizes:
             for dtype in DTYPES:
-                for strategy in CODEGEN_STRATEGIES:
-                    row = bench_codegen(strategy, dtype, n, STEPS,
-                                        threads, trials)
+                for scheme in SCHEMES:
+                    row = bench_config(scheme, dtype, n, STEPS, pool,
+                                       threads, trials)
                     rows.append(row)
                     _print_row(row)
-    else:
-        with WorkerPool(threads) as pool:
-            for n in sizes:
-                for dtype in DTYPES:
-                    for scheme in SCHEMES:
-                        row = bench_config(scheme, dtype, n, STEPS, pool,
-                                           threads, trials)
-                        rows.append(row)
-                        _print_row(row)
 
     worst_warm = max(r["warm_bytes_per_call"] for r in rows)
     ok = worst_warm <= threshold and all(
         r["arena_overflows"] == 0 for r in rows)
     report = {
-        "benchmark": "workspace-codegen" if args.codegen else "workspace",
+        "benchmark": "workspace",
         "quick": args.quick,
         "threads": threads,
         "max_warm_alloc_bytes": threshold,

@@ -3,17 +3,15 @@
 Five passes, each importable and driven by ``repro analyze``:
 
 - :mod:`repro.analyze.symbolic` -- abstractly interprets every generated
-  module's ``_core``/``_core_ws`` and proves the recovered bilinear form
-  equals the catalog ``[U,V,W]`` scheme, coefficient by coefficient,
-  without executing a multiply;
+  module's ``_core`` and proves the recovered bilinear form equals the
+  catalog ``[U,V,W]`` scheme, coefficient by coefficient, without
+  executing a multiply;
 - :mod:`repro.analyze.cemit` -- the same proof for the C chain emitter:
   parses the ``form_S``/``form_T``/``form_C`` translation units back into
   coefficient tables and compares the recovered tensor against the
   scheme, with no compiler in the loop;
-- :mod:`repro.analyze.arena` -- checks the arena discipline of generated
-  code (balanced ``mark``/``release``, no view read after its scope is
-  released, static take totals within ``codegen_footprint``) and the
-  mark/release balance of the hand-written tree;
+- :mod:`repro.analyze.arena` -- checks the ``mark``/``release`` balance
+  of every function in the source tree;
 - :mod:`repro.analyze.concurrency` -- a registry of known shared state and
   the lock that must guard each, flagging mutations reached outside a
   ``with <lock>`` scope, plus a hot-path allocation lint;
@@ -56,13 +54,10 @@ def run(analyzer: str, **kwargs) -> tuple[int, list[Finding]]:
         with obs.span("analyze.cemit"):
             checked, findings = verify_cemit(**kwargs)
     elif analyzer == "arena":
-        from repro.analyze.arena import check_catalog_arena, check_tree
+        from repro.analyze.arena import check_tree
 
         with obs.span("analyze.arena"):
-            checked, findings = check_catalog_arena(**kwargs)
-            n2, f2 = check_tree()
-            checked += n2
-            findings = findings + f2
+            checked, findings = check_tree(**kwargs)
     elif analyzer == "concurrency":
         from repro.analyze.concurrency import check_tree
 

@@ -97,8 +97,9 @@ REGISTRY: tuple[SharedState, ...] = (
 )
 
 #: Files whose arena-served functions get the allocation lint: the
-#: generated modules' runtime, and the peeling fix-up every executor calls.
-HOT_ALLOC_FILES = ("codegen/runtime.py", "util/matrices.py")
+#: interpreter that serves sequential NumPy plans (and the parallel DFS),
+#: and the peeling fix-up every executor calls.
+HOT_ALLOC_FILES = ("core/recursion.py", "util/matrices.py")
 
 
 def _src_root() -> Path:

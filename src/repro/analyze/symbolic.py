@@ -3,11 +3,10 @@
 A generated module (``repro.codegen.generator``) is trusted today because
 executing it matches ``np.matmul`` on random inputs.  This pass removes
 the "executing" part: it parses the module's AST and *abstractly
-interprets* both cores -- the allocating ``_core`` and the arena-lowered
-``_core_ws`` -- over symbolic block variables.  Every S/T chain becomes a
-linear-combination vector over the input blocks, every ``_run`` /
-``_run_ws`` call registers one bilinear product, and every C-block write
-becomes a linear combination of products.  The recovered bilinear form
+interprets* its ``_core`` over symbolic block variables.  Every S/T chain
+becomes a linear-combination vector over the input blocks, every ``_run``
+call registers one bilinear product, and every C-block write becomes a
+linear combination of products.  The recovered bilinear form
 
     C[ic] = sum_p  w[ic,p] * (s_p . A) * (t_p . B)
 
@@ -45,7 +44,7 @@ _UFUNC_STORES = {"copyto", "add", "subtract", "negative", "multiply"}
 
 
 class _Opaque:
-    """Scalar bookkeeping value (shapes, dtypes, marks) -- never an array."""
+    """Scalar bookkeeping value (shapes, dtypes) -- never an array."""
 
     __slots__ = ()
 
@@ -77,7 +76,7 @@ class _Val:
 
 
 class _Cell:
-    """A preallocated destination (``np.empty`` / ``ws.take``)."""
+    """A preallocated destination (``np.empty``)."""
 
     __slots__ = ("val",)
 
@@ -99,33 +98,6 @@ class _CSlot:
 
     def __init__(self, holder: _CHolder, index: int) -> None:
         self.holder = holder
-        self.index = index
-
-
-class _Slab:
-    """An R-row product slab (``_MM`` / ``_ST``)."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, n: int) -> None:
-        self.rows: list[_Val | None] = [None] * n
-
-
-class _SlabView:
-    """``_ST[:RANK].reshape(...)`` -- a window onto a slab's head rows."""
-
-    __slots__ = ("slab", "count")
-
-    def __init__(self, slab: _Slab, count: int) -> None:
-        self.slab = slab
-        self.count = count
-
-
-class _SlabSlot:
-    __slots__ = ("slab", "index")
-
-    def __init__(self, slab: _Slab, index: int) -> None:
-        self.slab = slab
         self.index = index
 
 
@@ -266,8 +238,6 @@ class _Interp:
                     self.env.pop(t.id, None)
         elif isinstance(stmt, ast.Return):
             self._exec_return(stmt)
-        elif isinstance(stmt, ast.For):
-            self._exec_for(stmt)
         else:
             self._abort("SYM-PARSE", stmt,
                         f"statement form {type(stmt).__name__} is outside the"
@@ -301,16 +271,7 @@ class _Interp:
             obj = self._eval(value, stmt)
             self.env[name] = obj
             return
-        if isinstance(value, ast.IfExp):
-            # C = out if out is not None else np.empty((p, r), _dt)
-            self.env[name] = self._eval_ifexp(value, stmt)
-            return
         self.env[name] = self._eval(value, stmt)
-
-    def _eval_ifexp(self, node: ast.IfExp, stmt: ast.stmt) -> Any:
-        holder = _CHolder(self.nc)
-        self.result = holder
-        return holder
 
     def _eval_store_value(self, node: ast.expr, ctx: ast.AST) -> _Val:
         # C0[:] = 0.0  zeroes an output block that no product reaches
@@ -331,21 +292,6 @@ class _Interp:
             return
         self._abort("SYM-PARSE", stmt, "unsupported return value")
 
-    def _exec_for(self, stmt: ast.For) -> None:
-        # for _i in range(RANK): ...   (streaming arena product loop)
-        ok = (isinstance(stmt.target, ast.Name)
-              and isinstance(stmt.iter, ast.Call)
-              and _call_name(stmt.iter) == "range"
-              and len(stmt.iter.args) == 1)
-        if not ok:
-            self._abort("SYM-PARSE", stmt, "loop form outside the contract")
-        count = self._eval_int(stmt.iter.args[0], stmt)
-        var = stmt.target.id
-        for i in range(count):
-            self.env[var] = i
-            self._exec_body(stmt.body)
-        self.env.pop(var, None)
-
     # -- calls as statements ----------------------------------------------
 
     def _exec_call_stmt(self, call: ast.Call) -> None:
@@ -361,14 +307,6 @@ class _Interp:
             if coeff is None:
                 self._abort("SYM-PARSE", call, "axpy coefficient not literal")
             self._store(dest, self._lin(cur, src, coeff, call), call)
-            return
-        if name == "_run_ws":
-            self._run_product(call, arena=True)
-            return
-        if name == "runtime.streaming_output_stacked":
-            self._streaming_output_stacked(call)
-            return
-        if name in ("ws.release", "ws.reset"):
             return
         self._abort("SYM-PARSE", call,
                     f"call {name!r} is outside the emission contract")
@@ -407,7 +345,7 @@ class _Interp:
     # -- loads / stores ----------------------------------------------------
 
     def _dest(self, node: ast.expr, ctx: ast.AST) -> Any:
-        """Resolve a store destination (cell, C slot, or slab slot)."""
+        """Resolve a store destination (cell or C slot)."""
         if isinstance(node, ast.Name):
             obj = self.env.get(node.id)
             if obj is None:
@@ -423,8 +361,6 @@ class _Interp:
             dest.val = val
         elif isinstance(dest, _CSlot):
             dest.holder.slots[dest.index] = val
-        elif isinstance(dest, _SlabSlot):
-            dest.slab.rows[dest.index] = val
         else:
             self._abort("SYM-PARSE", ctx,
                         f"store into non-buffer {type(dest).__name__}")
@@ -444,11 +380,6 @@ class _Interp:
             if v is None:
                 self._abort("SYM-UNINIT", ctx,
                             f"read of unwritten output block {obj.index}")
-            return v
-        if isinstance(obj, _SlabSlot):
-            v = obj.slab.rows[obj.index]
-            if v is None:
-                self._abort("SYM-UNINIT", ctx, "read of unwritten slab row")
             return v
         self._abort("SYM-PARSE", ctx,
                     f"expected an array value, got {type(obj).__name__}")
@@ -481,18 +412,6 @@ class _Interp:
 
     # -- expressions -------------------------------------------------------
 
-    def _eval_int(self, node: ast.expr, ctx: ast.AST) -> int:
-        if isinstance(node, ast.Constant) and isinstance(node.value, int):
-            return node.value
-        if isinstance(node, ast.Name):
-            v = self.consts.get(node.id, self.env.get(node.id))
-            if isinstance(v, int):
-                return v
-        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
-            return (self._eval_int(node.left, ctx)
-                    + self._eval_int(node.right, ctx))
-        self._abort("SYM-PARSE", ctx, "expected a static integer expression")
-
     def _eval(self, node: ast.expr, ctx: ast.AST) -> Any:
         if isinstance(node, ast.Name):
             if node.id in self.env:
@@ -506,7 +425,7 @@ class _Interp:
             return node.value
         if isinstance(node, ast.Attribute):
             base = self._eval(node.value, ctx)
-            if node.attr in ("shape", "dtype", "itemsize"):
+            if node.attr == "shape":
                 return _OPAQUE
             self._abort("SYM-PARSE", ctx, f"attribute .{node.attr} not in contract")
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
@@ -532,17 +451,7 @@ class _Interp:
         right = self._eval(node.right, ctx)
         scalars = (int, float, _Opaque)
         if isinstance(left, scalars) and isinstance(right, scalars):
-            if isinstance(left, _Opaque) or isinstance(right, _Opaque):
-                return _OPAQUE
-            if isinstance(node.op, ast.Add):
-                return left + right
-            if isinstance(node.op, ast.Sub):
-                return left - right
-            if isinstance(node.op, ast.Mult):
-                return left * right
-            if isinstance(node.op, ast.FloorDiv):
-                return left // right
-            return _OPAQUE
+            return _OPAQUE      # bp = p // M, steps - 1: never a coefficient
         if isinstance(node.op, ast.Mult):
             if isinstance(left, (int, float)):
                 return self._scale(self._as_val(right, ctx), float(left))
@@ -563,16 +472,10 @@ class _Interp:
             idx = self._c_block_index(node, ctx)
             return _CSlot(base, idx)
         if isinstance(base, _StreamRows):
-            i = self._eval_int(node.slice, ctx)
-            return _Val(base.space, base.rows[i].copy())
-        if isinstance(base, (_Slab, _SlabView)):
-            slab = base.slab if isinstance(base, _SlabView) else base
-            if isinstance(node.slice, ast.Slice):
-                # _ST[:RANK]
-                count = self._eval_int(node.slice.upper, ctx)
-                return _SlabView(slab, count)
-            i = self._eval_int(node.slice, ctx)
-            return _SlabSlot(slab, i)
+            i = node.slice
+            if not (isinstance(i, ast.Constant) and isinstance(i.value, int)):
+                self._abort("SYM-PARSE", ctx, "expected a literal chain index")
+            return _Val(base.space, base.rows[i.value].copy())
         if isinstance(base, _Opaque):
             return _OPAQUE
         self._abort("SYM-PARSE", ctx, "subscript of unsupported value")
@@ -637,19 +540,12 @@ class _Interp:
         if name.endswith(".copy") and not name.startswith("np."):
             recv = self._eval(node.func.value, ctx)
             return self._as_val(recv, ctx).copy()
-        if name.endswith(".reshape"):
-            recv = self._eval(node.func.value, ctx)
-            if isinstance(recv, (_Slab, _SlabView)):
-                return recv
-            self._abort("SYM-PARSE", ctx, "reshape of non-slab value")
-        if name in ("np.result_type", "ws.mark", "ws.take_scratch"):
+        if name == "np.result_type":
             return _OPAQUE
         if name == "np.empty":
             return self._alloc(node, ctx)
-        if name == "ws.take":
-            return self._alloc(node, ctx)
-        if name in ("_run", "_run_ws"):
-            return self._run_product(node, arena=(name == "_run_ws"))
+        if name == "_run":
+            return self._run_product(node)
         if name == "runtime.streaming_combine":
             return self._streaming_combine(node, ctx)
         if name == "runtime.streaming_output":
@@ -662,13 +558,9 @@ class _Interp:
         shape = node.args[0]
         if not isinstance(shape, ast.Tuple):
             self._abort("SYM-PARSE", ctx, "allocation with non-tuple shape")
-        dims = shape.elts
-        if len(dims) == 3:
-            # _MM = ws.take((RANK, bp, br), _dt)  -- the product slab
-            return _Slab(self._eval_int(dims[0], ctx))
-        if len(dims) != 2:
+        if len(shape.elts) != 2:
             self._abort("SYM-PARSE", ctx, "allocation shape outside contract")
-        d0, d1 = dims
+        d0, d1 = shape.elts
         if (isinstance(d0, ast.Name) and d0.id == "p"
                 and isinstance(d1, ast.Name) and d1.id == "r"):
             # C = np.empty((p, r), _dt)  -- the result matrix
@@ -678,10 +570,9 @@ class _Interp:
         if isinstance(d0, ast.Name) and d0.id in ("bp", "bq", "br"):
             # (bp, bq) / (bq, br) / (bp, br)  -- one chain destination
             return _Cell()
-        # (RANK + ncd, bp * br)  -- the streaming product/defs stack
-        return _Slab(self._eval_int(d0, ctx))
+        self._abort("SYM-PARSE", ctx, "allocation shape outside contract")
 
-    def _run_product(self, node: ast.Call, arena: bool) -> _Val:
+    def _run_product(self, node: ast.Call) -> _Val:
         args = node.args
         a = self._as_val(self._eval(args[0], node), node)
         b = self._as_val(self._eval(args[1], node), node)
@@ -692,11 +583,7 @@ class _Interp:
             raise _Abort("operand sides swapped")
         idx = len(self.products)
         self.products.append((a.vec.copy(), b.vec.copy()))
-        val = _Val("M", {idx: 1.0})
-        if arena:
-            dest = self._dest(args[4], node)
-            self._store(dest, val, node)
-        return val
+        return _Val("M", {idx: 1.0})
 
     # -- streaming runtime models ------------------------------------------
 
@@ -720,10 +607,6 @@ class _Interp:
         rows = self._effective_rows(np.asarray(chains), defs, nbase, ctx)
         return _StreamRows(inp.space, rows)
 
-    def _streaming_c_rows(self, defs, chains, ctx: ast.AST) -> np.ndarray:
-        R = self.alg.rank
-        return self._effective_rows(np.asarray(chains), defs, R, ctx)
-
     def _combine_products(self, rows: np.ndarray,
                           prods: list[_Val], ctx: ast.AST) -> list[_Val]:
         out = []
@@ -742,33 +625,10 @@ class _Interp:
         prods = [self._as_val(v, ctx) for v in self._eval(node.args[0], ctx)]
         defs = self._eval(node.args[1], ctx)
         chains = self._eval(node.args[2], ctx)
-        rows = self._streaming_c_rows(defs, chains, ctx)
+        rows = self._effective_rows(np.asarray(chains), defs, self.alg.rank,
+                                    ctx)
         holder = _CHolder(self.nc)
         for i, v in enumerate(self._combine_products(rows, prods, ctx)):
-            holder.slots[i] = v
-        self.result = holder
-
-    def _streaming_output_stacked(self, node: ast.Call) -> None:
-        st = self._eval(node.args[0], node)
-        if isinstance(st, _SlabView):
-            st = st.slab
-        if not isinstance(st, _Slab):
-            self._abort("SYM-PARSE", node, "stacked output of non-slab")
-        nprod = self._eval_int(node.args[1], node)
-        prods = []
-        for i in range(nprod):
-            v = st.rows[i]
-            if v is None:
-                self._abort("SYM-UNINIT", node,
-                            f"product row {i} never computed")
-            prods.append(v)
-        defs = self._eval(node.args[2], node)
-        chains = self._eval(node.args[3], node)
-        rows = self._streaming_c_rows(defs, chains, node)
-        holder = self._eval(node.args[8], node)
-        if not isinstance(holder, _CHolder):
-            self._abort("SYM-PARSE", node, "stacked output into non-result")
-        for i, v in enumerate(self._combine_products(rows, prods, node)):
             holder.slots[i] = v
         self.result = holder
 
@@ -877,18 +737,16 @@ def verify_source(source: str, algorithm=None,
             "symbolic", "SYM-META", where,
             f"module constants M,K,N,RANK = {consts} disagree with scheme"))
         return findings
-    cores = {fn.name: fn for fn in tree.body
-             if isinstance(fn, ast.FunctionDef)
-             and fn.name in ("_core", "_core_ws")}
-    for name in ("_core", "_core_ws"):
-        fn = cores.get(name)
-        if fn is None:
-            findings.append(Finding(
-                "symbolic", "SYM-PARSE", where, f"module has no {name}"))
-            continue
-        interp = _Interp(fn, algorithm, consts, arrays, f"{where}.{name}")
-        interp.run()
-        findings.extend(interp.findings)
+    fn = next((fn for fn in tree.body
+               if isinstance(fn, ast.FunctionDef) and fn.name == "_core"),
+              None)
+    if fn is None:
+        findings.append(Finding(
+            "symbolic", "SYM-PARSE", where, "module has no _core"))
+        return findings
+    interp = _Interp(fn, algorithm, consts, arrays, f"{where}._core")
+    interp.run()
+    findings.extend(interp.findings)
     return findings
 
 

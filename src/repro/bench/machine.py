@@ -318,22 +318,22 @@ class Calibration:
 def measure_calibration(dtype: str = "float64", threads: int = 1) -> Calibration:
     """Measure one :class:`Calibration` (~0.05 s of CPU, nothing cached)."""
     from repro.algorithms import get_algorithm
-    from repro.codegen import compile_algorithm
-    from repro.core.workspace import Workspace, codegen_footprint
+    from repro.core.recursion import multiply
+    from repro.core.workspace import Workspace
     from repro.parallel.pool import WorkerPool
 
     gemm = measure_gemm_curve(list(CALIBRATION_SIZES), threads=threads,
                               dtype=dtype, budget_s=0.015)
-    # a generated one-step Strassen at 16^3 is all fixed cost: seven
+    # the interpreter's one-step Strassen at 16^3 is all fixed cost: seven
     # products, each with its share of slicing, arena and chain calls
     alg = get_algorithm("strassen")
-    fast = compile_algorithm(alg)
     A = random_matrix(16, 16, 0, dtype=dtype)
     C = np.empty_like(A)
-    ws = Workspace(codegen_footprint(alg, "write_once", False, (16, 16, 16),
-                                     dtype))
-    call_s = median_time(lambda: fast(A, A, steps=1, out=C, workspace=ws),
-                         trials=5, warmup=2) / alg.rank
+    ws = Workspace.for_recursion([alg.base_case], 16, 16, 16, dtype,
+                                 algorithms=[alg])
+    call_s = median_time(
+        lambda: multiply(A, A, alg, steps=1, out=C, workspace=ws),
+        trials=5, warmup=2) / alg.rank
 
     n = 512
     src = np.ones((2 * n, 2 * n), dtype=dtype)

@@ -80,8 +80,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--backend", default="auto",
                    choices=["auto", "numpy", "compiled"],
                    help="serving backend: 'compiled' forces the native C "
-                        "chain kernels, 'numpy' the generated NumPy "
-                        "module; 'auto' (default) lets the tuner sweep "
+                        "chain kernels, 'numpy' the NumPy "
+                        "interpreter; 'auto' (default) lets the tuner sweep "
                         "both where the compiler is available")
     p.add_argument("--blas-threads", type=int, default=None,
                    help="pin the vendor BLAS thread count for both sides")
@@ -186,7 +186,7 @@ def _build_parser() -> argparse.ArgumentParser:
             ("symbolic", "prove every generated kernel computes its scheme"),
             ("cemit", "prove the emitted C chain kernels compute their "
                       "scheme (no compiler needed)"),
-            ("arena", "mark/release scoping, escapes, footprint budgets"),
+            ("arena", "mark/release balance of the source tree"),
             ("concurrency", "unlocked shared-state mutation, hot-path "
                             "allocation"),
             ("catalog", "shape/dtype/residual validation of catalog "
@@ -195,7 +195,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        const=name, help=text)
     p.add_argument("--algorithm", "-a", action="append", dest="algorithms",
                    default=None, metavar="NAME",
-                   help="restrict symbolic/arena passes to these catalog "
+                   help="restrict symbolic/cemit passes to these catalog "
                         "entries (repeatable; default: all)")
     p.add_argument("--json", action="store_true",
                    help="machine-readable findings instead of a summary")
@@ -433,8 +433,7 @@ def _explain(args, A, B, p: int, q: int, r: int, cache, out) -> int:
         alg = None if pl.is_dgemm else get_algorithm(pl.algorithm)
         return plan_cost(alg, p, q, r, pl.steps, scheme=pl.scheme,
                          threads=pl.threads, subgroup=pl.subgroup,
-                         backend=pl.backend, dtype=dtype,
-                         strategy=pl.strategy)
+                         backend=pl.backend, dtype=dtype)
 
     plans = tuner.enumerate_plans(p, q, r, threads=threads, dtype=dtype,
                                   max_candidates=8)
@@ -1020,8 +1019,7 @@ def cmd_analyze(args, out=sys.stdout) -> int:
     all_findings = []
     for name in selected:
         checked, findings = analyze.run(
-            name, **(kwargs if name in ("symbolic", "cemit", "arena")
-                     else {}))
+            name, **(kwargs if name in ("symbolic", "cemit") else {}))
         total_checked += checked
         all_findings.extend(findings)
         if not args.json:

@@ -87,7 +87,7 @@ The kernels are float64-only; the driver computes in double and returns
 exit).  Result dtypes double cannot represent by kind -- complex,
 extended-precision floats -- are rejected with ``ValueError`` and belong
 on the python codegen or interpreter paths.  :meth:`CompiledChains.multiply`
-accepts ``out=``/``workspace=`` like the generated NumPy modules: with a
+accepts ``out=``/``workspace=`` like the interpreter: with a
 workspace sized by :func:`repro.core.workspace.cbackend_footprint` the
 warm path draws every slab and product buffer from the arena and
 allocates nothing from the heap (peeling needs no buffer at all).
@@ -654,8 +654,8 @@ class CompiledChains:
         precision) are rejected up front with a pointer at the python
         backends instead of being quietly narrowed.
 
-        ``out`` receives the product (same contract as the generated
-        NumPy modules: result dtype, writeable, non-overlapping).  With a
+        ``out`` receives the product (same contract as the
+        interpreter: result dtype, writeable, non-overlapping).  With a
         ``workspace`` sized by
         :func:`repro.core.workspace.cbackend_footprint` every slab and
         product buffer comes from the arena; the

@@ -17,30 +17,14 @@ generator.  Key ingredients reproduced:
 callable; sources are cached by content hash and can be dumped for
 inspection with ``write_source``.
 
-**Arena protocol for generated code.**  Every generated module's entry
-point is ``multiply(A, B, steps=1, base=None, out=None, workspace=None)``:
-
-- ``out=`` receives the product (validated by ``runtime.check_out``:
-  matching shape/result-dtype, writeable, non-overlapping with A/B);
-- ``workspace=`` is a :class:`repro.core.workspace.Workspace` arena that
-  supplies *every* temporary -- S/T chain destinations, CSE ``Y``
-  definitions, the per-level ``M_r`` product slab, the streaming block
-  stacks, the general-coefficient axpy scratch, and dynamic peeling's
-  core-size fix-up buffer.  Size it with
-  :func:`repro.core.workspace.codegen_footprint`, which mirrors this
-  module's level loop and per-strategy slot counts exactly.
-
-With a workspace the module runs a second, arena-lowered core
-(``_core_ws``): the arena is ``reset()`` at call entry, each recursion
-level ``mark()``s on entry and ``release()``s on exit, and per-rank S/T
-buffers are marked/released inside the rank loop while the level's
-``M_r`` slab (taken once, ``R`` blocks) stays live until C assembly --
-the stack discipline that lets one arena serve the whole recursion tree.
-A warm call with both ``out=`` and ``workspace=`` performs no large
-allocations; results are bit-for-bit identical to the allocating path
-(same ufunc/gemm sequence on the same values).  Without a workspace the
-historical allocating core runs unchanged (``out=`` is then honored by a
-final copy).
+Every generated module's entry point is ``multiply(A, B, steps=1,
+base=None, out=None)``: it allocates its temporaries (the strategies are
+*about* which ones) and honours ``out=`` -- validated by
+``runtime.check_out`` -- with a final copy.  The generator is the paper's
+artifact and the subject of the addition-strategy / CSE experiments under
+``benchmarks/``; sequential NumPy plans are *served* by the interpreter
+(:mod:`repro.core.recursion`), which reuses one S/T/M_r triple per level
+from an arena.
 """
 
 from __future__ import annotations
@@ -54,7 +38,7 @@ import numpy as np
 
 from repro.codegen import cse as cse_mod
 from repro.codegen.chains import Chain, ChainProgram, extract_chains
-from repro.codegen.strategies import STRATEGIES, emit_chain, needs_axpy_scratch
+from repro.codegen.strategies import STRATEGIES, emit_chain
 
 _MODULE_CACHE: dict[str, types.ModuleType] = {}
 #: guards _MODULE_CACHE -- concurrent dispatchers compile lazily, and an
@@ -102,18 +86,15 @@ def _chain_matrix(chains: list[Chain], base_index: dict[str, int],
     return M
 
 
-def prepared_chains(
-    algorithm, cse: bool, pipe_scalars: bool = True
-) -> tuple[ChainProgram, list[Chain], list[Chain], list[Chain],
-           list[Chain], list[Chain], list[Chain]]:
-    """The chain program exactly as :func:`generate_source` lowers it.
-
-    Returns ``(prog, s_chains, t_chains, c_chains, s_defs, t_defs,
-    c_defs)`` with the same CSE invocation (prefixes, ordering) the
-    emitted module uses.  ``repro.core.workspace.codegen_footprint``
-    shares this so arena sizing can never drift from the generator's
-    actual slot counts.
-    """
+def generate_source(
+    algorithm,
+    strategy: str = "write_once",
+    cse: bool = False,
+    pipe_scalars: bool = True,
+) -> str:
+    """Emit the Python source of a specialized multiply for ``algorithm``."""
+    if strategy not in STRATEGIES:
+        raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
     prog: ChainProgram = extract_chains(algorithm, pipe_scalars=pipe_scalars)
     s_chains, t_chains, c_chains = prog.s_chains, prog.t_chains, prog.c_chains
     s_defs: list[Chain] = []
@@ -126,20 +107,6 @@ def prepared_chains(
         s_chains, s_defs = rs.chains, rs.definitions
         t_chains, t_defs = rt.chains, rt.definitions
         c_chains, c_defs = rc.chains, rc.definitions
-    return prog, s_chains, t_chains, c_chains, s_defs, t_defs, c_defs
-
-
-def generate_source(
-    algorithm,
-    strategy: str = "write_once",
-    cse: bool = False,
-    pipe_scalars: bool = True,
-) -> str:
-    """Emit the Python source of a specialized multiply for ``algorithm``."""
-    if strategy not in STRATEGIES:
-        raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
-    (prog, s_chains, t_chains, c_chains,
-     s_defs, t_defs, c_defs) = prepared_chains(algorithm, cse, pipe_scalars)
     alg = prog.algorithm
     m, k, n, R = alg.m, alg.k, alg.n, alg.rank
 
@@ -193,14 +160,11 @@ def generate_source(
         emit("")
 
     emit(textwrap.dedent("""\
-        def multiply(A, B, steps=1, base=None, out=None, workspace=None):
+        def multiply(A, B, steps=1, base=None, out=None):
             \"\"\"Multiply A @ B with the generated fast algorithm.
 
             ``out=`` receives the product (validated: shape, result dtype,
-            no overlap with A/B); ``workspace=`` is an arena supplying every
-            temporary (size it with workspace.codegen_footprint) -- with
-            both, a warm call performs no large allocations.  See
-            repro.codegen.generator for the protocol.
+            no overlap with A/B) by a final copy.
             \"\"\"
             A = runtime.as2d(A, "A")
             B = runtime.as2d(B, "B")
@@ -210,9 +174,6 @@ def generate_source(
                 base = runtime.default_base
             if out is not None:
                 out = runtime.check_out(out, A, B)
-            if workspace is not None:
-                workspace.reset()
-                return _run_ws(A, B, int(steps), base, out, workspace)
             C = _run(A, B, int(steps), base)
             if out is not None:
                 np.copyto(out, C)
@@ -227,17 +188,6 @@ def generate_source(
                 return base(A, B)
             return runtime.peel_apply(
                 A, B, M, K, N, lambda a, b: _core(a, b, steps, base))
-
-
-        def _run_ws(A, B, steps, base, out, ws):
-            p, q = A.shape
-            r = B.shape[1]
-            if not runtime.should_split(steps, p, q, r, M, K, N):
-                return runtime.leaf(base, A, B, out)
-            return runtime.peel_apply(
-                A, B, M, K, N,
-                lambda a, b, o=None: _core_ws(a, b, steps, base, o, ws),
-                out=out, workspace=ws)
 
     """))
 
@@ -294,92 +244,6 @@ def generate_source(
 
     emit("def _core(A, B, steps, base):")
     for line in body:
-        emit(("    " + line) if line else "")
-    emit("")
-    emit("")
-
-    # ---- the arena-lowered core: every temporary is a workspace view ----
-    wsb: list[str] = []
-    w = wsb.append
-    w("p, q = A.shape")
-    w("r = B.shape[1]")
-    w("bp = p // M; bq = q // K; br = r // N")
-    w("_dt = np.result_type(A, B)")
-    w("_lvl = ws.mark()")
-    if strategy == "streaming":
-        w("_SS = runtime.streaming_combine(A, M, K, _S_DEFS, _S_CHAINS,"
-          " workspace=ws)")
-        w("_TT = runtime.streaming_combine(B, K, N, _T_DEFS, _T_CHAINS,"
-          " workspace=ws)")
-        # the product rows double as the head of the C-formation stack, so
-        # no second copy of the M_r slab is ever made (its tail holds the
-        # C-side CSE definition rows, matmul'd in place)
-        w(f"_ST = ws.take((RANK + {len(c_defs)}, bp * br), _dt)")
-        w("_MM = _ST[:RANK].reshape(RANK, bp, br)")
-        w("for _i in range(RANK):")
-        w("    _mk = ws.mark()")
-        w("    _run_ws(_SS[_i], _TT[_i], steps - 1, base, _MM[_i], ws)")
-        w("    ws.release(_mk)")
-        w("C = out if out is not None else np.empty((p, r), _dt)")
-        w("runtime.streaming_output_stacked(_ST, RANK, _C_DEFS, _C_CHAINS,"
-          " p, r, M, N, C, ws)")
-    else:
-        for i in range(m * k):
-            rr, cc = divmod(i, k)
-            w(f"A{i} = A[{rr}*bp:{rr + 1}*bp, {cc}*bq:{cc + 1}*bq]")
-        for i in range(k * n):
-            rr, cc = divmod(i, n)
-            w(f"B{i} = B[{rr}*bq:{rr + 1}*bq, {cc}*br:{cc + 1}*br]")
-        if needs_axpy_scratch(s_chains + t_chains + c_chains
-                              + s_defs + t_defs + c_defs):
-            w("_scr = ws.take_scratch(_dt.itemsize"
-              " * max(bp * bq, bq * br, bp * br))")
-        # allocating pairwise derives S/T chain dtypes from the operand
-        # blocks (``A0 + A3``); the arena lowering must match it so mixed-
-        # dtype inputs stay bit-for-bit equal.  write_once allocates its
-        # chains in the result dtype on both paths already.
-        if strategy == "pairwise":
-            w("_dta = A.dtype")
-            w("_dtb = B.dtype")
-            dta, dtb = "_dta", "_dtb"
-        else:
-            dta = dtb = "_dt"
-        for d in s_defs:
-            wsb.extend(emit_chain(d, strategy, "(bp, bq)", arena=True,
-                                  dtype_expr=dta))
-        for d in t_defs:
-            wsb.extend(emit_chain(d, strategy, "(bq, br)", arena=True,
-                                  dtype_expr=dtb))
-        # the M_r slab is taken once and lives until C assembly; per-rank
-        # S/T views are marked/released inside the loop (Section 4.1's
-        # stack discipline, adapted to the generated all-ranks-live C pass)
-        w("_MM = ws.take((RANK, bp, br), _dt)")
-        for r in range(R):
-            w("_mk = ws.mark()")
-            wsb.extend(emit_chain(s_chains[r], strategy, "(bp, bq)",
-                                  arena=True, dtype_expr=dta))
-            wsb.extend(emit_chain(t_chains[r], strategy, "(bq, br)",
-                                  arena=True, dtype_expr=dtb))
-            w(f"M{r} = _run_ws(S{r}, T{r}, steps - 1, base, _MM[{r}], ws)")
-            w("ws.release(_mk)")
-        w("")
-        w("C = out if out is not None else np.empty((p, r), _dt)")
-        for i in range(m * n):
-            rr, cc = divmod(i, n)
-            w(f"C{i} = C[{rr}*bp:{rr + 1}*bp, {cc}*br:{cc + 1}*br]")
-        for d in c_defs:
-            wsb.extend(emit_chain(d, strategy, "(bp, br)", arena=True))
-        for i, ch in enumerate(c_chains):
-            if not ch.terms:
-                w(f"C{i}[:] = 0.0")
-                continue
-            wsb.extend(emit_chain(ch, strategy, "(bp, br)",
-                                  into_view=f"C{i}", arena=True))
-    w("ws.release(_lvl)")
-    w("return C")
-
-    emit("def _core_ws(A, B, steps, base, out, ws):")
-    for line in wsb:
         emit(("    " + line) if line else "")
     emit("")
     return "\n".join(L)

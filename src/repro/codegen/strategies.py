@@ -15,17 +15,6 @@ paper analyzes is preserved -- see EXPERIMENTS.md):
 
 Chain emission returns plain source lines; the generator assembles them
 into a module.
-
-With ``arena=True`` a chain is lowered against a workspace arena instead of
-the heap: destinations come from ``ws.take`` views, general coefficients run
-through ``runtime.axpy`` with the level's ``_scr`` scratch buffer, and pure
-aliases stay zero-traffic views.  Under an arena the pairwise/write_once
-distinction collapses -- pairwise's defining property is one fresh array
-per binary operation, which is exactly the allocator traffic the arena
-exists to eliminate -- so both lower to the in-place write-once form (the
-value sequence is unchanged: ``a + b`` and ``np.add(a, b, out=view)``
-produce identical bits, so arena-backed results still match the allocating
-lowering bit for bit).
 """
 
 from __future__ import annotations
@@ -45,12 +34,11 @@ EMISSION_CONTRACT = {
         "alias", "view_store",
     ),
     "write_once": (
-        "np.empty", "ws.take", "np.copyto", "np.negative", "np.multiply",
+        "np.empty", "np.copyto", "np.negative", "np.multiply",
         "np.add", "np.subtract", "runtime.axpy", "alias", "view_store",
     ),
     "streaming": (
-        "np.empty", "ws.take", "runtime.streaming_combine",
-        "runtime.streaming_output", "runtime.streaming_output_stacked",
+        "runtime.streaming_combine", "runtime.streaming_output",
     ),
     # Not a Python lowering strategy: the statement forms the C chain
     # emitter (``repro.codegen.cbackend``) may produce inside its fused
@@ -104,20 +92,8 @@ def emit_pairwise(chain: Chain, out_shape: str | None = None,
 
 
 def emit_write_once(chain: Chain, out_shape: str,
-                    into_view: str | None = None,
-                    arena: bool = False,
-                    dtype_expr: str = "_dt") -> list[str]:
-    """Write-once lowering: preallocated destination, in-place updates.
-
-    With ``arena=True`` the destination is an arena view (``ws.take``) and
-    general-coefficient updates pass the level scratch buffer ``_scr`` to
-    ``runtime.axpy`` so no hidden temporary is formed.  ``dtype_expr``
-    names the destination dtype: ``_dt`` (the result dtype) for write_once
-    -- matching its allocating ``np.empty(..., _dt)`` -- but the *operand*
-    dtype for arena-lowered pairwise, whose allocating form derives chain
-    dtypes from the blocks themselves (``A0 + A3``), so mixed-dtype inputs
-    stay bit-for-bit identical between the two paths.
-    """
+                    into_view: str | None = None) -> list[str]:
+    """Write-once lowering: preallocated destination, in-place updates."""
     t0 = chain.terms[0]
     lines = []
     if into_view is not None:
@@ -126,47 +102,28 @@ def emit_write_once(chain: Chain, out_shape: str,
         name = chain.target
         if len(chain.terms) == 1 and t0.coeff == 1.0:
             return [f"{name} = {t0.source}"]  # pure alias, no traffic
-        if arena:
-            lines.append(f"{name} = ws.take({out_shape}, {dtype_expr})")
-        else:
-            lines.append(f"{name} = np.empty({out_shape}, _dt)")
+        lines.append(f"{name} = np.empty({out_shape}, _dt)")
     if t0.coeff == 1.0:
         lines.append(f"np.copyto({name}, {t0.source})")
     elif t0.coeff == -1.0:
         lines.append(f"np.negative({t0.source}, out={name})")
     else:
         lines.append(f"np.multiply({t0.source}, {_c(t0.coeff)}, out={name})")
-    scr = ", _scr" if arena else ""
     for t in chain.terms[1:]:
         if t.coeff == 1.0:
             lines.append(f"np.add({name}, {t.source}, out={name})")
         elif t.coeff == -1.0:
             lines.append(f"np.subtract({name}, {t.source}, out={name})")
         else:
-            lines.append(f"runtime.axpy({name}, {t.source}, {_c(t.coeff)}{scr})")
+            lines.append(f"runtime.axpy({name}, {t.source}, {_c(t.coeff)})")
     return lines
 
 
-def needs_axpy_scratch(chains: list[Chain]) -> bool:
-    """Whether arena lowering of ``chains`` ever calls ``runtime.axpy`` with
-    a general coefficient (any term beyond a chain's first outside
-    {1, -1}) -- exactly those calls draw on the level scratch buffer."""
-    return any(t.coeff not in (1.0, -1.0)
-               for ch in chains for t in ch.terms[1:])
-
-
 def emit_chain(chain: Chain, strategy: str, out_shape: str,
-               into_view: str | None = None, arena: bool = False,
-               dtype_expr: str = "_dt") -> list[str]:
-    if arena:
-        # both non-streaming strategies lower to arena-backed write-once
-        # form (see module docstring); streaming lowers to runtime calls
-        if strategy in ("pairwise", "write_once"):
-            return emit_write_once(chain, out_shape, into_view, arena=True,
-                                   dtype_expr=dtype_expr)
-    elif strategy == "pairwise":
+               into_view: str | None = None) -> list[str]:
+    if strategy == "pairwise":
         return emit_pairwise(chain, out_shape, into_view)
-    elif strategy == "write_once":
+    if strategy == "write_once":
         return emit_write_once(chain, out_shape, into_view)
     raise ValueError(
         f"emit_chain handles pairwise/write_once, not {strategy!r} "

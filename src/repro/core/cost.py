@@ -157,7 +157,6 @@ def plan_cost(
     subgroup: int | None = None,
     backend: str = "numpy",
     dtype: str = "float64",
-    strategy: str = "write_once",
 ) -> float:
     """Predicted seconds of running ``alg`` at ``steps`` on ``p x q x r``,
     from this machine's :func:`repro.bench.machine.calibration`:
@@ -179,8 +178,7 @@ def plan_cost(
       rides in ``form_C``) over the streaming-add bandwidth (Section 3.2:
       additions are bandwidth-bound, gemms compute-bound).
       The emitted C forms a chain in one fused loop (write-once counts);
-      the NumPy executors make one pass *per term* whatever the strategy
-      is called (pairwise counts), except ``streaming``;
+      the NumPy executors make one pass *per term* (pairwise counts);
     - a **fixed cost per product** of every fast call, and **per pool
       task** of the parallel schemes -- the tasks the schedule submits.
 
@@ -205,12 +203,10 @@ def plan_cost(
     # only DFS and the tree schemes spread their additions over the pool
     adders = one if scheme == "sequential" else cal
     fused = scheme != "sequential" and chains_fused(dtype)
-    if backend == "compiled" or fused:
-        strategy = "write_once"
-    elif strategy != "streaming":
-        strategy = "pairwise"
-    passes = [rd + wr for rd, wr in _rw_by_side(alg, strategy)]
-    strip_words = 0 if backend == "compiled" or fused else 2
+    c_chains = backend == "compiled" or fused
+    passes = [rd + wr for rd, wr in
+              _rw_by_side(alg, "write_once" if c_chains else "pairwise")]
+    strip_words = 0 if c_chains else 2
     m, k, n = alg.base_case
     words = parallel_traffic(alg, p, q, r, steps, scheme=scheme,
                              threads=threads, subgroup=subgroup)

@@ -1,7 +1,10 @@
 """Reference recursive executor for fast algorithms (the "interpreter").
 
-This is the semantic ground truth the code generator is tested against:
-given any ``FastAlgorithm`` it multiplies arbitrary-size matrices by
+This is the semantic ground truth the code generator is tested against
+and the executor :func:`repro.tuner.dispatch.execute_plan` runs for every
+sequential ``backend="numpy"`` plan (and for a compiled plan whose
+toolchain broke): given any ``FastAlgorithm`` it multiplies arbitrary-size
+matrices by
 
 1. *dynamic peeling* (Section 3.5): strip the at-most-(M-1)/(K-1)/(N-1)
    boundary rows/columns so the core is evenly divisible, recurse on the
@@ -164,30 +167,45 @@ def combine_blocks(
     fused path performs the identical ufunc sequence on identical values,
     so it is bit-for-bit equal to the allocating path.
     """
-    return _chain(blocks, coeffs, out, scratch, combine_into)
+    return _chain(blocks, _terms(coeffs), out, scratch, combine_into)
 
 
-def _chain(blocks, coeffs, out, scratch, into: Callable):
-    """:func:`combine_blocks` with the chain written by ``into`` -- serially,
-    or by the pool's row-slab adder under the parallel DFS (which has no
-    allocating expression form: without ``out`` it fills a fresh array)."""
-    nz = np.nonzero(coeffs)[0]
-    if nz.size == 0:
+def _terms(coeffs) -> tuple[tuple[int, float], ...]:
+    """The nonzero ``(index, coefficient)`` pairs of one chain.  Python
+    floats: under NEP 50 a numpy float64 scalar would silently upcast
+    float32 blocks."""
+    return tuple((int(i), float(coeffs[i])) for i in np.nonzero(coeffs)[0])
+
+
+def _chain_terms(alg: FastAlgorithm):
+    """The constants of ``alg`` every recursion node needs, derived once
+    per algorithm: the :func:`_terms` of each U column, V column and W
+    column (per product: which C blocks it reaches), and whether any
+    coefficient calls for the scaling scratch."""
+    return alg.memo("_chain_terms", lambda a: (
+        [_terms(col) for col in a.U.T], [_terms(col) for col in a.V.T],
+        [_terms(col) for col in a.W.T],
+        needs_scratch(a.U) or needs_scratch(a.V) or needs_scratch(a.W)))
+
+
+def _chain(blocks, terms, out, scratch, into: Callable):
+    """:func:`combine_blocks` over the :func:`_terms` of its coefficients,
+    the chain written by ``into`` -- serially, or by the pool's row-slab
+    adder under the parallel DFS (which has no allocating expression form:
+    without ``out`` it fills a fresh array)."""
+    if not terms:
         return None
-    first = nz[0]
-    # python-float coefficients: under NEP 50 a numpy float64 scalar would
-    # silently upcast float32 blocks
-    c0 = float(coeffs[first])
-    if nz.size == 1 and c0 == 1.0:
+    (first, c0), rest = terms[0], terms[1:]
+    if not rest and c0 == 1.0:
         return blocks[first]
     if out is None and into is combine_into:
         out = blocks[first] * c0 if c0 != 1.0 else blocks[first].copy()
-        for i in nz[1:]:
-            axpy(out, blocks[i], coeffs[i])
+        for i, c in rest:
+            axpy(out, blocks[i], c)
         return out
     if out is None:
         out = np.empty(blocks[first].shape, dtype=blocks[first].dtype)
-    into(out, blocks, coeffs, scratch)
+    into(out, [blocks[i] for i, _ in terms], [c for _, c in terms], scratch)
     return out
 
 
@@ -253,24 +271,25 @@ _SERIAL = _Ops()
 
 def accumulate_products(
     blocksC: list[np.ndarray],
-    W: np.ndarray,
+    alg: FastAlgorithm,
     products: Iterable[tuple[int, np.ndarray]],
     ops: _Ops = _SERIAL,
     scratch: np.ndarray | None = None,
 ) -> None:
-    """``C_i = sum_r W[i, r] * M_r`` over ``products`` = ``(r, M_r)`` pairs.
+    """``C_i = sum_r W[i, r] * M_r`` over ``products`` = ``(r, M_r)`` pairs
+    of ``alg``.
 
     Each product is consumed as it arrives (the DFS executors reuse one
     ``M_r`` buffer across ranks); a block no product reaches is zeroed.
     """
+    _, _, w_terms, _ = _chain_terms(alg)
     started = [False] * len(blocksC)
     for rr, Mr in products:
-        wcol = W[:, rr]
-        for i in np.nonzero(wcol)[0]:
+        for i, c in w_terms[rr]:
             if started[i]:
-                ops.axpy(blocksC[i], Mr, float(wcol[i]), scratch)
+                ops.axpy(blocksC[i], Mr, c, scratch)
             else:  # a block's first contribution: C_i = c * M_r
-                ops.into(blocksC[i], (Mr,), (float(wcol[i]),), scratch)
+                ops.into(blocksC[i], (Mr,), (c,), scratch)
                 started[i] = True
     for i, s in enumerate(started):
         if not s:  # all-zero W row can only happen for degenerate inputs
@@ -364,6 +383,7 @@ def _core_multiply(
     m, k, n = alg.base_case
     blocksA = block_views(A, m, k)
     blocksB = block_views(B, k, n)
+    u_terms, v_terms, _, scaled = _chain_terms(alg)
 
     S_buf = T_buf = M_buf = scratch = None
     level_mark = None
@@ -376,15 +396,14 @@ def _core_multiply(
         S_buf = ws.take((bp, bq), A.dtype)
         T_buf = ws.take((bq, br), B.dtype)
         M_buf = ws.take((bp, br), C.dtype)
-        if (needs_scratch(alg.U) or needs_scratch(alg.V)
-                or needs_scratch(alg.W)):
+        if scaled:
             scratch = ws.take_scratch(max(S_buf.nbytes, T_buf.nbytes,
                                           M_buf.nbytes))
 
     def products():
         for rr in range(alg.rank):
-            S = _chain(blocksA, alg.U[:, rr], S_buf, scratch, ops.into)
-            T = _chain(blocksB, alg.V[:, rr], T_buf, scratch, ops.into)
+            S = _chain(blocksA, u_terms[rr], S_buf, scratch, ops.into)
+            T = _chain(blocksB, v_terms[rr], T_buf, scratch, ops.into)
             if S is None or T is None:
                 continue  # dead product (possible in composed algorithms)
             if ws is None:
@@ -396,7 +415,6 @@ def _core_multiply(
                 ws.release(inner)
                 yield rr, Mr
 
-    accumulate_products(block_views(C, m, n), alg.W, products(), ops,
-                        scratch)
+    accumulate_products(block_views(C, m, n), alg, products(), ops, scratch)
     if ws is not None:
         ws.release(level_mark)

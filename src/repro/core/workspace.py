@@ -47,9 +47,9 @@ anyway.  Per-level pools are laid out contiguously in expansion order, so
 the combine sweep still releases them level by level logically (the bump
 pointer rewinds wholesale at the next ``reset``).
 
-All four footprints (:func:`dfs_footprint`, :func:`bfs_footprint`,
-:func:`codegen_footprint`, :func:`cbackend_footprint`) walk the levels with
-one iterator, :func:`_split_levels`, which asks the executors' own
+All three footprints (:func:`dfs_footprint`, :func:`bfs_footprint`,
+:func:`cbackend_footprint`) walk the levels with one iterator,
+:func:`_split_levels`, which asks the executors' own
 question -- :func:`repro.core.recursion.should_split`, i.e.
 ``CutoffPolicy.should_recurse`` -- whether a level splits.  Dynamic peeling
 costs an arena next to nothing: the one boundary fix-up every executor
@@ -62,16 +62,14 @@ buffer grows with the core.  Peeling, early termination
 (a block dimension dropping below the cutoff) and composed per-level
 schedules are therefore accounted exactly rather than bounded, and an
 executor and its arena cannot disagree on where the recursion stops.  What
-differs between the four is only what one level holds.
+differs between the three is only what one level holds.
 
-**Generated sequential modules** (Section 3.1 codegen) have a third memory
-shape: all ``R`` products of a level live until the C-assembly pass, plus
-per-strategy slots (CSE ``Y`` definitions, streaming block stacks) --
-:func:`codegen_footprint`.  The **compiled chain driver** has a fourth
-(float64 slabs filled by one C call per side) -- :func:`cbackend_footprint`.
+The **compiled chain driver** has a third memory shape (float64 slabs
+filled by one C call per side, the products of a level live until
+``form_C``) -- :func:`cbackend_footprint`.
 
 Which formula sizes a tuner plan is decided in exactly one place,
-:func:`repro.tuner.dispatch.plan_footprint` (scheme, backend, strategy ->
+:func:`repro.tuner.dispatch.plan_footprint` (scheme, backend ->
 bytes, 0 for plain BLAS): per-call arenas, measurement arenas and the
 per-worker pools of elementwise batches all come from it.  A parallel
 scheme is sized for the kernels its schedule will form the chains with
@@ -363,17 +361,21 @@ def combine_into(out: np.ndarray, blocks: Sequence[np.ndarray], coeffs,
     ``out`` (zeros when every coefficient is zero): the first term is
     copied or scaled in, the rest accumulate through :func:`axpy`.  The
     serial chains and the pool's row-slab chains are both this body."""
-    nz = np.nonzero(coeffs)[0]
-    if nz.size == 0:
+    started = False
+    for x, c in zip(blocks, coeffs):
+        c = float(c)
+        if c == 0.0:
+            continue
+        if started:
+            axpy(out, x, c, scratch)
+            continue
+        started = True
+        if c == 1.0:
+            np.copyto(out, x)
+        else:
+            np.multiply(x, c, out=out)
+    if not started:
         out[:] = 0.0
-        return
-    c0 = float(coeffs[nz[0]])
-    if c0 == 1.0:
-        np.copyto(out, blocks[nz[0]])
-    else:
-        np.multiply(blocks[nz[0]], c0, out=out)
-    for i in nz[1:]:
-        axpy(out, blocks[i], coeffs[i], scratch)
 
 
 def needs_scratch(coeffs: np.ndarray) -> bool:
@@ -559,81 +561,6 @@ def bfs_footprint(
     return take.total(total)
 
 
-def codegen_footprint(
-    algorithm,
-    strategy: str,
-    cse: bool,
-    shape: tuple[int, int, int],
-    dtype_a="float64",
-    steps: int = 1,
-    dtype_b=None,
-) -> int:
-    """Exact arena bytes for a *generated* sequential module (Section 3.1).
-
-    The generated code's memory shape differs from the interpreter DFS
-    formula in two ways, both accounted here level by level
-    (``_run_ws``/``_core_ws`` in the emitted source):
-
-    - **all R product buffers of a level live at once** (one ``(R, bp, br)``
-      slab), because the generated C assembly reads every ``M_r`` after the
-      rank loop, whereas the interpreter reuses a single ``M_r`` buffer;
-    - **per-strategy slot counts**: write_once/pairwise hold one S + one T
-      view at a time (marked/released per rank) plus the CSE ``Y``
-      definitions of both sides for the whole level and the C-side
-      definitions during assembly; streaming holds the
-      ``(R, bp, bq)``/``(R, bq, br)`` combine slabs, the product slab with
-      its ``|C defs|`` tail rows (the products double as the C-formation
-      stack head, so it is never copied) and, transiently, the block
-      stacks (``m*k + |defs|`` rows) and the combined C rows.
-
-    The levels are the shared :func:`_split_levels`; a level whose inner
-    dimension peels adds the strip chunk.  Sizing uses the result dtype
-    (``np.result_type(A, B)``) for every slot, which matches the emitted
-    write_once/streaming temporaries and upper-bounds arena pairwise's
-    operand-dtype chains.  Chain and CSE slot counts come from the
-    generator's own :func:`repro.codegen.generator.prepared_chains`
-    (imported lazily -- ``repro.codegen`` depends on this module, not vice
-    versa), so arena sizing cannot drift from what the emitted module
-    actually takes.
-    """
-    from repro.codegen.generator import prepared_chains
-    from repro.codegen.strategies import needs_axpy_scratch
-
-    (_, s_chains, t_chains, c_chains,
-     s_defs, t_defs, c_defs) = prepared_chains(algorithm, cse)
-
-    m, k, n = algorithm.base_case
-    R = algorithm.rank
-    isz = _itemsizes(dtype_a, dtype_b)[2]
-    scratch_needed = needs_axpy_scratch(
-        s_chains + t_chains + c_chains + s_defs + t_defs + c_defs)
-    nsd, ntd, ncd = len(s_defs), len(t_defs), len(c_defs)
-    take = _Tally(isz)
-    levels = list(_split_levels([algorithm.base_case] * steps, *shape))
-    child = 0  # bytes of the level below, innermost first
-    for _, base, dims, (bp, bq, br) in reversed(levels):
-        total = take(strip_scratch_bytes(*dims, base, isz) // isz)
-        if strategy == "streaming":
-            total += take(R * bp * bq) + take(R * bq * br)   # _SS, _TT slabs
-            total += take((R + ncd) * bp * br)               # _ST slab
-            stack_a = take((m * k + nsd) * bp * bq)
-            stack_b = take((k * n + ntd) * bq * br)
-            cc_rows = take(m * n * bp * br)
-            # combine stacks are released before the rank loop recurses;
-            # the combined-C rows only exist after it -- peak is the worst
-            # transient on top of the persistent slabs
-            total += max(stack_a, stack_b, child, cc_rows)
-        else:
-            if scratch_needed:
-                total += take(max(bp * bq, bq * br, bp * br))
-            total += take(bp * bq, nsd) + take(bq * br, ntd)
-            total += take(R * bp * br)                       # _MM slab
-            st = take(bp * bq) + take(bq * br)  # one live S + T per rank
-            total += max(st + child, take(bp * br, ncd))     # vs C assembly
-        child = total
-    return take.total(child)
-
-
 def cbackend_footprint(
     algorithm,
     cse: bool,
@@ -649,8 +576,7 @@ def cbackend_footprint(
     task tree when its chains are formed by those kernels.
 
     Mirrors :meth:`repro.codegen.cbackend.CompiledChains.multiply`, whose
-    memory shape differs from both the interpreter and the generated
-    NumPy modules:
+    memory shape differs from the interpreter's:
 
     - every slot is **float64** regardless of the operand dtypes (the C
       kernels compute in double); non-double operands draw one conversion

@@ -262,7 +262,7 @@ class _Node:
         pc, _, rc = self.core_shape()
         m, _, n = self.alg.base_case
         accumulate_products(
-            block_views(self.result_buf[:pc, :rc], m, n), self.alg.W,
+            block_views(self.result_buf[:pc, :rc], m, n), self.alg,
             ((rr, child.result) for rr, child in enumerate(self.children)),
             scratch=self._scratch)
 

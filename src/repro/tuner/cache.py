@@ -72,7 +72,10 @@ _log = logging.getLogger("repro.tuner.cache")
 #: enlarged candidate space and must be re-tuned;
 #: v6: entries record the serving backend -- v5 plans never swept the
 #: compiled C chain backend, so on hosts with a compiler their sequential
-#: timings describe only half the candidate space and must be re-tuned)
+#: timings describe only half the candidate space and must be re-tuned.
+#: Sequential NumPy plans run the interpreter again since the generated
+#: modules left the serving path: measured within noise of them, so no
+#: bump, and a v6 entry's leftover ``"strategy"`` key is ignored on load)
 SCHEMA_VERSION = 6
 
 #: schema versions :meth:`PlanCache.load` can still *read*: their entries
@@ -168,7 +171,7 @@ def retarget_plan(plan: Plan, threads: int) -> Plan:
     ``threads``: the thread count is replaced, and a sub-group P' that no
     longer divides the new count snaps to the largest divisor not above
     it (P' = 1 always exists, so this never fails).  The algorithm,
-    depth, scheme and strategy -- the knobs the paper's regime plateaus
+    depth, scheme and backend -- the knobs the paper's regime plateaus
     make transferable -- are kept."""
     sub = plan.subgroup
     if sub is not None:

@@ -63,12 +63,13 @@ import numpy as np
 
 from repro.algorithms import get_algorithm
 from repro.bench.metrics import effective_gflops
-from repro.codegen import cbackend, compile_algorithm
+from repro.codegen import cbackend
+from repro.core import recursion
 from repro.core.workspace import (
     Workspace,
     cbackend_footprint,
     check_out,
-    codegen_footprint,
+    dfs_footprint,
 )
 from repro.guard import chain as _guard_chain
 from repro.guard import faults
@@ -193,9 +194,9 @@ def plan_footprint(plan: Plan, p: int, q: int, r: int,
                    dtype_a, dtype_b) -> int:
     """Arena bytes one execution of ``plan`` draws (0 for plain BLAS).
 
-    The one place a plan's (scheme, backend, strategy) picks its footprint
-    formula: per-call arenas, measurement arenas and the per-worker pools
-    of elementwise batches are all sized here, by the formula of the
+    The one place a plan's (scheme, backend) picks its footprint formula:
+    per-call arenas, measurement arenas and the per-worker pools of
+    elementwise batches are all sized here, by the formula of the
     executor :func:`execute_plan` will run -- for a parallel scheme, of
     the chain kernels its schedule will pick for these dtypes
     (:func:`repro.codegen.cbackend.chains_fused`).
@@ -209,11 +210,9 @@ def plan_footprint(plan: Plan, p: int, q: int, r: int,
             # slab, Y scratch
             return cbackend_footprint(alg, False, (p, q, r), dtype_a,
                                       plan.steps, dtype_b=dtype_b)
-        # the *generated* module: all R products of a level live until C
-        # assembly, strategy slabs, CSE temporaries -- the interpreter's
-        # one-triple-per-level DFS formula would overflow
-        return codegen_footprint(alg, plan.strategy, False, (p, q, r),
-                                 dtype_a, plan.steps, dtype_b=dtype_b)
+        # the interpreter: one S/T/M_r triple per level (Section 4.1)
+        return dfs_footprint([alg.base_case] * plan.steps, p, q, r,
+                             dtype_a, dtype_b, algorithms=[alg] * plan.steps)
     # a parallel scheme's layout follows the kernels that will form its
     # chains, which the schedules decide from the operands
     return parallel_footprint(alg, plan.steps, plan.scheme, p, q, r,
@@ -327,10 +326,11 @@ def execute_plan(
     """Run one multiplication exactly as ``plan`` prescribes.
 
     ``out`` receives the product; ``workspace`` (see
-    :func:`workspace_for`) supplies every temporary.  Sequential plans
-    always run the *generated* module (Section 3.1) -- with a workspace
-    its S/T/M chains are arena views and ``out`` is written directly,
-    with neither an interpreter fallback nor a final full-matrix copy.
+    :func:`workspace_for`) supplies every temporary.  A sequential NumPy
+    plan runs the interpreter (:func:`repro.core.recursion.multiply`):
+    with a workspace its S/T/M_r triple per level is arena views and
+    ``out`` is written directly.  A compiled plan runs the C chain driver
+    and, should the toolchain break at serving time, the interpreter too.
     Parallel plans carry their sub-group P' (``plan.subgroup``) through to
     the schedule verbatim -- the tuner's swept value is what executes, not
     a derived default -- and leave the choice of chain kernels (fused C
@@ -352,14 +352,14 @@ def execute_plan(
                     return cc.multiply(A, B, steps=plan.steps, out=out,
                                        workspace=workspace)
             # toolchain broke at serving time: degrade in-band to the
-            # generated NumPy module.  The arena was sized for the C
-            # executor, so it is dropped rather than reused -- the
-            # generated module allocates its own temporaries for this
-            # (rare, counted) call instead of mis-fitting a foreign arena.
+            # interpreter.  The arena was sized for the C executor, so it
+            # is dropped rather than reused -- the interpreter allocates
+            # its own temporaries for this (rare, counted) call instead
+            # of mis-fitting a foreign arena.
             workspace = None
-        fn = compile_algorithm(alg, strategy=plan.strategy)
         with blas.blas_threads(plan.threads):
-            return fn(A, B, steps=plan.steps, out=out, workspace=workspace)
+            return recursion.multiply(A, B, alg, steps=plan.steps, out=out,
+                                      workspace=workspace)
     if pool is None:
         pool = _shared_pool(plan.threads)
     return multiply_parallel(

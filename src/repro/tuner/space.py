@@ -4,7 +4,7 @@ A :class:`Plan` pins down everything the paper leaves to the practitioner:
 which algorithm (by catalog name, including shape-matched permutations),
 how many recursive steps, which parallel schedule (including the
 sub-group hybrid's P', swept over the divisors of the thread count),
-which matrix-addition strategy, the leaf cutoff and the thread count.
+which sequential executor, the leaf cutoff and the thread count.
 ``enumerate_plans`` generates the candidates for one problem shape and
 ranks them by ``core.cost.plan_cost``'s predicted seconds on this machine,
 so measurement (``repro.tuner.measure``) only has to time a short,
@@ -49,9 +49,10 @@ MAX_STEPS = {"float32": 4, "float64": 3}
 #: plain-BLAS pseudo-algorithm name usable in plans
 DGEMM = "dgemm"
 
-#: serving backends a plan may name: the NumPy-source generated modules
-#: (every host) or the compiled C chain kernels (hosts where
-#: ``repro.codegen.cbackend.available()`` -- enumerated only there)
+#: serving backends a plan may name: the NumPy interpreter
+#: (``repro.core.recursion``, every host) or the compiled C chain kernels
+#: (hosts where ``repro.codegen.cbackend.available()`` -- enumerated only
+#: there)
 PLAN_BACKENDS = ("numpy", "compiled")
 
 
@@ -86,9 +87,10 @@ class Plan:
     time and is the only legal value for every other scheme.
 
     ``backend`` picks the *sequential* executor of a fast plan:
-    ``"numpy"`` (the generated NumPy-source modules) or ``"compiled"``
-    (the driver and fused single-pass C chain kernels of
-    :mod:`repro.codegen.cbackend`).  It is sequential-only and
+    ``"numpy"`` (the interpreter, :func:`repro.core.recursion.multiply`,
+    in a Section 4.1 arena) or ``"compiled"`` (the driver and fused
+    single-pass C chain kernels of :mod:`repro.codegen.cbackend`, which
+    degrade in-band to the interpreter).  It is sequential-only and
     meaningless for dgemm, which has no chains to fuse.  Which kernels
     form the chains of a *parallel* scheme is not a plan dimension: the
     schedule decides per call from its operands
@@ -99,7 +101,6 @@ class Plan:
     algorithm: str = DGEMM
     steps: int = 0
     scheme: str = "sequential"
-    strategy: str = "write_once"
     threads: int = 1
     subgroup: int | None = None
     backend: str = "numpy"

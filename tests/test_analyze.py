@@ -4,14 +4,16 @@ The analyzers are only trustworthy if they are *sensitive*: a checker
 that passes everything is indistinguishable from one that checks
 nothing.  So alongside the golden all-clean sweeps, every analyzer is
 fed a deliberately corrupted artifact -- a flipped coefficient, swapped
-multiply operands, a leaked arena view, a dropped release, an unlocked
+multiply operands, a dropped release, an unlocked
 mutation, a corrupted catalog entry -- and must report the exact finding
 code the corruption deserves.
 """
 
 from __future__ import annotations
 
+import ast
 import dataclasses
+import inspect
 import json
 import re
 import threading
@@ -26,6 +28,7 @@ from repro.analyze import arena, catalog, cemit, concurrency, symbolic
 from repro.analyze.base import Finding, has_code
 from repro.codegen.generator import generate_source
 from repro.codegen.strategies import EMISSION_CONTRACT, STRATEGIES
+from repro.core import recursion
 
 
 def _source(alg_name="strassen", strategy="write_once", cse=False):
@@ -66,13 +69,6 @@ def test_symbolic_rejects_scheme_metadata_drift():
     assert mut != src
     findings = symbolic.verify_source(mut, where="mut")
     assert has_code(findings, "SYM-META")
-
-
-def test_arena_golden_strassen():
-    src = _source()
-    alg = get_algorithm("strassen")
-    assert arena.check_core_ws(src, algorithm=alg, strategy="write_once",
-                               cse=False, where="golden") == []
 
 
 def test_arena_tree_sweep_clean():
@@ -119,38 +115,13 @@ def test_mutation_swapped_operands_is_detected():
 
 
 def test_mutation_dropped_release_is_detected():
-    src = _source()
-    alg = get_algorithm("strassen")
-    release = re.findall(r"\n(\s*ws\.release\(\w+\)\n)", src)[-1]
-    mut = src.replace(release, "\n", 1)
-    findings = arena.check_core_ws(mut, algorithm=alg, strategy="write_once",
-                                   cse=False, where="mut")
-    assert has_code(findings, "ARENA-UNRELEASED")
-
-
-def test_mutation_read_after_release_is_detected():
-    src = _source()
-    alg = get_algorithm("strassen")
-    lines = src.splitlines()
-    for i, ln in enumerate(lines):
-        rel = re.match(r"(\s*)ws\.release\((\w+)\)", ln)
-        if not rel:
-            continue
-        for j in range(i - 1, -1, -1):
-            taken = re.match(r"\s*(\w+) = ws\.take\(", lines[j])
-            if taken:
-                # a view of released memory flows into the output block
-                lines.insert(i + 1,
-                             f"{rel.group(1)}np.copyto(C0, {taken.group(1)})")
-                break
-        else:
-            continue
-        break
-    mut = "\n".join(lines)
+    # the interpreter's level mark, with its release taken out
+    src = inspect.getsource(recursion._core_multiply)
+    mut = src.replace("        ws.release(level_mark)\n", "        pass\n", 1)
     assert mut != src
-    findings = arena.check_core_ws(mut, algorithm=alg, strategy="write_once",
-                                   cse=False, where="mut")
-    assert has_code(findings, "ARENA-ESCAPE")
+    for text, expect in ((src, False), (mut, True)):
+        findings = arena.check_function_marks(ast.parse(text).body[0], "mut")
+        assert has_code(findings, "ARENA-UNRELEASED") is expect
 
 
 _UNLOCKED_MODULE = """
@@ -328,9 +299,9 @@ def test_run_dispatches_and_counts():
 def test_emission_contract_covers_all_strategies():
     # every Python strategy plus the C chain emitter's statement forms
     assert set(EMISSION_CONTRACT) == set(STRATEGIES) | {"cbackend"}
-    # the arena-backed lowerings draw from the workspace, never the heap
-    assert "ws.take" in EMISSION_CONTRACT["write_once"]
-    assert "ws.take" in EMISSION_CONTRACT["streaming"]
+    # generated modules allocate; the arena-backed executor is the interpreter
+    assert not any("ws." in form for s in STRATEGIES
+                   for form in EMISSION_CONTRACT[s])
     assert "fused_store" in EMISSION_CONTRACT["cbackend"]
 
 
@@ -372,8 +343,8 @@ def test_plan_cache_concurrent_mutation(tmp_path):
     from repro.tuner.space import Plan
 
     cache = PlanCache(tmp_path / "plans.json")
-    plan = Plan(algorithm="strassen", steps=1, strategy="write_once",
-                scheme="sequential", threads=1)
+    plan = Plan(algorithm="strassen", steps=1, scheme="sequential",
+                threads=1)
     errors = []
 
     def worker(tid):

@@ -16,6 +16,8 @@ from repro.bench.runner import (
     speedup_over,
     winners_by_workload,
 )
+from repro.core.recursion import multiply
+from repro.core.workspace import Workspace
 
 
 class TestMetrics:
@@ -199,6 +201,16 @@ class TestCalibration:
         assert cal.gemm.sizes == list(machine.CALIBRATION_SIZES)
         assert min(cal.gemm.gflops) > 0 and cal.add_gbs > 0
         assert cal.call_s > 0 and cal.task_s == 0.0
+        # the per-product fixed cost is the served executor's: the
+        # interpreter's one-step Strassen where arithmetic is negligible
+        alg = strassen()
+        A, C = np.ones((16, 16)), np.empty((16, 16))
+        ws = Workspace.for_recursion([alg.base_case], 16, 16, 16,
+                                     algorithms=[alg])
+        direct = metrics.median_time(
+            lambda: multiply(A, A, alg, steps=1, out=C, workspace=ws),
+            trials=5, warmup=2) / alg.rank
+        assert direct / 4 <= cal.call_s <= direct * 4
         assert calibrate("float64", 1) is cal
         assert calibrate("int64", 1) is cal     # only float32 is its own
         files = list(tmp_path.iterdir())

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import multiply_reference, obs
 from repro.algorithms import get_algorithm
 from repro.codegen import cbackend
 from repro.core.cost import plan_cost
@@ -304,15 +305,29 @@ class TestCompiledDispatch:
         assert ws.stats()["overflow_allocations"] == 0
 
     def test_compilefail_fault_degrades_not_fails(self, fresh_cache_state):
+        """The in-band fallback is the interpreter: its bits, on the heap
+        (the arena was laid out for the C driver), counted per call."""
         dispatch.reset_workspaces()
         plan = Plan(algorithm="strassen", steps=1, scheme="sequential",
                     threads=1, backend="compiled")
         A, B = _operands(128, 128, 128, seed=3)
+        ref = multiply_reference(A, B, get_algorithm("strassen"), steps=1)
+        ws = dispatch.build_workspace(plan, 128, 128, 128, A.dtype, B.dtype)
+        calls = 3
         before = faults.fired("cbackend.compilefail")
-        with faults.inject("cbackend.compilefail"):
-            C = dispatch.execute_plan(plan, A, B)
-        assert faults.fired("cbackend.compilefail") == before + 1
-        np.testing.assert_allclose(C, A @ B, atol=1e-10 * 128)
+        obs.enable()
+        obs.reset()
+        try:
+            with faults.inject("cbackend.compilefail"):
+                for _ in range(calls):
+                    C = dispatch.execute_plan(plan, A, B, workspace=ws)
+                    assert np.array_equal(C, ref)
+            assert obs.counter_value("cbackend.fallbacks") == calls
+        finally:
+            obs.disable()
+            obs.reset()
+        assert faults.fired("cbackend.compilefail") == before + calls
+        assert ws.high_water == 0 and ws.overflow_allocations == 0
 
     def test_workspace_sized_by_cbackend_footprint(self):
         plan = Plan(algorithm="winograd", steps=2, scheme="sequential",

@@ -114,7 +114,6 @@ class TestPeelPricing:
 
     @pytest.mark.parametrize("kw,passes", [
         (dict(), 2),
-        (dict(strategy="streaming"), 2),
         (dict(backend="compiled"), 0),
         (dict(scheme="dfs", threads=2, dtype="float32"), 2),
     ])

@@ -8,6 +8,10 @@ executors: same ``(plan, source)``, a product bit-equal to the plan's own,
 ``observe`` fed exactly the execute-only duration of a timed call, timed
 arenas kept out of the serving cache -- and, under guard, an injected
 failure still lands on the classical product.
+
+And what a sequential NumPy plan executes is stated once too
+(:class:`TestNumpyPlansRunTheInterpreter`): the interpreter, in the
+Section 4.1 arena, never a generated module.
 """
 
 from __future__ import annotations
@@ -15,8 +19,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import obs
-from repro.codegen import cbackend
+import repro
+from repro import multiply_reference, obs
+from repro.algorithms import get_algorithm
+from repro.codegen import cbackend, generator
+from repro.core.stability import error_bound
+from repro.core.workspace import dfs_footprint
 from repro.guard import faults
 from repro.tuner import PlanCache, dispatch, matmul, policy as policy_mod
 from repro.tuner.policy import OnlineTunePolicy, TuningPolicy
@@ -149,3 +157,56 @@ def test_guarded_failure_lands_on_classical(observed, timed, plan, tmp_path,
         (rec,) = obs.dispatch_records()
         assert (rec["plan"], rec["source"]) == (
             Plan(threads=plan.threads).describe(), "guard")
+
+
+class TestNumpyPlansRunTheInterpreter:
+    """``execute_plan(Plan(backend="numpy"))`` is ``core.recursion``: the
+    interpreter's bits, in an arena of exactly ``dfs_footprint`` bytes
+    that never spills, with no generated module compiled on the way."""
+
+    #: +-1 square, <3,3,3>, a rotated rectangular entry, coefficients
+    #: outside +-1 (the scaling scratch), an APA entry
+    ALGORITHMS = ["strassen", "s333", "s424", "s234", "bini322"]
+    SHAPES = {"divisible": (144, 144, 144),   # by every base case, twice
+              "odd": (97, 65, 83),            # peels at every level
+              "cutoff": (7, 7, 7)}            # stops early, or never splits
+    DTYPES = {"f64": ("float64", "float64"), "f32": ("float32", "float32"),
+              "mixed": ("float32", "float64")}
+
+    @pytest.mark.parametrize("dtypes", DTYPES)
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("steps", [1, 2])
+    @pytest.mark.parametrize("name", ALGORITHMS)
+    def test_bits_arena_and_no_codegen(self, name, steps, shape, dtypes,
+                                       monkeypatch):
+        def boom(*a, **k):  # pragma: no cover - failure path
+            raise AssertionError("a NumPy plan compiled a generated module")
+
+        for module in (generator, repro.codegen, repro):
+            monkeypatch.setattr(module, "compile_algorithm", boom)
+        monkeypatch.setattr(dispatch, "compile_algorithm", boom,
+                            raising=False)
+        alg = get_algorithm(name)
+        p, q, r = self.SHAPES[shape]
+        dt_a, dt_b = self.DTYPES[dtypes]
+        A = random_matrix(p, q, 0, dtype=dt_a)
+        B = random_matrix(q, r, 1, dtype=dt_b)
+        plan = Plan(algorithm=name, steps=steps, threads=1)
+        ws = dispatch.build_workspace(plan, p, q, r, A.dtype, B.dtype)
+        out = np.empty((p, r), dtype=np.result_type(A, B))
+
+        C = dispatch.execute_plan(plan, A, B, out=out, workspace=ws)
+
+        assert C is out
+        assert np.array_equal(C, multiply_reference(A, B, alg, steps=steps))
+        assert ws.overflow_allocations == 0
+        assert ws.high_water <= ws.nbytes == dfs_footprint(
+            [alg.base_case] * steps, p, q, r, dt_a, dt_b,
+            algorithms=[alg] * steps)
+        exact = A.astype("float64") @ B.astype("float64")
+        rel = np.linalg.norm(C - exact) / np.linalg.norm(exact)
+        # the lower precision sets the floor; an APA entry is off by its
+        # own residual at every level
+        floor = "float32" if "float32" in (dt_a, dt_b) else "float64"
+        assert rel <= (error_bound(alg, steps, q, floor)
+                       + steps * alg.residual())

@@ -53,14 +53,18 @@ class TestCompiledCorrectness:
         B = random_matrix(48, 48, 1)
         np.testing.assert_allclose(f(A, B, steps=2), A @ B, rtol=1e-10, atol=1e-10)
 
+    @pytest.mark.parametrize("dest", [False, True], ids=["fresh", "out"])
     @pytest.mark.parametrize("name", ["winograd", "hk225", "s233", "s234", "s244", "s333"])
-    def test_catalog_matches_reference(self, name):
+    def test_catalog_matches_reference(self, name, dest):
         alg = get_algorithm(name)
         f = compile_algorithm(alg, "write_once")
         A = random_matrix(37, 53, 2)
         B = random_matrix(53, 31, 3)
         ref = reference_multiply(A, B, alg, steps=2)
-        np.testing.assert_allclose(f(A, B, steps=2), ref, rtol=1e-9, atol=1e-9)
+        out = np.empty((37, 31)) if dest else None
+        got = f(A, B, steps=2, out=out)
+        assert out is None or got is out
+        np.testing.assert_allclose(got, ref, rtol=1e-9, atol=1e-9)
 
     @given(st.integers(1, 30), st.integers(1, 30), st.integers(1, 30),
            st.sampled_from(STRATEGIES))
@@ -95,10 +99,14 @@ class TestCompiledCorrectness:
         f(A, A, steps=2, base=base)
         assert len(calls) == 49
 
-    def test_dim_mismatch(self):
+    @pytest.mark.parametrize("b_rows,alias,match", [
+        (3, False, "inner dimensions"), (4, True, "overlap"),
+    ], ids=["dims", "out-aliases-A"])
+    def test_bad_operands_rejected(self, b_rows, alias, match):
         f = compile_algorithm(strassen())
-        with pytest.raises(ValueError):
-            f(np.ones((2, 3)), np.ones((4, 4)))
+        A = np.ones((4, 4))
+        with pytest.raises(ValueError, match=match):
+            f(A, np.ones((b_rows, 4)), out=A if alias else None)
 
     def test_classical_generated(self):
         f = compile_algorithm(classical(2, 3, 2))
@@ -152,13 +160,7 @@ class TestStrategyBehaviour:
         assert "out=S0" in src
 
     def test_pairwise_avoids_out_kwarg(self):
-        # scoped to the allocating core: the arena core (_core_ws) lowers
-        # pairwise to in-place write-once form by design (the fresh-array-
-        # per-op distinction is meaningless once buffers come from an arena)
-        src = generate_source(strassen(), "pairwise")
-        allocating = src.split("def _core_ws")[0]
-        assert "out=S0" not in allocating
-        assert "ws.take" in src.split("def _core_ws")[1]
+        assert "out=S0" not in generate_source(strassen(), "pairwise")
 
     def test_all_strategies_same_result(self):
         A = random_matrix(24, 36, 5)

@@ -91,7 +91,11 @@ class TestMultiplyCorrectness:
 
 
 class TestStepsAndCutoff:
-    def test_steps_zero_is_base(self):
+    @pytest.mark.parametrize("custom", [False, True], ids=["gemm", "custom"])
+    @pytest.mark.parametrize("dest", [False, True], ids=["fresh", "out"])
+    def test_steps_zero_is_base(self, dest, custom):
+        """The leaf: the default gemm writes ``out`` itself, the product
+        of a custom base without ``out`` support is copied in."""
         calls = []
 
         def base(A, B):
@@ -99,8 +103,12 @@ class TestStepsAndCutoff:
             return A @ B
 
         A = random_matrix(8, 8, 0)
-        multiply(A, A, strassen(), steps=0, base=base)
-        assert calls == [(8, 8)]
+        out = np.empty((8, 8)) if dest else None
+        C = multiply(A, A, strassen(), steps=0,
+                     base=base if custom else None, out=out)
+        assert calls == ([(8, 8)] if custom else [])
+        assert out is None or C is out
+        np.testing.assert_array_equal(C, A @ A)
 
     def test_steps_counts_leaf_calls(self):
         calls = []

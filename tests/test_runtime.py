@@ -42,33 +42,6 @@ class TestAxpy:
         np.testing.assert_allclose(out, 1.5)
 
 
-class TestLeaf:
-    def test_default_base_writes_out(self):
-        A = random_matrix(6, 5, 0)
-        B = random_matrix(5, 7, 1)
-        out = np.empty((6, 7))
-        got = runtime.leaf(runtime.default_base, A, B, out)
-        assert got is out
-        np.testing.assert_array_equal(out, A @ B)
-
-    def test_custom_base_copied_into_out(self):
-        calls = []
-
-        def base(a, b):
-            calls.append(1)
-            return a @ b
-
-        A = random_matrix(4, 4, 2)
-        out = np.empty((4, 4))
-        got = runtime.leaf(base, A, A, out)
-        assert got is out and calls == [1]
-
-    def test_no_out_returns_base_result(self):
-        A = random_matrix(3, 3, 3)
-        np.testing.assert_array_equal(runtime.leaf(runtime.default_base,
-                                                   A, A), A @ A)
-
-
 class TestPeelApply:
     def test_no_peeling_fast_path(self):
         A = random_matrix(8, 8, 0)
@@ -99,42 +72,11 @@ class TestPeelApply:
 
     @given(st.integers(2, 25), st.integers(2, 25), st.integers(2, 25))
     @settings(max_examples=25, deadline=None)
-    def test_out_path_bitwise_matches_allocating(self, p, q, r):
-        """With out=/workspace= the core writes its view; results match the
-        allocating path bit for bit (identical gemm sequence)."""
-        from repro.core.workspace import Workspace
-
+    def test_any_shape_matches_matmul(self, p, q, r):
         A = random_matrix(p, q, p + 2 * q)
         B = random_matrix(q, r, q + 2 * r)
-
-        def core(a, b, o=None):
-            if o is None:
-                return a @ b
-            np.matmul(a, b, out=o)
-            return o
-
-        ref = runtime.peel_apply(A, B, 2, 3, 2, core)
-        out = np.empty((p, r))
-        ws = Workspace(1 << 16)
-        got = runtime.peel_apply(A, B, 2, 3, 2, core, out=out, workspace=ws)
-        assert got is out
-        assert np.array_equal(ref, got)
-
-    def test_inner_dim_fixup_comes_from_workspace(self):
-        from repro.core.workspace import Workspace
-
-        A = random_matrix(8, 9, 5)  # q=9 peels against k=2
-        B = random_matrix(9, 8, 6)
-
-        def core(a, b, o=None):
-            np.matmul(a, b, out=o)
-            return o
-
-        ws = Workspace(1 << 16)
-        out = np.empty((8, 8))
-        runtime.peel_apply(A, B, 2, 2, 2, core, out=out, workspace=ws)
-        assert ws.high_water > 0  # the (pc, rc) fix-up buffer was taken
-        np.testing.assert_allclose(out, A @ B, atol=1e-12)
+        C = runtime.peel_apply(A, B, 2, 3, 2, lambda a, b: a @ b)
+        np.testing.assert_allclose(C, A @ B, atol=1e-12)
 
 
 class TestStackBlocks:
@@ -193,51 +135,6 @@ class TestStreamingPrimitives:
         chain = np.array([[0.0, 0.0, 1.0]])  # C0 = Y
         C = runtime.streaming_output(products, defs, chain, 3, 3, 1, 1)
         np.testing.assert_allclose(C, products[0] + products[1], atol=1e-12)
-
-    def test_combine_workspace_bitwise_equal(self):
-        from repro.core.workspace import Workspace
-
-        X = random_matrix(6, 6, 7)
-        defs = np.array([[1.0, 0.0, 0.0, 1.0]])
-        chain = np.array([[1.0, 0.0, 0.0, 1.0, 0.5],
-                          [0.0, 2.0, -1.0, 0.0, 0.0]])
-        ref = runtime.streaming_combine(X, 2, 2, defs, chain)
-        ws = Workspace(1 << 16)
-        got = runtime.streaming_combine(X, 2, 2, defs, chain, workspace=ws)
-        assert ws.overflow_allocations == 0
-        assert np.array_equal(ref, got)
-        # the slab survives the internal stack release
-        assert got.shape == ref.shape
-
-    def test_combine_workspace_noncontiguous_core_view(self):
-        # the peel core is a non-contiguous view; the arena path must fill
-        # its stack block-wise instead of a silent reshape copy
-        from repro.core.workspace import Workspace
-
-        X = random_matrix(7, 7, 8)[:6, :6]
-        chain = np.array([[1.0, -1.0, 0.0, 0.0]])
-        ref = runtime.streaming_combine(X, 2, 2, None, chain)
-        ws = Workspace(1 << 16)
-        got = runtime.streaming_combine(X, 2, 2, None, chain, workspace=ws)
-        assert np.array_equal(ref, got)
-
-    def test_output_workspace_and_out_bitwise_equal(self):
-        from repro.core.workspace import Workspace
-
-        products = [random_matrix(3, 4, i) for i in range(3)]
-        defs = np.array([[1.0, 1.0, 0.0]])
-        chain = np.array([[1.0, 0.0, 0.0, 0.5],
-                          [0.0, 1.0, -1.0, 0.0],
-                          [0.0, 0.0, 0.0, 1.0],
-                          [1.0, 1.0, 1.0, 1.0]])
-        ref = runtime.streaming_output(products, defs, chain, 6, 8, 2, 2)
-        ws = Workspace(1 << 16)
-        out = np.empty((6, 8))
-        got = runtime.streaming_output(products, defs, chain, 6, 8, 2, 2,
-                                       out=out, workspace=ws)
-        assert got is out
-        assert ws.overflow_allocations == 0
-        assert np.array_equal(ref, got)
 
 
 class TestDefaultBase:

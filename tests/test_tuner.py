@@ -27,9 +27,13 @@ class TestPlan:
         assert Plan.from_dict(pl.to_dict()) == pl
 
     def test_from_dict_ignores_unknown_fields(self):
-        d = Plan(algorithm="s424", steps=1).to_dict()
+        pl = Plan(algorithm="s424", steps=1)
+        d = pl.to_dict()
         d["future_field"] = "whatever"
-        assert Plan.from_dict(d).algorithm == "s424"
+        d["strategy"] = "streaming"  # a field plans carried until PR 19
+        assert Plan.from_dict(d) == pl
+        with pytest.raises(TypeError):
+            Plan(algorithm="s424", steps=1, strategy="streaming")
 
     def test_rejects_bad_scheme(self):
         with pytest.raises(ValueError):
@@ -316,10 +320,18 @@ class TestEnumeration:
 
 
 class TestPlanCache:
-    def test_save_load_roundtrip(self, cache):
+    @pytest.mark.parametrize("legacy", [False, True],
+                             ids=["current", "strategy-key"])
+    def test_save_load_roundtrip(self, cache, legacy):
         pl = Plan(algorithm="strassen", steps=2)
         cache.put(512, 512, 512, "float64", 1, pl, seconds=0.5, gflops=1.0)
         cache.save()
+        if legacy:  # a v6 file from when plans named an addition strategy
+            raw = json.loads(cache.path.read_text())
+            assert raw["schema"] == 6
+            for ent in raw["entries"].values():
+                ent["plan"]["strategy"] = "streaming"
+            cache.path.write_text(json.dumps(raw))
         fresh = PlanCache(cache.path)
         assert fresh.get(512, 512, 512, "float64", 1) == pl
         ent = fresh.entry(512, 512, 512, "float64", 1)
@@ -438,15 +450,19 @@ class TestMatmulCorrectness:
         rel = np.linalg.norm(C - A @ B) / np.linalg.norm(A @ B)
         assert rel < 1e-4
 
-    def test_executes_cached_plan(self, cache):
+    @pytest.mark.parametrize("dtype,tol", [("float64", 1e-9),
+                                           ("float32", 2e-3)])
+    def test_executes_cached_plan(self, cache, dtype, tol):
         """A planted cache entry is what actually runs (and stays correct
-        on a non-power-of-two shape via dynamic peeling)."""
+        on a non-power-of-two shape via dynamic peeling), in the operands'
+        dtype."""
         pinned = Plan(algorithm="s424", steps=2, scheme="sequential")
-        cache.put(520, 260, 520, "float64", 1, pinned)
-        A = random_matrix(520, 260, 4)
-        B = random_matrix(260, 520, 5)
+        cache.put(520, 260, 520, dtype, 1, pinned)
+        A = random_matrix(520, 260, 4, dtype=dtype)
+        B = random_matrix(260, 520, 5, dtype=dtype)
         C = tuner.matmul(A, B, threads=1, cache=cache)
-        np.testing.assert_allclose(C, A @ B, atol=1e-9)
+        assert C.dtype == dtype
+        np.testing.assert_allclose(C, A @ B, rtol=tol, atol=tol)
 
     def test_rejects_bad_tune_mode(self, cache):
         A = random_matrix(8, 8, 0)

@@ -43,7 +43,6 @@ plans = st.builds(
     algorithm=st.sampled_from(ALGORITHMS + ["dgemm"]),
     steps=st.integers(min_value=0, max_value=3),
     scheme=st.sampled_from(PLAN_SCHEMES),
-    strategy=st.sampled_from(["pairwise", "write_once", "streaming"]),
     threads=threads_st,
 )
 
@@ -58,8 +57,6 @@ def subgroup_plans(draw):
         algorithm=draw(st.sampled_from(ALGORITHMS)),
         steps=draw(st.integers(min_value=1, max_value=3)),
         scheme="hybrid-subgroup",
-        strategy=draw(st.sampled_from(["pairwise", "write_once",
-                                       "streaming"])),
         threads=threads,
         subgroup=sub,
     )

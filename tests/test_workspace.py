@@ -424,18 +424,14 @@ class TestSteadyStateAllocations:
         assert rep.peak_bytes is not None and rep.peak_bytes < LARGE, scheme
         np.testing.assert_allclose(out, A @ B, atol=1e-8)
 
-    @pytest.mark.parametrize("strategy", ["write_once", "pairwise",
-                                          "streaming"])
-    def test_warm_sequential_codegen_plan_is_allocation_free(
-            self, strategy, tmp_path):
-        """Sequential plans are served by the *generated* module (ISSUE 4):
-        warm dispatch must write ``out`` directly from the arena, for every
-        addition strategy a plan can name."""
-        n = 515  # non-divisible: codegen peel fix-ups must be arena-backed
+    def test_warm_sequential_numpy_plan_is_allocation_free(self, tmp_path):
+        """Sequential NumPy plans are served by the interpreter in its
+        Section 4.1 arena: warm dispatch must write ``out`` directly."""
+        n = 515  # non-divisible: the peel strip chunk must be arena-backed
         cache = PlanCache(tmp_path / "plans.json")
         cache.put(n, n, n, "float64", 1,
                   Plan(algorithm="strassen", steps=2, scheme="sequential",
-                       strategy=strategy, threads=1))
+                       threads=1))
         A = random_matrix(n, n, 40)
         B = random_matrix(n, n, 41)
         out = np.empty((n, n))
@@ -445,7 +441,7 @@ class TestSteadyStateAllocations:
         with track_allocations() as rep:
             got = tuner_matmul(A, B, threads=1, cache=cache, out=out)
         assert got is out
-        assert rep.peak_bytes is not None and rep.peak_bytes < LARGE, strategy
+        assert rep.peak_bytes is not None and rep.peak_bytes < LARGE
         np.testing.assert_allclose(out, A @ B, atol=1e-8)
         reset_workspaces()
 

@@ -11,7 +11,9 @@ parallel schemes (``dfs``, ``hybrid``) plus the sequential interpreter:
   from the recursion/schedule/dispatch hot loops.
 
 The ``sequential`` rows are what ``tuner.dispatch`` serves for sequential
-NumPy plans: the interpreter in its Section 4.1 arena.
+NumPy plans: the interpreter in its Section 4.1 arena.  One more row goes
+through ``repro.matmul`` itself: ten (plan, shape) pairs served round-robin
+on one thread, whose second sweep must find the thread's one arena warm.
 
 Emits ``BENCH_workspace.json`` and exits non-zero when the warm path's
 allocated bytes regress above the checked-in threshold
@@ -29,6 +31,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -40,6 +43,8 @@ from repro.core.workspace import Workspace, track_allocations
 from repro.parallel import blas
 from repro.parallel.pool import WorkerPool, available_cores
 from repro.parallel.schedules import multiply_parallel, parallel_footprint
+from repro.tuner import Plan, PlanCache, matmul, workspace_for
+from repro.tuner.dispatch import plan_footprint
 from repro.util.matrices import random_matrix
 
 THRESHOLD_FILE = Path(__file__).parent / "workspace_threshold.json"
@@ -129,6 +134,59 @@ def bench_config(scheme: str, dtype: str, n: int, steps: int,
     }
 
 
+def bench_dispatch(threads: int) -> dict:
+    """``repro.matmul(A, B, out=C)`` round-robin over ten (plan, shape)
+    pairs from a private plan cache, on one thread: the first sweep grows
+    the thread's arena to the largest footprint (the ``alloc`` columns),
+    the second must stay under the warm budget (the ``warm`` ones).  Every
+    footprint is above that budget, so a dispatcher that rebuilds an arena
+    when it moves between plans -- one arena per (plan, shape) behind a
+    cache with fewer than ten slots did, on every call -- fails here."""
+    plans = [Plan(algorithm="strassen", steps=1, threads=threads),
+             Plan(algorithm="strassen", steps=2, threads=threads),
+             Plan(algorithm="strassen", steps=1, scheme="dfs",
+                  threads=threads),
+             Plan(algorithm="strassen", steps=2, scheme="hybrid",
+                  threads=threads),
+             Plan(algorithm="winograd", steps=1, threads=threads)]
+    pairs = [(plans[i % len(plans)], 640 + 8 * i) for i in range(10)]
+    side = max(n for _, n in pairs)
+    A, B = random_matrix(side, side, 2), random_matrix(side, side, 3)
+    out = np.empty((side, side))
+    worst_bytes, median_s = [], []  # per sweep: the cold one, the warm one
+    with tempfile.TemporaryDirectory() as tmp:
+        cache = PlanCache(Path(tmp) / "plans.json")
+        for plan, n in pairs:
+            cache.put(n, n, n, "float64", threads, plan)
+        for _ in range(2):
+            calls = []
+            for plan, n in pairs:
+                t0 = time.perf_counter()
+                with track_allocations() as rep:
+                    matmul(A[:n, :n], B[:n, :n], threads=threads,
+                           cache=cache, out=out[:n, :n])
+                calls.append((rep.peak_bytes, time.perf_counter() - t0))
+            worst_bytes.append(max(nbytes for nbytes, _ in calls))
+            median_s.append(sorted(sec for _, sec in calls)[len(calls) // 2])
+    plan, n = pairs[-1]
+    return {
+        "scheme": f"dispatch x{len(pairs)}",
+        "dtype": "float64",
+        "n": side,
+        "steps": STEPS,
+        "algorithm": "strassen/winograd, 1-2 steps",
+        "alloc_bytes_per_call": worst_bytes[0],
+        "warm_bytes_per_call": worst_bytes[1],
+        "seconds_allocating": median_s[0],
+        "seconds_warm": median_s[1],
+        "speedup": median_s[0] / median_s[1],
+        "arena_bytes": max(plan_footprint(plan, n, n, n, A.dtype, B.dtype)
+                           for plan, n in pairs),
+        "arena_overflows": workspace_for(
+            plan, n, n, n, A.dtype, B.dtype).overflow_allocations,
+    }
+
+
 def _print_row(row: dict) -> None:
     print(f"{row['scheme']:18s} {row['dtype']:8s} n={row['n']:5d}  "
           f"alloc {row['alloc_bytes_per_call'] / 1e6:8.2f} MB/call "
@@ -169,6 +227,8 @@ def main(argv=None) -> int:
                                        threads, trials)
                     rows.append(row)
                     _print_row(row)
+    rows.append(bench_dispatch(threads))
+    _print_row(rows[-1])
 
     worst_warm = max(r["warm_bytes_per_call"] for r in rows)
     ok = worst_warm <= threshold and all(

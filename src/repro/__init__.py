@@ -120,8 +120,8 @@ def matmul_batched(
 ) -> np.ndarray | list[np.ndarray]:
     """Multiply a whole batch of same-shape products, ``(b, p, q) @
     (b, q, r)`` stacked arrays or lists of 2-D arrays, with one amortized
-    decision: one plan lookup, one workspace arena (or per-worker arena
-    pool) and one persistent worker pool serve every element, so a warm
+    decision: one plan lookup, one workspace arena per executing thread
+    and one persistent worker pool serve every element, so a warm
     batched call with ``out=`` is allocation-free end to end.  The batch
     also opens a tunable axis -- fan elements across the pool
     (``batch_mode="elementwise"``, BLAS pinned to one thread per element)

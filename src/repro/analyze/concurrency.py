@@ -1,7 +1,7 @@
 """Concurrency lint: every known piece of shared state has a named lock.
 
-The tuner/arena/obs stack shares mutable state across threads -- dispatch
-arena caches and pools, the plan cache's entry/failure ledgers, the
+The tuner/arena/obs stack shares mutable state across threads -- dispatch's
+per-thread arenas and worker pools, the plan cache's entry/failure ledgers, the
 telemetry registry, policy singletons, fault-injection ledgers, the
 codegen module cache.  Each has exactly one lock that must guard its
 mutations; holding that invariant by convention is how PRs 3-8 shipped,
@@ -54,8 +54,11 @@ class SharedState:
 #: without registering it here is the review-time failure mode this
 #: registry exists to make visible.
 REGISTRY: tuple[SharedState, ...] = (
-    SharedState("tuner/dispatch.py", "_workspaces", "_dispatch_lock",
-                "thread-keyed arena cache"),
+    SharedState("tuner/dispatch.py", "_arenas", "_dispatch_lock",
+                "thread -> its arena (weak keys); a thread reads only its "
+                "own entry, lock-free"),
+    SharedState("tuner/dispatch.py", "_reservation", None,
+                "plan_footprint memo: functools.lru_cache locks itself"),
     SharedState("tuner/dispatch.py", "_pools", "_dispatch_lock",
                 "persistent worker pools"),
     SharedState("tuner/dispatch.py", "_default_cache", "_dispatch_lock",
@@ -68,8 +71,6 @@ REGISTRY: tuple[SharedState, ...] = (
                 "quarantine failure ledger"),
     SharedState("tuner/cache.py", "_warned_paths", "_warned_lock",
                 "once-per-path load warnings"),
-    SharedState("tuner/batched.py", "_arena_pools", "_batch_lock",
-                "per-worker arena pools for batched dispatch"),
     SharedState("tuner/policy.py", "POLICIES", "_policy_lock",
                 "named policy registry"),
     SharedState("tuner/policy.py", "_shared", "_policy_lock",

@@ -543,7 +543,7 @@ def _explain(args, A, B, p: int, q: int, r: int, cache, out) -> int:
         print(f"chosen batch plan: {bplan.describe()}  "
               f"[source: {bsource}]", file=out)
         print(f"amortized: one plan lookup + one "
-              f"{'per-worker arena pool' if bplan.mode == 'elementwise' else 'arena'}"
+              f"{'arena per worker' if bplan.mode == 'elementwise' else 'arena'}"
               f" + one worker pool serve all {batch} elements", file=out)
         As = np.stack([A] * batch)
         Bs = np.stack([B] * batch)
@@ -617,12 +617,12 @@ def _render_stats(snap: dict, origin: str, out) -> None:
                         in sorted(summary["policy"].items()))
         print(f"  policy choices: {mix}", file=out)
     ws = summary["workspace"]
+    tail = f"overflows {ws['overflows']}, grows {ws['grows']}"
     if ws["arena_bytes"] is not None:
         print(f"workspace: arena {int(ws['arena_bytes']):,} bytes, "
-              f"high water {int(ws['high_water'] or 0):,}, "
-              f"overflows {ws['overflows']}", file=out)
+              f"high water {int(ws['high_water'] or 0):,}, {tail}", file=out)
     else:
-        print(f"workspace: overflows {ws['overflows']}", file=out)
+        print(f"workspace: {tail}", file=out)
     guard = summary.get("guard", {})
     if guard and (any(v for v in guard.values() if not isinstance(v, dict))
                   or any(guard.get("fallbacks", {}).values())

@@ -113,6 +113,7 @@ from repro.codegen.chains import Chain, extract_chains
 from repro.core.algorithm import FastAlgorithm
 from repro.core.recursion import should_split
 from repro.core.stability import stability_factors
+from repro.core.workspace import ALIGNMENT, cbackend_footprint, check_out
 from repro.obs import telemetry
 from repro.util.matrices import peel_fixup, peel_split
 from repro.util.validation import check_matmul_dims
@@ -662,10 +663,10 @@ class CompiledChains:
         returned array is never arena memory (a float64 ``out`` is
         written directly, any other result is a fresh cast).  Only what
         the kernels cannot address in place (:func:`kernel_ready`) is
-        packed, once, on entry.
+        packed, once, on entry, into the same arena (the footprint charges
+        another dtype's copies; for a strided float64 matrix the call
+        reserves them itself).
         """
-        from repro.core.workspace import check_out
-
         A = np.asarray(A)
         B = np.asarray(B)
         check_matmul_dims(A, B)
@@ -682,6 +683,18 @@ class CompiledChains:
         ws = workspace
         if ws is not None:
             ws.reset()
+            # the caller sized the arena from the dtypes; a float64 matrix
+            # whose strides the kernels cannot walk is packed into a copy
+            # the footprint has no term for, so the call reserves both
+            # (a take costs its bytes plus up to two roundings)
+            strided = [X for X in (A, B, out) if X is not None
+                       and X.dtype == np.float64 and not kernel_ready(X)]
+            if strided:
+                ws.reserve(
+                    cbackend_footprint(self.algorithm, self.cse,
+                                       (*A.shape, B.shape[1]), A.dtype,
+                                       steps, B.dtype)
+                    + sum(X.nbytes + 2 * ALIGNMENT for X in strided))
         Ad, Bd = (X if kernel_ready(X) else _packed(X, ws) for X in (A, B))
         if dtype.kind in "iub" and Ad.size and Bd.size:
             # double holds integers exactly only up to 2^53, and the fast

@@ -17,13 +17,12 @@ The paper's framework (Section 2) is reproduced here:
 
 from repro.core.algorithm import FastAlgorithm, EXACT_TOL
 from repro.core.tensor import matmul_tensor
-from repro.core.workspace import Workspace, WorkspacePool, track_allocations
+from repro.core.workspace import Workspace, track_allocations
 
 __all__ = [
     "FastAlgorithm",
     "EXACT_TOL",
     "matmul_tensor",
     "Workspace",
-    "WorkspacePool",
     "track_allocations",
 ]

@@ -7,10 +7,12 @@ temporaries of a fast algorithm are managed deliberately: DFS reuses one
 executors in this repository originally allocated fresh arrays for every
 rank of every level on every call; for the repeated mid-size products the
 tuner serves, allocator traffic and page faulting eat a large slice of the
-fast-algorithm advantage.  A :class:`Workspace` computes the *exact* buffer
-footprint of an (algorithm, steps, shape, dtype, scheme) plan up front,
-allocates it once, and hands out reusable views, so a warm
-``repro.matmul(A, B, out=C)`` performs no large allocations at all.
+fast-algorithm advantage.  The *exact* buffer footprint of an (algorithm,
+steps, shape, dtype, scheme) plan is computed up front and reserved
+(:meth:`Workspace.reserve`) in the calling thread's one :class:`Workspace`,
+which hands out reusable views and is as large as the largest plan the
+thread has served, so a warm ``repro.matmul(A, B, out=C)`` performs no
+large allocations at all.
 
 Footprint formulas (derivations follow the paper's Sections 4.1/4.2):
 
@@ -40,9 +42,10 @@ input and the result pool by ``R/(MN)`` of the output -- the paper's
           + sum_{l=1}^{L} R^l (p_l r_l)                    # result pools
 
 The paper frees each level's pool as the combine sweep walks back up the
-tree; an arena instead *retains* the full-tree footprint so the next call
-reuses it -- steady-state reuse across calls supersedes intra-call
-freeing, and the geometric series is dominated by the deepest level
+tree; an arena instead holds the full-tree footprint for the whole call
+and keeps it for the thread's next one, whichever plan that runs --
+steady-state reuse across calls supersedes intra-call freeing, and the
+geometric series is dominated by the deepest level
 anyway.  Per-level pools are laid out contiguously in expansion order, so
 the combine sweep still releases them level by level logically (the bump
 pointer rewinds wholesale at the next ``reset``).
@@ -70,8 +73,9 @@ filled by one C call per side, the products of a level live until
 
 Which formula sizes a tuner plan is decided in exactly one place,
 :func:`repro.tuner.dispatch.plan_footprint` (scheme, backend ->
-bytes, 0 for plain BLAS): per-call arenas, measurement arenas and the
-per-worker pools of elementwise batches all come from it.  A parallel
+bytes, 0 for plain BLAS): every reservation and every measurement arena
+comes from it, and a callee that runs another path than its caller sized
+for (strides or a failed compile decide that) reserves its own.  A parallel
 scheme is sized for the kernels its schedule will form the chains with
 (:func:`repro.parallel.schedules.parallel_footprint`): the compiled ones
 use the slab layout -- :func:`cbackend_footprint`, per level for DFS, per
@@ -80,9 +84,9 @@ node with ``tree=True`` -- and the NumPy adders :func:`dfs_footprint` /
 
 The arena is not thread-safe for concurrent ``take`` calls; the parallel
 schedules preassign every buffer *before* fanning tasks out, which is also
-what makes the assignment deterministic.  If a caller outgrows the arena
-(e.g. a custom cutoff policy recursing deeper than the plan declared),
-``take`` degrades to a plain allocation and counts it in
+what makes the assignment deterministic.  If a caller outgrows its
+reservation (e.g. a custom cutoff policy recursing deeper than the plan
+declared), ``take`` degrades to a plain allocation and counts it in
 ``overflow_allocations`` instead of failing.
 """
 
@@ -90,13 +94,13 @@ from __future__ import annotations
 
 import contextlib
 import math
-import queue
 import tracemalloc
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from repro.guard import faults as _faults
+from repro.obs import telemetry
 from repro.util.matrices import strip_scratch_bytes
 
 #: byte alignment of every handed-out buffer (one cache line)
@@ -115,68 +119,50 @@ def _align_up(n: int) -> int:
 
 
 class Workspace:
-    """A bump-pointer arena over one contiguous preallocated buffer.
+    """A bump-pointer arena over one contiguous buffer that only grows.
 
-    ``take(shape, dtype)`` returns a C-contiguous, cache-line-aligned view;
+    :meth:`reserve` sizes it for the call about to run; ``take(shape,
+    dtype)`` returns a C-contiguous, cache-line-aligned view;
     ``mark()``/``release(mark)`` give stack-discipline reuse (the DFS
     recursion releases a level's buffers when the subtree returns);
     ``reset()`` rewinds everything at the start of a call.  Requests beyond
-    capacity fall back to ``np.empty`` (counted, never fatal).
+    the reservation fall back to ``np.empty`` (counted, never fatal).
     """
 
     def __init__(self, nbytes: int):
-        self._nbytes = max(int(nbytes), ALIGNMENT)
-        self._buf: np.ndarray | None = None
-        self._base = 0
-        self._top = 0
-        self.high_water = 0
+        self._buf = np.empty(0, dtype=np.uint8)
         self.overflow_allocations = 0
-        self.mark_depth = 0
         self.max_mark_depth = 0
-        #: calls served since the buffer was (re)allocated -- dispatch's
-        #: reclamation sweep uses this to spot single-shot arenas
+        #: calls served since the buffer was (re)allocated: 1 means the
+        #: caller paid for the memory, more that it found it warm
         self.uses = 0
-        self._alloc()
+        self.reserve(nbytes)
 
-    def _alloc(self) -> None:
-        self._buf = np.empty(self._nbytes, dtype=np.uint8)
-        # absolute alignment: offset 0 of the arena is cache-line aligned
-        self._base = (-self._buf.ctypes.data) % ALIGNMENT
+    def reserve(self, nbytes: int) -> None:
+        """Make room for a call that draws ``nbytes``, and rewind.
 
-    @property
-    def nbytes(self) -> int:
-        """Declared capacity (stable across :meth:`release_buffer`)."""
-        return self._nbytes
-
-    @property
-    def retained_nbytes(self) -> int:
-        """Bytes currently held by the backing buffer (0 when released)."""
-        return 0 if self._buf is None else self._buf.nbytes
-
-    @property
-    def retained(self) -> bool:
-        return self._buf is not None
-
-    def release_buffer(self) -> int:
-        """Drop the backing buffer; returns the bytes given back.
-
-        The arena object stays valid -- the next :meth:`reset` (every
-        executor's first act) or ``take`` reallocates lazily.  Views
-        handed out earlier keep the old buffer alive via refcounting, so
-        releasing is safe even if a product computed from this arena is
-        still in flight somewhere.
+        A smaller buffer is replaced by one of exactly ``nbytes`` (dropped
+        first: the peak is the larger, not the sum; nothing is copied, an
+        arena carries no state between calls), a larger one is kept.
+        Either way ``nbytes`` is the limit past which ``take`` counts an
+        overflow, so a formula that undersizes its executor shows whatever
+        ran in this arena before.
         """
-        freed = self.retained_nbytes
-        self._buf = None
-        self._top = 0
-        self.mark_depth = 0
-        return freed
+        #: the current reservation
+        self.nbytes = max(int(nbytes), ALIGNMENT)
+        if self._buf.nbytes < self.nbytes:
+            self._buf = np.empty(0, dtype=np.uint8)
+            self._buf = np.empty(self.nbytes, dtype=np.uint8)
+            # absolute alignment: offset 0 of the arena is cache-line aligned
+            self._base = (-self._buf.ctypes.data) % ALIGNMENT
+            self.uses = 0
+            telemetry.incr("workspace.grows")
+        self.high_water = 0
+        self.reset()
 
     # ------------------------------------------------------------ lifecycle
     def reset(self) -> None:
         """Rewind the bump pointer; every prior view becomes reusable."""
-        if self._buf is None:
-            self._alloc()
         self._top = 0
         self.mark_depth = 0
 
@@ -193,8 +179,9 @@ class Workspace:
 
     def stats(self) -> dict:
         """Arena health as one JSON-ready dict -- what the dispatch layer's
-        telemetry gauges publish per call: capacity, peak bytes actually
-        carved, current/deepest mark nesting, and heap-overflow count."""
+        telemetry gauges publish per call: the reservation, the peak bytes
+        carved since it was made, current/deepest mark nesting, and the
+        heap-overflow count."""
         return {
             "nbytes": self.nbytes,
             "high_water": self.high_water,
@@ -213,11 +200,9 @@ class Workspace:
             self.overflow_allocations += 1
             raise MemoryError("injected: workspace.overflow taking "
                               + " ".join(map(str, what)))
-        if self._buf is None:
-            self._alloc()
         start = _align_up(self._top)
         end = start + nbytes
-        if end + self._base > self._buf.nbytes:
+        if end + self._base > self.nbytes:
             self.overflow_allocations += 1
             return np.empty(nbytes, dtype=np.uint8)
         self._top = end
@@ -259,67 +244,6 @@ class Workspace:
         nbytes = dfs_footprint(base_cases, p, q, r, dtype_a, dtype_b,
                                algorithms=algorithms)
         return cls(nbytes)
-
-
-class WorkspacePool:
-    """A checkout pool of identical arenas for elementwise batch fan-out.
-
-    A single :class:`Workspace` is not thread-safe, so when a batched call
-    fans elements across a worker pool each concurrently active element
-    needs a private arena.  The pool preallocates ``workers`` identical
-    arenas once (the batched footprint of the ISSUE's "per-worker arena
-    pool") and hands them out through a blocking queue: a worker task
-    acquires an arena, runs its element, and returns it -- with at most
-    ``workers`` tasks in flight the checkout never waits, and a warm
-    batched call touches the heap zero times.
-    """
-
-    def __init__(self, element_nbytes: int, workers: int):
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        self.workers = workers
-        self.element_nbytes = int(element_nbytes)
-        self._arenas = tuple(Workspace(element_nbytes)
-                             for _ in range(workers))
-        self._free: queue.SimpleQueue = queue.SimpleQueue()
-        for ws in self._arenas:
-            self._free.put(ws)
-
-    @property
-    def nbytes(self) -> int:
-        """Total bytes across all per-worker arenas (the batched footprint)."""
-        return sum(ws.nbytes for ws in self._arenas)
-
-    @property
-    def overflow_allocations(self) -> int:
-        return sum(ws.overflow_allocations for ws in self._arenas)
-
-    def acquire(self) -> Workspace:
-        """Check an arena out (blocks until one is free), reset for use."""
-        ws = self._free.get()
-        ws.reset()
-        return ws
-
-    def release(self, ws: Workspace) -> None:
-        self._free.put(ws)
-
-    @contextlib.contextmanager
-    def arena(self):
-        ws = self.acquire()
-        try:
-            yield ws
-        finally:
-            self.release(ws)
-
-    def stats(self) -> dict:
-        """Aggregated arena health (same keys as :meth:`Workspace.stats`)."""
-        return {
-            "nbytes": self.nbytes,
-            "high_water": max(ws.high_water for ws in self._arenas),
-            "mark_depth": max(ws.mark_depth for ws in self._arenas),
-            "max_mark_depth": max(ws.max_mark_depth for ws in self._arenas),
-            "overflow_allocations": self.overflow_allocations,
-        }
 
 
 # ---------------------------------------------------------------------------

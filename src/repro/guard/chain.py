@@ -372,8 +372,8 @@ def run_guarded(cfg: GuardConfig, plan: Plan, run, operands, out, fresh,
     (the ``A`` and ``B`` of every element, one per call), the caller's
     ``out`` (or ``None``), ``fresh()`` for a new destination of the same
     form, the quarantine ledger (``cache`` under ``key = (p, q, r, dtype,
-    threads)`` and ``batch``), and whether ``plan`` ran in a ``warm``
-    cached arena.  ``served`` is the plan that produced the result:
+    threads)`` and ``batch``), and whether ``plan`` ran ``warm``, in the
+    thread's own arena.  ``served`` is the plan that produced the result:
     ``plan`` itself, the cost-model fallback, or plain dgemm for
     classical.
     """

@@ -200,6 +200,8 @@ def summarize(snap: dict | None = None) -> dict:
         "high_water": gauges.get(("workspace.high_water", ()), None),
         "max_mark_depth": gauges.get(("workspace.max_mark_depth", ()), None),
         "overflows": total("workspace.overflows"),
+        # arena (re)allocations: zero between two warm calls
+        "grows": total("workspace.grows"),
     }
 
     # resilience counters (repro.guard): zero-filled so callers can probe

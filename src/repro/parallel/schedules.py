@@ -47,17 +47,17 @@ either way, so both agree with the interpreter bit for bit on the +-1
 catalog entries.
 
 Every scheme accepts ``out=`` and ``workspace=`` (a
-:class:`repro.core.workspace.Workspace` of :func:`parallel_footprint`
-bytes).  With the compiled kernels a DFS level, and every node of the
-tree, holds one S slab and one T slab (a row per non-alias chain; alias
-chains are views of the node's own blocks) and its products (one
-contiguous slab per tree node, which ``form_C`` reads and the children
-write as their results).  With the NumPy adders DFS reuses one
-``S``/``T``/``M_r`` triple per level and the tree draws a buffer per child
-from per-level pools whose sizes follow the Section 4.2 memory formula.
-Buffers are preassigned *before* tasks fan out (deterministic, no
-allocator in any task body), so a warm call performs no large
-allocations.
+:class:`repro.core.workspace.Workspace`, in which the call reserves
+:func:`parallel_footprint` bytes for the kernels it picked).  With the
+compiled kernels a DFS level, and every node of the tree, holds one S slab
+and one T slab (a row per non-alias chain; alias chains are views of the
+node's own blocks) and its products (one contiguous slab per tree node,
+which ``form_C`` reads and the children write as their results).  With
+the NumPy adders DFS reuses one ``S``/``T``/``M_r`` triple per level and the
+tree draws a buffer per child from per-level pools whose sizes follow the
+Section 4.2 memory formula.  Buffers are preassigned *before* tasks fan out
+(deterministic, no allocator in any task body), so a warm call performs no
+large allocations.
 """
 
 from __future__ import annotations
@@ -530,12 +530,12 @@ def multiply_parallel(
     at this very call (counted in ``cbackend.fallbacks``, warned once per
     algorithm).
 
-    ``out`` receives the product; ``workspace`` is an arena of
-    :func:`parallel_footprint` bytes from which every temporary is drawn,
+    ``out`` receives the product; every temporary is drawn from
+    ``workspace``, in which the call reserves :func:`parallel_footprint`
+    bytes for the kernels it picked whatever the caller sized it for (an
+    arena laid out for the slabs serves the adders after a failed
+    compile; Section 4.1's one triple per level grows to hold the slabs),
     so a warm ``(out, workspace)`` call performs no large allocations.
-    (The tree's slab layout never needs more than its NumPy layout; a
-    ``dfs`` arena of the Section 4.1 size, one triple per level, is served
-    by the adders it was laid out for.)
     """
     A, B, out = recursion._operands(A, B, out, workspace)
     if scheme not in SCHEMES:
@@ -549,18 +549,13 @@ def multiply_parallel(
         )
     fused = cbackend.chains_fused(A.dtype, B.dtype, (A, B, out))
     cc = cbackend.serving_chains(algorithm) if fused else None
-    if fused and cc is None:
-        # the kernels failed to load at this very call: the arena was laid
-        # out for them, so the (counted) fallback allocates for itself
-        # rather than mis-fit it -- as the sequential compiled path does
-        workspace = None
-    elif (cc is not None and scheme == "dfs" and workspace is not None
-          and workspace.nbytes < parallel_footprint(
-              algorithm, steps, scheme, A.shape[0], *B.shape, fused=True)):
-        # Section 4.1's arena -- one S/T/M_r triple per level, "no extra
-        # memory" (Workspace.for_recursion) -- cannot hold the slabs; the
-        # adders it was laid out for can run in it
-        cc = None
+    if workspace is not None:
+        # the caller sized the arena from (plan, shape, dtypes); which
+        # kernels run was decided just now, from the operands and the
+        # compile: the layout reserved is theirs
+        workspace.reserve(parallel_footprint(
+            algorithm, steps, scheme, A.shape[0], *B.shape, A.dtype,
+            B.dtype, fused=cc is not None))
     owns_pool = pool is None
     pool = pool or WorkerPool(threads)
     P = threads or pool.workers

@@ -44,7 +44,6 @@ from repro.tuner.batched import (
     execute_batch_plan,
     get_batch_plan,
     matmul_batched,
-    reset_batch_pools,
 )
 from repro.tuner.cache import (
     PlanCache,
@@ -131,7 +130,6 @@ __all__ = [
     "matmul_batched",
     "measure_plan",
     "register_policy",
-    "reset_batch_pools",
     "reset_shared_cache",
     "reset_shared_policies",
     "reset_workspaces",

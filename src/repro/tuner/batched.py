@@ -5,19 +5,20 @@ amortize: many same-shape products, each small enough that plan
 resolution, arena lookup and thread fan-out are a visible share of the
 call (the Section 3.4 regime below the dgemm ramp-up knee -- exactly
 where a serving workload of repeated small products lives).  The batched
-entry point resolves **one** plan, warms **one** arena (or one per-worker
-arena pool), borrows **one** persistent worker pool, and then runs every
-element through the ordinary :func:`repro.tuner.dispatch.execute_plan`
-with the arena reset between elements -- so a warm batched call touches
-the heap zero times end to end, not just per element.
+entry point resolves **one** plan, borrows **one** persistent worker pool,
+and runs every element through the ordinary
+:func:`repro.tuner.dispatch.execute_plan` in the arena of the thread that
+executes it (the caller's for a ``within`` batch, each worker's own under
+``elementwise``), rewound between elements -- so a warm batched call
+touches the heap zero times end to end, not just per element.
 
 The batch also opens a new tunable axis (:data:`repro.tuner.space.BATCH_MODES`):
 
 - ``within`` -- elements run serially, each using the per-element plan's
   own (possibly parallel) schedule: the existing behaviour, amortized.
 - ``elementwise`` -- elements fan out across the worker pool, each
-  running the *sequential* path with BLAS pinned to a single thread
-  under a private per-worker arena (:class:`repro.core.workspace.WorkspacePool`).
+  running the *sequential* path with BLAS pinned to a single thread in
+  its worker thread's arena (already private to it: nothing to check out).
   Below the ramp-up knee ``threads`` independent single-threaded gemms
   beat one ``threads``-way gemm per element, which is the batching win
   the paper's overhead analysis predicts.
@@ -31,14 +32,12 @@ and remembered in the plan cache under a ``batch``-suffixed key
 from __future__ import annotations
 
 import dataclasses
-import threading
-from collections import OrderedDict
 from collections.abc import Sequence
 from typing import NamedTuple
 
 import numpy as np
 
-from repro.core.workspace import WorkspacePool, check_out
+from repro.core.workspace import check_out
 from repro.guard import chain
 from repro.obs import telemetry
 from repro.parallel import blas
@@ -52,21 +51,6 @@ from repro.tuner.space import (
     batch_plan_cost,
 )
 from repro.util.validation import check_matmul_dims, require_2d
-
-#: per-worker arena pools kept warm at once -- each serves one
-#: (plan, shape, dtype, workers) combination of elementwise batches
-#: (cf. ``dispatch.WORKSPACE_CACHE_SIZE`` for the per-call arenas)
-BATCH_POOL_CACHE_SIZE = 4
-
-_arena_pools: "OrderedDict[tuple, WorkspacePool]" = OrderedDict()
-_batch_lock = threading.Lock()
-
-
-def reset_batch_pools() -> None:
-    """Drop every cached per-worker arena pool (tests; to give memory back)."""
-    with _batch_lock:
-        _arena_pools.clear()
-
 
 # ---------------------------------------------------------------------------
 # operand normalization: stacked 3-D arrays or lists of same-shape 2-D
@@ -177,37 +161,6 @@ def _batch_result(ops: _Batch, out=None):
 
 
 # ---------------------------------------------------------------------------
-# per-worker arena pools (the batched footprint)
-# ---------------------------------------------------------------------------
-def _arena_pool(plan: Plan, p: int, q: int, r: int, dtype_a, dtype_b,
-                workers: int, cached: bool = True) -> WorkspacePool | None:
-    """The per-worker arena pool for an elementwise batch plan: the cached
-    one -- built on first use (counted by ``workspace.batch_arena_builds``),
-    LRU-kept up to :data:`BATCH_POOL_CACHE_SIZE` -- or, for measurement
-    sweeps, a throwaway.  ``None`` when the element plan needs no
-    workspace (plain BLAS)."""
-    nbytes = dispatch.plan_footprint(plan, p, q, r, dtype_a, dtype_b)
-    if nbytes == 0:
-        return None
-    if not cached:
-        return WorkspacePool(nbytes, workers)
-    key = (plan, p, q, r, str(np.dtype(dtype_a)), str(np.dtype(dtype_b)),
-           workers)
-    with _batch_lock:
-        apool = _arena_pools.get(key)
-        if apool is not None:
-            _arena_pools.move_to_end(key)
-            return apool
-    apool = WorkspacePool(nbytes, workers)
-    telemetry.incr("workspace.batch_arena_builds")
-    with _batch_lock:
-        _arena_pools[key] = apool
-        while len(_arena_pools) > BATCH_POOL_CACHE_SIZE:
-            _arena_pools.popitem(last=False)
-    return apool
-
-
-# ---------------------------------------------------------------------------
 # resolution: one decision for the whole batch
 # ---------------------------------------------------------------------------
 def _sequential_element_plan(p: int, q: int, r: int, dtype: str,
@@ -281,28 +234,26 @@ def get_batch_plan(
 # ---------------------------------------------------------------------------
 # execution
 # ---------------------------------------------------------------------------
-def _batch_arena(bplan: BatchPlan, ops: _Batch, warm: bool):
-    """What the whole batch draws temporaries from: one arena (``within``)
-    or one per-worker arena pool (``elementwise``), ``None`` for plain
-    BLAS.  ``warm=True`` (the serving path) draws from the process-wide
-    caches (:func:`repro.tuner.dispatch.workspace_for` /
-    :func:`_arena_pool`); ``warm=False`` builds throwaways so measurement
-    sweeps never evict the serving set."""
-    shape_dtypes = (ops.p, ops.q, ops.r,
-                    ops.a_list[0].dtype, ops.b_list[0].dtype)
+def _within_arena(bplan: BatchPlan, ops: _Batch, warm: bool):
+    """The arena a ``within`` batch draws every element's temporaries
+    from: the calling thread's (``warm``, the serving path) or a throwaway
+    no measured candidate can grow.  ``None`` for plain BLAS and for
+    ``elementwise``, whose elements run in their workers' arenas, timed
+    or served -- one sequential element's footprint each."""
     if bplan.mode == "elementwise":
-        return _arena_pool(bplan.plan, *shape_dtypes, bplan.workers,
-                           cached=warm)
+        return None
     arena = dispatch.workspace_for if warm else dispatch.build_workspace
-    return arena(bplan.plan, *shape_dtypes)
+    return arena(bplan.plan, ops.p, ops.q, ops.r,
+                 ops.a_list[0].dtype, ops.b_list[0].dtype)
 
 
-def _run_batch(bplan: BatchPlan, ops: _Batch, result, arena,
-               pool: WorkerPool | None):
-    """Every element of ``ops`` into ``result``, as ``bplan`` prescribes."""
+def _run_batch(bplan: BatchPlan, ops: _Batch, result, workspace,
+               pool: WorkerPool | None) -> tuple[tuple, int]:
+    """Every element of ``ops`` into ``result``, as ``bplan`` prescribes;
+    returns the arenas the elements drew from and how many heap overflows
+    they counted on the way (what :func:`dispatch._report` is handed)."""
     run = _run_elementwise if bplan.mode == "elementwise" else _run_within
-    run(bplan, ops, list(result), arena, pool)
-    return result
+    return run(bplan, ops, list(result), workspace, pool)
 
 
 def execute_batch_plan(
@@ -316,51 +267,56 @@ def execute_batch_plan(
     """Run a whole batch exactly as ``bplan`` prescribes.
 
     Operands as in :func:`matmul_batched`; ``warm`` as in
-    :func:`_batch_arena` (:func:`repro.tuner.measure.tune_batch` passes
+    :func:`_within_arena` (:func:`repro.tuner.measure.tune_batch` passes
     ``False``).
     """
     ops = _normalize_operands(A, B)
     result = _batch_result(ops, out)
     if ops.a_list:
-        _run_batch(bplan, ops, result, _batch_arena(bplan, ops, warm), pool)
+        _run_batch(bplan, ops, result, _within_arena(bplan, ops, warm), pool)
     return result
 
 
 def _run_within(bplan: BatchPlan, ops: _Batch, c_list, workspace,
-                pool: WorkerPool | None) -> None:
+                pool: WorkerPool | None) -> tuple[tuple, int]:
     """Elements serially, each under the plan's own schedule: one arena
-    (the executors reset it at call start) and one pool for the batch."""
+    (the executors rewind it at call start) and one pool for the batch."""
     plan = bplan.plan
     if pool is None and not plan.is_dgemm and plan.scheme != "sequential":
         pool = dispatch._shared_pool(plan.threads)
+    spilled_before = (workspace.overflow_allocations
+                      if workspace is not None else 0)
     for a, b, c in zip(ops.a_list, ops.b_list, c_list):
         dispatch.execute_plan(plan, a, b, pool=pool, out=c,
                               workspace=workspace)
+    if workspace is None:
+        return (), 0
+    return (workspace,), workspace.overflow_allocations - spilled_before
 
 
-def _run_elementwise(bplan: BatchPlan, ops: _Batch, c_list, apool,
-                     pool: WorkerPool | None) -> None:
-    """Elements fanned across the pool, each sequential under a private
-    per-worker arena, BLAS pinned to one thread for the whole fan-out
-    (the inner per-element BLAS contexts are then nested no-ops)."""
+def _run_elementwise(bplan: BatchPlan, ops: _Batch, c_list, _workspace,
+                     pool: WorkerPool | None) -> tuple[tuple, int]:
+    """Elements fanned across the pool, each sequential in the arena of
+    the worker thread it runs on, BLAS pinned to one thread for the whole
+    fan-out (the inner per-element BLAS contexts are then nested no-ops)."""
     plan = bplan.plan
     a_list, b_list = ops.a_list, ops.b_list
     if pool is None:
         pool = dispatch._shared_pool(bplan.workers)
 
     def element(i: int):
-        if apool is None:
-            return dispatch.execute_plan(plan, a_list[i], b_list[i],
-                                         out=c_list[i])
-        with apool.arena() as ws:
-            return dispatch.execute_plan(plan, a_list[i], b_list[i],
-                                         out=c_list[i], workspace=ws)
+        ws = dispatch.workspace_for(plan, ops.p, ops.q, ops.r,
+                                    a_list[i].dtype, b_list[i].dtype)
+        spilled_before = ws.overflow_allocations if ws is not None else 0
+        dispatch.execute_plan(plan, a_list[i], b_list[i], out=c_list[i],
+                              workspace=ws)
+        return ws, (ws.overflow_allocations - spilled_before
+                    if ws is not None else 0)
 
     with blas.blas_threads(1):
-        group = pool.group()
-        for i in range(len(a_list)):
-            group.run(element, i)
-        group.wait()
+        drew = pool.map_wait(element, range(len(a_list)))
+    arenas = {id(ws): ws for ws, _ in drew if ws is not None}
+    return tuple(arenas.values()), sum(spilled for _, spilled in drew)
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +340,7 @@ def matmul_batched(
     a list).  ``out=`` mirrors the input form (a 3-D stack or a list of
     2-D destinations); with it a repeat call for a resolved shape is
     allocation-free for the *whole batch* -- one plan lookup, one arena
-    (or per-worker arena pool), one persistent worker pool.
+    per executing thread, one persistent worker pool.
 
     ``batch_mode`` pins the batch-parallelism axis (``"within"`` /
     ``"elementwise"``); by default the mode is cost-ranked by
@@ -429,24 +385,28 @@ def matmul_batched(
         bplan = tune_batch(p, q, r, batch, dtype=dtype, threads=threads,
                            cache=cache)
         source = "tuned"
-    arena = _batch_arena(bplan, ops, warm=True)
-    spilled_before = arena.overflow_allocations if arena is not None else 0
+    workspace = _within_arena(bplan, ops, warm=True)
     served = bplan.plan
+    drew = ((), 0)
+
+    def run(_, dest):
+        nonlocal drew
+        drew = _run_batch(bplan, ops, dest, workspace, pool)
+        return dest
+
     telemetry.incr("dispatch.batch_calls")
     telemetry.incr("dispatch.batch_elements", batch)
     telemetry.set_gauge("dispatch.batch_size", batch)
     cfg = chain.resolve_guard(guard)
     with telemetry.span("dispatch.batch", mode=bplan.mode):
         if cfg is None:
-            _run_batch(bplan, ops, result, arena, pool)
+            run(None, result)
         else:
             result, served = chain.run_guarded(
-                cfg, bplan.plan,
-                lambda _, dest: _run_batch(bplan, ops, dest, arena, pool),
-                (ops.a_list, ops.b_list), result,
+                cfg, bplan.plan, run, (ops.a_list, ops.b_list), result,
                 lambda: _batch_result(ops), cache,
                 (p, q, r, dtype, threads), warm=True, batch=batch)
     dispatch._report(bplan.plan, served, source, p, q, r, dtype, threads,
-                     arena, spilled_before, False, t_call,
+                     *drew, False, t_call,
                      batch=batch, batch_mode=bplan.mode)
     return result

@@ -22,29 +22,31 @@ Resolution order for a ``p x q x r`` problem (the subsystem's contract):
 Tiny problems skip all of it and go straight to the vendor BLAS: below the
 dgemm ramp-up knee no fast algorithm can win (Section 3.4).
 
-The hot path is allocation-managed: each resolved (plan, shape, dtype)
-pair owns one :class:`repro.core.workspace.Workspace` arena (a small LRU,
-one arena per plan-cache entry in live use), and worker pools persist
-across calls, so a warm ``matmul(A, B, out=C)`` performs zero large
-allocations -- the steady state the paper's Section 4 memory discipline is
-about.  Arenas are additionally keyed by calling thread (a bump-pointer
-arena cannot be shared mid-call), so concurrent ``matmul`` callers each
-warm their own; timed tuning/exploration calls use throwaway arenas so
-losing candidates never evict the serving set.
+The hot path is allocation-managed: each dispatching thread owns **one**
+:class:`repro.core.workspace.Workspace` arena that only grows -- a call
+reserves its plan's footprint in it (:func:`workspace_for`), so a process
+that has served N plans holds the largest one's memory, not the sum: the
+paper's Section 4 memory discipline, per call as the paper states it --
+and worker pools persist across calls, so a warm ``matmul(A, B, out=C)``
+performs zero large allocations.  A bump-pointer arena cannot be shared
+mid-call, hence one per thread; it dies with its thread.  Timed
+tuning/exploration calls and guard fallbacks run in throwaways
+(:func:`build_workspace`): a losing candidate never grows a serving arena.
 
 **The serving tail.**  What a call does around its gemms is written once:
 :func:`_serve` is the only tail ``matmul`` has -- plain, telemetry-on and
 guarded calls all cross it -- and the only caller of ``policy.select``
 (under the ``dispatch.lookup`` span) and ``policy.observe``.  It resolves
 the plan; takes the arena (a *timed* call's is a ``build_workspace``
-throwaway that never enters ``_workspaces``, a warm call's comes from
-``workspace_for``); executes under the ``dispatch.execute`` span,
+throwaway, a warm call's is the thread's own, from ``workspace_for``);
+executes under the ``dispatch.execute`` span,
 bracketed by ``policy.clock`` -- directly, or through
 :func:`repro.guard.chain.run_guarded`, which only walks the fallback
 ladder and says which plan served; feeds the execute-only duration of a
 timed call to the policy; and hands the outcome to :func:`_report`.
-``matmul_batched`` resolves a batch plan and a batch arena instead and
-reports through the same function, so for every request -- per-call,
+``matmul_batched`` resolves a batch plan instead, runs its elements in the
+arena of whichever thread executes them, and reports through the same
+function, so for every request -- per-call,
 guarded, guard-fallback, batched -- a warm arena that spilled to the heap
 is counted (``workspace.overflows``) and warned about once per (plan,
 shape, dtype) with or without telemetry, and one record of one schema
@@ -55,9 +57,11 @@ one branch.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import logging
 import threading
-from collections import OrderedDict
+import weakref
 
 import numpy as np
 
@@ -82,33 +86,21 @@ from repro.tuner.policy import TuningPolicy, get_policy, measured_plan
 from repro.tuner.space import Plan, enumerate_plans
 from repro.util.validation import check_matmul_dims, require_2d
 
-#: arenas kept warm at once (each is sized for one plan/shape/dtype; the
-#: serving sweet spot is a few hot shapes hit over and over)
-WORKSPACE_CACHE_SIZE = 8
-
-#: total bytes of retained arenas -- BFS/hybrid trees at large shapes are
-#: hundreds of MB each (the Section 4.2 memory cost), so the cache is
-#: budgeted by bytes as well as by entries; the most recent arena always
-#: stays (evicting the arena of the call in flight would defeat reuse)
-WORKSPACE_CACHE_BYTES = 2 << 30
-
-#: schemes whose arenas carry the full-tree (Section 4.2) footprint --
-#: the candidates for single-shot reclamation below
-_TREE_SCHEMES = ("bfs", "hybrid", "hybrid-subgroup")
-
 _log = logging.getLogger(__name__)
 
 _default_cache: PlanCache | None = None
-_workspaces: "OrderedDict[tuple, Workspace]" = OrderedDict()
+#: each dispatching thread's arena, freed with the thread object
+_arenas: "weakref.WeakKeyDictionary[threading.Thread, Workspace]" = (
+    weakref.WeakKeyDictionary())
 #: (plan, p, q, r, dtype) combinations already warned about overflowing --
 #: the warning fires once per offender, the telemetry counter every time.
 #: A duplicate warning from two racing threads is benign, so membership is
 #: checked without the dispatch lock.
 _overflow_warned: set[tuple] = set()
 _pools: dict[int, WorkerPool] = {}
-#: guards _workspaces/_pools/_default_cache mutation -- concurrent
-#: dispatchers are a supported pattern (arenas are thread-keyed), so the
-#: bookkeeping around them must not race
+#: guards _arenas/_pools/_default_cache mutation -- concurrent dispatchers
+#: are a supported pattern (an arena per thread), so the bookkeeping around
+#: them must not race
 _dispatch_lock = threading.Lock()
 
 
@@ -131,10 +123,12 @@ def reset_shared_cache() -> None:
 
 
 def reset_workspaces() -> None:
-    """Drop every cached arena (tests; to give memory back)."""
+    """Give every thread's arena back (the next call on a thread builds a
+    fresh one) and forget the footprint memo and who was warned."""
     with _dispatch_lock:
-        _workspaces.clear()
+        _arenas.clear()
         _overflow_warned.clear()
+    _reservation.cache_clear()
     cbackend._fallback_warned.clear()
 
 
@@ -195,11 +189,11 @@ def plan_footprint(plan: Plan, p: int, q: int, r: int,
     """Arena bytes one execution of ``plan`` draws (0 for plain BLAS).
 
     The one place a plan's (scheme, backend) picks its footprint formula:
-    per-call arenas, measurement arenas and the per-worker pools of
-    elementwise batches are all sized here, by the formula of the
-    executor :func:`execute_plan` will run -- for a parallel scheme, of
-    the chain kernels its schedule will pick for these dtypes
-    (:func:`repro.codegen.cbackend.chains_fused`).
+    every reservation and every measurement arena is sized here, by the
+    formula of the executor :func:`execute_plan` will run -- for a
+    parallel scheme, of the chain kernels its schedule will pick for
+    these dtypes (:func:`repro.codegen.cbackend.chains_fused`).  An
+    executor that the operands send down another path reserves its own.
     """
     if plan.is_dgemm:
         return 0
@@ -221,98 +215,54 @@ def plan_footprint(plan: Plan, p: int, q: int, r: int,
 
 def build_workspace(plan: Plan, p: int, q: int, r: int,
                     dtype_a, dtype_b) -> Workspace | None:
-    """A fresh, *uncached* arena sized for one plan/shape/dtype (``None``
-    for plain-BLAS plans).  Measurement sweeps use this so losing
-    candidates' arenas are garbage-collected instead of pinning the
-    serving cache."""
+    """A fresh arena of exactly :func:`plan_footprint` bytes that no thread
+    owns (``None`` for plain-BLAS plans).  Measurement sweeps, timed
+    exploration and guard fallbacks run in one, so a losing 374 MB tree
+    candidate is garbage-collected instead of growing the serving arena."""
     if plan.is_dgemm:
         return None
     return Workspace(plan_footprint(plan, p, q, r, dtype_a, dtype_b))
 
 
+@functools.lru_cache
+def _reservation(plan: Plan, p: int, q: int, r: int, dtype_a, dtype_b) -> int:
+    """:func:`plan_footprint`, remembered: the formulas walk the levels
+    and the chain layouts, which a warm call should not pay for."""
+    return plan_footprint(plan, p, q, r, dtype_a, dtype_b)
+
+
 def workspace_for(plan: Plan, p: int, q: int, r: int,
                   dtype_a, dtype_b) -> Workspace | None:
-    """The cached arena for one (plan, shape, dtype) -- created on first
-    use, LRU-evicted beyond :data:`WORKSPACE_CACHE_SIZE` entries or
-    :data:`WORKSPACE_CACHE_BYTES` total.  ``None`` for plain-BLAS plans,
-    which need no workspace.
-
-    Keys include the calling thread: a bump-pointer arena reset at every
-    call cannot be shared by two in-flight multiplications, so concurrent
-    dispatchers each get (and re-warm) their own arena instead of silently
-    corrupting each other's temporaries.
+    """The calling thread's arena, reserved to :func:`plan_footprint` bytes
+    and rewound -- built on the thread's first call, grown when a plan
+    needs more than any before it, never shrunk.  ``None`` for plain-BLAS
+    plans, which need no workspace.  Per thread, because an arena rewound
+    at every call cannot be shared by two in-flight multiplications.
     """
     if plan.is_dgemm:
         return None
-    key = (plan, p, q, r, str(np.dtype(dtype_a)), str(np.dtype(dtype_b)),
-           threading.get_ident())
-    with _dispatch_lock:
-        ws = _workspaces.get(key)
-        if ws is not None:
-            _workspaces.move_to_end(key)
-            ws.uses += 1
-            return ws
-    ws = build_workspace(plan, p, q, r, dtype_a, dtype_b)
-    ws.uses = 1
-    live = {t.ident for t in threading.enumerate()}
-    with _dispatch_lock:
-        # sweep arenas of exited threads: nothing can ever hit their keys
-        # again (and thread idents are recyclable), yet LRU/byte pressure
-        # was the only thing that would release the memory they pin
-        for dead in [k for k in _workspaces if k[-1] not in live]:
-            del _workspaces[dead]
-        # single-shot reclamation (ROADMAP carry-over): dispatch moving on
-        # to a *different* problem is the signal that a full-tree BFS/
-        # hybrid arena used exactly once was a one-off -- give its buffer
-        # back now rather than pinning hundreds of MB until LRU pressure.
-        # The entry stays cached: a later hit reallocates lazily, and any
-        # in-flight views keep the old buffer alive via refcounting.
-        _reclaim_locked(skip_key=key)
-        _workspaces[key] = ws
-        total = sum(w.retained_nbytes for w in _workspaces.values())
-        while len(_workspaces) > 1 and (
-            len(_workspaces) > WORKSPACE_CACHE_SIZE
-            or total > WORKSPACE_CACHE_BYTES
-        ):
-            _, evicted = _workspaces.popitem(last=False)
-            total -= evicted.retained_nbytes
+    nbytes = _reservation(plan, p, q, r, dtype_a, dtype_b)
+    thread = threading.current_thread()
+    ws = _arenas.get(thread)
+    if ws is None:
+        ws = Workspace(nbytes)
+        with _dispatch_lock:
+            _arenas[thread] = ws
+    ws.reserve(nbytes)
+    ws.uses += 1
     return ws
-
-
-def _reclaim_locked(skip_key: tuple | None = None) -> int:
-    """Release the buffers of single-use tree-scheme arenas (caller holds
-    ``_dispatch_lock``); returns bytes freed."""
-    freed = 0
-    for k, w in _workspaces.items():
-        if k == skip_key or k[0].scheme not in _TREE_SCHEMES:
-            continue
-        if w.uses <= 1 and w.retained:
-            freed += w.release_buffer()
-            telemetry.incr("workspace.reclaimed")
-    return freed
-
-
-def reclaim_single_shot() -> int:
-    """Explicitly release every single-use BFS/hybrid arena's buffer.
-
-    The sweep above runs automatically when dispatch turns to a new
-    problem; callers that know a burst of one-off large calls just ended
-    (a serving layer between batches, tests) can force it.  Returns the
-    bytes given back.
-    """
-    with _dispatch_lock:
-        return _reclaim_locked()
 
 
 def evict_workspace(plan: Plan, p: int, q: int, r: int,
                     dtype_a, dtype_b) -> bool:
-    """Drop the calling thread's cached arena for one (plan, shape,
-    dtype) -- the guard chain's hygiene after a failed execution, whose
-    half-written views a zombie worker might still touch."""
-    key = (plan, p, q, r, str(np.dtype(dtype_a)), str(np.dtype(dtype_b)),
-           threading.get_ident())
+    """Drop the calling thread's arena -- the guard chain's hygiene after a
+    failed execution of ``plan``, whose half-written views a zombie worker
+    might still touch (they keep the old buffer alive; the thread's next
+    call builds a new one).  Plain BLAS drew from none."""
+    if plan.is_dgemm:
+        return False
     with _dispatch_lock:
-        return _workspaces.pop(key, None) is not None
+        return _arenas.pop(threading.current_thread(), None) is not None
 
 
 def execute_plan(
@@ -330,7 +280,8 @@ def execute_plan(
     plan runs the interpreter (:func:`repro.core.recursion.multiply`):
     with a workspace its S/T/M_r triple per level is arena views and
     ``out`` is written directly.  A compiled plan runs the C chain driver
-    and, should the toolchain break at serving time, the interpreter too.
+    and, should the toolchain break at serving time, the interpreter too
+    -- in the same arena, re-reserved for the interpreter's layout.
     Parallel plans carry their sub-group P' (``plan.subgroup``) through to
     the schedule verbatim -- the tuner's swept value is what executes, not
     a derived default -- and leave the choice of chain kernels (fused C
@@ -351,12 +302,13 @@ def execute_plan(
                 with blas.blas_threads(plan.threads):
                     return cc.multiply(A, B, steps=plan.steps, out=out,
                                        workspace=workspace)
-            # toolchain broke at serving time: degrade in-band to the
-            # interpreter.  The arena was sized for the C executor, so it
-            # is dropped rather than reused -- the interpreter allocates
-            # its own temporaries for this (rare, counted) call instead
-            # of mis-fitting a foreign arena.
-            workspace = None
+            # toolchain broke at serving time: degrade in-band (counted)
+            # to the interpreter, in the arena the caller sized for the C
+            # driver, re-reserved for the interpreter's layout
+            if workspace is not None:
+                workspace.reserve(plan_footprint(
+                    dataclasses.replace(plan, backend="numpy"),
+                    A.shape[0], *B.shape, A.dtype, B.dtype))
         with blas.blas_threads(plan.threads):
             return recursion.multiply(A, B, alg, steps=plan.steps, out=out,
                                       workspace=workspace)
@@ -438,27 +390,27 @@ def _warn_overflow(plan: Plan, p: int, q: int, r: int, dtype: str,
 
 
 def _report(plan: Plan, served: Plan, source: str, p: int, q: int, r: int,
-            dtype: str, threads: int, arena, spilled_before: int,
+            dtype: str, threads: int, arenas, spilled: int,
             timed: bool, t_call: int, **batch) -> None:
     """What every request reports once it has executed -- the one
-    overflow comparison and the one record builder.
+    overflow warning and the one record builder.
 
-    ``arena`` is what ``plan`` drew temporaries from (a
-    :class:`Workspace`, a batch's :class:`WorkspacePool`, or ``None``)
-    and ``spilled_before`` its ``overflow_allocations`` read before
-    execution.  The record describes the plan that ``served``: under
-    guard that may be a fallback, reported as source ``"guard"`` with no
-    arena.  A batched request (whose plans are its per-element ones)
-    adds ``batch`` and ``batch_mode``.
+    ``arenas`` are what ``plan`` drew temporaries from (the thread's
+    :class:`Workspace` or a throwaway, one per worker for an elementwise
+    batch, none for plain BLAS) and ``spilled`` the heap overflows they
+    counted during this request.  ``arena_bytes`` is the call's
+    reservation, not the capacity earlier plans left behind, and
+    ``arena_high_water`` what it carved.  The record describes the plan
+    that ``served``: under guard that may be a fallback, reported as
+    source ``"guard"`` with no arena.  A batched request (whose plans are
+    its per-element ones) adds ``batch`` and ``batch_mode``.
     """
-    if arena is not None and not timed:
-        spilled = arena.overflow_allocations - spilled_before
-        if spilled > 0:
-            _warn_overflow(plan, p, q, r, dtype, spilled)
+    if spilled > 0 and not timed:
+        _warn_overflow(plan, p, q, r, dtype, spilled)
     if not telemetry.enabled():
         return
     if served is not plan:
-        source, arena, timed = "guard", None, False
+        source, arenas, timed = "guard", (), False
     seconds = (telemetry.clock_ns() - t_call) * 1e-9
     telemetry.incr("dispatch.calls")
     telemetry.incr("dispatch.source", source=source)
@@ -480,15 +432,17 @@ def _report(plan: Plan, served: Plan, source: str, p: int, q: int, r: int,
         "timed": timed,
         **batch,
     }
-    if arena is not None:
-        stats = arena.stats()
-        telemetry.set_gauge("workspace.arena_bytes", stats["nbytes"])
-        telemetry.set_gauge("workspace.high_water", stats["high_water"])
+    if arenas:
+        stats = [ws.stats() for ws in arenas]
+        record["arena_bytes"] = stats[0]["nbytes"]
+        record["arena_high_water"] = max(s["high_water"] for s in stats)
+        record["arena_overflows"] = sum(s["overflow_allocations"]
+                                        for s in stats)
+        telemetry.set_gauge("workspace.arena_bytes", record["arena_bytes"])
+        telemetry.set_gauge("workspace.high_water",
+                            record["arena_high_water"])
         telemetry.set_gauge("workspace.max_mark_depth",
-                            stats["max_mark_depth"])
-        record["arena_bytes"] = stats["nbytes"]
-        record["arena_high_water"] = stats["high_water"]
-        record["arena_overflows"] = stats["overflow_allocations"]
+                            max(s["max_mark_depth"] for s in stats))
     telemetry.record_dispatch(record)
 
 
@@ -502,8 +456,8 @@ def _serve(policy: TuningPolicy, cfg, A: np.ndarray, B: np.ndarray,
     with telemetry.span("dispatch.lookup"):
         plan, source = policy.select(p, q, r, dtype, threads, cache)
     timed = policy.wants_timing(source)
-    # timed exploration: a throwaway arena, so losing shortlist candidates
-    # never pollute (or evict from) the serving cache
+    # timed exploration: a throwaway arena, so a losing shortlist
+    # candidate never grows the thread's serving arena
     arena = build_workspace if timed else workspace_for
     workspace = arena(plan, p, q, r, A.dtype, B.dtype)
     spilled_before = (workspace.overflow_allocations
@@ -531,8 +485,10 @@ def _serve(policy: TuningPolicy, cfg, A: np.ndarray, B: np.ndarray,
                 cache, (p, q, r, dtype, threads), warm=not timed)
     if timed and served is plan:
         policy.observe(p, q, r, dtype, threads, cache, plan, elapsed)
-    _report(plan, served, source, p, q, r, dtype, threads, workspace,
-            spilled_before, timed, t_call)
+    arenas = () if workspace is None else (workspace,)
+    spilled = sum(ws.overflow_allocations for ws in arenas) - spilled_before
+    _report(plan, served, source, p, q, r, dtype, threads, arenas, spilled,
+            timed, t_call)
     return C
 
 

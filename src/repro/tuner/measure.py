@@ -142,8 +142,8 @@ def measure_plan(
         warmup = max(warmup, 1)
     p, q = A.shape
     r = B.shape[1]
-    # throwaway arena: candidate plans that lose must not pollute (or
-    # evict from) the serving workspace cache
+    # throwaway arena: a candidate that loses must not grow the thread's
+    # serving arena to its footprint
     workspace = dispatch.build_workspace(plan, p, q, r, A.dtype, B.dtype)
     sec = median_time(
         lambda: dispatch.execute_plan(plan, A, B, pool=pool,
@@ -223,8 +223,10 @@ def tune_batch(
     head (the per-call candidate space at the full thread budget) merged
     with the elementwise head (1-thread sequential plans fanned across the
     pool) -- timing each candidate on the real batched execution path
-    (:func:`repro.tuner.batched.execute_batch_plan` with throwaway arenas,
-    so losing candidates never evict the serving set).  The winner is
+    (:func:`repro.tuner.batched.execute_batch_plan` with ``warm=False``: a
+    within candidate in a throwaway arena, so a losing tree plan never
+    grows the caller's; an elementwise one where it would be served, in
+    its workers' arenas, one sequential element each).  The winner is
     committed via :meth:`PlanCache.put_batched`; per-call entries are
     untouched.
     """

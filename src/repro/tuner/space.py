@@ -222,7 +222,7 @@ class BatchPlan:
     the embedded plan's own (possibly parallel) schedule; ``workers``
     then equals the plan's thread count.  ``mode="elementwise"`` fans
     elements across a pool of ``workers`` threads, each element running
-    the *sequential* path single-BLAS-threaded under a per-worker arena
+    the *sequential* path single-BLAS-threaded in its worker's own arena
     -- so the embedded plan must be sequential at 1 thread.
     """
 

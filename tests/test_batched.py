@@ -12,7 +12,7 @@ Five claims are pinned down here:
    batches (ragged, mixed-dtype, bad ``out=``) are rejected with
    explanatory errors rather than silently looped;
 3. **amortization is real**: a warm batched call resolves one plan, runs
-   under one span, and builds zero new arenas (telemetry counters), and
+   under one span, and grows no arena (telemetry counters), and
    with ``out=`` stays under the per-call byte budget for the whole batch
    (tracking allocator);
 4. resolution sources behave: ``forced`` pins the mode, ``model``
@@ -32,7 +32,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.algorithms import get_algorithm
 from repro.core.cost import batch_cost
-from repro.core.workspace import WorkspacePool, track_allocations
+from repro.core.workspace import Workspace, track_allocations
 from repro.obs import telemetry
 from repro.tuner import (
     BatchPlan,
@@ -52,15 +52,13 @@ LARGE = 1 << 20  # the warm-path "large allocation" threshold
 
 @pytest.fixture(autouse=True)
 def clean_state():
-    """Batched serving leans on three process-global caches (workspaces,
-    arena pools, telemetry); every test starts and ends clean."""
+    """Batched serving leans on two process-global registries (the
+    threads' arenas, telemetry); every test starts and ends clean."""
     reset_workspaces()
-    batched.reset_batch_pools()
     telemetry.disable()
     telemetry.reset()
     yield
     reset_workspaces()
-    batched.reset_batch_pools()
     telemetry.disable()
     telemetry.reset()
 
@@ -256,46 +254,42 @@ class TestAmortization:
     def test_warm_batch_is_one_decision(self, cache):
         """The telemetry ledger of a warm batched call: exactly one
         dispatch.batch_calls, ``batch`` elements, one source increment,
-        one span -- and *zero* new arena builds (the batch reuses the
-        arena pool the first call built).  ``n=160`` sits above the
-        trivial boundary so the element plan really is the generated
-        sequential module with a real arena behind it."""
+        one span -- and no arena allocations: batches build one per
+        worker, ever, and never touch the calling thread's.  ``n=160``
+        sits above the trivial boundary so the element plan is a fast one
+        with a real arena behind it."""
         n, batch = 160, 6
-        cache.put(n, n, n, "float64", 1,
-                  Plan(algorithm="strassen", steps=1, scheme="sequential",
-                       threads=1))
+        plan = Plan(algorithm="strassen", steps=1, scheme="sequential",
+                    threads=1)
+        cache.put(n, n, n, "float64", 1, plan)
         A, B = batch_operands(n, n, n, batch, seed=1)
         out = np.empty((batch, n, n))
-        batched.matmul_batched(A, B, out=out, threads=2, cache=cache,
-                               batch_mode="elementwise")  # builds the pool
         telemetry.enable()
+        batched.matmul_batched(A, B, out=out, threads=2, cache=cache,
+                               batch_mode="elementwise")  # builds the arenas
+        built = telemetry.counter_value("workspace.grows")
+        telemetry.reset()
         batched.matmul_batched(A, B, out=out, threads=2, cache=cache,
                                batch_mode="elementwise")
         assert telemetry.counter_value("dispatch.batch_calls") == 1
         assert telemetry.counter_value("dispatch.batch_elements") == batch
         assert telemetry.counter_value("dispatch.source",
                                        source="forced") == 1
-        assert telemetry.counter_value("workspace.batch_arena_builds") == 0
+        # (a worker the cold batch never reached builds its arena now)
+        assert 1 <= built + telemetry.counter_value("workspace.grows") <= 2
         stats = telemetry.span_stats("dispatch.batch", mode="elementwise")
         assert stats is not None and stats["count"] == 1
         records = telemetry.dispatch_records()
         assert records and records[-1]["batch"] == batch
         assert records[-1]["batch_mode"] == "elementwise"
-
-    def test_cold_elementwise_batch_builds_one_arena_pool(self, cache):
-        n, batch = 160, 4
-        cache.put(n, n, n, "float64", 1,
-                  Plan(algorithm="strassen", steps=1, scheme="sequential",
-                       threads=1))
-        A, B = batch_operands(n, n, n, batch, seed=2)
-        telemetry.enable()
-        batched.matmul_batched(A, B, threads=2, cache=cache,
-                               batch_mode="elementwise")
-        assert telemetry.counter_value("workspace.batch_arena_builds") == 1
+        assert records[-1]["arena_bytes"] == dispatch.plan_footprint(
+            plan, n, n, n, "float64", "float64")
+        assert dispatch.workspace_for(plan, n, n, n, A.dtype,
+                                      B.dtype).uses == 1
 
     def test_compiled_element_plan_fits_its_worker_arenas(self, cache):
-        """The per-worker arenas follow the element plan's *backend*: sized
-        for the generated module, every warm compiled element overflowed."""
+        """The workers' reservations follow the element plan's *backend*:
+        sized for the interpreter, every warm compiled element overflowed."""
         from repro.codegen import cbackend
         from repro.core.stability import error_bound
 
@@ -306,12 +300,13 @@ class TestAmortization:
                   Plan(algorithm="strassen", steps=1, threads=1,
                        backend="compiled"))
         A, B = batch_operands(n, n, n, batch, seed=5)
+        telemetry.enable()
         for _ in range(3):
             C = batched.matmul_batched(A, B, threads=2, cache=cache,
                                        batch_mode="elementwise")
-        pools = list(batched._arena_pools.values())
-        assert pools and all(ws.overflow_allocations == 0
-                             for apool in pools for ws in apool._arenas)
+        assert telemetry.counter_value("workspace.overflows") == 0
+        assert all(0 == rec["arena_overflows"] < rec["arena_high_water"]
+                   for rec in telemetry.dispatch_records())
         exact = np.matmul(A, B)
         rel = np.linalg.norm(C - exact) / np.linalg.norm(exact)
         assert rel <= error_bound(get_algorithm("strassen"), 1, n, "float64")
@@ -338,9 +333,9 @@ class TestAmortization:
     @pytest.mark.parametrize("mode", ["within", "elementwise"])
     def test_warm_batch_surfaces_arena_overflow(self, mode, cache,
                                                 monkeypatch, caplog):
-        """Undersized batch arenas are counted and warned about once per
-        (plan, shape, dtype), like a per-call arena (they used to spill
-        silently); timed sweeps on throwaway arenas stay exempt."""
+        """An undersized batch reservation is counted, every overflow of
+        every element whichever worker ran it, and warned about once per
+        (plan, shape, dtype), like a per-call one; timed sweeps are exempt."""
         n, batch = 256, 4
         plan = Plan(algorithm="strassen", steps=1, threads=1)
         cache.put(n, n, n, "float64", 1, plan)
@@ -348,6 +343,9 @@ class TestAmortization:
                             lambda plan, *a: 0 if plan.is_dgemm else 64)
         A, B = batch_operands(n, n, n, batch, seed=6)
         threads = 2 if mode == "elementwise" else 1
+        probe = Workspace(64)  # what one element spills past 64 bytes
+        dispatch.execute_plan(plan, A[0], B[0], workspace=probe)
+        assert probe.overflow_allocations > 0
         telemetry.enable()
         with caplog.at_level(logging.WARNING, logger=dispatch.__name__):
             batched.execute_batch_plan(
@@ -357,27 +355,12 @@ class TestAmortization:
             for _ in range(2):
                 batched.matmul_batched(A, B, threads=threads, cache=cache,
                                        batch_mode=mode)
-        arenas = (batched._arena_pools if mode == "elementwise"
-                  else dispatch._workspaces)
-        spilled = sum(a.overflow_allocations for a in arenas.values())
-        assert spilled > 0
-        assert telemetry.counter_value("workspace.overflows") == spilled
+        assert (telemetry.counter_value("workspace.overflows")
+                == 2 * batch * probe.overflow_allocations)
+        assert telemetry.dispatch_records()[-1]["arena_overflows"] > 0
         warned = [rec for rec in caplog.records
                   if "workspace arena overflowed" in rec.message]
         assert len(warned) == 1
-
-    def test_arena_pool_cache_is_bounded(self):
-        plan = Plan(algorithm="strassen", steps=1, scheme="sequential",
-                    threads=1)
-        for i in range(batched.BATCH_POOL_CACHE_SIZE + 3):
-            batched._arena_pool(plan, 64 + 2 * i, 64, 64,
-                                np.dtype("f8"), np.dtype("f8"), workers=2)
-        assert len(batched._arena_pools) == batched.BATCH_POOL_CACHE_SIZE
-
-    def test_dgemm_elements_need_no_arena_pool(self):
-        assert batched._arena_pool(Plan(threads=1), 64, 64, 64,
-                                   np.dtype("f8"), np.dtype("f8"),
-                                   workers=2) is None
 
 
 # =========================================================================
@@ -570,31 +553,3 @@ class TestBatchCost:
         bp = BatchPlan(plan=seq, mode="elementwise", workers=2)
         assert "elementwise[2w]" in bp.describe()
         assert BatchPlan.from_dict(bp.to_dict()) == bp
-
-
-# =========================================================================
-# the WorkspacePool primitive
-# =========================================================================
-class TestWorkspacePool:
-    def test_checkout_blocks_double_issue(self):
-        wp = WorkspacePool(1 << 12, 2)
-        a = wp.acquire()
-        b = wp.acquire()
-        assert a is not b
-        wp.release(a)
-        assert wp.acquire() is a
-
-    def test_arena_contextmanager_returns(self):
-        wp = WorkspacePool(1 << 12, 1)
-        with wp.arena() as ws:
-            ws.take((4, 4), np.float64)
-        with wp.arena() as again:
-            assert again is ws  # reset + reissued, not rebuilt
-
-    def test_stats_aggregate(self):
-        wp = WorkspacePool(1 << 12, 3)
-        assert wp.nbytes >= 3 * (1 << 12)
-        assert wp.overflow_allocations == 0
-        stats = wp.stats()
-        assert stats["nbytes"] == wp.nbytes
-        assert stats["overflow_allocations"] == 0

@@ -5,9 +5,10 @@ report identically.
 {telemetry off, on} x {guard off, on} x {warm ``tune="never"``, timed
 online exploration under a scripted clock} x four plans spanning the
 executors: same ``(plan, source)``, a product bit-equal to the plan's own,
-``observe`` fed exactly the execute-only duration of a timed call, timed
-arenas kept out of the serving cache -- and, under guard, an injected
-failure still lands on the classical product.
+``observe`` fed exactly the execute-only duration of a timed call, only
+warm calls run in the thread's own arena -- and, under guard, an injected
+failure still lands on the classical product and costs the thread the
+arena the failed plan ran in.
 
 And what a sequential NumPy plan executes is stated once too
 (:class:`TestNumpyPlansRunTheInterpreter`): the interpreter, in the
@@ -88,6 +89,12 @@ def _recorded(policy: TuningPolicy) -> dict:
     return seen
 
 
+def _own_arena(plan: Plan, A, B):
+    """The calling thread's arena, sized so ``plan`` will not regrow it."""
+    return dispatch.workspace_for(PLANS[1] if plan.is_dgemm else plan,
+                                  N, N, N, A.dtype, B.dtype)
+
+
 def _request(plan: Plan, timed: bool, tmp_path, monkeypatch):
     """``(policy, cache, source)`` making ``plan`` the resolved plan: a
     cache hit served warm, or the online policy's only (timed) candidate."""
@@ -112,6 +119,8 @@ def test_every_call_crosses_the_same_tail(observed, guard, timed, plan,
     seen = _recorded(policy)
     A, B = random_matrix(N, N, 0), random_matrix(N, N, 1)
     want = dispatch.execute_plan(plan, A, B)
+    arena = _own_arena(plan, A, B)
+    uses = arena.uses
     if observed:
         obs.enable()
     C = matmul(A, B, threads=plan.threads, cache=cache, tune=policy,
@@ -121,9 +130,10 @@ def test_every_call_crosses_the_same_tail(observed, guard, timed, plan,
     assert np.array_equal(C, want)
     # learning: once per timed call, from the execute-only bracket
     assert seen["observed"] == ([(plan, TICK)] if timed else [])
-    # arenas: a timed call's is a throwaway, a warm call's is cached
-    cached = [key[0] for key in dispatch._workspaces]
-    assert cached == ([] if timed or plan.is_dgemm else [plan])
+    # arenas: a warm call runs in the thread's own, a timed call in a
+    # throwaway, plain BLAS in none
+    assert arena.uses - uses == (not timed and not plan.is_dgemm)
+    assert _own_arena(plan, A, B) is arena
     if observed:
         (rec,) = obs.dispatch_records()
         assert (rec["plan"], rec["source"], rec["timed"]) == (
@@ -143,6 +153,7 @@ def test_guarded_failure_lands_on_classical(observed, timed, plan, tmp_path,
     policy, cache, _ = _request(plan, timed, tmp_path, monkeypatch)
     seen = _recorded(policy)
     A, B = random_matrix(N, N, 2), random_matrix(N, N, 3)
+    arena = _own_arena(plan, A, B)
     if observed:
         obs.enable()
     with faults.inject("plan.raise"):
@@ -151,7 +162,10 @@ def test_guarded_failure_lands_on_classical(observed, timed, plan, tmp_path,
 
     assert np.array_equal(C, np.matmul(A, B))
     assert seen["observed"] == []  # a failed plan teaches nothing
-    assert not dispatch._workspaces  # the failed warm arena was evicted
+    # the arena a failed warm plan ran in (a zombie may still write to it)
+    # is dropped for a new one; a throwaway never was the thread's
+    after = _own_arena(plan, A, B)
+    assert (after is arena) == (timed or plan.is_dgemm) == (after.uses > 1)
     if observed:
         assert obs.counter_value("guard.fallbacks", stage="classical") == 1
         (rec,) = obs.dispatch_records()

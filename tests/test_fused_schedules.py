@@ -11,7 +11,7 @@ with the NumPy row-slab adders otherwise.  Pinned here:
    and agrees with the interpreter, the arena ``plan_footprint`` returns
    holds either layout without one overflow;
 3. the fallback: a compile that fails at the call is counted, warned once
-   per algorithm and served by the NumPy adders outside the slab arena;
+   per algorithm and served by the NumPy adders in the same arena;
 4. the kernel cache: any algorithm object is a dictionary hit after its
    first use, whatever ``name`` it carries;
 5. the cost model prices what runs.
@@ -284,10 +284,10 @@ def test_plan_footprint_arena_never_overflows(scheme, dtype, name, steps,
 
 
 @needs_cc
-def test_section_4_1_arena_is_served_by_the_adders(telemetry):
+def test_section_4_1_arena_grows_to_hold_the_slabs(telemetry):
     """``Workspace.for_recursion`` holds one S/T/M_r triple per level --
-    DFS's "no extra memory" -- which cannot hold the slabs: the call runs
-    the adders that arena was laid out for, inside it."""
+    DFS's "no extra memory" -- which cannot hold the slabs: the call
+    reserves the layout of the kernels it runs, whatever it was handed."""
     alg = get_algorithm("strassen")
     rng = np.random.default_rng(9)
     A = rng.uniform(-1, 1, (64, 64))
@@ -296,7 +296,8 @@ def test_section_4_1_arena_is_served_by_the_adders(telemetry):
     assert ws.nbytes < parallel_footprint(alg, 1, "dfs", 64, 64, 64)
     C = multiply_parallel(A, A, alg, steps=1, scheme="dfs", pool=_pool(2),
                           threads=2, workspace=ws)
-    assert _chains_ran("dfs", 2) == {"numpy"}
+    assert _chains_ran("dfs", 2) == {"fused"}
+    assert ws.nbytes == parallel_footprint(alg, 1, "dfs", 64, 64, 64)
     assert ws.overflow_allocations == 0 and ws.high_water > 0
     assert np.array_equal(C, _reference(A, A, alg, 1))
 
@@ -320,7 +321,7 @@ def test_no_compiler_means_numpy_everywhere(monkeypatch, telemetry):
 @needs_cc
 @pytest.mark.chaos
 @pytest.mark.parametrize("scheme,steps", [("dfs", 1), ("hybrid", 2)])
-def test_compilefail_falls_back_outside_the_slab_arena(
+def test_compilefail_falls_back_inside_the_arena(
         scheme, steps, fresh_cache_state, telemetry, caplog):
     dispatch.reset_workspaces()      # also forgets who was warned
     plan = Plan(algorithm="strassen", steps=steps, scheme=scheme, threads=2)
@@ -341,12 +342,16 @@ def test_compilefail_falls_back_outside_the_slab_arena(
     warned = [rec for rec in caplog.records if "unavailable" in rec.message]
     assert len(warned) == 1 and "strassen" in warned[0].getMessage()
     # the arena was laid out for the kernels that failed to load: the
-    # fallback allocated for itself instead of mis-fitting it
-    assert ws.high_water == 0 and ws.overflow_allocations == 0
+    # fallback reserved the adders' layout in it instead of mis-fitting it
+    assert ws.nbytes == parallel_footprint(
+        get_algorithm("strassen"), steps, scheme, 96, 96, 96, fused=False)
+    assert ws.high_water > 0 and ws.overflow_allocations == 0
     # the world healed: the same arena serves the kernels it was built for
     C = dispatch.execute_plan(plan, A, B, pool=_pool(2), workspace=ws)
     assert np.array_equal(C, ref)
     assert _chains_ran(scheme, 2) == {"numpy", "fused"}
+    assert ws.nbytes == dispatch.plan_footprint(plan, 96, 96, 96, A.dtype,
+                                                B.dtype)
     assert ws.high_water > 0 and ws.overflow_allocations == 0
     faults.reset_fired()
 

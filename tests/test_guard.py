@@ -469,52 +469,3 @@ def test_shutdown_pool_is_broken():
     assert pool.broken
     with pytest.raises(PoolBrokenError):
         pool.submit(lambda: None)
-
-
-# ------------------------------------------------------ arena reclamation
-def _tree_call(n: int, tmp_path, threads: int = 2) -> PlanCache:
-    plan = Plan(algorithm="strassen", steps=1, scheme="bfs",
-                threads=threads)
-    cache = _cache_with(n, threads, plan, tmp_path)
-    A, B = _operands(n)
-    C = matmul(A, B, threads=threads, cache=cache)
-    assert np.allclose(C, A @ B)
-    return cache
-
-
-def test_reclaim_single_shot_releases_tree_arena(tmp_path):
-    _tree_call(192, tmp_path)
-    retained = [w for w in dispatch._workspaces.values() if w.retained]
-    assert retained, "the bfs call should have left a retained arena"
-    freed = dispatch.reclaim_single_shot()
-    assert freed > 0
-    assert all(w.retained_nbytes == 0 for w in retained)
-
-
-def test_released_arena_reallocates_on_reuse(tmp_path):
-    cache = _tree_call(192, tmp_path)
-    dispatch.reclaim_single_shot()
-    # the entry survives with its buffer dropped; the next call through
-    # the same plan lazily re-allocates and still computes correctly
-    A, B = _operands(192, seed=9)
-    C = matmul(A, B, threads=2, cache=cache)
-    assert np.allclose(C, A @ B)
-
-
-def test_new_key_insert_reclaims_single_shot_arenas(tmp_path):
-    _tree_call(192, tmp_path)
-    single_shot = [w for w in dispatch._workspaces.values() if w.retained]
-    assert single_shot
-    # a different shape inserts a new workspace key, which sweeps
-    # single-use tree arenas from earlier calls
-    _tree_call(160, tmp_path)
-    assert all(w.retained_nbytes == 0 for w in single_shot)
-
-
-def test_warm_arena_is_not_reclaimed(tmp_path):
-    plan = Plan(algorithm="strassen", steps=1, scheme="bfs", threads=2)
-    cache = _cache_with(192, 2, plan, tmp_path)
-    A, B = _operands(192)
-    matmul(A, B, threads=2, cache=cache)
-    matmul(A, B, threads=2, cache=cache)  # uses >= 2: warm, keep it
-    assert dispatch.reclaim_single_shot() == 0

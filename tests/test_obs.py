@@ -303,7 +303,8 @@ class TestOneServingTail:
 
 class TestOverflowSurfacing:
     def _overflowing_call(self, tmp_path, monkeypatch):
-        plan = Plan(algorithm="strassen", steps=1, scheme="dfs", threads=1)
+        # the interpreter trusts its caller's sizing: a short one shows
+        plan = Plan(algorithm="strassen", steps=1, threads=1)
         cache = _plan_cache(tmp_path, (192, 192, 192, "float64", 1, plan))
         tiny = Workspace(64)  # every take overflows to the heap
         monkeypatch.setattr(dispatch, "workspace_for",

@@ -638,36 +638,3 @@ class TestSharedPoolConstruction:
                 losers[0].submit(lambda: None)
         finally:
             dispatch.shutdown_shared_pools()
-
-
-class TestWorkspaceDeadThreadSweep:
-    """Regression: arenas are keyed by thread ident, and a short-lived
-    dispatcher thread's arenas used to stay pinned until LRU pressure --
-    dead-thread entries are now swept on insert."""
-
-    def test_dead_thread_arenas_swept_on_insert(self, cache):
-        import threading
-
-        from repro.tuner import dispatch, reset_workspaces
-        from repro.tuner.space import Plan as TPlan
-
-        reset_workspaces()
-        plan = TPlan(algorithm="strassen", steps=1, scheme="sequential",
-                     threads=1)
-        worker_ident = []
-
-        def dispatcher():
-            worker_ident.append(threading.get_ident())
-            dispatch.workspace_for(plan, 160, 160, 160, "float64", "float64")
-
-        t = threading.Thread(target=dispatcher)
-        t.start()
-        t.join()
-        assert any(k[-1] == worker_ident[0] for k in dispatch._workspaces)
-        # the next insert from a live thread sweeps the dead ident's arena
-        dispatch.workspace_for(plan, 192, 192, 192, "float64", "float64")
-        assert not any(k[-1] == worker_ident[0]
-                       for k in dispatch._workspaces)
-        assert any(k[-1] == threading.get_ident()
-                   for k in dispatch._workspaces)
-        reset_workspaces()

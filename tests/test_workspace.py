@@ -11,17 +11,26 @@ Four claims are pinned down here:
 4. the arena-backed paths are *bit-for-bit* equal to the allocating paths
    (same ufunc/gemm sequence on the same values), and a warm dispatch call
    performs no allocation larger than 1 MiB (the tracking-allocator
-   regression for the steady state).
+   regression for the steady state) -- whatever else the thread has
+   served in its one arena (shared with no other thread, gone when the
+   thread is) and on the paths an executor picks from the operands.
 """
 
 from __future__ import annotations
+
+import gc
+import threading
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import obs
 from repro.algorithms import get_algorithm
+from repro.codegen import cbackend
 from repro.core.recursion import combine_blocks, multiply, multiply_schedule
+from repro.core.stability import error_bound
 from repro.core.workspace import (
     ALIGNMENT,
     Workspace,
@@ -34,14 +43,25 @@ from repro.core.workspace import (
     scratch_view,
     track_allocations,
 )
+from repro.guard import faults
 from repro.parallel.pool import WorkerPool
 from repro.parallel.schedules import multiply_parallel
-from repro.tuner import Plan, PlanCache
+from repro.tuner import Plan, PlanCache, dispatch
 from repro.tuner import matmul as tuner_matmul
 from repro.tuner import reset_workspaces
 from repro.util.matrices import random_matrix
 
 LARGE = 1 << 20  # the "large allocation" threshold of the steady-state claim
+
+
+@pytest.fixture(autouse=True)
+def clean_dispatch_state():
+    """Telemetry, faults and the threads' arenas are process-wide."""
+    yield
+    obs.disable()
+    obs.reset()
+    faults.reset_fired()
+    reset_workspaces()
 
 
 @pytest.fixture(scope="module")
@@ -105,6 +125,26 @@ class TestArena:
         ws.reset()
         ws.take((2, 2), np.float64)
         assert ws.high_water == hw  # peak is sticky across resets
+        ws.reserve(1 << 16)
+        assert ws.high_water == 0   # ... and starts over with a reservation
+
+    def test_reserve_grows_exactly_and_never_shrinks(self):
+        ws = Workspace(1 << 12)
+        with track_allocations() as rep:
+            ws.reserve(LARGE)
+        assert LARGE <= rep.peak_bytes < LARGE + (1 << 12)  # no growth factor
+        ws.uses = 3
+        ws.reserve(1 << 12)
+        # the reservation is the overflow limit, whatever the buffer holds
+        ws.take((1 << 13,), np.uint8)
+        assert (ws.nbytes, ws.overflow_allocations) == (1 << 12, 1)
+        with track_allocations() as rep:
+            ws.reserve(LARGE)
+            ws.take((LARGE - ALIGNMENT,), np.uint8)
+        assert rep.peak_bytes < 1 << 12 and ws.uses == 3    # the same buffer
+        assert (ws.nbytes, ws.overflow_allocations) == (LARGE, 1)
+        ws.reserve(2 * LARGE)
+        assert ws.uses == 0                                 # a new one
 
     def test_scratch_view_reinterprets(self):
         ws = Workspace(1 << 12)
@@ -397,53 +437,68 @@ def test_parallel_arena_bit_for_bit(name, dtype, scheme, n, seed):
     assert np.array_equal(ref, got)
 
 
+#: what an executor learns (all but the first) only after its caller sized
+#: the arena: strides its kernels cannot walk, a compile that fails
+LAYOUTS = {
+    "contiguous": lambda A, B, out: (A, B, out),
+    "fortran-A": lambda A, B, out: (np.asfortranarray(A), B, out),
+    "strided-cols-B": lambda A, B, out: (
+        A, np.repeat(B, 2, axis=1)[:, ::2], out),
+    "fortran-out": lambda A, B, out: (A, B, np.empty(out.shape[::-1]).T),
+    "compilefail": lambda A, B, out: (A, B, out),
+}
+PLANS = [Plan(algorithm="strassen", steps=2, scheme=scheme, threads=2)
+         for scheme in ("sequential", "dfs", "hybrid")] + [
+    Plan(algorithm="strassen", steps=1, scheme="bfs", threads=2),
+    Plan(algorithm="strassen", steps=1, threads=1, backend="compiled")]
+
+
 # =========================================================================
 # steady-state allocation regression (the tracking-allocator tests)
 # =========================================================================
 class TestSteadyStateAllocations:
-    @pytest.mark.parametrize("scheme", ["sequential", "dfs", "hybrid"])
-    @pytest.mark.parametrize("n", [512, 515])
-    def test_warm_dispatch_is_allocation_free(self, scheme, n, tmp_path):
+    @pytest.mark.parametrize(
+        "plan,n,layout",
+        [(plan, 512, "contiguous") for plan in PLANS]
+        + [(plan, 515, layout) for plan in PLANS for layout in LAYOUTS],
+        ids=lambda v: v.describe() if isinstance(v, Plan) else str(v))
+    def test_warm_dispatch_is_allocation_free(self, plan, n, layout, tmp_path,
+                                              fresh_cache_state):
         """After the first call for a cached shape, ``matmul(A, B, out=C)``
-        performs zero allocations larger than 1 MiB (ISSUE 3 acceptance).
-
+        performs zero allocations larger than 1 MiB (ISSUE 3 acceptance)
+        and spills nothing -- also where the executor runs a path its
+        caller could not size for (packing a strided matrix for the C
+        driver, the NumPy adders standing in for kernels, the interpreter
+        after a failed compile): each used to spill out of, or run beside,
+        an arena laid out for another path; now it reserves its own, once.
         ``n=515`` is deliberately non-divisible: dynamic peeling's
         core-size inner-dimension fix-up must come from the arena too.
         """
+        if plan.backend == "compiled" and not cbackend.available():
+            pytest.skip("no C compiler")
         cache = PlanCache(tmp_path / "plans.json")
-        cache.put(n, n, n, "float64", 2,
-                  Plan(algorithm="strassen", steps=2, scheme=scheme,
-                       threads=2))
-        A = random_matrix(n, n, 0)
-        B = random_matrix(n, n, 1)
-        out = np.empty((n, n))
-        reset_workspaces()
-        tuner_matmul(A, B, threads=2, cache=cache, out=out)  # builds arena
-        with track_allocations() as rep:
-            tuner_matmul(A, B, threads=2, cache=cache, out=out)
-        assert rep.peak_bytes is not None and rep.peak_bytes < LARGE, scheme
+        cache.put(n, n, n, "float64", plan.threads, plan)
+        A, B, out = LAYOUTS[layout](random_matrix(n, n, 0),
+                                    random_matrix(n, n, 1),
+                                    np.empty((n, n)))
+        # a compile is attempted wherever the compiled kernels would run
+        failing = layout == "compilefail" and (
+            plan.backend == "compiled"
+            or plan.scheme != "sequential" and cbackend.available())
+        obs.enable()
+        with faults.inject(*["cbackend.compilefail"] * failing):
+            for call in range(3):
+                with track_allocations() as rep:
+                    got = tuner_matmul(A, B, threads=plan.threads,
+                                       cache=cache, out=out)
+                assert got is out  # written directly
+                assert call == 0 or rep.peak_bytes < LARGE, call
+                rec = obs.dispatch_records()[-1]
+                assert 0 == rec["arena_overflows"] < rec[
+                    "arena_high_water"] <= rec["arena_bytes"]
+        assert obs.counter_value("workspace.overflows") == 0
+        assert obs.counter_value("cbackend.fallbacks") == 3 * failing
         np.testing.assert_allclose(out, A @ B, atol=1e-8)
-
-    def test_warm_sequential_numpy_plan_is_allocation_free(self, tmp_path):
-        """Sequential NumPy plans are served by the interpreter in its
-        Section 4.1 arena: warm dispatch must write ``out`` directly."""
-        n = 515  # non-divisible: the peel strip chunk must be arena-backed
-        cache = PlanCache(tmp_path / "plans.json")
-        cache.put(n, n, n, "float64", 1,
-                  Plan(algorithm="strassen", steps=2, scheme="sequential",
-                       threads=1))
-        A = random_matrix(n, n, 40)
-        B = random_matrix(n, n, 41)
-        out = np.empty((n, n))
-        reset_workspaces()
-        got = tuner_matmul(A, B, threads=1, cache=cache, out=out)
-        assert got is out
-        with track_allocations() as rep:
-            got = tuner_matmul(A, B, threads=1, cache=cache, out=out)
-        assert got is out
-        assert rep.peak_bytes is not None and rep.peak_bytes < LARGE
-        np.testing.assert_allclose(out, A @ B, atol=1e-8)
-        reset_workspaces()
 
     def test_allocating_path_trips_the_probe(self):
         """Sanity for the tracking allocator itself: the pre-arena path
@@ -472,47 +527,118 @@ class TestSteadyStateAllocations:
         assert rep.peak_bytes < LARGE
         assert ws.overflow_allocations == 0
 
-    def test_workspace_cache_is_bounded(self, tmp_path):
-        from repro.tuner.dispatch import WORKSPACE_CACHE_SIZE, _workspaces
-        from repro.tuner.dispatch import workspace_for
-
-        reset_workspaces()
-        plan = Plan(algorithm="strassen", steps=1, scheme="sequential",
-                    threads=1)
-        for i in range(WORKSPACE_CACHE_SIZE + 4):
-            workspace_for(plan, 128 + 2 * i, 128, 128, "float64", "float64")
-        assert len(_workspaces) == WORKSPACE_CACHE_SIZE
-        reset_workspaces()
+    def test_ten_plans_round_robin_in_one_arena(self, tmp_path):
+        """Ten (plan, shape) pairs on one thread -- more than the per-plan
+        arena cache this replaced had slots, where every call then rebuilt
+        one: a single arena grows to the largest footprint during the
+        first sweep and every later call finds it warm."""
+        plans = [plan for plan in PLANS
+                 if plan.backend == "numpy" or cbackend.available()]
+        pairs = [(plans[i % len(plans)], 640 + 8 * i) for i in range(10)]
+        cache = PlanCache(tmp_path / "plans.json")
+        for plan, n in pairs:
+            cache.put(n, n, n, "float64", plan.threads, plan)
+        A, B = random_matrix(720, 720, 50), random_matrix(720, 720, 51)
+        out = np.empty((720, 720))
+        footprint = {n: dispatch.plan_footprint(plan, n, n, n, A.dtype,
+                                                B.dtype) for plan, n in pairs}
+        assert min(footprint.values()) > LARGE  # rebuilding one would show
+        obs.enable()
+        for sweep in range(3):
+            grown = obs.counter_value("workspace.grows")
+            for plan, n in pairs:
+                with track_allocations() as rep:
+                    tuner_matmul(A[:n, :n], B[:n, :n], cache=cache,
+                                 threads=plan.threads, out=out[:n, :n])
+                assert sweep == 0 or rep.peak_bytes < LARGE, (sweep, n)
+                rec = obs.dispatch_records()[-1]
+                assert (rec["plan"], rec["arena_bytes"]) == (
+                    plan.describe(), footprint[n])
+            assert sweep == 0 or obs.counter_value("workspace.grows") == grown
+        np.testing.assert_allclose(out[:n, :n], A[:n, :n] @ B[:n, :n],
+                                   atol=1e-8)
+        assert obs.counter_value("workspace.overflows") == 0
+        # one arena, whichever plan asks, and the largest footprint still fits
+        with track_allocations() as rep:
+            arenas = [dispatch.workspace_for(plan, n, n, n, A.dtype, B.dtype)
+                      for plan, n in sorted(pairs, key=lambda pn:
+                                            footprint[pn[1]])]
+        assert len(set(map(id, arenas))) == 1 and rep.peak_bytes < LARGE
+        assert arenas[0].uses > 3 * len(pairs)
 
     def test_workspace_for_dgemm_is_none(self):
-        from repro.tuner.dispatch import workspace_for
+        assert dispatch.workspace_for(Plan(threads=1), 64, 64, 64,
+                                      "float64", "float64") is None
 
-        assert workspace_for(Plan(threads=1), 64, 64, 64,
-                             "float64", "float64") is None
-
-    def test_concurrent_matmul_same_shape_is_correct(self, tmp_path):
-        """Arenas are keyed per thread: two dispatchers hammering the same
-        cached shape must not corrupt each other's temporaries."""
-        from concurrent.futures import ThreadPoolExecutor
-
-        n = 192
+    @pytest.mark.parametrize("armed", [(), ("plan.raise:5",
+                                            "cbackend.compilefail")],
+                             ids=["faults-off", "faults-on"])
+    def test_concurrent_dispatchers_share_no_arena(self, armed, tmp_path,
+                                                   fresh_cache_state):
+        """One arena per thread: four dispatchers hammering a mix of plans
+        (guarded, with and without injected faults) must not corrupt each
+        other's temporaries -- and no two of them are handed one arena."""
+        plans = {160 + 16 * i: plan for i, plan in enumerate(PLANS)}
         cache = PlanCache(tmp_path / "plans.json")
-        cache.put(n, n, n, "float64", 1,
-                  Plan(algorithm="strassen", steps=2, scheme="sequential",
-                       threads=1))
-        A = random_matrix(n, n, 30)
-        B = random_matrix(n, n, 31)
-        expected = A @ B
-        reset_workspaces()
+        for n, plan in plans.items():
+            cache.put(n, n, n, "float64", plan.threads, plan)
+        arenas, wrong = [], []
+        start = threading.Barrier(4)
 
-        def hammer(_):
-            for _ in range(5):
-                C = tuner_matmul(A, B, threads=1, cache=cache)
-                if not np.allclose(C, expected, atol=1e-9):
-                    return False
-            return True
+        def hammer(first: int):
+            start.wait(timeout=30)
+            for i in range(8):
+                n, plan = list(plans.items())[(first + i) % len(plans)]
+                A, B = random_matrix(n, n, n), random_matrix(n, n, n + 1)
+                C = tuner_matmul(A, B, threads=plan.threads, cache=cache,
+                                 guard=True)
+                bound = error_bound(get_algorithm(plan.algorithm),
+                                    plan.steps, n, "float64")
+                if not np.linalg.norm(C - A @ B) <= bound * np.linalg.norm(C):
+                    wrong.append((first, n))
+            arenas.append(dispatch.workspace_for(plans[160], 160, 160, 160,
+                                                 "float64", "float64"))
 
-        with ThreadPoolExecutor(4) as ex:
-            results = list(ex.map(hammer, range(4)))
-        assert all(results)
-        reset_workspaces()
+        threads = [threading.Thread(target=hammer, args=(i,))
+                   for i in range(4)]
+        with faults.inject(*armed):
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads) and not wrong
+        assert len(set(map(id, arenas))) == 4
+
+
+def test_reset_reaches_live_threads_and_exit_frees_the_rest():
+    """``reset_workspaces()`` is the explicit give-back -- called from one
+    thread, it frees what other live threads grew -- and an arena is owned
+    through its thread object: no sweep, no LRU pressure, a short-lived
+    dispatcher's is garbage when it is."""
+    def arena():
+        return dispatch.workspace_for(PLANS[0], 1024, 1024, 1024,
+                                      "float64", "float64")
+
+    seen, parked, done = [], threading.Event(), threading.Event()
+
+    def dispatcher():
+        seen.append(weakref.ref(arena()))
+        parked.set()
+        done.wait(timeout=30)
+        seen.append(weakref.ref(arena()))
+        seen.append(seen[1]().uses)
+
+    t = threading.Thread(target=dispatcher)
+    t.start()
+    assert parked.wait(timeout=30) and seen[0]() is not None
+    reset_workspaces()
+    gc.collect()
+    given_back = seen[0]() is None
+    done.set()
+    t.join(timeout=30)
+    assert given_back and not t.is_alive()
+    # the thread built its next one, which lives as long as the thread object
+    assert seen[2] == 1 and seen[1]() is not arena()
+    del t
+    gc.collect()
+    assert seen[1]() is None

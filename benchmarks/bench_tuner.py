@@ -113,46 +113,6 @@ def test_dispatch_vs_fixed(benchmark, tmp_path):
     assert never_slower_than_worst
 
 
-def test_online_policy_amortization(benchmark, tmp_path):
-    """The systems claim for ``tune="online"``: a stream of real calls pays
-    a *bounded* exploration overhead (the shortlist is each run once or
-    twice), converges to a cached plan, and from then on dispatches at
-    cache-hit cost -- no offline tuning pass ever ran."""
-    from conftest import bench_once
-    from repro.tuner import OnlineTunePolicy, matmul
-
-    n = scaled(512)
-    A = random_matrix(n, n, 0)
-    B = random_matrix(n, n, 1)
-    cache = PlanCache(tmp_path / "plans.json")
-    policy = OnlineTunePolicy(shortlist=3, min_trials=1, epsilon=1.0,
-                              persist=False)
-    with blas.blas_threads(1):
-        t_explore = []
-        calls = 0
-        for calls in range(1, 16):
-            t_explore.append(
-                median_time(lambda: matmul(A, B, threads=1, cache=cache,
-                                           tune=policy),
-                            trials=1, warmup=0))
-            if policy.converged(n, n, n, "float64", 1):
-                break
-        t_settled = median_time(
-            lambda: matmul(A, B, threads=1, cache=cache, tune=policy),
-            trials=5)
-        t_direct = median_time(lambda: A @ B, trials=5)
-    plan, source = get_plan(n, n, n, threads=1, cache=cache)
-    print(f"\nN={n}: converged after {calls} online call(s); "
-          f"exploration total {sum(t_explore):.4f}s, settled "
-          f"{t_settled:.4f}s/call vs dgemm {t_direct:.4f}s "
-          f"-> {plan.describe()} [{source}]")
-    bench_once(benchmark, lambda: None)
-    assert policy.converged(n, n, n, "float64", 1)
-    assert source == "cache"
-    # settled dispatch must stay in the same league as plain dgemm
-    assert t_settled < 5 * t_direct
-
-
 def test_dispatch_overhead(benchmark, tmp_path):
     """Cache-hit dispatch adds negligible overhead over running the plan
     directly (the hot path is a dict lookup + one dataclass decode)."""

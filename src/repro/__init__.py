@@ -99,10 +99,9 @@ def matmul(A: np.ndarray, B: np.ndarray, **kwargs) -> np.ndarray:
     The self-optimizing entry point (``repro.tuner``): consults the
     persistent plan cache for this shape/dtype/thread-count (entries tuned
     on another machine are fingerprint-stale and bypassed), falls back to
-    the analytical cost model, and learns per the ``tune`` policy --
-    ``"auto"`` measures the candidate shortlist once and remembers the
-    winner; ``"online"`` explores it across real calls with amortized
-    timing and promotes the winner into the cache.  With ``out=C`` a
+    the analytical cost model, and measures per the ``tune`` policy --
+    ``"auto"`` times the candidate shortlist once when a shape resolves
+    to the cost model and remembers the winner.  With ``out=C`` a
     repeat call for a cached shape is allocation-free: plan, workspace
     arena (:mod:`repro.core.workspace`), worker pool and destination are
     all reused.  See :func:`repro.tuner.matmul` and

@@ -2,8 +2,7 @@
 
 The tuner/arena/obs stack shares mutable state across threads -- dispatch's
 per-thread arenas and worker pools, the plan cache's entry/failure ledgers, the
-telemetry registry, policy singletons, fault-injection ledgers, the
-codegen module cache.  Each has exactly one lock that must guard its
+telemetry registry, fault-injection ledgers, the codegen module cache.  Each has exactly one lock that must guard its
 mutations; holding that invariant by convention is how PRs 3-8 shipped,
 and this pass mechanizes it: :data:`REGISTRY` names each shared object
 and its lock, and the lint flags any mutation site reached outside a
@@ -71,11 +70,6 @@ REGISTRY: tuple[SharedState, ...] = (
                 "quarantine failure ledger"),
     SharedState("tuner/cache.py", "_warned_paths", "_warned_lock",
                 "once-per-path load warnings"),
-    SharedState("tuner/policy.py", "POLICIES", "_policy_lock",
-                "named policy registry"),
-    SharedState("tuner/policy.py", "_shared", "_policy_lock",
-                "process-shared policy singletons; hits read lock-free, "
-                "construction is double-checked under the lock"),
     SharedState("obs/telemetry.py", "_counters", "_lock"),
     SharedState("obs/telemetry.py", "_gauges", "_lock"),
     SharedState("obs/telemetry.py", "_spans", "_lock"),

@@ -10,16 +10,12 @@ Subcommands map onto the library's main entry points:
   cache / cost model pick the algorithm instead;
 - ``tune``      — sweep candidate plans for a set of shapes under a time
   budget and persist the winners to the plan cache (``repro.tuner``);
-  ``--policy online`` instead explores during simulated dispatch traffic
-  (the budgeted epsilon-greedy policy of ``repro.tuner.policy``) and
-  ``--policy ucb`` drives the same traffic with deterministic UCB1; with
-  ``--threads > 1`` the candidate space spans the parallel schemes and
-  the hybrid-subgroup P' divisors;
+  with ``--threads > 1`` the candidate space spans the parallel schemes
+  and the hybrid-subgroup P' divisors;
 - ``cache``     — inspect (``show``), invalidate (``invalidate``), or
   health-check (``doctor``) the plan cache; entries tuned under another
-  machine fingerprint or a pre-P'-sweep schema are shown as stale (with
-  scheme/P' columns for parallel plans) and are the default target of
-  invalidation; ``doctor`` additionally reports quarantined plans (the
+  machine fingerprint are shown as stale (with scheme/P' columns for
+  parallel plans) and are the default target of invalidation; ``doctor`` additionally reports quarantined plans (the
   ``repro.guard`` failure ledger), unparsable entries, corrupt-file
   sidecars, and load errors, lists the machine calibrations the cost
   model runs on, and ``doctor --fix`` repairs what it can (and removes
@@ -133,18 +129,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="also export the measurements as CSV")
     p.add_argument("--dry-run", action="store_true",
                    help="list the ranked candidate plans without timing")
-    p.add_argument("--policy", default="offline",
-                   choices=["offline", "online", "ucb"],
-                   help="offline: blocking measurement sweep (default); "
-                        "online: epsilon-greedy exploration during "
-                        "simulated dispatch traffic; ucb: the same "
-                        "amortized traffic driven by deterministic UCB1 "
-                        "-- with --threads > 1 both online policies "
-                        "explore the parallel shortlist including the "
-                        "hybrid-subgroup P' sweep")
-    p.add_argument("--dispatches", type=int, default=16,
-                   help="simulated dispatches per shape for "
-                        "--policy online/ucb")
     p.add_argument("--seed", type=int, default=0,
                    help="operand-generation seed (tunes are reproducible "
                         "given the same seed)")
@@ -413,7 +397,7 @@ def _explain(args, A, B, p: int, q: int, r: int, cache, out) -> int:
 
     Everything dispatch decides silently, spelled out: the cost-ranked
     candidate shortlist with predicted times, the resolved plan and where
-    it came from (cache / nearest / transfer / model), the arena that will
+    it came from (trivial / cache / nearest / model), the arena that will
     serve it, then one observed call with its dispatch record (prediction
     beside measurement) and span timings.
     """
@@ -612,10 +596,6 @@ def _render_stats(snap: dict, origin: str, out) -> None:
         ratio = summary["cache_hit_ratio"]
         hit = f"{ratio:.0%}" if ratio is not None else "n/a"
         print(f"  plan sources: {mix}  (cache hit ratio: {hit})", file=out)
-    if summary["policy"]:
-        mix = "  ".join(f"{kind}={n}" for kind, n
-                        in sorted(summary["policy"].items()))
-        print(f"  policy choices: {mix}", file=out)
     ws = summary["workspace"]
     tail = f"overflows {ws['overflows']}, grows {ws['grows']}"
     if ws["arena_bytes"] is not None:
@@ -652,14 +632,6 @@ def _render_stats(snap: dict, origin: str, out) -> None:
                              in sorted(row["labels"].items()))
             print(f"  {row['name']:<28}{labels} x{row['count']:<4} "
                   f"total {row['total_s']:.4f}s", file=out)
-    extras = [g for g in summary["gauges"]
-              if g["name"].startswith(("transfer.", "policy."))]
-    if extras:
-        print("gauges:", file=out)
-        for g in extras[:12]:
-            labels = "".join(f" {k}={v}" for k, v
-                             in sorted(g["labels"].items()))
-            print(f"  {g['name']}{labels} = {g['value']:.4g}", file=out)
     if summary["records"]:
         rec = summary["records"][-1]
         batch = (f" x batch {rec['batch']} ({rec['batch_mode']})"
@@ -702,9 +674,6 @@ def cmd_tune(args, out=sys.stdout) -> int:
                 print(f"   {pl.describe()}", file=out)
         return 0
 
-    if args.policy in ("online", "ucb"):
-        return _tune_online(args, shapes, threads, cache, out)
-
     t0 = time.perf_counter()
     reports = tuner.tune(
         shapes, dtype=args.dtype, threads=threads,
@@ -738,47 +707,6 @@ def cmd_tune(args, out=sys.stdout) -> int:
     return 0
 
 
-def _tune_online(args, shapes, threads, cache, out) -> int:
-    """``repro tune --policy online|ucb``: learn from simulated dispatches.
-
-    Feeds each shape through ``tuner.matmul`` with the requested online
-    policy (epsilon-greedy or deterministic UCB1) on deterministic
-    synthetic operands -- a dry run of exactly what a production process
-    would experience, useful for pre-warming a cache with online-policy
-    behaviour (and for demoing convergence).  With ``--threads > 1`` the
-    explored shortlist spans the parallel schemes, including the
-    hybrid-subgroup P' divisors.
-    """
-    from repro import tuner
-
-    t0 = time.perf_counter()
-    for p, q, r in shapes:
-        cls = (tuner.UCBTunePolicy if args.policy == "ucb"
-               else tuner.OnlineTunePolicy)
-        policy = cls(shortlist=args.candidates, seed=args.seed,
-                     max_dispatches=args.dispatches)
-        A, B = tuner.tuning_operands(p, q, r, dtype=args.dtype,
-                                     seed=args.seed)
-        n = 0
-        for n in range(1, args.dispatches + 1):
-            tuner.matmul(A, B, threads=threads, cache=cache, tune=policy)
-            if policy.converged(p, q, r, args.dtype, threads):
-                break
-        plan, source = tuner.get_plan(p, q, r, dtype=args.dtype,
-                                      threads=threads, cache=cache)
-        state = ("converged" if policy.converged(p, q, r, args.dtype, threads)
-                 else "still exploring" if source != "trivial" else "trivial")
-        print(f"-- {p}x{q}x{r}: {state} after {n} dispatch(es); "
-              f"plan {plan.describe()} [{source}]", file=out)
-    print(f"online-tuned {len(shapes)} shape(s) in "
-          f"{time.perf_counter() - t0:.1f}s ({args.dtype}, {threads} "
-          f"threads); plan cache: {cache.path}", file=out)
-    if cache.save_error is not None:
-        print(f"warning: cache not persisted ({cache.save_error}); "
-              f"ran in-memory", file=out)
-    return 0
-
-
 def cmd_cache(args, out=sys.stdout) -> int:
     from repro import tuner
     from repro.bench.machine import fingerprint_digest, machine_fingerprint
@@ -799,7 +727,7 @@ def cmd_cache(args, out=sys.stdout) -> int:
                 desc = "?"  # still show the row: this is a diagnosis tool
             gf = ent.get("gflops")
             perf = f"{gf:8.2f} eff.GFLOPS" if gf else " " * 17
-            # v5 entries carry the parallel configuration as explicit
+            # entries carry the parallel configuration as explicit
             # fields; hybrid-subgroup rows always show P' -- 'auto' when
             # the plan defers to the execution-time default
             scheme = ent.get("scheme")
@@ -809,14 +737,9 @@ def cmd_cache(args, out=sys.stdout) -> int:
                 if scheme == "hybrid-subgroup":
                     sub = ent.get("subgroup")
                     cfg = f" [{scheme} P'={sub if sub else 'auto'}]"
-            # stale rows show why: a pre-v5 schema (plans tuned before the
-            # P' sweep existed) or the foreign machine digest they carry
-            if key not in stale:
-                mark = "fresh"
-            elif ent.get("schema", tuner.SCHEMA_VERSION) != tuner.SCHEMA_VERSION:
-                mark = f"STALE (schema v{ent['schema']})"
-            else:
-                mark = f"STALE ({ent.get('fingerprint', 'unstamped')})"
+            # stale rows show the foreign machine digest they carry
+            mark = ("fresh" if key not in stale
+                    else f"STALE ({ent.get('fingerprint', 'unstamped')})")
             print(f"  {key:>32} -> {desc:<36} {perf} {mark}{cfg}", file=out)
         ledger = cache.failure_ledger()
         if ledger:
@@ -856,7 +779,7 @@ def _cache_doctor(args, cache, out) -> int:
 
     Diagnoses (and with ``--fix`` repairs): unreadable/corrupt cache
     files (the ``.corrupt`` sidecar the loader left), entries from a
-    stale schema or foreign machine fingerprint, entries whose plan no
+    foreign machine fingerprint, entries whose plan no
     longer parses, and plans the ``repro.guard`` failure ledger has
     quarantined.  Also lists the machine calibrations the cost model runs
     on (``calibration-*.json`` next to the compiled objects); they are
@@ -886,25 +809,13 @@ def _cache_doctor(args, cache, out) -> int:
             print(f"            original preserved at "
                   f"{cache.corrupt_sidecar}", file=out)
 
-    stale = set(cache.stale_keys())
+    stale_fp = len(cache.stale_keys())
     unparsable = []
-    stale_schema = stale_fp = 0
     for key, ent in cache.items():
         try:
             tuner.Plan.from_dict(ent["plan"])
         except (KeyError, TypeError, ValueError):
             unparsable.append(key)
-        if key in stale:
-            if ent.get("schema",
-                       tuner.SCHEMA_VERSION) != tuner.SCHEMA_VERSION:
-                stale_schema += 1
-            else:
-                stale_fp += 1
-    if stale_schema:
-        problems += 1
-        print(f"  [stale-schema] {stale_schema} entrie(s) from an "
-              f"incompatible schema (current v{tuner.SCHEMA_VERSION})",
-              file=out)
     if stale_fp:
         problems += 1
         print(f"  [stale-fingerprint] {stale_fp} entrie(s) tuned under "

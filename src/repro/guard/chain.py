@@ -5,13 +5,13 @@ bug as a failed matmul, and an APA plan (Bini / Schonhage entries, whose
 error growth Section 6 of the paper characterizes) may never silently
 return garbage.  This module is the guard-specific half of a guarded
 call and nothing else: the serving tail (``tuner.dispatch._serve``, or
-``matmul_batched`` for a batch) resolves the plan, takes its arena,
-times, observes and reports exactly as it does unguarded, and hands
-:func:`run_guarded` the resolved plan and a way to run it.  The ladder
+``matmul_batched`` for a batch) resolves the plan, takes its arena and
+reports exactly as it does unguarded, and hands :func:`run_guarded` the
+resolved plan and a way to run it.  The ladder
 always lands on a correct product:
 
 1. **resolved plan** -- whatever the tail resolved (cache / nearest /
-   transfer / model / online), run in the tail's arena, optionally under
+   model / tuned), run in the thread's arena, optionally under
    a watchdog deadline (``GuardConfig.timeout_s``);
 2. **cost-model plan** -- on a *plan-implicating* failure, the best
    not-quarantined candidate from :func:`repro.tuner.space.enumerate_plans`
@@ -33,8 +33,8 @@ sampled residual check against
 :func:`repro.core.stability.error_bound` for APA plans; a violation is
 treated exactly like a raised exception.  Each plan failure is recorded
 in the cache's quarantine ledger (:meth:`PlanCache.record_failure`) so
-repeat offenders stop being resolved at all, a failed warm attempt's
-arena is evicted, and every fallback / violation / rebuild is counted
+repeat offenders stop being resolved at all, the arena a failed plan ran
+in is evicted, and every fallback / violation / rebuild is counted
 through :mod:`repro.obs.telemetry` (``guard.*`` counters) for
 ``repro stats`` / ``repro multiply --explain``.
 
@@ -363,7 +363,7 @@ def _fallback_plan(failed: Plan, p: int, q: int, r: int, dtype: str,
 # the chain
 # ---------------------------------------------------------------------------
 def run_guarded(cfg: GuardConfig, plan: Plan, run, operands, out, fresh,
-                cache, key: tuple, warm: bool, batch: int | None = None):
+                cache, key: tuple, batch: int | None = None):
     """Walk the ladder for one resolved request; ``(result, served)``.
 
     The serving tail hands over what it resolved -- ``plan`` (a batch's
@@ -371,11 +371,10 @@ def run_guarded(cfg: GuardConfig, plan: Plan, run, operands, out, fresh,
     this request into ``dest`` -- plus what degrading needs: ``operands``
     (the ``A`` and ``B`` of every element, one per call), the caller's
     ``out`` (or ``None``), ``fresh()`` for a new destination of the same
-    form, the quarantine ledger (``cache`` under ``key = (p, q, r, dtype,
-    threads)`` and ``batch``), and whether ``plan`` ran ``warm``, in the
-    thread's own arena.  ``served`` is the plan that produced the result:
-    ``plan`` itself, the cost-model fallback, or plain dgemm for
-    classical.
+    form, and the quarantine ledger (``cache`` under ``key = (p, q, r,
+    dtype, threads)`` and ``batch``).  ``served`` is the plan that
+    produced the result: ``plan`` itself, the cost-model fallback, or
+    plain dgemm for classical.
     """
     from repro.tuner import dispatch
 
@@ -384,10 +383,9 @@ def run_guarded(cfg: GuardConfig, plan: Plan, run, operands, out, fresh,
     if exc is None:
         cache.record_success(*key, plan, batch=batch)
         return result, plan
-    if warm:
-        # a zombie worker might still touch the failed attempt's views
-        dispatch.evict_workspace(plan, *key[:3], operands[0][0].dtype,
-                                 operands[1][0].dtype)
+    # a zombie worker might still touch the failed attempt's views
+    dispatch.evict_workspace(plan, *key[:3], operands[0][0].dtype,
+                             operands[1][0].dtype)
 
     # stage 2: cost-model fallback (skipped for infrastructure failures)
     if batch is None and not isinstance(exc, INFRASTRUCTURE_FAILURES):

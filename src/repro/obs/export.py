@@ -159,8 +159,8 @@ def load_snapshot(path: Path | str | None = None) -> dict | None:
 def summarize(snap: dict | None = None) -> dict:
     """Digest a snapshot into the first-questions numbers.
 
-    Returns ``{"calls", "sources", "cache_hit_ratio", "policy",
-    "workspace", "guard", "span_totals", "gauges", "records"}``.  The cache hit
+    Returns ``{"calls", "sources", "cache_hit_ratio", "workspace",
+    "guard", "span_totals", "gauges", "records"}``.  The cache hit
     ratio counts exact + nearest hits over non-trivial dispatches
     (trivial calls never consult the cache), ``None`` when nothing
     non-trivial ran.
@@ -184,11 +184,6 @@ def summarize(snap: dict | None = None) -> dict:
     non_trivial = calls - sources.get("trivial", 0)
     hits = sources.get("cache", 0) + sources.get("nearest", 0)
     hit_ratio = (hits / non_trivial) if non_trivial > 0 else None
-
-    policy = {
-        dict(labels).get("kind", "?"): value
-        for labels, value in counters.get("policy.choice", {}).items()
-    }
 
     gauges = {
         (row["name"], tuple(sorted(row["labels"].items()))): row["value"]
@@ -242,7 +237,6 @@ def summarize(snap: dict | None = None) -> dict:
         "calls": calls,
         "sources": sources,
         "cache_hit_ratio": hit_ratio,
-        "policy": policy,
         "workspace": workspace,
         "guard": guard,
         "span_totals": span_totals,

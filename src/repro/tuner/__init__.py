@@ -15,17 +15,14 @@ subsystem turns that finding into machinery:
   under a wall-clock budget on deterministic seeded operands, reporting
   effective GFLOPS;
 - :mod:`repro.tuner.cache`    -- the persistent, versioned JSON plan cache
-  keyed by ``(m, k, n, dtype, threads)`` with nearest-shape fallback
-  (two-tier: exact-thread entries first, then penalized cross-thread
-  transfer with the plan retargeted to the queried thread count); every
-  entry carries a machine fingerprint, so a cache tuned on another box
-  is bypassed and re-tuned, never trusted;
-- :mod:`repro.tuner.policy`   -- pluggable tuning policies: ``never`` /
-  ``auto`` / ``always`` / ``online`` (budgeted epsilon-greedy exploration
-  during real calls, winner promoted into the cache) / ``ucb``
-  (deterministic UCB1 over the same amortized harness);
-- :mod:`repro.tuner.dispatch` -- ``matmul(A, B)``: cache hit -> run the
-  plan; miss -> cost-model pick, learning per the selected policy.
+  keyed by ``(m, k, n, dtype, threads)`` with a nearest-shape fallback at
+  the same thread count; every entry carries a machine fingerprint, so a
+  cache tuned on another box is bypassed and re-tuned, never trusted;
+- :mod:`repro.tuner.policy`   -- the three tuning policies: ``never`` /
+  ``auto`` (measure the shortlist when a shape resolves to the cost
+  model) / ``always``;
+- :mod:`repro.tuner.dispatch` -- ``matmul(A, B)``: trivial -> cache ->
+  nearest -> cost model, measuring first per the selected policy.
 
 Quick start::
 
@@ -35,9 +32,8 @@ Quick start::
     tuner.tune([(1536, 1536, 1536)], budget_s=20)   # once, persisted
     C = tuner.matmul(A, B)                          # dispatches the winner
 
-    # or skip the offline pass: learn during real traffic
-    for A, B in workload:
-        C = tuner.matmul(A, B, tune="online")
+    # or let the first call of an untuned shape measure it
+    C = tuner.matmul(A, B, tune="auto")
 """
 
 from repro.tuner.batched import (
@@ -50,7 +46,6 @@ from repro.tuner.cache import (
     SCHEMA_VERSION,
     batched_key,
     default_cache_path,
-    retarget_plan,
 )
 from repro.tuner.dispatch import (
     build_workspace,
@@ -73,15 +68,10 @@ from repro.tuner.measure import (
     tuning_operands,
 )
 from repro.tuner.policy import (
-    POLICIES,
     AlwaysTunePolicy,
     AutoTunePolicy,
-    OnlineTunePolicy,
     TuningPolicy,
-    UCBTunePolicy,
     get_policy,
-    register_policy,
-    reset_shared_policies,
 )
 from repro.tuner.space import (
     BATCH_MODES,
@@ -103,16 +93,13 @@ __all__ = [
     "BatchPlan",
     "Plan",
     "PlanCache",
-    "POLICIES",
     "SCHEMA_VERSION",
     "AlwaysTunePolicy",
     "AutoTunePolicy",
     "Measurement",
     "build_workspace",
-    "OnlineTunePolicy",
     "ShapeReport",
     "TuningPolicy",
-    "UCBTunePolicy",
     "batch_operands",
     "batch_plan_cost",
     "batched_key",
@@ -129,12 +116,9 @@ __all__ = [
     "matmul",
     "matmul_batched",
     "measure_plan",
-    "register_policy",
     "reset_shared_cache",
-    "reset_shared_policies",
     "reset_workspaces",
     "retarget_backend",
-    "retarget_plan",
     "shutdown_shared_pools",
     "subgroup_candidates",
     "tune",

@@ -44,6 +44,7 @@ from repro.parallel import blas
 from repro.parallel.pool import WorkerPool, resolve_threads
 from repro.tuner import dispatch
 from repro.tuner.cache import PlanCache
+from repro.tuner.policy import TuningPolicy, get_policy
 from repro.tuner.space import (
     BATCH_MODES,
     BatchPlan,
@@ -166,9 +167,9 @@ def _batch_result(ops: _Batch, out=None):
 def _sequential_element_plan(p: int, q: int, r: int, dtype: str,
                              cache: PlanCache) -> Plan:
     """The per-element plan of the elementwise head: the 1-thread
-    resolution for this shape, coerced onto the sequential path (a
-    cross-thread transfer can hand back a retargeted parallel scheme,
-    which one fanned-out element cannot run)."""
+    resolution for this shape, coerced onto the sequential path (an entry
+    cached under the 1-thread key can still name a parallel scheme, which
+    one fanned-out element cannot run)."""
     plan, _ = dispatch.get_plan(p, q, r, dtype, threads=1, cache=cache)
     if plan.scheme != "sequential" or plan.threads != 1:
         plan = dataclasses.replace(plan, scheme="sequential", threads=1,
@@ -189,7 +190,8 @@ def get_batch_plan(
     """Resolve the plan + batch mode for a whole batch; ``(bplan, source)``.
 
     ``source`` is ``"cache"`` (a batched entry measured before, via
-    :meth:`PlanCache.get_batched`), ``"model"`` (the within/elementwise
+    :meth:`PlanCache.get_batched`, whose plan the quarantine ledger does
+    not hold), ``"model"`` (the within/elementwise
     heads ranked by :func:`repro.core.cost.batch_cost` -- the per-element
     plans still come from the ordinary resolution chain, so per-call
     tuning is reused), or ``"forced"`` (``batch_mode`` pinned by the
@@ -214,7 +216,8 @@ def get_batch_plan(
         return BatchPlan(plan=plan, mode="within",
                          workers=plan.threads), "forced"
     hit = cache.get_batched(p, q, r, dtype, threads, batch)
-    if hit is not None:
+    if hit is not None and not cache.plan_quarantined(
+            p, q, r, dtype, threads, hit.plan, batch=batch):
         if hit.mode == "elementwise" and hit.workers != threads:
             hit = BatchPlan(plan=hit.plan, mode="elementwise",
                             workers=threads)
@@ -328,7 +331,7 @@ def matmul_batched(
     out: np.ndarray | Sequence[np.ndarray] | None = None,
     threads: int | None = None,
     cache: PlanCache | None = None,
-    tune: str = "never",
+    tune: str | TuningPolicy = "never",
     batch_mode: str | None = None,
     pool: WorkerPool | None = None,
     guard: bool | float | str | chain.GuardConfig | None = None,
@@ -345,12 +348,11 @@ def matmul_batched(
     ``batch_mode`` pins the batch-parallelism axis (``"within"`` /
     ``"elementwise"``); by default the mode is cost-ranked by
     :func:`repro.core.cost.batch_cost` or served from a tuned batched
-    cache entry.  ``tune`` sweeps the batch axis with measurements:
-    ``"auto"`` tunes once when the decision is model-ranked (then the
-    winner is cached under the batched key), ``"always"`` re-measures
-    every call, ``"never"`` (default) trusts cache + model.  The online
-    per-call policies do not apply to the batch axis -- pass
-    ``tune="online"`` to :func:`repro.tuner.matmul` for per-call learning.
+    cache entry.  ``tune`` takes the names :func:`repro.tuner.matmul`
+    takes and sweeps the batch axis with measurements: ``"auto"`` tunes
+    once when the decision is model-ranked (then the winner is cached
+    under the batched key), ``"always"`` re-measures every call,
+    ``"never"`` (default) trusts cache + model.
 
     ``guard`` opts the whole batch into fault-tolerant execution (same
     spellings as :func:`repro.tuner.dispatch.matmul`): a failing batch
@@ -358,12 +360,7 @@ def matmul_batched(
     charged to the plan's quarantine ledger, and the product is always
     returned.
     """
-    if tune not in ("never", "auto", "always"):
-        raise ValueError(
-            f"tune must be 'never', 'auto' or 'always' for batched calls "
-            f"(the per-call online policies do not sweep the batch axis); "
-            f"got {tune!r}"
-        )
+    policy = get_policy(tune)
     t_call = telemetry.clock_ns()
     ops = _normalize_operands(A, B)
     result = _batch_result(ops, out)
@@ -377,9 +374,7 @@ def matmul_batched(
     bplan, source = get_batch_plan(p, q, r, batch, dtype=dtype,
                                    threads=threads, cache=cache,
                                    batch_mode=batch_mode)
-    if batch_mode is None and (
-        tune == "always" or (tune == "auto" and source == "model")
-    ):
+    if batch_mode is None and policy.should_tune(source):
         from repro.tuner.measure import tune_batch
 
         bplan = tune_batch(p, q, r, batch, dtype=dtype, threads=threads,
@@ -405,8 +400,8 @@ def matmul_batched(
             result, served = chain.run_guarded(
                 cfg, bplan.plan, run, (ops.a_list, ops.b_list), result,
                 lambda: _batch_result(ops), cache,
-                (p, q, r, dtype, threads), warm=True, batch=batch)
+                (p, q, r, dtype, threads), batch=batch)
     dispatch._report(bplan.plan, served, source, p, q, r, dtype, threads,
-                     *drew, False, t_call,
+                     *drew, t_call,
                      batch=batch, batch_mode=bplan.mode)
     return result

@@ -21,32 +21,28 @@ Failures feed back into the cache too: :meth:`PlanCache.record_failure`
 keeps a **per-entry failure ledger** (persisted as a separate top-level
 ``"failures"`` dict -- old readers ignore it, so no schema bump), and a
 (plan, shape, dtype) key that fails :data:`QUARANTINE_THRESHOLD` times is
-*quarantined*: every lookup (:meth:`get` / :meth:`nearest` /
-:meth:`get_batched`) skips it so dispatch falls through to the next
-resolution stage, except for a bounded backoff probe -- every
-:data:`QUARANTINE_PROBE_EVERY`-th skip lets the plan through once, so a
-transient failure (a since-fixed BLAS, a freed machine) rehabilitates
-(:meth:`record_success` clears the ledger) instead of being exiled
-forever.  Load/save failures are no longer silent either: they are
-counted (``cache.load_errors`` / ``cache.save_errors``), warned once per
-path, and a corrupt cache file is preserved as a ``.corrupt`` sidecar
-for inspection rather than overwritten.
+*quarantined*: dispatch's resolution (``get_plan``, ``get_batch_plan``,
+the guard's fallback pick) asks :meth:`PlanCache.plan_quarantined` before
+it serves a plan and skips it, falling through to the next stage, except
+for a bounded backoff probe -- every :data:`QUARANTINE_PROBE_EVERY`-th
+skip lets the plan through once, so a transient failure (a since-fixed
+BLAS, a freed machine) rehabilitates (:meth:`record_success` clears the
+ledger) instead of being exiled forever.  Load/save failures are no
+longer silent either: they are counted (``cache.load_errors`` /
+``cache.save_errors``), warned once per path, and a corrupt cache file is
+preserved as a ``.corrupt`` sidecar for inspection rather than
+overwritten.
 
-Untuned shapes fall back to the *nearest* tuned shape (same dtype,
-closest in log-space) -- the paper's Figure 5/6 regimes are broad
-plateaus, so a plan tuned at ``3000 x 416 x 3000`` transfers to
-``3200 x 400 x 3200`` essentially unchanged.  The fallback is two-tier:
-entries tuned at the queried thread count always win; only when none
-lies within the radius are entries from *other* thread counts
-considered, their distance scaled by a cross-thread penalty and their
-plan rewritten (thread count retargeted, the sub-group hybrid's P'
-snapped back to a divisor) so what comes back is always executable at
-the queried thread count.
+Untuned shapes fall back to the *nearest* tuned shape (same dtype, same
+thread count, closest in log-space) -- the paper's Figure 5/6 regimes are
+broad plateaus, so a plan tuned at ``3000 x 416 x 3000`` transfers to
+``3200 x 400 x 3200`` essentially unchanged.  An entry tuned at another
+thread count never answers: its timings say nothing about, e.g., which P'
+wins here, so such a shape resolves to the cost model.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import logging
 import math
@@ -61,7 +57,8 @@ from repro.tuner.space import BatchPlan, Plan
 
 _log = logging.getLogger("repro.tuner.cache")
 
-#: bump when the on-disk layout changes incompatibly
+#: bump when the on-disk layout changes incompatibly -- a file of any
+#: other schema loads empty and is rewritten as this one on the next save
 #: (v2: entries carry a machine-fingerprint stamp; v3: timings are
 #: measured on the workspace-arena serving path -- sequential plans then
 #: ran the reference interpreter; v4: sequential plans are served by the
@@ -78,22 +75,9 @@ _log = logging.getLogger("repro.tuner.cache")
 #: bump, and a v6 entry's leftover ``"strategy"`` key is ignored on load)
 SCHEMA_VERSION = 6
 
-#: schema versions :meth:`PlanCache.load` can still *read*: their entries
-#: surface as stale-schema (visible to ``cache show`` and cleared by
-#: ``invalidate``) but are bypassed by every lookup, exactly like a
-#: foreign machine fingerprint
-COMPAT_SCHEMAS = (4, 5)
-
 #: default max log-space distance for the nearest-shape fallback
 #: (1.0 ~= one dimension off by a factor e)
 NEAREST_RADIUS = 1.0
-
-#: extra log-space distance per ln-factor of thread-count mismatch in the
-#: cross-thread nearest fallback: a plan tuned at 2 threads queried at 4
-#: is penalized by ``0.5 * ln 2`` on top of its shape distance, so it can
-#: never outrank an exact-thread hit (those are searched first) and only
-#: transfers when it is genuinely close
-CROSS_THREAD_PENALTY = 0.5
 
 #: guarded-execution failures of one (plan, shape, dtype, threads) key
 #: before it is quarantined -- one failure may be environmental bad luck,
@@ -166,20 +150,6 @@ def _parse_key(key: str) -> tuple[int, int, int, str, int, int | None] | None:
         return None
 
 
-def retarget_plan(plan: Plan, threads: int) -> Plan:
-    """Rewrite a plan tuned at another thread count so it is *valid* at
-    ``threads``: the thread count is replaced, and a sub-group P' that no
-    longer divides the new count snaps to the largest divisor not above
-    it (P' = 1 always exists, so this never fails).  The algorithm,
-    depth, scheme and backend -- the knobs the paper's regime plateaus
-    make transferable -- are kept."""
-    sub = plan.subgroup
-    if sub is not None:
-        sub = max(d for d in range(1, min(sub, threads) + 1)
-                  if threads % d == 0)
-    return dataclasses.replace(plan, threads=threads, subgroup=sub)
-
-
 class PlanCache:
     """Dictionary of tuned plans with JSON persistence.
 
@@ -200,7 +170,7 @@ class PlanCache:
         self.path = Path(path) if path is not None else default_cache_path()
         self._fingerprint = fingerprint
         # Reentrant: public methods lock, then call other locking methods
-        # (get -> plan_quarantined, invalidate -> stale_keys, * -> _ensure).
+        # (invalidate -> stale_keys, * -> _ensure).
         self._lock = threading.RLock()
         self._entries: dict[str, dict] = {}
         self._failures: dict[str, dict] = {}
@@ -261,9 +231,8 @@ class PlanCache:
                 e, f"plan cache at {self.path} is corrupt ({e}); "
                    f"starting fresh{kept}")
             return self
-        schema = raw.get("schema")
-        if schema != SCHEMA_VERSION and schema not in COMPAT_SCHEMAS:
-            return self  # foreign or unknown file: start fresh, don't crash
+        if raw.get("schema") != SCHEMA_VERSION:
+            return self  # foreign, old or unknown file: start fresh
         entries = raw.get("entries", {})
         if isinstance(entries, dict):
             self._entries = {
@@ -276,13 +245,6 @@ class PlanCache:
                 k: dict(v) for k, v in failures.items()
                 if isinstance(v, dict)
             }
-        if schema != SCHEMA_VERSION:
-            # the v4 -> v5 migration path: entries survive the read (so
-            # `cache show` can display them and `invalidate` can clear
-            # them) but carry their origin schema, which _fresh treats
-            # like a foreign fingerprint -- bypassed, never trusted
-            for ent in self._entries.values():
-                ent.setdefault("schema", schema)
         return self
 
     def _note_load_error(self, exc: Exception, message: str) -> None:
@@ -354,8 +316,7 @@ class PlanCache:
                 self.load()
 
     def _fresh(self, ent: dict) -> bool:
-        return (ent.get("schema", SCHEMA_VERSION) == SCHEMA_VERSION
-                and ent.get("fingerprint") == self.fingerprint)
+        return ent.get("fingerprint") == self.fingerprint
 
     # ------------------------------------------------------ failure ledger
     @staticmethod
@@ -412,7 +373,9 @@ class PlanCache:
                          batch: int | None = None) -> bool:
         """Should a lookup skip this plan for this problem?
 
-        ``True`` for quarantined keys -- except every
+        Each call charges the ledger one skip, so a resolver asks once
+        per (problem, plan) per lookup.  ``True`` for quarantined keys --
+        except every
         :data:`QUARANTINE_PROBE_EVERY`-th call, which lets the plan
         through once as a bounded retry probe (skips are tallied in the
         ledger, so backoff state persists with it).
@@ -477,27 +440,26 @@ class PlanCache:
 
     def get(self, m: int, k: int, n: int, dtype: str = "float64",
             threads: int = 1) -> Plan | None:
-        """Exact-key lookup; stale (foreign-fingerprint) entries miss."""
+        """Exact-key lookup; stale (foreign-fingerprint) entries miss.
+        Whether the plan is quarantined is the resolver's question
+        (:meth:`plan_quarantined`), not the store's."""
         with self._lock:
             self._ensure()
             ent = self._entries.get(problem_key(m, k, n, dtype, threads))
             if ent is None or not self._fresh(ent):
                 return None
             try:
-                plan = Plan.from_dict(ent["plan"])
+                return Plan.from_dict(ent["plan"])
             except (KeyError, TypeError, ValueError):
                 return None
-            if self.plan_quarantined(m, k, n, dtype, threads, plan):
-                return None
-            return plan
 
     def entry(self, m: int, k: int, n: int, dtype: str = "float64",
               threads: int = 1) -> dict | None:
         """Exact-key raw entry (plan dict + measured seconds/gflops).
 
         Unlike :meth:`get` this returns stale entries too (callers that
-        want the dispatch contract should use ``get``); reporting tools
-        inspect the ``fingerprint`` field themselves.
+        want only this machine's plans should use ``get``); reporting
+        tools inspect the ``fingerprint`` field themselves.
         """
         with self._lock:
             self._ensure()
@@ -576,88 +538,56 @@ class PlanCache:
             return None
         best = min(candidates, key=lambda c: (c[0], c[1]))[2]
         try:
-            bplan = BatchPlan(
+            return BatchPlan(
                 plan=Plan.from_dict(best["plan"]),
                 mode=best.get("batch", "within"),
                 workers=int(best.get("workers", 1)),
             )
         except (KeyError, TypeError, ValueError):
             return None
-        if self.plan_quarantined(m, k, n, dtype, threads, bplan.plan,
-                                 batch=batch):
-            return None
-        return bplan
 
     def nearest(
         self, m: int, k: int, n: int, dtype: str = "float64",
         threads: int = 1, radius: float = NEAREST_RADIUS,
-        cross_thread: bool = True,
     ) -> Plan | None:
-        """Closest tuned shape with the same dtype; ``None`` when nothing
-        tuned (and fingerprint-fresh) lies within ``radius``.
+        """Closest *other* tuned shape with the same dtype and thread
+        count; ``None`` when nothing tuned (and fingerprint-fresh) lies
+        within ``radius``.  The queried key itself never answers: that is
+        :meth:`get`'s, and a lookup that skipped it there must not be
+        handed it back here.
 
-        Distance is Euclidean in log-dimension space.  Entries tuned at
-        the queried thread count are searched first and always win; only
-        when none is in range does the search fall back *across* thread
-        counts, each candidate's distance scaled up by
-        :data:`CROSS_THREAD_PENALTY` per ln-factor of thread mismatch.  A
-        cross-thread hit is retargeted via :func:`retarget_plan` before it
-        is returned, so the plan is always valid at ``threads``.
-
-        ``cross_thread=False`` restricts the search to exact-thread
-        entries: the online learning policies use this so a transfer
-        counts as a serving *prior*, not as measured evidence that would
-        end exploration at the new thread count.
-
-        Ties are broken deterministically: candidates are scanned in
-        sorted key order and a new candidate must be *strictly* closer to
-        displace the incumbent, so equidistant tuned shapes resolve to the
+        Distance is Euclidean in log-dimension space.  Ties are broken
+        deterministically: candidates are scanned in sorted key order and
+        a new candidate must be *strictly* closer to displace the
+        incumbent, so equidistant tuned shapes resolve to the
         lexicographically smallest key no matter what order the cache file
         listed them in -- identical calls pick identical plans.
         """
+        own = problem_key(m, k, n, dtype, threads)
         with self._lock:
-            return self._nearest_locked(m, k, n, dtype, threads, radius,
-                                        cross_thread)
-
-    def _nearest_locked(self, m, k, n, dtype, threads, radius,
-                        cross_thread) -> Plan | None:
-        self._ensure()
-        best_exact, d_exact = None, radius
-        best_cross, d_cross = None, radius
-        for key in sorted(self._entries):
-            ent = self._entries[key]
-            parsed = _parse_key(key)
-            if parsed is None or not self._fresh(ent):
-                continue
-            em, ek, en, edtype, et, ebatch = parsed
-            if edtype != dtype or ebatch is not None:
-                continue
-            if et != threads and not cross_thread:
-                continue
-            d = math.sqrt(
-                math.log(em / m) ** 2
-                + math.log(ek / k) ** 2
-                + math.log(en / n) ** 2
-            )
-            if et == threads:
-                if d < d_exact or (best_exact is None and d <= radius):
-                    best_exact, d_exact = ent, d
-            else:
-                d += CROSS_THREAD_PENALTY * abs(math.log(et / threads))
-                if d < d_cross or (best_cross is None and d <= radius):
-                    best_cross, d_cross = ent, d
-        best = best_exact if best_exact is not None else best_cross
+            self._ensure()
+            best, d_best = None, radius
+            for key in sorted(self._entries):
+                ent = self._entries[key]
+                parsed = _parse_key(key)
+                if key == own or parsed is None or not self._fresh(ent):
+                    continue
+                em, ek, en, edtype, et, ebatch = parsed
+                if edtype != dtype or et != threads or ebatch is not None:
+                    continue
+                d = math.sqrt(
+                    math.log(em / m) ** 2
+                    + math.log(ek / k) ** 2
+                    + math.log(en / n) ** 2
+                )
+                if d < d_best or (best is None and d <= radius):
+                    best, d_best = ent, d
         if best is None:
             return None
         try:
-            plan = Plan.from_dict(best["plan"])
+            return Plan.from_dict(best["plan"])
         except (KeyError, TypeError, ValueError):
             return None
-        if plan.threads != threads:
-            plan = retarget_plan(plan, threads)
-        if self.plan_quarantined(m, k, n, dtype, threads, plan):
-            return None
-        return plan
 
     # -------------------------------------------------------- invalidation
     def stale_keys(self) -> list[str]:

@@ -1,26 +1,24 @@
 """The dispatch hot path: ``repro.matmul(A, B)``.
 
-Resolution order for a ``p x q x r`` problem (the subsystem's contract):
+Resolution order for a ``p x q x r`` problem (the subsystem's contract),
+four stages, the first that answers wins:
 
-1. **cache hit** -- the shape was tuned before *on this machine* (entries
-   stamped with a foreign machine fingerprint are bypassed, not trusted):
-   execute its plan verbatim (deterministic: identical calls pick
-   identical plans);
-2. **nearest neighbour** -- an adjacent tuned shape exists at the same
+1. **trivial** -- below the dgemm ramp-up knee no fast algorithm can win
+   (Section 3.4): plain vendor BLAS;
+2. **cache hit** -- the shape was tuned before *on this machine* at this
+   thread count (entries stamped with a foreign machine fingerprint are
+   bypassed, not trusted): execute its plan verbatim (deterministic:
+   identical calls pick identical plans);
+3. **nearest neighbour** -- an adjacent shape was tuned at the same
    thread count: borrow its plan (the paper's performance regimes are
    wide plateaus);
-3. **cross-thread transfer** -- an adjacent shape was tuned at *another*
-   thread count: serve its plan retargeted (``PlanCache.nearest``'s
-   penalized fallback), while learning policies treat it as unmeasured
-   and tune/explore at this thread count;
 4. **cost model** -- rank the candidate space analytically and run the
-   best plan untimed; the tuning *policy* (:mod:`repro.tuner.policy`)
-   decides whether and how to learn from the call: ``tune="auto"`` /
-   ``"always"`` run a blocking synthetic sweep, ``tune="online"``
-   explores the shortlist across real calls with amortized timing.
+   best plan.  The tuning *policy* (:mod:`repro.tuner.policy`) decides
+   whether to measure first: ``tune="auto"`` times the cost-ranked
+   shortlist once and caches the winner, ``"always"`` on every call.
 
-Tiny problems skip all of it and go straight to the vendor BLAS: below the
-dgemm ramp-up knee no fast algorithm can win (Section 3.4).
+A plan the quarantine ledger holds is skipped at whichever stage proposes
+it, and charged once per lookup however many stages do.
 
 The hot path is allocation-managed: each dispatching thread owns **one**
 :class:`repro.core.workspace.Workspace` arena that only grows -- a call
@@ -29,27 +27,24 @@ that has served N plans holds the largest one's memory, not the sum: the
 paper's Section 4 memory discipline, per call as the paper states it --
 and worker pools persist across calls, so a warm ``matmul(A, B, out=C)``
 performs zero large allocations.  A bump-pointer arena cannot be shared
-mid-call, hence one per thread; it dies with its thread.  Timed
-tuning/exploration calls and guard fallbacks run in throwaways
-(:func:`build_workspace`): a losing candidate never grows a serving arena.
+mid-call, hence one per thread; it dies with its thread.  Measurement
+sweeps and guard fallbacks run in throwaways (:func:`build_workspace`): a
+losing candidate never grows a serving arena.
 
-**The serving tail.**  What a call does around its gemms is written once:
-:func:`_serve` is the only tail ``matmul`` has -- plain, telemetry-on and
-guarded calls all cross it -- and the only caller of ``policy.select``
-(under the ``dispatch.lookup`` span) and ``policy.observe``.  It resolves
-the plan; takes the arena (a *timed* call's is a ``build_workspace``
-throwaway, a warm call's is the thread's own, from ``workspace_for``);
-executes under the ``dispatch.execute`` span,
-bracketed by ``policy.clock`` -- directly, or through
+**The serving tail.**  What a call does around its gemms is written once,
+on one path: :func:`_serve` is the only tail ``matmul`` has -- plain,
+telemetry-on and guarded calls all cross it -- and the only caller of
+``policy.select`` (under the ``dispatch.lookup`` span).  It resolves the
+plan; takes the thread's arena from ``workspace_for``; executes under the
+``dispatch.execute`` span -- directly, or through
 :func:`repro.guard.chain.run_guarded`, which only walks the fallback
-ladder and says which plan served; feeds the execute-only duration of a
-timed call to the policy; and hands the outcome to :func:`_report`.
-``matmul_batched`` resolves a batch plan instead, runs its elements in the
-arena of whichever thread executes them, and reports through the same
-function, so for every request -- per-call,
-guarded, guard-fallback, batched -- a warm arena that spilled to the heap
-is counted (``workspace.overflows``) and warned about once per (plan,
-shape, dtype) with or without telemetry, and one record of one schema
+ladder and says which plan served; and hands the outcome to
+:func:`_report`.  ``matmul_batched`` resolves a batch plan instead, runs
+its elements in the arena of whichever thread executes them, and reports
+through the same function, so for every request -- per-call, guarded,
+guard-fallback, batched -- a warm arena that spilled to the heap is
+counted (``workspace.overflows``) and warned about once per (plan, shape,
+dtype) with or without telemetry, and one record of one schema
 (``seconds`` is whole-call wall time) lands in the telemetry ring.  With
 telemetry off the spans are the shared ``NULL_SPAN`` and the report is
 one branch.
@@ -82,8 +77,8 @@ from repro.parallel import blas
 from repro.parallel.pool import WorkerPool, resolve_threads
 from repro.parallel.schedules import multiply_parallel, parallel_footprint
 from repro.tuner.cache import PlanCache
-from repro.tuner.policy import TuningPolicy, get_policy, measured_plan
-from repro.tuner.space import Plan, enumerate_plans
+from repro.tuner.policy import TuningPolicy, get_policy
+from repro.tuner.space import Plan, enumerate_plans, trivial_dim
 from repro.util.validation import check_matmul_dims, require_2d
 
 _log = logging.getLogger(__name__)
@@ -216,9 +211,9 @@ def plan_footprint(plan: Plan, p: int, q: int, r: int,
 def build_workspace(plan: Plan, p: int, q: int, r: int,
                     dtype_a, dtype_b) -> Workspace | None:
     """A fresh arena of exactly :func:`plan_footprint` bytes that no thread
-    owns (``None`` for plain-BLAS plans).  Measurement sweeps, timed
-    exploration and guard fallbacks run in one, so a losing 374 MB tree
-    candidate is garbage-collected instead of growing the serving arena."""
+    owns (``None`` for plain-BLAS plans).  Measurement sweeps and guard
+    fallbacks run in one, so a losing 374 MB tree candidate is
+    garbage-collected instead of growing the serving arena."""
     if plan.is_dgemm:
         return None
     return Workspace(plan_footprint(plan, p, q, r, dtype_a, dtype_b))
@@ -331,15 +326,13 @@ def get_plan(
 ) -> tuple[Plan, str]:
     """Resolve the plan for a shape; returns ``(plan, source)``.
 
-    ``source`` is one of ``"trivial"``, ``"cache"``, ``"nearest"``,
-    ``"transfer"`` or ``"model"`` -- callers use it to decide whether
-    tuning is worth the trouble: ``"model"`` plans are unmeasured guesses
-    and ``"transfer"`` plans (cross-thread retargeted via
-    :meth:`PlanCache.nearest`) were never measured *at this thread
-    count*, so the auto/online policies treat both as tunable while pure
-    dispatch serves them as-is.  Cache and nearest lookups only ever
-    return fingerprint-fresh entries; a cache full of another machine's
-    plans resolves to ``"model"``.
+    ``source`` names the stage that answered (see the module docstring):
+    ``"trivial"``, ``"cache"``, ``"nearest"`` or ``"model"`` -- callers
+    use it to decide whether tuning is worth the trouble: ``"model"``
+    plans are unmeasured guesses.  Cache and nearest lookups only ever
+    return fingerprint-fresh entries at this thread count; a cache full
+    of another machine's (or another thread count's) plans resolves to
+    ``"model"``.
 
     ``threads`` defaults to every available core, the same default
     ``tune``/``matmul`` use, so a tune-then-dispatch pair agrees on the
@@ -348,21 +341,30 @@ def get_plan(
     """
     threads = resolve_threads(threads)
     cache = cache if cache is not None else _shared_cache()
-    hit = measured_plan(p, q, r, dtype, threads, cache)
-    if hit is not None:
-        return hit
+    if min(p, q, r) < trivial_dim(dtype):
+        return Plan(threads=threads), "trivial"
+    skipped = []
+
+    def admits(plan: Plan) -> bool:
+        # the quarantine ledger reaches every stage, and one lookup
+        # charges a plan's skip once however many stages propose it
+        # (bounded -- the ledger's backoff probe lets it through
+        # periodically to check whether the world healed)
+        if plan in skipped:
+            return False
+        if cache.plan_quarantined(p, q, r, dtype, threads, plan):
+            skipped.append(plan)
+            return False
+        return True
+
+    plan = cache.get(p, q, r, dtype, threads)
+    if plan is not None and admits(plan):
+        return plan, "cache"
     plan = cache.nearest(p, q, r, dtype, threads)
-    if plan is not None:
-        return plan, "transfer"
+    if plan is not None and admits(plan):
+        return plan, "nearest"
     plans = enumerate_plans(p, q, r, threads=threads, dtype=dtype)
-    for cand in plans:
-        # the quarantine ledger reaches the model stage too: a candidate
-        # that keeps failing guarded execution is passed over for the
-        # next-ranked plan (bounded -- the ledger's backoff probe lets it
-        # through periodically to check whether the world healed)
-        if not cache.plan_quarantined(p, q, r, dtype, threads, cand):
-            return cand, "model"
-    return plans[0], "model"
+    return next((cand for cand in plans if admits(cand)), plans[0]), "model"
 
 
 def _warn_overflow(plan: Plan, p: int, q: int, r: int, dtype: str,
@@ -374,8 +376,7 @@ def _warn_overflow(plan: Plan, p: int, q: int, r: int, dtype: str,
     on the *serving* path an overflow means the arena undersizes its plan
     and every warm call is silently paying allocator traffic -- exactly
     the regression the zero-allocation steady state exists to prevent, so
-    it must not stay invisible.  Timed tuning calls are exempt: their
-    throwaway arenas overflowing costs nothing lasting.
+    it must not stay invisible.
     """
     telemetry.incr("workspace.overflows", count)
     key = (plan, p, q, r, dtype)
@@ -391,13 +392,13 @@ def _warn_overflow(plan: Plan, p: int, q: int, r: int, dtype: str,
 
 def _report(plan: Plan, served: Plan, source: str, p: int, q: int, r: int,
             dtype: str, threads: int, arenas, spilled: int,
-            timed: bool, t_call: int, **batch) -> None:
+            t_call: int, **batch) -> None:
     """What every request reports once it has executed -- the one
     overflow warning and the one record builder.
 
     ``arenas`` are what ``plan`` drew temporaries from (the thread's
-    :class:`Workspace` or a throwaway, one per worker for an elementwise
-    batch, none for plain BLAS) and ``spilled`` the heap overflows they
+    :class:`Workspace`, one per worker for an elementwise batch, none for
+    plain BLAS) and ``spilled`` the heap overflows they
     counted during this request.  ``arena_bytes`` is the call's
     reservation, not the capacity earlier plans left behind, and
     ``arena_high_water`` what it carved.  The record describes the plan
@@ -405,12 +406,12 @@ def _report(plan: Plan, served: Plan, source: str, p: int, q: int, r: int,
     source ``"guard"`` with no arena.  A batched request (whose plans are
     its per-element ones) adds ``batch`` and ``batch_mode``.
     """
-    if spilled > 0 and not timed:
+    if spilled > 0:
         _warn_overflow(plan, p, q, r, dtype, spilled)
     if not telemetry.enabled():
         return
     if served is not plan:
-        source, arenas, timed = "guard", (), False
+        source, arenas = "guard", ()
     seconds = (telemetry.clock_ns() - t_call) * 1e-9
     telemetry.incr("dispatch.calls")
     telemetry.incr("dispatch.source", source=source)
@@ -429,7 +430,6 @@ def _report(plan: Plan, served: Plan, source: str, p: int, q: int, r: int,
         "backend": served.backend,
         "seconds": seconds,
         "gflops": gflops,
-        "timed": timed,
         **batch,
     }
     if arenas:
@@ -451,29 +451,20 @@ def _serve(policy: TuningPolicy, cfg, A: np.ndarray, B: np.ndarray,
            cache: PlanCache, pool: WorkerPool | None,
            out: np.ndarray | None) -> np.ndarray:
     """The serving tail of every :func:`matmul` call (see the module
-    docstring): resolve, take the arena, execute, learn, report."""
+    docstring): resolve, take the thread's arena, execute, report."""
     t_call = telemetry.clock_ns()
     with telemetry.span("dispatch.lookup"):
         plan, source = policy.select(p, q, r, dtype, threads, cache)
-    timed = policy.wants_timing(source)
-    # timed exploration: a throwaway arena, so a losing shortlist
-    # candidate never grows the thread's serving arena
-    arena = build_workspace if timed else workspace_for
-    workspace = arena(plan, p, q, r, A.dtype, B.dtype)
+    workspace = workspace_for(plan, p, q, r, A.dtype, B.dtype)
     spilled_before = (workspace.overflow_allocations
                       if workspace is not None else 0)
-    elapsed = 0.0
 
     def run(pl: Plan, dest):
-        # the resolved plan runs in the call's arena; any other plan is a
-        # guard fallback and gets a throwaway of its own
-        nonlocal elapsed
+        # the resolved plan runs in the thread's arena; any other plan is
+        # a guard fallback and gets a throwaway of its own
         ws = (workspace if pl is plan
               else build_workspace(pl, p, q, r, A.dtype, B.dtype))
-        t0 = policy.clock()
-        C = execute_plan(pl, A, B, pool=pool, out=dest, workspace=ws)
-        elapsed = policy.clock() - t0
-        return C
+        return execute_plan(pl, A, B, pool=pool, out=dest, workspace=ws)
 
     with telemetry.span("dispatch.execute", scheme=plan.scheme):
         if cfg is None:
@@ -482,13 +473,11 @@ def _serve(policy: TuningPolicy, cfg, A: np.ndarray, B: np.ndarray,
             C, served = _guard_chain.run_guarded(
                 cfg, plan, run, ((A,), (B,)), out,
                 lambda: np.empty((p, r), dtype=dtype),
-                cache, (p, q, r, dtype, threads), warm=not timed)
-    if timed and served is plan:
-        policy.observe(p, q, r, dtype, threads, cache, plan, elapsed)
+                cache, (p, q, r, dtype, threads))
     arenas = () if workspace is None else (workspace,)
     spilled = sum(ws.overflow_allocations for ws in arenas) - spilled_before
     _report(plan, served, source, p, q, r, dtype, threads, arenas, spilled,
-            timed, t_call)
+            t_call)
     return C
 
 
@@ -506,12 +495,11 @@ def matmul(
 
     The public self-optimizing entry point: consults the plan cache (see
     :mod:`repro.tuner.cache`), falls back to the analytical cost model,
-    and learns according to ``tune`` -- a policy name (``"never"``,
-    ``"auto"``, ``"always"``, ``"online"``) or a
-    :class:`~repro.tuner.policy.TuningPolicy` instance.  ``"online"``
-    explores the candidate shortlist across real calls (epsilon-greedy,
-    amortized timing) and promotes the winner into the cache once sampled;
-    see :mod:`repro.tuner.policy` for the full menu.
+    and measures according to ``tune`` -- a policy name (``"never"``,
+    ``"auto"``, ``"always"``) or a
+    :class:`~repro.tuner.policy.TuningPolicy` instance.  ``"auto"`` times
+    the cost-ranked shortlist the first time a shape resolves to the cost
+    model and caches the winner; see :mod:`repro.tuner.policy`.
 
     ``threads`` defaults to every available core.  ``out`` receives the
     product (same shape/result-dtype, not overlapping ``A``/``B``); with

@@ -235,12 +235,6 @@ class TestOperandForms:
             batched.matmul_batched(A, B, threads=1, cache=cache,
                                    batch_mode="sideways")
 
-    def test_online_tune_rejected_for_batches(self, cache):
-        A, B = batch_operands(16, 16, 16, 2)
-        with pytest.raises(ValueError, match="tune"):
-            batched.matmul_batched(A, B, threads=1, cache=cache,
-                                   tune="online")
-
     def test_threads_zero_raises(self, cache):
         A, B = batch_operands(16, 16, 16, 2)
         with pytest.raises(ValueError, match="threads"):
@@ -335,7 +329,8 @@ class TestAmortization:
                                                 monkeypatch, caplog):
         """An undersized batch reservation is counted, every overflow of
         every element whichever worker ran it, and warned about once per
-        (plan, shape, dtype), like a per-call one; timed sweeps are exempt."""
+        (plan, shape, dtype), like a per-call one; a measurement sweep
+        outside the serving tail reports nothing."""
         n, batch = 256, 4
         plan = Plan(algorithm="strassen", steps=1, threads=1)
         cache.put(n, n, n, "float64", 1, plan)

@@ -1,14 +1,14 @@
-"""The serving tail's oracle: ``dispatch._serve`` is one function, so every
-way of calling ``matmul`` must resolve, take its arena, execute, learn and
-report identically.
+"""The serving tail's oracle: ``dispatch._serve`` is one function on one
+path, so every way of calling ``matmul`` must resolve, take its arena,
+execute and report identically.
 
-{telemetry off, on} x {guard off, on} x {warm ``tune="never"``, timed
-online exploration under a scripted clock} x four plans spanning the
-executors: same ``(plan, source)``, a product bit-equal to the plan's own,
-``observe`` fed exactly the execute-only duration of a timed call, only
-warm calls run in the thread's own arena -- and, under guard, an injected
-failure still lands on the classical product and costs the thread the
-arena the failed plan ran in.
+{telemetry off, on} x {guard off, on} x {a cache hit under
+``tune="never"``, a ``tune="auto"`` sweep on an empty cache} x four plans
+spanning the executors: same ``(plan, source)``, a product bit-equal to
+the plan's own, every serving call in the thread's own arena and no
+measurement sweep ever in it -- and, under guard, an injected failure
+still lands on the classical product and costs the thread the arena the
+failed plan ran in.
 
 And what a sequential NumPy plan executes is stated once too
 (:class:`TestNumpyPlansRunTheInterpreter`): the interpreter, in the
@@ -27,13 +27,12 @@ from repro.codegen import cbackend, generator
 from repro.core.stability import error_bound
 from repro.core.workspace import dfs_footprint
 from repro.guard import faults
-from repro.tuner import PlanCache, dispatch, matmul, policy as policy_mod
-from repro.tuner.policy import OnlineTunePolicy, TuningPolicy
+from repro.tuner import PlanCache, dispatch, matmul, measure
+from repro.tuner.policy import AutoTunePolicy, TuningPolicy
 from repro.tuner.space import Plan
 from repro.util.matrices import random_matrix
 
 N = 192
-TICK = 0.25
 
 PLANS = [
     Plan(threads=1),
@@ -60,32 +59,19 @@ def clean_state():
     reset()
 
 
-class _TickClock:
-    """Advances ``TICK`` per reading: a bracket of two readings measures
-    exactly ``TICK``, whatever else the call does in between."""
-
-    def __init__(self):
-        self.t = 0.0
-
-    def now(self) -> float:
-        self.t += TICK
-        return self.t
-
-
-def _recorded(policy: TuningPolicy) -> dict:
-    """Spy on the two policy calls only the tail may make."""
-    seen = {"selected": [], "observed": []}
-    select, observe = policy.select, policy.observe
+def _recorded(policy: TuningPolicy, arm: str | None = None) -> list:
+    """Spy on ``select``, the one policy call the tail makes; ``arm`` a
+    fault point once it has resolved, so only the serving call fails."""
+    seen = []
+    select = policy.select
 
     def spy_select(*args):
-        seen["selected"].append(select(*args))
-        return seen["selected"][-1]
+        seen.append(select(*args))
+        if arm is not None:
+            faults.arm(arm)
+        return seen[-1]
 
-    def spy_observe(p, q, r, dtype, threads, cache, plan, seconds):
-        seen["observed"].append((plan, seconds))
-        return observe(p, q, r, dtype, threads, cache, plan, seconds)
-
-    policy.select, policy.observe = spy_select, spy_observe
+    policy.select = spy_select
     return seen
 
 
@@ -95,27 +81,26 @@ def _own_arena(plan: Plan, A, B):
                                   N, N, N, A.dtype, B.dtype)
 
 
-def _request(plan: Plan, timed: bool, tmp_path, monkeypatch):
+def _request(plan: Plan, tuned: bool, tmp_path, monkeypatch):
     """``(policy, cache, source)`` making ``plan`` the resolved plan: a
-    cache hit served warm, or the online policy's only (timed) candidate."""
+    cache hit, or the only candidate of an ``auto`` sweep."""
     cache = PlanCache(tmp_path / "plans.json")
-    if timed:
-        monkeypatch.setattr(policy_mod, "enumerate_plans",
+    if tuned:
+        monkeypatch.setattr(measure, "enumerate_plans",
                             lambda *a, **k: [plan])
-        return (OnlineTunePolicy(min_trials=2, clock=_TickClock().now,
-                                 persist=False), cache, "online")
+        return AutoTunePolicy(trials=1, persist=False), cache, "tuned"
     cache.put(N, N, N, "float64", plan.threads, plan, seconds=0.01,
               gflops=1.0)
     return TuningPolicy(), cache, "cache"
 
 
 @pytest.mark.parametrize("plan", PLANS, ids=lambda p: p.describe())
-@pytest.mark.parametrize("timed", [False, True], ids=["warm", "timed"])
+@pytest.mark.parametrize("tuned", [False, True], ids=["cached", "tuned"])
 @pytest.mark.parametrize("guard", [False, True], ids=["plain", "guarded"])
 @pytest.mark.parametrize("observed", [False, True], ids=["quiet", "traced"])
-def test_every_call_crosses_the_same_tail(observed, guard, timed, plan,
+def test_every_call_crosses_the_same_tail(observed, guard, tuned, plan,
                                           tmp_path, monkeypatch):
-    policy, cache, source = _request(plan, timed, tmp_path, monkeypatch)
+    policy, cache, source = _request(plan, tuned, tmp_path, monkeypatch)
     seen = _recorded(policy)
     A, B = random_matrix(N, N, 0), random_matrix(N, N, 1)
     want = dispatch.execute_plan(plan, A, B)
@@ -126,18 +111,16 @@ def test_every_call_crosses_the_same_tail(observed, guard, timed, plan,
     C = matmul(A, B, threads=plan.threads, cache=cache, tune=policy,
                guard=guard)
 
-    assert seen["selected"] == [(plan, source)]
+    assert seen == [(plan, source)]
     assert np.array_equal(C, want)
-    # learning: once per timed call, from the execute-only bracket
-    assert seen["observed"] == ([(plan, TICK)] if timed else [])
-    # arenas: a warm call runs in the thread's own, a timed call in a
-    # throwaway, plain BLAS in none
-    assert arena.uses - uses == (not timed and not plan.is_dgemm)
+    assert cache.get(N, N, N, "float64", plan.threads) == plan
+    # arenas: the serving call runs in the thread's own (plain BLAS in
+    # none), a measurement sweep never does
+    assert arena.uses - uses == (not plan.is_dgemm)
     assert _own_arena(plan, A, B) is arena
     if observed:
         (rec,) = obs.dispatch_records()
-        assert (rec["plan"], rec["source"], rec["timed"]) == (
-            plan.describe(), source, timed)
+        assert (rec["plan"], rec["source"]) == (plan.describe(), source)
         assert obs.span_stats("dispatch.lookup")["count"] == 1
         assert obs.span_stats("dispatch.execute",
                               scheme=plan.scheme)["count"] == 1
@@ -146,26 +129,25 @@ def test_every_call_crosses_the_same_tail(observed, guard, timed, plan,
 
 
 @pytest.mark.parametrize("plan", PLANS, ids=lambda p: p.describe())
-@pytest.mark.parametrize("timed", [False, True], ids=["warm", "timed"])
+@pytest.mark.parametrize("tuned", [False, True], ids=["cached", "tuned"])
 @pytest.mark.parametrize("observed", [False, True], ids=["quiet", "traced"])
-def test_guarded_failure_lands_on_classical(observed, timed, plan, tmp_path,
+def test_guarded_failure_lands_on_classical(observed, tuned, plan, tmp_path,
                                             monkeypatch):
-    policy, cache, _ = _request(plan, timed, tmp_path, monkeypatch)
-    seen = _recorded(policy)
+    policy, cache, source = _request(plan, tuned, tmp_path, monkeypatch)
+    seen = _recorded(policy, arm="plan.raise")
     A, B = random_matrix(N, N, 2), random_matrix(N, N, 3)
     arena = _own_arena(plan, A, B)
     if observed:
         obs.enable()
-    with faults.inject("plan.raise"):
-        C = matmul(A, B, threads=plan.threads, cache=cache, tune=policy,
-                   guard=True)
+    C = matmul(A, B, threads=plan.threads, cache=cache, tune=policy,
+               guard=True)
 
+    assert seen == [(plan, source)]
     assert np.array_equal(C, np.matmul(A, B))
-    assert seen["observed"] == []  # a failed plan teaches nothing
-    # the arena a failed warm plan ran in (a zombie may still write to it)
-    # is dropped for a new one; a throwaway never was the thread's
+    # the arena the failed plan ran in (a zombie may still write to it) is
+    # dropped for a new one; plain BLAS drew from none
     after = _own_arena(plan, A, B)
-    assert (after is arena) == (timed or plan.is_dgemm) == (after.uses > 1)
+    assert (after is arena) == plan.is_dgemm == (after.uses > 1)
     if observed:
         assert obs.counter_value("guard.fallbacks", stage="classical") == 1
         (rec,) = obs.dispatch_records()

@@ -204,13 +204,35 @@ def test_quarantine_after_threshold_and_probe_backoff():
     assert not cache.plan_quarantined(64, 64, 64, "float64", 1, plan)
 
 
-def test_quarantined_plan_skipped_by_get(tmp_path):
+def test_quarantined_plan_skipped_by_resolution(tmp_path):
+    """The store keeps the entry; dispatch's resolution skips its plan."""
     plan = Plan(algorithm="strassen", steps=1, threads=1)
-    cache = _cache_with(96, 1, plan, tmp_path)
-    assert cache.get(96, 96, 96, "float64", 1) is not None
+    cache = _cache_with(192, 1, plan, tmp_path)
+    assert dispatch.get_plan(192, 192, 192, threads=1,
+                             cache=cache) == (plan, "cache")
     for _ in range(2):
-        cache.record_failure(96, 96, 96, "float64", 1, plan, "boom")
-    assert cache.get(96, 96, 96, "float64", 1) is None
+        cache.record_failure(192, 192, 192, "float64", 1, plan, "boom")
+    assert cache.get(192, 192, 192, "float64", 1) == plan
+    got, source = dispatch.get_plan(192, 192, 192, threads=1, cache=cache)
+    assert source == "model" and got != plan
+
+
+def test_quarantined_entry_probes_every_16th_lookup(tmp_path):
+    """One lookup charges a quarantined plan's ledger once, however many
+    resolution stages could propose it, so the backoff probe serves the
+    cached plan exactly at the 16th, 32nd and 48th lookup."""
+    n = 512
+    plan = Plan(algorithm="strassen", steps=1, threads=1)
+    cache = _cache_with(n, 1, plan, tmp_path)
+    for _ in range(2):
+        cache.record_failure(n, n, n, "float64", 1, plan, "boom")
+    obs.enable()
+    served = [dispatch.get_plan(n, n, n, threads=1, cache=cache)
+              for _ in range(48)]
+    probes = [i for i, hit in enumerate(served, 1) if hit == (plan, "cache")]
+    assert probes == [16, 32, 48]
+    assert obs.counter_value("guard.quarantine_skips") == 45
+    assert obs.counter_value("guard.quarantine_probes") == 3
 
 
 def test_failure_ledger_survives_save_load(tmp_path):
@@ -221,7 +243,7 @@ def test_failure_ledger_survives_save_load(tmp_path):
     assert cache.save()
     reloaded = PlanCache(tmp_path / "plans.json")
     assert reloaded.quarantined_keys() == cache.quarantined_keys()
-    assert reloaded.get(96, 96, 96, "float64", 1) is None
+    assert reloaded.plan_quarantined(96, 96, 96, "float64", 1, plan)
 
 
 # ------------------------------------------------------------ chaos tier

@@ -12,8 +12,6 @@ from repro import obs
 from repro.core.workspace import Workspace
 from repro.obs import telemetry
 from repro.tuner import PlanCache, dispatch, matmul
-from repro.tuner.measure import Measurement, ShapeReport
-from repro.tuner.policy import OnlineTunePolicy, UCBTunePolicy
 from repro.tuner.space import Plan
 from repro.util.matrices import random_matrix
 
@@ -224,7 +222,6 @@ class TestDispatchIntegration:
         assert rec["shape"] == [192, 192, 192]
         assert rec["source"] == "cache"
         assert rec["scheme"] == "dfs"
-        assert rec["timed"] is False
         assert rec["arena_overflows"] == 0
         assert rec["seconds"] > 0
 
@@ -242,7 +239,7 @@ class TestOneServingTail:
     the whole call's wall time."""
 
     BASE = {"shape", "dtype", "threads", "source", "plan", "scheme",
-            "backend", "seconds", "gflops", "timed"}
+            "backend", "seconds", "gflops"}
     ARENA = {"arena_bytes", "arena_high_water", "arena_overflows"}
 
     @pytest.mark.parametrize("guard", [False, True])
@@ -350,99 +347,3 @@ class TestWorkspaceStats:
         assert stats["nbytes"] == ws.nbytes
         assert stats["max_mark_depth"] == 2
         assert stats["overflow_allocations"] == 0
-
-
-class _TickClock:
-    """Deterministic clock that advances a fixed step per reading, so
-    bracketed timings are positive without real wall-clock dependence."""
-
-    def __init__(self, step: float = 0.001):
-        self.t = 0.0
-        self.step = step
-
-    def now(self) -> float:
-        self.t += self.step
-        return self.t
-
-
-class TestPolicyTelemetry:
-    def test_online_choice_counters_and_arm_gauges(self, tmp_path):
-        obs.enable()
-        clock = _TickClock()
-        policy = OnlineTunePolicy(shortlist=2, min_trials=1, epsilon=1.0,
-                                  seed=7, clock=clock.now, persist=False)
-        cache = _plan_cache(tmp_path)
-        A = random_matrix(192, 192, 3)
-        for _ in range(3):
-            matmul(A, A, threads=1, cache=cache, tune=policy)
-        explored = obs.counter_value("policy.choice", policy="online",
-                                     kind="explore")
-        exploited = obs.counter_value("policy.choice", policy="online",
-                                      kind="exploit")
-        assert explored + exploited >= 2
-        assert explored >= 1
-        key = "192x192x192:float64:1t"
-        pulls = obs.gauge_value("policy.arm_pulls", policy="online",
-                                key=key, arm="0")
-        assert pulls is not None and pulls >= 1
-        assert obs.gauge_value("policy.arm_mean_seconds", policy="online",
-                               key=key, arm="0") is not None
-
-    def test_ucb_bootstrap_counts_as_exploration(self, tmp_path):
-        obs.enable()
-        clock = _TickClock()
-        policy = UCBTunePolicy(shortlist=2, min_trials=1, seed=7,
-                               clock=clock.now, persist=False)
-        cache = _plan_cache(tmp_path)
-        A = random_matrix(192, 192, 4)
-        matmul(A, A, threads=1, cache=cache, tune=policy)
-        assert obs.counter_value("policy.choice", policy="ucb",
-                                 kind="explore") >= 1
-
-
-class TestTransferQuality:
-    def test_gauge_from_report_measurements(self):
-        from repro.tuner.policy import AutoTunePolicy
-
-        obs.enable()
-        transferred = Plan(algorithm="strassen", steps=1, scheme="dfs",
-                           threads=2)
-        winner = Plan(algorithm="winograd", steps=1, scheme="dfs", threads=2)
-        report = ShapeReport(
-            256, 256, 256, "float64", 2,
-            (Measurement(winner, 0.010, 3.0),
-             Measurement(transferred, 0.015, 2.0)),
-        )
-        AutoTunePolicy()._record_transfer_quality(
-            transferred, report, 256, 256, 256, "float64", 2)
-        ratio = obs.gauge_value("transfer.quality_ratio",
-                                key="256x256x256:float64:2t")
-        assert ratio == pytest.approx(1.5)
-        assert obs.counter_value("transfer.retuned") == 1
-
-    def test_transfer_dispatch_sets_gauge(self, tmp_path, monkeypatch):
-        """End to end: a cross-thread transfer under tune='auto' re-tunes
-        and records the transferred plan's quality ratio."""
-        import repro.tuner.measure as measure
-        from repro.tuner.policy import AutoTunePolicy
-
-        obs.enable()
-        # cache tuned at 2 threads only; dispatch at 1 thread must transfer
-        plan = Plan(algorithm="strassen", steps=1, scheme="dfs", threads=2)
-        cache = _plan_cache(tmp_path, (192, 192, 192, "float64", 2, plan))
-
-        retargeted = Plan(algorithm="strassen", steps=1, scheme="dfs",
-                          threads=1)
-        fake_report = ShapeReport(
-            192, 192, 192, "float64", 1,
-            (Measurement(Plan(threads=1), 0.008, 2.0),
-             Measurement(retargeted, 0.012, 1.5)),
-        )
-        monkeypatch.setattr(measure, "tune_shape",
-                            lambda *a, **k: fake_report)
-        A = random_matrix(192, 192, 5)
-        matmul(A, A, threads=1, cache=cache,
-               tune=AutoTunePolicy(persist=False))
-        ratio = obs.gauge_value("transfer.quality_ratio",
-                                key="192x192x192:float64:1t")
-        assert ratio == pytest.approx(1.5)

@@ -6,8 +6,9 @@ Hypothesis drives three families of invariants the hand-picked cases in
 - **cache round-trip**: any plan stored under any well-formed key is
   recovered bit-identically after a save/load cycle;
 - **nearest-shape fallback**: the returned entry is the log-space-closest
-  candidate, and enlarging the radius is monotone (a hit never disappears,
-  the distance never increases);
+  candidate at the queried thread count (never another thread count's,
+  never the queried key's own), and enlarging the radius is monotone (a
+  hit never disappears, the distance never increases);
 - **dispatch correctness**: ``tuner.matmul`` equals numpy for random
   shapes, dtypes and policies -- with float32 error asserted against the
   a-priori stability bound of ``core.stability`` (the acceptance criterion
@@ -27,7 +28,7 @@ from hypothesis import strategies as st
 from repro import tuner
 from repro.algorithms import get_algorithm
 from repro.core.stability import error_bound
-from repro.tuner.cache import COMPAT_SCHEMAS, SCHEMA_VERSION, PlanCache
+from repro.tuner.cache import SCHEMA_VERSION, PlanCache
 from repro.tuner.space import PLAN_SCHEMES, Plan, subgroup_candidates
 
 #: catalog names safe to execute at small sizes in property tests
@@ -99,8 +100,8 @@ class TestCacheRoundtrip:
             assert reader.stale_keys()  # visible to invalidation, though
 
 
-class TestSchemaV5Migration:
-    """The v4 -> v5 migration path and the new entry fields."""
+class TestSchema:
+    """Only v6 files are read, and entries carry scheme and P'."""
 
     @settings(max_examples=30, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -125,123 +126,31 @@ class TestSchemaV5Migration:
     @settings(max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(m=dims, k=dims, n=dims, plan=plans,
-           schema=st.sampled_from(COMPAT_SCHEMAS))
-    def test_v4_files_load_as_stale_schema(self, tmp_path, m, k, n, plan,
-                                           schema):
-        """A pre-v5 cache file loads without error; its entries are
-        visible (show/invalidate) but treated as stale-schema: no lookup
-        ever serves them, exactly like a foreign fingerprint."""
+           schema=st.sampled_from([4, 5]))
+    def test_v4_v5_files_load_empty_and_save_v6(self, tmp_path, m, k, n,
+                                                plan, schema):
+        """A file from an older schema reads as any unknown schema does:
+        empty, no error, and the next save rewrites it as the current
+        one."""
         path = tmp_path / "plans.json"
         writer = PlanCache(path)  # this machine's fingerprint...
         writer.put(m, k, n, "float64", 1, plan)
         writer.save()
         raw = json.loads(path.read_text())
         raw["schema"] = schema  # ...but an old schema stamp
-        for ent in raw["entries"].values():
-            ent.pop("scheme", None)
-            ent.pop("subgroup", None)
         path.write_text(json.dumps(raw))
 
         reader = PlanCache(path)
-        assert len(reader) == 1                 # loaded, not dropped
+        assert len(reader) == 0 and reader.load_error is None
         assert reader.get(m, k, n, "float64", 1) is None
-        assert reader.nearest(m, k, n, "float64", 1) is None
-        assert len(reader.stale_keys()) == 1    # ...and flagged
-        # invalidation clears them; the rewritten file is v5
-        assert reader.invalidate(stale_only=True)
         assert reader.save()
-        assert json.loads(path.read_text())["schema"] == SCHEMA_VERSION
-        assert len(PlanCache(path)) == 0
+        assert json.loads(path.read_text())["schema"] == SCHEMA_VERSION == 6
 
     def test_unknown_future_schema_still_starts_fresh(self, tmp_path):
         path = tmp_path / "plans.json"
         path.write_text(json.dumps({"schema": SCHEMA_VERSION + 1,
                                     "entries": {"1x1x1:float64:1t": {}}}))
         assert len(PlanCache(path)) == 0
-
-
-class TestCrossThreadNearest:
-    shapes = st.tuples(
-        st.integers(min_value=64, max_value=2048),
-        st.integers(min_value=64, max_value=2048),
-        st.integers(min_value=64, max_value=2048),
-    )
-
-    @settings(max_examples=40, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(query=shapes, exact=shapes, cross=st.lists(shapes, min_size=1,
-                                                      max_size=4),
-           cross_threads=st.sampled_from([1, 2, 8, 16]))
-    def test_exact_thread_hit_always_beats_transfer(self, tmp_path, query,
-                                                    exact, cross,
-                                                    cross_threads):
-        """However close (even bit-identical in shape) an entry from
-        another thread count is, its scaled cost never beats an
-        exact-thread hit within the radius."""
-        threads = 4
-        cache = PlanCache(tmp_path / "plans.json")
-        exact_plan = Plan(algorithm="winograd", steps=2, scheme="hybrid",
-                          threads=threads)
-        cache.put(*exact, "float64", threads, exact_plan)
-        for i, shp in enumerate(cross):
-            cache.put(*shp, "float64", cross_threads,
-                      Plan(algorithm="strassen", steps=1 + i % 3,
-                           scheme="bfs", threads=cross_threads))
-        got = cache.nearest(*query, "float64", threads)
-        if self._dist(exact, query) <= 1.0:
-            assert got == exact_plan
-        elif got is not None:
-            # only a transfer can answer -- and it must be retargeted
-            assert got.threads == threads
-
-    @staticmethod
-    def _dist(a, b):
-        return math.sqrt(sum(math.log(x / y) ** 2 for x, y in zip(a, b)))
-
-    @settings(max_examples=40, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(query=shapes, entry=shapes,
-           entry_threads=st.sampled_from([1, 2, 3, 8, 16]),
-           query_threads=st.sampled_from([1, 2, 4, 6]),
-           plan=subgroup_plans())
-    def test_transfer_plans_are_always_valid(self, tmp_path, query, entry,
-                                             entry_threads, query_threads,
-                                             plan):
-        """Whatever P' the source entry carries, a cross-thread transfer
-        comes back executable at the queried thread count: Plan validation
-        (P' | threads) passes by construction."""
-        cache = PlanCache(tmp_path / "plans.json")
-        plan = tuner.retarget_plan(plan, entry_threads)
-        cache.put(*entry, "float64", entry_threads, plan)
-        got = cache.nearest(*query, "float64", query_threads)
-        if got is not None:
-            assert got.threads == query_threads
-            if got.subgroup is not None:
-                assert query_threads % got.subgroup == 0
-            assert got.algorithm == plan.algorithm
-            assert got.steps == plan.steps
-
-    @settings(max_examples=30, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(query=shapes, entry=shapes,
-           entry_threads=st.sampled_from([2, 8]))
-    def test_transfer_pays_a_distance_penalty(self, tmp_path, query, entry,
-                                              entry_threads):
-        """The cross-thread fallback is strictly more conservative than
-        the same-thread one: any shape that misses at the entry's own
-        thread count also misses across thread counts."""
-        cache = PlanCache(tmp_path / "plans.json")
-        cache.put(*entry, "float64", entry_threads,
-                  Plan(algorithm="strassen", steps=1, scheme="dfs",
-                       threads=entry_threads))
-        same = cache.nearest(*query, "float64", entry_threads)
-        crossed = cache.nearest(*query, "float64", 4)
-        if same is None:
-            assert crossed is None
-        # and a transfer within range is the same knowledge, retargeted
-        if crossed is not None:
-            assert crossed.algorithm == "strassen"
-            assert crossed.threads == 4
 
 
 class TestNearestMonotonicity:
@@ -253,23 +162,33 @@ class TestNearestMonotonicity:
 
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(query=shapes, entries=st.lists(shapes, min_size=1, max_size=6))
+    @given(query=shapes,
+           entries=st.lists(st.tuples(shapes, st.sampled_from([1, 2, 8])),
+                            min_size=1, max_size=6),
+           threads=st.sampled_from([1, 2]))
     def test_returns_the_closest_entry_within_radius(self, tmp_path, query,
-                                                     entries):
+                                                     entries, threads):
+        """The closest other shape tuned at the queried thread count --
+        however close an entry from another thread count (even the same
+        shape), it never answers."""
         cache = PlanCache(tmp_path / "plans.json")
-        for i, (m, k, n) in enumerate(entries):
-            cache.put(m, k, n, "float64", 1,
-                      Plan(algorithm="strassen", steps=1 + i % 3))
-        got = cache.nearest(*query, "float64", 1, radius=1.0)
-        dists = sorted(_log_dist(e, query) for e in set(entries))
-        if dists[0] > 1.0:
+        for i, (shape, t) in enumerate(entries):
+            # another thread count's plans are told apart by algorithm
+            alg = "strassen" if t == threads else "winograd"
+            cache.put(*shape, "float64", t,
+                      Plan(algorithm=alg, steps=1 + i % 3))
+        got = cache.nearest(*query, "float64", threads, radius=1.0)
+        same = {s for s, t in entries if t == threads and s != query}
+        dists = sorted(_log_dist(e, query) for e in same)
+        if not dists or dists[0] > 1.0:
             assert got is None
         else:
             assert got is not None
             # the plan returned belongs to an entry at the minimal distance
-            winners = {e for e in entries
+            winners = {e for e in same
                        if _log_dist(e, query) == pytest.approx(dists[0])}
-            assert got in {cache.get(*w, "float64", 1) for w in winners}
+            assert got in {cache.get(*w, "float64", threads)
+                           for w in winners}
 
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -300,17 +219,14 @@ class TestDispatchCorrectness:
     @settings(max_examples=12, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(shape=shapes, dtype=st.sampled_from(DTYPES),
-           policy=st.sampled_from(["never", "online"]),
+           policy=st.sampled_from(["never", "auto"]),
            seed=st.integers(min_value=0, max_value=2**31))
     def test_matmul_matches_numpy(self, tmp_path, shape, dtype, policy,
                                   seed):
         p, q, r = shape
         A, B = tuner.tuning_operands(p, q, r, dtype=dtype, seed=seed)
         cache = PlanCache(tmp_path / "plans.json")
-        tune = (tuner.OnlineTunePolicy(shortlist=2, min_trials=1,
-                                       persist=False)
-                if policy == "online" else "never")
-        C = tuner.matmul(A, B, threads=1, cache=cache, tune=tune)
+        C = tuner.matmul(A, B, threads=1, cache=cache, tune=policy)
         assert C.dtype == np.dtype(dtype)
         ref = A.astype(np.float64) @ B.astype(np.float64)
         rel = np.linalg.norm(C.astype(np.float64) - ref) / np.linalg.norm(ref)

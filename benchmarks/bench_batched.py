@@ -3,16 +3,18 @@
 Measures warm batched throughput -- ``repro.tuner.matmul_batched`` over a
 stack of same-shape products -- against a Python loop of per-call
 ``repro.tuner.matmul`` on the same operands, at the small/mid shapes
-where per-call overhead (plan resolution, arena lookup, thread fan-out)
-is a visible share of each multiply (Section 3.4's below-the-knee
-regime).  Both paths run fully warm: the per-call plan is tuned and
-cached first, the batch mode is tuned once via ``tune="auto"``, and both
-sides write into preallocated destinations, so the measured gap is
-exactly the amortization the batched entry point exists to provide.
+where per-call overhead (plan resolution, arena lookup, the serving
+tail) is a visible share of each multiply (Section 3.4's below-the-knee
+regime).  Both paths run the same plan, fully warm: the shape is tuned
+and cached first, and both sides write into preallocated destinations,
+so the measured gap is exactly the amortization the batched entry point
+exists to provide.  NumPy's own stacked ``np.matmul`` at the same BLAS
+thread count is timed beside them and reported (``vs_stacked_blas``),
+not gated.
 
 Also probes, with the tracking allocator, that a warm batched call stays
-under the per-call byte budget -- one plan lookup + one arena (or one
-per-worker arena pool) for the *whole batch*, allocation-free end to end.
+under the per-call byte budget -- one plan lookup + one arena for the
+*whole batch*, allocation-free end to end.
 
 Emits ``BENCH_batched.json`` and exits non-zero when batched throughput
 drops below ``min_batched_throughput_ratio`` x the looped path
@@ -39,6 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.workspace import track_allocations
+from repro.parallel import blas
 from repro.parallel.pool import available_cores
 from repro.tuner import PlanCache, batched, dispatch, measure
 
@@ -52,37 +55,33 @@ BATCH = 16
 DTYPE = "float64"
 
 
-def interleaved_medians(fn_a, fn_b, trials: int) -> tuple[float, float]:
-    """Median seconds/call of two paths, trials interleaved A/B/A/B so
-    background-load drift hits both equally."""
-    ta: list[float] = []
-    tb: list[float] = []
+def interleaved_medians(fns, trials: int) -> list[float]:
+    """Median seconds/call of each path, trials interleaved A/B/C/A/B/C
+    so background-load drift hits every path equally."""
+    times: list[list[float]] = [[] for _ in fns]
     for _ in range(trials):
-        t0 = time.perf_counter()
-        fn_a()
-        ta.append(time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        fn_b()
-        tb.append(time.perf_counter() - t0)
-    ta.sort()
-    tb.sort()
-    return ta[len(ta) // 2], tb[len(tb) // 2]
+        for fn, ts in zip(fns, times):
+            t0 = time.perf_counter()
+            fn()
+            ts.append(time.perf_counter() - t0)
+    return [sorted(ts)[len(ts) // 2] for ts in times]
 
 
 def bench_size(n: int, batch: int, threads: int, trials: int,
                cache: PlanCache, max_warm_bytes: int) -> dict:
-    A, B = measure.batch_operands(n, n, n, batch, dtype=DTYPE, seed=0)
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal((batch, n, n)).astype(DTYPE)
+    B = rng.standard_normal((batch, n, n)).astype(DTYPE)
     C_batched = np.empty((batch, n, n), dtype=np.result_type(A, B))
-    C_looped = np.empty((batch, n, n), dtype=np.result_type(A, B))
+    C_looped = np.empty_like(C_batched)
+    C_stacked = np.empty_like(C_batched)
     a_list, b_list = list(A), list(B)
     c_list = list(C_looped)
 
-    # prime both paths: per-call plan measured + cached, batch mode
-    # measured + cached, arenas and pools built
+    # prime both paths: the per-call plan both run measured + cached,
+    # arenas and pools built
     measure.tune_shape(n, n, n, dtype=DTYPE, threads=threads, trials=1,
                        budget_s=10.0, cache=cache, persist=False)
-    batched.matmul_batched(A, B, out=C_batched, threads=threads,
-                           cache=cache, tune="auto")
 
     def run_looped():
         for a, b, c in zip(a_list, b_list, c_list):
@@ -91,6 +90,10 @@ def bench_size(n: int, batch: int, threads: int, trials: int,
     def run_batched():
         batched.matmul_batched(A, B, out=C_batched, threads=threads,
                                cache=cache)
+
+    def run_stacked():
+        with blas.blas_threads(threads):
+            np.matmul(A, B, out=C_stacked)
 
     run_looped()
     run_batched()
@@ -101,8 +104,8 @@ def bench_size(n: int, batch: int, threads: int, trials: int,
         run_batched()
     with track_allocations() as rep_looped:
         run_looped()
-    t_looped, t_batched = interleaved_medians(run_looped, run_batched,
-                                              trials)
+    t_looped, t_batched, t_stacked = interleaved_medians(
+        (run_looped, run_batched, run_stacked), trials)
 
     bplan, source = batched.get_batch_plan(n, n, n, batch, dtype=DTYPE,
                                            threads=threads, cache=cache)
@@ -115,8 +118,11 @@ def bench_size(n: int, batch: int, threads: int, trials: int,
         "batch_source": source,
         "seconds_looped": t_looped,
         "seconds_batched": t_batched,
+        "seconds_stacked_blas": t_stacked,
         "throughput_ratio": t_looped / t_batched if t_batched > 0
                             else float("inf"),
+        "vs_stacked_blas": t_stacked / t_batched if t_batched > 0
+                           else float("inf"),
         "looped_bytes_per_batch": rep_looped.peak_bytes,
         "batched_bytes_per_batch": rep_batched.peak_bytes,
         "warm_bytes_ok": rep_batched.peak_bytes <= max_warm_bytes,
@@ -127,7 +133,8 @@ def _print_row(row: dict) -> None:
     print(f"n={row['n']:5d} batch={row['batch']:3d}  "
           f"looped {row['seconds_looped'] * 1e3:8.2f} ms "
           f"-> batched {row['seconds_batched'] * 1e3:8.2f} ms "
-          f"(x{row['throughput_ratio']:.2f})  "
+          f"(x{row['throughput_ratio']:.2f}; "
+          f"x{row['vs_stacked_blas']:.2f} stacked np.matmul)  "
           f"warm alloc {row['batched_bytes_per_batch'] / 1e6:.3f} MB  "
           f"[{row['batch_plan']}]")
 

@@ -119,14 +119,11 @@ def matmul_batched(
 ) -> np.ndarray | list[np.ndarray]:
     """Multiply a whole batch of same-shape products, ``(b, p, q) @
     (b, q, r)`` stacked arrays or lists of 2-D arrays, with one amortized
-    decision: one plan lookup, one workspace arena per executing thread
-    and one persistent worker pool serve every element, so a warm
-    batched call with ``out=`` is allocation-free end to end.  The batch
-    also opens a tunable axis -- fan elements across the pool
-    (``batch_mode="elementwise"``, BLAS pinned to one thread per element)
-    versus the usual within-multiply parallel schedules
-    (``batch_mode="within"``) -- cost-ranked by default and measurable
-    with ``tune="auto"``.  See :func:`repro.tuner.matmul_batched`.
+    decision: every element runs the plan :func:`matmul` would serve one
+    of them, resolved once, in one workspace arena with one persistent
+    worker pool, so a warm batched call with ``out=`` is allocation-free
+    end to end.  ``tune`` and ``guard`` mean what they mean for
+    :func:`matmul`.  See :func:`repro.tuner.matmul_batched`.
     """
     from repro import tuner
 

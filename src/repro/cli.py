@@ -95,10 +95,10 @@ def _build_parser() -> argparse.ArgumentParser:
                         "$REPRO_PLAN_CACHE or ~/.cache/repro)")
     p.add_argument("--batch", type=int, default=None, metavar="N",
                    help="multiply a batch of N same-shape products through "
-                        "repro.matmul_batched (one plan/arena/pool for the "
-                        "whole batch) and compare against the stacked "
-                        "vendor BLAS; with --explain, also prints the "
-                        "batch-mode (within vs elementwise) decision")
+                        "repro.matmul_batched (the per-call plan, resolved "
+                        "once, for every element) and compare against the "
+                        "stacked vendor BLAS; with --explain, also runs "
+                        "one observed batch")
     p.add_argument("--guard", action="store_true",
                    help="run through the repro.guard fallback chain "
                         "(tuned plan -> cost-model plan -> classical "
@@ -514,21 +514,12 @@ def _explain(args, A, B, p: int, q: int, r: int, cache, out) -> int:
         batch = args.batch
         print(f"== batch decision: {batch} x {p}x{q}x{r} {dtype}, "
               f"{threads} threads ==", file=out)
-        bplans = tuner.enumerate_batch_plans(p, q, r, batch,
-                                             threads=threads, dtype=dtype,
-                                             max_candidates=6)
-        print("batch-mode shortlist (seconds model, per batch):", file=out)
-        for i, bp in enumerate(bplans, 1):
-            sec = tuner.batch_plan_cost(bp, p, q, r, batch, dtype)
-            print(f"  #{i} {bp.describe():<52} predicted "
-                  f"{sec * 1e3:9.3f} ms", file=out)
         bplan, bsource = tuner.get_batch_plan(p, q, r, batch, dtype=dtype,
                                               threads=threads, cache=cache)
         print(f"chosen batch plan: {bplan.describe()}  "
               f"[source: {bsource}]", file=out)
-        print(f"amortized: one plan lookup + one "
-              f"{'arena per worker' if bplan.mode == 'elementwise' else 'arena'}"
-              f" + one worker pool serve all {batch} elements", file=out)
+        print(f"amortized: one plan lookup + one arena + one worker pool "
+              f"serve all {batch} elements", file=out)
         As = np.stack([A] * batch)
         Bs = np.stack([B] * batch)
         tuner.matmul_batched(As, Bs, threads=threads, cache=cache)
@@ -634,8 +625,7 @@ def _render_stats(snap: dict, origin: str, out) -> None:
                   f"total {row['total_s']:.4f}s", file=out)
     if summary["records"]:
         rec = summary["records"][-1]
-        batch = (f" x batch {rec['batch']} ({rec['batch_mode']})"
-                 if "batch" in rec else "")
+        batch = f" x batch {rec['batch']}" if "batch" in rec else ""
         print(f"last dispatch: {rec['shape'][0]}x{rec['shape'][1]}"
               f"x{rec['shape'][2]} {rec['dtype']}{batch} -> {rec['plan']} "
               f"[{rec['source']}] {rec['seconds']:.4f}s", file=out)

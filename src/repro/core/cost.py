@@ -183,8 +183,13 @@ def plan_cost(
       task** of the parallel schemes -- the tasks the schedule submits.
 
     ``alg=None`` (or ``steps <= 0``) is the plain vendor gemm: exactly the
-    curve's prediction.  ``backend="compiled"`` is scored in float64 -- the
-    C kernels compute in double whatever the operands are.  A parallel
+    curve's prediction.  A gemm on all ``threads`` is priced at the faster
+    of the ``threads`` and the one-thread curve: more BLAS threads never
+    make the vendor's gemm slower, but a vCPU that stalls while the
+    calibration runs makes the measured curve say so (every 2-thread
+    point from 128 up at ~16 ms a call, for the first seconds of some
+    processes on a 2-vCPU VM).  ``backend="compiled"`` is scored in
+    float64 -- the C kernels compute in double whatever the operands are.  A parallel
     scheme is priced for the kernels its schedule will pick
     (:func:`repro.codegen.cbackend.chains_fused`, the same question the
     schedule and its arena ask): fused chains and one task per row range,
@@ -194,12 +199,20 @@ def plan_cost(
     from repro.codegen.cbackend import chains_fused
 
     volume = p * q * r
-    if alg is None or steps <= 0:
-        return calibration(dtype, threads, volume).gemm.seconds(p, q, r)
-    if backend == "compiled":
+    fast = alg is not None and steps > 0
+    if fast and backend == "compiled":
         dtype = "float64"
     cal = calibration(dtype, threads, volume)
     one = cal if threads == 1 else calibration(dtype, 1, volume)
+
+    def all_threads(lp: float, lq: float, lr: float) -> float:
+        # the vendor gemm on every thread is never slower than on one: a
+        # point of the T-thread curve under the one-thread curve is a
+        # vCPU that stalled while the calibration ran, not the gemm
+        return min(cal.gemm.seconds(lp, lq, lr), one.gemm.seconds(lp, lq, lr))
+
+    if not fast:
+        return all_threads(p, q, r)
     # only DFS and the tree schemes spread their additions over the pool
     adders = one if scheme == "sequential" else cal
     fused = scheme != "sequential" and chains_fused(dtype)
@@ -232,7 +245,7 @@ def plan_cost(
         products += leaves
     cost = (words * np.dtype(dtype).itemsize / (adders.add_gbs * 1e9)
             + products * cal.call_s)
-    wide = cal.gemm.seconds(lp, lq, lr)
+    wide = all_threads(lp, lq, lr)
     if scheme in ("sequential", "dfs"):
         cost += leaves * wide
         if scheme == "dfs":
@@ -252,7 +265,7 @@ def plan_cost(
     narrow = one.gemm.seconds(lp, lq, lr)
     # a full wave -- a leaf per thread, side by side -- is no faster than
     # the vendor's own gemm on all threads over the wave's work
-    wave = max(narrow, cal.gemm.seconds(lp, lq, lr * threads))
+    wave = max(narrow, all_threads(lp, lq, lr * threads))
     rem = leaves % threads
     cost += leaves // threads * wave
     if scheme == "bfs":
@@ -265,45 +278,6 @@ def plan_cost(
     else:
         cost += rem * wide
     return cost
-
-
-def batch_cost(
-    alg: FastAlgorithm | None,
-    p: int,
-    q: int,
-    r: int,
-    steps: int,
-    batch: int,
-    threads: int = 1,
-    mode: str = "within",
-    scheme: str = "sequential",
-    subgroup: int | None = None,
-    backend: str = "numpy",
-    dtype: str = "float64",
-) -> float:
-    """Predicted seconds of a *batch* of same-shape products: the pool
-    **within** each multiply (``batch`` elements one after another, each at
-    :func:`plan_cost` on all ``threads``) or fanned across **elementwise**
-    entries (``ceil(batch / threads)`` waves of the single-thread
-    sequential prediction plus one pool task per element).  Which wins is
-    the measured curves' call: below the Section 3.4 knee a
-    ``threads``-way gemm is barely faster than a single-threaded one, so
-    fanning out wins unless the pool's per-task cost eats it.
-    """
-    from repro.bench.machine import calibration
-
-    if batch < 1:
-        raise ValueError("batch must be >= 1")
-    if mode == "elementwise":
-        workers = max(1, threads)
-        per = plan_cost(alg, p, q, r, steps, backend=backend, dtype=dtype)
-        return (math.ceil(batch / workers) * per
-                + batch * calibration(dtype, workers).task_s)
-    if mode != "within":
-        raise ValueError(f"unknown batch mode {mode!r}")
-    return batch * plan_cost(alg, p, q, r, steps, scheme=scheme,
-                             threads=threads, subgroup=subgroup,
-                             backend=backend, dtype=dtype)
 
 
 # ------------------------------------------------------ reads/writes, Sec 3.2

@@ -4,19 +4,19 @@ A serving layer may never surface a tuner, codegen, arena, or worker-pool
 bug as a failed matmul, and an APA plan (Bini / Schonhage entries, whose
 error growth Section 6 of the paper characterizes) may never silently
 return garbage.  This module is the guard-specific half of a guarded
-call and nothing else: the serving tail (``tuner.dispatch._serve``, or
-``matmul_batched`` for a batch) resolves the plan, takes its arena and
-reports exactly as it does unguarded, and hands :func:`run_guarded` the
-resolved plan and a way to run it.  The ladder
-always lands on a correct product:
+call and nothing else: the serving tail (``tuner.dispatch._serve``, for
+a ``matmul`` call and a ``matmul_batched`` batch alike) resolves the
+plan, takes its arena and reports exactly as it does unguarded, and
+hands :func:`run_guarded` the resolved plan and a way to run it.  The
+ladder always lands on a correct product:
 
 1. **resolved plan** -- whatever the tail resolved (cache / nearest /
    model / tuned), run in the thread's arena, optionally under
    a watchdog deadline (``GuardConfig.timeout_s``);
 2. **cost-model plan** -- on a *plan-implicating* failure, the best
    not-quarantined candidate from :func:`repro.tuner.space.enumerate_plans`
-   that differs from the failed plan, in a throwaway arena (per-call
-   requests only; a batch goes straight to 3);
+   that differs from the failed plan, in a throwaway arena (for a batch,
+   over every element);
 3. **classical** -- a direct ``np.matmul`` per element with no plan, no
    pool, no arena, and no injection points: the stage that cannot fail.
 
@@ -26,7 +26,7 @@ stage 2 -- retrying a different fast plan on a broken substrate wastes
 the deadline budget -- and drop straight to classical, after optionally
 tearing down and rebuilding the shared worker pool.
 
-Stages 1 and 2 and the batch ladder run one body, :func:`_guarded`:
+Stages 1 and 2 run one body, :func:`_guarded`:
 every product that leaves an attempt passes the **numerical guardrail**
 (:func:`check_product`): a sampled NaN/Inf scan for all plans, plus a
 sampled residual check against
@@ -290,7 +290,7 @@ def _elements(result):
 
 
 def _guarded(cfg: GuardConfig, stage: str, plan: Plan, run, operands, out,
-             fresh, cache, key: tuple, batch: int | None):
+             fresh, cache, key: tuple):
     """The one guarded attempt: ``(result, None)``, or ``(None, exc)``
     once the failure has been dealt with.
 
@@ -328,7 +328,7 @@ def _guarded(cfg: GuardConfig, stage: str, plan: Plan, run, operands, out,
                        reason=type(exc).__name__)
         _log.warning("guarded %s-stage execution of [%s] failed: %s",
                      stage, plan.describe(), exc)
-        cache.record_failure(*key, plan, exc, batch=batch)
+        cache.record_failure(*key, plan, exc)
         _recover_infrastructure(cfg, plan, exc)
         return None, exc
     return result, None
@@ -363,37 +363,37 @@ def _fallback_plan(failed: Plan, p: int, q: int, r: int, dtype: str,
 # the chain
 # ---------------------------------------------------------------------------
 def run_guarded(cfg: GuardConfig, plan: Plan, run, operands, out, fresh,
-                cache, key: tuple, batch: int | None = None):
+                cache, key: tuple):
     """Walk the ladder for one resolved request; ``(result, served)``.
 
-    The serving tail hands over what it resolved -- ``plan`` (a batch's
-    per-element plan) and ``run(plan, dest)``, which executes a plan for
-    this request into ``dest`` -- plus what degrading needs: ``operands``
-    (the ``A`` and ``B`` of every element, one per call), the caller's
-    ``out`` (or ``None``), ``fresh()`` for a new destination of the same
-    form, and the quarantine ledger (``cache`` under ``key = (p, q, r,
-    dtype, threads)`` and ``batch``).  ``served`` is the plan that
+    The serving tail hands over what it resolved -- ``plan`` and
+    ``run(plan, dest)``, which executes a plan for this request into
+    ``dest`` -- plus what degrading needs: ``operands`` (the ``A`` and
+    ``B`` of every element, one per call), the caller's ``out`` (or
+    ``None``), ``fresh()`` for a new destination of the same form, and the
+    quarantine ledger (``cache`` under ``key = (p, q, r, dtype,
+    threads)``).  ``served`` is the plan that
     produced the result: ``plan`` itself, the cost-model fallback, or
     plain dgemm for classical.
     """
     from repro.tuner import dispatch
 
-    result, exc = _guarded(cfg, "plan" if batch is None else "batch", plan,
-                           run, operands, out, fresh, cache, key, batch)
+    result, exc = _guarded(cfg, "plan", plan, run, operands, out, fresh,
+                           cache, key)
     if exc is None:
-        cache.record_success(*key, plan, batch=batch)
+        cache.record_success(*key, plan)
         return result, plan
     # a zombie worker might still touch the failed attempt's views
     dispatch.evict_workspace(plan, *key[:3], operands[0][0].dtype,
                              operands[1][0].dtype)
 
     # stage 2: cost-model fallback (skipped for infrastructure failures)
-    if batch is None and not isinstance(exc, INFRASTRUCTURE_FAILURES):
+    if not isinstance(exc, INFRASTRUCTURE_FAILURES):
         fallback = _fallback_plan(plan, *key, cache)
         if fallback is not None:
             telemetry.incr("guard.fallbacks", stage="model")
             result, exc = _guarded(cfg, "model", fallback, run, operands,
-                                   out, fresh, cache, key, batch)
+                                   out, fresh, cache, key)
             if exc is None:
                 return result, fallback
 

@@ -36,17 +36,8 @@ Quick start::
     C = tuner.matmul(A, B, tune="auto")
 """
 
-from repro.tuner.batched import (
-    execute_batch_plan,
-    get_batch_plan,
-    matmul_batched,
-)
-from repro.tuner.cache import (
-    PlanCache,
-    SCHEMA_VERSION,
-    batched_key,
-    default_cache_path,
-)
+from repro.tuner.batched import BatchPlan, get_batch_plan, matmul_batched
+from repro.tuner.cache import PlanCache, SCHEMA_VERSION, default_cache_path
 from repro.tuner.dispatch import (
     build_workspace,
     execute_plan,
@@ -60,10 +51,8 @@ from repro.tuner.dispatch import (
 from repro.tuner.measure import (
     Measurement,
     ShapeReport,
-    batch_operands,
     measure_plan,
     tune,
-    tune_batch,
     tune_shape,
     tuning_operands,
 )
@@ -74,21 +63,16 @@ from repro.tuner.policy import (
     get_policy,
 )
 from repro.tuner.space import (
-    BATCH_MODES,
     PLAN_BACKENDS,
-    BatchPlan,
     Plan,
-    batch_plan_cost,
     candidate_algorithms,
     compiled_backend_available,
-    enumerate_batch_plans,
     enumerate_plans,
     retarget_backend,
     subgroup_candidates,
 )
 
 __all__ = [
-    "BATCH_MODES",
     "PLAN_BACKENDS",
     "BatchPlan",
     "Plan",
@@ -100,15 +84,10 @@ __all__ = [
     "build_workspace",
     "ShapeReport",
     "TuningPolicy",
-    "batch_operands",
-    "batch_plan_cost",
-    "batched_key",
     "candidate_algorithms",
     "compiled_backend_available",
     "default_cache_path",
-    "enumerate_batch_plans",
     "enumerate_plans",
-    "execute_batch_plan",
     "execute_plan",
     "get_batch_plan",
     "get_plan",
@@ -122,7 +101,6 @@ __all__ = [
     "shutdown_shared_pools",
     "subgroup_candidates",
     "tune",
-    "tune_batch",
     "tune_shape",
     "tuning_operands",
     "workspace_for",

@@ -21,8 +21,8 @@ Failures feed back into the cache too: :meth:`PlanCache.record_failure`
 keeps a **per-entry failure ledger** (persisted as a separate top-level
 ``"failures"`` dict -- old readers ignore it, so no schema bump), and a
 (plan, shape, dtype) key that fails :data:`QUARANTINE_THRESHOLD` times is
-*quarantined*: dispatch's resolution (``get_plan``, ``get_batch_plan``,
-the guard's fallback pick) asks :meth:`PlanCache.plan_quarantined` before
+*quarantined*: dispatch's resolution (``get_plan`` and the guard's
+fallback pick) asks :meth:`PlanCache.plan_quarantined` before
 it serves a plan and skips it, falling through to the next stage, except
 for a bounded backoff probe -- every :data:`QUARANTINE_PROBE_EVERY`-th
 skip lets the plan through once, so a transient failure (a since-fixed
@@ -38,7 +38,10 @@ thread count, closest in log-space) -- the paper's Figure 5/6 regimes are
 broad plateaus, so a plan tuned at ``3000 x 416 x 3000`` transfers to
 ``3200 x 400 x 3200`` essentially unchanged.  An entry tuned at another
 thread count never answers: its timings say nothing about, e.g., which P'
-wins here, so such a shape resolves to the cost model.
+wins here, so such a shape resolves to the cost model.  A batch of
+same-shape products runs the shape's per-call entry: there is no batched
+key (a key with a batch suffix, written by an older release, is dropped
+on load).
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from pathlib import Path
 
 from repro.guard import faults
 from repro.obs import telemetry
-from repro.tuner.space import BatchPlan, Plan
+from repro.tuner.space import Plan
 
 _log = logging.getLogger("repro.tuner.cache")
 
@@ -116,36 +119,12 @@ def problem_key(m: int, k: int, n: int, dtype: str, threads: int) -> str:
     return f"{m}x{k}x{n}:{dtype}:{threads}t"
 
 
-def batched_key(m: int, k: int, n: int, dtype: str, threads: int,
-                batch: int) -> str:
-    """Key for an entry tuned over a whole batch of same-shape products.
-
-    A suffix on :func:`problem_key` rather than a schema bump: readers
-    that only know plain keys (older releases' ``_parse_key``) drop the
-    batched entries and keep every existing entry valid.
-    """
-    return f"{problem_key(m, k, n, dtype, threads)}:b{batch}"
-
-
-def _parse_key(key: str) -> tuple[int, int, int, str, int, int | None] | None:
-    """``(m, k, n, dtype, threads, batch)``; ``batch`` is ``None`` for
-    plain per-call keys and the batch size for :func:`batched_key` keys."""
+def _parse_key(key: str) -> tuple[int, int, int, str, int] | None:
+    """``(m, k, n, dtype, threads)`` of a :func:`problem_key`."""
     try:
-        parts = key.split(":")
-        if len(parts) == 3:
-            shape, dtype, t = parts
-            batch = None
-        elif len(parts) == 4:
-            shape, dtype, t, b = parts
-            if not b.startswith("b"):
-                return None
-            batch = int(b[1:])
-            if batch < 1:
-                return None
-        else:
-            return None
+        shape, dtype, t = key.split(":")
         m, k, n = (int(x) for x in shape.split("x"))
-        return m, k, n, dtype, int(t.rstrip("t")), batch
+        return m, k, n, dtype, int(t.rstrip("t"))
     except (ValueError, AttributeError):
         return None
 
@@ -321,15 +300,11 @@ class PlanCache:
     # ------------------------------------------------------ failure ledger
     @staticmethod
     def _ledger_key(m: int, k: int, n: int, dtype: str, threads: int,
-                    plan: Plan, batch: int | None = None) -> str:
-        base = (batched_key(m, k, n, dtype, threads, batch)
-                if batch is not None
-                else problem_key(m, k, n, dtype, threads))
-        return f"{base}|{plan.describe()}"
+                    plan: Plan) -> str:
+        return f"{problem_key(m, k, n, dtype, threads)}|{plan.describe()}"
 
     def record_failure(self, m: int, k: int, n: int, dtype: str,
-                       threads: int, plan: Plan, reason,
-                       batch: int | None = None) -> bool:
+                       threads: int, plan: Plan, reason) -> bool:
         """Charge one guarded-execution failure to a (plan, problem) key.
 
         Returns ``True`` when this failure crossed
@@ -339,7 +314,7 @@ class PlanCache:
         """
         with self._lock:
             self._ensure()
-            key = self._ledger_key(m, k, n, dtype, threads, plan, batch)
+            key = self._ledger_key(m, k, n, dtype, threads, plan)
             rec = self._failures.setdefault(
                 key, {"count": 0, "quarantined": False, "skips": 0})
             rec["count"] = int(rec.get("count", 0)) + 1
@@ -357,20 +332,18 @@ class PlanCache:
             return False
 
     def record_success(self, m: int, k: int, n: int, dtype: str,
-                       threads: int, plan: Plan,
-                       batch: int | None = None) -> None:
+                       threads: int, plan: Plan) -> None:
         """A clean guarded execution rehabilitates the key: the ledger
         entry (and any quarantine) is dropped entirely."""
         with self._lock:
             if not self._failures:
                 return
-            key = self._ledger_key(m, k, n, dtype, threads, plan, batch)
+            key = self._ledger_key(m, k, n, dtype, threads, plan)
             if self._failures.pop(key, None) is not None:
                 telemetry.incr("guard.rehabilitations")
 
     def plan_quarantined(self, m: int, k: int, n: int, dtype: str,
-                         threads: int, plan: Plan,
-                         batch: int | None = None) -> bool:
+                         threads: int, plan: Plan) -> bool:
         """Should a lookup skip this plan for this problem?
 
         Each call charges the ledger one skip, so a resolver asks once
@@ -384,7 +357,7 @@ class PlanCache:
             if not self._failures:
                 return False
             rec = self._failures.get(
-                self._ledger_key(m, k, n, dtype, threads, plan, batch))
+                self._ledger_key(m, k, n, dtype, threads, plan))
             if rec is None or not rec.get("quarantined"):
                 return False
             skips = int(rec.get("skips", 0)) + 1
@@ -485,67 +458,6 @@ class PlanCache:
                 "fingerprint": self.fingerprint,
             }
 
-    def put_batched(self, m: int, k: int, n: int, dtype: str, threads: int,
-                    batch: int, bplan: BatchPlan,
-                    seconds: float | None = None,
-                    gflops: float | None = None) -> None:
-        """Store a plan tuned over a whole batch of same-shape products.
-
-        The entry mirrors :meth:`put` plus a ``batch`` field recording the
-        tuned batch mode (``"within"`` / ``"elementwise"``) and the worker
-        fan-out -- the new batch-parallelism axis.  Batched entries live
-        under :func:`batched_key` keys, so plain per-call entries (old and
-        new) are untouched and stay valid.
-        """
-        with self._lock:
-            self._ensure()
-            plan = bplan.plan
-            self._entries[batched_key(m, k, n, dtype, threads, batch)] = {
-                "plan": plan.to_dict(),
-                "scheme": plan.scheme,
-                "subgroup": plan.subgroup,
-                "backend": plan.backend,
-                "batch": bplan.mode,
-                "workers": bplan.workers,
-                "seconds": seconds,
-                "gflops": gflops,
-                "fingerprint": self.fingerprint,
-            }
-
-    def get_batched(self, m: int, k: int, n: int, dtype: str, threads: int,
-                    batch: int) -> BatchPlan | None:
-        """Batched-entry lookup: exact batch size first, else the entry
-        for the *closest* tuned batch size of the same problem key (batch
-        modes are regime plateaus in ``b`` just as plans are in shape;
-        ties break toward the smaller batch for determinism).  Stale
-        entries miss, like :meth:`get`."""
-        with self._lock:
-            return self._get_batched_locked(m, k, n, dtype, threads, batch)
-
-    def _get_batched_locked(self, m, k, n, dtype, threads, batch):
-        self._ensure()
-        prefix = problem_key(m, k, n, dtype, threads) + ":b"
-        candidates = []
-        for key, ent in self._entries.items():
-            if not key.startswith(prefix):
-                continue
-            parsed = _parse_key(key)
-            if parsed is None or parsed[5] is None or not self._fresh(ent):
-                continue
-            candidates.append((abs(math.log(parsed[5] / batch)),
-                               parsed[5], ent))
-        if not candidates:
-            return None
-        best = min(candidates, key=lambda c: (c[0], c[1]))[2]
-        try:
-            return BatchPlan(
-                plan=Plan.from_dict(best["plan"]),
-                mode=best.get("batch", "within"),
-                workers=int(best.get("workers", 1)),
-            )
-        except (KeyError, TypeError, ValueError):
-            return None
-
     def nearest(
         self, m: int, k: int, n: int, dtype: str = "float64",
         threads: int = 1, radius: float = NEAREST_RADIUS,
@@ -572,8 +484,8 @@ class PlanCache:
                 parsed = _parse_key(key)
                 if key == own or parsed is None or not self._fresh(ent):
                     continue
-                em, ek, en, edtype, et, ebatch = parsed
-                if edtype != dtype or et != threads or ebatch is not None:
+                em, ek, en, edtype, et = parsed
+                if edtype != dtype or et != threads:
                     continue
                 d = math.sqrt(
                     math.log(em / m) ** 2

@@ -32,22 +32,21 @@ sweeps and guard fallbacks run in throwaways (:func:`build_workspace`): a
 losing candidate never grows a serving arena.
 
 **The serving tail.**  What a call does around its gemms is written once,
-on one path: :func:`_serve` is the only tail ``matmul`` has -- plain,
-telemetry-on and guarded calls all cross it -- and the only caller of
-``policy.select`` (under the ``dispatch.lookup`` span).  It resolves the
-plan; takes the thread's arena from ``workspace_for``; executes under the
-``dispatch.execute`` span -- directly, or through
+on one path: :func:`_serve` is the only tail ``matmul`` and
+``matmul_batched`` have -- plain, telemetry-on, guarded and batched
+requests all cross it -- and the only caller of ``policy.select`` (under
+the ``dispatch.lookup`` span).  It resolves the plan; takes the thread's
+arena from ``workspace_for``; executes under the ``dispatch.execute``
+span (``dispatch.batch`` for a batch, whose products run that one plan
+one after another in that one arena) -- directly, or through
 :func:`repro.guard.chain.run_guarded`, which only walks the fallback
 ladder and says which plan served; and hands the outcome to
-:func:`_report`.  ``matmul_batched`` resolves a batch plan instead, runs
-its elements in the arena of whichever thread executes them, and reports
-through the same function, so for every request -- per-call, guarded,
-guard-fallback, batched -- a warm arena that spilled to the heap is
-counted (``workspace.overflows``) and warned about once per (plan, shape,
-dtype) with or without telemetry, and one record of one schema
-(``seconds`` is whole-call wall time) lands in the telemetry ring.  With
-telemetry off the spans are the shared ``NULL_SPAN`` and the report is
-one branch.
+:func:`_report`.  So for every request a warm arena that spilled to the
+heap is counted (``workspace.overflows``) and warned about once per
+(plan, shape, dtype) with or without telemetry, and one record of one
+schema (``seconds`` is whole-call wall time) lands in the telemetry
+ring.  With telemetry off the spans are the shared ``NULL_SPAN`` and the
+report is one branch.
 """
 
 from __future__ import annotations
@@ -391,32 +390,31 @@ def _warn_overflow(plan: Plan, p: int, q: int, r: int, dtype: str,
 
 
 def _report(plan: Plan, served: Plan, source: str, p: int, q: int, r: int,
-            dtype: str, threads: int, arenas, spilled: int,
-            t_call: int, **batch) -> None:
+            dtype: str, threads: int, workspace: Workspace | None,
+            spilled: int, t_call: int, batch: int | None) -> None:
     """What every request reports once it has executed -- the one
     overflow warning and the one record builder.
 
-    ``arenas`` are what ``plan`` drew temporaries from (the thread's
-    :class:`Workspace`, one per worker for an elementwise batch, none for
-    plain BLAS) and ``spilled`` the heap overflows they
+    ``workspace`` is the thread's arena ``plan`` drew temporaries from
+    (``None`` for plain BLAS) and ``spilled`` the heap overflows it
     counted during this request.  ``arena_bytes`` is the call's
     reservation, not the capacity earlier plans left behind, and
     ``arena_high_water`` what it carved.  The record describes the plan
     that ``served``: under guard that may be a fallback, reported as
-    source ``"guard"`` with no arena.  A batched request (whose plans are
-    its per-element ones) adds ``batch`` and ``batch_mode``.
+    source ``"guard"`` with no arena.  A batched request adds ``batch``,
+    its element count; ``gflops`` is then per element.
     """
     if spilled > 0:
         _warn_overflow(plan, p, q, r, dtype, spilled)
     if not telemetry.enabled():
         return
     if served is not plan:
-        source, arenas = "guard", ()
+        source, workspace = "guard", None
     seconds = (telemetry.clock_ns() - t_call) * 1e-9
     telemetry.incr("dispatch.calls")
     telemetry.incr("dispatch.source", source=source)
     telemetry.incr("dispatch.backend", backend=served.backend)
-    gflops = (effective_gflops(p, q, r, seconds / batch.get("batch", 1))
+    gflops = (effective_gflops(p, q, r, seconds / (batch or 1))
               if seconds > 0 else 0.0)
     telemetry.set_gauge("dispatch.last_gflops", gflops)
     telemetry.set_gauge("dispatch.last_seconds", seconds)
@@ -430,32 +428,39 @@ def _report(plan: Plan, served: Plan, source: str, p: int, q: int, r: int,
         "backend": served.backend,
         "seconds": seconds,
         "gflops": gflops,
-        **batch,
     }
-    if arenas:
-        stats = [ws.stats() for ws in arenas]
-        record["arena_bytes"] = stats[0]["nbytes"]
-        record["arena_high_water"] = max(s["high_water"] for s in stats)
-        record["arena_overflows"] = sum(s["overflow_allocations"]
-                                        for s in stats)
+    if batch is not None:
+        record["batch"] = batch
+    if workspace is not None:
+        stats = workspace.stats()
+        record["arena_bytes"] = stats["nbytes"]
+        record["arena_high_water"] = stats["high_water"]
+        record["arena_overflows"] = stats["overflow_allocations"]
         telemetry.set_gauge("workspace.arena_bytes", record["arena_bytes"])
         telemetry.set_gauge("workspace.high_water",
                             record["arena_high_water"])
         telemetry.set_gauge("workspace.max_mark_depth",
-                            max(s["max_mark_depth"] for s in stats))
+                            stats["max_mark_depth"])
     telemetry.record_dispatch(record)
 
 
-def _serve(policy: TuningPolicy, cfg, A: np.ndarray, B: np.ndarray,
-           p: int, q: int, r: int, dtype: str, threads: int,
-           cache: PlanCache, pool: WorkerPool | None,
-           out: np.ndarray | None) -> np.ndarray:
-    """The serving tail of every :func:`matmul` call (see the module
-    docstring): resolve, take the thread's arena, execute, report."""
+def _serve(policy: TuningPolicy, cfg, a_list, b_list, p: int, q: int,
+           r: int, dtype: str, threads: int, cache: PlanCache,
+           pool: WorkerPool | None, out, fresh, batch: int | None = None):
+    """The serving tail of every request (see the module docstring):
+    resolve, take the thread's arena, execute, report.
+
+    ``a_list`` / ``b_list`` are the request's operands, one pair per
+    product: a :func:`matmul` call is one pair with ``batch=None``, a
+    :func:`repro.tuner.batched.matmul_batched` call ``batch`` pairs whose
+    destinations ``out`` holds (``fresh()`` makes another of the same
+    form).  Every product runs the one resolved plan, one after another.
+    """
     t_call = telemetry.clock_ns()
     with telemetry.span("dispatch.lookup"):
         plan, source = policy.select(p, q, r, dtype, threads, cache)
-    workspace = workspace_for(plan, p, q, r, A.dtype, B.dtype)
+    dtype_a, dtype_b = a_list[0].dtype, b_list[0].dtype
+    workspace = workspace_for(plan, p, q, r, dtype_a, dtype_b)
     spilled_before = (workspace.overflow_allocations
                       if workspace is not None else 0)
 
@@ -463,21 +468,26 @@ def _serve(policy: TuningPolicy, cfg, A: np.ndarray, B: np.ndarray,
         # the resolved plan runs in the thread's arena; any other plan is
         # a guard fallback and gets a throwaway of its own
         ws = (workspace if pl is plan
-              else build_workspace(pl, p, q, r, A.dtype, B.dtype))
-        return execute_plan(pl, A, B, pool=pool, out=dest, workspace=ws)
+              else build_workspace(pl, p, q, r, dtype_a, dtype_b))
+        if batch is None:
+            return execute_plan(pl, a_list[0], b_list[0], pool=pool,
+                                out=dest, workspace=ws)
+        for a, b, c in zip(a_list, b_list, dest):
+            execute_plan(pl, a, b, pool=pool, out=c, workspace=ws)
+        return dest
 
-    with telemetry.span("dispatch.execute", scheme=plan.scheme):
+    span = "dispatch.execute" if batch is None else "dispatch.batch"
+    with telemetry.span(span, scheme=plan.scheme):
         if cfg is None:
             C, served = run(plan, out), plan
         else:
             C, served = _guard_chain.run_guarded(
-                cfg, plan, run, ((A,), (B,)), out,
-                lambda: np.empty((p, r), dtype=dtype),
-                cache, (p, q, r, dtype, threads))
-    arenas = () if workspace is None else (workspace,)
-    spilled = sum(ws.overflow_allocations for ws in arenas) - spilled_before
-    _report(plan, served, source, p, q, r, dtype, threads, arenas, spilled,
-            t_call)
+                cfg, plan, run, (a_list, b_list), out, fresh, cache,
+                (p, q, r, dtype, threads))
+    spilled = (workspace.overflow_allocations - spilled_before
+               if workspace is not None else 0)
+    _report(plan, served, source, p, q, r, dtype, threads, workspace,
+            spilled, t_call, batch)
     return C
 
 
@@ -526,5 +536,6 @@ def matmul(
     dtype = np.result_type(A, B).name
     threads = resolve_threads(threads)
     cache = cache if cache is not None else _shared_cache()
-    return _serve(policy, _guard_chain.resolve_guard(guard), A, B, p, q, r,
-                  dtype, threads, cache, pool, out)
+    return _serve(policy, _guard_chain.resolve_guard(guard), (A,), (B,),
+                  p, q, r, dtype, threads, cache, pool, out,
+                  lambda: np.empty((p, r), dtype=dtype))

@@ -31,7 +31,7 @@ from repro.parallel.pool import WorkerPool, resolve_threads
 from repro.tuner import dispatch
 from repro.tuner.cache import PlanCache
 from repro.tuner.dispatch import _shared_cache
-from repro.tuner.space import BatchPlan, Plan, enumerate_batch_plans, enumerate_plans
+from repro.tuner.space import Plan, enumerate_plans
 
 #: default per-shape wall-clock budget for a tuning sweep (seconds)
 DEFAULT_BUDGET_S = 30.0
@@ -57,21 +57,6 @@ def tuning_operands(
     g_a, g_b = (np.random.default_rng(c) for c in ss.spawn(2))
     A = (2.0 * g_a.random((p, q)) - 1.0).astype(dtype, copy=False)
     B = (2.0 * g_b.random((q, r)) - 1.0).astype(dtype, copy=False)
-    return A, B
-
-
-def batch_operands(
-    p: int, q: int, r: int, batch: int, dtype: str = "float64",
-    seed: int = 0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic stacked ``(A, B)`` operands for tuning one batch,
-    seeded like :func:`tuning_operands` but over the whole stack."""
-    ss = np.random.SeedSequence(
-        [seed, p, q, r, batch, zlib.crc32(str(dtype).encode())]
-    )
-    g_a, g_b = (np.random.default_rng(c) for c in ss.spawn(2))
-    A = (2.0 * g_a.random((batch, p, q)) - 1.0).astype(dtype, copy=False)
-    B = (2.0 * g_b.random((batch, q, r)) - 1.0).astype(dtype, copy=False)
     return A, B
 
 
@@ -200,63 +185,6 @@ def tune_shape(
     if persist:
         cache.save()
     return report
-
-
-def tune_batch(
-    p: int,
-    q: int,
-    r: int,
-    batch: int,
-    dtype: str = "float64",
-    threads: int | None = None,
-    budget_s: float = DEFAULT_BUDGET_S,
-    trials: int = 3,
-    max_candidates: int = 4,
-    cache: PlanCache | None = None,
-    persist: bool = True,
-    seed: int = 0,
-) -> BatchPlan:
-    """Measure the batch-mode shortlist for one (shape, batch); cache the
-    winner under the batched key.
-
-    Sweeps :func:`repro.tuner.space.enumerate_batch_plans` -- the within
-    head (the per-call candidate space at the full thread budget) merged
-    with the elementwise head (1-thread sequential plans fanned across the
-    pool) -- timing each candidate on the real batched execution path
-    (:func:`repro.tuner.batched.execute_batch_plan` with ``warm=False``: a
-    within candidate in a throwaway arena, so a losing tree plan never
-    grows the caller's; an elementwise one where it would be served, in
-    its workers' arenas, one sequential element each).  The winner is
-    committed via :meth:`PlanCache.put_batched`; per-call entries are
-    untouched.
-    """
-    from repro.tuner import batched as _batched
-
-    threads = resolve_threads(threads)
-    cache = cache if cache is not None else _shared_cache()
-    A, B = batch_operands(p, q, r, batch, dtype=dtype, seed=seed)
-    out = np.empty((batch, p, r), dtype=np.result_type(A, B))
-    candidates = enumerate_batch_plans(p, q, r, batch, threads=threads,
-                                       dtype=dtype,
-                                       max_candidates=max_candidates)
-    deadline = time.monotonic() + budget_s
-    measured: list[tuple[float, BatchPlan]] = []
-    for bplan in candidates:
-        if measured and time.monotonic() >= deadline:
-            break
-        sec = median_time(
-            lambda: _batched.execute_batch_plan(bplan, A, B, out=out,
-                                                warm=False),
-            trials=trials, warmup=1,
-        )
-        measured.append((sec, bplan))
-    seconds, best = min(measured, key=lambda sb: (sb[0], sb[1].describe()))
-    cache.put_batched(p, q, r, dtype, threads, batch, best,
-                      seconds=seconds,
-                      gflops=effective_gflops(p, q, r, seconds / batch))
-    if persist:
-        cache.save()
-    return best
 
 
 def tune(

@@ -14,8 +14,9 @@ thread:
 - ``always``  -- re-tune on every non-trivial call (benchmarking and
   diagnostics, never production).
 
-``matmul_batched`` reads the same policies: ``should_tune`` says whether
-its batch decision is measured first.
+``matmul_batched`` reads the same policies: a batch runs the plan
+``select`` resolves for its shape, so ``auto`` measures a batch's shape
+once, as it would a single call's.
 """
 
 from __future__ import annotations
@@ -31,13 +32,10 @@ DEFAULT_SHORTLIST = 4
 class TuningPolicy:
     """The ``never`` policy: ``select`` returns ``(plan, source)`` exactly
     as :func:`repro.tuner.dispatch.get_plan` resolves it, and nothing is
-    ever measured.  Subclasses measure first when ``should_tune`` says so
-    and then report source ``"tuned"``."""
+    ever measured.  Subclasses measure first and then report source
+    ``"tuned"``."""
 
     name = "never"
-
-    def should_tune(self, source: str) -> bool:
-        return False
 
     def select(self, p: int, q: int, r: int, dtype: str, threads: int,
                cache: PlanCache) -> tuple[Plan, str]:

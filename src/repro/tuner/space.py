@@ -20,7 +20,7 @@ import functools
 
 from repro.algorithms import get_algorithm, list_algorithms
 from repro.bench import machine
-from repro.core.cost import batch_cost, plan_cost
+from repro.core.cost import plan_cost
 from repro.core.recursion import CutoffPolicy
 from repro.core.stability import max_stable_steps
 from repro.core.transforms import permutation_family
@@ -206,121 +206,6 @@ def compiled_backend_available() -> bool:
     from repro.codegen import cbackend
 
     return cbackend.available()
-
-
-#: the batch-parallelism axis: run the pool *within* each multiply (the
-#: existing parallel schedules, elements serially) or fan the pool across
-#: *elementwise* batch entries (each element sequential, BLAS pinned to 1)
-BATCH_MODES = ("within", "elementwise")
-
-
-@dataclasses.dataclass(frozen=True)
-class BatchPlan:
-    """A per-element :class:`Plan` plus the batch-parallelism decision.
-
-    ``mode="within"`` executes batch elements one at a time, each using
-    the embedded plan's own (possibly parallel) schedule; ``workers``
-    then equals the plan's thread count.  ``mode="elementwise"`` fans
-    elements across a pool of ``workers`` threads, each element running
-    the *sequential* path single-BLAS-threaded in its worker's own arena
-    -- so the embedded plan must be sequential at 1 thread.
-    """
-
-    plan: Plan
-    mode: str = "within"
-    workers: int = 1
-
-    def __post_init__(self):
-        if self.mode not in BATCH_MODES:
-            raise ValueError(
-                f"mode must be one of {BATCH_MODES}, got {self.mode!r}"
-            )
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-        if self.mode == "elementwise":
-            if self.plan.scheme != "sequential":
-                raise ValueError(
-                    "elementwise batch mode runs each element on the "
-                    f"sequential path, not scheme {self.plan.scheme!r}"
-                )
-            if self.plan.threads != 1:
-                raise ValueError(
-                    "elementwise batch mode pins each element to 1 BLAS "
-                    f"thread, got plan.threads={self.plan.threads}"
-                )
-        elif self.workers != self.plan.threads:
-            raise ValueError(
-                f"within batch mode uses the plan's own threads "
-                f"({self.plan.threads}), got workers={self.workers}"
-            )
-
-    def describe(self) -> str:
-        if self.mode == "elementwise":
-            return f"elementwise[{self.workers}w] x {self.plan.describe()}"
-        return f"within x {self.plan.describe()}"
-
-    def to_dict(self) -> dict:
-        return {"plan": self.plan.to_dict(), "mode": self.mode,
-                "workers": self.workers}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "BatchPlan":
-        return cls(plan=Plan.from_dict(d["plan"]),
-                   mode=d.get("mode", "within"),
-                   workers=int(d.get("workers", 1)))
-
-
-def batch_plan_cost(bplan: BatchPlan, p: int, q: int, r: int, batch: int,
-                    dtype: str = "float64") -> float:
-    """Predicted seconds of running the whole batch as ``bplan``."""
-    plan = bplan.plan
-    alg = None if plan.is_dgemm else get_algorithm(plan.algorithm)
-    return batch_cost(
-        alg, p, q, r, plan.steps, batch, threads=bplan.workers,
-        mode=bplan.mode, scheme=plan.scheme, subgroup=plan.subgroup,
-        backend=plan.backend, dtype=dtype,
-    )
-
-
-def enumerate_batch_plans(
-    p: int,
-    q: int,
-    r: int,
-    batch: int,
-    threads: int = 1,
-    max_candidates: int | None = None,
-    dtype: str = "float64",
-) -> list[BatchPlan]:
-    """Candidate batch plans for ``batch`` same-shape products, best first.
-
-    Two heads merged by :func:`repro.core.cost.batch_cost`: the *within*
-    head wraps the ordinary per-call candidate space at the full thread
-    budget, and the *elementwise* head wraps the 1-thread sequential
-    space fanned across ``threads`` workers.  Unlike the per-call space,
-    sub-``trivial_dim`` shapes still produce two candidates (elementwise
-    vs within dgemm) -- fanning single-threaded gemms across the pool is
-    precisely the sub-knee batching win, so trivial shapes are where the
-    batch axis matters most.  ``threads <= 1`` has no fan-out to rank:
-    only the within head is enumerated.
-    """
-    dtype = str(dtype)
-    head = max_candidates if max_candidates is not None else 8
-    scored: list[tuple[float, BatchPlan]] = []
-    for plan in enumerate_plans(p, q, r, threads=threads,
-                                max_candidates=head, dtype=dtype):
-        bplan = BatchPlan(plan=plan, mode="within", workers=plan.threads)
-        scored.append((batch_plan_cost(bplan, p, q, r, batch, dtype), bplan))
-    if threads > 1:
-        for plan in enumerate_plans(p, q, r, threads=1,
-                                    max_candidates=head, dtype=dtype):
-            bplan = BatchPlan(plan=plan, mode="elementwise", workers=threads)
-            scored.append((batch_plan_cost(bplan, p, q, r, batch, dtype),
-                           bplan))
-    scored.sort(key=lambda cb: (cb[0], cb[1].describe()))
-    bplans = [bp for _, bp in scored]
-    if max_candidates is not None:
-        bplans = bplans[:max_candidates]
-    return bplans
 
 
 @functools.lru_cache(maxsize=1)

@@ -500,6 +500,34 @@ class TestCostPricesWhatRuns:
         self._fused(monkeypatch, True)
         assert enumerate_plans(2048, 2048, 2048, threads=2)[0].is_dgemm
 
+    #: a calibration taken in the first seconds of a process on a 2-vCPU
+    #: VM, where every 2-thread gemm from 128 up waited ~16 ms for the
+    #: second vCPU (gflops at 32..512, add GB/s, call_s, task_s)
+    STALLED = {2: ([17.0, 44.5, 0.3, 2.4, 12.1], 11.6, 2.8e-5, 8.2e-5),
+               1: ([17.9, 47.0, 35.3, 41.1, 45.4], 5.8, 2.8e-5, 0.0)}
+
+    @pytest.mark.parametrize("n", [128, 256, 512])
+    def test_a_stalled_two_thread_curve_does_not_unseat_dgemm(
+            self, n, monkeypatch):
+        """A T-thread gemm is priced no slower than a one-thread one: the
+        stalled points used to put a dfs plan that runs 10x slower than
+        dgemm at the head of the 128^3 and 256^3 rankings."""
+        from repro.bench import machine
+
+        sizes = [32, 64, 128, 256, 512]
+        cals = {t: machine.Calibration(
+                    "float64", t, machine.GemmCurve(sizes, gflops, threads=t),
+                    add_gbs, call_s, task_s)
+                for t, (gflops, add_gbs, call_s, task_s)
+                in self.STALLED.items()}
+        monkeypatch.setattr(machine, "calibration",
+                            lambda dtype="float64", threads=1, volume=0:
+                            cals[threads])
+        self._fused(monkeypatch, True)
+        assert enumerate_plans(n, n, n, threads=2)[0].is_dgemm
+        assert plan_cost(None, n, n, n, 0, threads=2) == plan_cost(
+            None, n, n, n, 0, threads=1)
+
     def test_ranking_memo_is_keyed_on_the_compiler(self, monkeypatch):
         """A compiler appearing or disappearing re-ranks: the memoised
         order of one world is never served in the other."""

@@ -358,6 +358,66 @@ def test_batched_guard_bit_equal_under_faults():
 
 
 @pytest.mark.chaos
+@pytest.mark.parametrize("timeout_s", [None, 30.0],
+                         ids=["inline", "watchdog"])
+@pytest.mark.parametrize("form", ["stacked", "list"])
+def test_batch_recovers_through_model_stage(form, timeout_s, tmp_path):
+    """A batch walks the per-call ladder: a one-shot failure of its plan
+    is answered by the cost model's next plan over every element, into
+    the caller's ``out`` (through a private destination under the
+    watchdog), not by classical."""
+    plan = Plan(algorithm="strassen", steps=1, threads=1)
+    cache = _cache_with(192, 1, plan, tmp_path)
+    A, B = _operands(192)
+    Abatch, Bbatch = np.stack([A] * 3), np.stack([B] * 3)
+    ref = np.matmul(Abatch, Bbatch)
+    out = np.empty_like(ref)
+    if form == "list":
+        Abatch, Bbatch, out = list(Abatch), list(Bbatch), list(out)
+    fallback = chain._fallback_plan(plan, 192, 192, 192, "float64", 1, cache)
+    obs.enable()
+    with faults.inject("plan.raise:1"):
+        C = matmul_batched(Abatch, Bbatch, out=out, threads=1, cache=cache,
+                           guard=GuardConfig(timeout_s=timeout_s))
+    assert C is out
+    assert np.allclose(np.stack(C), ref, atol=1e-8 * np.abs(ref).max())
+    assert obs.counter_value("guard.fallbacks", stage="model") == 1
+    assert obs.counter_value("guard.fallbacks", stage="classical") == 0
+    (rec,) = obs.dispatch_records()
+    assert (rec["source"], rec["plan"], rec["batch"]) == (
+        "guard", fallback.describe(), 3)
+
+
+@pytest.mark.chaos
+def test_batch_failures_quarantine_the_shape_plan(tmp_path):
+    """A batch runs its shape's per-call plan, so a failing batch charges
+    the shape's per-call ledger key: after two failing guarded batches the
+    plan is quarantined, and the next batch and the next single call both
+    resolve past it.  (A batch used to charge a batch-only key that no
+    resolution read, so the failing plan was retried by every batch.)"""
+    plan = Plan(algorithm="strassen", steps=1, threads=1)
+    cache = _cache_with(192, 1, plan, tmp_path)
+    A, B = _operands(192)
+    Abatch, Bbatch = np.stack([A] * 3), np.stack([B] * 3)
+    ref = np.matmul(Abatch, Bbatch)
+    with faults.inject("plan.raise"):
+        for _ in range(2):
+            assert np.array_equal(
+                matmul_batched(Abatch, Bbatch, threads=1, cache=cache,
+                               guard=True), ref)
+    assert (f"192x192x192:float64:1t|{plan.describe()}"
+            in cache.quarantined_keys())
+    got, source = dispatch.get_plan(192, 192, 192, threads=1, cache=cache)
+    assert source == "model" and got != plan
+    obs.enable()
+    C = matmul_batched(Abatch, Bbatch, threads=1, cache=cache, guard=True)
+    assert np.allclose(C, ref, atol=1e-8 * np.abs(ref).max())
+    (rec,) = obs.dispatch_records()
+    assert rec["source"] == "model" and rec["plan"] == got.describe()
+    assert obs.summarize()["guard"]["plan_failures"] == 0
+
+
+@pytest.mark.chaos
 def test_fault_storm_everything_still_correct(tmp_path):
     """All six points armed at once; both entry points stay bit-equal and
     the counters tell the story in `repro stats`."""

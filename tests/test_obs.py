@@ -242,16 +242,27 @@ class TestOneServingTail:
             "backend", "seconds", "gflops"}
     ARENA = {"arena_bytes", "arena_high_water", "arena_overflows"}
 
+    @pytest.mark.parametrize("batched", [False, True])
     @pytest.mark.parametrize("guard", [False, True])
-    def test_every_call_opens_both_dispatch_spans(self, guard, tmp_path):
+    def test_every_call_opens_both_dispatch_spans(self, guard, batched,
+                                                  tmp_path):
+        """A batch is one request: one lookup span and one execution span
+        (``dispatch.batch``) whatever its element count."""
+        from repro.tuner import matmul_batched
+
         plan = Plan(algorithm="strassen", steps=1, scheme="dfs", threads=1)
         cache = _plan_cache(tmp_path, (192, 192, 192, "float64", 1, plan))
         A = random_matrix(192, 192, 4)
         obs.enable()
         for _ in range(3):
-            matmul(A, A, threads=1, cache=cache, guard=guard)
+            if batched:
+                matmul_batched(np.stack([A] * 4), np.stack([A] * 4),
+                               threads=1, cache=cache, guard=guard)
+            else:
+                matmul(A, A, threads=1, cache=cache, guard=guard)
+        span = "dispatch.batch" if batched else "dispatch.execute"
         assert obs.span_stats("dispatch.lookup")["count"] == 3
-        assert obs.span_stats("dispatch.execute", scheme="dfs")["count"] == 3
+        assert obs.span_stats(span, scheme="dfs")["count"] == 3
         assert obs.counter_value("dispatch.calls") == 3
 
     def test_one_record_schema(self, tmp_path):
@@ -285,8 +296,8 @@ class TestOneServingTail:
             extra = set(rec) - self.BASE
             assert self.BASE <= set(rec), kind
             if kind == "batched":
-                assert (rec["batch"], rec["batch_mode"]) == (3, "within")
-                extra -= {"batch", "batch_mode"}
+                assert rec["batch"] == 3
+                extra -= {"batch"}
             assert extra in (set(), self.ARENA), kind
             assert (rec["source"] == "guard") == (kind == "fallback")
             inside = sum(row["total_s"] for row in obs.snapshot()["spans"]

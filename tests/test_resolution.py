@@ -11,10 +11,11 @@ and learns only by measuring (``tune`` = ``never`` / ``auto`` /
 - a cache file of any other schema reads empty and saves as the current
   one;
 - ``matmul`` and ``matmul_batched`` take the same three names with the
-  same meaning, and any :class:`TuningPolicy` instance;
-- every resolver -- ``get_plan``, ``get_batch_plan``, the guard's fallback
-  pick -- charges a quarantined plan's ledger once per lookup, so the
-  backoff probe fires on exactly every 16th.
+  same meaning and the same cache entry, and any :class:`TuningPolicy`
+  instance;
+- every resolver -- ``get_plan`` (which a batch resolves through too) and
+  the guard's fallback pick -- charges a quarantined plan's ledger once
+  per lookup, so the backoff probe fires on exactly every 16th.
 """
 
 from __future__ import annotations
@@ -29,11 +30,9 @@ from repro import obs
 from repro.guard import chain
 from repro.tuner import (
     SCHEMA_VERSION,
-    BatchPlan,
     PlanCache,
     dispatch,
     enumerate_plans,
-    get_batch_plan,
     get_plan,
     matmul,
     matmul_batched,
@@ -76,9 +75,9 @@ def _threaded(plan: Plan, threads: int) -> Plan:
                 threads=threads)
 
 
-def _quarantine(cache: PlanCache, plan: Plan, n: int = N, **batch) -> None:
+def _quarantine(cache: PlanCache, plan: Plan, n: int = N) -> None:
     for _ in range(2):
-        cache.record_failure(n, n, n, "float64", 1, plan, "boom", **batch)
+        cache.record_failure(n, n, n, "float64", 1, plan, "boom")
 
 
 # ------------------------------------------------------------ the four stages
@@ -197,11 +196,10 @@ def test_matmul_learns_only_by_measuring(tune, sources, cache, monkeypatch):
 @pytest.mark.parametrize("tune, sources", TWO_CALLS)
 def test_matmul_batched_reads_the_same_names(tune, sources, cache,
                                              monkeypatch):
-    """The batch axis under the same three names, with the same meaning:
-    the measured batch plan is cached under the batched key."""
-    within = BatchPlan(plan=STRASSEN, mode="within", workers=1)
-    monkeypatch.setattr(measure, "enumerate_batch_plans",
-                        lambda *a, **k: [within])
+    """A batch under the same three names, with the same meaning: it
+    measures its shape as a single call would, under the per-call key."""
+    monkeypatch.setattr(measure, "enumerate_plans",
+                        lambda *a, **k: [STRASSEN])
     batch = 3
     A = np.stack([random_matrix(N, N, 6 + i) for i in range(batch)])
     B = np.stack([random_matrix(N, N, 9 + i) for i in range(batch)])
@@ -211,8 +209,8 @@ def test_matmul_batched_reads_the_same_names(tune, sources, cache,
         np.testing.assert_allclose(C, A @ B, rtol=1e-10, atol=1e-10)
 
     assert [rec["source"] for rec in obs.dispatch_records()] == sources
-    assert cache.get_batched(N, N, N, "float64", 1, batch) == (
-        None if tune == "never" else within)
+    assert cache.get(N, N, N, "float64", 1) == (
+        None if tune == "never" else STRASSEN)
 
 
 @pytest.mark.parametrize("cls", [TuningPolicy, AutoTunePolicy,
@@ -260,25 +258,6 @@ def test_get_plan_charges_once_however_many_stages_propose(stages, cache,
     assert served.count((WINOGRAD, "model")) == 30
     assert obs.counter_value("guard.quarantine_skips") == 30
     assert obs.counter_value("guard.quarantine_probes") == 2
-
-
-def test_get_batch_plan_charges_once_per_lookup(cache):
-    batch = 4
-    within = BatchPlan(plan=STRASSEN, mode="within", workers=1)
-    cache.put_batched(N, N, N, "float64", 1, batch, within)
-    _quarantine(cache, STRASSEN, batch=batch)
-    obs.enable()
-
-    served = [get_batch_plan(N, N, N, batch, threads=1, cache=cache)
-              for _ in range(32)]
-
-    probes = [i for i, (bplan, source) in enumerate(served, 1)
-              if source == "cache"]
-    assert probes == [16, 32]
-    assert all(served[i - 1][0] == within for i in probes)
-    assert all(source == "model" for i, (_, source) in enumerate(served, 1)
-               if i not in probes)
-    assert obs.counter_value("guard.quarantine_skips") == 30
 
 
 def test_guard_fallback_pick_charges_once_per_pick(cache):

@@ -1,21 +1,25 @@
-"""Compiled-backend benchmark: the C chain kernels vs the NumPy modules.
+"""Compiled-backend benchmark: the C chain kernels vs the NumPy interpreter.
 
-Measures warm serving throughput of a ``backend="compiled"`` plan --
+Measures warm serving throughput of a sequential fast plan --
 ``tuner.execute_plan`` driving the fused ``form_S``/``form_T``/``form_C``
-C kernels through an arena -- against the *same plan* served by the
-generated NumPy-source module, at mid sizes where the addition chains are
-a visible share of each multiply (the regime the paper's C++ codegen
-targets: one fused pass per chain instead of one NumPy pass per operand
-pair).  Both paths run fully warm (compile + arena build land before any
-timed call) and write into preallocated destinations, so the measured gap
-is exactly the chain-formation traffic the compiled backend eliminates.
+C kernels through an arena, as it does for every float32 or float64
+product on a host with a compiler -- against the *same algorithm and
+depth* run by the interpreter (``core.recursion.multiply``) in its
+Section 4.1 arena, at mid sizes where the addition chains are a visible
+share of each multiply (the regime the paper's C++ codegen targets: one
+fused pass per chain instead of one NumPy pass per operand pair), and on
+the float32 tall-skinny case where the ``float`` kernels replace one
+ufunc pass per term.  Both paths run fully warm (compile + arena build
+land before any timed call) and write into preallocated destinations, so
+the measured gap is exactly the chain-formation traffic the compiled
+kernels eliminate.
 
 Also probes, with the tracking allocator, that a warm compiled call stays
 under the per-call byte budget -- the compiled serving path must be as
 allocation-free as the NumPy one.
 
 Emits ``BENCH_compiled.json`` and exits non-zero when compiled throughput
-drops below ``min_compiled_throughput_ratio`` x the NumPy-source path
+drops below ``min_compiled_throughput_ratio`` x the interpreter
 (``benchmarks/workspace_threshold.json``) or the warm compiled call
 allocates above the byte budget.  Hosts without a C toolchain exit 0 with
 a ``"skipped"`` report -- absence of a compiler is a capability, not a
@@ -30,7 +34,6 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 import time
@@ -38,8 +41,11 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.algorithms import get_algorithm
 from repro.codegen import cbackend
-from repro.core.workspace import track_allocations
+from repro.core import recursion
+from repro.core.stability import error_bound
+from repro.core.workspace import Workspace, dfs_footprint, track_allocations
 from repro.tuner import Plan, dispatch, measure
 
 THRESHOLD_FILE = Path(__file__).parent / "workspace_threshold.json"
@@ -48,13 +54,16 @@ THRESHOLD_FILE = Path(__file__).parent / "workspace_threshold.json"
 #: visible share of the multiply but the leaf dgemm does not yet drown it
 SIZES = (384, 512, 768)
 STEPS = 2
-DTYPE = "float64"
-#: ... and a peeled outer product (every dimension odd, the paper's
-#: N x k x N regime): the inner strip rides in ``form_C``, and the dense
-#: <4,2,4> entry's 26-term chains only keep up while they vectorise
+#: ... a peeled outer product (every dimension odd, the paper's N x k x N
+#: regime): the inner strip rides in ``form_C``, and the dense <4,2,4>
+#: entry's 26-term chains only keep up while they vectorise ...
 PEELED = (1499, 401, 1499)
-GRID = ([("strassen", STEPS, (n, n, n)) for n in SIZES]
-        + [("strassen", 1, PEELED), ("s424", 1, PEELED)])
+#: ... and float32 tall-skinny (N x k x k), where the ``float`` kernels
+#: form <4,3,3>'s 180/270/180-nonzero chains in one pass each
+TALL = (6001, 799, 799)
+GRID = ([("strassen", STEPS, (n, n, n), "float64") for n in SIZES]
+        + [("strassen", 1, PEELED, "float64"), ("s424", 1, PEELED, "float64"),
+           ("strassen", 1, TALL, "float32"), ("s433", 1, TALL, "float32")])
 
 
 def interleaved_medians(fn_a, fn_b, trials: int) -> tuple[float, float]:
@@ -75,29 +84,34 @@ def interleaved_medians(fn_a, fn_b, trials: int) -> tuple[float, float]:
 
 
 def bench_case(algorithm: str, steps: int, shape: tuple[int, int, int],
-               trials: int, max_warm_bytes: int) -> dict:
+               dtype: str, trials: int, max_warm_bytes: int) -> dict:
     p, q, r = shape
-    A, B = measure.tuning_operands(p, q, r, dtype=DTYPE, seed=0)
-    plan_cc = Plan(algorithm=algorithm, steps=steps, scheme="sequential",
-                   threads=1, backend="compiled")
-    plan_np = dataclasses.replace(plan_cc, backend="numpy")
-    C_cc = np.empty((p, r))
-    C_np = np.empty((p, r))
-    ws_cc = dispatch.build_workspace(plan_cc, p, q, r, A.dtype, B.dtype)
-    ws_np = dispatch.build_workspace(plan_np, p, q, r, A.dtype, B.dtype)
+    alg = get_algorithm(algorithm)
+    A, B = measure.tuning_operands(p, q, r, dtype=dtype, seed=0)
+    plan = Plan(algorithm=algorithm, steps=steps, scheme="sequential",
+                threads=1)
+    C_cc = np.empty((p, r), dtype=dtype)
+    C_np = np.empty((p, r), dtype=dtype)
+    ws_cc = dispatch.build_workspace(plan, p, q, r, A.dtype, B.dtype)
+    ws_np = Workspace(dfs_footprint([alg.base_case] * steps, p, q, r,
+                                    A.dtype, B.dtype,
+                                    algorithms=[alg] * steps))
 
     def run_compiled():
-        dispatch.execute_plan(plan_cc, A, B, out=C_cc, workspace=ws_cc)
+        dispatch.execute_plan(plan, A, B, out=C_cc, workspace=ws_cc)
 
     def run_numpy():
-        dispatch.execute_plan(plan_np, A, B, out=C_np, workspace=ws_np)
+        recursion.multiply(A, B, alg, steps=steps, out=C_np, workspace=ws_np)
 
     # warm both paths: the one-off C compile + dlopen and both arenas
     # land here, never in a timed trial
     run_compiled()
     run_numpy()
-    if not np.allclose(C_cc, C_np, atol=1e-8 * q):
-        raise AssertionError(f"compiled result diverged at {shape}")
+    # each within the a-priori bound of the exact product, so of the other
+    # within twice it
+    gap = np.linalg.norm(C_cc.astype(np.float64) - C_np)
+    if gap > 2 * error_bound(alg, steps, q, dtype) * np.linalg.norm(C_np):
+        raise AssertionError(f"compiled result diverged at {shape} {dtype}")
 
     with track_allocations() as rep_cc:
         run_compiled()
@@ -106,8 +120,8 @@ def bench_case(algorithm: str, steps: int, shape: tuple[int, int, int],
     return {
         "shape": list(shape),
         "steps": steps,
-        "dtype": DTYPE,
-        "plan": plan_cc.describe(),
+        "dtype": dtype,
+        "plan": plan.describe(),
         "seconds_numpy": t_np,
         "seconds_compiled": t_cc,
         "throughput_ratio": t_np / t_cc if t_cc > 0 else float("inf"),
@@ -123,7 +137,7 @@ def _print_row(row: dict) -> None:
           f"-> compiled {row['seconds_compiled'] * 1e3:8.2f} ms "
           f"(x{row['throughput_ratio']:.2f})  "
           f"warm alloc {row['compiled_bytes_per_call'] / 1e6:.3f} MB  "
-          f"[{row['plan']}]")
+          f"[{row['plan']} {row['dtype']}]")
 
 
 def main(argv=None) -> int:
@@ -159,10 +173,11 @@ def main(argv=None) -> int:
     trials = 7 if args.quick else 15
 
     rows = []
-    for algorithm, steps, shape in GRID:
+    for algorithm, steps, shape, dtype in GRID:
         if args.quick and shape[0] == SIZES[-1]:
             continue
-        row = bench_case(algorithm, steps, shape, trials, max_warm_bytes)
+        row = bench_case(algorithm, steps, shape, dtype, trials,
+                         max_warm_bytes)
         rows.append(row)
         _print_row(row)
 

@@ -10,8 +10,9 @@ parallel schemes (``dfs``, ``hybrid``) plus the sequential interpreter:
   the steady-state win of eliminating allocator traffic and page faults
   from the recursion/schedule/dispatch hot loops.
 
-The ``sequential`` rows are what ``tuner.dispatch`` serves for sequential
-NumPy plans: the interpreter in its Section 4.1 arena.  One more row goes
+The ``sequential`` rows are what ``tuner.dispatch`` serves for a
+sequential plan the compiled kernels do not (no compiler, a dtype pair
+without a kernel dtype): the interpreter in its Section 4.1 arena.  One more row goes
 through ``repro.matmul`` itself: ten (plan, shape) pairs served round-robin
 on one thread, whose second sweep must find the thread's one arena warm.
 

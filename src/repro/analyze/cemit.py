@@ -18,6 +18,12 @@ coefficient-by-coefficient against the catalog ``[U, V, W]`` scheme.
 No compiler is involved: emission is pure string generation, so the pass
 runs (and proves) on hosts with no C toolchain at all.
 
+The printer instantiates every unit twice, over ``real`` = ``double`` and
+``float``; the pass proves both.  Every pointer, signature and strip
+declaration of a unit must name the element type its provenance header
+states, and a ``float`` unit's coefficients must be ``float`` literals
+(``0.5f``): a stray ``double`` would widen a chain, and is a finding.
+
 Every statement must match one of the emitter's declared forms
 (``EMISSION_CONTRACT["cbackend"]``: ``block_ptr``, ``slab_ptr``,
 ``product_ptr``, ``scratch_ptr``, ``output_ptr``, ``fused_store``,
@@ -62,7 +68,9 @@ missing, repeated or ahead of its store),
 
 from __future__ import annotations
 
+import functools
 import re
+import types
 
 import numpy as np
 
@@ -73,40 +81,56 @@ from repro.analyze.base import Finding
 TENSOR_RTOL = 1e-8
 
 _RE_HEADER = re.compile(
-    r" \* algorithm (\S+) <(\d+),(\d+),(\d+)> rank (\d+), cse=(True|False)")
+    r" \* algorithm (\S+) <(\d+),(\d+),(\d+)> rank (\d+), cse=(True|False),"
+    r" real=(\w+)")
 _RE_FN = re.compile(r"void (form_[STC])\((.*)\)$")
-#: what a kernel's parameter list must be, row range last
-_SIGNATURES = {
-    "form_S": "const double *X, long ldx, long bp, long bq, double *S,"
-              " long i0, long i1",
-    "form_C": "const double **M, long bp, long bq, double *C, long ldc,"
-              " double *Y, const double *A12, long lda, const double *B21,"
-              " long ldb, long dq, long i0, long i1",
-}
-_SIGNATURES["form_T"] = _SIGNATURES["form_S"]
 _ROW_LOOP = "for (long i = i0; i < i1; ++i) {"
 _COL_LOOP = "for (long j = 0; j < bq; ++j)"
 _HINT = "NODEP"
 _STRIP_LOOP = "for (long t = 0; t < dq; ++t) {"
-_RE_STRIP_COEFF = re.compile(
-    r"const double a = A12\[\(\(size_t\)\((\d+)\*bp \+ i\)\)\*lda \+ t\];")
-_RE_STRIP_ROW = re.compile(
-    r"const double \*b = B21 \+ \(size_t\)t\*ldb \+ \(size_t\)\((\d+)\)\*bq;")
 _RE_STRIP_UPDATE = re.compile(r"p(C\d+)\[j\] \+= a \* b\[j\];$")
-_RE_BLOCK = re.compile(
-    r"const double \*p([AB])(\d+) = X \+ \(\(size_t\)\((\d+)\*bp \+ i\)\)"
-    r"\*ldx \+ \(size_t\)\((\d+)\)\*bq;")
-_RE_SLAB = re.compile(
-    r"double \*p(\w+) = S \+ (\d+)\*blk \+ \(size_t\)i\*bq;")
-_RE_PRODUCT = re.compile(
-    r"const double \*p(M)(\d+) = M\[(\d+)\] \+ \(size_t\)i\*bq;")
-_RE_SCRATCH = re.compile(r"double \*p(\w+) = Y \+ (\d+)\*bq;")
-_RE_OUTPUT = re.compile(
-    r"double \*pC(\d+) = C \+ \(\(size_t\)\((\d+)\*bp \+ i\)\)\*ldc"
-    r" \+ \(size_t\)\((\d+)\)\*bq;")
+
+
+@functools.lru_cache(maxsize=None)
+def _grammar(real: str) -> types.SimpleNamespace:
+    """The emission contract's forms for one element type: what each
+    kernel's parameter list must be (row range last), and the pointer,
+    strip and term shapes, all naming ``real``."""
+    t = re.escape(real)
+    suffix = "f" if real == "float" else ""
+    sig_st = (f"const {real} *X, long ldx, long bp, long bq, {real} *S,"
+              " long i0, long i1")
+    return types.SimpleNamespace(
+        signatures={
+            "form_S": sig_st, "form_T": sig_st,
+            "form_C": f"const {real} **M, long bp, long bq, {real} *C,"
+                      f" long ldc, {real} *Y, const {real} *A12, long lda,"
+                      f" const {real} *B21, long ldb, long dq, long i0,"
+                      " long i1"},
+        strip_coeff=re.compile(
+            rf"const {t} a = A12\[\(\(size_t\)\((\d+)\*bp \+ i\)\)\*lda"
+            r" \+ t\];"),
+        strip_row=re.compile(
+            rf"const {t} \*b = B21 \+ \(size_t\)t\*ldb \+"
+            r" \(size_t\)\((\d+)\)\*bq;"),
+        block=re.compile(
+            rf"const {t} \*p([AB])(\d+) = X \+ \(\(size_t\)\((\d+)\*bp"
+            r" \+ i\)\)\*ldx \+ \(size_t\)\((\d+)\)\*bq;"),
+        slab=re.compile(
+            rf"{t} \*p(\w+) = S \+ (\d+)\*blk \+ \(size_t\)i\*bq;"),
+        product=re.compile(
+            rf"const {t} \*p(M)(\d+) = M\[(\d+)\] \+ \(size_t\)i\*bq;"),
+        scratch=re.compile(rf"{t} \*p(\w+) = Y \+ (\d+)\*bq;"),
+        output=re.compile(
+            rf"{t} \*pC(\d+) = C \+ \(\(size_t\)\((\d+)\*bp \+ i\)\)"
+            r"\*ldc \+ \(size_t\)\((\d+)\)\*bq;"),
+        term=re.compile(
+            rf"([+-]) (?:(-?[0-9][0-9.eE+-]*){suffix} \* )?"
+            r"p([A-Za-z]+\d+)\[j\]"),
+    )
+
+
 _RE_STORE = re.compile(r"p(\w+)\[j\] = (.+);$")
-_RE_TERM = re.compile(
-    r"([+-]) (?:(-?[0-9][0-9.eE+-]*) \* )?p([A-Za-z]+\d+)\[j\]")
 
 #: statement-free lines the parser passes over without a contract match
 _BOILERPLATE = (
@@ -122,7 +146,7 @@ _BOILERPLATE = (
 )
 
 
-def _parse_rhs(rhs: str) -> list[tuple[float, str]] | None:
+def _parse_rhs(rhs: str, term) -> list[tuple[float, str]] | None:
     """``pA0[j] - 0.5 * pYA1[j]`` -> ``[(1.0, "A0"), (-0.5, "YA1")]``.
 
     Returns ``None`` when any character falls outside the emitter's term
@@ -131,7 +155,7 @@ def _parse_rhs(rhs: str) -> list[tuple[float, str]] | None:
     s = rhs if rhs.startswith(("+ ", "- ")) else "+ " + rhs
     pos, terms = 0, []
     while pos < len(s):
-        m = _RE_TERM.match(s, pos)
+        m = term.match(s, pos)
         if m is None:
             return None
         sign, coeff, src = m.groups()
@@ -197,10 +221,12 @@ def _strip_update(kernel: _Kernel, line: str, loc: str, ccols: int,
         kernel.stripped.append(target)
 
 
-def _parse_unit(source: str, nblocks: dict[str, int],
-                where: str) -> tuple[dict[str, _Kernel], dict, list[Finding]]:
-    """One pass over the translation unit; returns the three kernels, the
-    provenance header fields, and the parse findings."""
+def _parse_unit(source: str, nblocks: dict[str, int], where: str,
+                real: str) -> tuple[dict[str, _Kernel], dict, list[Finding]]:
+    """One pass over the translation unit, in the grammar of element type
+    ``real``; returns the three kernels, the provenance header fields,
+    and the parse findings."""
+    g = _grammar(real)
     findings: list[Finding] = []
     kernels: dict[str, _Kernel] = {}
     header: dict = {}
@@ -217,6 +243,7 @@ def _parse_unit(source: str, nblocks: dict[str, int],
                     "base_case": tuple(int(m.group(i)) for i in (2, 3, 4)),
                     "rank": int(m.group(5)),
                     "cse": m.group(6) == "True",
+                    "real": m.group(7),
                 }
             continue
         m = _RE_FN.match(line)
@@ -224,11 +251,11 @@ def _parse_unit(source: str, nblocks: dict[str, int],
             current = _Kernel(m.group(1))
             kernels[current.name] = current
             pending_store = hinted = False
-            if m.group(2) != _SIGNATURES[current.name]:
+            if m.group(2) != g.signatures[current.name]:
                 findings.append(Finding(
                     "cemit", "CEMIT-RANGE", loc,
-                    f"{current.name} takes ({m.group(2)}), not a row range:"
-                    f" expected ({_SIGNATURES[current.name]})"))
+                    f"{current.name} takes ({m.group(2)}), not a row range"
+                    f" of {real}: expected ({g.signatures[current.name]})"))
             continue
         if current is not None and line.startswith("for (long i"):
             if line != _ROW_LOOP or current.in_rows is not None:
@@ -268,7 +295,7 @@ def _parse_unit(source: str, nblocks: dict[str, int],
                     f"j-loop body is not a fused store: {line!r}"))
                 continue
             target, rhs = m.groups()
-            terms = _parse_rhs(rhs)
+            terms = _parse_rhs(rhs, g.term)
             if terms is None:
                 findings.append(Finding(
                     "cemit", "CEMIT-PARSE", loc,
@@ -320,8 +347,8 @@ def _parse_unit(source: str, nblocks: dict[str, int],
                 "cemit", "CEMIT-PARSE", loc,
                 f"{_HINT} must sit on a j loop, found {line!r}"))
         if current.strip is not None:
-            for key, pattern in (("row", _RE_STRIP_COEFF),
-                                 ("col", _RE_STRIP_ROW)):
+            for key, pattern in (("row", g.strip_coeff),
+                                 ("col", g.strip_row)):
                 m = pattern.match(line)
                 if m:
                     current.strip[key] = int(m.group(1))
@@ -334,7 +361,7 @@ def _parse_unit(source: str, nblocks: dict[str, int],
         if line == _STRIP_LOOP and current.name == "form_C":
             current.strip = {}
             continue
-        m = _RE_BLOCK.match(line)
+        m = g.block.match(line)
         if m:
             space, idx, brow, bcol = m.group(1), int(m.group(2)), \
                 int(m.group(3)), int(m.group(4))
@@ -351,13 +378,13 @@ def _parse_unit(source: str, nblocks: dict[str, int],
             current.block_of[f"{space}{idx}"] = idx
             current.obj[f"{space}{idx}"] = ("X", idx)
             continue
-        m = _RE_SLAB.match(line)
+        m = g.slab.match(line)
         if m:
             current.env.setdefault(m.group(1), None)
             current.slab_rows[m.group(1)] = int(m.group(2))
             current.obj[m.group(1)] = ("S", int(m.group(2)))
             continue
-        m = _RE_PRODUCT.match(line)
+        m = g.product.match(line)
         if m:
             name, idx, row = f"M{m.group(2)}", int(m.group(2)), int(m.group(3))
             if idx != row:
@@ -371,12 +398,12 @@ def _parse_unit(source: str, nblocks: dict[str, int],
             current.products[name] = idx
             current.obj[name] = ("M", idx)
             continue
-        m = _RE_SCRATCH.match(line)
+        m = g.scratch.match(line)
         if m:
             current.env.setdefault(m.group(1), None)
             current.obj[m.group(1)] = ("Y", int(m.group(2)))
             continue
-        m = _RE_OUTPUT.match(line)
+        m = g.output.match(line)
         if m:
             idx, bi, bj = (int(m.group(i)) for i in (1, 2, 3))
             if bi * nblocks["Ccols"] + bj != idx:
@@ -427,12 +454,14 @@ def _side_matrix(kernel: _Kernel | None, side: dict, nblocks: int,
 
 
 def verify_source(source: str, algorithm, cse: bool,
-                  where: str = "<cbackend>") -> list[Finding]:
+                  where: str = "<cbackend>",
+                  real: str = "double") -> list[Finding]:
     """Verify one emitted C translation unit against its scheme.
 
     ``algorithm`` is the catalog :class:`FastAlgorithm` the unit was
-    generated from; ``cse`` must match the generation flag (the slab
-    layout depends on it).  Returns findings (empty == proven).
+    generated from; ``cse`` and ``real`` must match the generation flags
+    (the slab layout depends on the one, every declaration on the other).
+    Returns findings (empty == proven).
     """
     from repro.codegen.cbackend import _prepare
 
@@ -441,7 +470,7 @@ def verify_source(source: str, algorithm, cse: bool,
     rank = algorithm.rank
     nblocks = {"A": m * k, "Acols": k, "B": k * n, "Bcols": n,
                "M": rank, "Ccols": n}
-    kernels, header, findings = _parse_unit(source, nblocks, where)
+    kernels, header, findings = _parse_unit(source, nblocks, where, real)
     for kernel in kernels.values():
         if kernel.in_rows is not False:
             findings.append(Finding(
@@ -449,13 +478,13 @@ def verify_source(source: str, algorithm, cse: bool,
                 "kernel has no closed i0 <= i < i1 row loop"))
     if findings:
         return findings
-    if header.get("algorithm") != algorithm.name or \
-            header.get("base_case") != (m, k, n) or \
-            header.get("rank") != rank or header.get("cse") != cse:
+    if header != {"algorithm": algorithm.name, "base_case": (m, k, n),
+                  "rank": rank, "cse": cse, "real": real}:
         findings.append(Finding(
             "cemit", "CEMIT-HEADER", where,
             f"provenance header {header} disagrees with"
-            f" {algorithm.name} <{m},{k},{n}> rank {rank} cse={cse}"))
+            f" {algorithm.name} <{m},{k},{n}> rank {rank} cse={cse}"
+            f" real={real}"))
         return findings
     U_hat = _side_matrix(kernels.get("form_S"), s, m * k, rank,
                          f"{where}.form_S", findings)
@@ -510,21 +539,25 @@ def verify_source(source: str, algorithm, cse: bool,
     return findings
 
 
-def verify_algorithm(name_or_alg, cse: bool) -> list[Finding]:
+def verify_algorithm(name_or_alg, cse: bool,
+                     real: str = "double") -> list[Finding]:
     """Emit and verify one catalog entry's C unit (no compiler needed)."""
     from repro.algorithms.catalog import get_algorithm
     from repro.codegen.cbackend import generate_c_source
 
     alg = (get_algorithm(name_or_alg) if isinstance(name_or_alg, str)
            else name_or_alg)
-    where = f"{alg.name}[cbackend,cse={cse}]"
-    return verify_source(generate_c_source(alg, cse), alg, cse, where=where)
+    where = f"{alg.name}[cbackend,cse={cse},{real}]"
+    return verify_source(generate_c_source(alg, cse, real), alg, cse,
+                         where=where, real=real)
 
 
 def verify_catalog(names=None,
                    cse_options=(False, True)) -> tuple[int, list[Finding]]:
-    """Sweep every catalog entry x cse; returns ``(checked, findings)``."""
+    """Sweep every catalog entry x cse x element type; returns
+    ``(checked, findings)``."""
     from repro.algorithms.catalog import list_algorithms
+    from repro.codegen.cbackend import REALS
 
     if names is None:
         names = list_algorithms(include_apa=True)
@@ -532,6 +565,7 @@ def verify_catalog(names=None,
     checked = 0
     for name in names:
         for cse in cse_options:
-            findings.extend(verify_algorithm(name, cse))
-            checked += 1
+            for real in REALS:
+                findings.extend(verify_algorithm(name, cse, real))
+                checked += 1
     return checked, findings

@@ -156,7 +156,10 @@ class GemmCurve:
         size gets the fewest runs and alone prices everything beyond it,
         and interference only ever slows a gemm down -- a dip up there is
         a neighbour's burst, and believing it makes every plan that cuts
-        the product into smaller gemms look better than the vendor's.
+        the product into smaller gemms look better than the vendor's.  So
+        is one that climbed so steeply the ramp's asymptote
+        ``1/r2 - slope/n2`` is not positive: a stalled low point, not a
+        ramp, and extrapolating it gives a negative or infinite rate.
         """
         n = (p * q * r) ** (1.0 / 3.0)
         rate = self.at(n)
@@ -164,7 +167,7 @@ class GemmCurve:
             (n1, n2), (r1, r2) = self.sizes[-2:], self.gflops[-2:]
             slope = (1 / r1 - 1 / r2) / (1 / n1 - 1 / n2)
             rate = max(r1, r2)
-            if slope > 0:
+            if slope > 0 and 1 / r2 - slope / n2 > 0:
                 rate = 1 / (1 / r2 + slope * (1 / n - 1 / n2))
         return 2.0 * p * q * r / (rate * 1e9)
 

@@ -73,12 +73,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         "thread count; default: threads // 2)")
     p.add_argument("--native", action="store_true",
                    help="use the compiled C chain backend")
-    p.add_argument("--backend", default="auto",
-                   choices=["auto", "numpy", "compiled"],
-                   help="serving backend: 'compiled' forces the native C "
-                        "chain kernels, 'numpy' the NumPy "
-                        "interpreter; 'auto' (default) lets the tuner sweep "
-                        "both where the compiler is available")
     p.add_argument("--blas-threads", type=int, default=None,
                    help="pin the vendor BLAS thread count for both sides")
     p.add_argument("--seed", type=int, default=0)
@@ -292,29 +286,15 @@ def cmd_multiply(args, out=sys.stdout) -> int:
             p, q, r, dtype=np.result_type(A, B).name,
             threads=args.threads, cache=cache,
         )
-        if args.backend != "auto":
-            # forcing a backend bypasses plan re-resolution: retarget the
-            # resolved plan and execute it directly (arena included)
-            try:
-                plan = tuner.retarget_backend(plan, args.backend)
-            except ValueError as exc:
-                print(f"error: --backend {args.backend}: {exc}",
-                      file=sys.stderr)
-                return 2
-            ws = tuner.workspace_for(plan, p, q, r, A.dtype, B.dtype)
-            fast = lambda: tuner.execute_plan(  # noqa: E731
-                plan, A, B, workspace=ws)
-            label = f"auto: {plan.describe()} [forced {args.backend}]"
-        else:
-            # dispatch through the real entry point (plan lookup, arena,
-            # pool and telemetry all included), so the printed numbers
-            # describe what repro.matmul actually does for this shape
-            fast = lambda: tuner.matmul(  # noqa: E731
-                A, B, threads=args.threads, cache=cache,
-                guard=True if args.guard else None)
-            label = (f"auto: {plan.describe()} [{source}]"
-                     + (" +guard" if args.guard else ""))
-    elif args.native or args.backend == "compiled":
+        # dispatch through the real entry point (plan lookup, arena, pool
+        # and telemetry all included), so the printed numbers describe
+        # what repro.matmul actually does for this shape
+        fast = lambda: tuner.matmul(  # noqa: E731
+            A, B, threads=args.threads, cache=cache,
+            guard=True if args.guard else None)
+        label = (f"auto: {plan.describe()} [{source}]"
+                 + (" +guard" if args.guard else ""))
+    elif args.native:
         from repro.codegen import cbackend
 
         cc = cbackend.compile_chains(args.algorithm)
@@ -404,6 +384,7 @@ def _explain(args, A, B, p: int, q: int, r: int, cache, out) -> int:
     from repro import obs, tuner
     from repro.algorithms import get_algorithm
     from repro.bench.metrics import effective_gflops
+    from repro.codegen.cbackend import chains_fused
     from repro.core.cost import plan_cost
     from repro.parallel import available_cores
 
@@ -417,7 +398,7 @@ def _explain(args, A, B, p: int, q: int, r: int, cache, out) -> int:
         alg = None if pl.is_dgemm else get_algorithm(pl.algorithm)
         return plan_cost(alg, p, q, r, pl.steps, scheme=pl.scheme,
                          threads=pl.threads, subgroup=pl.subgroup,
-                         backend=pl.backend, dtype=dtype)
+                         dtype=dtype)
 
     plans = tuner.enumerate_plans(p, q, r, threads=threads, dtype=dtype,
                                   max_candidates=8)
@@ -430,18 +411,10 @@ def _explain(args, A, B, p: int, q: int, r: int, cache, out) -> int:
 
     plan, source = tuner.get_plan(p, q, r, dtype=dtype, threads=threads,
                                   cache=cache)
-    if args.backend != "auto":
-        try:
-            plan = tuner.retarget_backend(plan, args.backend)
-        except ValueError as exc:
-            print(f"error: --backend {args.backend}: {exc}",
-                  file=sys.stderr)
-            return 2
-        source = f"{source}, backend forced"
     print(f"chosen plan: {plan.describe()}  [source: {source}]", file=out)
-    avail = ("available" if tuner.compiled_backend_available()
-             else "unavailable: no C toolchain")
-    print(f"backend: {plan.backend} (compiled chains {avail})", file=out)
+    if not plan.is_dgemm:
+        print("chains: " + ("compiled kernels" if chains_fused(A.dtype, B.dtype)
+                            else "NumPy executors"), file=out)
     ws = tuner.workspace_for(plan, p, q, r, A.dtype, B.dtype)
     if ws is None:
         print("arena footprint: none (plain BLAS needs no workspace)",
@@ -449,13 +422,8 @@ def _explain(args, A, B, p: int, q: int, r: int, cache, out) -> int:
     else:
         print(f"arena footprint: {ws.nbytes:,} bytes", file=out)
 
-    if args.backend != "auto":
-        # the forced-backend plan must be the one observed, so execute it
-        # directly instead of letting matmul re-resolve
-        C = tuner.execute_plan(plan, A, B, workspace=ws)
-    else:
-        C = tuner.matmul(A, B, threads=threads, cache=cache,
-                         guard=True if args.guard else None)
+    C = tuner.matmul(A, B, threads=threads, cache=cache,
+                     guard=True if args.guard else None)
     err = float(np.linalg.norm(C - A @ B) / np.linalg.norm(A @ B))
     records = obs.dispatch_records()
     if records:

@@ -11,15 +11,17 @@ drives it through ``ctypes`` — producing the genuine single-pass kernels
 the paper measures, while recursion, dynamic peeling and the leaf dgemm
 stay in Python/BLAS exactly as before.
 
-Generated interface per algorithm (one shared object each)::
+Generated interface per algorithm and element type ``real`` -- ``double``
+or ``float``, one translation unit each, printed from the same chain
+text (the paper's code is generated per scalar type too)::
 
-    void form_S(const double *A, long lda, long bp, long bq, double *S,
+    void form_S(const real *A, long lda, long bp, long bq, real *S,
                 long i0, long i1);
-    void form_T(const double *B, long ldb, long bp, long bq, double *T,
+    void form_T(const real *B, long ldb, long bp, long bq, real *T,
                 long i0, long i1);
-    void form_C(const double **M, long bp, long bq,
-                double *C, long ldc, double *Y,
-                const double *A12, long lda, const double *B21, long ldb,
+    void form_C(const real **M, long bp, long bq,
+                real *C, long ldc, real *Y,
+                const real *A12, long lda, const real *B21, long ldb,
                 long dq, long i0, long i1);
 
 ``form_S``/``form_T`` read the m·k (k·n) sub-blocks of the parent operand
@@ -75,22 +77,21 @@ in-memory degradation).
 Use :func:`available` to test for a working compiler,
 :func:`compile_chains` for a :class:`CompiledChains`, and
 :func:`multiply` for the one-call API.  Everything degrades loudly
-(``RuntimeError``), never silently, when no compiler exists; the serving
-paths (:func:`repro.tuner.dispatch.execute_plan` for ``backend="compiled"``
-plans, :func:`repro.parallel.schedules.multiply_parallel` for its chains)
-go through :func:`serving_chains`, which counts and warns instead, and
-fall back to the NumPy executors so a compile failure never fails a
-multiply.
+(``RuntimeError``), never silently, when no compiler exists.  Serving is
+a rule, :func:`chains_fused`, not a plan dimension: every sequential
+fast plan (:func:`repro.tuner.dispatch.execute_plan`) and every parallel
+schedule asks it, goes through :func:`serving_chains` -- which counts and
+warns instead of raising -- and falls back to the NumPy executors, so a
+compile failure never fails a multiply.
 
-The kernels are float64-only; the driver computes in double and returns
-``np.result_type(A, B)`` (float32 in -> float32 out, rounded once on
-exit).  Result dtypes double cannot represent by kind -- complex,
-extended-precision floats -- are rejected with ``ValueError`` and belong
-on the python codegen or interpreter paths.  :meth:`CompiledChains.multiply`
-accepts ``out=``/``workspace=`` like the interpreter: with a
-workspace sized by :func:`repro.core.workspace.cbackend_footprint` the
-warm path draws every slab and product buffer from the arena and
-allocates nothing from the heap (peeling needs no buffer at all).
+A call computes at its product's precision: float32 in the ``float``
+kernels, everything else in the ``double`` ones, returning
+``np.result_type(A, B)`` (rounded once on exit).  Result dtypes double
+cannot represent by kind -- complex, extended-precision floats -- are
+rejected with ``ValueError``.  :meth:`CompiledChains.multiply` accepts
+``out=``/``workspace=`` like the interpreter: with a workspace sized by
+:func:`repro.core.workspace.cbackend_footprint` the warm path allocates
+nothing from the heap (peeling needs no buffer at all).
 """
 
 from __future__ import annotations
@@ -122,8 +123,17 @@ _CC = os.environ.get("REPRO_CC", "cc")
 #: ``-ffp-contract=off``: a fused multiply-add rounds once where NumPy
 #: rounds twice, and the bit-for-bit agreement with the NumPy executors
 #: must not rest on gcc's ISO-mode default
-_CFLAGS = ["-O3", "-march=native", "-std=c99", "-ffp-contract=off", "-fPIC",
-           "-shared"]
+_COMMON_FLAGS = ["-march=native", "-std=c99", "-ffp-contract=off", "-fPIC",
+                 "-shared"]
+#: the loop vectoriser under the dynamic cost model and nothing else that
+#: ``-O3`` adds (SLP, vectorised epilogues): every chain loop SIMD at under
+#: half the compile CPU -- plain ``-O2``'s very-cheap cost model leaves
+#: them scalar.  ``-O3`` is the fallback when the compiler rejects a flag
+#: (:func:`available` tries both, once).
+_OPT_FLAGS = (["-O2", "-ftree-loop-vectorize", "-fvect-cost-model=dynamic",
+               "-fno-tree-slp-vectorize", "--param", "vect-epilogues-nomask=0"],
+              ["-O3"])
+_CFLAGS = [*_OPT_FLAGS[0], *_COMMON_FLAGS]
 _log = logging.getLogger(__name__)
 
 #: loaded shared objects keyed by :func:`_source_key`; guarded by
@@ -141,14 +151,20 @@ _CACHE_STATE: dict[str, object] = {"dir": False, "warned": False}
 
 @functools.lru_cache(maxsize=1)
 def available() -> bool:
-    """True when a C compiler is present and produces loadable objects."""
-    try:
-        # the probe must never consume an injected cbackend.compilefail
-        # firing (and a transient fault must not poison this lru cache)
-        _compile_source("void repro_probe(void) {}\n", fire_faults=False)
-        return True
-    except (OSError, RuntimeError, subprocess.SubprocessError):
-        return False
+    """True when a C compiler is present and produces loadable objects.
+    Settles the flag set too: the first of :data:`_OPT_FLAGS` the compiler
+    accepts."""
+    global _CFLAGS
+    for opt in _OPT_FLAGS:
+        _CFLAGS = [*opt, *_COMMON_FLAGS]
+        try:
+            # the probe must never consume an injected cbackend.compilefail
+            # firing (and a transient fault must not poison this lru cache)
+            _compile_source("void repro_probe(void) {}\n", fire_faults=False)
+            return True
+        except (OSError, RuntimeError, subprocess.SubprocessError):
+            continue
+    return False
 
 
 # ======================================================================
@@ -202,16 +218,21 @@ def _extract(algorithm: FastAlgorithm, cse: bool):
 # ======================================================================
 # C source emission
 # ======================================================================
-def _coeff_term(coeff: float, expr: str) -> str:
+#: the element types the printer instantiates: C name -> NumPy dtype
+REALS = {"double": np.dtype(np.float64), "float": np.dtype(np.float32)}
+
+
+def _coeff_term(coeff: float, expr: str, real: str) -> str:
     if coeff == 1.0:
         return f"+ {expr}"
     if coeff == -1.0:
         return f"- {expr}"
-    return f"+ {coeff!r} * {expr}"
+    # a float unit's literals are floats: a bare 0.5 would widen the chain
+    return f"+ {coeff!r}{'f' if real == 'float' else ''} * {expr}"
 
 
-def _rhs(terms) -> str:
-    parts = [_coeff_term(t.coeff, f"p{t.source}[j]") for t in terms]
+def _rhs(terms, real: str) -> str:
+    parts = [_coeff_term(t.coeff, f"p{t.source}[j]", real) for t in terms]
     joined = " ".join(parts)
     return joined[2:] if joined.startswith("+ ") else joined
 
@@ -239,14 +260,15 @@ _NODEP_MACRO = [
 ]
 
 
-def _store_loop(ch: Chain) -> list[str]:
+def _store_loop(ch: Chain, real: str) -> list[str]:
     """One fused pass: the chain's target row from its source rows."""
     return ["    NODEP",
             "    for (long j = 0; j < bq; ++j)",
-            f"      p{ch.target}[j] = {_rhs(ch.terms)};"]
+            f"      p{ch.target}[j] = {_rhs(ch.terms, real)};"]
 
 
-def _emit_side(fn: str, side: dict, blocks_cols: int, prefix: str) -> list[str]:
+def _emit_side(fn: str, side: dict, blocks_cols: int, prefix: str,
+               real: str) -> list[str]:
     """Emit ``form_S``/``form_T``: one fused j-loop per definition/chain."""
     defs, chains, layout = side["defs"], side["chains"], side["layout"]
     body = list(defs) + [
@@ -258,7 +280,7 @@ def _emit_side(fn: str, side: dict, blocks_cols: int, prefix: str) -> list[str]:
         slot_of[d.target] = i
 
     lines = [
-        f"void {fn}(const double *X, long ldx, long bp, long bq, double *S,"
+        f"void {fn}(const {real} *X, long ldx, long bp, long bq, {real} *S,"
         " long i0, long i1)",
         "{",
         "  const size_t blk = (size_t)bp * (size_t)bq;",
@@ -269,30 +291,30 @@ def _emit_side(fn: str, side: dict, blocks_cols: int, prefix: str) -> list[str]:
             b = int(s[len(prefix):])
             br, bc = divmod(b, blocks_cols)
             lines.append(
-                f"    const double *p{s} = X + ((size_t)({br}*bp + i))*ldx"
+                f"    const {real} *p{s} = X + ((size_t)({br}*bp + i))*ldx"
                 f" + (size_t)({bc})*bq;"
             )
         # Y sources resolve to slab pointers declared below
     for ch in body:
         lines.append(
-            f"    double *p{ch.target} = S + {slot_of[ch.target]}*blk"
+            f"    {real} *p{ch.target} = S + {slot_of[ch.target]}*blk"
             f" + (size_t)i*bq;"
         )
     for ch in body:
-        lines += _store_loop(ch)
+        lines += _store_loop(ch, real)
     lines += ["  }", "}"]
     return lines
 
 
-def _emit_output(side: dict, m: int, n: int) -> list[str]:
+def _emit_output(side: dict, m: int, n: int, real: str) -> list[str]:
     """Emit ``form_C``; products come in as row-pointer array ``M``.  Each
     row of each block takes the peeled inner-dimension strip right after
     it is stored: ``dq`` rank-one terms, in order, no pass of their own."""
     defs, chains = side["defs"], side["chains"]
     lines = [
-        "void form_C(const double **M, long bp, long bq,"
-        " double *C, long ldc, double *Y,"
-        " const double *A12, long lda, const double *B21, long ldb, long dq,"
+        f"void form_C(const {real} **M, long bp, long bq,"
+        f" {real} *C, long ldc, {real} *Y,"
+        f" const {real} *A12, long lda, const {real} *B21, long ldb, long dq,"
         " long i0, long i1)",
         "{",
         "  (void)Y;" if not defs else "",
@@ -301,24 +323,24 @@ def _emit_output(side: dict, m: int, n: int) -> list[str]:
     for s in _referenced_sources(list(defs) + list(chains)):
         if s.startswith("M"):
             lines.append(
-                f"    const double *p{s} = M[{int(s[1:])}] + (size_t)i*bq;"
+                f"    const {real} *p{s} = M[{int(s[1:])}] + (size_t)i*bq;"
             )
     for d_i, d in enumerate(defs):
-        lines.append(f"    double *p{d.target} = Y + {d_i}*bq;")
+        lines.append(f"    {real} *p{d.target} = Y + {d_i}*bq;")
     blocks = [divmod(int(ch.target[1:]), n) for ch in chains]
     for ch, (bi, bj) in zip(chains, blocks):
         lines.append(
-            f"    double *p{ch.target} = C + ((size_t)({bi}*bp + i))*ldc"
+            f"    {real} *p{ch.target} = C + ((size_t)({bi}*bp + i))*ldc"
             f" + (size_t)({bj})*bq;"
         )
     for d in defs:
-        lines += _store_loop(d)
+        lines += _store_loop(d, real)
     for ch, (bi, bj) in zip(chains, blocks):
-        lines += _store_loop(ch)
+        lines += _store_loop(ch, real)
         lines += [
             "    for (long t = 0; t < dq; ++t) {",
-            f"      const double a = A12[((size_t)({bi}*bp + i))*lda + t];",
-            f"      const double *b = B21 + (size_t)t*ldb + (size_t)({bj})*bq;",
+            f"      const {real} a = A12[((size_t)({bi}*bp + i))*lda + t];",
+            f"      const {real} *b = B21 + (size_t)t*ldb + (size_t)({bj})*bq;",
             "      NODEP",
             "      for (long j = 0; j < bq; ++j)",
             f"        p{ch.target}[j] += a * b[j];",
@@ -328,14 +350,18 @@ def _emit_output(side: dict, m: int, n: int) -> list[str]:
     return [ln for ln in lines if ln != ""]
 
 
-def generate_c_source(algorithm: FastAlgorithm, cse: bool = False) -> str:
-    """Return the complete C translation unit for ``algorithm``'s chains."""
+def generate_c_source(algorithm: FastAlgorithm, cse: bool = False,
+                      real: str = "double") -> str:
+    """Return the complete C translation unit for ``algorithm``'s chains
+    over elements of C type ``real`` (a key of :data:`REALS`)."""
+    if real not in REALS:
+        raise ValueError(f"real must be one of {tuple(REALS)}, got {real!r}")
     s, t, c = _prepare(algorithm, cse)
     m, k, n = algorithm.base_case
     lines = [
         "/* Auto-generated by repro.codegen.cbackend; do not edit.",
         f" * algorithm {algorithm.name} <{m},{k},{n}> rank {algorithm.rank},"
-        f" cse={cse}",
+        f" cse={cse}, real={real}",
         f" * slab rows: S={s['slots']} T={t['slots']}"
         f" (defs first: {len(s['defs'])}/{len(t['defs'])}),"
         f" C scratch rows: {len(c['defs'])}",
@@ -344,11 +370,11 @@ def generate_c_source(algorithm: FastAlgorithm, cse: bool = False) -> str:
         *_NODEP_MACRO,
         "",
     ]
-    lines += _emit_side("form_S", s, k, "A")
+    lines += _emit_side("form_S", s, k, "A", real)
     lines.append("")
-    lines += _emit_side("form_T", t, n, "B")
+    lines += _emit_side("form_T", t, n, "B", real)
     lines.append("")
-    lines += _emit_output(c, m, n)
+    lines += _emit_output(c, m, n, real)
     lines.append("")
     return "\n".join(lines)
 
@@ -473,47 +499,58 @@ def _compile_source(src: str, fire_faults: bool = True) -> ctypes.CDLL:
         return _LIB_CACHE.setdefault(key, lib)
 
 
-def _take(ws, shape) -> np.ndarray:
-    """A float64 buffer from the arena (heap when no workspace given)."""
+def _take(ws, shape, dtype) -> np.ndarray:
+    """A buffer from the arena (heap when no workspace given)."""
     if ws is None:
-        return np.empty(shape, dtype=np.float64)
-    return ws.take(shape, np.float64)
+        return np.empty(shape, dtype=dtype)
+    return ws.take(shape, dtype)
 
 
-def _packed(X: np.ndarray, ws) -> np.ndarray:
-    """A contiguous float64 copy of ``X``, arena-backed when possible."""
-    buf = _take(ws, X.shape)
+def _packed(X: np.ndarray, ws, dtype) -> np.ndarray:
+    """A contiguous ``dtype`` copy of ``X``, arena-backed when possible."""
+    buf = _take(ws, X.shape, dtype)
     np.copyto(buf, X)
     return buf
 
 
-def kernel_ready(X: np.ndarray) -> bool:
-    """Can the kernels address ``X`` in place?  They walk a float64 matrix
-    row by row (``X + i*ldx``, unit stride inside a row), so anything else
-    -- another dtype, strided or reversed columns, reversed rows -- has to
-    be packed first (:meth:`CompiledChains.multiply`) or served by the
-    NumPy chains (the parallel schedules)."""
-    return (X.dtype == np.float64 and X.ndim == 2 and X.flags.aligned
-            and (X.strides[1] == 8 or X.shape[1] <= 1)
-            and X.strides[0] >= 0 and X.strides[0] % 8 == 0)
+def kernel_dtype(dtype_a, dtype_b=None) -> np.dtype:
+    """The element type the kernels compute ``dtype_a x dtype_b`` in: a
+    float32 product at its own precision, every other one in double."""
+    res = np.result_type(dtype_a, dtype_a if dtype_b is None else dtype_b)
+    return REALS["float"] if res == REALS["float"] else REALS["double"]
+
+
+def kernel_ready(X: np.ndarray, dtype=np.float64) -> bool:
+    """Can the ``dtype`` kernels address ``X`` in place?  They walk a
+    matrix of their element type row by row (``X + i*ldx``, unit stride
+    inside a row), so anything else -- another dtype, strided or reversed
+    columns, reversed rows -- has to be packed first
+    (:meth:`CompiledChains.multiply`) or served by the NumPy chains (the
+    parallel schedules)."""
+    dtype = np.dtype(dtype)
+    size = dtype.itemsize
+    return (X.dtype == dtype and X.ndim == 2 and X.flags.aligned
+            and (X.strides[1] == size or X.shape[1] <= 1)
+            and X.strides[0] >= 0 and X.strides[0] % size == 0)
 
 
 def chains_fused(dtype_a, dtype_b=None, operands=()) -> bool:
-    """Will the parallel schedules form S, T and C with these kernels?
+    """Do these kernels form the chains of a call on these operands?
 
-    Asked by :func:`repro.parallel.schedules.multiply_parallel` before it
-    runs, by :func:`repro.tuner.dispatch.plan_footprint` to size the arena
-    of the path that will run, and by :func:`repro.core.cost.plan_cost` to
-    price it: float64 operands the kernels can address in place
-    (:func:`kernel_ready`; ``operands`` may hold ``None`` for an absent
-    ``out``) on a host with a working compiler.  Everything else -- other
-    dtypes, exotic strides, no toolchain -- is formed by the NumPy
-    row-slab adders.  It is not a plan dimension: nothing selects it.
+    The rule :func:`repro.tuner.dispatch.execute_plan` (sequential) and
+    :func:`repro.parallel.schedules.multiply_parallel` run by, and
+    ``plan_footprint`` and ``plan_cost`` size and price by: two float
+    operands whose product is float32 (the ``float`` kernels) or float64
+    (the ``double`` ones, a mixed pair packed), ``operands`` (``None``
+    for an absent ``out``) addressable in place (:func:`kernel_ready`;
+    the sequential driver packs, so it passes none), and a compiler.
+    Everything else is formed by the NumPy executors.
     """
-    f64 = np.dtype(np.float64)
-    return (np.dtype(dtype_a) == f64
-            and (dtype_b is None or np.dtype(dtype_b) == f64)
-            and all(X is None or kernel_ready(X) for X in operands)
+    a = np.dtype(dtype_a)
+    b = a if dtype_b is None else np.dtype(dtype_b)
+    real = np.result_type(a, b)
+    return (a.kind == b.kind == "f" and real in REALS.values()
+            and all(X is None or kernel_ready(X, real) for X in operands)
             and available())
 
 
@@ -551,7 +588,8 @@ def _whole(kernel, nrows: int) -> None:
 
 
 class CompiledChains:
-    """Compiled chain kernels for one algorithm (+ a multiply driver).
+    """Compiled chain kernels for one algorithm and element type ``real``
+    (+ a multiply driver).
 
     The driver mirrors :func:`repro.core.recursion.multiply` — dynamic
     peeling, leaf dgemm — but forms every S/T/C linear combination with
@@ -567,11 +605,13 @@ class CompiledChains:
     loops are compiled on that promise.
     """
 
-    def __init__(self, algorithm: FastAlgorithm, cse: bool = False):
+    def __init__(self, algorithm: FastAlgorithm, cse: bool = False,
+                 real: str = "double"):
         self.algorithm = algorithm
         self.cse = cse
+        self.source = generate_c_source(algorithm, cse=cse, real=real)
+        self.real, self.dtype = real, REALS[real]
         self._s, self._t, self._c = _prepare(algorithm, cse)
-        self.source = generate_c_source(algorithm, cse=cse)
         self.lib = _compile_source(self.source)
         ptr, lng = ctypes.c_void_p, ctypes.c_long
         for fn in (self.lib.form_S, self.lib.form_T):
@@ -588,14 +628,18 @@ class CompiledChains:
         return (max(self._s["slots"], 1), max(self._t["slots"], 1),
                 len(self._c["defs"]))
 
+    def _ld(self, X) -> int:
+        """``X``'s row stride in elements, as the kernels take it."""
+        return X.strides[0] // self.dtype.itemsize
+
     def form_S(self, A, bp: int, bq: int, slab, i0: int, i1: int) -> None:
         """Rows ``[i0, i1)`` of every S chain over the ``bp x bq`` blocks
         of ``A`` (:func:`kernel_ready`) into ``slab``."""
-        self.lib.form_S(A.ctypes.data, A.strides[0] // 8, bp, bq,
+        self.lib.form_S(A.ctypes.data, self._ld(A), bp, bq,
                         slab.ctypes.data, i0, i1)
 
     def form_T(self, B, bq: int, bn: int, slab, i0: int, i1: int) -> None:
-        self.lib.form_T(B.ctypes.data, B.strides[0] // 8, bq, bn,
+        self.lib.form_T(B.ctypes.data, self._ld(B), bq, bn,
                         slab.ctypes.data, i0, i1)
 
     @staticmethod
@@ -621,9 +665,9 @@ class CompiledChains:
             strip_args = (None, 0, None, 0, 0)
         else:
             A12, B21 = strip
-            strip_args = (A12.ctypes.data, A12.strides[0] // 8,
-                          B21.ctypes.data, B21.strides[0] // 8, A12.shape[1])
-        self.lib.form_C(Mrows, bp, bn, C.ctypes.data, C.strides[0] // 8,
+            strip_args = (A12.ctypes.data, self._ld(A12),
+                          B21.ctypes.data, self._ld(B21), A12.shape[1])
+        self.lib.form_C(Mrows, bp, bn, C.ctypes.data, self._ld(C),
                         None if Y is None else Y.ctypes.data, *strip_args,
                         i0, i1)
 
@@ -648,24 +692,25 @@ class CompiledChains:
     ) -> np.ndarray:
         """``A @ B`` with ``steps`` recursion levels of the algorithm.
 
-        The compiled kernels are float64-only, so the driver computes in
-        double and returns ``np.result_type(A, B)`` -- float32 in, float32
-        out (rounded once at the end), never a silent upcast.  Result
-        dtypes double cannot hold exactly by kind (complex, extended
-        precision) are rejected up front with a pointer at the python
-        backends instead of being quietly narrowed.
+        The kernels compute in their element type, which must be the
+        call's :func:`kernel_dtype`: the ``float`` kernels take float32
+        products, the ``double`` ones every other product and return
+        ``np.result_type(A, B)`` (rounded once at the end, never a silent
+        upcast).  Result dtypes double cannot hold exactly by kind
+        (complex, extended precision) are rejected up front with a pointer
+        at the python backends instead of being quietly narrowed.
 
         ``out`` receives the product (same contract as the
         interpreter: result dtype, writeable, non-overlapping).  With a
         ``workspace`` sized by
         :func:`repro.core.workspace.cbackend_footprint` every slab and
         product buffer comes from the arena; the
-        returned array is never arena memory (a float64 ``out`` is
-        written directly, any other result is a fresh cast).  Only what
-        the kernels cannot address in place (:func:`kernel_ready`) is
-        packed, once, on entry, into the same arena (the footprint charges
-        another dtype's copies; for a strided float64 matrix the call
-        reserves them itself).
+        returned array is never arena memory (an ``out`` of the kernels'
+        dtype is written directly, any other result is a fresh cast).
+        Only what the kernels cannot address in place
+        (:func:`kernel_ready`) is packed, once, on entry, into the same
+        arena (the footprint charges another dtype's copies; for a strided
+        matrix of the kernels' dtype the call reserves them itself).
         """
         A = np.asarray(A)
         B = np.asarray(B)
@@ -673,29 +718,31 @@ class CompiledChains:
         if out is not None:
             check_out(out, A, B)
         dtype = np.result_type(A, B)
-        if dtype.kind not in "fiub" or (dtype.kind == "f"
-                                        and dtype.itemsize > 8):
+        if (dtype.kind not in "fiub" or dtype.kind == "f" and dtype.itemsize
+                > 8 or kernel_dtype(dtype) != self.dtype):
             raise ValueError(
-                f"the native chain backend computes in float64 and cannot "
-                f"represent result dtype {dtype}; use "
-                f"repro.codegen.compile_algorithm or the interpreter instead"
-            )
+                f"the {self.real} kernels cannot compute a {dtype} product: "
+                f"float32 ones run the float kernels, other float64-"
+                f"representable ones the double kernels, the rest the "
+                f"interpreter")
         ws = workspace
         if ws is not None:
             ws.reset()
-            # the caller sized the arena from the dtypes; a float64 matrix
-            # whose strides the kernels cannot walk is packed into a copy
-            # the footprint has no term for, so the call reserves both
+            # the caller sized the arena from the dtypes; a matrix of the
+            # kernels' dtype whose strides they cannot walk is packed into a
+            # copy the footprint has no term for, so the call reserves both
             # (a take costs its bytes plus up to two roundings)
             strided = [X for X in (A, B, out) if X is not None
-                       and X.dtype == np.float64 and not kernel_ready(X)]
+                       and X.dtype == self.dtype
+                       and not kernel_ready(X, self.dtype)]
             if strided:
                 ws.reserve(
                     cbackend_footprint(self.algorithm, self.cse,
                                        (*A.shape, B.shape[1]), A.dtype,
                                        steps, B.dtype)
                     + sum(X.nbytes + 2 * ALIGNMENT for X in strided))
-        Ad, Bd = (X if kernel_ready(X) else _packed(X, ws) for X in (A, B))
+        Ad, Bd = (X if kernel_ready(X, self.dtype)
+                  else _packed(X, ws, self.dtype) for X in (A, B))
         if dtype.kind in "iub" and Ad.size and Bd.size:
             # double holds integers exactly only up to 2^53, and the fast
             # algorithm's *intermediates* (S_r/T_r sums, M_r products)
@@ -716,14 +763,14 @@ class CompiledChains:
                     " double -- use the interpreter for big-integer products"
                 )
         p, r = A.shape[0], B.shape[1]
-        if out is not None and kernel_ready(out):
+        if out is not None and kernel_ready(out, self.dtype):
             dest = out
-        elif dtype == np.float64 and out is None:
+        elif dtype == self.dtype and out is None:
             # the returned array must never be arena memory (the next
             # call resets the workspace), so it comes from the heap
-            dest = np.empty((p, r), dtype=np.float64)
+            dest = np.empty((p, r), dtype=self.dtype)
         else:
-            dest = _take(ws, (p, r))
+            dest = _take(ws, (p, r), self.dtype)
         self._recurse(Ad, Bd, steps, dest, ws)
         if dest is out:
             return out
@@ -732,7 +779,7 @@ class CompiledChains:
         if out is not None:
             np.copyto(out, dest, casting="unsafe")
             return out
-        return dest if dtype == np.float64 else dest.astype(dtype)
+        return dest if dtype == self.dtype else dest.astype(dtype)
 
     __call__ = multiply
 
@@ -765,8 +812,8 @@ class CompiledChains:
         s_rows, t_rows, y_rows = self.slab_rows()
 
         mark = ws.mark() if ws is not None else None
-        Sslab = _take(ws, (s_rows, bp * bq))
-        Tslab = _take(ws, (t_rows, bq * bn))
+        Sslab = _take(ws, (s_rows, bp * bq), self.dtype)
+        Tslab = _take(ws, (t_rows, bq * bn), self.dtype)
         sweep(functools.partial(self.form_S, A, bp, bq, Sslab), bp)
         sweep(functools.partial(self.form_T, B, bq, bn, Tslab), bq)
 
@@ -775,14 +822,15 @@ class CompiledChains:
         # A deeper recursion level writes its result straight into them.
         homes, own = product_homes(self._s["layout"], self._t["layout"],
                                    bp, bq, bn)
-        slabs = {"s": Sslab, "t": Tslab, "m": _take(ws, (own, bp * bn))}
+        slabs = {"s": Sslab, "t": Tslab,
+                 "m": _take(ws, (own, bp * bn), self.dtype)}
         products = [slabs[kind][row][:bp * bn] for kind, row in homes]
         for rr in range(R):
             self._recurse(self.operand("s", rr, Sslab, A, bp, bq),
                           self.operand("t", rr, Tslab, B, bq, bn),
                           steps - 1, products[rr].reshape(bp, bn), ws, sweep)
 
-        Y = _take(ws, (y_rows * bn,)) if y_rows else None
+        Y = _take(ws, (y_rows * bn,), self.dtype) if y_rows else None
         sweep(functools.partial(self.form_C, self.product_rows(products),
                                 bp, bn, Cout, Y, strip=strip), bp)
         if ws is not None:
@@ -790,7 +838,8 @@ class CompiledChains:
 
 
 #: compiled kernels by what was emitted for them -- an algorithm's name,
-#: base case and coefficients, and the cse flag -- so the catalog entries,
+#: base case and coefficients, the cse flag and the element type -- so the
+#: catalog entries,
 #: and any transformed or ad hoc algorithm handed to the schedules, are a
 #: dictionary hit after their first use (``FastAlgorithm`` itself is
 #: unhashable: its factors are arrays).  Guarded by ``_lib_lock``.
@@ -804,9 +853,13 @@ def _emitted_key(alg: FastAlgorithm) -> tuple:
 
 
 def compile_chains(
-    algorithm: str | FastAlgorithm, cse: bool = False
+    algorithm: str | FastAlgorithm, cse: bool = False, dtype="float64"
 ) -> CompiledChains:
-    """Compile (or fetch from cache) the C chain kernels for an algorithm."""
+    """Compile (or fetch from cache) the C chain kernels for an algorithm,
+    over elements of ``dtype`` (float32 or float64)."""
+    real = next((r for r, dt in REALS.items() if dt == np.dtype(dtype)), None)
+    if real is None:
+        raise ValueError(f"no chain kernels for {np.dtype(dtype)}")
     if not available():
         raise RuntimeError(
             "no working C compiler; the native chain backend is unavailable "
@@ -816,10 +869,10 @@ def compile_chains(
         from repro.algorithms import get_algorithm
 
         algorithm = get_algorithm(algorithm)
-    key = (algorithm.memo("_emitted_key", _emitted_key), cse)
+    key = (algorithm.memo("_emitted_key", _emitted_key), cse, real)
     cc = _CHAINS.get(key)
     if cc is None:
-        built = CompiledChains(algorithm, cse=cse)   # may run the compiler
+        built = CompiledChains(algorithm, cse, real)    # may run the compiler
         with _lib_lock:
             cc = _CHAINS.setdefault(key, built)
             while len(_CHAINS) > _CHAINS_MAX:
@@ -833,14 +886,15 @@ def compile_chains(
 _fallback_warned: set[str] = set()
 
 
-def serving_chains(algorithm: str | FastAlgorithm) -> CompiledChains | None:
+def serving_chains(algorithm: str | FastAlgorithm,
+                   dtype="float64") -> CompiledChains | None:
     """:func:`compile_chains` for a serving path that must not fail a
     multiply the NumPy chains could have served: a compile or load error
     (compiler uninstalled since tuning, cache dir yanked,
     ``cbackend.compilefail`` chaos) is counted in ``cbackend.fallbacks``,
     warned once per algorithm and answered with ``None``."""
     try:
-        return compile_chains(algorithm)
+        return compile_chains(algorithm, dtype=dtype)
     except (OSError, RuntimeError) as exc:
         telemetry.incr("cbackend.fallbacks")
         name = getattr(algorithm, "name", algorithm)
@@ -859,5 +913,8 @@ def multiply(
     steps: int = 1,
     cse: bool = False,
 ) -> np.ndarray:
-    """One-call native-chain fast multiply (compare with ``repro.multiply``)."""
-    return compile_chains(algorithm, cse=cse).multiply(A, B, steps=steps)
+    """One-call native-chain fast multiply (compare with ``repro.multiply``),
+    in the operands' :func:`kernel_dtype`."""
+    A, B = np.asarray(A), np.asarray(B)
+    return compile_chains(algorithm, cse, kernel_dtype(A.dtype, B.dtype)
+                          ).multiply(A, B, steps=steps)

@@ -155,7 +155,7 @@ def plan_cost(
     scheme: str = "sequential",
     threads: int = 1,
     subgroup: int | None = None,
-    backend: str = "numpy",
+    backend: str | None = None,
     dtype: str = "float64",
 ) -> float:
     """Predicted seconds of running ``alg`` at ``steps`` on ``p x q x r``,
@@ -188,20 +188,19 @@ def plan_cost(
     make the vendor's gemm slower, but a vCPU that stalls while the
     calibration runs makes the measured curve say so (every 2-thread
     point from 128 up at ~16 ms a call, for the first seconds of some
-    processes on a 2-vCPU VM).  ``backend="compiled"`` is scored in
-    float64 -- the C kernels compute in double whatever the operands are.  A parallel
-    scheme is priced for the kernels its schedule will pick
-    (:func:`repro.codegen.cbackend.chains_fused`, the same question the
-    schedule and its arena ask): fused chains and one task per row range,
-    or NumPy passes and one task per chain (``dfs``) or child (the tree).
+    processes on a 2-vCPU VM).  Every fast plan is priced for the kernels
+    that will form its chains (:func:`repro.codegen.cbackend.chains_fused`,
+    the same rule :func:`repro.tuner.dispatch.execute_plan`, the schedules
+    and their arenas follow), at ``dtype``'s own gemm curve and itemsize:
+    fused chains -- and, in parallel, one task per row range -- or NumPy
+    passes and one task per chain (``dfs``) or child (the tree).
+    ``backend`` is accepted for old callers and ignored.
     """
     from repro.bench.machine import calibration
     from repro.codegen.cbackend import chains_fused
 
     volume = p * q * r
     fast = alg is not None and steps > 0
-    if fast and backend == "compiled":
-        dtype = "float64"
     cal = calibration(dtype, threads, volume)
     one = cal if threads == 1 else calibration(dtype, 1, volume)
 
@@ -215,11 +214,10 @@ def plan_cost(
         return all_threads(p, q, r)
     # only DFS and the tree schemes spread their additions over the pool
     adders = one if scheme == "sequential" else cal
-    fused = scheme != "sequential" and chains_fused(dtype)
-    c_chains = backend == "compiled" or fused
+    fused = chains_fused(dtype)
     passes = [rd + wr for rd, wr in
-              _rw_by_side(alg, "write_once" if c_chains else "pairwise")]
-    strip_words = 0 if c_chains else 2
+              _rw_by_side(alg, "write_once" if fused else "pairwise")]
+    strip_words = 0 if fused else 2
     m, k, n = alg.base_case
     words = parallel_traffic(alg, p, q, r, steps, scheme=scheme,
                              threads=threads, subgroup=subgroup)

@@ -1,10 +1,10 @@
 """Reference recursive executor for fast algorithms (the "interpreter").
 
 This is the semantic ground truth the code generator is tested against
-and the executor :func:`repro.tuner.dispatch.execute_plan` runs for every
-sequential ``backend="numpy"`` plan (and for a compiled plan whose
-toolchain broke): given any ``FastAlgorithm`` it multiplies arbitrary-size
-matrices by
+and the executor :func:`repro.tuner.dispatch.execute_plan` runs for a
+sequential plan whose chains the compiled kernels do not form (dtypes
+other than float32/float64 pairs, no compiler, a toolchain that broke):
+given any ``FastAlgorithm`` it multiplies arbitrary-size matrices by
 
 1. *dynamic peeling* (Section 3.5): strip the at-most-(M-1)/(K-1)/(N-1)
    boundary rows/columns so the core is evenly divisible, recurse on the

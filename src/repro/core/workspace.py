@@ -67,13 +67,14 @@ schedules are therefore accounted exactly rather than bounded, and an
 executor and its arena cannot disagree on where the recursion stops.  What
 differs between the three is only what one level holds.
 
-The **compiled chain driver** has a third memory shape (float64 slabs
-filled by one C call per side, the products of a level live until
-``form_C``) -- :func:`cbackend_footprint`.
+The **compiled chain driver** has a third memory shape (slabs of the
+kernels' element type filled by one C call per side, the products of a
+level live until ``form_C``) -- :func:`cbackend_footprint`.
 
 Which formula sizes a tuner plan is decided in exactly one place,
-:func:`repro.tuner.dispatch.plan_footprint` (scheme, backend ->
-bytes, 0 for plain BLAS): every reservation and every measurement arena
+:func:`repro.tuner.dispatch.plan_footprint` (scheme, and whether the
+compiled kernels serve these dtypes -> bytes, 0 for plain BLAS): every
+reservation and every measurement arena
 comes from it, and a callee that runs another path than its caller sized
 for (strides or a failed compile decide that) reserves its own.  A parallel
 scheme is sized for the kernels its schedule will form the chains with
@@ -494,17 +495,18 @@ def cbackend_footprint(
     dtype_b=None,
     tree: bool = False,
 ) -> int:
-    """Arena bytes for the compiled C chain kernels: the sequential driver
-    (``backend="compiled"``), the parallel DFS that fans the same driver's
-    kernels out over row ranges, and -- with ``tree`` -- the BFS/hybrid
-    task tree when its chains are formed by those kernels.
+    """Arena bytes for the compiled C chain kernels: the sequential driver,
+    the parallel DFS that fans the same driver's kernels out over row
+    ranges, and -- with ``tree`` -- the BFS/hybrid task tree when its
+    chains are formed by those kernels.
 
     Mirrors :meth:`repro.codegen.cbackend.CompiledChains.multiply`, whose
     memory shape differs from the interpreter's:
 
-    - every slot is **float64** regardless of the operand dtypes (the C
-      kernels compute in double); non-double operands draw one conversion
-      copy each, and a non-double result draws a double accumulation
+    - every slot has the kernels' element type
+      (:func:`repro.codegen.cbackend.kernel_dtype`: float32 for a float32
+      product, else float64); an operand of another dtype draws one
+      conversion copy, and a result of another dtype an accumulation
       buffer that is cast once on exit;
     - ``form_S``/``form_T`` fill whole **slab arrays** (one row per CSE
       definition + non-alias chain), so all slab rows of a level are live
@@ -527,22 +529,22 @@ def cbackend_footprint(
     ``repro.codegen`` depends on this module, not vice versa), so arena
     sizing cannot drift from the slab layout the emitted C actually uses.
     """
-    from repro.codegen.cbackend import _prepare, product_homes
+    from repro.codegen.cbackend import _prepare, kernel_dtype, product_homes
 
     s, t, c = _prepare(algorithm, cse)
     R = algorithm.rank
-    f64 = np.dtype(np.float64)
-    take = _Tally(f64.itemsize)
-    p, q, r = (int(d) for d in shape)
     a = np.dtype(dtype_a)
     b = np.dtype(dtype_b if dtype_b is not None else dtype_a)
+    real = kernel_dtype(a, b)
+    take = _Tally(real.itemsize)
+    p, q, r = (int(d) for d in shape)
     total = 0
-    if a != f64:
+    if a != real:
         total += take(p * q)                        # Ad conversion copy
-    if b != f64:
+    if b != real:
         total += take(q * r)                        # Bd conversion copy
-    if np.result_type(a, b) != f64:
-        total += take(p * r)                        # double result buffer
+    if np.result_type(a, b) != real:
+        total += take(p * r)                        # kernel-dtype result
     nodes = 1
     for *_, (bp, bq, bn) in _split_levels(
             [algorithm.base_case] * steps, p, q, r):

@@ -34,9 +34,8 @@ Injection points (the names the chaos suite and CI use):
     :func:`repro.codegen.cbackend._compile_source` raises
     :class:`InjectedFault` instead of invoking the compiler -- a broken
     toolchain discovered at serving time; dispatch must degrade a
-    ``backend="compiled"`` plan to the NumPy-source module, and a
-    parallel schedule its fused chains to the NumPy adders, never fail
-    the multiply.  (The ``available()`` probe is exempt so a transient
+    sequential fast plan to the interpreter, and a parallel schedule its
+    fused chains to the NumPy adders, never fail the multiply.  (The ``available()`` probe is exempt so a transient
     injected fault cannot poison its process-lifetime cache.)
 
 Activation is explicit: the :func:`inject` context manager (tests), or

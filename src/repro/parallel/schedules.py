@@ -31,16 +31,18 @@ core-size.
 
 **Which kernels form the chains** is decided per call by
 :func:`repro.codegen.cbackend.chains_fused` -- it is not a plan dimension
-and nothing selects it.  Float64 operands the compiled kernels can address
-in place, on a host where the algorithm's module loads, get the fused C
-kernels (``form_S``/``form_T``/``form_C``) over row ranges, one pool task
+and nothing selects it.  Operands of one kernel dtype (float32 or
+float64) the compiled kernels can address in place, on a host where the
+algorithm's module loads, get the fused C kernels at that precision
+(``form_S``/``form_T``/``form_C``) over row ranges, one pool task
 per range (ctypes releases the GIL; a range recomputes its rows from the
 kernel's inputs, so the tasks are retryable): DFS is the compiled driver
 with three fan-outs per level, and a tree level is ``form_S`` + ``form_T``
 per (node, row range) on the way down and ``form_C`` per (node, row range)
 on the way up, with enough ranges that every level -- the root included --
-has at least P tasks.  Everything else (float32, exotic strides, no
-compiler, a compile that fails at the call) is formed by the NumPy
+has at least P tasks.  Everything else (mixed or other dtypes, exotic
+strides, no compiler, a compile that fails at the call) is formed by the
+NumPy
 row-slab adders: one fan-out per chain under DFS, one task per child and
 per combine in the tree.  The arithmetic per element is the same sequence
 either way, so both agree with the interpreter bit for bit on the +-1
@@ -141,7 +143,8 @@ def _run_dfs(A, B, alg: FastAlgorithm, steps: int, pool: WorkerPool,
             pool.map_wait(lambda sl: kernel(sl.start, sl.stop),
                           _row_slabs(nrows, threads), retryable=True)
 
-        C = out if out is not None else np.empty((A.shape[0], B.shape[1]))
+        C = out if out is not None else np.empty((A.shape[0], B.shape[1]),
+                                                 dtype=cc.dtype)
         with blas.blas_threads(threads):
             cc._recurse(A, B, steps, C, ws, sweep)
         return C
@@ -281,7 +284,7 @@ class _Node:
 
 @dataclasses.dataclass
 class _FusedNode(_Node):
-    """A node whose chains the compiled kernels form (float64 throughout).
+    """A node whose chains the compiled kernels form (in their dtype).
 
     Its children's operands live in one S and one T slab (``slots`` rows,
     not ``R``: alias chains are views of this node's own blocks) and
@@ -305,9 +308,9 @@ class _FusedNode(_Node):
         A11, B11, _ = self._peel
         s_rows, t_rows, _ = cc.slab_rows()
         take = ws.take if ws is not None else np.empty
-        Sslab = take((s_rows, bp * bq), np.float64)
-        Tslab = take((t_rows, bq * bn), np.float64)
-        Mslab = take((R, bp * bn), np.float64)
+        Sslab = take((s_rows, bp * bq), cc.dtype)
+        Tslab = take((t_rows, bq * bn), cc.dtype)
+        Mslab = take((R, bp * bn), cc.dtype)
         self._slabs = (Sslab, Tslab, Mslab)
         self._products = cc.product_rows(Mslab)
         self.children = [
@@ -494,7 +497,9 @@ def parallel_footprint(
     resp. a buffer per child (:func:`~repro.core.workspace.bfs_footprint`).
     """
     if fused is None:
-        fused = cbackend.chains_fused(dtype_a, dtype_b)
+        # the schedules pack nothing: a mixed pair meets the NumPy adders
+        fused = (cbackend.chains_fused(dtype_a, dtype_b) and np.dtype(dtype_a)
+                 == np.dtype(dtype_a if dtype_b is None else dtype_b))
     if fused:
         return cbackend_footprint(algorithm, False, (p, q, r), dtype_a,
                                   steps, dtype_b, tree=scheme != "dfs")
@@ -524,9 +529,10 @@ def multiply_parallel(
 
     Which kernels form the chains is decided here, per call, from what
     the call can observe (:func:`repro.codegen.cbackend.chains_fused`):
-    float64 operands the compiled kernels can address in place, and a
-    module that loads for ``algorithm``, get the fused C kernels over row
-    ranges; anything else the NumPy adders -- also when the compile fails
+    operands of one kernel dtype the compiled kernels can address in
+    place, and a module that loads for ``algorithm``, get the fused C
+    kernels over row ranges; anything else the NumPy adders -- also when
+    the compile fails
     at this very call (counted in ``cbackend.fallbacks``, warned once per
     algorithm).
 
@@ -548,7 +554,7 @@ def multiply_parallel(
             f"not {scheme!r}"
         )
     fused = cbackend.chains_fused(A.dtype, B.dtype, (A, B, out))
-    cc = cbackend.serving_chains(algorithm) if fused else None
+    cc = cbackend.serving_chains(algorithm, A.dtype) if fused else None
     if workspace is not None:
         # the caller sized the arena from (plan, shape, dtypes); which
         # kernels run was decided just now, from the operands and the

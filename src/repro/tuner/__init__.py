@@ -63,17 +63,13 @@ from repro.tuner.policy import (
     get_policy,
 )
 from repro.tuner.space import (
-    PLAN_BACKENDS,
     Plan,
     candidate_algorithms,
-    compiled_backend_available,
     enumerate_plans,
-    retarget_backend,
     subgroup_candidates,
 )
 
 __all__ = [
-    "PLAN_BACKENDS",
     "BatchPlan",
     "Plan",
     "PlanCache",
@@ -85,7 +81,6 @@ __all__ = [
     "ShapeReport",
     "TuningPolicy",
     "candidate_algorithms",
-    "compiled_backend_available",
     "default_cache_path",
     "enumerate_plans",
     "execute_plan",
@@ -97,7 +92,6 @@ __all__ = [
     "measure_plan",
     "reset_shared_cache",
     "reset_workspaces",
-    "retarget_backend",
     "shutdown_shared_pools",
     "subgroup_candidates",
     "tune",

@@ -75,7 +75,8 @@ _log = logging.getLogger("repro.tuner.cache")
 #: timings describe only half the candidate space and must be re-tuned.
 #: Sequential NumPy plans run the interpreter again since the generated
 #: modules left the serving path: measured within noise of them, so no
-#: bump, and a v6 entry's leftover ``"strategy"`` key is ignored on load)
+#: bump, and a v6 entry's leftover ``"strategy"``/``"backend"`` keys are
+#: ignored: since the kernels serve by rule it runs no slower than timed)
 SCHEMA_VERSION = 6
 
 #: default max log-space distance for the nearest-shape fallback
@@ -442,8 +443,8 @@ class PlanCache:
             plan: Plan, seconds: float | None = None,
             gflops: float | None = None) -> None:
         """Store a tuned plan.  Besides the plan dict itself, the entry
-        records the scheme, sub-group P' and serving backend it was tuned
-        with as explicit top-level fields -- ``cache show`` and external
+        records the scheme and sub-group P' it was tuned with as explicit
+        top-level fields -- ``cache show`` and external
         tooling read the execution configuration without decoding the
         plan."""
         with self._lock:
@@ -452,7 +453,6 @@ class PlanCache:
                 "plan": plan.to_dict(),
                 "scheme": plan.scheme,
                 "subgroup": plan.subgroup,
-                "backend": plan.backend,
                 "seconds": seconds,
                 "gflops": gflops,
                 "fingerprint": self.fingerprint,

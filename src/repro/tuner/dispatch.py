@@ -51,7 +51,6 @@ report is one branch.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import logging
 import threading
@@ -182,29 +181,35 @@ def plan_footprint(plan: Plan, p: int, q: int, r: int,
                    dtype_a, dtype_b) -> int:
     """Arena bytes one execution of ``plan`` draws (0 for plain BLAS).
 
-    The one place a plan's (scheme, backend) picks its footprint formula:
-    every reservation and every measurement arena is sized here, by the
-    formula of the executor :func:`execute_plan` will run -- for a
-    parallel scheme, of the chain kernels its schedule will pick for
-    these dtypes (:func:`repro.codegen.cbackend.chains_fused`).  An
-    executor that the operands send down another path reserves its own.
+    The one place a plan's scheme picks its footprint formula: every
+    reservation and every measurement arena is sized here, by the formula
+    of the executor :func:`execute_plan` will run -- the one the rule
+    (:func:`repro.codegen.cbackend.chains_fused`) picks for these dtypes.
+    An executor that the operands send down another path reserves its own.
     """
     if plan.is_dgemm:
         return 0
     alg = get_algorithm(plan.algorithm)
     if plan.scheme == "sequential":
-        if plan.backend == "compiled":
+        if cbackend.chains_fused(dtype_a, dtype_b):
             # the C chain kernels: fused S/T slabs, the R-row product
             # slab, Y scratch
             return cbackend_footprint(alg, False, (p, q, r), dtype_a,
                                       plan.steps, dtype_b=dtype_b)
-        # the interpreter: one S/T/M_r triple per level (Section 4.1)
-        return dfs_footprint([alg.base_case] * plan.steps, p, q, r,
-                             dtype_a, dtype_b, algorithms=[alg] * plan.steps)
+        return _interpreter_footprint(alg, plan.steps, p, q, r,
+                                      dtype_a, dtype_b)
     # a parallel scheme's layout follows the kernels that will form its
     # chains, which the schedules decide from the operands
     return parallel_footprint(alg, plan.steps, plan.scheme, p, q, r,
                               dtype_a, dtype_b)
+
+
+def _interpreter_footprint(alg, steps: int, p: int, q: int, r: int,
+                           dtype_a, dtype_b) -> int:
+    """The interpreter's arena: one S/T/M_r triple per level (Section
+    4.1)."""
+    return dfs_footprint([alg.base_case] * steps, p, q, r, dtype_a, dtype_b,
+                         algorithms=[alg] * steps)
 
 
 def build_workspace(plan: Plan, p: int, q: int, r: int,
@@ -270,12 +275,14 @@ def execute_plan(
     """Run one multiplication exactly as ``plan`` prescribes.
 
     ``out`` receives the product; ``workspace`` (see
-    :func:`workspace_for`) supplies every temporary.  A sequential NumPy
-    plan runs the interpreter (:func:`repro.core.recursion.multiply`):
-    with a workspace its S/T/M_r triple per level is arena views and
-    ``out`` is written directly.  A compiled plan runs the C chain driver
-    and, should the toolchain break at serving time, the interpreter too
-    -- in the same arena, re-reserved for the interpreter's layout.
+    :func:`workspace_for`) supplies every temporary.  A sequential fast
+    plan runs the C chain driver at the product's precision whenever
+    :func:`repro.codegen.cbackend.chains_fused` holds for the dtypes; the
+    interpreter (:func:`repro.core.recursion.multiply`) serves every
+    other dtype, a host without a compiler, and a compile that fails at
+    serving time -- then in the same arena, re-reserved for the
+    interpreter's layout (one S/T/M_r triple per level, arena views;
+    ``out`` is written directly).
     Parallel plans carry their sub-group P' (``plan.subgroup``) through to
     the schedule verbatim -- the tuner's swept value is what executes, not
     a derived default -- and leave the choice of chain kernels (fused C
@@ -290,8 +297,9 @@ def execute_plan(
             return np.matmul(A, B, out=out)
     alg = get_algorithm(plan.algorithm)
     if plan.scheme == "sequential":
-        if plan.backend == "compiled":
-            cc = cbackend.serving_chains(plan.algorithm)
+        if cbackend.chains_fused(A.dtype, B.dtype):
+            cc = cbackend.serving_chains(
+                alg, cbackend.kernel_dtype(A.dtype, B.dtype))
             if cc is not None:
                 with blas.blas_threads(plan.threads):
                     return cc.multiply(A, B, steps=plan.steps, out=out,
@@ -300,9 +308,9 @@ def execute_plan(
             # to the interpreter, in the arena the caller sized for the C
             # driver, re-reserved for the interpreter's layout
             if workspace is not None:
-                workspace.reserve(plan_footprint(
-                    dataclasses.replace(plan, backend="numpy"),
-                    A.shape[0], *B.shape, A.dtype, B.dtype))
+                workspace.reserve(_interpreter_footprint(
+                    alg, plan.steps, A.shape[0], *B.shape, A.dtype,
+                    B.dtype))
         with blas.blas_threads(plan.threads):
             return recursion.multiply(A, B, alg, steps=plan.steps, out=out,
                                       workspace=workspace)
@@ -413,7 +421,6 @@ def _report(plan: Plan, served: Plan, source: str, p: int, q: int, r: int,
     seconds = (telemetry.clock_ns() - t_call) * 1e-9
     telemetry.incr("dispatch.calls")
     telemetry.incr("dispatch.source", source=source)
-    telemetry.incr("dispatch.backend", backend=served.backend)
     gflops = (effective_gflops(p, q, r, seconds / (batch or 1))
               if seconds > 0 else 0.0)
     telemetry.set_gauge("dispatch.last_gflops", gflops)
@@ -425,7 +432,6 @@ def _report(plan: Plan, served: Plan, source: str, p: int, q: int, r: int,
         "source": source,
         "plan": served.describe(),
         "scheme": served.scheme,
-        "backend": served.backend,
         "seconds": seconds,
         "gflops": gflops,
     }

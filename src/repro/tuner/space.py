@@ -4,7 +4,9 @@ A :class:`Plan` pins down everything the paper leaves to the practitioner:
 which algorithm (by catalog name, including shape-matched permutations),
 how many recursive steps, which parallel schedule (including the
 sub-group hybrid's P', swept over the divisors of the thread count),
-which sequential executor, the leaf cutoff and the thread count.
+the leaf cutoff and the thread count.  Which kernels form the chains is
+not in the plan: it is a rule on the operands
+(:func:`repro.codegen.cbackend.chains_fused`).
 ``enumerate_plans`` generates the candidates for one problem shape and
 ranks them by ``core.cost.plan_cost``'s predicted seconds on this machine,
 so measurement (``repro.tuner.measure``) only has to time a short,
@@ -20,6 +22,7 @@ import functools
 
 from repro.algorithms import get_algorithm, list_algorithms
 from repro.bench import machine
+from repro.codegen import cbackend
 from repro.core.cost import plan_cost
 from repro.core.recursion import CutoffPolicy
 from repro.core.stability import max_stable_steps
@@ -27,7 +30,7 @@ from repro.core.transforms import permutation_family
 from repro.parallel.schedules import SCHEMES
 
 #: schedule names a plan may reference: the paper's three parallel schemes
-#: (plus the sub-group hybrid) and the sequential compiled path.
+#: (plus the sub-group hybrid) and the sequential path.
 PLAN_SCHEMES = ("sequential",) + SCHEMES
 
 #: leaf subproblems below this dimension have left the flat part of the
@@ -48,12 +51,6 @@ MAX_STEPS = {"float32": 4, "float64": 3}
 
 #: plain-BLAS pseudo-algorithm name usable in plans
 DGEMM = "dgemm"
-
-#: serving backends a plan may name: the NumPy interpreter
-#: (``repro.core.recursion``, every host) or the compiled C chain kernels
-#: (hosts where ``repro.codegen.cbackend.available()`` -- enumerated only
-#: there)
-PLAN_BACKENDS = ("numpy", "compiled")
 
 
 def default_min_leaf(dtype: str = "float64") -> int:
@@ -86,16 +83,13 @@ class Plan:
     to :func:`repro.parallel.schedules.default_subgroup` at execution
     time and is the only legal value for every other scheme.
 
-    ``backend`` picks the *sequential* executor of a fast plan:
-    ``"numpy"`` (the interpreter, :func:`repro.core.recursion.multiply`,
-    in a Section 4.1 arena) or ``"compiled"`` (the driver and fused
-    single-pass C chain kernels of :mod:`repro.codegen.cbackend`, which
-    degrade in-band to the interpreter).  It is sequential-only and
-    meaningless for dgemm, which has no chains to fuse.  Which kernels
-    form the chains of a *parallel* scheme is not a plan dimension: the
-    schedule decides per call from its operands
-    (:func:`repro.codegen.cbackend.chains_fused`), and the arena and the
-    cost model follow the same predicate.
+    Which kernels form a fast plan's chains is not a plan dimension: a
+    sequential plan runs the compiled driver and a parallel schedule its
+    kernels whenever :func:`repro.codegen.cbackend.chains_fused` holds for
+    the operands, the interpreter or the NumPy adders otherwise, and the
+    arena and the cost model follow the same rule.  ``backend`` is
+    accepted for old callers and read by nothing: it takes no part in a
+    plan's identity.
     """
 
     algorithm: str = DGEMM
@@ -103,7 +97,7 @@ class Plan:
     scheme: str = "sequential"
     threads: int = 1
     subgroup: int | None = None
-    backend: str = "numpy"
+    backend: str = dataclasses.field(default="numpy", compare=False)
 
     def __post_init__(self):
         if self.scheme not in PLAN_SCHEMES:
@@ -114,22 +108,6 @@ class Plan:
             raise ValueError("steps must be >= 0")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
-        if self.backend not in PLAN_BACKENDS:
-            raise ValueError(
-                f"backend must be one of {PLAN_BACKENDS}, got {self.backend!r}"
-            )
-        if self.backend == "compiled":
-            if self.algorithm == DGEMM or self.steps == 0:
-                raise ValueError(
-                    "backend='compiled' needs a fast algorithm with "
-                    "steps >= 1; dgemm has no chains to compile"
-                )
-            if self.scheme != "sequential":
-                raise ValueError(
-                    f"backend='compiled' serves the sequential path only, "
-                    f"not scheme {self.scheme!r} (a parallel schedule "
-                    f"picks its chain kernels itself)"
-                )
         if self.subgroup is not None:
             if self.scheme != "hybrid-subgroup":
                 raise ValueError(
@@ -152,13 +130,7 @@ class Plan:
         scheme = self.scheme
         if self.subgroup is not None:
             scheme = f"{scheme}[P'={self.subgroup}]"
-        # the backend is part of a plan's identity (quarantine ledger keys
-        # and cache displays go through describe), so surface it
-        suffix = " [cc]" if self.backend == "compiled" else ""
-        return (
-            f"{self.algorithm} steps={self.steps} {scheme}"
-            f"({self.threads}t){suffix}"
-        )
+        return f"{self.algorithm} steps={self.steps} {scheme}({self.threads}t)"
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -170,42 +142,6 @@ class Plan:
                             f"{type(d).__name__}")
         known = {f.name for f in dataclasses.fields(cls)}
         return cls(**{k: v for k, v in d.items() if k in known})
-
-
-def retarget_backend(plan: Plan, backend: str) -> Plan:
-    """The same plan pinned to ``backend``, validating compatibility.
-
-    ``backend`` names the sequential executor, so ``"compiled"`` requires
-    a sequential fast plan: dgemm has no chains, and a parallel scheme
-    picks its chain kernels by itself, per call (see :class:`Plan`) --
-    incompatible retargets raise ``ValueError`` rather than silently
-    returning a plan whose field means nothing.
-    """
-    if backend not in PLAN_BACKENDS:
-        raise ValueError(
-            f"backend must be one of {PLAN_BACKENDS}, got {backend!r}"
-        )
-    if plan.backend == backend:
-        return plan
-    if backend == "compiled" and (plan.is_dgemm
-                                  or plan.scheme != "sequential"):
-        raise ValueError(
-            f"plan {plan.describe()} cannot serve backend='compiled' "
-            f"(needs a sequential fast plan)"
-        )
-    return dataclasses.replace(plan, backend=backend)
-
-
-def compiled_backend_available() -> bool:
-    """True when the compiled C chain backend can serve plans here.
-
-    Lazy import so merely enumerating plans on a host without a compiler
-    never pays the probe's import cost twice; the underlying probe result
-    is process-cached by ``cbackend.available``.
-    """
-    from repro.codegen import cbackend
-
-    return cbackend.available()
 
 
 @functools.lru_cache(maxsize=1)
@@ -291,21 +227,21 @@ def enumerate_plans(
     :func:`repro.core.stability.max_stable_steps` so the extra depth never
     exceeds the precision's growth budget.
 
-    On hosts with a working C compiler every sequential candidate gets a
-    ``backend="compiled"`` twin, scored with the fused chains' lower
-    traffic; hosts without one never see a compiled candidate, so tuning
-    stays portable.
+    Every candidate is priced for the kernels that will form its chains
+    (:func:`repro.core.cost.plan_cost` asks
+    :func:`repro.codegen.cbackend.chains_fused`): the fused C kernels on
+    a host with a working compiler, the NumPy executors elsewhere.
 
     Memoised per shape, dtype, thread count, cutoff, compiler availability
-    (which also decides the kernels the parallel schemes are priced for)
-    and machine calibration (taken lazily here, on the first lookup for a
+    (which decides the kernels every fast plan is priced for) and machine
+    calibration (taken lazily here, on the first lookup for a
     ``(dtype, threads)`` pair): only the first call for a shape scores.
     """
     dtype = str(dtype)
     if min_leaf is None:
         min_leaf = default_min_leaf(dtype)
     plans = _ranked_plans(p, q, r, dtype, threads, min_leaf,
-                          compiled_backend_available(),
+                          cbackend.available(),
                           machine.calibration(dtype, threads, p * q * r))
     if max_candidates is None:
         return list(plans)
@@ -321,16 +257,14 @@ def _ranked_plans(p: int, q: int, r: int, dtype: str, threads: int,
                   calibration) -> tuple[Plan, ...]:
     """The whole ranked space behind :func:`enumerate_plans`.
     ``calibration`` (what the scores are computed from) is part of the
-    key only: a new calibration is a new ranking.  So is ``compiler`` at
-    ``threads > 1``, where it adds no candidate but decides which kernels
-    :func:`repro.core.cost.plan_cost` prices the parallel schemes for."""
+    key only: a new calibration is a new ranking.  So is ``compiler``,
+    which adds no candidate but decides which kernels
+    :func:`repro.core.cost.plan_cost` prices every fast plan for."""
     cap = MAX_STEPS.get(dtype, MAX_STEPS["float64"])
-    variants = [(scheme, sub, "numpy")
+    variants = [(scheme, sub)
                 for scheme in (SCHEMES if threads > 1 else ("sequential",))
                 for sub in (subgroup_candidates(threads)
                             if scheme == "hybrid-subgroup" else [None])]
-    if compiler and threads <= 1:
-        variants.append(("sequential", None, "compiled"))
     dgemm_cost = plan_cost(None, p, q, r, 0, threads=threads, dtype=dtype)
     scored: list[tuple[float, Plan]] = [
         (dgemm_cost, Plan(threads=threads))
@@ -341,14 +275,13 @@ def _ranked_plans(p: int, q: int, r: int, dtype: str, threads: int,
                                  min_leaf=min_leaf, cap=cap)
         depth = min(depth, max_stable_steps(alg, dtype))
         for steps in range(1, depth + 1):
-            for scheme, sub, backend in variants:
+            for scheme, sub in variants:
                 cost = plan_cost(alg, p, q, r, steps, scheme=scheme,
-                                 threads=threads, subgroup=sub,
-                                 backend=backend, dtype=dtype)
+                                 threads=threads, subgroup=sub, dtype=dtype)
                 if cost < dgemm_cost:
                     scored.append((cost, Plan(
                         algorithm=name, steps=steps, scheme=scheme,
-                        threads=threads, subgroup=sub, backend=backend,
+                        threads=threads, subgroup=sub,
                     )))
     scored.sort(key=lambda cp_: (cp_[0], cp_[1].describe()))
     return tuple(pl for _, pl in scored)

@@ -21,7 +21,7 @@ import threading
 import numpy as np
 import pytest
 
-from conftest import run_cli
+from conftest import catalog_names, run_cli
 from repro import analyze
 from repro.algorithms import get_algorithm
 from repro.analyze import arena, catalog, cemit, concurrency, symbolic
@@ -187,6 +187,56 @@ def test_mutation_cemit_corruptions_are_detected():
     assert stale != src
     assert has_code(cemit.verify_source(stale, alg, False, where="mut"),
                     "CEMIT-HEADER")
+
+
+def test_cemit_proves_both_element_types():
+    """Every catalog x CSE unit is proven as printed over ``double`` and
+    over ``float``, and a unit is proven only as the type it claims."""
+    from repro.codegen.cbackend import REALS, generate_c_source
+
+    names = catalog_names()
+    checked, findings = cemit.verify_catalog(names)
+    assert findings == [] and checked == 2 * len(REALS) * len(names)
+    alg = get_algorithm("strassen")
+    unit = generate_c_source(alg, False, "float")
+    assert cemit.verify_source(unit, alg, False, real="float") == []
+    assert has_code(cemit.verify_source(unit, alg, False, where="mut"),
+                    "CEMIT-PARSE")
+
+
+def test_mutation_float_unit_with_a_stray_double_is_detected():
+    """A ``double`` in a ``float`` unit widens its chain: a pointer, a
+    strip scalar, a signature or a coefficient literal -- each fails."""
+    from repro.algorithms import list_algorithms
+    from repro.codegen.cbackend import generate_c_source
+
+    alg = get_algorithm("s333")
+    src = generate_c_source(alg, True, "float")
+
+    def codes(mutant, algorithm=alg, cse=True):
+        assert mutant != src
+        return {f.code for f in cemit.verify_source(
+            mutant, algorithm, cse, where="mut", real="float")}
+
+    slab = re.search(r"    float \*pS\d+ = S \+", src).group(0)
+    for good, bad in (
+            (slab, slab.replace("float", "double")),
+            ("const float a = A12", "const double a = A12"),
+            ("const float *b = B21", "const double *b = B21"),
+            ("const float *X, long ldx", "const double *X, long ldx"),
+            ("float *C, long ldc", "double *C, long ldc")):
+        found = codes(src.replace(good, bad, 1))
+        assert found & {"CEMIT-PARSE", "CEMIT-RANGE"}, (bad, found)
+    # a double literal: find a unit that scales, and drop one ``f`` suffix
+    for name in list_algorithms(include_apa=True):
+        scaled = generate_c_source(get_algorithm(name), False, "float")
+        literal = re.search(r"\d(f) \* p", scaled)
+        if literal:
+            mutant = scaled[:literal.start(1)] + scaled[literal.end(1):]
+            assert "CEMIT-PARSE" in codes(mutant, get_algorithm(name), False)
+            break
+    else:  # pragma: no cover - the catalog always has one
+        pytest.fail("no catalog unit scales a term")
 
 
 def test_mutation_cemit_hint_and_strip_are_proven():

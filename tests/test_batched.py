@@ -86,12 +86,10 @@ def looped_matmul(A, B, threads, cache):
 # bit-for-bit equivalence with the per-call path
 # =========================================================================
 #: plans spanning the execution surface a batch can route through:
-#: plain BLAS, the interpreter, the compiled chains and two parallel
-#: schemes
+#: plain BLAS, the sequential chains and two parallel schemes
 EQUIV_PLANS = [
     Plan(threads=1),  # dgemm
     STRASSEN,
-    Plan(algorithm="strassen", steps=1, threads=1, backend="compiled"),
     Plan(algorithm="strassen", steps=1, scheme="dfs", threads=2),
     Plan(algorithm="strassen", steps=2, scheme="hybrid", threads=2),
 ]
@@ -287,7 +285,7 @@ class TestAmortization:
         assert rec["arena_overflows"] == 0
 
     def test_compiled_plan_fits_its_arena(self, cache):
-        """The reservation follows the plan's *backend*: sized for the
+        """The reservation follows the kernel rule: sized for the
         interpreter, every warm compiled element would overflow."""
         from repro.codegen import cbackend
         from repro.core.stability import error_bound
@@ -296,8 +294,7 @@ class TestAmortization:
             pytest.skip("no C compiler")
         n, batch = 256, 8
         cache.put(n, n, n, "float64", 1,
-                  Plan(algorithm="strassen", steps=1, threads=1,
-                       backend="compiled"))
+                  Plan(algorithm="strassen", steps=1, threads=1))
         A, B = batch_operands(n, n, n, batch, seed=5)
         telemetry.enable()
         for _ in range(3):

@@ -169,6 +169,30 @@ class TestMachineModel:
         assert flat.seconds(1024, 1024, 1024) == pytest.approx(
             2 * 1024**3 / 50e9)                         # measured: as is
 
+    def test_a_stalled_low_point_is_not_a_ramp(self):
+        """Regression: (512, 0.3) then (1024, 40) -- a 2-thread gemm that
+        waited for its second vCPU, then one that did not -- put the ramp's
+        asymptote ``1/r2 - slope/n2`` below zero, and every gemm past 1024
+        was priced at a negative rate (dgemm(2t) at 2048^3: -100 ms).  Such
+        a curve holds its top point's rate."""
+        stalled = machine.GemmCurve([512, 1024], [0.3, 40.0])
+        for n in (1025, 2048, 4096, 1e5):
+            assert stalled.seconds(n, n, n) == pytest.approx(
+                2 * n**3 / 40e9)
+        # every monotone curve whose asymptote is positive extrapolates as
+        # it did: through 1/rate = 1/r2 + slope (1/n - 1/n2)
+        for sizes, rates in (([256, 512, 1024], [40.0, 50.0, 56.0]),
+                             ([512, 1024], [20.0, 38.0]),
+                             ([64, 512, 1024], [5.0, 30.0, 31.0])):
+            curve = machine.GemmCurve(sizes, rates)
+            (n1, n2), (r1, r2) = sizes[-2:], rates[-2:]
+            slope = (1 / r1 - 1 / r2) / (1 / n1 - 1 / n2)
+            assert 1 / r2 - slope / n2 > 0
+            for n in (1500, 2048, 8192):
+                want = 2 * n**3 / (1e9 / (1 / r2 + slope * (1 / n - 1 / n2)))
+                assert curve.seconds(n, n, n) == pytest.approx(want,
+                                                               rel=1e-12)
+
     def test_recommended_steps_agree_with_the_cost_model(self, use_machine):
         """With additions and fixed costs out of the picture the seconds
         model *is* the Section 3.4 rule: same curve, same step count."""

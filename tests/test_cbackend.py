@@ -44,6 +44,28 @@ class TestSourceGeneration:
         src = cbackend.generate_c_source(alg)
         assert "<4,2,4>" in src and "rank 26" in src
 
+    def test_one_printer_two_element_types(self):
+        """The float unit is the double unit with every element type and
+        coefficient literal narrowed: same chains, same hints, same
+        strip."""
+        for name in ("s424", "hk223", "s333"):
+            alg = get_algorithm(name)
+            for cse in (False, True):
+                dbl = cbackend.generate_c_source(alg, cse)
+                flt = cbackend.generate_c_source(alg, cse, real="float")
+                assert "double" not in flt and "float" not in dbl
+                narrowed = re.sub(r"(\d)f \* ", r"\1 * ", flt)
+                assert narrowed.replace("float", "double") == dbl
+        with pytest.raises(ValueError, match="real"):
+            cbackend.generate_c_source(alg, real="half")
+
+    def test_kernels_are_cached_per_element_type(self):
+        f64 = cbackend.compile_chains("strassen")
+        f32 = cbackend.compile_chains("strassen", dtype="float32")
+        assert f32 is not f64 and f32.lib is not f64.lib
+        assert (f64.real, f32.real) == ("double", "float")
+        assert cbackend.compile_chains("strassen", dtype=np.float32) is f32
+
     def test_unit_coefficients_have_no_multiply(self):
         # Strassen is all +-1: the emitted chain arithmetic (the `[j] = ...`
         # assignment lines) must be pure add/subtract, no scalar multiplies
@@ -85,19 +107,22 @@ def _is_gcc() -> bool:
 
 
 @pytest.mark.skipif(not _is_gcc(), reason="REPRO_CC is not gcc")
+@pytest.mark.parametrize("real", ["double", "float"])
 @pytest.mark.parametrize("name,cse", [("strassen", False), ("s424", False),
-                                      ("s333", True)])
-def test_every_emitted_j_loop_vectorises(name, cse, tmp_path):
+                                      ("s333", True), ("s433", False)])
+def test_every_emitted_j_loop_vectorises(name, cse, real, tmp_path):
     """The non-gemm time of a compiled step is bandwidth-bound only while
     every chain loop runs SIMD.  Past ten pointer pairs gcc gives up on
     run-time alias checks and -- without the emitted no-dependence hint --
     leaves the dense entries' ``form_C`` scalar (``s424``: 26 terms a
     chain, 3x slower).  gcc's own report must say "vectorized" of every
     ``j`` loop and "missed" of none; the ``i`` and ``t`` loops around them
-    it may decline, they are not meant to vectorise."""
+    it may decline, they are not meant to vectorise.  Under the flags the
+    probe settled on: the lean vectoriser set where gcc takes it."""
     import subprocess
 
-    src = cbackend.generate_c_source(get_algorithm(name), cse=cse)
+    assert cbackend.available()
+    src = cbackend.generate_c_source(get_algorithm(name), cse=cse, real=real)
     unit = tmp_path / "unit.c"
     unit.write_text(src)
     proc = subprocess.run(
@@ -214,9 +239,9 @@ class TestCorrectness:
 
 # ------------------------------------------------------------------ dtypes
 class TestDtypeContract:
-    """The kernels are float64-only; the driver must return
-    ``np.result_type(A, B)`` (never a silent upcast) and reject result
-    dtypes double cannot represent."""
+    """A float32 product runs the float kernels, every other one the
+    double kernels; the driver must return ``np.result_type(A, B)`` (never
+    a silent upcast) and reject result dtypes double cannot represent."""
 
     def test_float32_in_float32_out(self):
         A = _rand(48, 48).astype(np.float32)
@@ -224,6 +249,8 @@ class TestDtypeContract:
         C = cbackend.multiply(A, B, "strassen", steps=2)
         assert C.dtype == np.float32
         np.testing.assert_allclose(C, A @ B, rtol=1e-4, atol=1e-4)
+        with pytest.raises(ValueError, match="float kernels"):
+            cbackend.compile_chains("strassen").multiply(A, B)
 
     def test_mixed_precision_promotes(self):
         A = _rand(32, 32).astype(np.float32)
@@ -291,6 +318,23 @@ class TestAliasHandling:
 class TestCompilerGating:
     def test_available_is_cached_bool(self):
         assert isinstance(cbackend.available(), bool)
+
+    def test_probe_settles_the_flags_once(self, monkeypatch):
+        """The lean vectoriser flags where the compiler takes them, the
+        ``-O3`` set where it rejects one."""
+        lean, fallback = cbackend._OPT_FLAGS
+        assert cbackend._CFLAGS == [*lean, *cbackend._COMMON_FLAGS]
+        monkeypatch.setattr(cbackend, "_OPT_FLAGS",
+                            ([*lean, "-fno-such-flag-anywhere"], fallback))
+        cbackend.available.cache_clear()
+        try:
+            assert cbackend.available()
+            assert cbackend._CFLAGS == [*fallback, *cbackend._COMMON_FLAGS]
+        finally:
+            monkeypatch.undo()
+            cbackend.available.cache_clear()
+            assert cbackend.available()
+        assert cbackend._CFLAGS == [*lean, *cbackend._COMMON_FLAGS]
 
     def test_missing_compiler_raises_cleanly(self, monkeypatch):
         monkeypatch.setattr(cbackend, "available", lambda: False)

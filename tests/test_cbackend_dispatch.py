@@ -1,14 +1,15 @@
-"""The compiled serving path: backend="compiled" plans end to end.
+"""The compiled serving path: the chain kernels serve by rule, end to end.
 
-Covers the tentpole (dispatchable, arena-aware C backend: plan field,
-cost model, workspace sizing, execute path, guard degradation) and the
-compile-cache bug sweep satellites: fingerprint-keyed ``.so`` caching,
-atomic writes, per-user cache dir with in-memory degradation, and the
-locked library cache under concurrent first compiles.
+Covers the serving rule (no plan field: the cost model, workspace
+sizing, execute path and guard degradation all follow
+``cbackend.chains_fused``) and the compile-cache bug sweep satellites:
+fingerprint-keyed ``.so`` caching, atomic writes, per-user cache dir with
+in-memory degradation, and the locked library cache under concurrent
+first compiles.
 
 Everything that needs a real compiler is behind ``needs_cc``; hosts
-without one must skip cleanly *and* never see a compiled candidate from
-the tuner, which the no-compiler tests prove by stubbing the probe.
+without one must skip cleanly *and* price and run the interpreter, which
+the no-compiler tests prove by stubbing the probe.
 """
 
 from __future__ import annotations
@@ -23,18 +24,14 @@ from hypothesis import strategies as st
 from repro import multiply_reference, obs
 from repro.algorithms import get_algorithm
 from repro.codegen import cbackend
+from repro.core import recursion
 from repro.core.cost import plan_cost
 from repro.core.stability import error_bound
-from repro.core.workspace import Workspace, cbackend_footprint
+from repro.core.workspace import Workspace, cbackend_footprint, dfs_footprint
 from repro.guard import faults
 from repro.tuner import dispatch, measure
 from repro.tuner.cache import PlanCache
-from repro.tuner.space import (
-    PLAN_BACKENDS,
-    Plan,
-    enumerate_plans,
-    retarget_backend,
-)
+from repro.tuner.space import Plan, enumerate_plans
 
 HAVE_CC = cbackend.available()
 needs_cc = pytest.mark.skipif(not HAVE_CC, reason="no working C compiler")
@@ -52,84 +49,82 @@ def _probe_src(tag: str) -> str:
     return f"/* {tag} */\nvoid repro_probe_{tag}(void) {{}}\n"
 
 
-# ---------------------------------------------------------------- plan field
-class TestPlanBackend:
-    def test_backend_default_and_describe(self):
+# ------------------------------------------------------------ the rule
+class TestKernelsAreARule:
+    def test_backend_is_accepted_and_ignored(self):
+        """``backend`` survives for old callers only: it is no part of a
+        plan's identity, its description or its validation."""
         plan = Plan(algorithm="strassen", steps=1, scheme="sequential")
-        assert plan.backend == "numpy"
-        assert "[cc]" not in plan.describe()
         cc = Plan(algorithm="strassen", steps=1, scheme="sequential",
                   backend="compiled")
-        assert cc.describe().endswith("[cc]")
+        assert cc == plan and hash(cc) == hash(plan)
+        assert cc.describe() == plan.describe() and "[cc]" not in (
+            cc.describe())
+        Plan(backend="compiled")        # dgemm: nothing to refuse any more
+        Plan(algorithm="strassen", steps=1, scheme="bfs", threads=2,
+             backend="compiled")
 
-    def test_backend_validation(self):
-        with pytest.raises(ValueError, match="backend"):
-            Plan(algorithm="strassen", steps=1, backend="fortran")
-        with pytest.raises(ValueError):
-            Plan(backend="compiled")  # dgemm has no chains to compile
-        with pytest.raises(ValueError):
-            Plan(algorithm="strassen", steps=1, scheme="bfs",
-                 backend="compiled")
-
-    def test_retarget_backend(self):
-        plan = Plan(algorithm="strassen", steps=2, scheme="sequential")
-        cc = retarget_backend(plan, "compiled")
-        assert cc.backend == "compiled" and cc.algorithm == plan.algorithm
-        assert retarget_backend(cc, "numpy") == plan
-        assert retarget_backend(plan, "numpy") is plan
-        with pytest.raises(ValueError):
-            retarget_backend(Plan(), "compiled")
-        with pytest.raises(ValueError):
-            retarget_backend(plan, "cuda")
-
-    def test_backend_round_trips_through_plan_cache(self, tmp_path):
+    def test_legacy_entries_round_trip_through_plan_cache(self, tmp_path):
         cache = PlanCache(tmp_path / "plans.json")
         plan = Plan(algorithm="strassen", steps=2, scheme="sequential",
                     backend="compiled")
         cache.put(512, 512, 512, "float64", 1, plan, seconds=0.5)
         cache.save()
-        got = PlanCache(cache.path).get(512, 512, 512, "float64", 1)
-        assert got == plan and got.backend == "compiled"
-        # pre-v6 entries carry no backend field and resolve to numpy
+        assert PlanCache(cache.path).get(512, 512, 512, "float64",
+                                         1) == plan
         legacy = dict(plan.to_dict())
         legacy.pop("backend")
-        assert Plan.from_dict(legacy).backend == "numpy"
+        assert Plan.from_dict(legacy) == plan
 
-    def test_compiled_cost_discounts_additions_only(self, use_machine):
+    @pytest.mark.parametrize("dtypes,fused", [
+        (("float64", "float64"), True), (("float32", "float32"), True),
+        (("float32", "float64"), True), (("float16", "float16"), False),
+        (("int64", "int64"), False), (("int64", "float64"), False),
+        (("complex128", "complex128"), False)])
+    def test_chains_fused_admits_pairs_with_a_kernel_dtype(self, dtypes,
+                                                           fused):
+        assert cbackend.chains_fused(*dtypes) == (fused and HAVE_CC)
+
+    def test_fused_cost_discounts_additions_only(self, use_machine,
+                                                 monkeypatch):
         """One fused pass per chain against one pass per term: the same
-        plan never costs more compiled, and by exactly the traffic saved
-        (strassen: 50 block passes a level instead of 90)."""
+        plan never costs more with a compiler, and by exactly the traffic
+        saved (strassen: 50 block passes a level instead of 90)."""
         use_machine(gflops=10.0, add_gbs=20.0, call_s=2e-6)
+
+        def cost(compiler, *args, **kw):
+            monkeypatch.setattr(cbackend, "available", lambda: compiler)
+            return plan_cost(*args, **kw)
         for name in ("strassen", "s424", "s333"):
             alg = get_algorithm(name)
             for steps in (1, 2):
-                base = plan_cost(alg, 512, 512, 512, steps)
-                cc = plan_cost(alg, 512, 512, 512, steps, backend="compiled")
-                assert cc <= base
+                assert cost(True, alg, 512, 512, 512, steps) <= cost(
+                    False, alg, 512, 512, 512, steps)
         alg = get_algorithm("strassen")
         saved = (90 - 50) * 256 * 256 * 8 / 20e9
-        assert plan_cost(alg, 512, 512, 512, 1) - plan_cost(
-            alg, 512, 512, 512, 1, backend="compiled") == pytest.approx(saved)
+        assert cost(False, alg, 512, 512, 512, 1) - cost(
+            True, alg, 512, 512, 512, 1) == pytest.approx(saved)
         # dgemm has no additions to discount
-        assert plan_cost(None, 512, 512, 512, 0) == \
-            plan_cost(None, 512, 512, 512, 0, backend="compiled")
+        assert cost(False, None, 512, 512, 512, 0) == cost(
+            True, None, 512, 512, 512, 0)
 
-    def test_compiled_float32_is_scored_in_double(self, use_machine,
-                                                  monkeypatch):
-        """The C kernels compute in float64 whatever the operands are, so
-        a float32 compiled plan runs dgemm leaves, not sgemm ones: it is
-        priced from the float64 calibration alone."""
+    def test_float32_is_priced_at_its_own_precision(self, use_machine,
+                                                    monkeypatch):
+        """The float kernels run sgemm leaves on 4-byte slabs: a float32
+        plan is priced from the float32 calibration alone, its additions
+        at half the float64 traffic."""
         import repro.bench.machine as machine
 
-        source, asked = use_machine(), []
+        source, asked = use_machine(gflops=10.0, add_gbs=20.0), []
         monkeypatch.setattr(
             machine, "calibration", lambda dtype, threads, volume:
             asked.append(dtype) or source(dtype, threads))
         alg = get_algorithm("strassen")
-        plan_cost(alg, 512, 512, 512, 1, backend="compiled", dtype="float32")
-        assert set(asked) == {"float64"}
-        plan_cost(alg, 512, 512, 512, 1, dtype="float32")
-        assert "float32" in asked
+        f32 = plan_cost(alg, 512, 512, 512, 1, dtype="float32")
+        assert set(asked) == {"float32"}
+        f64 = plan_cost(alg, 512, 512, 512, 1)
+        passes = 50 if HAVE_CC else 90
+        assert f64 - f32 == pytest.approx(passes * 256 * 256 * 4 / 20e9)
 
 
 # ---------------------------------------------------------------- .so cache
@@ -260,36 +255,58 @@ class TestCompileCache:
 # ---------------------------------------------------------------- dispatch
 @needs_cc
 class TestCompiledDispatch:
-    def test_enumerate_includes_compiled_twins(self):
-        plans = enumerate_plans(384, 384, 384, threads=1)
-        compiled = [p for p in plans if p.backend == "compiled"]
-        assert compiled
-        assert all(p.scheme == "sequential" and not p.is_dgemm
-                   for p in compiled)
-        # threaded schedules never get compiled twins
-        assert all(p.backend == "numpy"
-                   for p in enumerate_plans(1024, 1024, 1024, threads=8)
-                   if p.scheme != "sequential")
+    def test_enumerate_has_no_backend_twins(self):
+        for threads in (1, 8):
+            plans = enumerate_plans(1024, 1024, 1024, threads=threads)
+            keys = [(p.algorithm, p.steps, p.scheme, p.threads, p.subgroup)
+                    for p in plans]
+            assert len(keys) == len(set(keys)) and len(plans) > 1
 
-    def test_execute_plan_compiled_matches_numpy(self):
+    def test_execute_plan_runs_the_driver(self, monkeypatch):
+        served = []
+        real = cbackend.CompiledChains.multiply
+
+        def spy(self, *args, **kw):
+            served.append(self.real)
+            return real(self, *args, **kw)
+        monkeypatch.setattr(cbackend.CompiledChains, "multiply", spy)
         plan = Plan(algorithm="strassen", steps=2, scheme="sequential",
-                    threads=1, backend="compiled")
+                    threads=1)
         A, B = _operands(200, 176, 144, seed=1)
         ws = dispatch.build_workspace(plan, 200, 176, 144, A.dtype, B.dtype)
         out = np.empty((200, 144))
         C = dispatch.execute_plan(plan, A, B, out=out, workspace=ws)
-        assert C is out
+        assert C is out and served == ["double"]
         np.testing.assert_allclose(C, A @ B, atol=1e-10 * 176)
-        assert ws.stats()["overflow_allocations"] == 0
+        assert ws.overflow_allocations == 0
+
+    def test_other_dtypes_run_the_interpreter(self, monkeypatch):
+        """Integers have no kernel dtype: the interpreter serves them, bit
+        for bit, in the Section 4.1 arena."""
+        def boom(*a, **k):  # pragma: no cover - failure path
+            raise AssertionError("the C driver served an integer product")
+        monkeypatch.setattr(cbackend.CompiledChains, "multiply", boom)
+        alg = get_algorithm("strassen")
+        A = np.arange(96 * 80).reshape(96, 80) % 7
+        B = np.arange(80 * 64).reshape(80, 64) % 5
+        plan = Plan(algorithm="strassen", steps=2)
+        ws = dispatch.build_workspace(plan, 96, 80, 64, A.dtype, B.dtype)
+        assert ws.nbytes == dfs_footprint([alg.base_case] * 2, 96, 80, 64,
+                                          A.dtype, B.dtype,
+                                          algorithms=[alg] * 2)
+        C = dispatch.execute_plan(plan, A, B, workspace=ws)
+        assert np.array_equal(C, recursion.multiply(A, B, alg, steps=2))
+        assert np.array_equal(C, A @ B)
 
     def test_compilefail_fault_degrades_not_fails(self, fresh_cache_state):
         """The in-band fallback is the interpreter: its bits, counted per
         call, in the same arena re-reserved for the Section 4.1 triple."""
         dispatch.reset_workspaces()
         plan = Plan(algorithm="strassen", steps=1, scheme="sequential",
-                    threads=1, backend="compiled")
+                    threads=1)
         A, B = _operands(128, 128, 128, seed=3)
-        ref = multiply_reference(A, B, get_algorithm("strassen"), steps=1)
+        alg = get_algorithm("strassen")
+        ref = multiply_reference(A, B, alg, steps=1)
         ws = dispatch.build_workspace(plan, 128, 128, 128, A.dtype, B.dtype)
         calls = 3
         before = faults.fired("cbackend.compilefail")
@@ -305,14 +322,13 @@ class TestCompiledDispatch:
             obs.disable()
             obs.reset()
         assert faults.fired("cbackend.compilefail") == before + calls
-        assert ws.nbytes == dispatch.plan_footprint(
-            Plan(algorithm="strassen", steps=1, threads=1), 128, 128, 128,
-            A.dtype, B.dtype)
+        assert ws.nbytes == dfs_footprint([alg.base_case], 128, 128, 128,
+                                          A.dtype, B.dtype, algorithms=[alg])
         assert 0 == ws.overflow_allocations < ws.high_water <= ws.nbytes
 
     def test_workspace_sized_by_cbackend_footprint(self):
         plan = Plan(algorithm="winograd", steps=2, scheme="sequential",
-                    threads=1, backend="compiled")
+                    threads=1)
         ws = dispatch.build_workspace(plan, 160, 160, 160,
                                       np.dtype("f8"), np.dtype("f8"))
         expect = cbackend_footprint(get_algorithm("winograd"), False,
@@ -320,7 +336,7 @@ class TestCompiledDispatch:
         assert isinstance(ws, Workspace)
         assert ws.nbytes == expect
 
-    def test_measure_plan_forces_warmup_for_compiled(self, monkeypatch):
+    def test_measure_plan_forces_warmup_for_fast_plans(self, monkeypatch):
         seen = {}
 
         def fake_median_time(fn, trials, warmup):
@@ -331,18 +347,11 @@ class TestCompiledDispatch:
         monkeypatch.setattr(measure, "median_time", fake_median_time)
         A, B = _operands(128, 128, 128, seed=4)
         plan = Plan(algorithm="strassen", steps=1, scheme="sequential",
-                    threads=1, backend="compiled")
+                    threads=1)
         measure.measure_plan(plan, A, B, trials=1, warmup=0)
         assert seen["warmup"] == 1  # compile/load never lands in a trial
-        measure.measure_plan(dataclass_replace(plan, backend="numpy"),
-                             A, B, trials=1, warmup=0)
+        measure.measure_plan(Plan(threads=1), A, B, trials=1, warmup=0)
         assert seen["warmup"] == 0
-
-
-def dataclass_replace(plan, **kw):
-    import dataclasses
-
-    return dataclasses.replace(plan, **kw)
 
 
 # ---------------------------------------------------------------- agreement
@@ -364,7 +373,7 @@ def test_compiled_agrees_with_reference(p, q, r, steps, name, cse, dtype):
     stability bound, across dtypes, CSE, and non-divisible shapes (the
     dynamic-peeling path), honoring the ``np.result_type`` contract."""
     A, B = measure.tuning_operands(p, q, r, dtype=dtype, seed=7)
-    cc = cbackend.compile_chains(name, cse=cse)
+    cc = cbackend.compile_chains(name, cse=cse, dtype=dtype)
     C = cc.multiply(A, B, steps=steps)
     assert C.dtype == np.result_type(A, B)
     exact = A.astype("float64") @ B.astype("float64")
@@ -375,15 +384,19 @@ def test_compiled_agrees_with_reference(p, q, r, steps, name, cse, dtype):
 
 # ---------------------------------------------------------------- no compiler
 class TestNoCompilerHost:
-    def test_compiled_candidates_never_enumerated(self, monkeypatch):
+    def test_the_interpreter_is_priced_and_served(self, monkeypatch):
         monkeypatch.setattr(cbackend, "available", lambda: False)
-        plans = enumerate_plans(384, 384, 384, threads=1)
-        assert plans and all(p.backend == "numpy" for p in plans)
+        alg = get_algorithm("strassen")
+        assert not cbackend.chains_fused("float64")
+        A, B = _operands(130, 130, 130, seed=6)
+        plan = Plan(algorithm="strassen", steps=1)
+        ws = dispatch.build_workspace(plan, 130, 130, 130, A.dtype, B.dtype)
+        assert ws.nbytes == dfs_footprint([alg.base_case], 130, 130, 130,
+                                          A.dtype, B.dtype, algorithms=[alg])
+        C = dispatch.execute_plan(plan, A, B, workspace=ws)
+        assert np.array_equal(C, recursion.multiply(A, B, alg, steps=1))
 
     def test_compile_chains_raises_loud(self, monkeypatch):
         monkeypatch.setattr(cbackend, "available", lambda: False)
         with pytest.raises(RuntimeError, match="no working C compiler"):
             cbackend.compile_chains("strassen")
-
-    def test_backends_constant(self):
-        assert PLAN_BACKENDS == ("numpy", "compiled")

@@ -77,6 +77,18 @@ class TestMultiply:
         assert rc == 0
         assert "native chains" in text
 
+    def test_no_backend_flag(self, capsys):
+        """The chain kernels are a rule, not an option: ``--backend`` is
+        gone from the parser and its help."""
+        from repro import cli
+
+        with pytest.raises(SystemExit):
+            run_cli("multiply", "--backend", "compiled")
+        capsys.readouterr()
+        with pytest.raises(SystemExit):
+            cli._build_parser().parse_args(["multiply", "--help"])
+        assert "--backend" not in capsys.readouterr().out
+
     def test_blas_threads_option(self):
         rc, text = run_cli("multiply", "-a", "strassen", "-n", "64",
                            "--trials", "1", "--blas-threads", "1")

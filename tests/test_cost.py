@@ -112,12 +112,16 @@ class TestPeelPricing:
 
     CORE = 1024 * 1024 * 8 / 60e9   # one pass over C on the suite's machine
 
-    @pytest.mark.parametrize("kw,passes", [
-        (dict(), 2),
-        (dict(backend="compiled"), 0),
-        (dict(scheme="dfs", threads=2, dtype="float32"), 2),
+    @pytest.mark.parametrize("kw,fused,passes", [
+        (dict(), False, 2),
+        (dict(), True, 0),
+        (dict(dtype="float32"), True, 0),
+        (dict(scheme="dfs", threads=2, dtype="float32"), False, 2),
     ])
-    def test_inner_strip(self, kw, passes):
+    def test_inner_strip(self, kw, fused, passes, monkeypatch):
+        from repro.codegen import cbackend
+
+        monkeypatch.setattr(cbackend, "available", lambda: fused)
         alg = get_algorithm("strassen")
         cal_passes = passes / (kw.get("threads", 1)
                                * (2 if kw.get("dtype") == "float32" else 1))

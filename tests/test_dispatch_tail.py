@@ -10,9 +10,10 @@ measurement sweep ever in it -- and, under guard, an injected failure
 still lands on the classical product and costs the thread the arena the
 failed plan ran in.
 
-And what a sequential NumPy plan executes is stated once too
-(:class:`TestNumpyPlansRunTheInterpreter`): the interpreter, in the
-Section 4.1 arena, never a generated module.
+And what a sequential fast plan executes is stated once too
+(:class:`TestSequentialPlansFollowTheRule`): the compiled driver in its
+slab arena wherever the kernel rule holds, else the interpreter in the
+Section 4.1 arena -- never a generated module.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from repro import multiply_reference, obs
 from repro.algorithms import get_algorithm
 from repro.codegen import cbackend, generator
 from repro.core.stability import error_bound
-from repro.core.workspace import dfs_footprint
+from repro.core.workspace import cbackend_footprint, dfs_footprint
 from repro.guard import faults
 from repro.tuner import PlanCache, dispatch, matmul, measure
 from repro.tuner.policy import AutoTunePolicy, TuningPolicy
@@ -37,10 +38,6 @@ N = 192
 PLANS = [
     Plan(threads=1),
     Plan(algorithm="strassen", steps=1, threads=1),
-    pytest.param(
-        Plan(algorithm="strassen", steps=1, threads=1, backend="compiled"),
-        marks=pytest.mark.skipif(not cbackend.available(),
-                                 reason="no C compiler")),
     Plan(algorithm="strassen", steps=1, scheme="dfs", threads=2),
 ]
 
@@ -155,10 +152,13 @@ def test_guarded_failure_lands_on_classical(observed, tuned, plan, tmp_path,
             Plan(threads=plan.threads).describe(), "guard")
 
 
-class TestNumpyPlansRunTheInterpreter:
-    """``execute_plan(Plan(backend="numpy"))`` is ``core.recursion``: the
-    interpreter's bits, in an arena of exactly ``dfs_footprint`` bytes
-    that never spills, with no generated module compiled on the way."""
+class TestSequentialPlansFollowTheRule:
+    """``execute_plan`` of a sequential fast plan runs the compiled driver
+    at the product's precision where :func:`cbackend.chains_fused` holds
+    -- in an arena of exactly ``cbackend_footprint`` bytes -- and
+    ``core.recursion`` where it does not: the interpreter's bits, in an
+    arena of exactly ``dfs_footprint`` bytes.  Neither spills, stays off
+    the a-priori bound or compiles a generated module."""
 
     #: +-1 square, <3,3,3>, a rotated rectangular entry, coefficients
     #: outside +-1 (the scaling scratch), an APA entry
@@ -169,19 +169,25 @@ class TestNumpyPlansRunTheInterpreter:
     DTYPES = {"f64": ("float64", "float64"), "f32": ("float32", "float32"),
               "mixed": ("float32", "float64")}
 
+    @pytest.mark.parametrize("compiler", [
+        pytest.param(True, marks=pytest.mark.skipif(
+            not cbackend.available(), reason="no C compiler")),
+        False], ids=["kernels", "interpreter"])
     @pytest.mark.parametrize("dtypes", DTYPES)
     @pytest.mark.parametrize("shape", SHAPES)
     @pytest.mark.parametrize("steps", [1, 2])
     @pytest.mark.parametrize("name", ALGORITHMS)
     def test_bits_arena_and_no_codegen(self, name, steps, shape, dtypes,
-                                       monkeypatch):
+                                       compiler, monkeypatch):
         def boom(*a, **k):  # pragma: no cover - failure path
-            raise AssertionError("a NumPy plan compiled a generated module")
+            raise AssertionError("a sequential plan compiled a generated "
+                                 "module")
 
         for module in (generator, repro.codegen, repro):
             monkeypatch.setattr(module, "compile_algorithm", boom)
         monkeypatch.setattr(dispatch, "compile_algorithm", boom,
                             raising=False)
+        monkeypatch.setattr(cbackend, "available", lambda: compiler)
         alg = get_algorithm(name)
         p, q, r = self.SHAPES[shape]
         dt_a, dt_b = self.DTYPES[dtypes]
@@ -194,15 +200,22 @@ class TestNumpyPlansRunTheInterpreter:
         C = dispatch.execute_plan(plan, A, B, out=out, workspace=ws)
 
         assert C is out
-        assert np.array_equal(C, multiply_reference(A, B, alg, steps=steps))
         assert ws.overflow_allocations == 0
-        assert ws.high_water <= ws.nbytes == dfs_footprint(
-            [alg.base_case] * steps, p, q, r, dt_a, dt_b,
-            algorithms=[alg] * steps)
+        if compiler:
+            assert ws.high_water <= ws.nbytes == cbackend_footprint(
+                alg, False, (p, q, r), dt_a, steps, dt_b)
+        else:
+            assert np.array_equal(C, multiply_reference(A, B, alg,
+                                                        steps=steps))
+            assert ws.high_water <= ws.nbytes == dfs_footprint(
+                [alg.base_case] * steps, p, q, r, dt_a, dt_b,
+                algorithms=[alg] * steps)
         exact = A.astype("float64") @ B.astype("float64")
         rel = np.linalg.norm(C - exact) / np.linalg.norm(exact)
-        # the lower precision sets the floor; an APA entry is off by its
-        # own residual at every level
-        floor = "float32" if "float32" in (dt_a, dt_b) else "float64"
+        # the lower precision the chains are formed in sets the floor (the
+        # kernels form a mixed product's in double); an APA entry is off
+        # by its own residual at every level
+        floor = ("float64" if compiler or dtypes == "f64" else "float32")
+        floor = "float32" if dtypes == "f32" else floor
         assert rel <= (error_bound(alg, steps, q, floor)
                        + steps * alg.residual())

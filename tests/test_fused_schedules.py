@@ -237,7 +237,7 @@ def test_every_layout_takes_the_predicates_path(scheme, shape, telemetry):
             seen[0].dtype, seen[1].dtype, (*seen, out)) else "numpy"
         assert want == ("fused" if label in (
             "contiguous", "row-strided", "every-other-row", "broadcast-rows",
-            "out-row-strided", "integer") else "numpy"), label
+            "out-row-strided", "float32", "integer") else "numpy"), label
         C = multiply_parallel(A, B, alg, steps=2, scheme=scheme,
                               pool=_pool(2), threads=2, out=out)
         assert _chains_ran(scheme, 2) == {want}, label
@@ -261,7 +261,7 @@ def test_every_layout_takes_the_predicates_path(scheme, shape, telemetry):
 def test_plan_footprint_arena_never_overflows(scheme, dtype, name, steps,
                                               shape, telemetry):
     """An executor and its arena cannot disagree: ``plan_footprint`` sizes
-    for the kernels the schedule will pick, fused (float64) or not."""
+    for the kernels the schedule will pick, fused at either precision."""
     plan = Plan(algorithm=name, steps=steps, scheme=scheme, threads=2)
     rng = np.random.default_rng(5)
     p, q, r = shape
@@ -274,8 +274,7 @@ def test_plan_footprint_arena_never_overflows(scheme, dtype, name, steps,
     for _ in range(2):
         dispatch.execute_plan(plan, A, B, pool=_pool(2), out=out,
                               workspace=ws)
-    assert _chains_ran(scheme, 2) == {
-        "fused" if dtype == "float64" else "numpy"}
+    assert _chains_ran(scheme, 2) == {"fused"}
     assert ws.overflow_allocations == 0
     assert 0 < ws.high_water <= ws.nbytes
     alloc = multiply_parallel(A, B, get_algorithm(name), steps=steps,
@@ -413,14 +412,17 @@ class TestCostPricesWhatRuns:
                                             subgroup=sub)
                 assert cost[True] < cost[False]
 
-    def test_float32_and_sequential_are_priced_as_before(self, monkeypatch):
+    def test_float32_and_sequential_are_priced_by_the_rule(self, monkeypatch):
+        """Every fast plan, float32 and sequential ones included, is priced
+        for the kernels that will form its chains."""
         alg = get_algorithm("strassen")
         for kw in (dict(scheme="dfs", threads=2, dtype="float32"),
+                   dict(scheme="sequential", dtype="float32"),
                    dict(scheme="sequential", threads=2)):
             self._fused(monkeypatch, True)
             with_cc = plan_cost(alg, 512, 512, 512, 1, **kw)
             self._fused(monkeypatch, False)
-            assert plan_cost(alg, 512, 512, 512, 1, **kw) == with_cc
+            assert plan_cost(alg, 512, 512, 512, 1, **kw) > with_cc
 
     def test_dfs_fanouts_do_not_grow_with_the_chains(self, use_machine,
                                                      monkeypatch):

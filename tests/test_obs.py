@@ -239,7 +239,7 @@ class TestOneServingTail:
     the whole call's wall time."""
 
     BASE = {"shape", "dtype", "threads", "source", "plan", "scheme",
-            "backend", "seconds", "gflops"}
+            "seconds", "gflops"}
     ARENA = {"arena_bytes", "arena_high_water", "arena_overflows"}
 
     @pytest.mark.parametrize("batched", [False, True])
@@ -304,8 +304,6 @@ class TestOneServingTail:
                          if row["name"].startswith("dispatch."))
             assert inside <= rec["seconds"] <= wall, kind
             assert rec["gflops"] > 0
-            assert obs.counter_value("dispatch.backend",
-                                     backend=rec["backend"]) == 1
         faults.reset_fired()
 
 

@@ -90,7 +90,8 @@ def drivers(alg, steps):
         **{f"generated-{s}": generated(s) for s in STRATEGIES},
         "compiled": (
             lambda A, B, ws, pool, out=None: cbackend.compile_chains(
-                alg).multiply(A, B, steps=steps, out=out, workspace=ws),
+                alg, dtype=A.dtype).multiply(A, B, steps=steps, out=out,
+                                             workspace=ws),
             lambda p, q, r, dt: cbackend_footprint(alg, False, (p, q, r), dt,
                                                    steps)),
     }
@@ -203,11 +204,8 @@ def test_compiled_and_parallel_peel_match_the_interpreter_bit_for_bit(
 # =========================================================================
 def _plans():
     for scheme in ("sequential", "dfs", "bfs", "hybrid"):
-        for backend in ("numpy", "compiled"):
-            if backend == "compiled" and scheme != "sequential":
-                continue        # parallel schemes pick their kernels per call
-            yield Plan("strassen", 1, scheme=scheme, backend=backend,
-                       threads=1 if scheme == "sequential" else 2)
+        yield Plan("strassen", 1, scheme=scheme,
+                   threads=1 if scheme == "sequential" else 2)
 
 
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
@@ -217,14 +215,11 @@ def test_peeling_costs_an_arena_one_fixed_chunk_at_most(plan, dtype, pool):
     by the strip chunk at most (nothing at all where the compiled kernels
     serve), the arena it sizes does not overflow, and a warm call stays
     under the 1 MiB allocation probe."""
-    if plan.backend == "compiled" and not cbackend.available():
-        pytest.skip("no C compiler")
     p, q, r = 1025, 515, 1027
     extra = (plan_footprint(plan, p, q, r, dtype, dtype)
              - plan_footprint(plan, p - 1, q - 1, r - 1, dtype, dtype))
     assert 0 <= extra <= STRIP_SCRATCH_BYTES + 2 * ALIGNMENT
-    if dtype == "float64" and (plan.backend == "compiled" or (
-            plan.scheme != "sequential" and cbackend.chains_fused(dtype))):
+    if cbackend.chains_fused(dtype):
         assert extra == 0       # the strip rides in form_C
     A = random_matrix(p, q, 3, dtype=dtype)
     B = random_matrix(q, r, 4, dtype=dtype)

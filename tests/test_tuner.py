@@ -70,20 +70,25 @@ class TestPlan:
 
 
 class TestCostModel:
-    def test_matches_exact_recurrence_on_divisible_shape(self, use_machine):
+    @pytest.mark.parametrize("fused,passes", [(False, 90), (True, 50)])
+    def test_matches_exact_recurrence_on_divisible_shape(
+            self, use_machine, monkeypatch, fused, passes):
         """At one flop and one byte a nanosecond the seconds model walks
         the levels the paper's recurrence walks: 49 leaf gemms, and per
         level-0 / level-1 block 18 additions there, 90 block passes (54
-        reads + 36 writes, pairwise) of 8-byte words here."""
+        reads + 36 writes, pairwise) of 8-byte words here for the NumPy
+        executors, 50 for the fused kernels (one pass per chain)."""
+        from repro.codegen import cbackend
         from repro.core.cost import recursive_flops
 
+        monkeypatch.setattr(cbackend, "available", lambda: fused)
         alg = get_algorithm("strassen")
         blocks = 128**2 + 7 * 64**2
         assert recursive_flops(alg, 256, 256, 256, 2) == (
             49 * (2 * 64**3 - 64**2) + 18 * blocks)
         use_machine(gflops=1.0, add_gbs=1.0)
         assert plan_cost(alg, 256, 256, 256, 2) * 1e9 == pytest.approx(
-            49 * 2 * 64**3 + 8 * 90 * blocks)
+            49 * 2 * 64**3 + 8 * passes * blocks)
 
     def test_fast_beats_classical_at_depth(self):
         alg = get_algorithm("strassen")
@@ -158,11 +163,16 @@ class TestCostModel:
         assert cost("hybrid-subgroup", 6, subgroup=2) == pytest.approx(
             leaf + leaf / 2)
 
-    def test_odd_dimensions_pay_their_peel_passes(self, use_machine):
+    def test_odd_dimensions_pay_their_peel_passes(self, use_machine,
+                                                  monkeypatch):
         """Dynamic peeling recurses on the divisible core (same leaves)
         and fixes the strips up with thin products: a pass over B for an
-        odd p, over A for an odd r, and for an odd q an in-place update of
-        the core of C (``tests/test_cost.py`` has the compiled side)."""
+        odd p, over A for an odd r, and for the NumPy executors an odd q
+        an in-place update of the core of C (``tests/test_cost.py`` has
+        the compiled side)."""
+        from repro.codegen import cbackend
+
+        monkeypatch.setattr(cbackend, "available", lambda: False)
         use_machine(add_gbs=8.0)        # one float64 word a nanosecond
         alg = get_algorithm("strassen")
         even = plan_cost(alg, 1024, 1024, 1024, 1)
@@ -254,12 +264,11 @@ class TestEnumeration:
         assert all(pl.is_dgemm for pl in plans)
 
     def test_sorted_by_model_cost(self):
-        # rank with the same model dispatch uses -- including the
-        # compiled-backend discount, so [cc] twins sort where they serve
+        # rank with the same model dispatch uses
         plans = [pl for pl in tuner.enumerate_plans(1024, 1024, 1024)
                  if not pl.is_dgemm]
         costs = [plan_cost(get_algorithm(pl.algorithm), 1024, 1024, 1024,
-                           pl.steps, backend=pl.backend) for pl in plans]
+                           pl.steps) for pl in plans]
         assert costs == sorted(costs)
 
     def test_max_candidates_keeps_baseline(self):

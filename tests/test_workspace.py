@@ -450,7 +450,7 @@ LAYOUTS = {
 PLANS = [Plan(algorithm="strassen", steps=2, scheme=scheme, threads=2)
          for scheme in ("sequential", "dfs", "hybrid")] + [
     Plan(algorithm="strassen", steps=1, scheme="bfs", threads=2),
-    Plan(algorithm="strassen", steps=1, threads=1, backend="compiled")]
+    Plan(algorithm="strassen", steps=1, threads=1)]
 
 
 # =========================================================================
@@ -474,17 +474,13 @@ class TestSteadyStateAllocations:
         ``n=515`` is deliberately non-divisible: dynamic peeling's
         core-size inner-dimension fix-up must come from the arena too.
         """
-        if plan.backend == "compiled" and not cbackend.available():
-            pytest.skip("no C compiler")
         cache = PlanCache(tmp_path / "plans.json")
         cache.put(n, n, n, "float64", plan.threads, plan)
         A, B, out = LAYOUTS[layout](random_matrix(n, n, 0),
                                     random_matrix(n, n, 1),
                                     np.empty((n, n)))
         # a compile is attempted wherever the compiled kernels would run
-        failing = layout == "compilefail" and (
-            plan.backend == "compiled"
-            or plan.scheme != "sequential" and cbackend.available())
+        failing = layout == "compilefail" and cbackend.available()
         obs.enable()
         with faults.inject(*["cbackend.compilefail"] * failing):
             for call in range(3):
@@ -532,9 +528,7 @@ class TestSteadyStateAllocations:
         arena cache this replaced had slots, where every call then rebuilt
         one: a single arena grows to the largest footprint during the
         first sweep and every later call finds it warm."""
-        plans = [plan for plan in PLANS
-                 if plan.backend == "numpy" or cbackend.available()]
-        pairs = [(plans[i % len(plans)], 640 + 8 * i) for i in range(10)]
+        pairs = [(PLANS[i % len(PLANS)], 640 + 8 * i) for i in range(10)]
         cache = PlanCache(tmp_path / "plans.json")
         for plan, n in pairs:
             cache.put(n, n, n, "float64", plan.threads, plan)

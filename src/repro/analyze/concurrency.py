@@ -58,6 +58,10 @@ REGISTRY: tuple[SharedState, ...] = (
                 "own entry, lock-free"),
     SharedState("tuner/dispatch.py", "_reservation", None,
                 "plan_footprint memo: functools.lru_cache locks itself"),
+    SharedState("tuner/dispatch.py", "_dtype_name", None,
+                "dtype-name memo: functools.lru_cache locks itself"),
+    SharedState("tuner/dispatch.py", "_plain_blas", None,
+                "trivial-stage plan memo: functools.lru_cache locks itself"),
     SharedState("tuner/dispatch.py", "_pools", "_dispatch_lock",
                 "persistent worker pools"),
     SharedState("tuner/dispatch.py", "_default_cache", "_dispatch_lock",
@@ -66,6 +70,8 @@ REGISTRY: tuple[SharedState, ...] = (
                 "once-per-key warning set; duplicate warn is benign"),
     SharedState("tuner/cache.py", "self._entries", "self._lock",
                 "plan cache entries"),
+    SharedState("tuner/cache.py", "self._answers", "self._lock",
+                "memoised get/nearest answers; read lock-free"),
     SharedState("tuner/cache.py", "self._failures", "self._lock",
                 "quarantine failure ledger"),
     SharedState("tuner/cache.py", "_warned_paths", "_warned_lock",

@@ -21,6 +21,7 @@ chaos tests can prove all of it deterministically.
 
 from __future__ import annotations
 
+import operator
 import os
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -59,16 +60,21 @@ def resolve_threads(threads: int | None) -> int:
 
     ``threads=0`` used to silently mean "all cores" through ``threads or
     available_cores()`` expressions, masking caller bugs; only ``None``
-    carries that meaning now.
+    carries that meaning now.  Any integer type but ``bool`` is accepted
+    and returned as an ``int``.
     """
     if threads is None:
         return available_cores()
-    if not isinstance(threads, int) or isinstance(threads, bool) or threads < 1:
+    try:
+        n = operator.index(threads)  # any integer type, NumPy's too
+    except TypeError:
+        n = 0
+    if isinstance(threads, bool) or n < 1:
         raise ValueError(
             f"threads must be a positive integer or None (got {threads!r}); "
             "pass None for the all-cores default"
         )
-    return threads
+    return n
 
 
 class WorkerPool:

@@ -13,6 +13,14 @@ and runs every element through
 :func:`repro.tuner.dispatch.execute_plan` with that plan, one after
 another, in the calling thread's arena.  A warm batched call with
 ``out=`` touches the heap zero times end to end, not just per element.
+A stacked batch whose plan is plain BLAS is one call: ``np.matmul`` over
+the two 3-D stacks, exactly what NumPy's own batched product runs, with
+one BLAS thread switch instead of one per element; the list form and
+every fast plan keep the per-element loop.
+
+Operands are promoted as :func:`repro.tuner.matmul` promotes them: a
+stack of anything but float32/float64 (integers, booleans) computes in
+float64, as each of its 2-D elements would.
 
 There is no batch-specific axis to tune, price or cache: the batch
 inherits whatever the per-call plan's schedule does with ``threads``.
@@ -32,17 +40,19 @@ from repro.tuner import dispatch
 from repro.tuner.cache import PlanCache
 from repro.tuner.policy import TuningPolicy, get_policy
 from repro.tuner.space import Plan
-from repro.util.validation import check_matmul_dims, require_2d
+from repro.util.validation import as_floating, check_matmul_dims, require_2d
 
 
 # ---------------------------------------------------------------------------
 # operand normalization: stacked 3-D arrays or lists of same-shape 2-D
 # ---------------------------------------------------------------------------
 class _Batch(NamedTuple):
-    """A batch's operands, validated once per call and passed down."""
+    """A batch's operands, validated once per call and passed down:
+    ``a`` / ``b`` are the two 3-D stacks, or two lists of 2-D arrays --
+    indexing and iterating either yields the 2-D elements."""
 
-    a_list: list
-    b_list: list
+    a: np.ndarray | list
+    b: np.ndarray | list
     p: int
     q: int
     r: int
@@ -76,8 +86,10 @@ def _normalize_operands(A, B) -> _Batch:
                 f"inner dimensions do not match: A is {A.shape[1]}x{A.shape[2]} "
                 f"per element, B is {B.shape[1]}x{B.shape[2]}"
             )
-        return _Batch(list(A), list(B), A.shape[1], A.shape[2], B.shape[2],
-                      True, np.result_type(A, B))
+        # promoted as require_2d promotes each element of the list form
+        A, B = as_floating(A), as_floating(B)
+        return _Batch(A, B, A.shape[1], A.shape[2], B.shape[2], True,
+                      np.result_type(A, B))
     a_list = [require_2d(np.asarray(a), f"A[{i}]") for i, a in enumerate(A)]
     b_list = [require_2d(np.asarray(b), f"B[{i}]") for i, b in enumerate(B)]
     if len(a_list) != len(b_list):
@@ -111,7 +123,7 @@ def _batch_result(ops: _Batch, out=None):
     """The batch's destination in the operands' form -- a ``(b, p, r)``
     stack for stacked operands, a list of ``b`` products otherwise: the
     caller's ``out=`` once validated, else a fresh one."""
-    batch = len(ops.a_list)
+    batch = len(ops.a)
     if out is None:
         if ops.stacked:
             return np.empty((batch, ops.p, ops.r), dtype=ops.dtype)
@@ -130,15 +142,14 @@ def _batch_result(ops: _Batch, out=None):
                 f"out has dtype {out.dtype}, expected {ops.dtype}")
         if not out.flags.writeable:
             raise ValueError("out must be writeable")
-        for x in ops.a_list + ops.b_list:
-            if np.may_share_memory(out, x):
-                raise ValueError("out must not overlap A or B")
+        if np.may_share_memory(out, ops.a) or np.may_share_memory(out, ops.b):
+            raise ValueError("out must not overlap A or B")
         return out
     if not isinstance(out, (list, tuple)) or len(out) != batch:
         raise ValueError(
             f"out must be a list of {batch} 2-D arrays for list operands"
         )
-    for c, a, b in zip(out, ops.a_list, ops.b_list):
+    for c, a, b in zip(out, ops.a, ops.b):
         check_out(c, a, b)
     return out
 
@@ -210,11 +221,11 @@ def matmul_batched(
     policy = get_policy(tune)
     ops = _normalize_operands(A, B)
     result = _batch_result(ops, out)
-    batch = len(ops.a_list)
+    batch = len(ops.a)
     if batch == 0:  # an empty stacked batch: nothing to resolve or run
         return result
     cache = cache if cache is not None else dispatch._shared_cache()
     return dispatch._serve(
-        policy, chain.resolve_guard(guard), ops.a_list, ops.b_list,
-        ops.p, ops.q, ops.r, ops.dtype.name, resolve_threads(threads),
+        policy, chain.resolve_guard(guard), ops.a, ops.b, ops.p, ops.q,
+        ops.r, dispatch._dtype_name(ops.dtype), resolve_threads(threads),
         cache, pool, result, lambda: _batch_result(ops), batch=batch)

@@ -42,6 +42,15 @@ wins here, so such a shape resolves to the cost model.  A batch of
 same-shape products runs the shape's per-call entry: there is no batched
 key (a key with a batch suffix, written by an older release, is dropped
 on load).
+
+Answers are memoised: what :meth:`PlanCache.get` and
+:meth:`PlanCache.nearest` return is a pure function of the entries and
+the fingerprint, so each distinct query parses its plan (and scans the
+keys, for ``nearest``) once, and a repeat is a dictionary hit.  Every
+change to the entries -- ``put``, ``drop``, ``invalidate``, ``clear``,
+``load`` -- forgets the answers.  The quarantine ledger is not part of an
+answer: the resolver still asks :meth:`PlanCache.plan_quarantined` on
+every lookup, so backoff probes keep their cadence.
 """
 
 from __future__ import annotations
@@ -153,6 +162,11 @@ class PlanCache:
         # (invalidate -> stale_keys, * -> _ensure).
         self._lock = threading.RLock()
         self._entries: dict[str, dict] = {}
+        #: memoised get/nearest answers, keyed by query; emptied whenever
+        #: the entries change.  Read without the lock (a dict read is
+        #: atomic), written only under it, so an answer computed from
+        #: entries a concurrent change replaced is never stored
+        self._answers: dict[tuple, Plan | None] = {}
         self._failures: dict[str, dict] = {}
         self._loaded = False
         self.save_error: Exception | None = None
@@ -185,6 +199,7 @@ class PlanCache:
     def _load_locked(self) -> "PlanCache":
         self._loaded = True
         self._entries = {}
+        self._answers.clear()
         self._failures = {}
         self.load_error = None
         try:
@@ -298,6 +313,33 @@ class PlanCache:
     def _fresh(self, ent: dict) -> bool:
         return ent.get("fingerprint") == self.fingerprint
 
+    def _answer(self, query: tuple, lookup) -> Plan | None:
+        """The memoised answer to ``query``; ``lookup()`` computes it
+        (under the lock, from loaded entries) on the first ask."""
+        try:
+            return self._answers[query]
+        except KeyError:
+            pass
+        with self._lock:
+            self._ensure()
+            plan = lookup()
+            if len(self._answers) >= 4096:
+                # a stream of ever-new shapes must not grow the memo
+                # without bound (the model stage's ranking memo holds as
+                # many)
+                self._answers.clear()
+            self._answers[query] = plan
+            return plan
+
+    @staticmethod
+    def _plan_of(ent: dict | None) -> Plan | None:
+        if ent is None:
+            return None
+        try:
+            return Plan.from_dict(ent["plan"])
+        except (KeyError, TypeError, ValueError):
+            return None
+
     # ------------------------------------------------------ failure ledger
     @staticmethod
     def _ledger_key(m: int, k: int, n: int, dtype: str, threads: int,
@@ -393,6 +435,7 @@ class PlanCache:
         """Remove one entry by raw key (doctor/repair tools)."""
         with self._lock:
             self._ensure()
+            self._answers.clear()
             return self._entries.pop(key, None) is not None
 
     # -------------------------------------------------------------- access
@@ -417,15 +460,12 @@ class PlanCache:
         """Exact-key lookup; stale (foreign-fingerprint) entries miss.
         Whether the plan is quarantined is the resolver's question
         (:meth:`plan_quarantined`), not the store's."""
-        with self._lock:
-            self._ensure()
+        def lookup():
             ent = self._entries.get(problem_key(m, k, n, dtype, threads))
-            if ent is None or not self._fresh(ent):
-                return None
-            try:
-                return Plan.from_dict(ent["plan"])
-            except (KeyError, TypeError, ValueError):
-                return None
+            return (self._plan_of(ent)
+                    if ent is not None and self._fresh(ent) else None)
+
+        return self._answer(("get", m, k, n, dtype, threads), lookup)
 
     def entry(self, m: int, k: int, n: int, dtype: str = "float64",
               threads: int = 1) -> dict | None:
@@ -449,6 +489,7 @@ class PlanCache:
         plan."""
         with self._lock:
             self._ensure()
+            self._answers.clear()
             self._entries[problem_key(m, k, n, dtype, threads)] = {
                 "plan": plan.to_dict(),
                 "scheme": plan.scheme,
@@ -475,9 +516,8 @@ class PlanCache:
         lexicographically smallest key no matter what order the cache file
         listed them in -- identical calls pick identical plans.
         """
-        own = problem_key(m, k, n, dtype, threads)
-        with self._lock:
-            self._ensure()
+        def lookup():
+            own = problem_key(m, k, n, dtype, threads)
             best, d_best = None, radius
             for key in sorted(self._entries):
                 ent = self._entries[key]
@@ -494,12 +534,10 @@ class PlanCache:
                 )
                 if d < d_best or (best is None and d <= radius):
                     best, d_best = ent, d
-        if best is None:
-            return None
-        try:
-            return Plan.from_dict(best["plan"])
-        except (KeyError, TypeError, ValueError):
-            return None
+            return self._plan_of(best)
+
+        return self._answer(("nearest", m, k, n, dtype, threads, radius),
+                            lookup)
 
     # -------------------------------------------------------- invalidation
     def stale_keys(self) -> list[str]:
@@ -523,10 +561,13 @@ class PlanCache:
                       else sorted(self._entries))
             for key in doomed:
                 del self._entries[key]
+            if doomed:
+                self._answers.clear()
             return doomed
 
     def clear(self) -> None:
         with self._lock:
             self._entries = {}
+            self._answers.clear()
             self._failures = {}
             self._loaded = True

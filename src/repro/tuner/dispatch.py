@@ -35,18 +35,23 @@ losing candidate never grows a serving arena.
 on one path: :func:`_serve` is the only tail ``matmul`` and
 ``matmul_batched`` have -- plain, telemetry-on, guarded and batched
 requests all cross it -- and the only caller of ``policy.select`` (under
-the ``dispatch.lookup`` span).  It resolves the plan; takes the thread's
-arena from ``workspace_for``; executes under the ``dispatch.execute``
-span (``dispatch.batch`` for a batch, whose products run that one plan
-one after another in that one arena) -- directly, or through
-:func:`repro.guard.chain.run_guarded`, which only walks the fallback
-ladder and says which plan served; and hands the outcome to
+the ``dispatch.lookup`` span).  Its first question after resolving is
+whether anything but the vendor call is left to do: a plain-BLAS plan on
+an unguarded request with telemetry off has no arena to reserve, no span
+to time and no record to write, so it runs :func:`execute_plan` and
+returns -- below the dgemm knee a request costs one ``np.matmul`` plus the
+lookup's dictionary hits (Section 3.4).  Every other request takes the
+thread's arena from ``workspace_for``; executes under the
+``dispatch.execute`` span (``dispatch.batch`` for a batch, whose products
+run that one plan one after another in that one arena, or as one
+``np.matmul`` over the stacks when the plan is plain BLAS) -- directly,
+or through :func:`repro.guard.chain.run_guarded`, which only walks the
+fallback ladder and says which plan served; and hands the outcome to
 :func:`_report`.  So for every request a warm arena that spilled to the
 heap is counted (``workspace.overflows``) and warned about once per
 (plan, shape, dtype) with or without telemetry, and one record of one
 schema (``seconds`` is whole-call wall time) lands in the telemetry
-ring.  With telemetry off the spans are the shared ``NULL_SPAN`` and the
-report is one branch.
+ring whenever telemetry is on.
 """
 
 from __future__ import annotations
@@ -224,6 +229,19 @@ def build_workspace(plan: Plan, p: int, q: int, r: int,
 
 
 @functools.lru_cache
+def _plain_blas(threads: int) -> Plan:
+    """The trivial stage's answer, built once per thread count."""
+    return Plan(threads=threads)
+
+
+@functools.lru_cache
+def _dtype_name(dtype: np.dtype) -> str:
+    """``dtype.name``, remembered: NumPy builds the string on every
+    access, which costs a warm call more than its plan lookup."""
+    return dtype.name
+
+
+@functools.lru_cache
 def _reservation(plan: Plan, p: int, q: int, r: int, dtype_a, dtype_b) -> int:
     """:func:`plan_footprint`, remembered: the formulas walk the levels
     and the chain layouts, which a warm call should not pay for."""
@@ -349,7 +367,7 @@ def get_plan(
     threads = resolve_threads(threads)
     cache = cache if cache is not None else _shared_cache()
     if min(p, q, r) < trivial_dim(dtype):
-        return Plan(threads=threads), "trivial"
+        return _plain_blas(threads), "trivial"
     skipped = []
 
     def admits(plan: Plan) -> bool:
@@ -450,22 +468,45 @@ def _report(plan: Plan, served: Plan, source: str, p: int, q: int, r: int,
     telemetry.record_dispatch(record)
 
 
-def _serve(policy: TuningPolicy, cfg, a_list, b_list, p: int, q: int,
+def _execute(plan: Plan, a_ops, b_ops, dest, pool: WorkerPool | None,
+             workspace: Workspace | None, batch: int | None):
+    """Run ``plan`` for every product of a request into ``dest``.
+
+    A single product, and a stacked batch that ``plan`` serves with plain
+    BLAS, are one :func:`execute_plan` call -- the latter ``np.matmul``
+    over the 3-D stacks, exactly as NumPy's own batched call; any other
+    batch runs element after element in ``workspace``.
+    """
+    if batch is None:
+        return execute_plan(plan, a_ops[0], b_ops[0], pool=pool, out=dest,
+                            workspace=workspace)
+    if plan.is_dgemm and isinstance(a_ops, np.ndarray):
+        return execute_plan(plan, a_ops, b_ops, out=dest)
+    for a, b, c in zip(a_ops, b_ops, dest):
+        execute_plan(plan, a, b, pool=pool, out=c, workspace=workspace)
+    return dest
+
+
+def _serve(policy: TuningPolicy, cfg, a_ops, b_ops, p: int, q: int,
            r: int, dtype: str, threads: int, cache: PlanCache,
            pool: WorkerPool | None, out, fresh, batch: int | None = None):
     """The serving tail of every request (see the module docstring):
     resolve, take the thread's arena, execute, report.
 
-    ``a_list`` / ``b_list`` are the request's operands, one pair per
-    product: a :func:`matmul` call is one pair with ``batch=None``, a
-    :func:`repro.tuner.batched.matmul_batched` call ``batch`` pairs whose
-    destinations ``out`` holds (``fresh()`` makes another of the same
-    form).  Every product runs the one resolved plan, one after another.
+    ``a_ops`` / ``b_ops`` are the request's operands, one per product: a
+    :func:`matmul` call is a 1-tuple with ``batch=None``, a
+    :func:`repro.tuner.batched.matmul_batched` call ``batch`` of them -- a
+    list of 2-D arrays, or a 3-D stack whose elements index and iterate
+    alike -- whose destinations ``out`` holds (``fresh()`` makes another
+    of the same form).  Every product runs the one resolved plan.
     """
     t_call = telemetry.clock_ns()
     with telemetry.span("dispatch.lookup"):
         plan, source = policy.select(p, q, r, dtype, threads, cache)
-    dtype_a, dtype_b = a_list[0].dtype, b_list[0].dtype
+    if plan.is_dgemm and cfg is None and not telemetry.enabled():
+        # plain BLAS, unguarded, untraced: no arena, span or record
+        return _execute(plan, a_ops, b_ops, out, pool, None, batch)
+    dtype_a, dtype_b = a_ops[0].dtype, b_ops[0].dtype
     workspace = workspace_for(plan, p, q, r, dtype_a, dtype_b)
     spilled_before = (workspace.overflow_allocations
                       if workspace is not None else 0)
@@ -475,12 +516,7 @@ def _serve(policy: TuningPolicy, cfg, a_list, b_list, p: int, q: int,
         # a guard fallback and gets a throwaway of its own
         ws = (workspace if pl is plan
               else build_workspace(pl, p, q, r, dtype_a, dtype_b))
-        if batch is None:
-            return execute_plan(pl, a_list[0], b_list[0], pool=pool,
-                                out=dest, workspace=ws)
-        for a, b, c in zip(a_list, b_list, dest):
-            execute_plan(pl, a, b, pool=pool, out=c, workspace=ws)
-        return dest
+        return _execute(pl, a_ops, b_ops, dest, pool, ws, batch)
 
     span = "dispatch.execute" if batch is None else "dispatch.batch"
     with telemetry.span(span, scheme=plan.scheme):
@@ -488,7 +524,7 @@ def _serve(policy: TuningPolicy, cfg, a_list, b_list, p: int, q: int,
             C, served = run(plan, out), plan
         else:
             C, served = _guard_chain.run_guarded(
-                cfg, plan, run, (a_list, b_list), out, fresh, cache,
+                cfg, plan, run, (a_ops, b_ops), out, fresh, cache,
                 (p, q, r, dtype, threads))
     spilled = (workspace.overflow_allocations - spilled_before
                if workspace is not None else 0)
@@ -539,7 +575,7 @@ def matmul(
     policy = get_policy(tune)
     p, q = A.shape
     r = B.shape[1]
-    dtype = np.result_type(A, B).name
+    dtype = _dtype_name(np.result_type(A, B))
     threads = resolve_threads(threads)
     cache = cache if cache is not None else _shared_cache()
     return _serve(policy, _guard_chain.resolve_guard(guard), (A,), (B,),

@@ -5,18 +5,22 @@ from __future__ import annotations
 import numpy as np
 
 
-def require_2d(X: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Coerce to a floating 2-D ndarray, raising on bad input.
-
-    float32 is preserved (the paper notes single precision as the honest
-    alternative to APA algorithms); everything else is upcast to float64.
-    """
-    A = np.asarray(X)
-    if A.ndim != 2:
-        raise ValueError(f"{name} must be 2-D, got ndim={A.ndim}")
+def as_floating(A: np.ndarray) -> np.ndarray:
+    """``A`` in the dtype the library computes in: float32 is preserved
+    (the paper notes single precision as the honest alternative to APA
+    algorithms); everything else is upcast to float64."""
     if A.dtype not in (np.float32, np.float64):
         A = A.astype(np.float64)
     return A
+
+
+def require_2d(X: np.ndarray, name: str = "matrix") -> np.ndarray:
+    """Coerce to a floating (:func:`as_floating`) 2-D ndarray, raising on
+    bad input."""
+    A = np.asarray(X)
+    if A.ndim != 2:
+        raise ValueError(f"{name} must be 2-D, got ndim={A.ndim}")
+    return as_floating(A)
 
 
 def check_matmul_dims(A: np.ndarray, B: np.ndarray) -> tuple[int, int, int]:

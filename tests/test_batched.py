@@ -17,7 +17,11 @@ Five claims are pinned down here:
    per-call byte budget for the whole batch (tracking allocator);
 4. resolution is the per-call ladder: ``get_batch_plan`` answers what
    ``get_plan`` answers, and a tuned per-call entry serves the batch;
-5. a batch-suffixed key an older release wrote is dropped on load.
+5. a batch-suffixed key an older release wrote is dropped on load;
+6. a stacked batch served by plain BLAS is one ``execute_plan`` over the
+   3-D stacks, bit-identical to NumPy's stacked ``np.matmul`` (traced,
+   guarded or not), and stacked integers promote to float64 like every
+   other entry point's.
 """
 
 from __future__ import annotations
@@ -248,6 +252,103 @@ class TestOperandForms:
         A, B = batch_operands(16, 16, 16, 2)
         with pytest.raises(ValueError, match="threads"):
             batched.matmul_batched(A, B, threads=0, cache=cache)
+
+
+# =========================================================================
+# a stacked batch served by plain BLAS is one np.matmul over the stacks
+# =========================================================================
+class TestStackedDgemm:
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        """Every ``execute_plan`` call the serving tail makes, by the
+        dimensionality of its ``A``."""
+        seen = []
+        real = dispatch.execute_plan
+
+        def spy(plan, A, B, *args, **kwargs):
+            seen.append(A.ndim)
+            return real(plan, A, B, *args, **kwargs)
+
+        monkeypatch.setattr(dispatch, "execute_plan", spy)
+        return seen
+
+    @pytest.mark.parametrize("n,observed", [(64, False), (192, False),
+                                            (192, True)])
+    def test_one_call_bit_identical_to_stacked_matmul(self, cache, calls,
+                                                      n, observed):
+        """Trivial (64) and a cached dgemm entry (192), traced or not:
+        one ``execute_plan`` on the 3-D stacks, NumPy's own bits."""
+        cache.put(192, 192, 192, "float64", 2, Plan(threads=2))
+        A, B = batch_operands(n, n, n, 6, seed=12)
+        if observed:
+            telemetry.enable()
+        got = batched.matmul_batched(A, B, threads=2, cache=cache)
+        assert calls == [3]
+        np.testing.assert_array_equal(got, np.matmul(A, B))
+        if observed:
+            (rec,) = telemetry.dispatch_records()
+            assert rec["batch"] == 6 and rec["plan"] == "dgemm(2t)"
+            assert telemetry.span_stats("dispatch.batch",
+                                        scheme="sequential")["count"] == 1
+
+    def test_list_form_and_fast_plans_keep_the_loop(self, cache, calls):
+        A, B = batch_operands(64, 64, 64, 4, seed=13)
+        batched.matmul_batched(list(A), list(B), threads=1, cache=cache)
+        assert calls == [2] * 4
+        calls.clear()
+        cache.put(192, 192, 192, "float64", 1, STRASSEN)
+        A, B = batch_operands(192, 192, 192, 3, seed=14)
+        batched.matmul_batched(A, B, threads=1, cache=cache)
+        assert calls == [2] * 3
+
+    @pytest.mark.parametrize("which", ["A", "B", "A[1:]", "B-tail"])
+    def test_out_overlapping_either_stack_raises(self, cache, which):
+        buf = np.zeros((5, 16, 16))
+        A, B = buf[:2], buf[2:4]
+        out = {"A": A, "B": B, "A[1:]": buf[1:3],
+               "B-tail": buf[3:5]}[which]
+        with pytest.raises(ValueError, match="overlap"):
+            batched.matmul_batched(A, B, out=out, threads=1, cache=cache)
+
+    @pytest.mark.parametrize("plan", [Plan(threads=1), STRASSEN],
+                             ids=lambda p: p.describe())
+    def test_guarded_batch_survives_plan_raise(self, cache, plan):
+        from repro.guard import faults
+
+        n = 192
+        cache.put(n, n, n, "float64", 1, plan)
+        A, B = batch_operands(n, n, n, 4, seed=15)
+        out = np.empty((4, n, n))
+        try:
+            with faults.inject("plan.raise"):
+                got = batched.matmul_batched(A, B, out=out, threads=1,
+                                             cache=cache, guard=True)
+            assert faults.fired("plan.raise") >= 1
+        finally:
+            faults.clear()
+            faults.reset_fired()
+        assert got is out
+        np.testing.assert_array_equal(got, np.matmul(A, B))
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64, np.bool_])
+    def test_integer_stacks_promote_to_float64(self, cache, dtype):
+        """As ``matmul`` and the list form do: an int32 stack would
+        otherwise overflow silently and return int32."""
+        rng = np.random.default_rng(16)
+        A = rng.integers(0, 2 if dtype is np.bool_ else 70000,
+                         (3, 40, 30)).astype(dtype)
+        B = rng.integers(0, 2 if dtype is np.bool_ else 70000,
+                         (3, 30, 20)).astype(dtype)
+        got = batched.matmul_batched(A, B, threads=1, cache=cache)
+        listed = batched.matmul_batched(list(A), list(B), threads=1,
+                                        cache=cache)
+        assert got.dtype == np.float64
+        for i in range(3):
+            np.testing.assert_array_equal(got[i], listed[i])
+            np.testing.assert_array_equal(
+                got[i], dispatch.matmul(A[i], B[i], threads=1, cache=cache))
+        if dtype is np.int32:
+            assert got.max() > np.iinfo(np.int32).max
 
 
 # =========================================================================

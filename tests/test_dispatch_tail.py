@@ -152,6 +152,63 @@ def test_guarded_failure_lands_on_classical(observed, tuned, plan, tmp_path,
             Plan(threads=plan.threads).describe(), "guard")
 
 
+class TestPlainBlasShortPath:
+    """A plain-BLAS plan on an unguarded, untraced request is one
+    ``execute_plan`` call: no arena, no span, no record.  Traced or
+    guarded, the same request takes the whole tail."""
+
+    @pytest.fixture()
+    def tail(self, monkeypatch):
+        """What of the tail past execution a request touched."""
+        seen = []
+        for name in ("workspace_for", "_report"):
+            real = getattr(dispatch, name)
+
+            def spy(*args, _name=name, _real=real):
+                seen.append(_name)
+                return _real(*args)
+
+            monkeypatch.setattr(dispatch, name, spy)
+        return seen
+
+    @pytest.mark.parametrize("n", [64, N], ids=["trivial", "cache"])
+    def test_quiet_unguarded_dgemm_skips_the_tail(self, tail, tmp_path, n):
+        cache = PlanCache(tmp_path / "plans.json")
+        cache.put(N, N, N, "float64", 1, Plan(threads=1))
+        A, B = random_matrix(n, n, 4), random_matrix(n, n, 5)
+        out = np.empty((n, n))
+        assert matmul(A, B, threads=1, cache=cache, out=out,
+                      guard=False) is out
+        assert np.array_equal(out, np.matmul(A, B))
+        assert tail == [] and obs.is_empty()
+
+    def test_the_fault_hook_still_fires(self, tail):
+        A = random_matrix(64, 64, 6)
+        with faults.inject("plan.raise"):
+            with pytest.raises(faults.InjectedFault):
+                matmul(A, A, threads=1, guard=False)
+        assert tail == []
+
+    @pytest.mark.parametrize("observed,guard", [(True, False), (False, True),
+                                                (True, True)])
+    def test_traced_or_guarded_dgemm_takes_the_tail(self, tail, tmp_path,
+                                                    observed, guard):
+        cache = PlanCache(tmp_path / "plans.json")
+        cache.put(N, N, N, "float64", 1, Plan(threads=1))
+        A, B = random_matrix(N, N, 7), random_matrix(N, N, 8)
+        if observed:
+            obs.enable()
+        C = matmul(A, B, threads=1, cache=cache, guard=guard)
+        assert np.array_equal(C, np.matmul(A, B))
+        assert tail == ["workspace_for", "_report"]
+        if observed:
+            (rec,) = obs.dispatch_records()
+            assert (rec["plan"], rec["source"]) == ("dgemm(1t)", "cache")
+            assert obs.span_stats("dispatch.lookup")["count"] == 1
+            assert obs.span_stats("dispatch.execute",
+                                  scheme="sequential")["count"] == 1
+
+
 class TestSequentialPlansFollowTheRule:
     """``execute_plan`` of a sequential fast plan runs the compiled driver
     at the product's precision where :func:`cbackend.chains_fused` holds

@@ -235,6 +235,26 @@ def test_quarantined_entry_probes_every_16th_lookup(tmp_path):
     assert obs.counter_value("guard.quarantine_probes") == 3
 
 
+def test_quarantine_probes_keep_their_cadence_with_the_memo_warm(tmp_path):
+    """The store memoises its answer, not the ledger's: a plan served
+    from the warm memo is still charged once per lookup, so it is skipped
+    from the next lookup on and probed at the 16th, 32nd and 48th."""
+    n = 512
+    plan = Plan(algorithm="strassen", steps=1, threads=1)
+    cache = _cache_with(n, 1, plan, tmp_path)
+    for _ in range(3):  # warm: every stage's answer is memoised
+        assert dispatch.get_plan(n, n, n, threads=1,
+                                 cache=cache) == (plan, "cache")
+    for _ in range(2):
+        cache.record_failure(n, n, n, "float64", 1, plan, "boom")
+    served = [dispatch.get_plan(n, n, n, threads=1, cache=cache)
+              for _ in range(48)]
+    probes = [i for i, hit in enumerate(served, 1) if hit == (plan, "cache")]
+    assert probes == [16, 32, 48]
+    assert all(source == "model" for i, (_, source) in
+               enumerate(served, 1) if i not in probes)
+
+
 def test_failure_ledger_survives_save_load(tmp_path):
     plan = Plan(algorithm="strassen", steps=1, threads=1)
     cache = _cache_with(96, 1, plan, tmp_path)

@@ -148,7 +148,9 @@ class TestPool:
     def test_resolve_threads(self):
         assert resolve_threads(None) == available_cores()
         assert resolve_threads(3) == 3
-        for bad in (0, -1, 2.5, True, "4"):
+        assert type(resolve_threads(np.int64(3))) is int
+        assert resolve_threads(np.uint8(2)) == 2
+        for bad in (0, -1, 2.5, 2.0, True, np.True_, np.int32(0), "4"):
             with pytest.raises(ValueError, match="threads"):
                 resolve_threads(bad)
 

@@ -557,6 +557,110 @@ class TestNearestTieBreak:
         assert cache.nearest(600, 600, 600, "float64", 1) == near
 
 
+class TestAnswerMemo:
+    """``get`` and ``nearest`` answers are memoised per query; every
+    change to the entries forgets them, so no answer outlives the entries
+    it was computed from."""
+
+    S1 = Plan(algorithm="strassen", steps=1)
+    S2 = Plan(algorithm="winograd", steps=1)
+
+    def test_repeat_answers_are_the_parsed_plan_once(self, cache,
+                                                     monkeypatch):
+        cache.put(600, 600, 600, "float64", 1, self.S1)
+        parses = []
+        real = Plan.from_dict.__func__
+        monkeypatch.setattr(Plan, "from_dict", classmethod(
+            lambda cls, d: parses.append(d) or real(cls, d)))
+        got = {cache.get(600, 600, 600, "float64", 1) for _ in range(5)}
+        near = {cache.nearest(620, 600, 600, "float64", 1) for _ in range(5)}
+        assert got == near == {self.S1}
+        assert len(parses) == 2  # one per distinct query, not per lookup
+
+    def test_put_of_a_closer_shape_changes_nearest(self, cache):
+        cache.put(500, 600, 600, "float64", 1, self.S1)
+        assert cache.nearest(600, 600, 600, "float64", 1) == self.S1
+        cache.put(620, 600, 600, "float64", 1, self.S2)
+        assert cache.nearest(600, 600, 600, "float64", 1) == self.S2
+
+    def test_put_over_a_key_changes_get(self, cache):
+        cache.put(600, 600, 600, "float64", 1, self.S1)
+        assert cache.get(600, 600, 600, "float64", 1) == self.S1
+        cache.put(600, 600, 600, "float64", 1, self.S2)
+        assert cache.get(600, 600, 600, "float64", 1) == self.S2
+
+    @pytest.mark.parametrize("change", ["drop", "invalidate", "clear"])
+    def test_removals_change_get_and_nearest(self, cache, change):
+        cache.put(600, 600, 600, "float64", 1, self.S1)
+        assert cache.get(600, 600, 600, "float64", 1) == self.S1
+        assert cache.nearest(620, 600, 600, "float64", 1) == self.S1
+        if change == "drop":
+            assert cache.drop(problem_key(600, 600, 600, "float64", 1))
+        elif change == "invalidate":
+            assert cache.invalidate(stale_only=False)
+        else:
+            cache.clear()
+        assert cache.get(600, 600, 600, "float64", 1) is None
+        assert cache.nearest(620, 600, 600, "float64", 1) is None
+
+    def test_load_of_another_caches_file_changes_answers(self, cache):
+        cache.put(600, 600, 600, "float64", 1, self.S1)
+        assert cache.get(600, 600, 600, "float64", 1) == self.S1
+        assert cache.nearest(1200, 1200, 1200, "float64", 1) is None
+        other = PlanCache(cache.path)
+        other.put(600, 600, 600, "float64", 1, self.S2)
+        other.put(1190, 1200, 1200, "float64", 1, self.S1)
+        assert other.save()
+        cache.load()
+        assert cache.get(600, 600, 600, "float64", 1) == self.S2
+        assert cache.nearest(1200, 1200, 1200, "float64", 1) == self.S1
+
+    def test_no_stale_answer_survives_concurrent_lookups(self, cache):
+        """Readers racing a writer: an answer computed from entries a
+        ``put`` replaced must never be stored after that put, so the
+        writer always reads back what it just wrote."""
+        import sys
+        import threading
+
+        plans = [Plan(algorithm="strassen", steps=s, threads=t)
+                 for s in (1, 2) for t in (1, 2, 3)]
+        stop = threading.Event()
+
+        def reader():
+            while not stop.is_set():
+                cache.get(600, 600, 600, "float64", 1)
+                cache.nearest(620, 600, 600, "float64", 1)
+
+        stale = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        readers = [threading.Thread(target=reader) for _ in range(4)]
+        try:
+            for th in readers:
+                th.start()
+            for i in range(3000):
+                plan = plans[i % len(plans)]
+                cache.put(600, 600, 600, "float64", 1, plan)
+                if (cache.get(600, 600, 600, "float64", 1) != plan
+                        or cache.nearest(620, 600, 600, "float64",
+                                         1) != plan):
+                    stale.append(i)
+        finally:
+            stop.set()
+            for th in readers:
+                th.join(timeout=10)
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in readers)
+        assert stale == []
+
+    def test_resolution_sees_a_put_after_a_model_answer(self, cache):
+        assert tuner.get_plan(640, 640, 640, threads=1,
+                              cache=cache)[1] == "model"
+        cache.put(640, 640, 640, "float64", 1, self.S2)
+        assert tuner.get_plan(640, 640, 640, threads=1,
+                              cache=cache) == (self.S2, "cache")
+
+
 class TestThreadsValidation:
     """Regression: ``threads=0`` silently meant "all cores" through
     ``threads or available_cores()`` expressions at every entry point,
@@ -580,6 +684,35 @@ class TestThreadsValidation:
 
         with pytest.raises(ValueError, match="threads"):
             measure.tune([(128, 128, 128)], threads=0, cache=cache)
+
+    @pytest.mark.parametrize("threads", [np.int64(1), np.int32(1),
+                                         np.uint8(1)])
+    def test_numpy_integers_are_thread_counts(self, cache, threads):
+        from repro.tuner import measure
+
+        A = random_matrix(64, 64, 0)
+        np.testing.assert_array_equal(
+            tuner.matmul(A, A, threads=threads, cache=cache), A @ A)
+        C = tuner.matmul_batched(A[None], A[None], threads=threads,
+                                 cache=cache)
+        np.testing.assert_array_equal(C[0], A @ A)
+        (report,) = measure.tune([(64, 64, 64)], threads=threads,
+                                 cache=cache, trials=1, max_candidates=1,
+                                 persist=False)
+        assert report.best.plan.threads == 1
+        assert type(report.best.plan.threads) is int
+
+    @pytest.mark.parametrize("bad", [True, np.True_, 0, np.int64(0), 2.0])
+    def test_bools_zero_and_floats_still_raise(self, cache, bad):
+        from repro.tuner import measure
+
+        A = random_matrix(64, 64, 0)
+        with pytest.raises(ValueError, match="threads"):
+            tuner.matmul(A, A, threads=bad, cache=cache)
+        with pytest.raises(ValueError, match="threads"):
+            tuner.matmul_batched(A[None], A[None], threads=bad, cache=cache)
+        with pytest.raises(ValueError, match="threads"):
+            measure.tune([(64, 64, 64)], threads=bad, cache=cache)
 
     def test_none_still_means_all_cores(self, cache):
         from repro.parallel.pool import available_cores

@@ -1,7 +1,8 @@
 """repro.obs: unified telemetry for the tuner/arena/parallel stack.
 
 Spans, counters, gauges, dispatch-record introspection, and export
-formats (JSON snapshot, Prometheus text).  Off by default; enable with
+formats (JSON snapshot, Prometheus text, the human rendering of a
+record and of a summary).  Off by default; enable with
 :func:`enable` or ``REPRO_OBS=1``.  See :mod:`repro.obs.telemetry` for
 the design notes (one-branch disabled path, zero repro-internal
 dependencies).
@@ -12,6 +13,8 @@ from .export import (
     default_snapshot_path,
     load_snapshot,
     prometheus_text,
+    render_record,
+    render_summary,
     save_snapshot,
     summarize,
 )
@@ -61,6 +64,8 @@ __all__ = [
     "prometheus_text",
     "record_dispatch",
     "record_task",
+    "render_record",
+    "render_summary",
     "reset",
     "ring_size",
     "save_snapshot",

@@ -13,8 +13,12 @@ Three consumers, three shapes:
   (which reads);
 - :func:`summarize` digests a snapshot into the handful of numbers a
   human asks first (calls, plan-source mix, cache hit ratio, arena
-  health, per-scheme span totals) -- the CLI's human renderer and the
-  future serving layer's health endpoint both read this.
+  health, per-scheme span totals) -- the future serving layer's health
+  endpoint reads this;
+- :func:`render_record` and :func:`render_summary` are the one human
+  rendering of a dispatch record and of a summary: ``repro multiply``
+  (with or without ``--explain``) and ``repro stats`` print nothing else
+  about a call.
 
 Like :mod:`repro.obs.telemetry`, stdlib-only: no imports from the rest
 of ``repro``.
@@ -246,3 +250,71 @@ def summarize(snap: dict | None = None) -> dict:
         ],
         "records": snap.get("dispatch_records", []),
     }
+
+
+# ------------------------------------------------------------ rendering
+def render_record(record: dict) -> str:
+    """One dispatch record as two lines: what was asked and what served
+    it (plan and source), then what it cost and the arena it ran in."""
+    shape = "x".join(str(d) for d in record["shape"])
+    batch = f" x batch {record['batch']}" if "batch" in record else ""
+    if "arena_bytes" in record:
+        arena = (f"arena {record['arena_bytes']:,} bytes (high water "
+                 f"{record['arena_high_water']:,}, overflows "
+                 f"{record['arena_overflows']})")
+    else:
+        arena = "no arena"
+    return (f"{shape} {record['dtype']}{batch}, {record['threads']} "
+            f"thread(s) -> {record['plan']} [source: {record['source']}]\n"
+            f"  {record['seconds']:.4f}s {record['gflops']:.2f} eff.GFLOPS"
+            f"{'/elem' if batch else ''}, scheme {record['scheme']}, {arena}")
+
+
+def _counts(counts: dict) -> str:
+    return "  ".join(f"{k}={v}" for k, v in sorted(counts.items()))
+
+
+def render_summary(summary: dict) -> str:
+    """A :func:`summarize` digest as text: dispatch sources, arena health,
+    the guard block (only when one of its counts is non-zero), the
+    busiest spans and the last dispatch record."""
+    lines = [f"dispatch: {summary['calls']} call(s)"]
+    if summary["sources"]:
+        ratio = summary["cache_hit_ratio"]
+        hit = f"{ratio:.0%}" if ratio is not None else "n/a"
+        lines.append(f"  plan sources: {_counts(summary['sources'])}  "
+                     f"(cache hit ratio: {hit})")
+    ws = summary["workspace"]
+    arena = (f"arena {int(ws['arena_bytes']):,} bytes, high water "
+             f"{int(ws['high_water'] or 0):,}, "
+             if ws["arena_bytes"] is not None else "")
+    lines.append(f"workspace: {arena}overflows {ws['overflows']}, "
+                 f"grows {ws['grows']}")
+    guard = summary["guard"]
+    if any(any(v.values()) if isinstance(v, dict) else v
+           for v in guard.values()):
+        lines += [
+            f"guard: fallbacks {_counts(guard['fallbacks']) or 'none'}",
+            f"  plan failures {guard['plan_failures']}, quarantines "
+            f"{guard['quarantines']}, skips {guard['quarantine_skips']}, "
+            f"rehabilitations {guard['rehabilitations']}",
+            f"  numeric violations {guard['numeric_violations']}, watchdog "
+            f"timeouts {guard['watchdog_timeouts']}, pool rebuilds "
+            f"{guard['pool_rebuilds']}, task retries {guard['task_retries']}",
+        ]
+        if guard["cache_load_errors"] or guard["cache_save_errors"]:
+            lines.append(f"  cache load errors {guard['cache_load_errors']}, "
+                         f"save errors {guard['cache_save_errors']}")
+        if guard["faults_fired"]:
+            lines.append("  injected faults fired: "
+                         + _counts(guard["faults_fired"]))
+    if summary["span_totals"]:
+        lines.append("span totals (by total time):")
+        for row in summary["span_totals"][:12]:
+            labels = "".join(f" {k}={v}" for k, v
+                             in sorted(row["labels"].items()))
+            lines.append(f"  {row['name']:<28}{labels} x{row['count']:<4} "
+                         f"total {row['total_s']:.4f}s")
+    if summary["records"]:
+        lines.append("last dispatch: " + render_record(summary["records"][-1]))
+    return "\n".join(lines)

@@ -1,5 +1,8 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import pathlib
+import re
+import shlex
 import subprocess
 import sys
 
@@ -47,74 +50,135 @@ class TestVerify:
         assert "ok" in line
 
 
+@pytest.fixture
+def clean_obs(tmp_path, monkeypatch):
+    """An empty, disabled registry, and a private snapshot file for the
+    runs that save one."""
+    from repro import obs
+
+    monkeypatch.setenv(obs.SNAPSHOT_ENV, str(tmp_path / "snap.json"))
+    obs.disable()
+    obs.reset()
+    yield obs
+    obs.disable()
+    obs.reset()
+
+
 class TestMultiply:
-    def test_small_multiply_reports_speedup_and_error(self):
+    """The default path pins ``Plan(algorithm, steps, scheme, threads,
+    subgroup)`` and serves it through dispatch's tail; what the command
+    says ran is the call's own record."""
+
+    def test_small_multiply_reports_speedup_and_error(self, clean_obs):
         rc, text = run_cli("multiply", "-a", "strassen", "-n", "96",
                            "-s", "1", "--trials", "1")
         assert rc == 0
         assert "eff.GFLOPS" in text and "rel.err" in text
+        rec = clean_obs.dispatch_records()[-1]
+        assert rec["source"] == "pinned"
+        assert "last call: " + clean_obs.render_record(rec) in text
 
-    def test_rectangular_shape(self):
+    def test_rectangular_shape(self, clean_obs):
         rc, text = run_cli("multiply", "-a", "s424", "--shape", "64", "32",
                            "64", "--trials", "1")
         assert rc == 0
         assert "64x32x64" in text
+        assert clean_obs.dispatch_records()[-1]["shape"] == [64, 32, 64]
 
-    def test_parallel_path(self):
-        rc, text = run_cli("multiply", "-a", "strassen", "-n", "96",
-                           "--parallel", "--scheme", "bfs", "--threads", "2",
-                           "--trials", "1")
-        assert rc == 0
-        assert "bfs" in text
-
-    def test_native_path(self):
+    def test_pinned_sequential_plan_runs_compiled_kernels(self, clean_obs):
         from repro.codegen import cbackend
 
         if not cbackend.available():
             pytest.skip("no C compiler")
         rc, text = run_cli("multiply", "-a", "strassen", "-n", "96",
-                           "--native", "--trials", "1")
+                           "--threads", "1", "--trials", "1")
         assert rc == 0
-        assert "native chains" in text
+        assert "chains: compiled kernels" in text
+        rec = clean_obs.dispatch_records()[-1]
+        assert rec["plan"] == "strassen steps=1 sequential(1t)"
+        assert rec["arena_bytes"] > 0 and rec["arena_overflows"] == 0
 
-    def test_no_backend_flag(self, capsys):
-        """The chain kernels are a rule, not an option: ``--backend`` is
-        gone from the parser and its help."""
+    def test_pinned_parallel_scheme_leaves_its_record(self, clean_obs):
+        rc, text = run_cli("multiply", "-a", "strassen", "-n", "96",
+                           "--scheme", "bfs", "--threads", "2",
+                           "--trials", "1")
+        assert rc == 0
+        rec = clean_obs.dispatch_records()[-1]
+        assert rec["scheme"] == "bfs" and rec["threads"] == 2
+        assert rec["plan"] == "strassen steps=1 bfs(2t)"
+        assert "last call: " + clean_obs.render_record(rec) in text
+
+    def test_threads_pin_both_sides(self, clean_obs, monkeypatch):
+        """``--threads`` is the plan's thread count and the vendor BLAS's
+        (it replaced ``--blas-threads``)."""
+        from repro.parallel import blas
+
+        seen = []
+        real = blas.blas_threads
+
+        def spy(n):
+            seen.append(n)
+            return real(n)
+
+        monkeypatch.setattr(blas, "blas_threads", spy)
+        rc, _ = run_cli("multiply", "-a", "strassen", "-n", "64",
+                        "--trials", "1", "--threads", "1")
+        assert rc == 0
+        assert seen and set(seen) == {1}
+
+    @pytest.mark.parametrize("flags", [["--backend", "compiled"],
+                                       ["--native"], ["--parallel"],
+                                       ["--blas-threads", "1"]])
+    def test_removed_flags(self, capsys, flags):
+        """The chain kernels are a rule, ``--scheme`` names every schedule
+        and ``--threads`` pins both sides: these flags are gone from the
+        parser and its help."""
         from repro import cli
 
-        with pytest.raises(SystemExit):
-            run_cli("multiply", "--backend", "compiled")
+        with pytest.raises(SystemExit) as exc:
+            run_cli("multiply", *flags)
+        assert exc.value.code == 2
         capsys.readouterr()
         with pytest.raises(SystemExit):
             cli._build_parser().parse_args(["multiply", "--help"])
-        assert "--backend" not in capsys.readouterr().out
+        assert flags[0] not in capsys.readouterr().out
 
-    def test_blas_threads_option(self):
-        rc, text = run_cli("multiply", "-a", "strassen", "-n", "64",
-                           "--trials", "1", "--blas-threads", "1")
-        assert rc == 0
-
-    def test_subgroup_path(self):
+    def test_subgroup_path(self, clean_obs):
         rc, text = run_cli("multiply", "-a", "strassen", "-n", "96",
-                           "--parallel", "--scheme", "hybrid-subgroup",
+                           "--scheme", "hybrid-subgroup",
                            "--threads", "2", "--subgroup", "1",
                            "--trials", "1")
         assert rc == 0
-        assert "hybrid-subgroup" in text
+        rec = clean_obs.dispatch_records()[-1]
+        assert rec["plan"] == "strassen steps=1 hybrid-subgroup[P'=1](2t)"
 
     def test_subgroup_must_divide_threads(self, capsys):
         rc, _ = run_cli("multiply", "-a", "strassen", "-n", "96",
-                        "--parallel", "--scheme", "hybrid-subgroup",
+                        "--scheme", "hybrid-subgroup",
                         "--threads", "4", "--subgroup", "3", "--trials", "1")
         assert rc == 2
         assert "divisor" in capsys.readouterr().err
 
     def test_subgroup_requires_subgroup_scheme(self, capsys):
         rc, _ = run_cli("multiply", "-a", "strassen", "-n", "96",
-                        "--parallel", "--scheme", "bfs", "--threads", "2",
+                        "--scheme", "bfs", "--threads", "2",
                         "--subgroup", "1", "--trials", "1")
         assert rc == 2
         assert "hybrid-subgroup" in capsys.readouterr().err
+
+    def test_batch_reports_the_batch_record(self, clean_obs, tmp_path):
+        rc, text = run_cli("multiply", "--batch", "3", "-n", "64",
+                           "--threads", "1", "--trials", "1",
+                           "--cache", str(tmp_path / "plans.json"))
+        assert rc == 0
+        rec = clean_obs.dispatch_records()[-1]
+        assert rec["batch"] == 3 and rec["shape"] == [64, 64, 64]
+        assert "last call: " + clean_obs.render_record(rec) in text
+
+    def test_bad_batch_is_a_usage_error(self, capsys):
+        rc, _ = run_cli("multiply", "--batch", "0", "-n", "64")
+        assert rc == 2
+        assert "--batch" in capsys.readouterr().err
 
 
 class TestCodegen:
@@ -170,19 +234,44 @@ class TestProcessLevel:
         assert proc.returncode != 0
 
 
+class TestDocumentedCommands:
+    """Every ``python -m repro ...`` command in the README and the verify
+    skill parses with the real parser (nothing runs), so a removed flag
+    cannot linger in the docs."""
+
+    ROOT = pathlib.Path(__file__).resolve().parents[1]
+    DOCS = ("README.md", ".claude/skills/verify/SKILL.md")
+
+    @classmethod
+    def commands(cls):
+        found = []
+        for doc in cls.DOCS:
+            path = cls.ROOT / doc
+            if not path.exists():
+                continue
+            for n, line in enumerate(path.read_text().splitlines(), 1):
+                for m in re.finditer(r"python -m repro\b([^`#|;&]*)", line):
+                    found.append((f"{doc}:{n}", shlex.split(m.group(1))))
+        return found
+
+    def test_every_documented_command_parses(self):
+        from repro import cli
+
+        commands = self.commands()
+        assert len(commands) >= 20
+        for where, argv in commands:
+            try:
+                cli._build_parser().parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"{where}: python -m repro {' '.join(argv)}")
+
+
 class TestStats:
     """``repro stats``: live-registry and snapshot-file telemetry report."""
 
     @pytest.fixture(autouse=True)
-    def clean_obs(self, tmp_path, monkeypatch):
-        from repro import obs
-
-        monkeypatch.setenv(obs.SNAPSHOT_ENV, str(tmp_path / "snap.json"))
-        obs.disable()
-        obs.reset()
+    def _clean(self, clean_obs):
         yield
-        obs.disable()
-        obs.reset()
 
     def _warm_auto_run(self, tmp_path):
         rc, text = run_cli("multiply", "--auto", "-n", "192", "--trials", "1",
@@ -197,14 +286,18 @@ class TestStats:
         assert "no data" in text
 
     def test_human_report_after_auto(self, tmp_path):
+        from repro import obs
+
         self._warm_auto_run(tmp_path)
         rc, text = run_cli("stats")
         assert rc == 0
-        assert "plan sources:" in text
-        assert "cache hit ratio" in text
-        assert "workspace:" in text and "overflows 0" in text
-        assert "span totals" in text
-        assert "last dispatch: 192x192x192" in text
+        summary = obs.summarize()
+        assert text == ("telemetry (live registry)\n"
+                        + obs.render_summary(summary) + "\n")
+        assert summary["sources"] and summary["cache_hit_ratio"] is not None
+        assert summary["workspace"]["overflows"] == 0
+        assert summary["span_totals"]
+        assert summary["records"][-1]["shape"] == [192, 192, 192]
 
     def test_json_format_parses(self, tmp_path):
         import json
@@ -235,7 +328,7 @@ class TestStats:
         rc, text = run_cli("stats")
         assert rc == 0
         assert "snapshot file" in text
-        assert "plan sources:" in text
+        assert obs.render_summary(obs.summarize(obs.load_snapshot())) in text
 
     def test_reset_clears(self, tmp_path):
         self._warm_auto_run(tmp_path)
@@ -251,31 +344,22 @@ class TestStats:
 
 class TestExplain:
     @pytest.fixture(autouse=True)
-    def clean_obs(self):
-        from repro import obs
-
-        obs.disable()
-        obs.reset()
+    def _clean(self, clean_obs):
         yield
-        obs.disable()
-        obs.reset()
 
     def test_decision_trace(self, tmp_path):
+        import re
+
+        from repro import obs
+
         rc, text = run_cli("multiply", "--explain", "-n", "192",
                            "--threads", "1",
                            "--cache", str(tmp_path / "plans.json"))
         assert rc == 0
-        assert "decision trace: 192x192x192" in text
+        assert "== 192x192x192" in text
         assert "cost-ranked shortlist" in text
-        assert "#1" in text
-        assert "chosen plan:" in text and "[source:" in text
-        assert "arena footprint:" in text
-        assert "observed call:" in text
-        assert "dispatch.lookup" in text
         # every shortlisted plan carries a prediction in real units, and
         # the served plan's prediction sits beside its measurement
-        import re
-
         rows = re.findall(r"#\d+ .* predicted +([\d.]+) ms +([\d.]+) "
                           r"eff\.GFLOPS", text)
         assert rows and float(rows[0][0]) > 0
@@ -283,26 +367,34 @@ class TestExplain:
             float(ms) for ms, _ in rows)
         assert re.search(r"predicted vs measured: [\d.]+ ms vs [\d.]+ ms "
                          r"\(x[\d.]+\)", text)
+        # then the record and the summary of its one call, as obs renders
+        # them: plan, source, arena, spans
+        summary = obs.summarize()
+        assert obs.render_summary(summary) in text
+        assert summary["calls"] == 1
+        assert summary["records"] == obs.dispatch_records()
+        spans = {row["name"]: row["count"] for row in summary["span_totals"]}
+        assert spans["dispatch.lookup"] == spans["dispatch.execute"] == 1
 
         # a guarded call crosses the same serving tail: same spans, same
-        # record (it used to open no dispatch.* span at all)
-        from repro import obs
-
+        # record
         obs.reset()
         rc, text = run_cli("multiply", "--explain", "--guard", "-n", "192",
                            "--threads", "1",
                            "--cache", str(tmp_path / "plans.json"))
         assert rc == 0
-        assert "observed call:" in text and "guard: on" in text
-        for name in ("dispatch.lookup", "dispatch.execute"):
-            assert re.search(rf"span {name} +x1 ", text), name
-
+        assert "guard on ==" in text
+        summary = obs.summarize()
+        assert obs.render_summary(summary) in text
+        spans = {row["name"]: row["count"] for row in summary["span_totals"]}
+        assert spans["dispatch.lookup"] == spans["dispatch.execute"] == 1
 
     def test_parallel_plan_says_which_kernels_formed_its_chains(
             self, tmp_path):
         """The schedule's per-call choice (fused C kernels or the NumPy
-        adders) is no plan field, so the trace reads it off the
-        ``parallel.<scheme>`` span and prints it next to the scheme."""
+        adders) is no plan field: the summary lists its
+        ``parallel.<scheme>`` span with the ``chains`` label."""
+        from repro import obs
         from repro.codegen import cbackend
         from repro.tuner import Plan, PlanCache
 
@@ -314,10 +406,79 @@ class TestExplain:
         rc, text = run_cli("multiply", "--explain", "-n", "192",
                            "--threads", "2", "--cache", str(cache.path))
         assert rc == 0
-        assert "[source: cache]" in text
+        rec = obs.dispatch_records()[-1]
+        assert (rec["source"], rec["scheme"]) == ("cache", "dfs")
         kind = "fused" if cbackend.available() else "numpy"
-        assert f"(scheme dfs, chains {kind}, rel.err" in text
-        assert "span parallel.dfs" in text
+        summary = obs.summarize()
+        assert any(row["name"] == "parallel.dfs"
+                   and row["labels"]["chains"] == kind
+                   for row in summary["span_totals"])
+        assert obs.render_summary(summary) in text
+
+    @staticmethod
+    def _quarantined(tmp_path, skips):
+        """A cached ``strassen steps=1 sequential(1t)`` at 192^3, quarantined
+        by the failure ledger, ``skips`` lookups into its backoff."""
+        from repro.tuner import Plan, PlanCache
+
+        plan = Plan(algorithm="strassen", steps=1, threads=1)
+        cache = PlanCache(tmp_path / "plans.json")
+        cache.put(192, 192, 192, "float64", 1, plan, seconds=0.01,
+                  gflops=1.0)
+        for _ in range(2):
+            cache.record_failure(192, 192, 192, "float64", 1, plan, "boom")
+        for _ in range(skips):
+            cache.plan_quarantined(192, 192, 192, "float64", 1, plan)
+        (key,) = cache.quarantined_keys()
+        return cache, key
+
+    @pytest.mark.parametrize("skips, argv, calls", [
+        (14, ["--explain"], 1),
+        (15, ["--explain"], 1),          # this call is the backoff probe
+        (13, ["--auto", "--trials", "2"], 3),
+    ])
+    def test_trace_names_the_plan_that_ran(self, tmp_path, monkeypatch,
+                                           skips, argv, calls):
+        """No lookup before the call: the printed plan and source are the
+        record's, and the ledger is charged once per call made (a second
+        lookup used to spend the probe and name a plan that did not
+        run)."""
+        from repro import obs, tuner
+
+        cache, key = self._quarantined(tmp_path, skips)
+        monkeypatch.setattr(tuner, "PlanCache", lambda path=None: cache)
+        rc, text = run_cli("multiply", *argv, "-n", "192", "--threads", "1")
+        assert rc == 0
+        rec = obs.dispatch_records()[-1]
+        assert obs.render_record(rec) in text
+        assert cache.failure_ledger()[key]["skips"] == skips + calls
+        if (skips + calls) % 16 == 0:
+            assert (rec["plan"], rec["source"]) == (
+                "strassen steps=1 sequential(1t)", "cache")
+
+    def test_guard_lists_quarantined_keys_of_the_default_cache(
+            self, tmp_path, monkeypatch):
+        """Without ``--cache`` the call runs on the default cache, and the
+        trace reads its ledger from that same cache."""
+        cache, key = self._quarantined(tmp_path, 0)
+        assert cache.save()
+        monkeypatch.setenv("REPRO_PLAN_CACHE", str(cache.path))
+        rc, text = run_cli("multiply", "--explain", "--guard", "-n", "192",
+                           "--threads", "1")
+        assert rc == 0
+        assert f"quarantined plan keys: {key}" in text
+
+    def test_explain_batch(self, tmp_path):
+        from repro import obs
+
+        rc, text = run_cli("multiply", "--explain", "--batch", "2", "-n",
+                           "64", "--threads", "1",
+                           "--cache", str(tmp_path / "plans.json"))
+        assert rc == 0
+        assert "== 64x64x64 x batch 2 float64" in text
+        rec = obs.dispatch_records()[-1]
+        assert rec["batch"] == 2 and obs.summarize()["calls"] == 1
+        assert obs.render_record(rec) in text
 
 
 class TestCacheDoctorCalibrations:

@@ -356,3 +356,64 @@ class TestWorkspaceStats:
         assert stats["nbytes"] == ws.nbytes
         assert stats["max_mark_depth"] == 2
         assert stats["overflow_allocations"] == 0
+
+
+class TestRender:
+    """``render_record`` / ``render_summary``: the one human rendering of
+    a dispatch record and of a registry summary."""
+
+    BASE = {"shape": [96, 80, 64], "dtype": "float64", "threads": 2,
+            "source": "model", "plan": "dgemm(2t)", "scheme": "sequential",
+            "seconds": 0.0125, "gflops": 3.5}
+
+    def test_dgemm_record_has_no_arena(self):
+        assert obs.render_record(self.BASE) == (
+            "96x80x64 float64, 2 thread(s) -> dgemm(2t) [source: model]\n"
+            "  0.0125s 3.50 eff.GFLOPS, scheme sequential, no arena")
+
+    def test_batch_record_with_arena(self):
+        rec = dict(self.BASE, batch=4, source="cache", scheme="dfs",
+                   plan="strassen steps=1 dfs(2t)", arena_bytes=1048576,
+                   arena_high_water=524288, arena_overflows=0)
+        assert obs.render_record(rec) == (
+            "96x80x64 float64 x batch 4, 2 thread(s) -> "
+            "strassen steps=1 dfs(2t) [source: cache]\n"
+            "  0.0125s 3.50 eff.GFLOPS/elem, scheme dfs, arena 1,048,576 "
+            "bytes (high water 524,288, overflows 0)")
+
+    def test_summary_sections(self):
+        summary = obs.summarize({})
+        assert obs.render_summary(summary) == (
+            "dispatch: 0 call(s)\nworkspace: overflows 0, grows 0")
+        summary.update(
+            calls=2, sources={"cache": 1, "model": 1}, cache_hit_ratio=0.5,
+            span_totals=[{"name": "dispatch.execute",
+                          "labels": {"scheme": "sequential"}, "count": 2,
+                          "total_s": 0.5}],
+            records=[self.BASE])
+        summary["workspace"].update(arena_bytes=2048.0, high_water=1024.0)
+        lines = obs.render_summary(summary).splitlines()
+        assert lines[:3] == [
+            "dispatch: 2 call(s)",
+            "  plan sources: cache=1  model=1  (cache hit ratio: 50%)",
+            "workspace: arena 2,048 bytes, high water 1,024, overflows 0, "
+            "grows 0"]
+        assert lines[3] == "span totals (by total time):"
+        assert lines[4].split() == ["dispatch.execute", "scheme=sequential",
+                                    "x2", "total", "0.5000s"]
+        assert "\n".join(lines[5:]) == ("last dispatch: "
+                                        + obs.render_record(self.BASE))
+        assert not any(line.startswith("guard") for line in lines)
+
+    @pytest.mark.parametrize("field, value", [
+        ("quarantine_skips", 1), ("fallbacks", {"classical": 1}),
+        ("faults_fired", {"plan.raise": 2}), ("cache_load_errors", 1)])
+    def test_guard_block_only_when_a_count_is_nonzero(self, field, value):
+        summary = obs.summarize({})
+        summary["guard"][field] = value
+        text = obs.render_summary(summary)
+        assert "guard: fallbacks " in text
+        assert ("injected faults fired: plan.raise=2" in text) == (
+            field == "faults_fired")
+        assert ("cache load errors 1" in text) == (
+            field == "cache_load_errors")

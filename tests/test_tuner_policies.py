@@ -182,10 +182,12 @@ class TestMeasureDeterminism:
 
 # ------------------------------------------------------------ CLI hardening
 class TestCliErrorPaths:
-    def test_tune_bad_shapes(self, capsys):
-        rc, _ = run_cli("tune", "--shapes", "12xbogus", "--dry-run")
-        assert rc == 2
-        assert "bad shape" in capsys.readouterr().err
+    @pytest.mark.parametrize("shape", ["12xbogus", "12xaxb"])
+    def test_tune_bad_shapes(self, capsys, shape):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("tune", "--shapes", shape, "--dry-run")
+        assert exc.value.code == 2
+        assert f"bad shape '{shape}'" in capsys.readouterr().err
 
     def test_tune_has_one_way_to_learn(self):
         """`repro tune` measures offline; asking it for an in-call

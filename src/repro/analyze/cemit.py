@@ -1,7 +1,8 @@
 """C emission verifier: prove the native chain kernels match their scheme.
 
 The C backend (:mod:`repro.codegen.cbackend`) emits three fused kernels
-per algorithm -- ``form_S``, ``form_T``, ``form_C`` -- as flat C source.
+per algorithm -- ``form_S``, ``form_T``, ``form_C`` -- and the step that
+calls them and the vendor gemm, ``fmm_step``, as flat C source.
 The Python-side symbolic pass (:mod:`repro.analyze.symbolic`) cannot see
 them, so a sign flipped in the C emitter would only surface as a numeric
 test failure.  This pass closes that gap the same way: it parses the
@@ -9,7 +10,7 @@ emitted translation unit back into coefficient vectors over the input
 blocks (``form_S``/``form_T``) and over the rank-R products (``form_C``),
 resolves CSE definitions in emission order, grafts the zero-traffic alias
 columns back in from the driver's ``_prepare`` layout (the C source never
-materializes them -- the ctypes driver passes block views directly), and
+materializes them -- the step passes the parent's blocks directly), and
 compares the recovered bilinear tensor
 
     sum_r  U_hat[:, r] x V_hat[:, r] x W_hat[:, r]
@@ -27,8 +28,10 @@ states, and a ``float`` unit's coefficients must be ``float`` literals
 Every statement must match one of the emitter's declared forms
 (``EMISSION_CONTRACT["cbackend"]``: ``block_ptr``, ``slab_ptr``,
 ``product_ptr``, ``scratch_ptr``, ``output_ptr``, ``fused_store``,
-``nodep_hint``, and the ``strip_*`` forms of the peeled inner-dimension
-strip) -- anything else is a finding, never silently skipped.
+``nodep_hint``, the ``strip_*`` forms of the peeled inner-dimension
+strip, and the step's ``step_frame``, ``gemm_call``, ``operand_select``,
+``product_home``, ``recursion`` and ``peel_strip``) -- anything else is a
+finding, never silently skipped.
 
 Each ``j`` loop carries a vectoriser hint (``NODEP``: no iteration reads
 what another writes), which the compiler takes on trust -- so the pass
@@ -53,6 +56,22 @@ addresses row ``i`` of its block (or the per-call ``Y`` scratch) and is
 indexed by ``j`` in ``[0, bq)`` only, and no contract form can assign
 ``i``, ``i0`` or ``i1``.
 
+After the kernels the unit prints the whole sequential product,
+``fmm_step``: the printer's fixed frame (:func:`repro.codegen.cbackend.
+step_frame` -- ``mm``, ``carve``, the split test, the kernel calls, the
+peel strips), which the unit must reproduce line for line, around three
+parts of the algorithm's own.  The pass proves them: the constants name
+the base case, rank and slab rows of ``_prepare``'s layout; every
+vendor call takes ``alpha = 1``, ``beta = 0``; per rank, the one product
+call (a recursive ``fmm_step`` that splits again or ends in ``mm``) reads
+that rank's S and T operand -- its slab row, or for an alias chain its
+block of ``A``/``B`` with that operand's row stride -- and writes home
+``H[r]``; and in each of the four shape variants of the ``HOME`` table
+the homes are distinct, fit where they sit (an S row only where ``bn <=
+bq``, a T row only where ``bp <= bq``, own rows numbered from 0 up) and
+no rank from ``r`` on still reads the row rank ``r`` writes.  ``form_C``
+then consumes exactly those ``RANK`` homes.
+
 Finding codes: ``CEMIT-PARSE`` (statement outside the contract),
 ``CEMIT-HEADER`` (provenance header disagrees with the algorithm),
 ``CEMIT-BLOCK`` (block pointer or strip offsets disagree with the block),
@@ -63,7 +82,9 @@ Finding codes: ``CEMIT-PARSE`` (statement outside the contract),
 ``CEMIT-RANK`` (``form_C`` consumes != rank products),
 ``CEMIT-CBLOCK`` (an output block is never written, or its strip is
 missing, repeated or ahead of its store),
-``CEMIT-TENSOR`` (recovered bilinear form differs from the scheme).
+``CEMIT-TENSOR`` (recovered bilinear form differs from the scheme),
+``CEMIT-GEMM`` (a product reads the wrong operand, writes a home still
+read, or a vendor call scales by other than ``alpha = 1``, ``beta = 0``).
 """
 
 from __future__ import annotations
@@ -453,6 +474,119 @@ def _side_matrix(kernel: _Kernel | None, side: dict, nblocks: int,
     return mat
 
 
+_RE_PARAMS = re.compile(
+    r"enum \{ BM = (\d+), BK = (\d+), BN = (\d+), RANK = (\d+),"
+    r" S_ROWS = (\d+), T_ROWS = (\d+), Y_ROWS = (\d+) \};$")
+_RE_HOMES = re.compile(r"\{((?:\{[012], \d+\}(?:, )?)+)\},$")
+_RE_PRODUCT = re.compile(
+    r"if \(fmm_step\(x, steps - 1, ([^,]+, \w+), ([^,]+, \w+),"
+    r" H\[(\d+)\], bn, bp, bq, bn, w, end\)\) return -1;$")
+#: a rank's operand per side, slab row or alias block, with its row stride
+_RE_OPERAND = {
+    "s": (re.compile(r"S \+ (\d+) \* sblk, bq$"),
+          re.compile(r"A \+ \(size_t\)\((\d+) \* bp\) \* lda \+ (\d+) \* bq,"
+                     r" lda$")),
+    "t": (re.compile(r"T \+ (\d+) \* tblk, bn$"),
+          re.compile(r"B \+ \(size_t\)\((\d+) \* bq\) \* ldb \+ (\d+) \* bn,"
+                     r" ldb$")),
+}
+#: vendor calls: name -> positions of alpha and beta
+_RE_VENDOR = re.compile(r"x->(gemm|gemv)\((.*)\);$")
+_SCALARS = {"gemm": (6, 11), "gemv": (4, 9)}
+
+
+def _operand(side: str, text: str, cols: int):
+    """``("slot", row)`` or ``("alias", block)``; ``None`` off the forms."""
+    slot, alias = _RE_OPERAND[side]
+    if slot.match(text):
+        return ("slot", int(slot.match(text).group(1)))
+    m = alias.match(text)
+    return m and ("alias", int(m.group(1)) * cols + int(m.group(2)))
+
+
+def _frame_parts(unit: list[str], frame: list[str]):
+    """The unit's lines for each ``@``-line of the frame (each takes the
+    lines up to the next fixed one), every fixed line matched one for one;
+    else the first line that strays, as a message."""
+    parts, i = {}, 0
+    for j, fixed in enumerate(frame):
+        if fixed.startswith("@"):
+            end = unit.index(frame[j + 1], i) if frame[j + 1] in unit[i:] \
+                else len(unit)
+            parts[fixed], i = unit[i:end], end
+        elif unit[i:i + 1] == [fixed]:
+            i += 1
+        else:
+            return f"line {unit[i:i + 1]} is not the frame's {fixed!r}"
+    return parts if i == len(unit) else f"{unit[i]!r} after the step"
+
+
+def _verify_step(unit: list[str], algorithm, s: dict, t: dict, c: dict,
+                 real: str, where: str) -> list[Finding]:
+    """Prove ``fmm_step`` (module docstring) from its printed lines."""
+    from repro.codegen.cbackend import step_frame
+
+    loc, msgs = f"{where}.fmm_step", []
+    for line in unit:
+        m = _RE_VENDOR.search(line)
+        if m:
+            args, (a, b) = m.group(2).split(", "), _SCALARS[m.group(1)]
+            if args[a:a + 1] + args[b:b + 1] != ["1", "0"]:
+                msgs.append(f"vendor call not at alpha = 1, beta = 0:"
+                            f" {line.strip()!r}")
+    parts = _frame_parts([ln.strip() for ln in unit if ln.strip()],
+                         [ln.strip() for ln in step_frame(real) if ln.strip()])
+    if isinstance(parts, str):
+        return [Finding("cemit", "CEMIT-GEMM" if msgs else "CEMIT-PARSE",
+                        loc, "; ".join(msgs) or parts)]
+    m, k, n = algorithm.base_case
+    R = algorithm.rank
+    want = (m, k, n, R, max(s["slots"], 1), max(t["slots"], 1),
+            len(c["defs"]))
+    got = [_RE_PARAMS.match(ln) for ln in parts["@PARAMS"]]
+    if len(got) != 1 or not got[0] or tuple(map(int, got[0].groups())) != want:
+        return [Finding("cemit", "CEMIT-LAYOUT", loc,
+                        f"step constants {parts['@PARAMS']} are not base"
+                        f" case, rank and slab rows {want}")]
+    if len(parts["@RANKS"]) != R:
+        msgs.append(f"{len(parts['@RANKS'])} product calls for rank {R}")
+    reads = []                       # per rank: the slab rows it reads
+    for rr, line in enumerate(parts["@RANKS"][:R]):
+        mp = _RE_PRODUCT.match(line)
+        if mp is None or int(mp.group(3)) != rr:
+            msgs.append(f"rank {rr}: {line!r} is not its product into"
+                        f" H[{rr}]")
+            break
+        lays = (s["layout"][rr], t["layout"][rr])
+        if (_operand("s", mp.group(1), k), _operand("t", mp.group(2), n)) \
+                != tuple(map(tuple, lays)):
+            msgs.append(f"rank {rr} reads {mp.group(1)} and {mp.group(2)},"
+                        f" the layout says {lays}")
+        reads.append({(side, lay[1]) for side, lay in enumerate(lays)
+                      if lay[0] == "slot"})
+    rows = (want[4], want[5], R)
+    variants = [_RE_HOMES.match(ln) for ln in parts["@HOMES"]]
+    if len(variants) != 4 or not all(variants):
+        variants = []
+        msgs.append(f"HOME is not four shape variants: {parts['@HOMES']}")
+    for v, mv in enumerate(variants):
+        homes = [tuple(map(int, h)) for h in
+                 re.findall(r"\{([012]), (\d+)\}", mv.group(1))]
+        own = sorted(row for slab, row in homes if slab == 2)
+        # a bp x bn product fits an S row (bp x bq) where bn <= bq, a T
+        # row (bq x bn) where bp <= bq
+        fits = (v & 1, v & 2, True)
+        bad = [(rr, h) for rr, h in enumerate(homes)
+               if not fits[h[0]] or h[1] >= rows[h[0]]
+               or any(h in later for later in reads[rr:])]
+        if len(homes) != R or len(set(homes)) != R or own != list(
+                range(len(own))) or bad:
+            msgs.append(f"shape variant {v}: homes {homes} are not R"
+                        " distinct rows that fit, own rows 0 .. own-1, none"
+                        f" read from its rank on ({bad})")
+    return [Finding("cemit", "CEMIT-GEMM", loc, msg) for msg in msgs]
+
+
 def verify_source(source: str, algorithm, cse: bool,
                   where: str = "<cbackend>",
                   real: str = "double") -> list[Finding]:
@@ -470,7 +604,11 @@ def verify_source(source: str, algorithm, cse: bool,
     rank = algorithm.rank
     nblocks = {"A": m * k, "Acols": k, "B": k * n, "Bcols": n,
                "M": rank, "Ccols": n}
-    kernels, header, findings = _parse_unit(source, nblocks, where, real)
+    lines = source.splitlines()
+    at = lines.index("typedef struct {") if "typedef struct {" in lines \
+        else len(lines)
+    kernels, header, findings = _parse_unit("\n".join(lines[:at]), nblocks,
+                                            where, real)
     for kernel in kernels.values():
         if kernel.in_rows is not False:
             findings.append(Finding(
@@ -536,7 +674,8 @@ def verify_source(source: str, algorithm, cse: bool,
             f"T[A{ia},B{ib},C{ic}] = {T[ia, ib, ic]:g}, scheme says"
             f" {T_scheme[ia, ib, ic]:g} (max |delta| = {worst:g})",
             detail={"max_abs_error": worst}))
-    return findings
+    return findings or _verify_step(lines[at:], algorithm, s, t, c, real,
+                                    where)
 
 
 def verify_algorithm(name_or_alg, cse: bool,

@@ -92,6 +92,9 @@ REGISTRY: tuple[SharedState, ...] = (
                 "resolved on-disk cache dir + warn-once flag"),
     SharedState("codegen/cbackend.py", "_CHAINS", "_lib_lock",
                 "compiled kernels by emitted algorithm"),
+    SharedState("parallel/blas.py", "_kernels", "_lock",
+                "the vendor's cblas entry points per element type, bound "
+                "once by the probe; read lock-free"),
     SharedState("codegen/cbackend.py", "_fallback_warned", None,
                 "once-per-algorithm fallback warning set; duplicate "
                 "warn is benign"),

@@ -5,11 +5,13 @@ linear combination becomes one fused loop: every operand is read once and
 the destination written once per pass, with no interpreter or temporary-
 array overhead.  The Python strategies in :mod:`repro.codegen.strategies`
 approximate that with NumPy ufuncs (one in-place pass *per operand pair*
-for ``write_once``).  This module closes the gap: it emits real C for the
-chains of one algorithm, compiles it with the system C compiler, and
-drives it through ``ctypes`` — producing the genuine single-pass kernels
-the paper measures, while recursion, dynamic peeling and the leaf dgemm
-stay in Python/BLAS exactly as before.
+for ``write_once``).  This module closes the gap: it emits real C for one
+algorithm -- its chains and the whole sequential product around them --
+compiles it with the system C compiler, and drives it through ``ctypes``:
+a sequential product is one call, which forms the chains in genuine
+single-pass kernels, calls the vendor gemm for every product, recurses
+and peels, all in C (the paper's generated code calls dgemm from inside
+its step the same way).
 
 Generated interface per algorithm and element type ``real`` -- ``double``
 or ``float``, one translation unit each, printed from the same chain
@@ -23,15 +25,18 @@ text (the paper's code is generated per scalar type too)::
                 real *C, long ldc, real *Y,
                 const real *A12, long lda, const real *B21, long ldb,
                 long dq, long i0, long i1);
+    int fmm_step(const blas_t *x, long steps, const real *A, long lda,
+                 const real *B, long ldb, real *C, long ldc,
+                 long p, long q, long r, char *w, char *end);
 
 ``form_S``/``form_T`` read the m·k (k·n) sub-blocks of the parent operand
 in place (row stride ``lda``, in elements) and write CSE definitions plus
 all non-alias chains into a contiguous slab; alias chains (single-nonzero
-columns after scalar piping) are zero-traffic views handled on the Python
-side, mirroring the paper's "no temporary is formed" rule.  ``form_C``
-assembles the output blocks from an array of product-row pointers in one
-fused pass per block; ``Y`` is caller-provided scratch for C-side CSE
-definitions (NULL when there are none).  Where dynamic peeling (Section
+columns after scalar piping) are never formed -- their products read the
+parent's block in place, the paper's "no temporary is formed" rule.
+``form_C`` assembles the output blocks from an array of product-row
+pointers in one fused pass per block; ``Y`` is caller-provided scratch
+for C-side CSE definitions.  Where dynamic peeling (Section
 3.5) stripped ``dq`` columns off the inner dimension, ``form_C`` also adds
 their contribution -- ``C[i, :] += A12[i, t] * B21[t, :]``, ``t = 0 ..
 dq-1`` -- to each block row right after storing it, while the row is in
@@ -39,10 +44,26 @@ L1: the strip gets no pass over ``C`` of its own and no buffer
 (``dq = 0``: nothing peeled, the pointers may be NULL).  Every kernel
 works on the rows ``[i0, i1)`` of its blocks and touches no other row (the
 ``cemit`` analyzer proves it from the emitted text), so one sweep can be
-cut into ranges that run concurrently: the sequential driver below passes
-the whole range, the parallel schedules (:mod:`repro.parallel.schedules`)
-fan ranges out over their worker pool -- whenever :func:`chains_fused`
-says the operands allow it.
+cut into ranges that run concurrently: the step passes the whole range,
+the parallel DFS schedule (:mod:`repro.parallel.schedules`) fans ranges
+out over its worker pool through the Python driver,
+:meth:`CompiledChains._recurse` -- whenever :func:`chains_fused` says the
+operands allow it.
+
+``fmm_step`` is the sequential product, ``steps`` levels deep: it splits
+where :func:`repro.core.recursion.should_split` does (else it is one
+vendor product), carves the level's S, T, product and ``Y`` rows from the
+arena region ``[w, end)`` in :func:`repro.core.workspace.
+cbackend_footprint`'s order and rounding, runs ``form_S`` and ``form_T``,
+computes each rank's product into its :func:`product_homes` home by a
+call to itself, runs ``form_C`` with the inner strip, and adds the right
+and bottom peel strips.  ``x`` holds the vendor's cblas ``gemm``, ``gemv``
+and ``dot`` (:func:`repro.parallel.blas.matmul_kernels`, passed as
+function pointers: no link-time dependency); every product is issued as
+``np.matmul`` would issue it, so the step agrees with the NumPy
+executors bit for bit.  It returns -1, having written nothing past
+``end``, when the region is too small.  Where the probe finds no cblas,
+the Python driver serves instead, with the same bits.
 
 **Every emitted ``j`` loop is marked dependence-free** (``NODEP``: ``#pragma
 GCC ivdep``, clang's ``vectorize(assume_safety)``, nothing elsewhere).
@@ -101,6 +122,7 @@ import functools
 import hashlib
 import logging
 import os
+import re
 import subprocess
 import tempfile
 import threading
@@ -114,8 +136,10 @@ from repro.codegen.chains import Chain, extract_chains
 from repro.core.algorithm import FastAlgorithm
 from repro.core.recursion import should_split
 from repro.core.stability import stability_factors
-from repro.core.workspace import ALIGNMENT, cbackend_footprint, check_out
+from repro.core.workspace import (ALIGNMENT, cbackend_carve_bytes,
+                                  cbackend_footprint, check_out)
 from repro.obs import telemetry
+from repro.parallel import blas
 from repro.util.matrices import peel_fixup, peel_split
 from repro.util.validation import check_matmul_dims
 
@@ -350,6 +374,126 @@ def _emit_output(side: dict, m: int, n: int, real: str) -> list[str]:
     return [ln for ln in lines if ln != ""]
 
 
+#: the sequential product, fixed text over ``real`` around the ``@``-lines
+#: :func:`_emit_step` fills in (module docstring).  ``mm`` issues one
+#: product as ``np.matmul`` does; ``carve`` takes a level's rows as the
+#: arena's ``take`` would.  No line is ``"  }"``, which closes a row loop.
+#: The step's own code runs a few statements a level: unoptimised, it adds
+#: almost nothing to a unit's compile time (``-O2`` would add 40 %).
+_STEP_FRAME = """\
+typedef struct {
+    void (*gemm)(int, int, int, long, long, long, real, const real *, long, const real *, long, real, real *, long);
+    void (*gemv)(int, int, long, long, real, const real *, long, const real *, long, real, real *, long);
+    real (*dot)(long, const real *, long, const real *, long);
+} blas_t;
+
+#pragma GCC optimize("O0")
+
+static void mm(const blas_t *x, long M, long N, long K, const real *A, long lda, const real *B, long ldb, real *C, long ldc)
+{
+    if (M == 0 || N == 0)
+        return;
+    if (M == 1 && N == 1)
+        C[0] = (real)(0.0 + x->dot(K, A, 1, B, ldb));
+    else if (K <= 1)
+        for (long i = 0; i < M; ++i)
+            for (long j = 0; j < N; ++j)
+                C[i * ldc + j] = K ? (real)0 + A[i * lda] * B[j] : (real)0;
+    else if (M == 1)
+        x->gemv(101, 112, K, N, 1, B, ldb, A, 1, 0, C, 1);
+    else if (N == 1)
+        x->gemv(102, 112, K, M, 1, A, lda, B, ldb, 0, C, ldc);
+    else
+        x->gemm(101, 111, 111, M, N, K, 1, A, lda, B, ldb, 0, C, ldc);
+}
+
+static real *carve(char **w, char *end, size_t n)
+{
+    char *p = n ? (char *)(((size_t)*w + 63) & ~(size_t)63) : *w;
+    if (p > end || (size_t)(end - p) < n * sizeof(real))
+        return NULL;
+    *w = p + n * sizeof(real);
+    return (real *)p;
+}
+
+@PARAMS
+static const short HOME[4][RANK][2] = {
+@HOMES
+};
+
+int fmm_step(const blas_t *x, long steps, const real *A, long lda, const real *B, long ldb, real *C, long ldc, long p, long q, long r, char *w, char *end)
+{
+    if (steps <= 0 || p / BM < 2 || q / BK < 2 || r / BN < 2) {
+        mm(x, p, r, q, A, lda, B, ldb, C, ldc);
+        return 0;
+    }
+    const long bp = p / BM, bq = q / BK, bn = r / BN;
+    const size_t sblk = (size_t)bp * bq, tblk = (size_t)bq * bn, pblk = (size_t)bp * bn;
+    const int v = (bn <= bq) + 2 * (bp <= bq);
+    long own = 0;
+    for (int i = 0; i < RANK; ++i)
+        own += HOME[v][i][0] == 2;
+    real *S = carve(&w, end, S_ROWS * sblk), *T = carve(&w, end, T_ROWS * tblk);
+    real *P = carve(&w, end, own * pblk), *Y = carve(&w, end, Y_ROWS * (size_t)bn);
+    if (!S || !T || !P || !Y)
+        return -1;
+    real *const slab[3] = {S, T, P};
+    const size_t blk[3] = {sblk, tblk, pblk};
+    real *H[RANK];
+    for (int i = 0; i < RANK; ++i)
+        H[i] = slab[HOME[v][i][0]] + HOME[v][i][1] * blk[HOME[v][i][0]];
+    form_S(A, lda, bp, bq, S, 0, bp);
+    form_T(B, ldb, bq, bn, T, 0, bq);
+@RANKS
+    form_C((const real **)H, bp, bn, C, ldc, Y, A + BK * bq, lda, B + (size_t)(BK * bq) * ldb, ldb, q - BK * bq, 0, bp);
+    if (BN * bn < r)
+        mm(x, BM * bp, r - BN * bn, q, A, lda, B + BN * bn, ldb, C + BN * bn, ldc);
+    if (BM * bp < p)
+        mm(x, p - BM * bp, r, q, A + (size_t)(BM * bp) * lda, lda, B, ldb, C + (size_t)(BM * bp) * ldc, ldc);
+    return 0;
+}
+"""
+
+
+def step_frame(real: str) -> list[str]:
+    """:data:`_STEP_FRAME`'s lines over C type ``real``."""
+    return re.sub(r"\breal\b", real, _STEP_FRAME).splitlines()
+
+
+def _operand(layout, X: str, rows: str, cols: str, ld: str, blocks_cols: int,
+             slab: str) -> str:
+    """A rank's S (T) operand and its row stride: its slab row, or the
+    block of ``X`` an alias chain stands for."""
+    kind, idx = layout
+    if kind == "slot":
+        return f"{slab} + {idx} * {slab.lower()}blk, {cols}"
+    bi, bj = divmod(idx, blocks_cols)
+    return f"{X} + (size_t)({bi} * {rows}) * {ld} + {bj} * {cols}, {ld}"
+
+
+def _emit_step(s: dict, t: dict, c: dict, algorithm: FastAlgorithm,
+               real: str) -> list[str]:
+    """The frame with this algorithm's constants, its :func:`product_homes`
+    per shape variant ``v`` = ``bn <= bq`` + 2 ``bp <= bq`` as ``{slab,
+    row}`` (S, T, own rows: 0, 1, 2) and one product call per rank."""
+    m, k, n = algorithm.base_case
+    code = {"s": 0, "t": 1, "m": 2}
+    homes = ["    {%s}," % ", ".join(
+        f"{{{code[kind]}, {row}}}" for kind, row in product_homes(
+            s["layout"], t["layout"], 1 if v & 2 else 3, 2,
+            1 if v & 1 else 3)[0]) for v in range(4)]
+    ranks = [f"    if (fmm_step(x, steps - 1,"
+             f" {_operand(s['layout'][rr], 'A', 'bp', 'bq', 'lda', k, 'S')},"
+             f" {_operand(t['layout'][rr], 'B', 'bq', 'bn', 'ldb', n, 'T')},"
+             f" H[{rr}], bn, bp, bq, bn, w, end)) return -1;"
+             for rr in range(algorithm.rank)]
+    params = [f"enum {{ BM = {m}, BK = {k}, BN = {n}, RANK = {algorithm.rank},"
+              f" S_ROWS = {max(s['slots'], 1)}, T_ROWS = {max(t['slots'], 1)},"
+              f" Y_ROWS = {len(c['defs'])} }};"]
+    parts = {"@PARAMS": params, "@HOMES": homes, "@RANKS": ranks}
+    return [ln for line in step_frame(real) for ln in parts.get(line, [line])]
+
+
 def generate_c_source(algorithm: FastAlgorithm, cse: bool = False,
                       real: str = "double") -> str:
     """Return the complete C translation unit for ``algorithm``'s chains
@@ -376,6 +520,7 @@ def generate_c_source(algorithm: FastAlgorithm, cse: bool = False,
     lines.append("")
     lines += _emit_output(c, m, n, real)
     lines.append("")
+    lines += _emit_step(s, t, c, algorithm, real)
     return "\n".join(lines)
 
 
@@ -534,6 +679,13 @@ def kernel_ready(X: np.ndarray, dtype=np.float64) -> bool:
             and X.strides[0] >= 0 and X.strides[0] % size == 0)
 
 
+def _step_ready(X: np.ndarray, dtype) -> bool:
+    """:func:`kernel_ready`, with rows at least a row apart, as the
+    vendor's gemm takes a matrix (a broadcast row is packed)."""
+    return kernel_ready(X, dtype) and (
+        X.strides[0] >= X.shape[1] * X.itemsize or X.shape[0] <= 1)
+
+
 def chains_fused(dtype_a, dtype_b=None, operands=()) -> bool:
     """Do these kernels form the chains of a call on these operands?
 
@@ -588,12 +740,13 @@ def _whole(kernel, nrows: int) -> None:
 
 
 class CompiledChains:
-    """Compiled chain kernels for one algorithm and element type ``real``
-    (+ a multiply driver).
+    """Compiled chain kernels and step for one algorithm and element type
+    ``real``.
 
-    The driver mirrors :func:`repro.core.recursion.multiply` — dynamic
-    peeling, leaf dgemm — but forms every S/T/C linear combination with
-    the fused single-pass C kernels.  Each kernel works on a row range
+    :meth:`multiply` is :func:`repro.core.recursion.multiply` -- dynamic
+    peeling, leaf dgemm -- in one call of the emitted ``fmm_step``, every
+    S/T/C linear combination formed by the fused single-pass C kernels.
+    Each kernel works on a row range
     ``[i0, i1)`` of its blocks and touches nothing outside those rows, so
     ranges may run concurrently (ctypes releases the GIL) and re-running
     one recomputes it from its inputs: :meth:`form_S`, :meth:`form_T` and
@@ -620,6 +773,13 @@ class CompiledChains:
         self.lib.form_C.restype = None
         self.lib.form_C.argtypes = [ctypes.POINTER(ptr), lng, lng, ptr, lng,
                                     ptr, ptr, lng, ptr, lng, lng, lng, lng]
+        self.lib.fmm_step.restype = ctypes.c_int
+        self.lib.fmm_step.argtypes = [ptr, lng, ptr, lng, ptr, lng, ptr, lng,
+                                      lng, lng, lng, ptr, ptr]
+        #: arena bytes of the step's carve, per (shape, steps)
+        self._carve_bytes = functools.lru_cache(maxsize=256)(
+            functools.partial(cbackend_carve_bytes, algorithm, cse,
+                              self.dtype))
 
     # ------------------------------------------------------------ kernels
     def slab_rows(self) -> tuple[int, int, int]:
@@ -707,8 +867,8 @@ class CompiledChains:
         product buffer comes from the arena; the
         returned array is never arena memory (an ``out`` of the kernels'
         dtype is written directly, any other result is a fresh cast).
-        Only what the kernels cannot address in place
-        (:func:`kernel_ready`) is packed, once, on entry, into the same
+        Only what the step cannot address in place (:func:`kernel_ready`
+        with whole rows apart) is packed, once, on entry, into the same
         arena (the footprint charges another dtype's copies; for a strided
         matrix of the kernels' dtype the call reserves them itself).
         """
@@ -734,14 +894,14 @@ class CompiledChains:
             # (a take costs its bytes plus up to two roundings)
             strided = [X for X in (A, B, out) if X is not None
                        and X.dtype == self.dtype
-                       and not kernel_ready(X, self.dtype)]
+                       and not _step_ready(X, self.dtype)]
             if strided:
                 ws.reserve(
                     cbackend_footprint(self.algorithm, self.cse,
                                        (*A.shape, B.shape[1]), A.dtype,
                                        steps, B.dtype)
                     + sum(X.nbytes + 2 * ALIGNMENT for X in strided))
-        Ad, Bd = (X if kernel_ready(X, self.dtype)
+        Ad, Bd = (X if _step_ready(X, self.dtype)
                   else _packed(X, ws, self.dtype) for X in (A, B))
         if dtype.kind in "iub" and Ad.size and Bd.size:
             # double holds integers exactly only up to 2^53, and the fast
@@ -763,7 +923,7 @@ class CompiledChains:
                     " double -- use the interpreter for big-integer products"
                 )
         p, r = A.shape[0], B.shape[1]
-        if out is not None and kernel_ready(out, self.dtype):
+        if out is not None and _step_ready(out, self.dtype):
             dest = out
         elif dtype == self.dtype and out is None:
             # the returned array must never be arena memory (the next
@@ -771,7 +931,11 @@ class CompiledChains:
             dest = np.empty((p, r), dtype=self.dtype)
         else:
             dest = _take(ws, (p, r), self.dtype)
-        self._recurse(Ad, Bd, steps, dest, ws)
+        kernels = blas.matmul_kernels(self.real)
+        if kernels is None:
+            self._recurse(Ad, Bd, steps, dest, ws, _whole)
+        else:
+            self._step(kernels, Ad, Bd, steps, dest, ws)
         if dest is out:
             return out
         if dtype.kind in "iub":
@@ -783,12 +947,29 @@ class CompiledChains:
 
     __call__ = multiply
 
-    def _recurse(self, A, B, steps: int, C: np.ndarray, ws,
-                 sweep=_whole) -> None:
-        """Write ``A @ B`` into ``C`` with ``steps`` levels (all three
-        ``kernel_ready``).  ``sweep(kernel, nrows)`` runs ``kernel(i0, i1)``
-        over ``[0, nrows)``: in one call here, in row ranges on the pool
-        under the parallel DFS schedule."""
+    def _step(self, kernels, A, B, steps: int, C: np.ndarray, ws) -> None:
+        """Write ``A @ B`` into ``C`` with ``steps`` levels in one call of
+        the emitted ``fmm_step``, which carves every level from one region
+        of the arena (the heap without one)."""
+        p, q = A.shape
+        r = B.shape[1]
+        nbytes = self._carve_bytes(p, q, r, steps)
+        # + one cache line: the step aligns the region's start, which only
+        # a heap region needs
+        region = _take(ws, (nbytes + ALIGNMENT,), np.uint8) if nbytes else None
+        w = None if region is None else region.ctypes.data
+        if self.lib.fmm_step(kernels, steps, A.ctypes.data, self._ld(A),
+                             B.ctypes.data, self._ld(B), C.ctypes.data,
+                             self._ld(C), p, q, r, w,
+                             None if w is None else w + region.nbytes):
+            raise RuntimeError("compiled step outgrew its arena region")
+
+    def _recurse(self, A, B, steps: int, C: np.ndarray, ws, sweep) -> None:
+        """The step in Python: write ``A @ B`` into ``C`` with ``steps``
+        levels (all three ``kernel_ready``).  ``sweep(kernel, nrows)`` runs
+        ``kernel(i0, i1)`` over ``[0, nrows)``: in one call when the
+        vendor's cblas was not found, in row ranges on the pool under the
+        parallel DFS schedule."""
         p, q = A.shape
         r = B.shape[1]
         m, k, n = self.algorithm.base_case

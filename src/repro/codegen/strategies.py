@@ -42,14 +42,16 @@ EMISSION_CONTRACT = {
     ),
     # Not a Python lowering strategy: the statement forms the C chain
     # emitter (``repro.codegen.cbackend``) may produce inside its fused
-    # form_S/form_T/form_C kernels.  The C-side verifier
-    # (``repro.analyze.cemit``) parses exactly these shapes back into
-    # coefficient tables, so emitter drift fails the same way Python-side
-    # drift does.
+    # form_S/form_T/form_C kernels and its one-call step (``fmm_step``).
+    # The C-side verifier (``repro.analyze.cemit``) parses exactly these
+    # shapes back into coefficient tables, operands and product homes, so
+    # emitter drift fails the same way Python-side drift does.
     "cbackend": (
         "block_ptr", "slab_ptr", "product_ptr", "scratch_ptr",
         "output_ptr", "fused_store", "nodep_hint",
         "strip_loop", "strip_coeff", "strip_row", "strip_update",
+        "step_frame", "gemm_call", "operand_select", "product_home",
+        "recursion", "peel_strip",
     ),
 }
 

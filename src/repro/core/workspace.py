@@ -529,10 +529,8 @@ def cbackend_footprint(
     ``repro.codegen`` depends on this module, not vice versa), so arena
     sizing cannot drift from the slab layout the emitted C actually uses.
     """
-    from repro.codegen.cbackend import _prepare, kernel_dtype, product_homes
+    from repro.codegen.cbackend import kernel_dtype
 
-    s, t, c = _prepare(algorithm, cse)
-    R = algorithm.rank
     a = np.dtype(dtype_a)
     b = np.dtype(dtype_b if dtype_b is not None else dtype_a)
     real = kernel_dtype(a, b)
@@ -545,20 +543,44 @@ def cbackend_footprint(
         total += take(q * r)                        # Bd conversion copy
     if np.result_type(a, b) != real:
         total += take(p * r)                        # kernel-dtype result
+    for nelems, nodes in _cbackend_levels(algorithm, cse, p, q, r, steps,
+                                          tree):
+        total += take(nelems, nodes)
+    return take.total(total)
+
+
+def _cbackend_levels(algorithm, cse: bool, p: int, q: int, r: int,
+                     steps: int, tree: bool = False):
+    """``(elements, nodes)`` of each take the compiled drivers make, level
+    by level: the S slab, the T slab, the products' own rows and
+    ``form_C``'s ``Y`` rows, once per tree node."""
+    from repro.codegen.cbackend import _prepare, product_homes
+
+    s, t, c = _prepare(algorithm, cse)
+    R = algorithm.rank
     nodes = 1
     for *_, (bp, bq, bn) in _split_levels(
             [algorithm.base_case] * steps, p, q, r):
-        total += take(max(s["slots"], 1) * bp * bq, nodes)   # form_S slab
-        total += take(max(t["slots"], 1) * bq * bn, nodes)   # form_T slab
         # all R products live until form_C: a slab of their own per tree
         # node; depth first, those that found no consumed chain to overwrite
         own = R if tree else product_homes(s["layout"], t["layout"],
                                            bp, bq, bn)[1]
-        total += take(own * bp * bn, nodes)                  # product slab
-        total += take(len(c["defs"]) * bn, nodes)            # form_C Y rows
+        for nelems in (max(s["slots"], 1) * bp * bq,
+                       max(t["slots"], 1) * bq * bn,
+                       own * bp * bn, len(c["defs"]) * bn):
+            yield nelems, nodes
         if tree:
             nodes *= R
-    return take.total(total)
+
+
+def cbackend_carve_bytes(algorithm, cse: bool, dtype, p: int, q: int,
+                         r: int, steps: int) -> int:
+    """Arena bytes the emitted ``fmm_step`` carves for a ``p x q x r``
+    product over ``dtype`` elements, from one cache-line aligned region:
+    :func:`cbackend_footprint`'s levels without its per-take slack."""
+    size = np.dtype(dtype).itemsize
+    return sum(_align_up(nelems * size) for nelems, _ in
+               _cbackend_levels(algorithm, cse, p, q, r, steps))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Runtime control of the vendor BLAS thread count.
+"""Runtime control of the vendor BLAS thread count, and its cblas entry
+points.
 
 The paper's DFS and HYBRID schemes adjust MKL's thread count per call
 (``mkl_set_num_threads``).  Our vendor library is the OpenBLAS bundled with
@@ -6,6 +7,12 @@ numpy; we bind its thread-control entry points via ctypes.  When the
 symbols cannot be found (exotic numpy builds) the controls degrade to
 no-ops and ``is_controllable()`` reports False so benchmarks can fall back
 to the tiled-gemm substrate in ``repro.parallel.gemm``.
+
+The same probe finds the ILP64 cblas ``gemm``/``gemv``/``dot`` numpy's
+``matmul`` issues: :func:`matmul_kernels` hands their addresses to the
+compiled step (:mod:`repro.codegen.cbackend`), which calls them from C --
+no link-time dependency.  ``None`` there sends the step back to its
+Python driver.
 """
 
 from __future__ import annotations
@@ -24,7 +31,14 @@ _SYMBOL_CANDIDATES = [
     ("openblas_get_num_threads", "openblas_set_num_threads"),
 ]
 
+#: the cblas symbols of one element type, ``{}`` filled with ``d``/``s`` +
+#: ``gemm``/``gemv``/``dot``; ILP64 only -- the step passes ``long``
+_KERNEL_SYMBOLS = ("scipy_cblas_{}64_", "cblas_{}64_")
+
 _lock = threading.Lock()
+#: element type (``"double"``/``"float"``) -> ``void *[3]`` of its gemm,
+#: gemv and dot; written once by the probe under ``_lock``, read lock-free
+_kernels: dict[str, ctypes.Array] = {}
 _lib = None
 _lib_path = None
 _get = None
@@ -64,9 +78,28 @@ def _probe() -> None:
                     getter.restype = ctypes.c_int
                     setter.argtypes = [ctypes.c_int]
                     _lib, _lib_path, _get, _set = lib, path, getter, setter
+                    _bind_kernels_locked(lib)
                     _probed = True
                     return
         _probed = True
+
+
+def _bind_kernels_locked(lib) -> None:
+    for real, prefix in (("double", "d"), ("float", "s")):
+        for pattern in _KERNEL_SYMBOLS:
+            fns = [getattr(lib, pattern.format(prefix + op), None)
+                   for op in ("gemm", "gemv", "dot")]
+            if all(fns):
+                _kernels[real] = (ctypes.c_void_p * 3)(
+                    *(ctypes.cast(f, ctypes.c_void_p) for f in fns))
+                break
+
+
+def matmul_kernels(real: str):
+    """The vendor's cblas ``gemm``, ``gemv`` and ``dot`` over C type
+    ``real`` as a ``void *[3]``, or ``None`` when the probe found none."""
+    _probe()
+    return _kernels.get(real)
 
 
 def is_controllable() -> bool:

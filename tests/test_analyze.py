@@ -291,6 +291,47 @@ def test_mutation_cemit_hint_and_strip_are_proven():
         "\n".join(lines[:at] + strip + lines[at:]))            # twice
 
 
+def test_mutation_cemit_step_products_are_proven():
+    """``fmm_step``: a vendor call scaled by anything but alpha = 1,
+    beta = 0, a rank that reads another rank's operand or the wrong row
+    stride, a home a later rank still reads, two products in one home, a
+    dropped product, stale constants and a frame line gone missing --
+    each has its finding."""
+    from repro.codegen.cbackend import generate_c_source
+
+    alg = get_algorithm("strassen")
+    src = generate_c_source(alg, False)
+
+    def codes(good, bad):
+        mutant = src.replace(good, bad, 1)
+        assert mutant != src
+        return {f.code for f in cemit.verify_source(mutant, alg, False,
+                                                    where="mut")}
+
+    assert cemit.verify_source(src, alg, False) == []
+    gemm = "x->gemm(101, 111, 111, M, N, K, 1, A, lda, B, ldb, 0, C, ldc);"
+    for bad in (gemm.replace("K, 1,", "K, 2,"),
+                gemm.replace("ldb, 0,", "ldb, 1,")):
+        assert "CEMIT-GEMM" in codes(gemm, bad)
+    assert "CEMIT-GEMM" in codes("steps - 1, S + 0 * sblk",
+                                 "steps - 1, S + 1 * sblk")
+    assert "CEMIT-GEMM" in codes("S + 1 * sblk, bq, B", "S + 1 * sblk, lda, B")
+    # shape variant 3: rank 2 writes S row 1 (rank 1's, done) -- not row
+    # 3, rank 5's, nor T row 0, rank 1's home; own rows count from 0, and
+    # every rank has a home
+    homes = "    {{2, 0}, {1, 0}, {0, 1}, {1, 1}, {1, 2}, {0, 2}, {1, 3}},"
+    assert homes in src
+    for bad in (homes.replace("{0, 1}", "{0, 3}"),
+                homes.replace("{0, 1}", "{1, 0}"),
+                homes.replace("{2, 0}", "{2, 1}"),
+                homes.replace(", {1, 3}}", "}")):
+        assert "CEMIT-GEMM" in codes(homes, bad), bad
+    last = src.index("    if (fmm_step(x, steps - 1, S + 4")
+    assert "CEMIT-GEMM" in codes(src[last:].split("\n", 1)[0] + "\n", "")
+    assert "CEMIT-LAYOUT" in codes("S_ROWS = 5", "S_ROWS = 4")
+    assert "CEMIT-PARSE" in codes("    if (BN * bn < r)\n", "")
+
+
 def test_mutation_unlocked_lib_cache_is_detected():
     # satellite regression: the shared-library cache must stay behind its
     # lock.  The shipped source is proven clean, then the cache store is

@@ -97,9 +97,9 @@ def bench_config(scheme: str, dtype: str, n: int, steps: int,
             with blas.blas_threads(threads):
                 multiply(A, B, alg, steps=steps, out=out, workspace=ws)
     else:
-        # sized for the kernels the schedule picks (fused C for float64)
+        # sized for what the schedule runs (the compiled step for float64)
         ws = Workspace(parallel_footprint(alg, steps, scheme, n, n, n,
-                                          A.dtype, B.dtype))
+                                          A.dtype, B.dtype, threads=threads))
 
         def run_alloc():
             multiply_parallel(A, B, alg, steps=steps, scheme=scheme,

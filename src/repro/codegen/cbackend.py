@@ -45,10 +45,10 @@ L1: the strip gets no pass over ``C`` of its own and no buffer
 works on the rows ``[i0, i1)`` of its blocks and touches no other row (the
 ``cemit`` analyzer proves it from the emitted text), so one sweep can be
 cut into ranges that run concurrently: the step passes the whole range,
-the parallel DFS schedule (:mod:`repro.parallel.schedules`) fans ranges
-out over its worker pool through the Python driver,
-:meth:`CompiledChains._recurse` -- whenever :func:`chains_fused` says the
-operands allow it.
+the BFS and HYBRID schedules (:mod:`repro.parallel.schedules`) fan the
+ranges of the levels they form themselves out over their worker pool and
+run every child product below them as one ``fmm_step`` call -- whenever
+:func:`chains_fused` says the operands allow it.
 
 ``fmm_step`` is the sequential product, ``steps`` levels deep: it splits
 where :func:`repro.core.recursion.should_split` does (else it is one
@@ -63,7 +63,8 @@ function pointers: no link-time dependency); every product is issued as
 ``np.matmul`` would issue it, so the step agrees with the NumPy
 executors bit for bit.  It returns -1, having written nothing past
 ``end``, when the region is too small.  Where the probe finds no cblas,
-the Python driver serves instead, with the same bits.
+the sequential product runs the Python driver instead, with the same
+bits.
 
 **Every emitted ``j`` loop is marked dependence-free** (``NODEP``: ``#pragma
 GCC ivdep``, clang's ``vectorize(assume_safety)``, nothing elsewhere).
@@ -102,7 +103,7 @@ Use :func:`available` to test for a working compiler,
 a rule, :func:`chains_fused`, not a plan dimension: every sequential
 fast plan (:func:`repro.tuner.dispatch.execute_plan`) and every parallel
 schedule asks it, goes through :func:`serving_chains` -- which counts and
-warns instead of raising -- and falls back to the NumPy executors, so a
+warns instead of raising -- and falls back to the interpreter, so a
 compile failure never fails a multiply.
 
 A call computes at its product's precision: float32 in the ``float``
@@ -133,11 +134,13 @@ import numpy as np
 
 from repro.codegen import cse as cse_mod
 from repro.codegen.chains import Chain, extract_chains
+from repro.core import recursion
 from repro.core.algorithm import FastAlgorithm
 from repro.core.recursion import should_split
 from repro.core.stability import stability_factors
 from repro.core.workspace import (ALIGNMENT, cbackend_carve_bytes,
-                                  cbackend_footprint, check_out)
+                                  cbackend_footprint, check_out,
+                                  dfs_footprint, level_elements)
 from repro.obs import telemetry
 from repro.parallel import blas
 from repro.util.matrices import peel_fixup, peel_split
@@ -670,7 +673,7 @@ def kernel_ready(X: np.ndarray, dtype=np.float64) -> bool:
     matrix of their element type row by row (``X + i*ldx``, unit stride
     inside a row), so anything else -- another dtype, strided or reversed
     columns, reversed rows -- has to be packed first
-    (:meth:`CompiledChains.multiply`) or served by the NumPy chains (the
+    (:meth:`CompiledChains.multiply`) or served by the interpreter (the
     parallel schedules)."""
     dtype = np.dtype(dtype)
     size = dtype.itemsize
@@ -686,24 +689,46 @@ def _step_ready(X: np.ndarray, dtype) -> bool:
         X.strides[0] >= X.shape[1] * X.itemsize or X.shape[0] <= 1)
 
 
-def chains_fused(dtype_a, dtype_b=None, operands=()) -> bool:
-    """Do these kernels form the chains of a call on these operands?
+#: the schemes whose tasks run the step on the caller's operands in place
+#: (the BFS/HYBRID tree); the sequential driver, which DFS is, packs
+IN_PLACE_SCHEMES = ("bfs", "hybrid", "hybrid-subgroup")
 
-    The rule :func:`repro.tuner.dispatch.execute_plan` (sequential) and
-    :func:`repro.parallel.schedules.multiply_parallel` run by, and
-    ``plan_footprint`` and ``plan_cost`` size and price by: two float
-    operands whose product is float32 (the ``float`` kernels) or float64
-    (the ``double`` ones, a mixed pair packed), ``operands`` (``None``
-    for an absent ``out``) addressable in place (:func:`kernel_ready`;
-    the sequential driver packs, so it passes none), and a compiler.
-    Everything else is formed by the NumPy executors.
+
+def chains_fused(dtype_a, dtype_b=None, scheme: str = "sequential",
+                 operands=()) -> bool:
+    """Does a ``scheme`` call on these operands run the compiled step?
+
+    The one rule every executor runs by and ``plan_footprint`` and
+    ``plan_cost`` size and price by: two float operands whose product is
+    float32 (the ``float`` kernels) or float64 (the ``double`` ones), and
+    a compiler.  That is all the sequential driver needs -- DFS is that
+    driver at ``T``-thread BLAS -- because it packs what the step cannot
+    address (a mixed pair into double, a strided matrix into a copy) and
+    runs its Python driver where the vendor's cblas was not found.  The
+    BFS/HYBRID tree (:data:`IN_PLACE_SCHEMES`) hands the caller's
+    operands to many ``fmm_step`` calls as they are, so it also needs one
+    dtype on both sides, ``operands`` the step can address in place
+    (:func:`kernel_ready`, rows at least a row apart as the vendor's gemm
+    takes a matrix; ``None`` for an absent ``out``) and the vendor's
+    cblas.  Everything else runs the interpreter.
     """
     a = np.dtype(dtype_a)
     b = a if dtype_b is None else np.dtype(dtype_b)
     real = np.result_type(a, b)
-    return (a.kind == b.kind == "f" and real in REALS.values()
-            and all(X is None or kernel_ready(X, real) for X in operands)
-            and available())
+    if not (a.kind == b.kind == "f" and real in REALS.values()
+            and available()):
+        return False
+    if scheme not in IN_PLACE_SCHEMES:
+        return True
+    return (a == b and all(X is None or _step_ready(X, real)
+                           for X in operands)
+            and blas.matmul_kernels(_real_name(real)) is not None)
+
+
+def _real_name(dtype) -> str | None:
+    """The C type of :data:`REALS` holding ``dtype`` (``None``: none)."""
+    return next((name for name, dt in REALS.items()
+                 if dt == np.dtype(dtype)), None)
 
 
 def product_homes(s_layout, t_layout, bp: int, bq: int,
@@ -734,11 +759,6 @@ def product_homes(s_layout, t_layout, bp: int, bq: int,
     return homes, own
 
 
-def _whole(kernel, nrows: int) -> None:
-    """The sequential sweep: one call over every row."""
-    kernel(0, nrows)
-
-
 class CompiledChains:
     """Compiled chain kernels and step for one algorithm and element type
     ``real``.
@@ -750,7 +770,8 @@ class CompiledChains:
     ``[i0, i1)`` of its blocks and touches nothing outside those rows, so
     ranges may run concurrently (ctypes releases the GIL) and re-running
     one recomputes it from its inputs: :meth:`form_S`, :meth:`form_T` and
-    :meth:`form_C` are what the parallel schedules fan out.
+    :meth:`form_C` are what the parallel schedules fan out, and
+    :meth:`step` is what their tasks run.
 
     Whoever calls the kernels keeps their no-overlap contract (module
     docstring): slab, product, ``Y`` and destination buffers are distinct
@@ -785,8 +806,9 @@ class CompiledChains:
     def slab_rows(self) -> tuple[int, int, int]:
         """Rows of the S slab, of the T slab (definitions + non-alias
         chains; never empty) and of ``form_C``'s ``Y`` scratch."""
-        return (max(self._s["slots"], 1), max(self._t["slots"], 1),
-                len(self._c["defs"]))
+        s_rows, t_rows, _, y_rows = level_elements(
+            self.algorithm, self.cse, (1, 1, 1), 0)
+        return s_rows, t_rows, y_rows
 
     def _ld(self, X) -> int:
         """``X``'s row stride in elements, as the kernels take it."""
@@ -933,9 +955,14 @@ class CompiledChains:
             dest = _take(ws, (p, r), self.dtype)
         kernels = blas.matmul_kernels(self.real)
         if kernels is None:
-            self._recurse(Ad, Bd, steps, dest, ws, _whole)
+            self._recurse(Ad, Bd, steps, dest, ws)
         else:
-            self._step(kernels, Ad, Bd, steps, dest, ws)
+            nbytes = self._carve_bytes(p, A.shape[1], r, steps)
+            # + one cache line: the step aligns the region's start, which
+            # only a heap region needs
+            self.step(kernels, Ad, Bd, steps, dest,
+                      _take(ws, (nbytes + ALIGNMENT,), np.uint8)
+                      if nbytes else None)
         if dest is out:
             return out
         if dtype.kind in "iub":
@@ -947,16 +974,15 @@ class CompiledChains:
 
     __call__ = multiply
 
-    def _step(self, kernels, A, B, steps: int, C: np.ndarray, ws) -> None:
+    def step(self, kernels, A, B, steps: int, C: np.ndarray, region) -> None:
         """Write ``A @ B`` into ``C`` with ``steps`` levels in one call of
-        the emitted ``fmm_step``, which carves every level from one region
-        of the arena (the heap without one)."""
+        the emitted ``fmm_step`` (all three addressable in place by it),
+        which carves every level from the bytes of ``region`` and
+        issues its products through ``kernels``
+        (:func:`repro.parallel.blas.matmul_kernels`) on as many threads as
+        the vendor's BLAS is set to."""
         p, q = A.shape
         r = B.shape[1]
-        nbytes = self._carve_bytes(p, q, r, steps)
-        # + one cache line: the step aligns the region's start, which only
-        # a heap region needs
-        region = _take(ws, (nbytes + ALIGNMENT,), np.uint8) if nbytes else None
         w = None if region is None else region.ctypes.data
         if self.lib.fmm_step(kernels, steps, A.ctypes.data, self._ld(A),
                              B.ctypes.data, self._ld(B), C.ctypes.data,
@@ -964,12 +990,10 @@ class CompiledChains:
                              None if w is None else w + region.nbytes):
             raise RuntimeError("compiled step outgrew its arena region")
 
-    def _recurse(self, A, B, steps: int, C: np.ndarray, ws, sweep) -> None:
-        """The step in Python: write ``A @ B`` into ``C`` with ``steps``
-        levels (all three ``kernel_ready``).  ``sweep(kernel, nrows)`` runs
-        ``kernel(i0, i1)`` over ``[0, nrows)``: in one call when the
-        vendor's cblas was not found, in row ranges on the pool under the
-        parallel DFS schedule."""
+    def _recurse(self, A, B, steps: int, C: np.ndarray, ws) -> None:
+        """The step in Python, where the vendor's cblas was not found:
+        write ``A @ B`` into ``C`` with ``steps`` levels (all three
+        ``kernel_ready``)."""
         p, q = A.shape
         r = B.shape[1]
         m, k, n = self.algorithm.base_case
@@ -979,10 +1003,10 @@ class CompiledChains:
         A11, A12 = peel_split(A, m, k)[:2]
         B11, _, B21, _ = peel_split(B, k, n)
         self._core(A11, B11, C[:A11.shape[0], :B11.shape[1]], steps, ws,
-                   sweep, (A12, B21))
+                   (A12, B21))
         peel_fixup(C, A, B, (m, k, n), np.matmul, strip=False)
 
-    def _core(self, A, B, Cout, steps, ws, sweep, strip) -> None:
+    def _core(self, A, B, Cout, steps, ws, strip) -> None:
         """One level on an evenly divisible core; writes into ``Cout``,
         the peeled inner ``strip`` ``(A12, B21)`` included."""
         m, k, n = self.algorithm.base_case
@@ -995,8 +1019,8 @@ class CompiledChains:
         mark = ws.mark() if ws is not None else None
         Sslab = _take(ws, (s_rows, bp * bq), self.dtype)
         Tslab = _take(ws, (t_rows, bq * bn), self.dtype)
-        sweep(functools.partial(self.form_S, A, bp, bq, Sslab), bp)
-        sweep(functools.partial(self.form_T, B, bq, bn, Tslab), bq)
+        self.form_S(A, bp, bq, Sslab, 0, bp)
+        self.form_T(B, bq, bn, Tslab, 0, bq)
 
         # depth first, a product may overwrite a chain an earlier rank
         # consumed (product_homes); only the rest get rows of their own.
@@ -1009,11 +1033,11 @@ class CompiledChains:
         for rr in range(R):
             self._recurse(self.operand("s", rr, Sslab, A, bp, bq),
                           self.operand("t", rr, Tslab, B, bq, bn),
-                          steps - 1, products[rr].reshape(bp, bn), ws, sweep)
+                          steps - 1, products[rr].reshape(bp, bn), ws)
 
         Y = _take(ws, (y_rows * bn,), self.dtype) if y_rows else None
-        sweep(functools.partial(self.form_C, self.product_rows(products),
-                                bp, bn, Cout, Y, strip=strip), bp)
+        self.form_C(self.product_rows(products), bp, bn, Cout, Y, 0, bp,
+                    strip=strip)
         if ws is not None:
             ws.release(mark)
 
@@ -1038,7 +1062,7 @@ def compile_chains(
 ) -> CompiledChains:
     """Compile (or fetch from cache) the C chain kernels for an algorithm,
     over elements of ``dtype`` (float32 or float64)."""
-    real = next((r for r, dt in REALS.items() if dt == np.dtype(dtype)), None)
+    real = _real_name(dtype)
     if real is None:
         raise ValueError(f"no chain kernels for {np.dtype(dtype)}")
     if not available():
@@ -1070,7 +1094,7 @@ _fallback_warned: set[str] = set()
 def serving_chains(algorithm: str | FastAlgorithm,
                    dtype="float64") -> CompiledChains | None:
     """:func:`compile_chains` for a serving path that must not fail a
-    multiply the NumPy chains could have served: a compile or load error
+    multiply the interpreter could have served: a compile or load error
     (compiler uninstalled since tuning, cache dir yanked,
     ``cbackend.compilefail`` chaos) is counted in ``cbackend.fallbacks``,
     warned once per algorithm and answered with ``None``."""
@@ -1082,9 +1106,57 @@ def serving_chains(algorithm: str | FastAlgorithm,
         if name not in _fallback_warned:
             _fallback_warned.add(name)
             _log.warning(
-                "compiled chain kernels unavailable for %r (%s); its chains "
-                "are formed by the NumPy executors instead", name, exc)
+                "compiled chain kernels unavailable for %r (%s); the "
+                "interpreter serves it instead", name, exc)
         return None
+
+
+def step_chains(algorithm: FastAlgorithm, scheme: str, A: np.ndarray,
+                B: np.ndarray, out=None) -> CompiledChains | None:
+    """The compiled step a ``scheme`` call on these operands runs, or
+    ``None`` for the interpreter: :func:`chains_fused`, then
+    :func:`serving_chains` (a compile that fails here is counted and
+    warned, and the interpreter serves)."""
+    if not chains_fused(A.dtype, B.dtype, scheme, (A, B, out)):
+        return None
+    return serving_chains(algorithm, kernel_dtype(A.dtype, B.dtype))
+
+
+def sequential_footprint(algorithm: FastAlgorithm, steps: int, p: int,
+                         q: int, r: int, dtype_a, dtype_b=None,
+                         fused: bool | None = None) -> int:
+    """Arena bytes of :func:`multiply_sequential` (default: what
+    :func:`chains_fused` says runs): the step's slabs
+    (:func:`repro.core.workspace.cbackend_footprint`), or the
+    interpreter's triple per level
+    (:func:`repro.core.workspace.dfs_footprint`)."""
+    dtype_b = dtype_a if dtype_b is None else dtype_b
+    if fused is None:
+        fused = chains_fused(dtype_a, dtype_b)
+    if fused:
+        return cbackend_footprint(algorithm, False, (p, q, r), dtype_a,
+                                  steps, dtype_b)
+    return dfs_footprint([algorithm.base_case] * steps, p, q, r, dtype_a,
+                         dtype_b, algorithms=[algorithm] * steps)
+
+
+def multiply_sequential(cc: CompiledChains | None, A: np.ndarray,
+                        B: np.ndarray, algorithm: FastAlgorithm,
+                        steps: int, out=None, workspace=None) -> np.ndarray:
+    """The sequential product -- and DFS, which is this under a
+    ``T``-thread BLAS: ``cc``'s step (:func:`step_chains`), or with
+    ``None`` the interpreter.  ``workspace`` is sized by
+    :func:`sequential_footprint`; a caller that sized it for the step
+    before the compile failed gets it re-reserved for the interpreter's
+    layout (one S/T/M_r triple per level)."""
+    if cc is not None:
+        return cc.multiply(A, B, steps=steps, out=out, workspace=workspace)
+    if workspace is not None:
+        workspace.reserve(sequential_footprint(
+            algorithm, steps, A.shape[0], *B.shape, A.dtype, B.dtype,
+            fused=False))
+    return recursion.multiply(A, B, algorithm, steps=steps, out=out,
+                              workspace=workspace)
 
 
 def multiply(

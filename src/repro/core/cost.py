@@ -107,7 +107,11 @@ def parallel_traffic(
       ``(R/(MN))^l`` copies of the output ``C``, each written by its task
       and read back during the combine walk -- ``2 (R/(MN))^l p r`` words
       per level, paid by ``bfs``, ``hybrid`` and ``hybrid-subgroup``
-      alike (they all run the same level-synchronous task tree).
+      alike.  The schedules now hold far less -- the top level, the
+      children left over from whole waves expanded once more, and a step
+      region per thread (:func:`repro.parallel.schedules.
+      parallel_footprint`) -- but the charge is kept as it was, so that
+      no untuned plan moves until a ledger row says how.
 
     - **Ballard-style inter-group traffic** (``hybrid-subgroup`` only,
       after Ballard et al.'s communication model for parallel Strassen):
@@ -214,7 +218,7 @@ def plan_cost(
         return all_threads(p, q, r)
     # only DFS and the tree schemes spread their additions over the pool
     adders = one if scheme == "sequential" else cal
-    fused = chains_fused(dtype)
+    fused = chains_fused(dtype, scheme=scheme)
     passes = [rd + wr for rd, wr in
               _rw_by_side(alg, "write_once" if fused else "pairwise")]
     strip_words = 0 if fused else 2

@@ -22,13 +22,10 @@ supplied, a call performs no array allocations at steady state; the
 arithmetic is the *same sequence of ufunc/gemm calls* as the allocating
 path, so results match it bit for bit.
 
-One recursive step is stated here once.  Where the compiled chain
-kernels do not serve, the parallel DFS scheme is :func:`_recurse` run with
-pool adders and a threaded gemm (the private :class:`_Ops` hooks) and the
-BFS/hybrid task tree calls
-:func:`accumulate_products` and :func:`repro.util.matrices.peel_fixup` in
-its combine stage; every driver and every footprint simulator asks
-:meth:`CutoffPolicy.should_recurse` whether to split.
+One recursive step is stated here once.  Where the compiled step does
+not serve, every parallel scheme runs this interpreter with a
+``threads``-wide gemm (the paper's DFS); every driver and every footprint
+simulator asks :meth:`CutoffPolicy.should_recurse` whether to split.
 """
 
 from __future__ import annotations
@@ -36,7 +33,7 @@ from __future__ import annotations
 import dataclasses
 import inspect
 import weakref
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -167,7 +164,7 @@ def combine_blocks(
     fused path performs the identical ufunc sequence on identical values,
     so it is bit-for-bit equal to the allocating path.
     """
-    return _chain(blocks, _terms(coeffs), out, scratch, combine_into)
+    return _chain(blocks, _terms(coeffs), out, scratch)
 
 
 def _terms(coeffs) -> tuple[tuple[int, float], ...]:
@@ -188,24 +185,21 @@ def _chain_terms(alg: FastAlgorithm):
         needs_scratch(a.U) or needs_scratch(a.V) or needs_scratch(a.W)))
 
 
-def _chain(blocks, terms, out, scratch, into: Callable):
-    """:func:`combine_blocks` over the :func:`_terms` of its coefficients,
-    the chain written by ``into`` -- serially, or by the pool's row-slab
-    adder under the parallel DFS (which has no allocating expression form:
-    without ``out`` it fills a fresh array)."""
+def _chain(blocks, terms, out, scratch):
+    """:func:`combine_blocks` over the :func:`_terms` of its
+    coefficients."""
     if not terms:
         return None
     (first, c0), rest = terms[0], terms[1:]
     if not rest and c0 == 1.0:
         return blocks[first]
-    if out is None and into is combine_into:
+    if out is None:
         out = blocks[first] * c0 if c0 != 1.0 else blocks[first].copy()
         for i, c in rest:
             axpy(out, blocks[i], c)
         return out
-    if out is None:
-        out = np.empty(blocks[first].shape, dtype=blocks[first].dtype)
-    into(out, [blocks[i] for i, _ in terms], [c for _, c in terms], scratch)
+    combine_into(out, [blocks[i] for i, _ in terms], [c for _, c in terms],
+                 scratch)
     return out
 
 
@@ -250,30 +244,10 @@ def multiply(
                     ws=workspace)
 
 
-class _Ops(NamedTuple):
-    """The arithmetic of one recursive step, beside the ``base`` leaf hook.
-
-    The defaults are the serial reference; the parallel DFS driver
-    (:mod:`repro.parallel.schedules`) runs the same :func:`_recurse` with
-    the pool's row-slab adders and a threaded gemm.
-    """
-
-    #: ``(out, blocks, coeffs, scratch)``: ``out = sum_i coeffs[i] * blocks[i]``
-    into: Callable = combine_into
-    #: ``(out, x, alpha, scratch)``: ``out += alpha * x``
-    axpy: Callable = axpy
-    #: ``(X, Y, out=None)``: the classical product of the peeling fix-ups
-    gemm: Callable = np.matmul
-
-
-_SERIAL = _Ops()
-
-
 def accumulate_products(
     blocksC: list[np.ndarray],
     alg: FastAlgorithm,
     products: Iterable[tuple[int, np.ndarray]],
-    ops: _Ops = _SERIAL,
     scratch: np.ndarray | None = None,
 ) -> None:
     """``C_i = sum_r W[i, r] * M_r`` over ``products`` = ``(r, M_r)`` pairs
@@ -287,9 +261,9 @@ def accumulate_products(
     for rr, Mr in products:
         for i, c in w_terms[rr]:
             if started[i]:
-                ops.axpy(blocksC[i], Mr, c, scratch)
+                axpy(blocksC[i], Mr, c, scratch)
             else:  # a block's first contribution: C_i = c * M_r
-                ops.into(blocksC[i], (Mr,), (c,), scratch)
+                combine_into(blocksC[i], (Mr,), (c,), scratch)
                 started[i] = True
     for i, s in enumerate(started):
         if not s:  # all-zero W row can only happen for degenerate inputs
@@ -305,7 +279,6 @@ def _recurse(
     policy: CutoffPolicy,
     out: np.ndarray | None = None,
     ws: Workspace | None = None,
-    ops: _Ops = _SERIAL,
 ) -> np.ndarray:
     p, q = A.shape
     r = B.shape[1]
@@ -322,8 +295,8 @@ def _recurse(
 
     # ---- fast product on the core, thin classical products around it ----
     _core_multiply(A11, B11, C[:A11.shape[0], :B11.shape[1]], alg, step,
-                   base, policy, ws, ops)
-    peel_fixup(C, A, B, alg.base_case, ops.gemm,
+                   base, policy, ws)
+    peel_fixup(C, A, B, alg.base_case, np.matmul,
                strip_scratch(ws, p, q, r, alg.base_case, C.dtype.itemsize))
     return C
 
@@ -377,7 +350,6 @@ def _core_multiply(
     base: BaseMultiply,
     policy: CutoffPolicy,
     ws: Workspace | None = None,
-    ops: _Ops = _SERIAL,
 ) -> None:
     """One recursion level on an evenly divisible core, writing into C."""
     m, k, n = alg.base_case
@@ -402,19 +374,19 @@ def _core_multiply(
 
     def products():
         for rr in range(alg.rank):
-            S = _chain(blocksA, u_terms[rr], S_buf, scratch, ops.into)
-            T = _chain(blocksB, v_terms[rr], T_buf, scratch, ops.into)
+            S = _chain(blocksA, u_terms[rr], S_buf, scratch)
+            T = _chain(blocksB, v_terms[rr], T_buf, scratch)
             if S is None or T is None:
                 continue  # dead product (possible in composed algorithms)
             if ws is None:
-                yield rr, _recurse(S, T, alg, step + 1, base, policy, ops=ops)
+                yield rr, _recurse(S, T, alg, step + 1, base, policy)
             else:
                 inner = ws.mark()
                 Mr = _recurse(S, T, alg, step + 1, base, policy,
-                              out=M_buf, ws=ws, ops=ops)
+                              out=M_buf, ws=ws)
                 ws.release(inner)
                 yield rr, Mr
 
-    accumulate_products(block_views(C, m, n), alg, products(), ops, scratch)
+    accumulate_products(block_views(C, m, n), alg, products(), scratch)
     if ws is not None:
         ws.release(level_mark)

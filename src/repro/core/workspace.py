@@ -31,43 +31,32 @@ temporary set per level.  The scratch term holds ``c * X`` products for
 coefficients outside {0, +-1} so the addition chains run fused
 (``np.multiply``/``np.add`` with ``out=``) with no hidden temporaries.
 
-**BFS / hybrid** (Section 4.2).  Level-synchronous expansion materializes
-*every* ``(S_r, T_r)`` pair of a level at once: level ``l`` holds
-``R^l`` nodes of dimensions ``(p_l, q_l, r_l)``, i.e. per additional level
-the ``S``/``T`` pools grow by a factor ``R/(MK)`` resp. ``R/(KN)`` of the
-input and the result pool by ``R/(MN)`` of the output -- the paper's
-"extra memory per level" argument::
+**BFS / hybrid** (Section 4.2) pay for parallelism in memory: a level
+the schedule forms itself holds all ``R`` of its ``(S_r, T_r)`` pairs and
+products at once, where DFS holds one.  The schedules take that price only
+where the parallelism needs it, as CAPS does (Ballard et al. 2012): the
+top level, the few children left over from whole waves of ``P`` tasks
+(expanded one more level), and ``P`` regions that every task's depth-first
+step carves its own levels from --
+:func:`repro.parallel.schedules.parallel_footprint`.
 
-    W_bfs = sum_{l=1}^{L} R^l (p_l q_l + q_l r_l)          # S/T pools
-          + sum_{l=1}^{L} R^l (p_l r_l)                    # result pools
-
-The paper frees each level's pool as the combine sweep walks back up the
-tree; an arena instead holds the full-tree footprint for the whole call
-and keeps it for the thread's next one, whichever plan that runs --
-steady-state reuse across calls supersedes intra-call freeing, and the
-geometric series is dominated by the deepest level
-anyway.  Per-level pools are laid out contiguously in expansion order, so
-the combine sweep still releases them level by level logically (the bump
-pointer rewinds wholesale at the next ``reset``).
-
-All three footprints (:func:`dfs_footprint`, :func:`bfs_footprint`,
-:func:`cbackend_footprint`) walk the levels with one iterator,
-:func:`_split_levels`, which asks the executors' own
-question -- :func:`repro.core.recursion.should_split`, i.e.
-``CutoffPolicy.should_recurse`` -- whether a level splits.  Dynamic peeling
+Every footprint asks the executors' own question --
+:func:`repro.core.recursion.should_split`, i.e.
+``CutoffPolicy.should_recurse`` -- whether a level splits;
+:func:`dfs_footprint` and :func:`cbackend_footprint` walk the levels with
+one iterator, :func:`_split_levels`.  Dynamic peeling
 costs an arena next to nothing: the one boundary fix-up every executor
 calls (:func:`repro.util.matrices.peel_fixup`) writes its thin products
-straight into ``C``, and where the inner dimension peels the NumPy
-executors add that strip through one fixed-size chunk
+straight into ``C``, and where the inner dimension peels the interpreter
+adds that strip through one fixed-size chunk
 (:func:`repro.util.matrices.strip_scratch_bytes`, at most 256 KiB) while
 the compiled kernels add it inside ``form_C`` and take nothing -- no
 buffer grows with the core.  Peeling, early termination
 (a block dimension dropping below the cutoff) and composed per-level
 schedules are therefore accounted exactly rather than bounded, and an
-executor and its arena cannot disagree on where the recursion stops.  What
-differs between the three is only what one level holds.
+executor and its arena cannot disagree on where the recursion stops.
 
-The **compiled chain driver** has a third memory shape (slabs of the
+The **compiled step** has a memory shape of its own (slabs of the
 kernels' element type filled by one C call per side, the products of a
 level live until ``form_C``) -- :func:`cbackend_footprint`.
 
@@ -76,15 +65,10 @@ Which formula sizes a tuner plan is decided in exactly one place,
 compiled kernels serve these dtypes -> bytes, 0 for plain BLAS): every
 reservation and every measurement arena
 comes from it, and a callee that runs another path than its caller sized
-for (strides or a failed compile decide that) reserves its own.  A parallel
-scheme is sized for the kernels its schedule will form the chains with
-(:func:`repro.parallel.schedules.parallel_footprint`): the compiled ones
-use the slab layout -- :func:`cbackend_footprint`, per level for DFS, per
-node with ``tree=True`` -- and the NumPy adders :func:`dfs_footprint` /
-:func:`bfs_footprint`.
+for (strides or a failed compile decide that) reserves its own.
 
 The arena is not thread-safe for concurrent ``take`` calls; the parallel
-schedules preassign every buffer *before* fanning tasks out, which is also
+schedules carve every buffer *before* fanning tasks out, which is also
 what makes the assignment deterministic.  If a caller outgrows its
 reservation (e.g. a custom cutoff policy recursing deeper than the plan
 declared), ``take`` degrades to a plain allocation and counts it in
@@ -429,63 +413,6 @@ def dfs_footprint(
     return take.total(total)
 
 
-def bfs_level_shapes(
-    base_case: tuple[int, int, int],
-    rank: int,
-    steps: int,
-    p: int,
-    q: int,
-    r: int,
-) -> list[tuple[int, tuple[int, int, int]]]:
-    """Per expansion level: ``(node count, child (sp, sq, sr))``.
-
-    Every node of a level shares one shape (children of a node inherit the
-    same peeled core), so the level-synchronous tree is fully described by
-    ``steps`` (count, shape) pairs -- count grows by ``R`` per level.
-    """
-    shapes = dfs_level_shapes([base_case] * steps, p, q, r)
-    return [(rank ** (i + 1), blk) for i, blk in enumerate(shapes)]
-
-
-def bfs_footprint(
-    algorithm,
-    steps: int,
-    p: int,
-    q: int,
-    r: int,
-    dtype_a="float64",
-    dtype_b=None,
-) -> int:
-    """Exact BFS/hybrid arena bytes (Section 4.2's per-level pools).
-
-    Level ``l`` contributes ``R^l`` S/T pairs (the node operands) plus
-    ``R^l`` result buffers (leaf products at the deepest level, combined
-    ``C`` blocks above it).  The root result is always excluded: it is
-    either the caller's ``out`` or a per-call fresh allocation (arena
-    memory must never be handed back to the caller).
-    """
-    isa, isb, isc = _itemsizes(dtype_a, dtype_b)
-    uv_scratch = needs_scratch(algorithm.U) or needs_scratch(algorithm.V)
-    w_scratch = needs_scratch(algorithm.W)
-    take = _Tally()
-    total = 0
-    count = 1
-    for _, base, dims, blk in _split_levels([algorithm.base_case] * steps,
-                                            p, q, r):
-        sp, sq, sr = blk
-        # each of the level's parents combines through one scratch: for
-        # general W coefficients sized to its C block, for a peeled inner
-        # dimension the strip chunk
-        total += take(max(w_scratch * sp * sr * isc,
-                          strip_scratch_bytes(*dims, base, isc)), count)
-        count *= algorithm.rank
-        total += take(sp * sq * isa, count) + take(sq * sr * isb, count)
-        if uv_scratch:
-            total += take(max(sp * sq * isa, sq * sr * isb), count)
-        total += take(sp * sr * isc, count)                # result pool
-    return take.total(total)
-
-
 def cbackend_footprint(
     algorithm,
     cse: bool,
@@ -493,12 +420,9 @@ def cbackend_footprint(
     dtype_a="float64",
     steps: int = 1,
     dtype_b=None,
-    tree: bool = False,
 ) -> int:
-    """Arena bytes for the compiled C chain kernels: the sequential driver,
-    the parallel DFS that fans the same driver's kernels out over row
-    ranges, and -- with ``tree`` -- the BFS/hybrid task tree when its
-    chains are formed by those kernels.
+    """Arena bytes for the compiled C step, sequential or at ``T``-thread
+    BLAS (the parallel DFS).
 
     Mirrors :meth:`repro.codegen.cbackend.CompiledChains.multiply`, whose
     memory shape differs from the interpreter's:
@@ -517,17 +441,11 @@ def cbackend_footprint(
       block views of the parent operand and cost nothing;
     - ``form_C`` takes ``|C defs|`` scratch rows.
 
-    The depth-first drivers hold one such set per level; the ``tree``
-    holds one per *node* -- ``R^l`` of them at level ``l``, the Section
-    4.2 pools with ``slots`` rows where the NumPy tree
-    (:func:`bfs_footprint`) holds ``R`` separate buffers.
+    The step holds one such set per level.
 
     The levels are the shared :func:`_split_levels`; peeling takes nothing
-    (the inner strip rides in ``form_C``).  Slot counts come from the
-    backend's own
-    :func:`repro.codegen.cbackend._prepare` (imported lazily --
-    ``repro.codegen`` depends on this module, not vice versa), so arena
-    sizing cannot drift from the slab layout the emitted C actually uses.
+    (the inner strip rides in ``form_C``); each level's takes are
+    :func:`level_elements`.
     """
     from repro.codegen.cbackend import kernel_dtype
 
@@ -543,34 +461,45 @@ def cbackend_footprint(
         total += take(q * r)                        # Bd conversion copy
     if np.result_type(a, b) != real:
         total += take(p * r)                        # kernel-dtype result
-    for nelems, nodes in _cbackend_levels(algorithm, cse, p, q, r, steps,
-                                          tree):
-        total += take(nelems, nodes)
+    for nelems in _cbackend_levels(algorithm, cse, p, q, r, steps):
+        total += take(nelems)
     return take.total(total)
 
 
-def _cbackend_levels(algorithm, cse: bool, p: int, q: int, r: int,
-                     steps: int, tree: bool = False):
-    """``(elements, nodes)`` of each take the compiled drivers make, level
-    by level: the S slab, the T slab, the products' own rows and
-    ``form_C``'s ``Y`` rows, once per tree node."""
-    from repro.codegen.cbackend import _prepare, product_homes
+def level_elements(algorithm, cse: bool, blk: tuple[int, int, int],
+                   products: int) -> tuple[int, int, int, int]:
+    """Elements of each take one level of the compiled kernels makes on
+    ``blk = (bp, bq, bn)`` blocks: the S slab (``bp * bq`` a row, a row
+    per CSE definition and non-alias chain, never none), the T slab
+    (``bq * bn``), ``products`` product rows (``bp * bn``) and ``form_C``'s
+    ``Y`` rows (``bn``, one per C-side definition).  The step holds only
+    the products that found no consumed chain to overwrite
+    (:func:`repro.codegen.cbackend.product_homes`); a level the BFS/HYBRID
+    tree forms itself holds every rank's and no ``Y``.
+
+    Slot counts come from the backend's own
+    :func:`repro.codegen.cbackend._prepare` (imported lazily --
+    ``repro.codegen`` depends on this module, not vice versa), so arena
+    sizing cannot drift from the slab layout the emitted C actually uses.
+    """
+    from repro.codegen.cbackend import _prepare
 
     s, t, c = _prepare(algorithm, cse)
-    R = algorithm.rank
-    nodes = 1
-    for *_, (bp, bq, bn) in _split_levels(
-            [algorithm.base_case] * steps, p, q, r):
-        # all R products live until form_C: a slab of their own per tree
-        # node; depth first, those that found no consumed chain to overwrite
-        own = R if tree else product_homes(s["layout"], t["layout"],
-                                           bp, bq, bn)[1]
-        for nelems in (max(s["slots"], 1) * bp * bq,
-                       max(t["slots"], 1) * bq * bn,
-                       own * bp * bn, len(c["defs"]) * bn):
-            yield nelems, nodes
-        if tree:
-            nodes *= R
+    bp, bq, bn = blk
+    return (max(s["slots"], 1) * bp * bq, max(t["slots"], 1) * bq * bn,
+            products * bp * bn, len(c["defs"]) * bn)
+
+
+def _cbackend_levels(algorithm, cse: bool, p: int, q: int, r: int,
+                     steps: int):
+    """The elements of each take the compiled step makes, level by level
+    (:func:`level_elements`)."""
+    from repro.codegen.cbackend import _prepare, product_homes
+
+    s, t, _ = _prepare(algorithm, cse)
+    for *_, blk in _split_levels([algorithm.base_case] * steps, p, q, r):
+        own = product_homes(s["layout"], t["layout"], *blk)[1]
+        yield from level_elements(algorithm, cse, blk, own)
 
 
 def cbackend_carve_bytes(algorithm, cse: bool, dtype, p: int, q: int,
@@ -579,8 +508,15 @@ def cbackend_carve_bytes(algorithm, cse: bool, dtype, p: int, q: int,
     product over ``dtype`` elements, from one cache-line aligned region:
     :func:`cbackend_footprint`'s levels without its per-take slack."""
     size = np.dtype(dtype).itemsize
-    return sum(_align_up(nelems * size) for nelems, _ in
+    return sum(_align_up(nelems * size) for nelems in
                _cbackend_levels(algorithm, cse, p, q, r, steps))
+
+
+def takes_footprint(takes: Iterable[tuple[int, int]]) -> int:
+    """Arena bytes that serve ``takes``, ``(nbytes, count)`` pairs of
+    equal takes."""
+    take = _Tally()
+    return take.total(sum(take(nbytes, count) for nbytes, count in takes))
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,7 @@ within 3% of unguarded dispatch.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import logging
 import os
 import threading
@@ -234,6 +235,18 @@ def shutdown_watchdog() -> None:
 # ---------------------------------------------------------------------------
 # numerical guardrail
 # ---------------------------------------------------------------------------
+@functools.lru_cache(maxsize=64)
+def _sample(shape: tuple[int, int], count: int, dtype) -> tuple:
+    """The rows :func:`check_product` samples from a ``shape`` product --
+    ``count`` of them spread evenly, the first and the last included
+    (fewer when there are fewer rows) -- and zeros to scan them with."""
+    p, n = shape
+    count = max(1, min(count, p))
+    rows = np.unique([i * (p - 1) // max(count - 1, 1)
+                      for i in range(count)])
+    return rows, np.zeros(rows.size * n, dtype)
+
+
 def check_product(plan: Plan, A: np.ndarray, B: np.ndarray,
                   C: np.ndarray, cfg: GuardConfig) -> str | None:
     """Sampled post-execution validation; a reason string or ``None``.
@@ -247,11 +260,12 @@ def check_product(plan: Plan, A: np.ndarray, B: np.ndarray,
     """
     if C.size == 0:
         return None
-    p = C.shape[0]
-    rows = np.unique(np.linspace(0, p - 1, min(cfg.sample_rows, p))
-                     .astype(int))
-    sample = C[rows]
-    if np.issubdtype(C.dtype, np.inexact) and not np.all(np.isfinite(sample)):
+    rows, zeros = _sample(C.shape, cfg.sample_rows, C.dtype)
+    sample = C.take(rows, axis=0)
+    # one reduction scans the sample: 0 * x is 0 for every finite x and
+    # NaN for NaN and +-Inf, so the sum is non-zero (NaN) exactly when
+    # the sample holds one
+    if C.dtype.kind in "fc" and np.vdot(zeros, sample):
         return "non-finite values in product sample"
     if plan.is_dgemm or plan.algorithm is None:
         return None
@@ -376,13 +390,13 @@ def run_guarded(cfg: GuardConfig, plan: Plan, run, operands, out, fresh,
     produced the result: ``plan`` itself, the cost-model fallback, or
     plain dgemm for classical.
     """
-    from repro.tuner import dispatch
-
     result, exc = _guarded(cfg, "plan", plan, run, operands, out, fresh,
                            cache, key)
     if exc is None:
         cache.record_success(*key, plan)
         return result, plan
+    from repro.tuner import dispatch
+
     # a zombie worker might still touch the failed attempt's views
     dispatch.evict_workspace(plan, *key[:3], operands[0][0].dtype,
                              operands[1][0].dtype)

@@ -33,9 +33,9 @@ Injection points (the names the chaos suite and CI use):
 ``cbackend.compilefail``
     :func:`repro.codegen.cbackend._compile_source` raises
     :class:`InjectedFault` instead of invoking the compiler -- a broken
-    toolchain discovered at serving time; dispatch must degrade a
-    sequential fast plan to the interpreter, and a parallel schedule its
-    fused chains to the NumPy adders, never fail the multiply.  (The ``available()`` probe is exempt so a transient
+    toolchain discovered at serving time; dispatch must degrade a fast
+    plan, sequential or parallel, to the interpreter, never fail the
+    multiply.  (The ``available()`` probe is exempt so a transient
     injected fault cannot poison its process-lifetime cache.)
 
 Activation is explicit: the :func:`inject` context manager (tests), or

@@ -29,7 +29,11 @@ return`` (``span`` returns a shared no-op context manager), so an
 uninstrumented production dispatch pays a single predictable-taken
 branch per call site -- the CI overhead gate
 (``benchmarks/bench_obs.py``) holds the *enabled* warm-dispatch path to
-<= 3% and the disabled path is far below measurement noise.
+<= 3% and the disabled path is far below measurement noise.  The
+enabled hot path is cheap because it only queues: a span's exit and a
+request's report (:func:`defer`) append one tuple to a deque, and the
+tables are brought up to date -- under the lock, by whoever reads them
+(or by a recorder, every ``_PENDING_MAX`` samples) -- when they are read.
 
 Zero dependencies by design: this module imports nothing from the rest
 of ``repro`` (stdlib only), so every layer -- including
@@ -76,6 +80,26 @@ def clock() -> float:
 # ------------------------------------------------------------- registry
 def _label_key(labels: dict) -> tuple:
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
+
+
+#: (name, *label items) -> registry key: a call site's labels are
+#: normalised once, not at every sample (bounded; cleared when full)
+_keys: dict[tuple, tuple[str, tuple]] = {}
+_KEYS_MAX = 4096
+
+
+def _key(name: str, labels: dict) -> tuple[str, tuple]:
+    raw = (name, *labels.items())
+    try:
+        return _keys[raw]
+    except KeyError:
+        pass
+    except TypeError:               # an unhashable label value
+        return name, _label_key(labels)
+    if len(_keys) >= _KEYS_MAX:
+        _keys.clear()
+    key = _keys[raw] = (name, _label_key(labels))
+    return key
 
 
 class _SpanStat:
@@ -129,10 +153,10 @@ class _Span:
         self._t0 = 0
 
     def __enter__(self) -> "_Span":
-        stack = getattr(_local, "stack", None)
-        if stack is None:
-            stack = _local.stack = []
-        stack.append(self._key[0])
+        try:
+            _local.stack.append(self._key[0])
+        except AttributeError:
+            _local.stack = [self._key[0]]
         self._t0 = time.perf_counter_ns()
         return self
 
@@ -142,11 +166,7 @@ class _Span:
             _local.stack.pop()
         except (AttributeError, IndexError):  # pragma: no cover - defensive
             pass
-        with _lock:
-            stat = _spans.get(self._key)
-            if stat is None:
-                stat = _spans[self._key] = _SpanStat()
-            stat.add(dt)
+        _queue((self._key, dt))
         return False
 
 
@@ -159,7 +179,7 @@ def span(name: str, **labels):
     """
     if not _enabled:
         return NULL_SPAN
-    return _Span((name, _label_key(labels)))
+    return _Span(_key(name, labels))
 
 
 def active_spans() -> tuple[str, ...]:
@@ -172,7 +192,7 @@ def incr(name: str, value: int = 1, **labels) -> None:
     """Add ``value`` to a monotonic counter (no-op while disabled)."""
     if not _enabled:
         return
-    key = (name, _label_key(labels))
+    key = _key(name, labels)
     with _lock:
         _counters[key] = _counters.get(key, 0) + int(value)
 
@@ -181,7 +201,7 @@ def set_gauge(name: str, value: float, **labels) -> None:
     """Set a last-value-wins gauge (no-op while disabled)."""
     if not _enabled:
         return
-    key = (name, _label_key(labels))
+    key = _key(name, labels)
     with _lock:
         _gauges[key] = float(value)
 
@@ -189,18 +209,21 @@ def set_gauge(name: str, value: float, **labels) -> None:
 def counter_value(name: str, **labels) -> int:
     """Current value of one counter (0 when never incremented)."""
     with _lock:
+        _fold_locked()
         return _counters.get((name, _label_key(labels)), 0)
 
 
 def gauge_value(name: str, **labels) -> float | None:
     """Current value of one gauge (``None`` when never set)."""
     with _lock:
+        _fold_locked()
         return _gauges.get((name, _label_key(labels)))
 
 
 def span_stats(name: str, **labels) -> dict | None:
     """Aggregated stats of one span as a dict (``None`` when never entered)."""
     with _lock:
+        _fold_locked()
         stat = _spans.get((name, _label_key(labels)))
         if stat is None:
             return None
@@ -224,10 +247,71 @@ def record_dispatch(record: dict) -> None:
         _dispatch_ring.append(record)
 
 
+def defer(build, *args) -> None:
+    """Queue one request's report, built at the next read (no-op while
+    disabled).
+
+    ``build(*args)`` returns ``(record, counters, gauges)``: a dispatch
+    record for the ring (or ``None``), and name -> value dicts of
+    counters to add to and gauges to set, a name being a string or a
+    ``(name, ((label, value), ...))`` registry key (labels sorted, values
+    strings).  It runs at the next read of the registry, under its lock,
+    so it computes from its arguments alone -- whatever might change
+    before then is read into them -- and never calls back into this
+    module.  The serving tail reports this way so
+    that a warm call pays one queue append, not a record, a lock and a
+    dictionary update per metric.
+    """
+    if _enabled:
+        _queue((build, args))
+
+
 def dispatch_records() -> list[dict]:
     """The retained dispatch records, oldest first."""
     with _lock:
+        _fold_locked()
         return list(_dispatch_ring)
+
+
+# ------------------------------------------------------- deferred samples
+#: what hot paths recorded and no reader has folded in yet: a span's
+#: ``(key, ns)`` or a report's ``(build, args)``.  Recording is one deque
+#: append (atomic, no lock); readers fold the queue under the lock first,
+#: and a recorder folds it itself once it holds ``_PENDING_MAX`` samples
+_pending: collections.deque = collections.deque()
+_PENDING_MAX = 1024
+
+
+def _queue(sample: tuple) -> None:
+    _pending.append(sample)
+    if len(_pending) >= _PENDING_MAX:
+        with _lock:
+            _fold_locked()
+
+
+def _metric_key(name) -> tuple[str, tuple]:
+    return (name, ()) if isinstance(name, str) else name
+
+
+def _fold_locked() -> None:
+    """Fold the queued samples into the tables (the caller holds the
+    lock)."""
+    while _pending:
+        head, tail = _pending.popleft()
+        if not callable(head):
+            stat = _spans.get(head)
+            if stat is None:
+                stat = _spans[head] = _SpanStat()
+            stat.add(tail)
+            continue
+        record, counters, gauges = head(*tail)
+        if record is not None:
+            _dispatch_ring.append(record)
+        for name, value in counters.items():
+            key = _metric_key(name)
+            _counters[key] = _counters.get(key, 0) + int(value)
+        for name, value in gauges.items():
+            _gauges[_metric_key(name)] = float(value)
 
 
 # ----------------------------------------------------------- task events
@@ -267,6 +351,7 @@ def enable(ring_size: int | None = None) -> None:
     global _enabled, _dispatch_ring
     with _lock:
         if ring_size is not None and ring_size != _dispatch_ring.maxlen:
+            _fold_locked()
             _dispatch_ring = collections.deque(
                 _dispatch_ring, maxlen=max(1, int(ring_size))
             )
@@ -282,6 +367,7 @@ def disable() -> None:
 def reset() -> None:
     """Drop every counter, gauge, span aggregate and dispatch record."""
     with _lock:
+        _pending.clear()
         _counters.clear()
         _gauges.clear()
         _spans.clear()
@@ -316,6 +402,7 @@ def snapshot(reset_after: bool = False) -> dict:
     consumer never loses samples recorded between the two steps.
     """
     with _lock:
+        _fold_locked()
         snap = {
             "schema": SNAPSHOT_SCHEMA,
             "enabled": _enabled,

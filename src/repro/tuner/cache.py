@@ -378,6 +378,8 @@ class PlanCache:
                        threads: int, plan: Plan) -> None:
         """A clean guarded execution rehabilitates the key: the ledger
         entry (and any quarantine) is dropped entirely."""
+        if not self._failures:      # the healthy warm path: no lock
+            return
         with self._lock:
             if not self._failures:
                 return

@@ -66,13 +66,7 @@ import numpy as np
 from repro.algorithms import get_algorithm
 from repro.bench.metrics import effective_gflops
 from repro.codegen import cbackend
-from repro.core import recursion
-from repro.core.workspace import (
-    Workspace,
-    cbackend_footprint,
-    check_out,
-    dfs_footprint,
-)
+from repro.core.workspace import Workspace, check_out
 from repro.guard import chain as _guard_chain
 from repro.guard import faults
 from repro.obs import telemetry
@@ -196,25 +190,10 @@ def plan_footprint(plan: Plan, p: int, q: int, r: int,
         return 0
     alg = get_algorithm(plan.algorithm)
     if plan.scheme == "sequential":
-        if cbackend.chains_fused(dtype_a, dtype_b):
-            # the C chain kernels: fused S/T slabs, the R-row product
-            # slab, Y scratch
-            return cbackend_footprint(alg, False, (p, q, r), dtype_a,
-                                      plan.steps, dtype_b=dtype_b)
-        return _interpreter_footprint(alg, plan.steps, p, q, r,
-                                      dtype_a, dtype_b)
-    # a parallel scheme's layout follows the kernels that will form its
-    # chains, which the schedules decide from the operands
+        return cbackend.sequential_footprint(alg, plan.steps, p, q, r,
+                                             dtype_a, dtype_b)
     return parallel_footprint(alg, plan.steps, plan.scheme, p, q, r,
-                              dtype_a, dtype_b)
-
-
-def _interpreter_footprint(alg, steps: int, p: int, q: int, r: int,
-                           dtype_a, dtype_b) -> int:
-    """The interpreter's arena: one S/T/M_r triple per level (Section
-    4.1)."""
-    return dfs_footprint([alg.base_case] * steps, p, q, r, dtype_a, dtype_b,
-                         algorithms=[alg] * steps)
+                              dtype_a, dtype_b, threads=plan.threads)
 
 
 def build_workspace(plan: Plan, p: int, q: int, r: int,
@@ -294,18 +273,20 @@ def execute_plan(
 
     ``out`` receives the product; ``workspace`` (see
     :func:`workspace_for`) supplies every temporary.  A sequential fast
-    plan runs the C chain driver at the product's precision whenever
+    plan is :func:`repro.codegen.cbackend.multiply_sequential`: the C step
+    at the product's precision whenever
     :func:`repro.codegen.cbackend.chains_fused` holds for the dtypes; the
     interpreter (:func:`repro.core.recursion.multiply`) serves every
     other dtype, a host without a compiler, and a compile that fails at
     serving time -- then in the same arena, re-reserved for the
     interpreter's layout (one S/T/M_r triple per level, arena views;
-    ``out`` is written directly).
+    ``out`` is written directly).  DFS is the same product under a
+    ``threads``-wide BLAS.
     Parallel plans carry their sub-group P' (``plan.subgroup``) through to
     the schedule verbatim -- the tuner's swept value is what executes, not
-    a derived default -- and leave the choice of chain kernels (fused C
-    over row ranges, or the NumPy adders) to the schedule, which makes it
-    from the operands.
+    a derived default -- and leave the choice of executor (the compiled
+    step, or the interpreter) to the schedule, which makes it from the
+    operands.
     """
     if faults.active and faults.should_fire("plan.raise"):
         raise faults.InjectedFault(
@@ -315,23 +296,10 @@ def execute_plan(
             return np.matmul(A, B, out=out)
     alg = get_algorithm(plan.algorithm)
     if plan.scheme == "sequential":
-        if cbackend.chains_fused(A.dtype, B.dtype):
-            cc = cbackend.serving_chains(
-                alg, cbackend.kernel_dtype(A.dtype, B.dtype))
-            if cc is not None:
-                with blas.blas_threads(plan.threads):
-                    return cc.multiply(A, B, steps=plan.steps, out=out,
-                                       workspace=workspace)
-            # toolchain broke at serving time: degrade in-band (counted)
-            # to the interpreter, in the arena the caller sized for the C
-            # driver, re-reserved for the interpreter's layout
-            if workspace is not None:
-                workspace.reserve(_interpreter_footprint(
-                    alg, plan.steps, A.shape[0], *B.shape, A.dtype,
-                    B.dtype))
         with blas.blas_threads(plan.threads):
-            return recursion.multiply(A, B, alg, steps=plan.steps, out=out,
-                                      workspace=workspace)
+            return cbackend.multiply_sequential(
+                cbackend.step_chains(alg, plan.scheme, A, B), A, B, alg,
+                plan.steps, out, workspace)
     if pool is None:
         pool = _shared_pool(plan.threads)
     return multiply_parallel(
@@ -419,16 +387,13 @@ def _report(plan: Plan, served: Plan, source: str, p: int, q: int, r: int,
             dtype: str, threads: int, workspace: Workspace | None,
             spilled: int, t_call: int, batch: int | None) -> None:
     """What every request reports once it has executed -- the one
-    overflow warning and the one record builder.
+    overflow warning and the one record (:func:`_record`).
 
     ``workspace`` is the thread's arena ``plan`` drew temporaries from
     (``None`` for plain BLAS) and ``spilled`` the heap overflows it
-    counted during this request.  ``arena_bytes`` is the call's
-    reservation, not the capacity earlier plans left behind, and
-    ``arena_high_water`` what it carved.  The record describes the plan
-    that ``served``: under guard that may be a fallback, reported as
-    source ``"guard"`` with no arena.  A batched request adds ``batch``,
-    its element count; ``gflops`` is then per element.
+    counted during this request.  The record describes the plan that
+    ``served``: under guard that may be a fallback, reported as source
+    ``"guard"`` with no arena.
     """
     if spilled > 0:
         _warn_overflow(plan, p, q, r, dtype, spilled)
@@ -436,36 +401,45 @@ def _report(plan: Plan, served: Plan, source: str, p: int, q: int, r: int,
         return
     if served is not plan:
         source, workspace = "guard", None
-    seconds = (telemetry.clock_ns() - t_call) * 1e-9
-    telemetry.incr("dispatch.calls")
-    telemetry.incr("dispatch.source", source=source)
+    telemetry.defer(_record, served, source, p, q, r, dtype, threads,
+                    None if workspace is None else workspace.stats(),
+                    telemetry.clock_ns() - t_call, batch)
+
+
+def _record(plan: Plan, source: str, p: int, q: int, r: int, dtype: str,
+            threads: int, arena: dict | None, ns: int, batch: int | None):
+    """The one record builder: a request's dispatch record, counters and
+    gauges (:func:`repro.obs.telemetry.defer`).  ``arena_bytes`` is the
+    call's reservation, not the capacity earlier plans left behind, and
+    ``arena_high_water`` what it carved.  A batched request adds
+    ``batch``, its element count; ``gflops`` is then per element."""
+    seconds = ns * 1e-9
     gflops = (effective_gflops(p, q, r, seconds / (batch or 1))
               if seconds > 0 else 0.0)
-    telemetry.set_gauge("dispatch.last_gflops", gflops)
-    telemetry.set_gauge("dispatch.last_seconds", seconds)
     record = {
         "shape": [p, q, r],
         "dtype": dtype,
         "threads": threads,
         "source": source,
-        "plan": served.describe(),
-        "scheme": served.scheme,
+        "plan": plan.describe(),
+        "scheme": plan.scheme,
         "seconds": seconds,
         "gflops": gflops,
     }
+    gauges = {"dispatch.last_gflops": gflops,
+              "dispatch.last_seconds": seconds}
     if batch is not None:
         record["batch"] = batch
-    if workspace is not None:
-        stats = workspace.stats()
-        record["arena_bytes"] = stats["nbytes"]
-        record["arena_high_water"] = stats["high_water"]
-        record["arena_overflows"] = stats["overflow_allocations"]
-        telemetry.set_gauge("workspace.arena_bytes", record["arena_bytes"])
-        telemetry.set_gauge("workspace.high_water",
-                            record["arena_high_water"])
-        telemetry.set_gauge("workspace.max_mark_depth",
-                            stats["max_mark_depth"])
-    telemetry.record_dispatch(record)
+    if arena is not None:
+        record["arena_bytes"] = arena["nbytes"]
+        record["arena_high_water"] = arena["high_water"]
+        record["arena_overflows"] = arena["overflow_allocations"]
+        gauges["workspace.arena_bytes"] = arena["nbytes"]
+        gauges["workspace.high_water"] = arena["high_water"]
+        gauges["workspace.max_mark_depth"] = arena["max_mark_depth"]
+    counters = {"dispatch.calls": 1,
+                ("dispatch.source", (("source", source),)): 1}
+    return record, counters, gauges
 
 
 def _execute(plan: Plan, a_ops, b_ops, dest, pool: WorkerPool | None,

@@ -83,11 +83,11 @@ class Plan:
     to :func:`repro.parallel.schedules.default_subgroup` at execution
     time and is the only legal value for every other scheme.
 
-    Which kernels form a fast plan's chains is not a plan dimension: a
-    sequential plan runs the compiled driver and a parallel schedule its
-    kernels whenever :func:`repro.codegen.cbackend.chains_fused` holds for
-    the operands, the interpreter or the NumPy adders otherwise, and the
-    arena and the cost model follow the same rule.  ``backend`` is
+    Which executor runs a fast plan is not a plan dimension: every
+    scheme runs the compiled step whenever
+    :func:`repro.codegen.cbackend.chains_fused` holds for the operands,
+    the interpreter otherwise, and the arena and the cost model follow
+    the same rule.  ``backend`` is
     accepted for old callers and read by nothing: it takes no part in a
     plan's identity.
     """

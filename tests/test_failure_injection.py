@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms import classical, get_algorithm, strassen
-from repro.codegen import compile_algorithm, generate_source
+from repro.codegen import cbackend, compile_algorithm, generate_source
 from repro.core.algorithm import FastAlgorithm
 from repro.core.recursion import multiply
 from repro.parallel import WorkerPool, multiply_parallel
@@ -50,18 +50,18 @@ class TestBrokenAlgorithms:
 
 
 class TestWorkerFailures:
+    @pytest.mark.skipif(not cbackend.available(),
+                        reason="no working C compiler")
     def test_leaf_exception_propagates_through_bfs(self, monkeypatch):
         """A failing leaf multiply must raise at the barrier, not deadlock
         or silently return garbage."""
-        from repro.parallel import schedules
-
         class Boom(RuntimeError):
             pass
 
-        def bad_leaf(self):
+        def bad_leaf(self, *args):
             raise Boom("leaf failure")
 
-        monkeypatch.setattr(schedules._Node, "leaf_multiply", bad_leaf)
+        monkeypatch.setattr(cbackend.CompiledChains, "step", bad_leaf)
         A = random_matrix(16, 17, 0)
         B = random_matrix(17, 16, 1)
         with WorkerPool(2) as pool:

@@ -1,8 +1,9 @@
-"""Fused chains under the schedules.
+"""The compiled step under the schedules.
 
-The parallel schemes form S, T and C with the compiled kernels over row
-ranges whenever :func:`repro.codegen.cbackend.chains_fused` says so, and
-with the NumPy row-slab adders otherwise.  Pinned here:
+The parallel schemes run the compiled step -- and form the levels above
+their tasks with its kernels over row ranges -- whenever
+:func:`repro.codegen.cbackend.chains_fused` says so, and the interpreter
+with a threads-wide gemm otherwise.  Pinned here:
 
 1. the kernels: a sweep cut into arbitrary row ranges, in any order, is
    bit-identical to one full-range call;
@@ -11,7 +12,7 @@ with the NumPy row-slab adders otherwise.  Pinned here:
    and agrees with the interpreter, the arena ``plan_footprint`` returns
    holds either layout without one overflow;
 3. the fallback: a compile that fails at the call is counted, warned once
-   per algorithm and served by the NumPy adders in the same arena;
+   per algorithm and served by the interpreter in the same arena;
 4. the kernel cache: any algorithm object is a dictionary hit after its
    first use, whatever ``name`` it carries;
 5. the cost model prices what runs.
@@ -230,14 +231,14 @@ def test_every_layout_takes_the_predicates_path(scheme, shape, telemetry):
     rng = np.random.default_rng(3)
     for label, A, B, out in _layouts(*shape, rng):
         obs.reset()
-        # what the call sees: integers arrive as a float64 copy
-        seen = [np.asarray(X, dtype=np.float64) if X.dtype.kind == "i"
-                else X for X in (A, B)]
         want = "fused" if cbackend.chains_fused(
-            seen[0].dtype, seen[1].dtype, (*seen, out)) else "numpy"
-        assert want == ("fused" if label in (
-            "contiguous", "row-strided", "every-other-row", "broadcast-rows",
-            "out-row-strided", "float32", "integer") else "numpy"), label
+            A.dtype, B.dtype, scheme, (A, B, out)) else "numpy"
+        # the tree runs the step on the operands in place; DFS is the
+        # sequential driver, which packs every float layout
+        in_place = label in ("contiguous", "row-strided", "every-other-row",
+                             "out-row-strided", "float32")
+        assert want == ("fused" if in_place or scheme == "dfs"
+                        and label != "integer" else "numpy"), label
         C = multiply_parallel(A, B, alg, steps=2, scheme=scheme,
                               pool=_pool(2), threads=2, out=out)
         assert _chains_ran(scheme, 2) == {want}, label
@@ -246,9 +247,12 @@ def test_every_layout_takes_the_predicates_path(scheme, shape, telemetry):
         assert C.dtype == ref.dtype
         # a vendor gemm on transposed operands may block differently per
         # thread count (parent behaviour): bits only where the kernels ran
+        # in place.  The interpreter forms a mixed pair's chains at float32,
+        # the step at double
+        bound = "float32" if np.float32 in (A.dtype, B.dtype) else "float64"
         assert np.linalg.norm(C - ref) <= np.linalg.norm(ref) * error_bound(
-            alg, 2, shape[1], ref.dtype.name), label
-        if want == "fused":
+            alg, 2, shape[1], bound), label
+        if in_place:
             assert np.array_equal(C, ref), label
 
 
@@ -269,7 +273,8 @@ def test_plan_footprint_arena_never_overflows(scheme, dtype, name, steps,
     B = rng.uniform(-1, 1, (q, r)).astype(dtype)
     ws = dispatch.build_workspace(plan, p, q, r, A.dtype, B.dtype)
     assert ws.nbytes == parallel_footprint(get_algorithm(name), steps,
-                                           scheme, p, q, r, A.dtype, B.dtype)
+                                           scheme, p, q, r, A.dtype, B.dtype,
+                                           threads=2)
     out = np.empty((p, r), dtype=dtype)
     for _ in range(2):
         dispatch.execute_plan(plan, A, B, pool=_pool(2), out=out,
@@ -341,7 +346,8 @@ def test_compilefail_falls_back_inside_the_arena(
     warned = [rec for rec in caplog.records if "unavailable" in rec.message]
     assert len(warned) == 1 and "strassen" in warned[0].getMessage()
     # the arena was laid out for the kernels that failed to load: the
-    # fallback reserved the adders' layout in it instead of mis-fitting it
+    # fallback reserved the interpreter's layout in it instead of
+    # mis-fitting it
     assert ws.nbytes == parallel_footprint(
         get_algorithm("strassen"), steps, scheme, 96, 96, 96, fused=False)
     assert ws.high_water > 0 and ws.overflow_allocations == 0
@@ -546,3 +552,87 @@ class TestCostPricesWhatRuns:
         assert seen[True][1] < seen[False][1]
         info = tuner_space._ranked_plans.cache_info()
         assert (info.misses, info.hits) == (2, 1)
+
+
+# =========================================================================
+# 6. the arena: BFS levels only where the parallelism needs them
+# =========================================================================
+def test_two_level_hybrid_arena_is_the_top_level_plus_step_regions():
+    """The top level's slabs, the one child left over from three waves,
+    expanded, and two step regions: 136 + 34 + 2 x 22 MiB.  The whole
+    level-synchronous tree held 374."""
+    plan = Plan(algorithm="strassen", steps=2, scheme="hybrid", threads=2)
+    assert dispatch.plan_footprint(plan, 2048, 2048, 2048, "float64",
+                                   "float64") <= 215 * 2**20
+
+
+@needs_cc
+@pytest.mark.chaos
+def test_worker_death_in_the_child_wave_is_survived(monkeypatch, tmp_path,
+                                                    telemetry):
+    """A worker dies while the children run as tasks: the guard serves the
+    exact product, and the next warm call spills nothing."""
+    from repro.parallel import schedules
+    from repro.tuner import PlanCache, matmul
+
+    n = 192
+    plan = Plan(algorithm="strassen", steps=2, scheme="hybrid", threads=2)
+    cache = PlanCache(tmp_path / "plans.json")
+    cache.put(n, n, n, "float64", 2, plan, seconds=0.01, gflops=1.0)
+    rng = np.random.default_rng(17)
+    A, B = rng.standard_normal((n, n)), rng.standard_normal((n, n))
+    label = schedules._label_tasks
+
+    def die_in_the_wave(pool, text):
+        if text.endswith("bfs_batch") and not faults.fired("worker.die"):
+            faults.arm("worker.die:1")
+        label(pool, text)
+
+    monkeypatch.setattr(schedules, "_label_tasks", die_in_the_wave)
+    try:
+        C = matmul(A, B, threads=2, cache=cache, guard=True)
+    finally:
+        faults.clear()
+    assert faults.fired("worker.die") == 1
+    assert np.array_equal(C, np.matmul(A, B))
+    faults.reset_fired()
+    monkeypatch.setattr(schedules, "_label_tasks", label)
+    out = np.empty((n, n))
+    for _ in range(2):
+        matmul(A, B, threads=2, cache=cache, out=out)
+        rec = obs.dispatch_records()[-1]
+        assert rec["plan"] == plan.describe() and rec["source"] == "cache"
+        assert rec["arena_overflows"] == 0 < rec["arena_high_water"]
+    assert np.linalg.norm(out - A @ B) <= error_bound(
+        get_algorithm("strassen"), 2, n, "float64") * np.linalg.norm(out)
+
+
+# =========================================================================
+# 7. what the step cannot address runs the interpreter, the paper's DFS
+# =========================================================================
+@pytest.mark.parametrize("scheme", ("bfs", "hybrid"))
+@pytest.mark.parametrize("case", ("mixed", "int64", "strided-B",
+                                  "compilefail"))
+def test_a_tree_plan_the_step_cannot_serve_runs_the_interpreter(
+        scheme, case, fresh_cache_state, telemetry):
+    p, q, r = 101, 75, 99
+    plan = Plan(algorithm="strassen", steps=2, scheme=scheme, threads=2)
+    rng = np.random.default_rng(19)
+    A = rng.uniform(-1, 1, (p, q))
+    B = rng.uniform(-1, 1, (q, r))
+    if case == "mixed":
+        A = A.astype(np.float32)
+    elif case == "int64":
+        A, B = (A * 8).astype(np.int64), (B * 8).astype(np.int64)
+    elif case == "strided-B":
+        B = np.repeat(B, 2, axis=1)[:, ::2]
+    failing = case == "compilefail" and cbackend.available()
+    with faults.inject(*["cbackend.compilefail"] * failing):
+        C = dispatch.execute_plan(plan, A, B, pool=_pool(2))
+    ref = np.matmul(A, B)
+    # the interpreter forms a float32 operand's chains at its precision
+    low = "float32" if case == "mixed" else "float64"
+    assert np.linalg.norm(C - ref) <= error_bound(
+        get_algorithm("strassen"), 2, q, low) * np.linalg.norm(ref)
+    assert _chains_ran(scheme, 2) == {"numpy"}
+    faults.reset_fired()

@@ -160,6 +160,21 @@ def test_check_product_flags_nonfinite():
     assert reason is not None and "non-finite" in reason
 
 
+@pytest.mark.parametrize("bad", (np.inf, -np.inf, np.nan))
+@pytest.mark.parametrize("dtype", (np.float64, np.float32, np.complex128))
+def test_check_product_scans_every_sampled_row(bad, dtype):
+    """The first, the last and the rows between are sampled, for every
+    inexact dtype; huge finite values are not mistaken for overflow."""
+    plan = Plan(threads=1)
+    C = np.full((24, 9), np.finfo(dtype).max / 2, dtype=dtype)
+    assert check_product(plan, None, None, C, GUARD_DEFAULT) is None
+    for row in (0, 7, 23):
+        D = C.copy()
+        D[row, 8] = bad
+        reason = check_product(plan, None, None, D, GUARD_DEFAULT)
+        assert reason is not None and "non-finite" in reason, row
+
+
 def test_check_product_apa_residual():
     A, B = _operands(24)
     plan = Plan(algorithm="bini322", steps=1, threads=1)

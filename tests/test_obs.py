@@ -201,6 +201,44 @@ class TestDispatchRing:
         assert [r["i"] for r in obs.dispatch_records()] == [6, 7]
 
 
+class TestDeferredReports:
+    """A hot path queues its samples; every read folds them in first."""
+
+    @staticmethod
+    def _build(i):
+        return ({"i": i}, {"calls": 1, ("by", (("k", str(i % 2)),)): 1},
+                {"last": float(i)})
+
+    def test_every_reader_sees_what_was_queued(self):
+        obs.enable(ring_size=8)
+        for i in range(5):
+            telemetry.defer(self._build, i)
+            with obs.span("s", kind="x"):
+                pass
+        assert obs.counter_value("calls") == 5
+        assert obs.counter_value("by", k="0") == 3
+        assert obs.gauge_value("last") == 4.0
+        assert obs.span_stats("s", kind="x")["count"] == 5
+        assert [r["i"] for r in obs.dispatch_records()] == list(range(5))
+
+    def test_disabled_queues_nothing_and_reset_drops_the_queue(self):
+        telemetry.defer(self._build, 0)
+        assert obs.counter_value("calls") == 0
+        obs.enable()
+        telemetry.defer(self._build, 1)
+        obs.reset()
+        assert obs.is_empty()
+
+    def test_a_long_unread_run_folds_itself(self):
+        obs.enable(ring_size=4)
+        for i in range(3 * telemetry._PENDING_MAX):
+            telemetry.defer(self._build, i)
+        assert len(telemetry._pending) < telemetry._PENDING_MAX
+        assert obs.counter_value("calls") == 3 * telemetry._PENDING_MAX
+        assert [r["i"] for r in obs.dispatch_records()] == list(
+            range(3 * telemetry._PENDING_MAX - 4, 3 * telemetry._PENDING_MAX))
+
+
 class TestDispatchIntegration:
     def test_cached_dispatch_records_everything(self, tmp_path):
         plan = Plan(algorithm="strassen", steps=1, scheme="dfs", threads=1)

@@ -29,10 +29,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.algorithms import get_algorithm
 from repro.core.recursion import multiply as interpreter_multiply
-from repro.core.workspace import Workspace, bfs_footprint
+from repro.core.workspace import Workspace
 from repro.parallel import blas
 from repro.parallel.pool import WorkerPool
-from repro.parallel.schedules import SCHEMES, multiply_parallel
+from repro.parallel.schedules import (SCHEMES, multiply_parallel,
+                                      parallel_footprint)
 from repro.tuner import Plan, PlanCache
 from repro.tuner import matmul as tuner_matmul
 from repro.tuner import reset_workspaces
@@ -75,12 +76,13 @@ def parallel_configs(draw):
     return scheme, threads, subgroup
 
 
-def _workspace(alg, scheme, steps, p, q, r, dtype_a, dtype_b):
+def _workspace(alg, scheme, steps, p, q, r, dtype_a, dtype_b, threads):
     if scheme == "dfs":
         return Workspace.for_recursion([alg.base_case] * steps, p, q, r,
                                        dtype_a, dtype_b,
                                        algorithms=[alg] * steps)
-    return Workspace(bfs_footprint(alg, steps, p, q, r, dtype_a, dtype_b))
+    return Workspace(parallel_footprint(alg, steps, scheme, p, q, r,
+                                        dtype_a, dtype_b, threads=threads))
 
 
 # =========================================================================
@@ -115,7 +117,7 @@ def test_parallel_bit_for_bit_vs_interpreter(name, config, dtype, steps,
     pool = _pool(threads)
     alloc = multiply_parallel(A, B, alg, steps=steps, scheme=scheme,
                               pool=pool, threads=threads, subgroup=subgroup)
-    ws = _workspace(alg, scheme, steps, p, q, r, A.dtype, B.dtype)
+    ws = _workspace(alg, scheme, steps, p, q, r, A.dtype, B.dtype, threads)
     out = np.empty((p, r), dtype=np.result_type(A, B))
     got = multiply_parallel(A, B, alg, steps=steps, scheme=scheme,
                             pool=pool, threads=threads, subgroup=subgroup,

@@ -29,20 +29,20 @@ from repro.core.stability import error_bound
 from repro.core.workspace import (
     ALIGNMENT,
     Workspace,
-    bfs_footprint,
     cbackend_footprint,
     dfs_footprint,
     track_allocations,
 )
 from repro.parallel.pool import WorkerPool
-from repro.parallel.schedules import SCHEMES, multiply_parallel
+from repro.parallel.schedules import (SCHEMES, multiply_parallel,
+                                      parallel_footprint)
 from repro.tuner.dispatch import build_workspace, execute_plan, plan_footprint
 from repro.tuner.space import Plan
 from repro.util.matrices import STRIP_SCRATCH_BYTES, random_matrix
 
 NAME = "s334"  # <3,3,4>: remainder 1 != remainder base-1 in every dimension
 ALG = get_algorithm(NAME)
-STEPS = 1  # rank 30: a second step costs the pool-adder DFS seconds per case
+STEPS = 1  # rank 30: a second step costs seconds per case
 SCHEDULE = [ALG, ALG]  # ... so two-level peeling rides on the interpreter
 
 #: (p, q, r): residues mod (3, 3, 4) in the comments
@@ -68,11 +68,9 @@ def drivers(alg, steps):
     levels = [alg.base_case] * steps
 
     def parallel(scheme):
-        if scheme == "dfs":
-            nbytes = _dfs_bytes(levels, [alg] * steps)
-        else:
-            def nbytes(p, q, r, dt):
-                return bfs_footprint(alg, steps, p, q, r, dt, dt)
+        def nbytes(p, q, r, dt):
+            return parallel_footprint(alg, steps, scheme, p, q, r, dt, dt,
+                                      threads=2)
         return (lambda A, B, ws, pool, out=None: multiply_parallel(
             A, B, alg, steps=steps, scheme=scheme, pool=pool, threads=2,
             out=out, workspace=ws)), nbytes

@@ -1,13 +1,16 @@
 """Tests for the DFS / BFS / HYBRID parallel schemes (Section 4)."""
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms import get_algorithm, strassen
-from repro.parallel import SCHEMES, WorkerPool, multiply_parallel
-from repro.parallel.schedules import _Node, _bfs_leaves, _expand_tree
+from repro.codegen import cbackend
+from repro.parallel import SCHEMES, WorkerPool, blas, multiply_parallel
+from repro.parallel.trace import TracedPool
 from repro.util.matrices import random_matrix
 
 
@@ -94,25 +97,72 @@ class TestValidation:
                               pool=pool, threads=2, subgroup=1)
 
 
+needs_step = pytest.mark.skipif(
+    not (cbackend.available() and blas.matmul_kernels("double")),
+    reason="no working C compiler or no vendor cblas")
+
+
+@needs_step
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("steps", [1, 2])
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+# 96 splits evenly twice; 95 x 83 x 101 peels every dimension at both
+# levels; 3 x 3 x 3 splits once and its 1 x 1 blocks cannot split again
+@pytest.mark.parametrize("shape", [(96, 96, 96), (95, 83, 101), (3, 3, 3)])
+def test_every_schedule_returns_the_sequential_steps_bits(
+        pool, scheme, steps, dtype, shape):
+    p, q, r = shape
+    A = random_matrix(p, q, 8, dtype=dtype)
+    B = random_matrix(q, r, 9, dtype=dtype)
+    with blas.blas_threads(1):
+        ref = cbackend.compile_chains("strassen", dtype=dtype).multiply(
+            A, B, steps=steps)
+    C = multiply_parallel(A, B, strassen(), steps=steps, scheme=scheme,
+                          pool=pool, threads=2)
+    assert C.dtype == ref.dtype and np.array_equal(C, ref)
+
+
+@needs_step
+@pytest.mark.skipif(not blas.is_controllable(),
+                    reason="the vendor BLAS thread count is not observable")
+@pytest.mark.parametrize("threads", [
+    2, 3, pytest.param(4, marks=pytest.mark.multicore)])
+@pytest.mark.parametrize("steps", [1, 2])
+def test_remainder_leaves_are_r_to_the_l_mod_p(monkeypatch, threads, steps):
+    """Section 4.3 at leaf granularity: children that fill whole waves of
+    P tasks run as tasks, the rest are expanded again, and exactly
+    ``R^L mod P`` leaves are left for the P-thread remainder of HYBRID;
+    BFS runs those as tasks too.  Every leaf is computed exactly once."""
+    R, caller = strassen().rank, threading.current_thread().name
+    ran = []
+    step = cbackend.CompiledChains.step
+
+    def record(self, kernels, S, T, left, M, region):
+        ran.append((threading.current_thread().name, blas.get_threads(),
+                    left))
+        return step(self, kernels, S, T, left, M, region)
+
+    monkeypatch.setattr(cbackend.CompiledChains, "step", record)
+    A = random_matrix(64, 64, 10)
+    for scheme, batch in (("hybrid", "bfs_batch"), ("bfs", "leaf")):
+        ran.clear()
+        with TracedPool(threads) as traced:
+            C = multiply_parallel(A, A, strassen(), steps=steps,
+                                  scheme=scheme, pool=traced,
+                                  threads=threads)
+        np.testing.assert_allclose(C, A @ A, atol=1e-10)
+        assert sum(R ** left for *_, left in ran) == R ** steps
+        wide = [left for name, nt, left in ran if nt == threads]
+        assert all(name == caller for name, nt, _ in ran if nt == threads)
+        assert len(wide) == (R ** steps % threads if scheme == "hybrid"
+                             else 0), scheme
+        assert wide == [0] * len(wide)          # leaves, not subtrees
+        tasks = [ev for ev in traced.trace.events
+                 if ev.label == f"{scheme}.{batch}"]
+        assert len(tasks) == len(ran) - len(wide)
+
+
 class TestTreeMechanics:
-    def test_leaf_count_strassen_two_levels(self, pool):
-        A = random_matrix(64, 64, 0)
-        root = _Node(A, A, 0, strassen())
-        tree = _expand_tree(root, 2, pool)
-        assert len(tree) == 3
-        assert len(tree[1]) == 7
-        assert len(tree[2]) == 49
-        assert len(_bfs_leaves(tree)) == 49
-
-    def test_small_nodes_stay_leaves(self, pool):
-        """A node too small to split must be multiplied directly."""
-        A = random_matrix(3, 3, 1)
-        root = _Node(A, A, 0, strassen())
-        tree = _expand_tree(root, 2, pool)
-        # 3x3 splits once (blocks >= 1) but 1x1 blocks cannot split again
-        leaves = _bfs_leaves(tree)
-        assert all(nd.result is None for nd in leaves)
-
     def test_children_released_after_combine(self, pool):
         A = random_matrix(16, 16, 2)
         C = multiply_parallel(A, A, strassen(), steps=1, scheme="bfs", pool=pool)

@@ -34,8 +34,6 @@ from repro.core.stability import error_bound
 from repro.core.workspace import (
     ALIGNMENT,
     Workspace,
-    bfs_footprint,
-    bfs_level_shapes,
     check_out,
     dfs_footprint,
     dfs_level_shapes,
@@ -45,7 +43,7 @@ from repro.core.workspace import (
 )
 from repro.guard import faults
 from repro.parallel.pool import WorkerPool
-from repro.parallel.schedules import multiply_parallel
+from repro.parallel.schedules import multiply_parallel, parallel_footprint
 from repro.tuner import Plan, PlanCache, dispatch
 from repro.tuner import matmul as tuner_matmul
 from repro.tuner import reset_workspaces
@@ -179,11 +177,6 @@ class TestFootprints:
             (5, 5, 5)
         ]
 
-    def test_bfs_level_shapes_counts(self):
-        alg = get_algorithm("strassen")
-        levels = bfs_level_shapes(alg.base_case, alg.rank, 2, 64, 64, 64)
-        assert levels == [(7, (32, 32, 32)), (49, (16, 16, 16))]
-
     @pytest.mark.parametrize("name,steps,shape", [
         ("strassen", 2, (96, 96, 96)),
         ("strassen", 2, (97, 99, 101)),
@@ -208,18 +201,20 @@ class TestFootprints:
         ("s234", 1, (48, 54, 40)),
         ("s333", 2, (54, 54, 54)),
     ])
-    def test_bfs_footprint_covers_tree(self, name, steps, shape, pool):
+    def test_parallel_footprint_covers_tree(self, name, steps, shape, pool):
         alg = get_algorithm(name)
         p, q, r = shape
         A = random_matrix(p, q, 2)
         B = random_matrix(q, r, 3)
-        ws = Workspace(bfs_footprint(alg, steps, p, q, r, A.dtype, B.dtype))
+        nbytes = parallel_footprint(alg, steps, "bfs", p, q, r, A.dtype,
+                                    B.dtype, threads=2)
+        ws = Workspace(nbytes)
         out = np.empty((p, r))
         for scheme in ("bfs", "hybrid"):
             multiply_parallel(A, B, alg, steps=steps, scheme=scheme,
                               pool=pool, threads=2, out=out, workspace=ws)
             assert ws.overflow_allocations == 0, scheme
-        assert ws.high_water <= ws.nbytes
+            assert ws.nbytes == nbytes and ws.high_water <= nbytes
 
     def test_footprints_are_modest(self):
         # DFS stays near the Section 4.1 bound: ~3 block-triples per level,
@@ -228,8 +223,11 @@ class TestFootprints:
         n = 1024
         fp = dfs_footprint([alg.base_case] * 2, n, n, n)
         assert fp < 2 * n * n * 8
-        # BFS pays the R/(MN) per-level factor and must exceed DFS
-        assert bfs_footprint(alg, 2, n, n, n) > fp
+        # a level the tree forms itself holds all R products, where DFS
+        # holds one: BFS must exceed DFS
+        assert parallel_footprint(alg, 2, "bfs", n, n, n, fused=True,
+                                  threads=2) > parallel_footprint(
+            alg, 2, "dfs", n, n, n, fused=True, threads=2)
 
     def test_schedule_with_skipped_level_fits(self):
         # first level too big to split at these dims: multiply_schedule
@@ -425,11 +423,8 @@ def test_parallel_arena_bit_for_bit(name, dtype, scheme, n, seed):
     with WorkerPool(2) as pool:
         ref = multiply_parallel(A, B, alg, steps=1, scheme=scheme,
                                 pool=pool, threads=2)
-        if scheme == "dfs":
-            ws = Workspace.for_recursion([alg.base_case], n, n, n,
-                                         A.dtype, B.dtype)
-        else:
-            ws = Workspace(bfs_footprint(alg, 1, n, n, n, A.dtype, B.dtype))
+        ws = Workspace(parallel_footprint(alg, 1, scheme, n, n, n, A.dtype,
+                                          B.dtype, threads=2))
         out = np.empty((n, n), dtype=np.result_type(A, B))
         got = multiply_parallel(A, B, alg, steps=1, scheme=scheme,
                                 pool=pool, threads=2, out=out, workspace=ws)

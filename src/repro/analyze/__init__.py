@@ -6,8 +6,9 @@ Five passes, each importable and driven by ``repro analyze``:
   module's ``_core`` and proves the recovered bilinear form equals the
   catalog ``[U,V,W]`` scheme, coefficient by coefficient, without
   executing a multiply;
-- :mod:`repro.analyze.cemit` -- the same proof for the C chain emitter:
-  parses the ``form_S``/``form_T``/``form_C`` translation units back into
+- :mod:`repro.analyze.cemit` -- the same proof for the C backend: reads
+  each algorithm's descriptor -- the chain programs, coefficients,
+  operands and product homes the one C library runs it from -- back into
   coefficient tables and compares the recovered tensor against the
   scheme, with no compiler in the loop;
 - :mod:`repro.analyze.arena` -- checks the ``mark``/``release`` balance

@@ -91,7 +91,7 @@ REGISTRY: tuple[SharedState, ...] = (
     SharedState("codegen/cbackend.py", "_CACHE_STATE", "_lib_lock",
                 "resolved on-disk cache dir + warn-once flag"),
     SharedState("codegen/cbackend.py", "_CHAINS", "_lib_lock",
-                "compiled kernels by emitted algorithm"),
+                "descriptors on their library by algorithm"),
     SharedState("parallel/blas.py", "_kernels", "_lock",
                 "the vendor's cblas entry points per element type, bound "
                 "once by the probe; read lock-free"),

@@ -120,7 +120,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    choices=["pairwise", "write_once", "streaming"])
     p.add_argument("--cse", action="store_true")
     p.add_argument("--c", dest="c_source", action="store_true",
-                   help="emit the native C chains instead of Python")
+                   help="print the descriptor the C library runs the "
+                        "algorithm from instead of Python")
 
     p = sub.add_parser("search", help="ALS search for a new algorithm "
                                       "(see repro.search.driver)")
@@ -134,8 +135,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="run every analyzer (default when none is selected)")
     for name, text in (
             ("symbolic", "prove every generated kernel computes its scheme"),
-            ("cemit", "prove the emitted C chain kernels compute their "
-                      "scheme (no compiler needed)"),
+            ("cemit", "prove every descriptor the C library runs "
+                      "computes its scheme (no compiler needed)"),
             ("arena", "mark/release balance of the source tree"),
             ("concurrency", "unlocked shared-state mutation, hot-path "
                             "allocation"),
@@ -549,7 +550,9 @@ def cmd_codegen(args, out=sys.stdout) -> int:
     if args.c_source:
         from repro.codegen import cbackend
 
-        print(cbackend.generate_c_source(alg, cse=args.cse), file=out)
+        print(f"{alg.name}, cse={args.cse}: the descriptor the C library"
+              f" runs it from", file=out)
+        print(cbackend.descriptor(alg, cse=args.cse).render(), file=out)
     else:
         from repro.codegen import generate_source
 

@@ -1,33 +1,35 @@
-"""Native (C) backend for the addition chains — the paper's actual codegen.
+"""Native (C) backend for the addition chains -- the paper's actual codegen.
 
 The paper's generator emits C++ so that each ``S_r``/``T_r``/``C_ij``
 linear combination becomes one fused loop: every operand is read once and
 the destination written once per pass, with no interpreter or temporary-
 array overhead.  The Python strategies in :mod:`repro.codegen.strategies`
 approximate that with NumPy ufuncs (one in-place pass *per operand pair*
-for ``write_once``).  This module closes the gap: it emits real C for one
-algorithm -- its chains and the whole sequential product around them --
-compiles it with the system C compiler, and drives it through ``ctypes``:
-a sequential product is one call, which forms the chains in genuine
-single-pass kernels, calls the vendor gemm for every product, recurses
-and peels, all in C (the paper's generated code calls dgemm from inside
-its step the same way).
+for ``write_once``).  This module closes the gap with one fixed C source,
+``fmm.c`` (:data:`LIBRARY`), compiled once per element type -- ``double``
+and ``float`` -- which runs any algorithm from its :class:`Descriptor`:
+flat int and ``real`` arrays built once per (algorithm, cse, element type)
+from :func:`_prepare`'s chains and layouts and read by C in place, the
+way Huang et al.'s routines take their operands and coefficients as
+arguments.  A sequential product is one ``ctypes`` call, which forms the
+chains, calls the vendor gemm for every product, recurses and peels, all
+in C (the paper's generated code calls dgemm from inside its step the
+same way).
 
-Generated interface per algorithm and element type ``real`` -- ``double``
-or ``float``, one translation unit each, printed from the same chain
-text (the paper's code is generated per scalar type too)::
+The library's interface, over ``real`` and a descriptor ``f``::
 
-    void form_S(const real *A, long lda, long bp, long bq, real *S,
-                long i0, long i1);
-    void form_T(const real *B, long ldb, long bp, long bq, real *T,
-                long i0, long i1);
-    void form_C(const real **M, long bp, long bq,
+    void form_S(const fmm_t *f, const real *A, long lda, long bp, long bq,
+                real *S, long i0, long i1);
+    void form_T(const fmm_t *f, const real *B, long ldb, long bp, long bq,
+                real *T, long i0, long i1);
+    void form_C(const fmm_t *f, const real **M, long bp, long bq,
                 real *C, long ldc, real *Y,
                 const real *A12, long lda, const real *B21, long ldb,
                 long dq, long i0, long i1);
-    int fmm_step(const blas_t *x, long steps, const real *A, long lda,
-                 const real *B, long ldb, real *C, long ldc,
-                 long p, long q, long r, char *w, char *end);
+    int fmm_step(const fmm_t *f, const blas_t *x, long steps,
+                 const real *A, long lda, const real *B, long ldb,
+                 real *C, long ldc, long p, long q, long r,
+                 char *w, char *end);
 
 ``form_S``/``form_T`` read the m·k (k·n) sub-blocks of the parent operand
 in place (row stride ``lda``, in elements) and write CSE definitions plus
@@ -35,20 +37,26 @@ all non-alias chains into a contiguous slab; alias chains (single-nonzero
 columns after scalar piping) are never formed -- their products read the
 parent's block in place, the paper's "no temporary is formed" rule.
 ``form_C`` assembles the output blocks from an array of product-row
-pointers in one fused pass per block; ``Y`` is caller-provided scratch
-for C-side CSE definitions.  Where dynamic peeling (Section
-3.5) stripped ``dq`` columns off the inner dimension, ``form_C`` also adds
-their contribution -- ``C[i, :] += A12[i, t] * B21[t, :]``, ``t = 0 ..
-dq-1`` -- to each block row right after storing it, while the row is in
-L1: the strip gets no pass over ``C`` of its own and no buffer
-(``dq = 0``: nothing peeled, the pointers may be NULL).  Every kernel
-works on the rows ``[i0, i1)`` of its blocks and touches no other row (the
-``cemit`` analyzer proves it from the emitted text), so one sweep can be
-cut into ranges that run concurrently: the step passes the whole range,
-the BFS and HYBRID schedules (:mod:`repro.parallel.schedules`) fan the
-ranges of the levels they form themselves out over their worker pool and
-run every child product below them as one ``fmm_step`` call -- whenever
+pointers; ``Y`` is caller-provided scratch for C-side CSE definitions.
+Where dynamic peeling (Section 3.5) stripped ``dq`` columns off the inner
+dimension, ``form_C`` also adds their contribution -- ``C[i, :] += A12[i,
+t] * B21[t, :]``, ``t = 0 .. dq-1`` -- to each block row right after
+storing it, while the row is in L1: the strip gets no pass over ``C`` of
+its own and no buffer (``dq = 0``: nothing peeled, the pointers may be
+NULL).  Every kernel works on the rows ``[i0, i1)`` of its blocks and
+touches no other row, so one sweep can be cut into ranges that run
+concurrently: the step passes the whole range, the BFS and HYBRID
+schedules (:mod:`repro.parallel.schedules`) fan the ranges of the levels
+they form themselves out over their worker pool and run every child
+product below them as one ``fmm_step`` call -- whenever
 :func:`chains_fused` says the operands allow it.
+
+Each chain runs over a row in passes of at most ten terms, in its own
+term order, the first pass storing the target and each later one adding
+to it; with ``-ffp-contract=off`` (a fused multiply-add would round once
+where NumPy rounds twice) every entry rounds as the chain written out in
+one expression rounds it, so the step agrees with the NumPy executors
+bit for bit.
 
 ``fmm_step`` is the sequential product, ``steps`` levels deep: it splits
 where :func:`repro.core.recursion.should_split` does (else it is one
@@ -60,21 +68,18 @@ call to itself, runs ``form_C`` with the inner strip, and adds the right
 and bottom peel strips.  ``x`` holds the vendor's cblas ``gemm``, ``gemv``
 and ``dot`` (:func:`repro.parallel.blas.matmul_kernels`, passed as
 function pointers: no link-time dependency); every product is issued as
-``np.matmul`` would issue it, so the step agrees with the NumPy
-executors bit for bit.  It returns -1, having written nothing past
+``np.matmul`` would issue it.  It returns -1, having written nothing past
 ``end``, when the region is too small.  Where the probe finds no cblas,
 the sequential product runs the Python driver instead, with the same
 bits.
 
-**Every emitted ``j`` loop is marked dependence-free** (``NODEP``: ``#pragma
-GCC ivdep``, clang's ``vectorize(assume_safety)``, nothing elsewhere).
-With more than ten pointer pairs in a loop gcc stops versioning it for
-aliasing and runs it scalar -- the dense catalog entries' ``form_C`` (26
-terms a chain for ``s424``) three times slower than the memory system
-allows.  The hint asserts what holds by construction, in two halves.  The
-kernel's: a loop's store target and each of its sources are different
-rows of the slab, of ``Y`` or of the output grid, or live in different
-arguments -- proven per unit by :mod:`repro.analyze.cemit`.  The
+**Every pass loop is marked dependence-free** (``NODEP``: ``#pragma GCC
+ivdep``, clang's ``vectorize(assume_safety)``, nothing elsewhere).  With
+more than ten pointer pairs in a loop gcc stops versioning it for
+aliasing and runs it scalar.  The hint asserts what holds by
+construction, in two halves.  The descriptor's: no chain's target is one
+of its own sources (an adding pass reads its target at the same ``j`` it
+writes) -- proven per descriptor by :mod:`repro.analyze.cemit`.  The
 caller's, **the no-overlap contract of these kernels**: buffers passed as
 different arguments do not overlap -- the slabs, products and ``Y`` are
 distinct arena takes (or fresh arrays), never the operands; ``C`` is the
@@ -82,11 +87,10 @@ caller's ``out`` (checked against ``A`` and ``B`` by
 :func:`repro.core.workspace.check_out`), a fresh array, or a buffer of the
 level above that none of this level's operands occupies
 (:func:`product_homes` frees a chain's row only once its rank is done);
-``A12``/``B21`` are views of the operands.  ``-ffp-contract=off`` keeps
-the strip's multiply and add separately rounded, as NumPy rounds them,
-whatever the compiler's default.
+``A12``/``B21`` are views of the operands.
 
-Shared objects are cached on disk under ``$REPRO_CACHE_DIR/cbackend``
+The library is compiled lazily, at the first :func:`compile_chains` of an
+element type, and cached on disk under ``$REPRO_CACHE_DIR/cbackend``
 (default ``~/.cache/repro/cbackend``), keyed by (source, compiler, flags,
 machine fingerprint) so a ``.so`` built with a different ``REPRO_CC``, a
 different flag set, or on another machine (``-march=native``!) is never
@@ -107,7 +111,7 @@ warns instead of raising -- and falls back to the interpreter, so a
 compile failure never fails a multiply.
 
 A call computes at its product's precision: float32 in the ``float``
-kernels, everything else in the ``double`` ones, returning
+library, everything else in the ``double`` one, returning
 ``np.result_type(A, B)`` (rounded once on exit).  Result dtypes double
 cannot represent by kind -- complex, extended-precision floats -- are
 rejected with ``ValueError``.  :meth:`CompiledChains.multiply` accepts
@@ -119,11 +123,11 @@ nothing from the heap (peeling needs no buffer at all).
 from __future__ import annotations
 
 import ctypes
+import dataclasses
 import functools
 import hashlib
 import logging
 import os
-import re
 import subprocess
 import tempfile
 import threading
@@ -165,7 +169,7 @@ _log = logging.getLogger(__name__)
 
 #: loaded shared objects keyed by :func:`_source_key`; guarded by
 #: ``_lib_lock`` (registered in the concurrency shared-state registry) --
-#: concurrent first-compiles of one algorithm must converge on one handle
+#: concurrent first-compiles of one library must converge on one handle
 _lib_lock = threading.Lock()
 _LIB_CACHE: dict[str, ctypes.CDLL] = {}
 
@@ -195,7 +199,7 @@ def available() -> bool:
 
 
 # ======================================================================
-# chain preparation (shared by the emitter and the ctypes driver)
+# chain preparation (shared by the descriptor and the Python driver)
 # ======================================================================
 def _prepare(algorithm: FastAlgorithm, cse: bool):
     """Extract chains, apply CSE, and fix the slab layouts.
@@ -204,7 +208,7 @@ def _prepare(algorithm: FastAlgorithm, cse: bool):
     ``defs`` and — for s/t — ``layout``: per rank column either
     ``("alias", block_index)`` or ``("slot", slab_row)``; definitions
     occupy the leading slab rows in their creation order, which is also
-    emission order (``eliminate`` only creates a definition before its
+    program order (``eliminate`` only creates a definition before its
     first use, so dependencies always point backwards).
 
     Kept on the algorithm (:meth:`FastAlgorithm.memo`): the arena
@@ -243,288 +247,172 @@ def _extract(algorithm: FastAlgorithm, cse: bool):
 
 
 # ======================================================================
-# C source emission
+# the descriptor: an algorithm as the library reads it
 # ======================================================================
-#: the element types the printer instantiates: C name -> NumPy dtype
+#: the element types the library is compiled for: C name -> NumPy dtype
 REALS = {"double": np.dtype(np.float64), "float": np.dtype(np.float32)}
 
+#: the one C source every algorithm runs on (module docstring)
+LIBRARY = Path(__file__).with_name("fmm.c")
 
-def _coeff_term(coeff: float, expr: str, real: str) -> str:
-    if coeff == 1.0:
-        return f"+ {expr}"
-    if coeff == -1.0:
-        return f"- {expr}"
-    # a float unit's literals are floats: a bare 0.5 would widen the chain
-    return f"+ {coeff!r}{'f' if real == 'float' else ''} * {expr}"
+#: what a descriptor's indices name, per side: a block or product
+#: (``i >= 0``), a scratch row (``~i``), and -- C only -- an output block
+_NAMES = (("A", "S"), ("B", "T"), ("M", "Y"))
 
 
-def _rhs(terms, real: str) -> str:
-    parts = [_coeff_term(t.coeff, f"p{t.source}[j]", real) for t in terms]
-    joined = " ".join(parts)
-    return joined[2:] if joined.startswith("+ ") else joined
+@dataclasses.dataclass(frozen=True)
+class Descriptor:
+    """One algorithm, CSE setting and element type as ``fmm.c``'s
+    ``fmm_t`` holds it: flat arrays the library reads in place.
+
+    ``programs`` are the S, T and C sides' chains, definitions first:
+    ``[chains, (target, terms, *sources) per chain]``, an index ``i >= 0``
+    naming an A (B) block, a product or a C block, ``~i`` row ``i`` of the
+    S (T) slab or of ``Y``.  ``coefficients`` hold one entry per term in
+    program order, in the element type.  ``operands`` are each rank's S
+    and T operand (``~row`` of the slab, or an alias chain's block),
+    ``homes`` :func:`product_homes` per shape variant ``v = (bn <= bq) + 2
+    (bp <= bq)``, ``(slab, row)`` with slab 0 S, 1 T, 2 own rows."""
+
+    base_case: tuple[int, int, int]
+    rank: int
+    rows: np.ndarray
+    programs: tuple[np.ndarray, np.ndarray, np.ndarray]
+    coefficients: tuple[np.ndarray, np.ndarray, np.ndarray]
+    operands: np.ndarray
+    homes: np.ndarray
+
+    def chains(self, side: int):
+        """``(target, [(coeff, source), ...])`` per chain of a side."""
+        prog, coef = self.programs[side], self.coefficients[side]
+        pos, term = 1, 0
+        for _ in range(int(prog[0])):
+            target, n = int(prog[pos]), int(prog[pos + 1])
+            yield target, [(float(coef[term + u]), int(prog[pos + 2 + u]))
+                           for u in range(n)]
+            pos, term = pos + 2 + n, term + n
+
+    def render(self) -> str:
+        """One line per chain, ``target <- terms``, then each rank's
+        operands and the homes of each shape variant."""
+        def name(side, i, target=False):
+            block, row = _NAMES[side]
+            if i < 0:
+                return f"{row}[{~i}]"
+            return f"C{i}" if side == 2 and target else f"{block}{i}"
+
+        m, k, n = self.base_case
+        s_rows, t_rows, y_rows = self.rows
+        lines = [f"<{m},{k},{n}> rank {self.rank}: S rows {s_rows}, T rows"
+                 f" {t_rows}, Y rows {y_rows}"]
+        for side in range(3):
+            lines += [f"{name(side, tgt, True)} <- " + " ".join(
+                f"{c:+g} {name(side, src)}" for c, src in terms)
+                for tgt, terms in self.chains(side)]
+        lines += [f"M{r} = {name(0, a)} @ {name(1, b)}"
+                  for r, (a, b) in enumerate(self.operands)]
+        slabs = ("S", "T", "P")
+        lines += [f"homes v{v}: " + " ".join(
+            f"{slabs[slab]}[{row}]" for slab, row in homes)
+            for v, homes in enumerate(self.homes)]
+        return "\n".join(lines)
 
 
-def _referenced_sources(chains: list[Chain]) -> list[str]:
-    seen: list[str] = []
-    for ch in chains:
-        for t in ch.terms:
-            if t.source not in seen:
-                seen.append(t.source)
-    return seen
+def _program(defs: list[Chain], chains: list[Chain], rows: dict[str, int],
+             dtype) -> tuple[np.ndarray, np.ndarray]:
+    """A side's chains, ``defs`` first, as (program, coefficients); a
+    name in ``rows`` is that scratch row, any other its block index."""
+    def code(name):
+        return ~rows[name] if name in rows else int(name[1:])
+
+    prog, coef = [len(defs) + len(chains)], []
+    for ch in (*defs, *chains):
+        prog += [code(ch.target), len(ch.terms),
+                 *(code(t.source) for t in ch.terms)]
+        coef += [t.coeff for t in ch.terms]
+    return np.array(prog, np.int32), np.array(coef, dtype)
 
 
-#: the vectoriser hint every emitted ``j`` loop carries (module docstring):
-#: no iteration reads what another writes.  An unknown compiler gets an
-#: empty macro and compiles the loops as it always did.
-_NODEP_MACRO = [
-    "#if defined(__clang__)",
-    '#define NODEP _Pragma("clang loop vectorize(assume_safety)")',
-    "#elif defined(__GNUC__)",
-    '#define NODEP _Pragma("GCC ivdep")',
-    "#else",
-    "#define NODEP",
-    "#endif",
-]
-
-
-def _store_loop(ch: Chain, real: str) -> list[str]:
-    """One fused pass: the chain's target row from its source rows."""
-    return ["    NODEP",
-            "    for (long j = 0; j < bq; ++j)",
-            f"      p{ch.target}[j] = {_rhs(ch.terms, real)};"]
-
-
-def _emit_side(fn: str, side: dict, blocks_cols: int, prefix: str,
-               real: str) -> list[str]:
-    """Emit ``form_S``/``form_T``: one fused j-loop per definition/chain."""
-    defs, chains, layout = side["defs"], side["chains"], side["layout"]
-    body = list(defs) + [
-        ch for ch, lay in zip(chains, layout) if lay[0] == "slot"
-    ]
-    slot_of = {ch.target: lay[1]
-               for ch, lay in zip(chains, layout) if lay[0] == "slot"}
-    for i, d in enumerate(defs):
-        slot_of[d.target] = i
-
-    lines = [
-        f"void {fn}(const {real} *X, long ldx, long bp, long bq, {real} *S,"
-        " long i0, long i1)",
-        "{",
-        "  const size_t blk = (size_t)bp * (size_t)bq;",
-        "  for (long i = i0; i < i1; ++i) {",
-    ]
-    for s in _referenced_sources(body):
-        if s.startswith(prefix):
-            b = int(s[len(prefix):])
-            br, bc = divmod(b, blocks_cols)
-            lines.append(
-                f"    const {real} *p{s} = X + ((size_t)({br}*bp + i))*ldx"
-                f" + (size_t)({bc})*bq;"
-            )
-        # Y sources resolve to slab pointers declared below
-    for ch in body:
-        lines.append(
-            f"    {real} *p{ch.target} = S + {slot_of[ch.target]}*blk"
-            f" + (size_t)i*bq;"
-        )
-    for ch in body:
-        lines += _store_loop(ch, real)
-    lines += ["  }", "}"]
-    return lines
-
-
-def _emit_output(side: dict, m: int, n: int, real: str) -> list[str]:
-    """Emit ``form_C``; products come in as row-pointer array ``M``.  Each
-    row of each block takes the peeled inner-dimension strip right after
-    it is stored: ``dq`` rank-one terms, in order, no pass of their own."""
-    defs, chains = side["defs"], side["chains"]
-    lines = [
-        f"void form_C(const {real} **M, long bp, long bq,"
-        f" {real} *C, long ldc, {real} *Y,"
-        f" const {real} *A12, long lda, const {real} *B21, long ldb, long dq,"
-        " long i0, long i1)",
-        "{",
-        "  (void)Y;" if not defs else "",
-        "  for (long i = i0; i < i1; ++i) {",
-    ]
-    for s in _referenced_sources(list(defs) + list(chains)):
-        if s.startswith("M"):
-            lines.append(
-                f"    const {real} *p{s} = M[{int(s[1:])}] + (size_t)i*bq;"
-            )
-    for d_i, d in enumerate(defs):
-        lines.append(f"    {real} *p{d.target} = Y + {d_i}*bq;")
-    blocks = [divmod(int(ch.target[1:]), n) for ch in chains]
-    for ch, (bi, bj) in zip(chains, blocks):
-        lines.append(
-            f"    {real} *p{ch.target} = C + ((size_t)({bi}*bp + i))*ldc"
-            f" + (size_t)({bj})*bq;"
-        )
-    for d in defs:
-        lines += _store_loop(d, real)
-    for ch, (bi, bj) in zip(chains, blocks):
-        lines += _store_loop(ch, real)
-        lines += [
-            "    for (long t = 0; t < dq; ++t) {",
-            f"      const {real} a = A12[((size_t)({bi}*bp + i))*lda + t];",
-            f"      const {real} *b = B21 + (size_t)t*ldb + (size_t)({bj})*bq;",
-            "      NODEP",
-            "      for (long j = 0; j < bq; ++j)",
-            f"        p{ch.target}[j] += a * b[j];",
-            "    }",
-        ]
-    lines += ["  }", "}"]
-    return [ln for ln in lines if ln != ""]
-
-
-#: the sequential product, fixed text over ``real`` around the ``@``-lines
-#: :func:`_emit_step` fills in (module docstring).  ``mm`` issues one
-#: product as ``np.matmul`` does; ``carve`` takes a level's rows as the
-#: arena's ``take`` would.  No line is ``"  }"``, which closes a row loop.
-#: The step's own code runs a few statements a level: unoptimised, it adds
-#: almost nothing to a unit's compile time (``-O2`` would add 40 %).
-_STEP_FRAME = """\
-typedef struct {
-    void (*gemm)(int, int, int, long, long, long, real, const real *, long, const real *, long, real, real *, long);
-    void (*gemv)(int, int, long, long, real, const real *, long, const real *, long, real, real *, long);
-    real (*dot)(long, const real *, long, const real *, long);
-} blas_t;
-
-#pragma GCC optimize("O0")
-
-static void mm(const blas_t *x, long M, long N, long K, const real *A, long lda, const real *B, long ldb, real *C, long ldc)
-{
-    if (M == 0 || N == 0)
-        return;
-    if (M == 1 && N == 1)
-        C[0] = (real)(0.0 + x->dot(K, A, 1, B, ldb));
-    else if (K <= 1)
-        for (long i = 0; i < M; ++i)
-            for (long j = 0; j < N; ++j)
-                C[i * ldc + j] = K ? (real)0 + A[i * lda] * B[j] : (real)0;
-    else if (M == 1)
-        x->gemv(101, 112, K, N, 1, B, ldb, A, 1, 0, C, 1);
-    else if (N == 1)
-        x->gemv(102, 112, K, M, 1, A, lda, B, ldb, 0, C, ldc);
-    else
-        x->gemm(101, 111, 111, M, N, K, 1, A, lda, B, ldb, 0, C, ldc);
-}
-
-static real *carve(char **w, char *end, size_t n)
-{
-    char *p = n ? (char *)(((size_t)*w + 63) & ~(size_t)63) : *w;
-    if (p > end || (size_t)(end - p) < n * sizeof(real))
-        return NULL;
-    *w = p + n * sizeof(real);
-    return (real *)p;
-}
-
-@PARAMS
-static const short HOME[4][RANK][2] = {
-@HOMES
-};
-
-int fmm_step(const blas_t *x, long steps, const real *A, long lda, const real *B, long ldb, real *C, long ldc, long p, long q, long r, char *w, char *end)
-{
-    if (steps <= 0 || p / BM < 2 || q / BK < 2 || r / BN < 2) {
-        mm(x, p, r, q, A, lda, B, ldb, C, ldc);
-        return 0;
-    }
-    const long bp = p / BM, bq = q / BK, bn = r / BN;
-    const size_t sblk = (size_t)bp * bq, tblk = (size_t)bq * bn, pblk = (size_t)bp * bn;
-    const int v = (bn <= bq) + 2 * (bp <= bq);
-    long own = 0;
-    for (int i = 0; i < RANK; ++i)
-        own += HOME[v][i][0] == 2;
-    real *S = carve(&w, end, S_ROWS * sblk), *T = carve(&w, end, T_ROWS * tblk);
-    real *P = carve(&w, end, own * pblk), *Y = carve(&w, end, Y_ROWS * (size_t)bn);
-    if (!S || !T || !P || !Y)
-        return -1;
-    real *const slab[3] = {S, T, P};
-    const size_t blk[3] = {sblk, tblk, pblk};
-    real *H[RANK];
-    for (int i = 0; i < RANK; ++i)
-        H[i] = slab[HOME[v][i][0]] + HOME[v][i][1] * blk[HOME[v][i][0]];
-    form_S(A, lda, bp, bq, S, 0, bp);
-    form_T(B, ldb, bq, bn, T, 0, bq);
-@RANKS
-    form_C((const real **)H, bp, bn, C, ldc, Y, A + BK * bq, lda, B + (size_t)(BK * bq) * ldb, ldb, q - BK * bq, 0, bp);
-    if (BN * bn < r)
-        mm(x, BM * bp, r - BN * bn, q, A, lda, B + BN * bn, ldb, C + BN * bn, ldc);
-    if (BM * bp < p)
-        mm(x, p - BM * bp, r, q, A + (size_t)(BM * bp) * lda, lda, B, ldb, C + (size_t)(BM * bp) * ldc, ldc);
-    return 0;
-}
-"""
-
-
-def step_frame(real: str) -> list[str]:
-    """:data:`_STEP_FRAME`'s lines over C type ``real``."""
-    return re.sub(r"\breal\b", real, _STEP_FRAME).splitlines()
-
-
-def _operand(layout, X: str, rows: str, cols: str, ld: str, blocks_cols: int,
-             slab: str) -> str:
-    """A rank's S (T) operand and its row stride: its slab row, or the
-    block of ``X`` an alias chain stands for."""
-    kind, idx = layout
-    if kind == "slot":
-        return f"{slab} + {idx} * {slab.lower()}blk, {cols}"
-    bi, bj = divmod(idx, blocks_cols)
-    return f"{X} + (size_t)({bi} * {rows}) * {ld} + {bj} * {cols}, {ld}"
-
-
-def _emit_step(s: dict, t: dict, c: dict, algorithm: FastAlgorithm,
-               real: str) -> list[str]:
-    """The frame with this algorithm's constants, its :func:`product_homes`
-    per shape variant ``v`` = ``bn <= bq`` + 2 ``bp <= bq`` as ``{slab,
-    row}`` (S, T, own rows: 0, 1, 2) and one product call per rank."""
-    m, k, n = algorithm.base_case
-    code = {"s": 0, "t": 1, "m": 2}
-    homes = ["    {%s}," % ", ".join(
-        f"{{{code[kind]}, {row}}}" for kind, row in product_homes(
-            s["layout"], t["layout"], 1 if v & 2 else 3, 2,
-            1 if v & 1 else 3)[0]) for v in range(4)]
-    ranks = [f"    if (fmm_step(x, steps - 1,"
-             f" {_operand(s['layout'][rr], 'A', 'bp', 'bq', 'lda', k, 'S')},"
-             f" {_operand(t['layout'][rr], 'B', 'bq', 'bn', 'ldb', n, 'T')},"
-             f" H[{rr}], bn, bp, bq, bn, w, end)) return -1;"
-             for rr in range(algorithm.rank)]
-    params = [f"enum {{ BM = {m}, BK = {k}, BN = {n}, RANK = {algorithm.rank},"
-              f" S_ROWS = {max(s['slots'], 1)}, T_ROWS = {max(t['slots'], 1)},"
-              f" Y_ROWS = {len(c['defs'])} }};"]
-    parts = {"@PARAMS": params, "@HOMES": homes, "@RANKS": ranks}
-    return [ln for line in step_frame(real) for ln in parts.get(line, [line])]
-
-
-def generate_c_source(algorithm: FastAlgorithm, cse: bool = False,
-                      real: str = "double") -> str:
-    """Return the complete C translation unit for ``algorithm``'s chains
-    over elements of C type ``real`` (a key of :data:`REALS`)."""
+def descriptor(algorithm: FastAlgorithm, cse: bool = False,
+               real: str = "double") -> Descriptor:
+    """``algorithm``'s :class:`Descriptor` over C type ``real`` (a key of
+    :data:`REALS`), from :func:`_prepare`'s chains and layouts."""
     if real not in REALS:
         raise ValueError(f"real must be one of {tuple(REALS)}, got {real!r}")
     s, t, c = _prepare(algorithm, cse)
-    m, k, n = algorithm.base_case
-    lines = [
-        "/* Auto-generated by repro.codegen.cbackend; do not edit.",
-        f" * algorithm {algorithm.name} <{m},{k},{n}> rank {algorithm.rank},"
-        f" cse={cse}, real={real}",
-        f" * slab rows: S={s['slots']} T={t['slots']}"
-        f" (defs first: {len(s['defs'])}/{len(t['defs'])}),"
-        f" C scratch rows: {len(c['defs'])}",
-        " */",
-        "#include <stddef.h>",
-        *_NODEP_MACRO,
-        "",
-    ]
-    lines += _emit_side("form_S", s, k, "A", real)
-    lines.append("")
-    lines += _emit_side("form_T", t, n, "B", real)
-    lines.append("")
-    lines += _emit_output(c, m, n, real)
-    lines.append("")
-    lines += _emit_step(s, t, c, algorithm, real)
-    return "\n".join(lines)
+    programs, coefficients = [], []
+    for side in (s, t):
+        rows = {d.target: i for i, d in enumerate(side["defs"])}
+        slots = []
+        for ch, (kind, row) in zip(side["chains"], side["layout"]):
+            if kind == "slot":
+                rows[ch.target] = row
+                slots.append(ch)
+        prog, coef = _program(side["defs"], slots, rows, REALS[real])
+        programs.append(prog)
+        coefficients.append(coef)
+    prog, coef = _program(c["defs"], c["chains"],
+                          {d.target: i for i, d in enumerate(c["defs"])},
+                          REALS[real])
+    code = {"s": 0, "t": 1, "m": 2}
+    homes = [[(code[kind], row) for kind, row in product_homes(
+        s["layout"], t["layout"], 1 if v & 2 else 3, 2, 1 if v & 1 else 3)[0]]
+        for v in range(4)]
+    return Descriptor(
+        base_case=algorithm.base_case, rank=algorithm.rank,
+        rows=np.array([max(s["slots"], 1), max(t["slots"], 1),
+                       len(c["defs"])], np.int32),
+        programs=(*programs, prog), coefficients=(*coefficients, coef),
+        operands=np.array([[~row if kind == "slot" else row
+                            for kind, row in lays]
+                           for lays in zip(s["layout"], t["layout"])],
+                          np.int32).reshape(-1, 2),
+        homes=np.array(homes, np.int32).reshape(4, -1, 2))
+
+
+class _Fmm(ctypes.Structure):
+    """``fmm_t``: a :class:`Descriptor`'s arrays by address."""
+
+    _fields_ = [("bm", ctypes.c_int), ("bk", ctypes.c_int),
+                ("bn", ctypes.c_int), ("rank", ctypes.c_int),
+                ("rows", ctypes.c_int * 3), ("prog", ctypes.c_void_p * 3),
+                ("coef", ctypes.c_void_p * 3), ("operand", ctypes.c_void_p),
+                ("home", ctypes.c_void_p)]
+
+    @classmethod
+    def of(cls, d: Descriptor) -> "_Fmm":
+        def addresses(arrays):
+            return (ctypes.c_void_p * 3)(*(a.ctypes.data for a in arrays))
+
+        return cls(*d.base_case, d.rank, (ctypes.c_int * 3)(*d.rows),
+                   addresses(d.programs), addresses(d.coefficients),
+                   d.operands.ctypes.data, d.homes.ctypes.data)
+
+
+@functools.lru_cache(maxsize=None)
+def library_source(real: str) -> str:
+    """:data:`LIBRARY` over C type ``real``."""
+    return f"typedef {real} real;\n{LIBRARY.read_text()}"
+
+
+def _declare(lib: ctypes.CDLL) -> None:
+    """The library's signatures, set before its handle is shared."""
+    ptr, lng = ctypes.c_void_p, ctypes.c_long
+    for fn in (lib.form_S, lib.form_T):
+        fn.restype = None
+        fn.argtypes = [ptr, ptr, lng, lng, lng, ptr, lng, lng]
+    lib.form_C.restype = None
+    lib.form_C.argtypes = [ptr, ctypes.POINTER(ptr), lng, lng, ptr, lng, ptr,
+                           ptr, lng, ptr, lng, lng, lng, lng]
+    lib.fmm_step.restype = ctypes.c_int
+    lib.fmm_step.argtypes = [ptr, ptr, lng, ptr, lng, ptr, lng, ptr, lng,
+                             lng, lng, lng, ptr, ptr]
+
+
+def _library(real: str) -> ctypes.CDLL:
+    """The library over ``real``, compiled at its first use (or found in
+    the on-disk cache) and loaded once per process."""
+    return _compile_source(library_source(real), declare=_declare)
 
 
 # ======================================================================
@@ -619,7 +507,8 @@ def _build_so(src: str, key: str, cache_dir: Path) -> Path:
     return so
 
 
-def _compile_source(src: str, fire_faults: bool = True) -> ctypes.CDLL:
+def _compile_source(src: str, fire_faults: bool = True,
+                    declare=None) -> ctypes.CDLL:
     key = _source_key(src)
     with _lib_lock:
         lib = _LIB_CACHE.get(key)
@@ -641,6 +530,8 @@ def _compile_source(src: str, fire_faults: bool = True) -> ctypes.CDLL:
             _build_so(src, key, cache_dir)
     with telemetry.span("cbackend.load"):
         lib = ctypes.CDLL(str(so))
+    if declare is not None:
+        declare(lib)
     with _lib_lock:
         # a concurrent compile of the same key may have won: converge on
         # one handle so `_compile_source(src) is _compile_source(src)`
@@ -760,12 +651,12 @@ def product_homes(s_layout, t_layout, bp: int, bq: int,
 
 
 class CompiledChains:
-    """Compiled chain kernels and step for one algorithm and element type
-    ``real``.
+    """The library over element type ``real`` with one algorithm's
+    :class:`Descriptor`.
 
     :meth:`multiply` is :func:`repro.core.recursion.multiply` -- dynamic
-    peeling, leaf dgemm -- in one call of the emitted ``fmm_step``, every
-    S/T/C linear combination formed by the fused single-pass C kernels.
+    peeling, leaf dgemm -- in one call of the library's ``fmm_step``,
+    every S/T/C linear combination formed by its fused C passes.
     Each kernel works on a row range
     ``[i0, i1)`` of its blocks and touches nothing outside those rows, so
     ranges may run concurrently (ctypes releases the GIL) and re-running
@@ -783,20 +674,12 @@ class CompiledChains:
                  real: str = "double"):
         self.algorithm = algorithm
         self.cse = cse
-        self.source = generate_c_source(algorithm, cse=cse, real=real)
+        self.descriptor = descriptor(algorithm, cse, real)
         self.real, self.dtype = real, REALS[real]
         self._s, self._t, self._c = _prepare(algorithm, cse)
-        self.lib = _compile_source(self.source)
-        ptr, lng = ctypes.c_void_p, ctypes.c_long
-        for fn in (self.lib.form_S, self.lib.form_T):
-            fn.restype = None
-            fn.argtypes = [ptr, lng, lng, lng, ptr, lng, lng]
-        self.lib.form_C.restype = None
-        self.lib.form_C.argtypes = [ctypes.POINTER(ptr), lng, lng, ptr, lng,
-                                    ptr, ptr, lng, ptr, lng, lng, lng, lng]
-        self.lib.fmm_step.restype = ctypes.c_int
-        self.lib.fmm_step.argtypes = [ptr, lng, ptr, lng, ptr, lng, ptr, lng,
-                                      lng, lng, lng, ptr, ptr]
+        self._fmm = _Fmm.of(self.descriptor)
+        self._f = ctypes.addressof(self._fmm)
+        self.lib = _library(real)
         #: arena bytes of the step's carve, per (shape, steps)
         self._carve_bytes = functools.lru_cache(maxsize=256)(
             functools.partial(cbackend_carve_bytes, algorithm, cse,
@@ -817,11 +700,11 @@ class CompiledChains:
     def form_S(self, A, bp: int, bq: int, slab, i0: int, i1: int) -> None:
         """Rows ``[i0, i1)`` of every S chain over the ``bp x bq`` blocks
         of ``A`` (:func:`kernel_ready`) into ``slab``."""
-        self.lib.form_S(A.ctypes.data, self._ld(A), bp, bq,
+        self.lib.form_S(self._f, A.ctypes.data, self._ld(A), bp, bq,
                         slab.ctypes.data, i0, i1)
 
     def form_T(self, B, bq: int, bn: int, slab, i0: int, i1: int) -> None:
-        self.lib.form_T(B.ctypes.data, self._ld(B), bq, bn,
+        self.lib.form_T(self._f, B.ctypes.data, self._ld(B), bq, bn,
                         slab.ctypes.data, i0, i1)
 
     @staticmethod
@@ -849,7 +732,7 @@ class CompiledChains:
             A12, B21 = strip
             strip_args = (A12.ctypes.data, self._ld(A12),
                           B21.ctypes.data, self._ld(B21), A12.shape[1])
-        self.lib.form_C(Mrows, bp, bn, C.ctypes.data, self._ld(C),
+        self.lib.form_C(self._f, Mrows, bp, bn, C.ctypes.data, self._ld(C),
                         None if Y is None else Y.ctypes.data, *strip_args,
                         i0, i1)
 
@@ -976,7 +859,7 @@ class CompiledChains:
 
     def step(self, kernels, A, B, steps: int, C: np.ndarray, region) -> None:
         """Write ``A @ B`` into ``C`` with ``steps`` levels in one call of
-        the emitted ``fmm_step`` (all three addressable in place by it),
+        the library's ``fmm_step`` (all three addressable in place by it),
         which carves every level from the bytes of ``region`` and
         issues its products through ``kernels``
         (:func:`repro.parallel.blas.matmul_kernels`) on as many threads as
@@ -984,7 +867,8 @@ class CompiledChains:
         p, q = A.shape
         r = B.shape[1]
         w = None if region is None else region.ctypes.data
-        if self.lib.fmm_step(kernels, steps, A.ctypes.data, self._ld(A),
+        if self.lib.fmm_step(self._f, kernels, steps, A.ctypes.data,
+                             self._ld(A),
                              B.ctypes.data, self._ld(B), C.ctypes.data,
                              self._ld(C), p, q, r, w,
                              None if w is None else w + region.nbytes):
@@ -1042,17 +926,17 @@ class CompiledChains:
             ws.release(mark)
 
 
-#: compiled kernels by what was emitted for them -- an algorithm's name,
-#: base case and coefficients, the cse flag and the element type -- so the
-#: catalog entries,
-#: and any transformed or ad hoc algorithm handed to the schedules, are a
-#: dictionary hit after their first use (``FastAlgorithm`` itself is
-#: unhashable: its factors are arrays).  Guarded by ``_lib_lock``.
+#: descriptors on their library by what they were built from -- an
+#: algorithm's name, base case and coefficients, the cse flag and the
+#: element type -- so the catalog entries, and any transformed or ad hoc
+#: algorithm handed to the schedules, are a dictionary hit after their
+#: first use (``FastAlgorithm`` itself is unhashable: its factors are
+#: arrays).  Guarded by ``_lib_lock``.
 _CHAINS: dict[tuple, CompiledChains] = {}
 _CHAINS_MAX = 64
 
 
-def _emitted_key(alg: FastAlgorithm) -> tuple:
+def _scheme_key(alg: FastAlgorithm) -> tuple:
     return (alg.name, alg.base_case, alg.U.tobytes(), alg.V.tobytes(),
             alg.W.tobytes())
 
@@ -1060,8 +944,9 @@ def _emitted_key(alg: FastAlgorithm) -> tuple:
 def compile_chains(
     algorithm: str | FastAlgorithm, cse: bool = False, dtype="float64"
 ) -> CompiledChains:
-    """Compile (or fetch from cache) the C chain kernels for an algorithm,
-    over elements of ``dtype`` (float32 or float64)."""
+    """An algorithm's descriptor on the library over elements of
+    ``dtype`` (float32 or float64), which is compiled (or found in the
+    on-disk cache) at the first call of its element type."""
     real = _real_name(dtype)
     if real is None:
         raise ValueError(f"no chain kernels for {np.dtype(dtype)}")
@@ -1074,7 +959,7 @@ def compile_chains(
         from repro.algorithms import get_algorithm
 
         algorithm = get_algorithm(algorithm)
-    key = (algorithm.memo("_emitted_key", _emitted_key), cse, real)
+    key = (algorithm.memo("_scheme_key", _scheme_key), cse, real)
     cc = _CHAINS.get(key)
     if cc is None:
         built = CompiledChains(algorithm, cse, real)    # may run the compiler

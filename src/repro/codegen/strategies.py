@@ -40,18 +40,16 @@ EMISSION_CONTRACT = {
     "streaming": (
         "runtime.streaming_combine", "runtime.streaming_output",
     ),
-    # Not a Python lowering strategy: the statement forms the C chain
-    # emitter (``repro.codegen.cbackend``) may produce inside its fused
-    # form_S/form_T/form_C kernels and its one-call step (``fmm_step``).
-    # The C-side verifier (``repro.analyze.cemit``) parses exactly these
-    # shapes back into coefficient tables, operands and product homes, so
-    # emitter drift fails the same way Python-side drift does.
+    # Not a Python lowering strategy: the fields of the descriptor
+    # (``repro.codegen.cbackend.Descriptor``) through which the one C
+    # library runs every algorithm's form_S/form_T/form_C and its one-call
+    # step (``fmm_step``).  The C-side verifier (``repro.analyze.cemit``)
+    # reads exactly these arrays, as the library reads them, back into
+    # coefficient tables, operands and product homes, and fails when the
+    # descriptor's fields drift from this list.
     "cbackend": (
-        "block_ptr", "slab_ptr", "product_ptr", "scratch_ptr",
-        "output_ptr", "fused_store", "nodep_hint",
-        "strip_loop", "strip_coeff", "strip_row", "strip_update",
-        "step_frame", "gemm_call", "operand_select", "product_home",
-        "recursion", "peel_strip",
+        "base_case", "rank", "rows", "programs", "coefficients",
+        "operands", "homes",
     ),
 }
 

@@ -181,7 +181,7 @@ def plan_cost(
       read and a write of the core, the compiled kernels nothing: the strip
       rides in ``form_C``) over the streaming-add bandwidth (Section 3.2:
       additions are bandwidth-bound, gemms compute-bound).
-      The emitted C forms a chain in one fused loop (write-once counts);
+      The C library forms a chain in fused passes (write-once counts);
       the NumPy executors make one pass *per term* (pairwise counts);
     - a **fixed cost per product** of every fast call, and **per pool
       task** of the parallel schemes -- the tasks the schedule submits.

@@ -480,7 +480,7 @@ def level_elements(algorithm, cse: bool, blk: tuple[int, int, int],
     Slot counts come from the backend's own
     :func:`repro.codegen.cbackend._prepare` (imported lazily --
     ``repro.codegen`` depends on this module, not vice versa), so arena
-    sizing cannot drift from the slab layout the emitted C actually uses.
+    sizing cannot drift from the slab layout the C library is handed.
     """
     from repro.codegen.cbackend import _prepare
 
@@ -504,7 +504,7 @@ def _cbackend_levels(algorithm, cse: bool, p: int, q: int, r: int,
 
 def cbackend_carve_bytes(algorithm, cse: bool, dtype, p: int, q: int,
                          r: int, steps: int) -> int:
-    """Arena bytes the emitted ``fmm_step`` carves for a ``p x q x r``
+    """Arena bytes the library's ``fmm_step`` carves for a ``p x q x r``
     product over ``dtype`` elements, from one cache-line aligned region:
     :func:`cbackend_footprint`'s levels without its per-take slack."""
     size = np.dtype(dtype).itemsize

@@ -1,8 +1,8 @@
 """Shared-memory parallel fast matrix multiplication (paper Section 4).
 
 Three schemes, each an entry point of the one compiled step
-(:meth:`repro.codegen.cbackend.CompiledChains.step`, the emitted
-``fmm_step``):
+(:meth:`repro.codegen.cbackend.CompiledChains.step`, the C library's
+``fmm_step`` over the algorithm's descriptor):
 
 - **DFS** (Section 4.1): the sequential step, with every gemm it issues
   on all P BLAS threads; it forms its chains in the calling thread.  Needs

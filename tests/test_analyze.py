@@ -90,8 +90,8 @@ def test_catalog_golden():
 
 
 def test_cemit_golden_catalog():
-    # the C emitter sweep needs no compiler: emission is pure string
-    # generation, so this proof holds on toolchain-free hosts too
+    # the descriptor sweep needs no compiler: a descriptor is NumPy
+    # arrays, so this proof holds on toolchain-free hosts too
     checked, findings = cemit.verify_catalog()
     assert checked >= 20
     assert findings == []
@@ -152,184 +152,143 @@ def test_mutation_unlocked_mutation_is_detected():
     assert findings[0].where == "fake.mod:7"
 
 
+def _mutant(desc, **arrays):
+    """``desc`` with the named arrays edited: each value is a function of
+    a writable copy of that field (a tuple of three copies for the
+    per-side fields)."""
+    fields = {}
+    for name, edit in arrays.items():
+        value = getattr(desc, name)
+        copy = (tuple(a.copy() for a in value) if isinstance(value, tuple)
+                else value.copy())
+        edit(copy)
+        fields[name] = copy
+    return dataclasses.replace(desc, **fields)
+
+
+def _cemit_codes(desc, alg, cse=False, real="double"):
+    return {f.code for f in cemit.verify_descriptor(desc, alg, cse, real,
+                                                    where="mut")}
+
+
 def test_mutation_cemit_corruptions_are_detected():
-    from repro.codegen.cbackend import generate_c_source
+    """A flipped coefficient, swapped operands, a target that is also a
+    source and a home still being read each have their finding, as do a
+    program that runs on and coefficients of the wrong element type."""
+    from repro.codegen.cbackend import descriptor
 
     alg = get_algorithm("strassen")
-    src = generate_c_source(alg, False)
-    # flipped sign in a fused store -> wrong bilinear tensor
-    sign = src.replace("pA0[j] + pA3[j]", "pA0[j] - pA3[j]", 1)
-    assert sign != src
-    assert has_code(cemit.verify_source(sign, alg, False, where="mut"),
-                    "CEMIT-TENSOR")
-    # a statement outside the emission contract fails loud, never skips
-    alien = src.replace("#include <stddef.h>",
-                        "#include <stddef.h>\nint rogue = 1;")
-    assert has_code(cemit.verify_source(alien, alg, False, where="mut"),
-                    "CEMIT-PARSE")
-    # a kernel that strays outside its row range [i0, i1): a loop over
-    # every row, an off-by-one bound, a signature without the range
-    for good, bad in (
-            ("for (long i = i0; i < i1; ++i) {",
-             "for (long i = 0; i < bp; ++i) {"),
-            ("for (long i = i0; i < i1; ++i) {",
-             "for (long i = i0; i <= i1; ++i) {"),
-            ("double *S, long i0, long i1)", "double *S)"),
-            ("for (long j = 0; j < bq; ++j)",
-             "for (long j = 0; j <= bq; ++j)")):
-        strayed = src.replace(good, bad, 1)
-        assert strayed != src
-        assert has_code(cemit.verify_source(strayed, alg, False,
-                                            where="mut"),
-                        "CEMIT-PARSE" if "long j" in bad else "CEMIT-RANGE")
-    # provenance header drift
-    stale = src.replace("rank 7", "rank 8", 1)
-    assert stale != src
-    assert has_code(cemit.verify_source(stale, alg, False, where="mut"),
-                    "CEMIT-HEADER")
+    desc = descriptor(alg)
+    assert cemit.verify_descriptor(desc, alg, False) == []
+
+    def flip(coef):
+        coef[0][0] = -coef[0][0]
+
+    def swap(ops):
+        ops[[0, 5], 0] = ops[[5, 0], 0]
+
+    assert "CEMIT-TENSOR" in _cemit_codes(_mutant(desc, coefficients=flip),
+                                          alg)
+    assert "CEMIT-TENSOR" in _cemit_codes(_mutant(desc, operands=swap), alg)
+    # S[0] <- A0 + A3 becomes S[0] <- A0 + S[0]: the pass would read what
+    # it writes
+    assert desc.programs[0][1:5].tolist() == [~0, 2, 0, 3]
+    assert "CEMIT-ALIAS" in _cemit_codes(
+        _mutant(desc, programs=lambda p: p[0].__setitem__(4, ~0)), alg)
+    # shape variant 3: rank 1 (which reads S row 1) made its own home
+    assert desc.homes[3, 1].tolist() == [1, 0]
+    assert "CEMIT-GEMM" in _cemit_codes(
+        _mutant(desc, homes=lambda h: h.__setitem__((3, 1), [0, 1])), alg)
+    # one chain too many claimed, and float coefficients in a double one
+    assert "CEMIT-LAYOUT" in _cemit_codes(
+        _mutant(desc, programs=lambda p: p[2].__setitem__(0, 5)), alg)
+    flt = descriptor(alg, real="float")
+    assert "CEMIT-LAYOUT" in _cemit_codes(flt, alg)
+    assert _cemit_codes(flt, alg, real="float") == set()
 
 
 def test_cemit_proves_both_element_types():
-    """Every catalog x CSE unit is proven as printed over ``double`` and
-    over ``float``, and a unit is proven only as the type it claims."""
-    from repro.codegen.cbackend import REALS, generate_c_source
+    """Every catalog x CSE descriptor is proven over ``double`` and over
+    ``float`` (to the rounding of its coefficients): a coefficient flipped
+    in a float descriptor of an APA entry, where cancellation is worst,
+    still fails."""
+    from repro.codegen.cbackend import REALS, descriptor
 
     names = catalog_names()
     checked, findings = cemit.verify_catalog(names)
-    assert findings == [] and checked == 2 * len(REALS) * len(names)
-    alg = get_algorithm("strassen")
-    unit = generate_c_source(alg, False, "float")
-    assert cemit.verify_source(unit, alg, False, real="float") == []
-    assert has_code(cemit.verify_source(unit, alg, False, where="mut"),
-                    "CEMIT-PARSE")
+    assert findings == [] and checked == 1 + 2 * len(REALS) * len(names)
+    for name in ("bini322", "schonhage333", "s424"):
+        alg = get_algorithm(name)
+        flt = descriptor(alg, True, "float")
+        assert _cemit_codes(flt, alg, True, "float") == set()
+        for side in range(3):
+            def flip(coef, side=side):
+                coef[side][-1] = -coef[side][-1]
+            assert "CEMIT-TENSOR" in _cemit_codes(
+                _mutant(flt, coefficients=flip), alg, True, "float")
 
 
-def test_mutation_float_unit_with_a_stray_double_is_detected():
-    """A ``double`` in a ``float`` unit widens its chain: a pointer, a
-    strip scalar, a signature or a coefficient literal -- each fails."""
-    from repro.algorithms import list_algorithms
-    from repro.codegen.cbackend import generate_c_source
+def test_mutation_cemit_definition_reads_are_proven():
+    """With CSE a chain reads definitions from earlier rows: a chain
+    re-pointed at its own row aliases, one that reads a row no chain has
+    written yet reads garbage."""
+    from repro.codegen.cbackend import descriptor
 
-    alg = get_algorithm("s333")
-    src = generate_c_source(alg, True, "float")
-
-    def codes(mutant, algorithm=alg, cse=True):
-        assert mutant != src
-        return {f.code for f in cemit.verify_source(
-            mutant, algorithm, cse, where="mut", real="float")}
-
-    slab = re.search(r"    float \*pS\d+ = S \+", src).group(0)
-    for good, bad in (
-            (slab, slab.replace("float", "double")),
-            ("const float a = A12", "const double a = A12"),
-            ("const float *b = B21", "const double *b = B21"),
-            ("const float *X, long ldx", "const double *X, long ldx"),
-            ("float *C, long ldc", "double *C, long ldc")):
-        found = codes(src.replace(good, bad, 1))
-        assert found & {"CEMIT-PARSE", "CEMIT-RANGE"}, (bad, found)
-    # a double literal: find a unit that scales, and drop one ``f`` suffix
-    for name in list_algorithms(include_apa=True):
-        scaled = generate_c_source(get_algorithm(name), False, "float")
-        literal = re.search(r"\d(f) \* p", scaled)
-        if literal:
-            mutant = scaled[:literal.start(1)] + scaled[literal.end(1):]
-            assert "CEMIT-PARSE" in codes(mutant, get_algorithm(name), False)
-            break
-    else:  # pragma: no cover - the catalog always has one
-        pytest.fail("no catalog unit scales a term")
-
-
-def test_mutation_cemit_hint_and_strip_are_proven():
-    """The vectoriser takes ``NODEP`` on trust and nothing but this pass
-    reads the strip's addressing: a hinted loop whose target is one of its
-    source rows, a strip that reads another block's rows or columns, runs
-    outside the row loop, ahead of its store, twice or not at all -- each
-    has its finding."""
-    from repro.codegen.cbackend import generate_c_source
-
-    alg = get_algorithm("strassen")
-    src = generate_c_source(alg, False)
-
-    def codes(mutant, algorithm=alg, cse=False):
-        assert mutant != src
-        return {f.code for f in cemit.verify_source(mutant, algorithm, cse,
-                                                    where="mut")}
-
-    # the target row read back by name ...
-    assert "CEMIT-ALIAS" in codes(
-        src.replace("pS0[j] = pA0[j] + pA3[j]", "pS0[j] = pS0[j] + pA3[j]"))
-    # ... and through a second pointer to the same slab row: a chain that
-    # reads a CSE definition, re-pointed at the definition's row
     s333 = get_algorithm("s333")
-    unit = generate_c_source(s333, True)
-    chain, definition = re.search(
-        r"p(S\d+)\[j\] = [^;]*p(YA\d+)\[j\]", unit).groups()
-    row = re.search(rf"double \*p{definition} = S \+ (\d+)\*blk", unit).group(1)
-    alias = re.sub(rf"(double \*p{chain} = S \+ )\d+(\*blk)",
-                   rf"\g<1>{row}\g<2>", unit)
-    assert alias != unit
-    assert "CEMIT-ALIAS" in codes(alias, s333, True)
-    # the strip of block (0, 0) reading block row 1 of A12, column 1 of B21
-    assert "CEMIT-BLOCK" in codes(src.replace(
-        "A12[((size_t)(0*bp + i))*lda + t]",
-        "A12[((size_t)(1*bp + i))*lda + t]", 1))
-    assert "CEMIT-BLOCK" in codes(src.replace(
-        "B21 + (size_t)t*ldb + (size_t)(0)*bq",
-        "B21 + (size_t)t*ldb + (size_t)(1)*bq", 1))
-    # the strip of pC0, cut out and pasted elsewhere
-    lines = src.splitlines()
-    at = lines.index("    for (long t = 0; t < dq; ++t) {")
-    strip, rest = lines[at:at + 7], lines[:at] + lines[at + 7:]
-    assert strip[-1] == "    }" and "pC0[j] += a * b[j];" in strip[-2]
-    assert "CEMIT-CBLOCK" in codes("\n".join(rest))            # nowhere
-    end = len(rest) - 1 - rest[::-1].index("  }")
-    assert "CEMIT-RANGE" in codes(
-        "\n".join(rest[:end + 1] + strip + rest[end + 1:]))    # after the rows
-    assert "CEMIT-CBLOCK" in codes(
-        "\n".join(rest[:at - 3] + strip + rest[at - 3:]))      # before its store
-    assert "CEMIT-CBLOCK" in codes(
-        "\n".join(lines[:at] + strip + lines[at:]))            # twice
+    desc = descriptor(s333, True)
+    assert cemit.verify_descriptor(desc, s333, True) == []
+    prog = desc.programs[0]
+    # the first chain that reads a definition row: its target and where
+    pos = 1
+    for _ in range(int(prog[0])):
+        n = int(prog[pos + 1])
+        rows = [u for u in range(n) if prog[pos + 2 + u] < 0]
+        if rows:
+            break
+        pos += 2 + n
+    at = pos + 2 + rows[0]
+    assert "CEMIT-ALIAS" in _cemit_codes(_mutant(
+        desc, programs=lambda p: p[0].__setitem__(at, prog[pos])), s333, True)
+    last = ~(int(desc.rows[0]) - 1)
+    assert "CEMIT-LAYOUT" in _cemit_codes(_mutant(
+        desc, programs=lambda p: p[0].__setitem__(at, last)), s333, True)
 
 
 def test_mutation_cemit_step_products_are_proven():
     """``fmm_step``: a vendor call scaled by anything but alpha = 1,
-    beta = 0, a rank that reads another rank's operand or the wrong row
-    stride, a home a later rank still reads, two products in one home, a
-    dropped product, stale constants and a frame line gone missing --
-    each has its finding."""
-    from repro.codegen.cbackend import generate_c_source
+    beta = 0, a rank that reads a slab row nothing writes, a home a later
+    rank still reads, two products in one home, own rows out of order, a
+    product ``form_C`` never reads and stale row counts -- each has its
+    finding."""
+    from repro.codegen.cbackend import LIBRARY, descriptor
 
-    alg = get_algorithm("strassen")
-    src = generate_c_source(alg, False)
-
-    def codes(good, bad):
-        mutant = src.replace(good, bad, 1)
-        assert mutant != src
-        return {f.code for f in cemit.verify_source(mutant, alg, False,
-                                                    where="mut")}
-
-    assert cemit.verify_source(src, alg, False) == []
+    src = LIBRARY.read_text()
+    assert cemit.verify_library(src) == []
     gemm = "x->gemm(101, 111, 111, M, N, K, 1, A, lda, B, ldb, 0, C, ldc);"
+    assert gemm in src
     for bad in (gemm.replace("K, 1,", "K, 2,"),
                 gemm.replace("ldb, 0,", "ldb, 1,")):
-        assert "CEMIT-GEMM" in codes(gemm, bad)
-    assert "CEMIT-GEMM" in codes("steps - 1, S + 0 * sblk",
-                                 "steps - 1, S + 1 * sblk")
-    assert "CEMIT-GEMM" in codes("S + 1 * sblk, bq, B", "S + 1 * sblk, lda, B")
+        assert has_code(cemit.verify_library(src.replace(gemm, bad)),
+                        "CEMIT-GEMM")
+
+    alg = get_algorithm("strassen")
+    desc = descriptor(alg)
+    assert "CEMIT-GEMM" in _cemit_codes(_mutant(
+        desc, operands=lambda o: o.__setitem__((0, 0), ~7)), alg)
     # shape variant 3: rank 2 writes S row 1 (rank 1's, done) -- not row
-    # 3, rank 5's, nor T row 0, rank 1's home; own rows count from 0, and
-    # every rank has a home
-    homes = "    {{2, 0}, {1, 0}, {0, 1}, {1, 1}, {1, 2}, {0, 2}, {1, 3}},"
-    assert homes in src
-    for bad in (homes.replace("{0, 1}", "{0, 3}"),
-                homes.replace("{0, 1}", "{1, 0}"),
-                homes.replace("{2, 0}", "{2, 1}"),
-                homes.replace(", {1, 3}}", "}")):
-        assert "CEMIT-GEMM" in codes(homes, bad), bad
-    last = src.index("    if (fmm_step(x, steps - 1, S + 4")
-    assert "CEMIT-GEMM" in codes(src[last:].split("\n", 1)[0] + "\n", "")
-    assert "CEMIT-LAYOUT" in codes("S_ROWS = 5", "S_ROWS = 4")
-    assert "CEMIT-PARSE" in codes("    if (BN * bn < r)\n", "")
+    # 3, rank 5's, nor T row 0, rank 1's home; own rows count from 0
+    assert desc.homes[3].tolist() == [[2, 0], [1, 0], [0, 1], [1, 1],
+                                      [1, 2], [0, 2], [1, 3]]
+    for rank, home in ((2, [0, 3]), (2, [1, 0]), (0, [2, 1])):
+        assert "CEMIT-GEMM" in _cemit_codes(_mutant(
+            desc, homes=lambda h: h.__setitem__((3, rank), home)), alg), home
+    # C0 <- M0 + M3 - M4 + M6 reading M5 for M6: nothing reads M6
+    prog = desc.programs[2]
+    assert prog[1:7].tolist() == [0, 4, 0, 3, 4, 6]
+    assert "CEMIT-RANK" in _cemit_codes(_mutant(
+        desc, programs=lambda p: p[2].__setitem__(6, 5)), alg)
+    assert "CEMIT-LAYOUT" in _cemit_codes(_mutant(
+        desc, rows=lambda r: r.__setitem__(0, 4)), alg)
 
 
 def test_mutation_unlocked_lib_cache_is_detected():
@@ -393,7 +352,7 @@ def test_emission_contract_covers_all_strategies():
     # generated modules allocate; the arena-backed executor is the interpreter
     assert not any("ws." in form for s in STRATEGIES
                    for form in EMISSION_CONTRACT[s])
-    assert "fused_store" in EMISSION_CONTRACT["cbackend"]
+    assert "programs" in EMISSION_CONTRACT["cbackend"]
 
 
 def test_scheme_metadata_in_generated_modules():

@@ -27,72 +27,73 @@ def _rand(p, q):
     return RNG.standard_normal((p, q))
 
 
-# ----------------------------------------------------------- source level
-class TestSourceGeneration:
-    def test_source_compiles_and_exports(self):
+# --------------------------------------------------- library, descriptors
+class TestLibraryAndDescriptors:
+    def test_library_compiles_and_exports(self):
         cc = cbackend.compile_chains("strassen")
-        for fn in ("form_S", "form_T", "form_C"):
+        for fn in ("form_S", "form_T", "form_C", "fmm_step"):
             assert hasattr(cc.lib, fn)
 
-    def test_source_is_deterministic(self):
-        alg = get_algorithm("strassen")
-        assert (cbackend.generate_c_source(alg)
-                == cbackend.generate_c_source(alg))
+    def test_descriptor_is_deterministic(self):
+        alg = get_algorithm("s333")
+        a, b = (cbackend.descriptor(alg, True) for _ in range(2))
+        assert a.render() == b.render()
+        for x, y in zip(a.programs + a.coefficients, b.programs
+                        + b.coefficients):
+            assert np.array_equal(x, y)
 
-    def test_source_mentions_algorithm(self):
-        alg = get_algorithm("s424")
-        src = cbackend.generate_c_source(alg)
-        assert "<4,2,4>" in src and "rank 26" in src
+    def test_render_names_the_algorithm(self):
+        text = cbackend.descriptor(get_algorithm("s424")).render()
+        assert text.startswith("<4,2,4> rank 26")
+        assert "M25 = " in text and "homes v3: " in text
 
-    def test_one_printer_two_element_types(self):
-        """The float unit is the double unit with every element type and
-        coefficient literal narrowed: same chains, same hints, same
-        strip."""
+    def test_one_descriptor_two_element_types(self):
+        """The float descriptor is the double one with every coefficient
+        rounded as NumPy rounds it: same programs, operands and homes."""
         for name in ("s424", "hk223", "s333"):
             alg = get_algorithm(name)
             for cse in (False, True):
-                dbl = cbackend.generate_c_source(alg, cse)
-                flt = cbackend.generate_c_source(alg, cse, real="float")
-                assert "double" not in flt and "float" not in dbl
-                narrowed = re.sub(r"(\d)f \* ", r"\1 * ", flt)
-                assert narrowed.replace("float", "double") == dbl
+                dbl = cbackend.descriptor(alg, cse)
+                flt = cbackend.descriptor(alg, cse, "float")
+                for x, y in zip(dbl.programs, flt.programs):
+                    assert np.array_equal(x, y)
+                for x, y in zip(dbl.coefficients, flt.coefficients):
+                    assert (x.dtype, y.dtype) == (np.float64, np.float32)
+                    assert np.array_equal(x.astype(np.float32), y)
+                assert np.array_equal(dbl.operands, flt.operands)
+                assert np.array_equal(dbl.homes, flt.homes)
         with pytest.raises(ValueError, match="real"):
-            cbackend.generate_c_source(alg, real="half")
+            cbackend.descriptor(alg, real="half")
 
-    def test_kernels_are_cached_per_element_type(self):
+    def test_one_library_per_element_type(self):
         f64 = cbackend.compile_chains("strassen")
         f32 = cbackend.compile_chains("strassen", dtype="float32")
         assert f32 is not f64 and f32.lib is not f64.lib
         assert (f64.real, f32.real) == ("double", "float")
         assert cbackend.compile_chains("strassen", dtype=np.float32) is f32
+        assert cbackend.compile_chains("s424", True).lib is f64.lib
+        assert cbackend.compile_chains("s433", dtype="float32").lib is f32.lib
 
-    def test_unit_coefficients_have_no_multiply(self):
-        # Strassen is all +-1: the emitted chain arithmetic (the `[j] = ...`
-        # assignment lines) must be pure add/subtract, no scalar multiplies
-        src = cbackend.generate_c_source(get_algorithm("strassen"))
-        rhs_lines = [ln.split("=", 1)[1] for ln in src.splitlines()
-                     if "[j] =" in ln]
-        assert rhs_lines, "no chain assignments emitted"
-        assert all("*" not in rhs for rhs in rhs_lines)
+    def test_unit_coefficients_only_for_strassen(self):
+        coefs = cbackend.descriptor(get_algorithm("strassen")).coefficients
+        assert set(np.abs(np.concatenate(coefs)).tolist()) == {1.0}
 
-    def test_cse_reduces_loop_count_or_matches(self):
+    def test_cse_adds_definitions_first(self):
         alg = get_algorithm("s333")
-        plain = cbackend.generate_c_source(alg, cse=False)
-        with_cse = cbackend.generate_c_source(alg, cse=True)
-        # CSE introduces definition buffers: slab rows must not shrink
-        assert "defs first: 0/0" in plain
-        assert "defs first: 0/0" not in with_cse
+        plain = cbackend.descriptor(alg, cse=False)
+        with_cse = cbackend.descriptor(alg, cse=True)
+        # CSE introduces definition rows: slab rows must not shrink
+        assert (with_cse.rows >= plain.rows).all()
+        assert with_cse.programs[0][0] > plain.programs[0][0]
 
     def test_compile_cache_reuses_library(self):
         a = cbackend.compile_chains("strassen")
         b = cbackend.compile_chains("strassen")
         assert a is b  # lru-cached wrapper
 
-    def test_source_cache_by_content(self):
-        alg = get_algorithm("strassen")
-        lib1 = cbackend._compile_source(cbackend.generate_c_source(alg))
-        lib2 = cbackend._compile_source(cbackend.generate_c_source(alg))
-        assert lib1 is lib2
+    def test_library_cached_by_content(self):
+        lib = cbackend._compile_source(cbackend.library_source("double"))
+        assert lib is cbackend.compile_chains("strassen").lib
 
 
 def _is_gcc() -> bool:
@@ -108,21 +109,20 @@ def _is_gcc() -> bool:
 
 @pytest.mark.skipif(not _is_gcc(), reason="REPRO_CC is not gcc")
 @pytest.mark.parametrize("real", ["double", "float"])
-@pytest.mark.parametrize("name,cse", [("strassen", False), ("s424", False),
-                                      ("s333", True), ("s433", False)])
-def test_every_emitted_j_loop_vectorises(name, cse, real, tmp_path):
+def test_every_pass_loop_vectorises(real, tmp_path):
     """The non-gemm time of a compiled step is bandwidth-bound only while
-    every chain loop runs SIMD.  Past ten pointer pairs gcc gives up on
-    run-time alias checks and -- without the emitted no-dependence hint --
-    leaves the dense entries' ``form_C`` scalar (``s424``: 26 terms a
-    chain, 3x slower).  gcc's own report must say "vectorized" of every
-    ``j`` loop and "missed" of none; the ``i`` and ``t`` loops around them
-    it may decline, they are not meant to vectorise.  Under the flags the
-    probe settled on: the lean vectoriser set where gcc takes it."""
+    every chain pass runs SIMD.  Past ten pointer pairs gcc gives up on
+    run-time alias checks and -- without the library's no-dependence hint
+    -- leaves a many-term pass scalar.  gcc's own report must say
+    "vectorized" of every pass loop (one line per pass width, one to ten
+    terms) and of the inner strip's ``j`` loop, and "missed" of none; the
+    loops around them it may decline, they are not meant to vectorise.
+    Under the flags the probe settled on: the lean vectoriser set where
+    gcc takes it."""
     import subprocess
 
     assert cbackend.available()
-    src = cbackend.generate_c_source(get_algorithm(name), cse=cse, real=real)
+    src = cbackend.library_source(real)
     unit = tmp_path / "unit.c"
     unit.write_text(src)
     proc = subprocess.run(
@@ -134,8 +134,9 @@ def test_every_emitted_j_loop_vectorises(name, cse, real, tmp_path):
         rf"unit\.c:(\d+):\d+: {kind}:", proc.stderr)}
         for kind in ("optimized", "missed")}
     j_loops = {ln for ln, text in enumerate(src.splitlines(), start=1)
-               if text.strip() == "for (long j = 0; j < bq; ++j)"}
-    assert j_loops and report["missed"], "emission or report format moved"
+               if re.match(r"\s*case \d+: \{ X\d+ LOOP\(T\d+\); \}", text)
+               or text.strip() == "for (long j = 0; j < bq; ++j)"}
+    assert len(j_loops) == 11 and report["missed"], "source or report moved"
     assert j_loops <= report["optimized"]
     assert not j_loops & report["missed"]
 
@@ -309,10 +310,11 @@ class TestAliasHandling:
         aliases = [lay for lay in cc._s["layout"] if lay[0] == "alias"]
         assert len(aliases) >= 2
 
-    def test_slab_layout_consistent_with_source(self):
+    def test_slab_layout_consistent_with_descriptor(self):
         cc = cbackend.compile_chains("strassen")
-        assert f"S={cc._s['slots']}" in cc.source
-        assert f"T={cc._t['slots']}" in cc.source
+        assert cc.descriptor.rows.tolist()[:2] == [cc._s["slots"],
+                                                   cc._t["slots"]]
+        assert cc.slab_rows() == tuple(cc.descriptor.rows.tolist())
 
 
 class TestCompilerGating:

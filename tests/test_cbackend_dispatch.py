@@ -178,6 +178,28 @@ class TestCompileCache:
             f"calibration-{d}-float64-1t.json" for d in digests)
 
     @needs_cc
+    def test_one_compiler_run_per_element_type(self, tmp_path, monkeypatch,
+                                               fresh_cache_state):
+        """Every tuner candidate, both element types, with and without
+        CSE, on a cold cache: one library per element type, so at most
+        two compiler runs."""
+        from repro.tuner.space import candidate_algorithms
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        obs.enable()
+        obs.reset()
+        try:
+            libs = {id(cbackend.compile_chains(name, cse, dtype).lib)
+                    for name in candidate_algorithms()
+                    for dtype in ("float32", "float64")
+                    for cse in (False, True)}
+            compiles = obs.counter_value("cbackend.compiles")
+        finally:
+            obs.disable()
+            obs.reset()
+        assert len(libs) == 2 and 1 <= compiles <= 2
+
+    @needs_cc
     def test_cache_dir_env_honored_and_writes_atomic(
             self, tmp_path, monkeypatch, fresh_cache_state):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))

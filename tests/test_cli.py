@@ -194,10 +194,17 @@ class TestCodegen:
         assert rc == 0
         assert "pairwise" in text and "cse=True" in text
 
-    def test_c_source(self):
+    def test_c_descriptor(self):
+        """``--c`` prints the descriptor the library reads: one line per
+        chain, each rank's operands, the homes of each shape variant."""
         rc, text = run_cli("codegen", "-a", "strassen", "--c")
         assert rc == 0
-        assert "form_S" in text and "#include" in text
+        lines = text.splitlines()
+        assert lines[1] == "<2,2,2> rank 7: S rows 5, T rows 5, Y rows 0"
+        assert "S[0] <- +1 A0 +1 A3" in lines
+        assert "C0 <- +1 M0 +1 M3 -1 M4 +1 M6" in lines
+        assert "M1 = S[1] @ B0" in lines
+        assert sum(ln.startswith("homes v") for ln in lines) == 4
 
 
 class TestSearchPassthrough:

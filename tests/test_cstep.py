@@ -33,7 +33,7 @@ from repro.core.workspace import (
 )
 from repro.parallel import blas
 from repro.tuner import dispatch
-from repro.tuner.space import Plan
+from repro.tuner.space import Plan, candidate_algorithms
 from repro.util.matrices import random_matrix
 
 pytestmark = pytest.mark.skipif(
@@ -126,6 +126,70 @@ def test_without_cblas_the_python_driver_serves_the_same_bits(
     served = dispatch.execute_plan(plan, A, B, workspace=ws)
     assert ran and np.array_equal(served, compiled)
     assert ws.overflow_allocations == 0
+
+
+@pytest.mark.parametrize("name", candidate_algorithms())
+def test_every_candidate_step_is_its_python_driver(name):
+    """The library with each candidate's descriptor, both element types,
+    with and without CSE, one and two levels, on a shape peeled in every
+    dimension at both levels: the one-call step and the Python driver
+    that calls ``form_S``/``form_T``/``form_C`` level by level agree bit
+    for bit."""
+    alg = get_algorithm(name)
+    m, k, n = alg.base_case
+    p, q, r = 2 * m * m + m + 1, 2 * k * k + k + 1, 2 * n * n + n + 1
+    for dtype in DTYPES:
+        A = random_matrix(p, q, 10, dtype=dtype)
+        B = random_matrix(q, r, 11, dtype=dtype)
+        for cse in (False, True):
+            cc = cbackend.compile_chains(alg, cse, dtype)
+            for steps in (1, 2):
+                driver = np.empty((p, r), dtype)
+                cc._recurse(A, B, steps, driver, None)
+                step = cc.multiply(A, B, steps=steps)
+                assert np.array_equal(step, driver), (dtype, cse, steps)
+                assert np.allclose(step, A @ B, rtol=1e-3, atol=1e-3)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("name,cse", [("s333", True), ("s424", True),
+                                      ("strassen", False)])
+def test_kernels_touch_only_their_row_range(name, cse, dtype):
+    """``form_S``/``form_T``/``form_C`` over rows ``[i0, i1)`` write
+    those rows of every slab row and output block and nothing else:
+    every other row, and ``Y`` past its rows, keeps its sentinel; the
+    rows written equal a whole sweep's (the parallel schedules cut one
+    sweep into ranges that run concurrently)."""
+    cc = cbackend.compile_chains(name, cse, dtype)
+    m, k, n = cc.algorithm.base_case
+    bp, bq, bn, dq = 7, 6, 5, 2
+    A = random_matrix(m * bp, k * bq + dq, 12, dtype=dtype)
+    B = random_matrix(k * bq + dq, n * bn, 13, dtype=dtype)
+    A12, B21 = A[:, k * bq:], B[k * bq:]
+    s_rows, t_rows, y_rows = cc.slab_rows()
+    M = random_matrix(cc.algorithm.rank, bp * bn, 14, dtype=dtype)
+    Mrows = cc.product_rows(list(M))
+    i0, i1 = 2, 5
+
+    def sweep(rows=None):
+        """Rows ``rows`` of each kernel (default: all of its rows)."""
+        S = np.full((s_rows, bp, bq), np.nan, dtype)
+        T = np.full((t_rows, bq, bn), np.nan, dtype)
+        C = np.full((m * bp, n * bn), np.nan, dtype)
+        Y = np.full(y_rows * bn + 8, np.nan, dtype)
+        cc.form_S(A, bp, bq, S, *(rows or (0, bp)))
+        cc.form_T(B, bq, bn, T, *(rows or (0, bq)))
+        cc.form_C(Mrows, bp, bn, C, Y, *(rows or (0, bp)),
+                  strip=(A12, B21))
+        return S, T, C.reshape(m, bp, n, bn).transpose(0, 2, 1, 3), Y
+
+    whole = sweep()[:3]
+    part = sweep((i0, i1))
+    for got, want in zip(part[:3], whole):
+        assert np.isnan(got[..., :i0, :]).all()
+        assert np.isnan(got[..., i1:, :]).all()
+        assert np.array_equal(got[..., i0:i1, :], want[..., i0:i1, :])
+    assert np.isnan(part[3][y_rows * bn:]).all()
 
 
 class _Counted:

@@ -10,8 +10,9 @@ and cached first, and both sides write into preallocated destinations,
 so the measured gap is exactly the amortization the batched entry point
 exists to provide.  NumPy's own stacked ``np.matmul`` at the same BLAS
 thread count is timed beside them (``vs_stacked_blas``); a row whose
-batch is served by plain BLAS -- which ``matmul_batched`` runs as that
-very call -- must reach ``min_stacked_blas_ratio`` of it.
+batch is served by plain BLAS -- which ``matmul_batched`` runs as one
+call over the stacks, its whole waves of ``threads`` products in one
+vendor batched gemm -- must reach ``min_stacked_blas_ratio`` of it.
 
 Also probes, with the tracking allocator, that a warm batched call stays
 under the per-call byte budget -- one plan lookup + one arena for the

@@ -41,6 +41,7 @@ from .telemetry import (
     snapshot,
     span,
     span_stats,
+    tally,
 )
 
 __all__ = [
@@ -74,4 +75,5 @@ __all__ = [
     "span",
     "span_stats",
     "summarize",
+    "tally",
 ]

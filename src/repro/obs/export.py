@@ -39,6 +39,10 @@ _NAME_RE = re.compile(r"[^a-zA-Z0-9_]")
 #: environment override for the cross-process snapshot file
 SNAPSHOT_ENV = "REPRO_OBS_SNAPSHOT"
 
+#: a span row's own fields; any other key is a tally (``telemetry.tally``)
+_SPAN_FIELDS = frozenset(("name", "labels", "count", "total_s", "min_s",
+                          "max_s"))
+
 
 # ----------------------------------------------------------- prometheus
 def _metric_name(name: str, suffix: str = "") -> str:
@@ -97,6 +101,9 @@ def prometheus_text(snap: dict | None = None) -> str:
         emit(base + "_count", "counter", row["labels"], row["count"])
         emit(base + "_sum", "counter", row["labels"], row["total_s"])
         emit(base + "_max", "gauge", row["labels"], row["max_s"])
+        for name in sorted(row.keys() - _SPAN_FIELDS):
+            emit(_metric_name(f"{row['name']}.{name}", "_total"), "counter",
+                 row["labels"], row[name])
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -234,6 +241,8 @@ def summarize(snap: dict | None = None) -> dict:
             "labels": row["labels"],
             "count": row["count"],
             "total_s": row["total_s"],
+            # the tallies work inside the span reported (vendor=...)
+            **{k: row[k] for k in row.keys() - _SPAN_FIELDS},
         })
     span_totals.sort(key=lambda r: -r["total_s"])
 
@@ -258,6 +267,8 @@ def render_record(record: dict) -> str:
     it (plan and source), then what it cost and the arena it ran in."""
     shape = "x".join(str(d) for d in record["shape"])
     batch = f" x batch {record['batch']}" if "batch" in record else ""
+    vendor = (f", {record['vendor']} in vendor batched calls"
+              if "vendor" in record else "")
     if "arena_bytes" in record:
         arena = (f"arena {record['arena_bytes']:,} bytes (high water "
                  f"{record['arena_high_water']:,}, overflows "
@@ -267,7 +278,8 @@ def render_record(record: dict) -> str:
     return (f"{shape} {record['dtype']}{batch}, {record['threads']} "
             f"thread(s) -> {record['plan']} [source: {record['source']}]\n"
             f"  {record['seconds']:.4f}s {record['gflops']:.2f} eff.GFLOPS"
-            f"{'/elem' if batch else ''}, scheme {record['scheme']}, {arena}")
+            f"{'/elem' if batch else ''}, scheme {record['scheme']}, {arena}"
+            f"{vendor}")
 
 
 def _counts(counts: dict) -> str:
@@ -313,8 +325,10 @@ def render_summary(summary: dict) -> str:
         for row in summary["span_totals"][:12]:
             labels = "".join(f" {k}={v}" for k, v
                              in sorted(row["labels"].items()))
+            tallies = "".join(f" {k}={row[k]}" for k
+                              in sorted(row.keys() - _SPAN_FIELDS))
             lines.append(f"  {row['name']:<28}{labels} x{row['count']:<4} "
-                         f"total {row['total_s']:.4f}s")
+                         f"total {row['total_s']:.4f}s{tallies}")
     if summary["records"]:
         lines.append("last dispatch: " + render_record(summary["records"][-1]))
     return "\n".join(lines)

@@ -9,7 +9,9 @@ registry of
 
 - **spans** -- nestable ``with span("dispatch.lookup"):`` timers on
   ``time.perf_counter_ns``, aggregated per (name, labels) into
-  count/total/min/max;
+  count/total/min/max, plus the summed *tallies* work inside them
+  reported (:func:`tally`: how many products ran in vendor batched
+  calls, ``vendor``);
 - **counters** -- monotonic integers (``incr("dispatch.calls")``);
 - **gauges** -- last-written floats (``set_gauge("workspace.arena_bytes",
   n)``);
@@ -103,15 +105,28 @@ def _key(name: str, labels: dict) -> tuple[str, tuple]:
 
 
 class _SpanStat:
-    __slots__ = ("count", "total_ns", "min_ns", "max_ns")
+    __slots__ = ("count", "total_ns", "min_ns", "max_ns", "tallies")
 
     def __init__(self) -> None:
         self.count = 0
         self.total_ns = 0
         self.min_ns: int | None = None
         self.max_ns = 0
+        self.tallies: dict[str, int] = {}
 
-    def add(self, dt_ns: int) -> None:
+    def row(self) -> dict:
+        """count, total, min and max seconds, then each tally's sum."""
+        return {
+            "count": self.count,
+            "total_s": self.total_ns * 1e-9,
+            "min_s": (self.min_ns or 0) * 1e-9,
+            "max_s": self.max_ns * 1e-9,
+            **self.tallies,
+        }
+
+    def add(self, dt_ns: int, tallies: dict | None = None) -> None:
+        for name, n in (tallies or {}).items():
+            self.tallies[name] = self.tallies.get(name, 0) + n
         self.count += 1
         self.total_ns += dt_ns
         if self.min_ns is None or dt_ns < self.min_ns:
@@ -134,6 +149,7 @@ class _NullSpan:
     one attribute load, never an allocation."""
 
     __slots__ = ()
+    tallies = None
 
     def __enter__(self) -> "_NullSpan":
         return self
@@ -146,17 +162,21 @@ NULL_SPAN = _NullSpan()
 
 
 class _Span:
-    __slots__ = ("_key", "_t0")
+    __slots__ = ("_key", "_t0", "tallies")
 
     def __init__(self, key: tuple[str, tuple]):
         self._key = key
         self._t0 = 0
+        #: what :func:`tally` added while this span was open (``None``:
+        #: nothing)
+        self.tallies: dict[str, int] | None = None
 
     def __enter__(self) -> "_Span":
         try:
-            _local.stack.append(self._key[0])
+            _local.stack.append(self)
         except AttributeError:
-            _local.stack = [self._key[0]]
+            _local.stack = [self]
+        self.tallies = None
         self._t0 = time.perf_counter_ns()
         return self
 
@@ -166,7 +186,7 @@ class _Span:
             _local.stack.pop()
         except (AttributeError, IndexError):  # pragma: no cover - defensive
             pass
-        _queue((self._key, dt))
+        _queue((self._key, (dt, self.tallies)))
         return False
 
 
@@ -184,7 +204,22 @@ def span(name: str, **labels):
 
 def active_spans() -> tuple[str, ...]:
     """The calling thread's current span-nesting stack, outermost first."""
-    return tuple(getattr(_local, "stack", ()))
+    return tuple(sp._key[0] for sp in getattr(_local, "stack", ()))
+
+
+def tally(name: str, n: int) -> None:
+    """Add ``n`` to the ``name`` tally of every span the calling thread
+    has open (no-op while disabled or for ``n == 0``): work done inside a
+    span says how much of it it did, without a label of its own, so the
+    span keeps its key.  The span's stats sum it over its calls
+    (:func:`span_stats`), and a request's record reads its dispatch span's
+    (``vendor``, :mod:`repro.tuner.dispatch`)."""
+    if not _enabled or not n:
+        return
+    for sp in getattr(_local, "stack", ()):
+        if sp.tallies is None:
+            sp.tallies = {}
+        sp.tallies[name] = sp.tallies.get(name, 0) + n
 
 
 # ---------------------------------------------------- counters / gauges
@@ -221,18 +256,13 @@ def gauge_value(name: str, **labels) -> float | None:
 
 
 def span_stats(name: str, **labels) -> dict | None:
-    """Aggregated stats of one span as a dict (``None`` when never entered)."""
+    """Aggregated stats of one span as a dict (``None`` when never
+    entered): ``count``, ``total_s``, ``min_s``, ``max_s`` and the sum of
+    each :func:`tally` made inside it."""
     with _lock:
         _fold_locked()
         stat = _spans.get((name, _label_key(labels)))
-        if stat is None:
-            return None
-        return {
-            "count": stat.count,
-            "total_s": stat.total_ns * 1e-9,
-            "min_s": (stat.min_ns or 0) * 1e-9,
-            "max_s": stat.max_ns * 1e-9,
-        }
+        return None if stat is None else stat.row()
 
 
 # ------------------------------------------------------ dispatch records
@@ -275,9 +305,10 @@ def dispatch_records() -> list[dict]:
 
 # ------------------------------------------------------- deferred samples
 #: what hot paths recorded and no reader has folded in yet: a span's
-#: ``(key, ns)`` or a report's ``(build, args)``.  Recording is one deque
-#: append (atomic, no lock); readers fold the queue under the lock first,
-#: and a recorder folds it itself once it holds ``_PENDING_MAX`` samples
+#: ``(key, (ns, tallies))`` or a report's ``(build, args)``.  Recording
+#: is one deque append (atomic, no lock); readers fold the queue under
+#: the lock first, and a recorder folds it itself once it holds
+#: ``_PENDING_MAX`` samples
 _pending: collections.deque = collections.deque()
 _PENDING_MAX = 1024
 
@@ -302,7 +333,7 @@ def _fold_locked() -> None:
             stat = _spans.get(head)
             if stat is None:
                 stat = _spans[head] = _SpanStat()
-            stat.add(tail)
+            stat.add(*tail)
             continue
         record, counters, gauges = head(*tail)
         if record is not None:
@@ -409,14 +440,7 @@ def snapshot(reset_after: bool = False) -> dict:
             "counters": _metric_rows(_counters),
             "gauges": _metric_rows(_gauges),
             "spans": [
-                {
-                    "name": name,
-                    "labels": dict(labels),
-                    "count": stat.count,
-                    "total_s": stat.total_ns * 1e-9,
-                    "min_s": (stat.min_ns or 0) * 1e-9,
-                    "max_s": stat.max_ns * 1e-9,
-                }
+                {"name": name, "labels": dict(labels), **stat.row()}
                 for (name, labels), stat in sorted(
                     _spans.items(), key=lambda kv: kv[0]
                 )

@@ -1,6 +1,7 @@
 """Shared-memory parallel execution (paper Section 4).
 
-``blas`` controls the vendor BLAS thread count; ``pool`` provides
+``blas`` controls the vendor BLAS thread count and binds its cblas and
+batched gemm entries; ``pool`` provides
 OpenMP-task-like groups with taskwait barriers; ``gemm``/``add`` are the
 compute- and bandwidth-bound substrates; ``schedules`` implements the DFS,
 BFS and HYBRID fast-multiply schemes.

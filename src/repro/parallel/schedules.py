@@ -10,9 +10,17 @@ Three schemes, each an entry point of the one compiled step
 
 - **BFS** (Section 4.2): task parallelism.  The schedule forms the top
   level itself -- ``form_S``/``form_T`` over row ranges on the pool --
-  and runs each child product ``S_r T_r`` as one task: one ``fmm_step``
-  call, ``steps - 1`` levels deep, with a one-thread gemm.  ``form_C``
-  over row ranges and the peel fix-ups finish the level.
+  and runs the child products ``S_r T_r`` side by side, one thread each.
+  A wave of children with a level left to run is a pool task per child:
+  one ``fmm_step`` call, ``steps - 1`` levels deep, with a one-thread
+  gemm.  A wave of leaves is one vendor batched gemm
+  (:func:`repro.parallel.blas.gemm_batch`) at P-thread BLAS, which runs
+  each product as a one-thread gemm on one of the vendor's own threads --
+  the same bits, and no pool task sharing the cores with the workers
+  OpenBLAS keeps spinning after a threaded call.  Leaves the vendor call
+  does not take (at or under its crash guard,
+  :data:`repro.parallel.blas.BATCH_MIN_VOLUME`) stay pool tasks.
+  ``form_C`` over row ranges and the peel fix-ups finish the level.
 
 - **HYBRID** (Section 4.3): the same, except that the leaves which do not
   fill a whole wave of P tasks run DFS style with all threads *after* the
@@ -243,18 +251,32 @@ def _run_tree(cc: "cbackend.CompiledChains", kernels, A, B, C, steps: int,
         pool.map_wait(lambda child: product(child, left), children,
                       retryable=True)
 
+    def vendor_wave(children) -> bool:
+        """The wave's leaf products in one vendor batched call on the
+        vendor's own ``threads`` threads; False (nothing ran) where the
+        vendor does not take them."""
+        with blas.blas_threads(threads):
+            done = blas.gemm_batch(*zip(*children))
+        telemetry.tally("vendor", done)
+        return done > 0
+
+    base = cc.algorithm.base_case
     formed: list[list[_Level]] = []
     nodes = [(A, B, C)]
-    for lvl, (_, _, n_tasks) in enumerate(levels):
+    for lvl, (_, blk, n_tasks) in enumerate(levels):
         with phase("expand"):
             level = [_Level(cc, *node, take) for node in nodes]
             parts = -(-threads // len(level))
             _fan_out(pool, [wi for nd in level for wi in nd.form_items(parts)])
         formed.append(level)
         children = [child for nd in level for child in nd.children()]
+        left = steps - lvl - 1
         if n_tasks:
-            with phase(batch), blas.blas_threads(1):
-                tasks(children[:n_tasks], steps - lvl - 1)
+            with phase(batch):
+                leaves = not recursion.should_split(left, *blk, *base)
+                if not (leaves and vendor_wave(children[:n_tasks])):
+                    with blas.blas_threads(1):
+                        tasks(children[:n_tasks], left)
         nodes = children[n_tasks:]
     left = steps - len(levels)
     if nodes:

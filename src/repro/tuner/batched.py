@@ -13,10 +13,18 @@ and runs every element through
 :func:`repro.tuner.dispatch.execute_plan` with that plan, one after
 another, in the calling thread's arena.  A warm batched call with
 ``out=`` touches the heap zero times end to end, not just per element.
-A stacked batch whose plan is plain BLAS is one call: ``np.matmul`` over
-the two 3-D stacks, exactly what NumPy's own batched product runs, with
-one BLAS thread switch instead of one per element; the list form and
-every fast plan keep the per-element loop.
+A stacked batch whose plan is plain BLAS is one :func:`execute_plan
+<repro.tuner.dispatch.execute_plan>` call over the two 3-D stacks, with
+one BLAS thread switch instead of one per element.  At ``T > 1`` threads
+its whole waves of ``T`` products are one vendor batched gemm
+(:func:`repro.parallel.blas.gemm_batch`), each product a one-thread gemm
+on one of the vendor's threads (the paper's BFS, with the one-thread
+bits), and the ``count mod T`` left over run at ``T``-thread gemm
+(HYBRID's rule for leaves that do not fill a wave); at one thread, and
+for what the vendor call does not take (mixed or non-float dtypes,
+layouts it cannot address, products at or under its crash guard), it is
+``np.matmul`` over the stacks.  The list form and every fast plan keep
+the per-element loop.
 
 Operands are promoted as :func:`repro.tuner.matmul` promotes them: a
 stack of anything but float32/float64 (integers, booleans) computes in

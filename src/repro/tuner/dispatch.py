@@ -44,7 +44,7 @@ lookup's dictionary hits (Section 3.4).  Every other request takes the
 thread's arena from ``workspace_for``; executes under the
 ``dispatch.execute`` span (``dispatch.batch`` for a batch, whose products
 run that one plan one after another in that one arena, or as one
-``np.matmul`` over the stacks when the plan is plain BLAS) -- directly,
+:func:`execute_plan` over the stacks when the plan is plain BLAS) -- directly,
 or through :func:`repro.guard.chain.run_guarded`, which only walks the
 fallback ladder and says which plan served; and hands the outcome to
 :func:`_report`.  So for every request a warm arena that spilled to the
@@ -293,6 +293,8 @@ def execute_plan(
             f"injected: plan.raise executing [{plan.describe()}]")
     if plan.is_dgemm:
         with blas.blas_threads(plan.threads):
+            if A.ndim == 3 and out is not None and plan.threads > 1:
+                return _stacked_dgemm(A, B, out, plan.threads)
             return np.matmul(A, B, out=out)
     alg = get_algorithm(plan.algorithm)
     if plan.scheme == "sequential":
@@ -307,6 +309,26 @@ def execute_plan(
         pool=pool, threads=plan.threads, subgroup=plan.subgroup,
         out=out, workspace=workspace,
     )
+
+
+def _stacked_dgemm(A: np.ndarray, B: np.ndarray, out: np.ndarray,
+                   threads: int) -> np.ndarray:
+    """A stacked batch of dgemms at ``threads``-wide BLAS (``threads > 1``):
+    its first ``threads * (count // threads)`` products -- whole waves --
+    in one vendor batched call (:func:`repro.parallel.blas.gemm_batch`),
+    each product a one-thread gemm on one of the vendor's threads, the
+    paper's BFS; the ``count mod threads`` left over at ``threads``-wide
+    gemm, HYBRID's rule for leaves that do not fill a wave.  A batch the
+    vendor call does not take (fewer products than threads, mixed or
+    non-float dtypes, a layout it cannot address, a product under its
+    guard) is ``np.matmul`` over the stacks.  The products sent to the
+    vendor are tallied as ``vendor`` on the request's span."""
+    wave = len(A) - len(A) % threads
+    done = blas.gemm_batch(A[:wave], B[:wave], out[:wave]) if wave else 0
+    telemetry.tally("vendor", done)
+    if done < len(A):
+        np.matmul(A[done:], B[done:], out=out[done:])
+    return out
 
 
 def get_plan(
@@ -385,7 +407,8 @@ def _warn_overflow(plan: Plan, p: int, q: int, r: int, dtype: str,
 
 def _report(plan: Plan, served: Plan, source: str, p: int, q: int, r: int,
             dtype: str, threads: int, workspace: Workspace | None,
-            spilled: int, t_call: int, batch: int | None) -> None:
+            spilled: int, t_call: int, batch: int | None,
+            tallies: dict | None) -> None:
     """What every request reports once it has executed -- the one
     overflow warning and the one record (:func:`_record`).
 
@@ -393,7 +416,8 @@ def _report(plan: Plan, served: Plan, source: str, p: int, q: int, r: int,
     (``None`` for plain BLAS) and ``spilled`` the heap overflows it
     counted during this request.  The record describes the plan that
     ``served``: under guard that may be a fallback, reported as source
-    ``"guard"`` with no arena.
+    ``"guard"`` with no arena.  ``tallies`` are what the work reported
+    on the request's span (:func:`repro.obs.telemetry.tally`).
     """
     if spilled > 0:
         _warn_overflow(plan, p, q, r, dtype, spilled)
@@ -403,16 +427,19 @@ def _report(plan: Plan, served: Plan, source: str, p: int, q: int, r: int,
         source, workspace = "guard", None
     telemetry.defer(_record, served, source, p, q, r, dtype, threads,
                     None if workspace is None else workspace.stats(),
-                    telemetry.clock_ns() - t_call, batch)
+                    telemetry.clock_ns() - t_call, batch, tallies)
 
 
 def _record(plan: Plan, source: str, p: int, q: int, r: int, dtype: str,
-            threads: int, arena: dict | None, ns: int, batch: int | None):
+            threads: int, arena: dict | None, ns: int, batch: int | None,
+            tallies: dict | None = None):
     """The one record builder: a request's dispatch record, counters and
     gauges (:func:`repro.obs.telemetry.defer`).  ``arena_bytes`` is the
     call's reservation, not the capacity earlier plans left behind, and
     ``arena_high_water`` what it carved.  A batched request adds
-    ``batch``, its element count; ``gflops`` is then per element."""
+    ``batch``, its element count; ``gflops`` is then per element.  A
+    request any of whose products ran in vendor batched calls adds
+    ``vendor``, their number."""
     seconds = ns * 1e-9
     gflops = (effective_gflops(p, q, r, seconds / (batch or 1))
               if seconds > 0 else 0.0)
@@ -430,6 +457,8 @@ def _record(plan: Plan, source: str, p: int, q: int, r: int, dtype: str,
               "dispatch.last_seconds": seconds}
     if batch is not None:
         record["batch"] = batch
+    if tallies and "vendor" in tallies:
+        record["vendor"] = tallies["vendor"]
     if arena is not None:
         record["arena_bytes"] = arena["nbytes"]
         record["arena_high_water"] = arena["high_water"]
@@ -447,9 +476,10 @@ def _execute(plan: Plan, a_ops, b_ops, dest, pool: WorkerPool | None,
     """Run ``plan`` for every product of a request into ``dest``.
 
     A single product, and a stacked batch that ``plan`` serves with plain
-    BLAS, are one :func:`execute_plan` call -- the latter ``np.matmul``
-    over the 3-D stacks, exactly as NumPy's own batched call; any other
-    batch runs element after element in ``workspace``.
+    BLAS, are one :func:`execute_plan` call -- the latter over the 3-D
+    stacks, its whole waves of ``threads`` products in one vendor batched
+    call (:func:`_stacked_dgemm`); any other batch runs element after
+    element in ``workspace``.
     """
     if batch is None:
         return execute_plan(plan, a_ops[0], b_ops[0], pool=pool, out=dest,
@@ -493,7 +523,7 @@ def _serve(policy: TuningPolicy, cfg, a_ops, b_ops, p: int, q: int,
         return _execute(pl, a_ops, b_ops, dest, pool, ws, batch)
 
     span = "dispatch.execute" if batch is None else "dispatch.batch"
-    with telemetry.span(span, scheme=plan.scheme):
+    with telemetry.span(span, scheme=plan.scheme) as sp:
         if cfg is None:
             C, served = run(plan, out), plan
         else:
@@ -503,7 +533,7 @@ def _serve(policy: TuningPolicy, cfg, a_ops, b_ops, p: int, q: int,
     spilled = (workspace.overflow_allocations - spilled_before
                if workspace is not None else 0)
     _report(plan, served, source, p, q, r, dtype, threads, workspace,
-            spilled, t_call, batch)
+            spilled, t_call, batch, sp.tallies)
     return C
 
 

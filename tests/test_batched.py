@@ -1,6 +1,6 @@
 """Tests for repro.tuner.batched: a batch runs its per-call plan.
 
-Five claims are pinned down here:
+Seven claims are pinned down here:
 
 1. **bit-for-bit equivalence** -- ``matmul_batched`` equals a loop of
    per-call ``matmul`` over the same plan cache (not merely allclose to
@@ -19,16 +19,26 @@ Five claims are pinned down here:
    ``get_plan`` answers, and a tuned per-call entry serves the batch;
 5. a batch-suffixed key an older release wrote is dropped on load;
 6. a stacked batch served by plain BLAS is one ``execute_plan`` over the
-   3-D stacks, bit-identical to NumPy's stacked ``np.matmul`` (traced,
-   guarded or not), and stacked integers promote to float64 like every
-   other entry point's.
+   3-D stacks (traced, guarded or not), and stacked integers promote to
+   float64 like every other entry point's;
+7. at ``T > 1`` threads its whole waves of ``T`` products are one vendor
+   batched gemm whose products carry one-thread gemm bits, the
+   ``count mod T`` left over carry ``T``-thread gemm bits, and whatever
+   the vendor call does not take -- layouts, dtypes, products at or
+   under its crash guard -- is NumPy's stacked ``np.matmul``; the guard
+   is proven in a subprocess, so a regression fails a test instead of
+   killing the runner, and concurrent dispatchers get their serial bits.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import os
+import subprocess
+import sys
 import tempfile
+import textwrap
 import threading
 from pathlib import Path
 
@@ -39,6 +49,7 @@ from hypothesis import given, settings, strategies as st
 from repro.algorithms import get_algorithm
 from repro.core.workspace import Workspace, track_allocations
 from repro.obs import telemetry
+from repro.parallel import blas
 from repro.tuner import (
     BatchPlan,
     Plan,
@@ -255,7 +266,7 @@ class TestOperandForms:
 
 
 # =========================================================================
-# a stacked batch served by plain BLAS is one np.matmul over the stacks
+# a stacked batch served by plain BLAS is one execute_plan over the stacks
 # =========================================================================
 class TestStackedDgemm:
     @pytest.fixture()
@@ -277,7 +288,10 @@ class TestStackedDgemm:
     def test_one_call_bit_identical_to_stacked_matmul(self, cache, calls,
                                                       n, observed):
         """Trivial (64) and a cached dgemm entry (192), traced or not:
-        one ``execute_plan`` on the 3-D stacks, NumPy's own bits."""
+        one ``execute_plan`` on the 3-D stacks.  At 192 the six products
+        are three vendor waves, which carry one-thread gemm bits
+        (:class:`TestVendorWaves`); there one- and two-thread gemm agree,
+        so the stacked ``np.matmul`` is the reference either way."""
         cache.put(192, 192, 192, "float64", 2, Plan(threads=2))
         A, B = batch_operands(n, n, n, 6, seed=12)
         if observed:
@@ -349,6 +363,193 @@ class TestStackedDgemm:
                 got[i], dispatch.matmul(A[i], B[i], threads=1, cache=cache))
         if dtype is np.int32:
             assert got.max() > np.iinfo(np.int32).max
+
+
+# =========================================================================
+# vendor waves: whole waves of T products in one vendor batched gemm
+# =========================================================================
+needs_vendor = pytest.mark.skipif(
+    not (blas.batch_available() and blas.is_controllable()),
+    reason="no vendor batched gemm, or its thread count is not settable")
+
+
+def _vendor_count(rec: dict) -> int:
+    return rec.get("vendor", 0)
+
+
+@needs_vendor
+class TestVendorWaves:
+    T = 2
+
+    def serve(self, A, B, cache, **kwargs):
+        """One traced ``matmul_batched`` at ``T`` threads over a pinned
+        dgemm plan; ``(product, record, dispatch.batch span stats)``."""
+        (p, q), r = A[0].shape, B[0].shape[1]
+        dtype = np.result_type(A[0], B[0]).name
+        cache.put(p, q, r, dtype, self.T, Plan(threads=self.T))
+        telemetry.enable()
+        got = batched.matmul_batched(A, B, threads=self.T, cache=cache,
+                                     **kwargs)
+        (rec,) = telemetry.dispatch_records()
+        assert rec["plan"] == f"dgemm({self.T}t)"
+        return got, rec, telemetry.span_stats("dispatch.batch",
+                                              scheme="sequential")
+
+    @staticmethod
+    def per_element(A, B, threads):
+        with blas.blas_threads(threads):
+            return np.array([np.matmul(a, b) for a, b in zip(A, B)]).reshape(
+                len(A), A.shape[1], B.shape[2])
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_waves_carry_one_thread_bits(self, cache, dtype, extra):
+        """``c*T`` products run in the vendor call, one-thread bits; the
+        ``+1`` left over is a ``T``-thread gemm.  At 333^3 the one- and
+        the two-thread float64 gemm differ in the last bit, so the two
+        references are told apart."""
+        count = 2 * self.T + extra
+        A, B = batch_operands(333, 333, 333, count, dtype, seed=40)
+        got, rec, span = self.serve(A, B, cache)
+        waves = count - extra
+        assert _vendor_count(rec) == span["vendor"] == waves
+        np.testing.assert_array_equal(
+            got[:waves], self.per_element(A[:waves], B[:waves], 1))
+        np.testing.assert_array_equal(
+            got[waves:], self.per_element(A[waves:], B[waves:], self.T))
+
+    def test_fewer_products_than_threads_stay_with_numpy(self, cache):
+        A, B = batch_operands(333, 333, 333, 1, seed=41)
+        got, rec, _ = self.serve(A, B, cache)
+        assert _vendor_count(rec) == 0
+        np.testing.assert_array_equal(got, self.per_element(A, B, self.T))
+
+    def test_row_strided_stacks_are_addressed_in_place(self, cache):
+        A, B = batch_operands(320, 300, 310, 4, seed=42)
+        big = np.zeros((4, 640, 300))
+        big[:, ::2] = A
+        got, rec, _ = self.serve(big[:, ::2], B, cache)
+        assert _vendor_count(rec) == 4
+        np.testing.assert_array_equal(got, self.per_element(A, B, 1))
+
+    @pytest.mark.parametrize("layout", ["column-strided", "broadcast",
+                                        "fortran", "mixed-dtype"])
+    def test_layouts_the_vendor_cannot_take_keep_numpy(self, cache, layout):
+        A, B = batch_operands(200, 180, 190, 4, seed=43)
+        if layout == "column-strided":
+            wide = np.zeros((4, 200, 360))
+            wide[:, :, ::2] = A
+            A = wide[:, :, ::2]
+        elif layout == "broadcast":
+            A = np.broadcast_to(A[0], A.shape)
+        elif layout == "fortran":
+            A, B = np.asfortranarray(A), np.asfortranarray(B)
+        else:
+            A = A.astype(np.float32)
+        got, rec, span = self.serve(A, B, cache)
+        assert _vendor_count(rec) == 0 and "vendor" not in span
+        with blas.blas_threads(self.T):
+            np.testing.assert_array_equal(got, np.matmul(A, B))
+
+    def test_list_form_keeps_its_loop(self, cache):
+        A, B = batch_operands(200, 200, 200, 4, seed=44)
+        got, rec, _ = self.serve(list(A), list(B), cache)
+        assert _vendor_count(rec) == 0
+        np.testing.assert_array_equal(np.stack(got),
+                                      self.per_element(A, B, self.T))
+
+    def test_record_renders_the_vendor_count(self, cache):
+        from repro import obs
+
+        A, B = batch_operands(128, 128, 128, 32, seed=45)
+        _, rec, span = self.serve(A, B, cache)
+        assert rec["vendor"] == span["vendor"] == 32
+        assert "32 in vendor batched calls" in obs.render_record(rec)
+        assert "vendor=32" in obs.render_summary(obs.summarize())
+
+
+#: the boundary of the vendor's crash: every product of these has
+#: m*n*k == 100**3 -- OpenBLAS's batched gemm segfaults on each -- and
+#: the last one is the smallest volume above it
+_GUARD_SCRIPT = textwrap.dedent("""
+    import sys
+    import numpy as np
+    from repro import obs
+    from repro.tuner import Plan, PlanCache, matmul_batched
+    obs.enable()
+    cache = PlanCache(sys.argv[1])
+    shapes = [(100, 100, 100), (2000, 1, 500), (10, 10000, 10),
+              (1, 10 ** 6, 1), (101, 100, 100)]
+    rng = np.random.default_rng(0)
+    for dtype in ("float64", "float32"):
+        for p, q, r in shapes:
+            cache.put(p, q, r, dtype, 2, Plan(threads=2))
+            A = rng.random((4, p, q)).astype(dtype)
+            B = rng.random((4, q, r)).astype(dtype)
+            got = matmul_batched(A, B, threads=2, cache=cache)
+            rec = obs.dispatch_records()[-1]
+            assert np.allclose(got, np.matmul(A, B), rtol=1e-4), (p, q, r)
+            print(dtype, p, q, r, rec.get("vendor", 0), flush=True)
+""")
+
+
+@needs_vendor
+def test_guard_keeps_the_crashing_products_from_the_vendor(tmp_path):
+    """At ``m*n*k <= 100**3`` the vendor's batched gemm segfaults, so the
+    guard must never hand it such a product; run in a child process, a
+    regression is a failed assertion here, not a dead test runner."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(batched.__file__).parents[2])]
+        + os.environ.get("PYTHONPATH", "").split(os.pathsep)),
+        REPRO_CACHE_DIR=str(tmp_path))
+    proc = subprocess.run(
+        [sys.executable, "-c", _GUARD_SCRIPT, str(tmp_path / "plans.json")],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    lines = [line.split() for line in proc.stdout.splitlines()]
+    assert len(lines) == 10
+    for dtype, p, q, r, vendor in lines:
+        assert int(vendor) == (4 if (p, q, r) == ("101", "100", "100")
+                               else 0), (dtype, p, q, r)
+
+
+@needs_vendor
+def test_concurrent_vendor_batches_and_trees_keep_their_bits(tmp_path):
+    """Four dispatcher threads at once, two issuing vendor-batched
+    stacked dgemms and two a ``bfs`` plan whose leaf waves are vendor
+    batches: every result equals its serial bits."""
+    cache = PlanCache(tmp_path / "plans.json")
+    cache.put(160, 200, 180, "float64", 2, Plan(threads=2))
+    cache.put(512, 512, 512, "float64", 2,
+              Plan(algorithm="strassen", steps=1, scheme="bfs", threads=2))
+    As, Bs = batch_operands(160, 200, 180, 8, seed=46)
+    X = batch_operands(512, 512, 512, 1, seed=47)[0][0]
+    jobs = [lambda: batched.matmul_batched(As, Bs, threads=2, cache=cache),
+            lambda: dispatch.matmul(X, X, threads=2, cache=cache)]
+    serial = [job() for job in jobs]
+    mismatches, errors = [], []
+
+    def dispatcher(i):
+        try:
+            for _ in range(6):
+                if not np.array_equal(jobs[i % 2](), serial[i % 2]):
+                    mismatches.append(i)
+        except Exception as exc:  # pragma: no cover - reported below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=dispatcher, args=(i,))
+               for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors and not mismatches
 
 
 # =========================================================================

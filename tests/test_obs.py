@@ -64,6 +64,29 @@ class TestSpans:
         assert obs.span_stats("exec", scheme="dfs")["count"] == 1
         assert obs.span_stats("exec") is None
 
+    def test_tallies_sum_into_every_open_span_without_a_label(self):
+        """What work inside a span reports (how many products ran in
+        vendor batched calls) sums per span key, in every span open on
+        the thread, and leaves the key -- so the span's labels -- alone."""
+        obs.tally("vendor", 9)                  # disabled: dropped
+        obs.enable()
+        obs.tally("vendor", 9)                  # no span open: dropped
+        for n in (3, 0, 4):
+            with obs.span("exec", scheme="bfs"):
+                with obs.span("leaf"):
+                    obs.tally("vendor", n)
+                obs.tally("vendor", 1)
+        assert obs.span_stats("exec", scheme="bfs")["vendor"] == 10
+        assert obs.span_stats("exec", scheme="bfs")["count"] == 3
+        assert obs.span_stats("leaf")["vendor"] == 7
+        with obs.span("plain"):
+            pass
+        assert "vendor" not in obs.span_stats("plain")
+        (row,) = [r for r in obs.snapshot()["spans"] if r["name"] == "leaf"]
+        assert row["vendor"] == 7
+        assert 'repro_leaf_vendor_total 7' in obs.prometheus_text()
+        assert "vendor=7" in obs.render_summary(obs.summarize())
+
     @pytest.mark.multicore
     def test_thread_safety_exact_counts(self):
         obs.enable()

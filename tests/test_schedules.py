@@ -162,6 +162,49 @@ def test_remainder_leaves_are_r_to_the_l_mod_p(monkeypatch, threads, steps):
         assert len(tasks) == len(ran) - len(wide)
 
 
+@needs_step
+@pytest.mark.skipif(
+    not (blas.batch_available() and blas.is_controllable()),
+    reason="no vendor batched gemm, or its thread count is not settable")
+@pytest.mark.parametrize("scheme,steps,n,vendor", [
+    ("bfs", 1, 256, 7), ("hybrid", 1, 256, 6),
+    # odd and peeled: the left-over node's 128^3 leaves are the wave
+    ("hybrid", 2, 513, 6)])
+def test_leaf_waves_above_the_guard_are_vendor_batches(
+        monkeypatch, pool, scheme, steps, n, vendor):
+    """Leaves above the vendor's crash guard run as one vendor batched
+    gemm per wave: bit-identical to the same call with the vendor batch
+    switched off, and every leaf exactly once -- batched leaves plus the
+    leaves under the pool's (and the remainder's) steps are ``R^L``."""
+    R = strassen().rank
+    ran, batched = [], []
+    step, gemm_batch = cbackend.CompiledChains.step, blas.gemm_batch
+
+    def record(self, kernels, S, T, left, M, region):
+        ran.append(left)
+        return step(self, kernels, S, T, left, M, region)
+
+    def spy(S, T, M):
+        batched.append(gemm_batch(S, T, M))
+        return batched[-1]
+
+    monkeypatch.setattr(cbackend.CompiledChains, "step", record)
+    A, B = random_matrix(n, n, 11), random_matrix(n, n, 12)
+    results = []
+    for vendor_on in (True, False):
+        ran.clear()
+        monkeypatch.setattr(blas, "gemm_batch",
+                            spy if vendor_on else lambda S, T, M: 0)
+        results.append(multiply_parallel(A, B, strassen(), steps=steps,
+                                         scheme=scheme, pool=pool,
+                                         threads=2))
+        leaves = sum(R ** left for left in ran)
+        assert leaves + (sum(batched) if vendor_on else 0) == R ** steps
+    assert batched == [vendor]
+    assert np.array_equal(results[0], results[1])
+    np.testing.assert_allclose(results[0], A @ B, atol=1e-9)
+
+
 class TestTreeMechanics:
     def test_children_released_after_combine(self, pool):
         A = random_matrix(16, 16, 2)

@@ -26,7 +26,10 @@ compiler takes on trust.  The pass proves the descriptor's half of it: no
 chain's target is one of its own sources (the library's adding passes
 read their target at the ``j`` they write; that buffers passed as
 different arguments do not overlap is the caller's half,
-:class:`repro.codegen.cbackend.CompiledChains`).  That each kernel touches
+:class:`repro.codegen.cbackend.CompiledChains`) -- save one alias: a
+product that lives in a block of C (a home of kind 3) is read by that
+block's chain in the first pass, which stores the block at the ``j`` it
+reads, and by no later chain.  That each kernel touches
 only the rows ``[i0, i1)`` it is given is a property of the fixed library,
 not of a descriptor: ``tests/test_cstep.py`` pins it with sentinel rows.
 
@@ -35,15 +38,19 @@ Finding codes:
 layout; a program that ends early or runs on, an index outside its side,
 coefficients not of the element type or not one per term, a row read
 before any chain writes it, an output block stored never or twice; the
-descriptor's fields drift from ``EMISSION_CONTRACT["cbackend"]``),
-``CEMIT-ALIAS`` (a chain's target is also one of its sources),
+descriptor's fields drift from ``EMISSION_CONTRACT["cbackend"]``, or the
+library's pass width from ``cbackend.PASS_TERMS``),
+``CEMIT-ALIAS`` (a chain's target is also one of its sources -- save a
+product the target's block holds, read in the pass that stores it),
 ``CEMIT-RANK`` (``form_C`` does not consume exactly the rank's products,
 or an operand or home table is not one entry per rank),
 ``CEMIT-GEMM`` (a rank's operand is neither a slab row its side writes
 nor a block; in one of the four shape variants the homes are not
-distinct rows that fit, own rows numbered from 0 up, none read by its
-rank or a later one; a vendor call of the library scales by other than
-``alpha = 1``, ``beta = 0``),
+distinct homes that fit, own rows numbered from 0 up, no slab row read
+by its rank or a later one; a block of C holds a product its chain does
+not read in its first pass, that a later chain reads, or two products;
+a vendor call of the library scales by other than ``alpha = 1``,
+``beta = 0``),
 ``CEMIT-TENSOR`` (the recovered bilinear form differs from the scheme).
 """
 
@@ -63,6 +70,8 @@ TENSOR_RTOL = 1e-8
 #: vendor calls of the library: name -> positions of alpha and beta
 _RE_VENDOR = re.compile(r"x->(gemm|gemv)\((.*)\);")
 _SCALARS = {"gemm": (6, 11), "gemv": (4, 9)}
+#: the library's pass width
+_RE_PASS = re.compile(r"enum \{ W = (\d+) \};")
 
 
 def _walk(desc, side: int, sizes: tuple[int, int, int], dtype, loc: str,
@@ -144,28 +153,66 @@ def _operands(desc, side: int, rows: dict, nblocks: int, loc: str,
     return mat
 
 
+def _check_c_homes(chains: list, homes: list[tuple], v: int) -> list[tuple]:
+    """``(code, message)`` per C home (kind 3) of one shape variant that
+    is unsound: its block's chain (of the C side's ``chains``) must read
+    the product in its first pass -- which stores the block at the ``j``
+    it reads -- and never in a later one (that alias, to a target already
+    stored, is ``CEMIT-ALIAS``); no chain after it may read the product,
+    and no block may hold two."""
+    from repro.codegen.cbackend import PASS_TERMS
+
+    program = [[src for _, src in terms] for _, terms in chains]
+    stores = {tgt: i for i, (tgt, _) in enumerate(chains) if tgt >= 0}
+    bad, held = [], {}
+    for r, (kind, b) in enumerate(homes):
+        if kind != 3 or b not in stores:
+            continue
+        if b in held:
+            bad.append(("CEMIT-GEMM", f"shape variant {v}: block {b} holds"
+                        f" products {held[b]} and {r}"))
+        held[b] = r
+        pos = stores[b]
+        if r not in program[pos][:PASS_TERMS]:
+            bad.append(("CEMIT-GEMM", f"shape variant {v}: block {b} holds"
+                        f" M{r}, which its chain does not read in its first"
+                        " pass"))
+        if r in program[pos][PASS_TERMS:]:
+            bad.append(("CEMIT-ALIAS", f"shape variant {v}: block {b}'s"
+                        f" chain reads M{r}, which the block holds, after"
+                        " its first pass stored the block over it"))
+        later = [i for i in range(pos + 1, len(program)) if r in program[i]]
+        if later:
+            bad.append(("CEMIT-GEMM", f"shape variant {v}: block {b} holds"
+                        f" M{r}, which chains {later} read after the block"
+                        " is stored"))
+    return bad
+
+
 def _check_homes(desc, loc: str) -> list[Finding]:
-    """The four shape variants' homes: ``R`` distinct rows that fit where
+    """The four shape variants' homes: ``R`` distinct homes that fit where
     they sit (an S row only where ``bn <= bq``, a T row only where ``bp
-    <= bq``, own rows numbered from 0 up), none read by its rank or a
-    later one."""
-    R, msgs = desc.rank, []
+    <= bq``, own rows numbered from 0 up, a block of C), no slab row read
+    by its rank or a later one, every C home sound (:func:`_check_c_homes`)."""
+    R, found, chains = desc.rank, [], list(desc.chains(2))
     reads = [{(side, ~i) for side, i in enumerate(ops) if i < 0}
              for ops in desc.operands.tolist()]
-    limits = (int(desc.rows[0]), int(desc.rows[1]), R)
+    m, _, n = desc.base_case
+    limits = (int(desc.rows[0]), int(desc.rows[1]), R, m * n)
     for v, table in enumerate(desc.homes.tolist()):
         homes = [tuple(h) for h in table]
         own = sorted(row for slab, row in homes if slab == 2)
-        fits = (v & 1, v & 2, True)
+        fits = (v & 1, v & 2, True, True)
         bad = [(r, h) for r, h in enumerate(homes)
-               if h[0] not in (0, 1, 2) or not fits[h[0]]
+               if h[0] not in (0, 1, 2, 3) or not fits[h[0]]
                or not 0 <= h[1] < limits[h[0]]
                or any(h in later for later in reads[r:])]
         if len(set(homes)) != R or own != list(range(len(own))) or bad:
-            msgs.append(f"shape variant {v}: homes {homes} are not R"
-                        " distinct rows that fit, own rows 0 .. own-1, none"
-                        f" read from its rank on ({bad})")
-    return [Finding("cemit", "CEMIT-GEMM", loc, msg) for msg in msgs]
+            found.append(("CEMIT-GEMM", f"shape variant {v}: homes {homes}"
+                          " are not R distinct homes that fit, own rows"
+                          f" 0 .. own-1, none read from its rank on ({bad})"))
+        found += _check_c_homes(chains, homes, v)
+    return [Finding("cemit", code, loc, msg) for code, msg in found]
 
 
 def verify_descriptor(desc, algorithm, cse: bool, real: str = "double",
@@ -239,14 +286,23 @@ def verify_descriptor(desc, algorithm, cse: bool, real: str = "double",
 
 def verify_library(source: str | None = None) -> list[Finding]:
     """What the library asks of no descriptor: its vendor calls scale by
-    ``alpha = 1``, ``beta = 0``, and the descriptor's fields are the
-    contract's (``EMISSION_CONTRACT["cbackend"]``)."""
-    from repro.codegen.cbackend import LIBRARY, Descriptor
+    ``alpha = 1``, ``beta = 0``, its passes are the
+    :data:`~repro.codegen.cbackend.PASS_TERMS` wide the C homes are
+    placed by, and the descriptor's fields are the contract's
+    (``EMISSION_CONTRACT["cbackend"]``)."""
+    from repro.codegen.cbackend import LIBRARY, PASS_TERMS, Descriptor
     from repro.codegen.strategies import EMISSION_CONTRACT
 
     where = LIBRARY.name
+    source = source or LIBRARY.read_text()
     findings = []
-    for m in _RE_VENDOR.finditer(source or LIBRARY.read_text()):
+    width = _RE_PASS.search(source)
+    if width is None or int(width.group(1)) != PASS_TERMS:
+        findings.append(Finding(
+            "cemit", "CEMIT-LAYOUT", where,
+            f"the library's passes are not the {PASS_TERMS} terms wide"
+            " the C homes are placed by"))
+    for m in _RE_VENDOR.finditer(source):
         args, (a, b) = m.group(2).split(", "), _SCALARS[m.group(1)]
         if args[a:a + 1] + args[b:b + 1] != ["1", "0"]:
             findings.append(Finding(

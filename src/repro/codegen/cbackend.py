@@ -22,8 +22,8 @@ The library's interface, over ``real`` and a descriptor ``f``::
                 real *S, long i0, long i1);
     void form_T(const fmm_t *f, const real *B, long ldb, long bp, long bq,
                 real *T, long i0, long i1);
-    void form_C(const fmm_t *f, const real **M, long bp, long bq,
-                real *C, long ldc, real *Y,
+    void form_C(const fmm_t *f, const real **M, const long *ldm,
+                long bp, long bq, real *C, long ldc, real *Y,
                 const real *A12, long lda, const real *B21, long ldb,
                 long dq, long i0, long i1);
     int fmm_step(const fmm_t *f, const blas_t *x, long steps,
@@ -36,8 +36,9 @@ in place (row stride ``lda``, in elements) and write CSE definitions plus
 all non-alias chains into a contiguous slab; alias chains (single-nonzero
 columns after scalar piping) are never formed -- their products read the
 parent's block in place, the paper's "no temporary is formed" rule.
-``form_C`` assembles the output blocks from an array of product-row
-pointers; ``Y`` is caller-provided scratch for C-side CSE definitions.
+``form_C`` assembles the output blocks from an array of product
+pointers, each product's rows ``ldm[r]`` elements apart; ``Y`` is
+caller-provided scratch for C-side CSE definitions.
 Where dynamic peeling (Section 3.5) stripped ``dq`` columns off the inner
 dimension, ``form_C`` also adds their contribution -- ``C[i, :] += A12[i,
 t] * B21[t, :]``, ``t = 0 .. dq-1`` -- to each block row right after
@@ -65,8 +66,12 @@ arena region ``[w, end)`` in :func:`repro.core.workspace.
 cbackend_footprint`'s order and rounding, runs ``form_S`` and ``form_T``,
 computes each rank's product into its :func:`product_homes` home by a
 call to itself, runs ``form_C`` with the inner strip, and adds the right
-and bottom peel strips.  ``x`` holds the vendor's cblas ``gemm``, ``gemv``
-and ``dot`` (:func:`repro.parallel.blas.matmul_kernels`, passed as
+and bottom peel strips.  A product's home is the block of ``C`` whose
+chain reads it last, where that chain reads it in its first pass
+(:func:`c_hosts`): ``form_C`` then reads it in place and stores the
+block over it.  Only the products ``C`` cannot hold take a consumed S or
+T row, or a row of their own.  ``x`` holds the vendor's cblas ``gemm``,
+``gemv`` and ``dot`` (:func:`repro.parallel.blas.matmul_kernels`, passed as
 function pointers: no link-time dependency); every product is issued as
 ``np.matmul`` would issue it.  It returns -1, having written nothing past
 ``end``, when the region is too small.  Where the probe finds no cblas,
@@ -78,15 +83,18 @@ ivdep``, clang's ``vectorize(assume_safety)``, nothing elsewhere).  With
 more than ten pointer pairs in a loop gcc stops versioning it for
 aliasing and runs it scalar.  The hint asserts what holds by
 construction, in two halves.  The descriptor's: no chain's target is one
-of its own sources (an adding pass reads its target at the same ``j`` it
-writes) -- proven per descriptor by :mod:`repro.analyze.cemit`.  The
+of its own sources, except the target itself read at the same ``j`` it
+is written -- by an adding pass, or by the first pass of the chain whose
+block holds a product it reads -- proven per descriptor by
+:mod:`repro.analyze.cemit`.  The
 caller's, **the no-overlap contract of these kernels**: buffers passed as
 different arguments do not overlap -- the slabs, products and ``Y`` are
 distinct arena takes (or fresh arrays), never the operands; ``C`` is the
 caller's ``out`` (checked against ``A`` and ``B`` by
 :func:`repro.core.workspace.check_out`), a fresh array, or a buffer of the
 level above that none of this level's operands occupies
-(:func:`product_homes` frees a chain's row only once its rank is done);
+(:func:`product_homes` frees a chain's row only once its rank is done; a
+product ``C`` holds is a block of ``C`` itself);
 ``A12``/``B21`` are views of the operands.
 
 The library is compiled lazily, at the first :func:`compile_chains` of an
@@ -243,7 +251,43 @@ def _extract(algorithm: FastAlgorithm, cse: bool):
                 slot += 1
         sides[key] = {"chains": chains, "defs": defs,
                       "layout": layout, "slots": slot}
+    sides["c"]["hosts"] = _hosts(sides["c"]["defs"], sides["c"]["chains"])
     return sides["s"], sides["t"], sides["c"]
+
+
+#: the terms a chain's first pass reads (``fmm.c``'s ``W``); every later
+#: pass adds to the target the first one stored
+PASS_TERMS = 10
+
+
+def _hosts(defs: list[Chain], chains: list[Chain]) -> dict[int, int]:
+    """Product -> the C block that holds it (:func:`c_hosts`): block ``b``
+    holds product ``r`` when chain ``b`` is the last chain of the C
+    program, definitions included, that reads ``r``, and reads it only in
+    its first pass -- greedily in program order, one product a block."""
+    program = [*defs, *chains]
+    last = {t.source: i for i, ch in enumerate(program) for t in ch.terms}
+    hosts = {}
+    for i, ch in enumerate(chains, len(defs)):
+        later = {t.source for t in ch.terms[PASS_TERMS:]}
+        for t in ch.terms[:PASS_TERMS]:
+            if (t.source.startswith("M") and last[t.source] == i
+                    and t.source not in later):
+                hosts[int(t.source[1:])] = int(ch.target[1:])
+                break
+    return hosts
+
+
+def c_hosts(algorithm: FastAlgorithm, cse: bool = False) -> dict[int, int]:
+    """The products ``C`` holds: rank -> the block whose chain reads it
+    last, in its first pass.  That chain's first pass reads the product
+    and stores the block at the same ``j``, and no later chain reads it,
+    so the product may be written straight into the block -- in every
+    shape variant, as a product is exactly one block of ``C``.
+    ``strassen`` and ``winograd`` hold 4 of their 7 products, one in every
+    block, ``s333`` 9 of 23; a dense scheme, whose products every block
+    reads, few (``s424`` 1 of 26)."""
+    return _prepare(algorithm, cse)[2]["hosts"]
 
 
 # ======================================================================
@@ -272,7 +316,8 @@ class Descriptor:
     program order, in the element type.  ``operands`` are each rank's S
     and T operand (``~row`` of the slab, or an alias chain's block),
     ``homes`` :func:`product_homes` per shape variant ``v = (bn <= bq) + 2
-    (bp <= bq)``, ``(slab, row)`` with slab 0 S, 1 T, 2 own rows."""
+    (bp <= bq)``, ``(kind, index)`` with kind 0 an S row, 1 a T row, 2 an
+    own row, 3 the C block that holds the product (:func:`c_hosts`)."""
 
     base_case: tuple[int, int, int]
     rank: int
@@ -311,7 +356,7 @@ class Descriptor:
                 for tgt, terms in self.chains(side)]
         lines += [f"M{r} = {name(0, a)} @ {name(1, b)}"
                   for r, (a, b) in enumerate(self.operands)]
-        slabs = ("S", "T", "P")
+        slabs = ("S", "T", "P", "C")
         lines += [f"homes v{v}: " + " ".join(
             f"{slabs[slab]}[{row}]" for slab, row in homes)
             for v, homes in enumerate(self.homes)]
@@ -354,9 +399,10 @@ def descriptor(algorithm: FastAlgorithm, cse: bool = False,
     prog, coef = _program(c["defs"], c["chains"],
                           {d.target: i for i, d in enumerate(c["defs"])},
                           REALS[real])
-    code = {"s": 0, "t": 1, "m": 2}
+    code = {"s": 0, "t": 1, "m": 2, "c": 3}
     homes = [[(code[kind], row) for kind, row in product_homes(
-        s["layout"], t["layout"], 1 if v & 2 else 3, 2, 1 if v & 1 else 3)[0]]
+        s["layout"], t["layout"], c["hosts"], 1 if v & 2 else 3, 2,
+        1 if v & 1 else 3)[0]]
         for v in range(4)]
     return Descriptor(
         base_case=algorithm.base_case, rank=algorithm.rank,
@@ -402,8 +448,9 @@ def _declare(lib: ctypes.CDLL) -> None:
         fn.restype = None
         fn.argtypes = [ptr, ptr, lng, lng, lng, ptr, lng, lng]
     lib.form_C.restype = None
-    lib.form_C.argtypes = [ptr, ctypes.POINTER(ptr), lng, lng, ptr, lng, ptr,
-                           ptr, lng, ptr, lng, lng, lng, lng]
+    lib.form_C.argtypes = [ptr, ctypes.POINTER(ptr), ctypes.POINTER(lng),
+                           lng, lng, ptr, lng, ptr, ptr, lng, ptr, lng, lng,
+                           lng, lng]
     lib.fmm_step.restype = ctypes.c_int
     lib.fmm_step.argtypes = [ptr, ptr, lng, ptr, lng, ptr, lng, ptr, lng,
                              lng, lng, lng, ptr, ptr]
@@ -622,23 +669,36 @@ def _real_name(dtype) -> str | None:
                  if dt == np.dtype(dtype)), None)
 
 
-def product_homes(s_layout, t_layout, bp: int, bq: int,
-                  bn: int) -> tuple[list[tuple[str, int]], int]:
+def block(X: np.ndarray, idx: int, rows: int, cols: int) -> np.ndarray:
+    """Block ``idx`` (row-major) of the ``rows x cols`` blocks that tile
+    ``X`` exactly: an operand's core, or the core of ``C``."""
+    bi, bj = divmod(idx, X.shape[1] // cols)
+    return X[bi * rows:(bi + 1) * rows, bj * cols:(bj + 1) * cols]
+
+
+def product_homes(s_layout, t_layout, hosts: dict[int, int], bp: int,
+                  bq: int, bn: int) -> tuple[list[tuple[str, int]], int]:
     """Where the depth-first driver keeps each product until ``form_C``.
 
-    Rank ``r``'s product is the last reader of its S and T chains, so the
-    slab rows they occupy (when they have one -- alias chains are views of
-    the parent -- and it is big enough) are free for a later product.  Per
-    rank: ``("s", row)`` / ``("t", row)`` to overwrite that slab row, or
-    ``("m", i)`` for row ``i`` of a slab of its own; returned with the
-    number of such rows -- one for Strassen instead of seven -- which is
-    what the arena footprint charges.
+    A product ``C`` holds (``hosts``, :func:`c_hosts`) is written into its
+    block: ``("c", block)``.  Rank ``r``'s product is the last reader of
+    its S and T chains, so the slab rows they occupy (when they have one
+    -- alias chains are views of the parent -- and it is big enough) are
+    free for a later product that ``C`` does not hold: ``("s", row)`` /
+    ``("t", row)`` to overwrite that slab row, else ``("m", i)`` for row
+    ``i`` of a slab of its own.  Returned with the number of such rows
+    -- for Strassen none on square blocks and three where no slab row
+    fits, of the seven it took before any reuse -- which is what the arena
+    footprint charges.
     """
     homes: list[tuple[str, int]] = []
     free: list[tuple[str, int]] = []
     own = 0
-    for (s_kind, s_row), (t_kind, t_row) in zip(s_layout, t_layout):
-        if free:
+    for rr, ((s_kind, s_row), (t_kind, t_row)) in enumerate(
+            zip(s_layout, t_layout)):
+        if rr in hosts:
+            homes.append(("c", hosts[rr]))
+        elif free:
             homes.append(free.pop())
         else:
             homes.append(("m", own))
@@ -659,15 +719,17 @@ class CompiledChains:
     every S/T/C linear combination formed by its fused C passes.
     Each kernel works on a row range
     ``[i0, i1)`` of its blocks and touches nothing outside those rows, so
-    ranges may run concurrently (ctypes releases the GIL) and re-running
-    one recomputes it from its inputs: :meth:`form_S`, :meth:`form_T` and
-    :meth:`form_C` are what the parallel schedules fan out, and
-    :meth:`step` is what their tasks run.
+    ranges may run concurrently (ctypes releases the GIL), and re-running
+    a range of :meth:`form_S` or :meth:`form_T` recomputes it from its
+    inputs (one of :meth:`form_C` stores blocks over the products they
+    hold, so it runs once): they are what the parallel schedules fan out,
+    and :meth:`step` is what their tasks run.
 
     Whoever calls the kernels keeps their no-overlap contract (module
     docstring): slab, product, ``Y`` and destination buffers are distinct
-    allocations that overlap neither each other nor the operands.  The
-    loops are compiled on that promise.
+    allocations that overlap neither each other nor the operands -- save
+    a product that lives in the block of the destination that holds it
+    (:func:`c_hosts`).  The loops are compiled on that promise.
     """
 
     def __init__(self, algorithm: FastAlgorithm, cse: bool = False,
@@ -709,16 +771,21 @@ class CompiledChains:
 
     @staticmethod
     def product_rows(products):
-        """The row-pointer array ``form_C`` reads the ``R`` products
-        through: the rows of a ``(R, bp * bn)`` slab, or any sequence of
-        contiguous product buffers."""
-        return (ctypes.c_void_p * len(products))(
-            *(M.ctypes.data for M in products))
+        """What ``form_C`` reads the ``R`` products through: their
+        addresses, and their row strides in elements -- of a ``(bp, bn)``
+        block (:func:`kernel_ready`: a slab row reshaped, or a block of
+        ``C`` that holds it), or ``None`` for a flat product, a row of a
+        ``(R, bp * bn)`` slab, whose rows are ``bn`` apart."""
+        return ((ctypes.c_void_p * len(products))(
+            *(M.ctypes.data for M in products)),
+            [M.strides[0] // M.itemsize if M.ndim == 2 else None
+             for M in products])
 
     def form_C(self, Mrows, bp: int, bn: int, C, Y, i0: int, i1: int,
                strip=None) -> None:
         """Rows ``[i0, i1)`` of every ``bp x bn`` block of ``C``
-        (:func:`kernel_ready`) from :meth:`product_rows`.  ``Y`` holds the
+        (:func:`kernel_ready`) from :meth:`product_rows`; a product ``C``
+        holds is read in place, before its block is stored.  ``Y`` holds the
         C-side definitions of one row at a time (``None`` without any), so
         ranges that run concurrently must not share it.  ``strip`` is the
         peeled inner-dimension strip ``(A12, B21)`` of the level whose core
@@ -732,9 +799,12 @@ class CompiledChains:
             A12, B21 = strip
             strip_args = (A12.ctypes.data, self._ld(A12),
                           B21.ctypes.data, self._ld(B21), A12.shape[1])
-        self.lib.form_C(self._f, Mrows, bp, bn, C.ctypes.data, self._ld(C),
-                        None if Y is None else Y.ctypes.data, *strip_args,
-                        i0, i1)
+        ptrs, lds = Mrows
+        ldm = (ctypes.c_long * len(lds))(
+            *(bn if ld is None else ld for ld in lds))
+        self.lib.form_C(self._f, ptrs, ldm, bp, bn, C.ctypes.data,
+                        self._ld(C), None if Y is None else Y.ctypes.data,
+                        *strip_args, i0, i1)
 
     def operand(self, side: str, rr: int, slab, X, rows: int, cols: int):
         """Rank ``rr``'s S (``side="s"``) or T operand: its slab row, or
@@ -743,8 +813,7 @@ class CompiledChains:
         kind, idx = (self._s if side == "s" else self._t)["layout"][rr]
         if kind == "slot":
             return slab[idx].reshape(rows, cols)
-        bi, bj = divmod(idx, X.shape[1] // cols)
-        return X[bi * rows:(bi + 1) * rows, bj * cols:(bj + 1) * cols]
+        return block(X, idx, rows, cols)
 
     # ------------------------------------------------------------- driver
     def multiply(
@@ -906,18 +975,21 @@ class CompiledChains:
         self.form_S(A, bp, bq, Sslab, 0, bp)
         self.form_T(B, bq, bn, Tslab, 0, bq)
 
-        # depth first, a product may overwrite a chain an earlier rank
-        # consumed (product_homes); only the rest get rows of their own.
-        # A deeper recursion level writes its result straight into them.
+        # a product lives in the block of C that reads it last, or depth
+        # first in a chain an earlier rank consumed (product_homes); only
+        # the rest get rows of their own.  A deeper recursion level writes
+        # its result straight into them.
         homes, own = product_homes(self._s["layout"], self._t["layout"],
-                                   bp, bq, bn)
+                                   self._c["hosts"], bp, bq, bn)
         slabs = {"s": Sslab, "t": Tslab,
                  "m": _take(ws, (own, bp * bn), self.dtype)}
-        products = [slabs[kind][row][:bp * bn] for kind, row in homes]
+        products = [block(Cout, row, bp, bn) if kind == "c" else
+                    slabs[kind][row][:bp * bn].reshape(bp, bn)
+                    for kind, row in homes]
         for rr in range(R):
             self._recurse(self.operand("s", rr, Sslab, A, bp, bq),
                           self.operand("t", rr, Tslab, B, bq, bn),
-                          steps - 1, products[rr].reshape(bp, bn), ws)
+                          steps - 1, products[rr], ws)
 
         Y = _take(ws, (y_rows * bn,), self.dtype) if y_rows else None
         self.form_C(self.product_rows(products), bp, bn, Cout, Y, 0, bp,

@@ -10,14 +10,21 @@
  * what lives outside the side's scratch -- an A (B) block, a product, a
  * C block -- and ~i row i of the scratch: of the S (T) slab, or of Y.
  *
+ * A product lives in the C block whose chain reads it last, when that
+ * chain reads it in its first pass (a home of kind 3); the rest live in a
+ * consumed S or T row, or in a row of their own.  form_C reads each
+ * product through its own row stride: ldc for one C holds, the block's
+ * width for a slab row.
+ *
  * form_S / form_T / form_C work on the rows [i0, i1) of their blocks and
  * touch no other row.  Each chain runs in passes of at most W terms over
  * a row, in its own term order, the first storing its target and every
  * later one adding to it: with -ffp-contract=off every entry rounds as
  * the chain written out in full would round it.  Every pass loop is
  * marked NODEP: its target is none of its own sources (the cemit analyzer
- * proves it of every descriptor) except the target itself in an adding
- * pass, read and written at the same j; buffers passed as different
+ * proves it of every descriptor) except the target itself, read and
+ * written at the same j -- by an adding pass, or by the first pass of the
+ * chain whose block holds a product it reads; buffers passed as different
  * arguments do not overlap (the caller's contract).
  */
 #include <stddef.h>
@@ -37,7 +44,8 @@ typedef struct {
     const int *prog[3];     /* the S, T and C programs */
     const real *coef[3];    /* their coefficients, term by term */
     const int *operand;     /* [rank][2]: S and T operand, ~slab row or block */
-    const int *home;        /* [4][rank][2]: slab (0 S, 1 T, 2 own), row */
+    const int *home;        /* [4][rank][2]: 0 S row, 1 T row, 2 own row,
+                               3 C block; its index */
 } fmm_t;
 
 enum { W = 10 };
@@ -84,14 +92,15 @@ static void pass(int n, real *d, const real *const *x, const real *c,
 }
 
 /* Where a side's operands sit: `in[i]` (an index i >= 0) at row 0, its
- * rows `ld` apart; scratch row ~i at `row + i * rs`, rows `rld` apart;
+ * rows `ld[i]` apart; scratch row ~i at `row + i * rs`, rows `rld` apart;
  * and for C, target i >= 0 at `out[i]`, rows `old` apart. */
 typedef struct {
     const real *const *in;
+    const long *ld;
     real *const *out;
     real *row;
     size_t rs;
-    long ld, rld, old;
+    long rld, old;
 } at_t;
 
 /* The chains of one program over the rows [i0, i1), row by row, a chain
@@ -118,7 +127,7 @@ static void run(const int *prog, const real *coef, const at_t *at, long i0,
         for (int u = 0; u < prog[pos + 1]; ++u, ++t) {
             const int s = prog[pos + 2 + u];
             base[t] = (size_t)(s < 0 ? at->row + (size_t)~s * at->rs : at->in[s]);
-            step[t] = sizeof(real) * (s < 0 ? at->rld : at->ld);
+            step[t] = sizeof(real) * (s < 0 ? at->rld : at->ld[s]);
         }
     }
     real *xp[nt + nch];
@@ -153,9 +162,12 @@ static void form_side(const fmm_t *f, int side, const real *X, long ldx,
 {
     const int cols = side ? f->bn : f->bk, nb = (side ? f->bk : f->bm) * cols;
     const real *in[nb];
-    for (int b = 0; b < nb; ++b)
+    long ld[nb];
+    for (int b = 0; b < nb; ++b) {
         in[b] = X + (size_t)(b / cols * bp) * ldx + (size_t)(b % cols) * bq;
-    const at_t at = {in, NULL, S, (size_t)bp * (size_t)bq, ldx, bq, 0};
+        ld[b] = ldx;
+    }
+    const at_t at = {in, ld, NULL, S, (size_t)bp * (size_t)bq, bq, 0};
     run(f->prog[side], f->coef[side], &at, i0, i1, bq, NULL, NULL);
 }
 
@@ -192,12 +204,13 @@ static void strip(void *arg, int b, real *d, long i)
     }
 }
 
-/* The bp x bq blocks of C from the rank's product rows M, each block row
- * taking the peeled inner strip, C[i, :] += A12[i, t] B21[t, :] for t <
- * dq, right after it is stored.  Y holds the definitions of one row. */
-void form_C(const fmm_t *f, const real **M, long bp, long bq, real *C,
-            long ldc, real *Y, const real *A12, long lda, const real *B21,
-            long ldb, long dq, long i0, long i1)
+/* The bp x bq blocks of C from the rank's products M, rows ldm[r] apart,
+ * each block row taking the peeled inner strip, C[i, :] += A12[i, t]
+ * B21[t, :] for t < dq, right after it is stored.  Y holds the
+ * definitions of one row. */
+void form_C(const fmm_t *f, const real **M, const long *ldm, long bp,
+            long bq, real *C, long ldc, real *Y, const real *A12, long lda,
+            const real *B21, long ldb, long dq, long i0, long i1)
 {
     const int bn = f->bn, nc = f->bm * bn;
     real *out[nc];
@@ -207,14 +220,15 @@ void form_C(const fmm_t *f, const real **M, long bp, long bq, real *C,
         a[b] = A12 + (size_t)(b / bn * bp) * lda;
         e[b] = B21 + (size_t)(b % bn) * bq;
     }
-    const at_t at = {M, out, Y, (size_t)bq, bq, 0, ldc};
+    const at_t at = {M, ldm, out, Y, (size_t)bq, 0, ldc};
     strip_t s = {a, e, lda, ldb, dq, bq};
     run(f->prog[2], f->coef[2], &at, i0, i1, bq, dq ? strip : NULL, &s);
 }
 
 /* The sequential product, `steps` levels deep: one vendor product where
  * repro.core.recursion.should_split declines, else S and T, each rank's
- * product into its home by a call to itself, C with the inner strip and
+ * product into its home -- a slab row, or the block of C that holds it,
+ * rows ldc apart -- by a call to itself, C with the inner strip and
  * the right and bottom peel strips, every level carved from [w, end) in
  * repro.core.workspace.cbackend_footprint's order and rounding.  `mm`
  * issues one product as np.matmul does.  Runs a few statements a level:
@@ -274,6 +288,7 @@ int fmm_step(const fmm_t *f, const blas_t *x, long steps, const real *A, long ld
     real *const slab[3] = {S, T, P};
     const size_t blk[3] = {sblk, tblk, pblk};
     const real *H[R];
+    long L[R];
     form_S(f, A, lda, bp, bq, S, 0, bp);
     form_T(f, B, ldb, bq, bn, T, 0, bq);
     for (long i = 0; i < R; ++i) {
@@ -281,12 +296,14 @@ int fmm_step(const fmm_t *f, const blas_t *x, long steps, const real *A, long ld
         const int a = f->operand[2 * i], b = f->operand[2 * i + 1];
         const real *Sa = a < 0 ? S + ~a * sblk : A + (size_t)(a / BK * bp) * lda + a % BK * bq;
         const real *Tb = b < 0 ? T + ~b * tblk : B + (size_t)(b / BN * bq) * ldb + b % BN * bn;
-        real *h = slab[home[2 * i]] + home[2 * i + 1] * blk[home[2 * i]];
+        const int kind = home[2 * i], at = home[2 * i + 1];
+        real *h = kind == 3 ? C + (size_t)(at / BN * bp) * ldc + at % BN * bn : slab[kind] + at * blk[kind];
         H[i] = h;
-        if (fmm_step(f, x, steps - 1, Sa, a < 0 ? bq : lda, Tb, b < 0 ? bn : ldb, h, bn, bp, bq, bn, w, end))
+        L[i] = kind == 3 ? ldc : bn;
+        if (fmm_step(f, x, steps - 1, Sa, a < 0 ? bq : lda, Tb, b < 0 ? bn : ldb, h, L[i], bp, bq, bn, w, end))
             return -1;
     }
-    form_C(f, H, bp, bn, C, ldc, Y, A + BK * bq, lda, B + (size_t)(BK * bq) * ldb, ldb, q - BK * bq, 0, bp);
+    form_C(f, H, L, bp, bn, C, ldc, Y, A + BK * bq, lda, B + (size_t)(BK * bq) * ldb, ldb, q - BK * bq, 0, bp);
     if (BN * bn < r)
         mm(x, BM * bp, r - BN * bn, q, A, lda, B + BN * bn, ldb, C + BN * bn, ldc);
     if (BM * bp < p)

@@ -435,10 +435,12 @@ def cbackend_footprint(
     - ``form_S``/``form_T`` fill whole **slab arrays** (one row per CSE
       definition + non-alias chain), so all slab rows of a level are live
       at once, alongside the products ``form_C`` reads after the rank
-      loop -- depth first, a product overwrites a chain an earlier rank
-      consumed (:func:`repro.codegen.cbackend.product_homes`), so only the
-      first few need rows of their own; alias (zero-traffic) chains are
-      block views of the parent operand and cost nothing;
+      loop -- a product lives in the block of ``C`` whose chain reads it
+      last (:func:`repro.codegen.cbackend.c_hosts`), or depth first in a
+      chain an earlier rank consumed
+      (:func:`repro.codegen.cbackend.product_homes`), so only the few
+      left need rows of their own; alias (zero-traffic) chains are block
+      views of the parent operand and cost nothing;
     - ``form_C`` takes ``|C defs|`` scratch rows.
 
     The step holds one such set per level.
@@ -472,10 +474,12 @@ def level_elements(algorithm, cse: bool, blk: tuple[int, int, int],
     ``blk = (bp, bq, bn)`` blocks: the S slab (``bp * bq`` a row, a row
     per CSE definition and non-alias chain, never none), the T slab
     (``bq * bn``), ``products`` product rows (``bp * bn``) and ``form_C``'s
-    ``Y`` rows (``bn``, one per C-side definition).  The step holds only
-    the products that found no consumed chain to overwrite
+    ``Y`` rows (``bn``, one per C-side definition).  Neither holds a row
+    for a product the level's ``C`` holds
+    (:func:`repro.codegen.cbackend.c_hosts`).  The step holds only the
+    other products that found no consumed chain to overwrite
     (:func:`repro.codegen.cbackend.product_homes`); a level the BFS/HYBRID
-    tree forms itself holds every rank's and no ``Y``.
+    tree forms itself holds every other product and no ``Y``.
 
     Slot counts come from the backend's own
     :func:`repro.codegen.cbackend._prepare` (imported lazily --
@@ -496,9 +500,9 @@ def _cbackend_levels(algorithm, cse: bool, p: int, q: int, r: int,
     (:func:`level_elements`)."""
     from repro.codegen.cbackend import _prepare, product_homes
 
-    s, t, _ = _prepare(algorithm, cse)
+    s, t, c = _prepare(algorithm, cse)
     for *_, blk in _split_levels([algorithm.base_case] * steps, p, q, r):
-        own = product_homes(s["layout"], t["layout"], *blk)[1]
+        own = product_homes(s["layout"], t["layout"], c["hosts"], *blk)[1]
         yield from level_elements(algorithm, cse, blk, own)
 
 

@@ -33,12 +33,16 @@ fill whole waves run as tasks; the ``R mod P`` left over are expanded one
 more level in the same way, and so on, so exactly ``R^L mod P`` leaves are
 left for the all-threads remainder (HYBRID) or a last partial wave of
 tasks (BFS).  Memory follows CAPS (Ballard et al. 2012): BFS levels only
-where the parallelism needs them, DFS below.  The arena holds the top
-level's S, T and product slabs, those of the few expanded left-over nodes,
-and P regions each task's step carves its own levels from
-(:func:`parallel_footprint`).  A task borrows one region for its
-duration, so no two running steps share one, and a retried task
-recomputes its product from its operands in whichever region it borrows.
+where the parallelism needs them, DFS below.  Every level keeps only the
+products its ``C`` cannot hold: a product lives in the block of ``C``
+whose chain reads it last, where that chain reads it in its first pass
+(:func:`repro.codegen.cbackend.c_hosts`; 4 of Strassen's 7), so the
+arena holds the top level's S and T slabs and its other products' rows,
+those of the few expanded left-over nodes, and P regions each task's
+step carves its own levels from (:func:`parallel_footprint`).  A task
+borrows one region for its duration, so no two running steps share one,
+and a retried task recomputes its product from its operands in
+whichever region it borrows.
 
 **What runs** is decided per call by
 :func:`repro.codegen.cbackend.chains_fused` -- it is not a plan dimension
@@ -147,11 +151,19 @@ def _region_bytes(alg: FastAlgorithm, real, levels: list,
                default=0)
 
 
+def _tree_products(alg: FastAlgorithm, cse: bool) -> int:
+    """The product rows a level the tree forms holds: one for every rank
+    whose product its ``C`` cannot hold
+    (:func:`repro.codegen.cbackend.c_hosts`)."""
+    return alg.rank - len(cbackend.c_hosts(alg, cse))
+
+
 class _Level:
     """One node whose level the schedule forms itself: ``C = A @ B`` with
     its S and T slabs (a row per non-alias chain; alias chains are views
-    of ``A``'s and ``B``'s blocks) and an ``R``-row product slab, which
-    its children write and ``form_C`` reads."""
+    of ``A``'s and ``B``'s blocks) and its products, which its children
+    write and ``form_C`` reads: a product ``C`` holds is a view of its
+    block, every other one a row of the level's product slab."""
 
     def __init__(self, cc: "cbackend.CompiledChains", A, B, C, take):
         m, k, n = cc.algorithm.base_case
@@ -163,10 +175,15 @@ class _Level:
                                  self.A11.shape[1] // k,
                                  self.B11.shape[1] // n)
         s, t, m, _ = level_elements(cc.algorithm, cc.cse, self.blk,
-                                    cc.algorithm.rank)
-        self.S, self.T, self.M = (
+                                    _tree_products(cc.algorithm, cc.cse))
+        self.S, self.T, slab = (
             take((nelems // width, width), cc.dtype)
             for nelems, width in ((s, bp * bq), (t, bq * bn), (m, bp * bn)))
+        core = C[:self.A11.shape[0], :self.B11.shape[1]]
+        hosts, rows = cbackend.c_hosts(cc.algorithm, cc.cse), iter(slab)
+        self.M = [cbackend.block(core, hosts[rr], bp, bn) if rr in hosts
+                  else next(rows).reshape(bp, bn)
+                  for rr in range(cc.algorithm.rank)]
         self.products = cc.product_rows(self.M)
 
     def children(self) -> list[tuple]:
@@ -174,7 +191,7 @@ class _Level:
         bp, bq, bn = self.blk
         return [(self.cc.operand("s", rr, self.S, self.A11, bp, bq),
                  self.cc.operand("t", rr, self.T, self.B11, bq, bn),
-                 self.M[rr].reshape(bp, bn))
+                 self.M[rr])
                 for rr in range(self.cc.algorithm.rank)]
 
     def form_items(self, parts: int) -> list[tuple]:
@@ -211,8 +228,10 @@ class _Level:
 
 
 def _fan_out(pool: WorkerPool, work: list[tuple]) -> None:
-    """One barrier over ``(bound task body, item)`` pairs; a body
-    recomputes its rows from its inputs, so it is retryable."""
+    """One barrier over ``(bound task body, item)`` pairs, retryable: a
+    form body recomputes its rows from its inputs, and a combine body,
+    which stores blocks of C over the products they hold, can raise only
+    before its one kernel call writes anything."""
     pool.map_wait(lambda wi: wi[0](wi[1]), work, retryable=True)
 
 
@@ -327,8 +346,8 @@ def parallel_footprint(
     interpreter every scheme falls back to
     (:func:`repro.codegen.cbackend.sequential_footprint`); BFS and HYBRID
     hold the slabs of every level they form themselves
-    (:func:`repro.core.workspace.level_elements`, every rank's product)
-    and ``threads`` step regions.
+    (:func:`repro.core.workspace.level_elements`, a row for every product
+    the level's ``C`` cannot hold) and ``threads`` step regions.
     """
     dtype_b = dtype_a if dtype_b is None else dtype_b
     if fused is None:
@@ -343,7 +362,8 @@ def parallel_footprint(
     takes = [(nelems * real.itemsize, nodes)
              for nodes, blk, _ in levels
              for nelems in level_elements(algorithm, False, blk,
-                                          algorithm.rank)[:3]]
+                                          _tree_products(algorithm,
+                                                         False))[:3]]
     region = _region_bytes(algorithm, real, levels, steps)
     if region:
         takes.append((region + ALIGNMENT, threads))

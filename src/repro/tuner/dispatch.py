@@ -321,9 +321,14 @@ def _stacked_dgemm(A: np.ndarray, B: np.ndarray, out: np.ndarray,
     gemm, HYBRID's rule for leaves that do not fill a wave.  A batch the
     vendor call does not take (fewer products than threads, mixed or
     non-float dtypes, a layout it cannot address, a product under its
-    guard) is ``np.matmul`` over the stacks.  The products sent to the
-    vendor are tallied as ``vendor`` on the request's span."""
+    guard) is ``np.matmul`` over the stacks, and so is one whose ``out``
+    may share memory with ``A`` or ``B``: the vendor call would read
+    products it has already written, where ``np.matmul`` buffers the
+    overlap.  The products sent to the vendor are tallied as ``vendor``
+    on the request's span."""
     wave = len(A) - len(A) % threads
+    if np.may_share_memory(out, A) or np.may_share_memory(out, B):
+        wave = 0
     done = blas.gemm_batch(A[:wave], B[:wave], out[:wave]) if wave else 0
     telemetry.tally("vendor", done)
     if done < len(A):

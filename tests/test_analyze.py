@@ -277,8 +277,8 @@ def test_mutation_cemit_step_products_are_proven():
         desc, operands=lambda o: o.__setitem__((0, 0), ~7)), alg)
     # shape variant 3: rank 2 writes S row 1 (rank 1's, done) -- not row
     # 3, rank 5's, nor T row 0, rank 1's home; own rows count from 0
-    assert desc.homes[3].tolist() == [[2, 0], [1, 0], [0, 1], [1, 1],
-                                      [1, 2], [0, 2], [1, 3]]
+    assert desc.homes[3].tolist() == [[3, 3], [1, 0], [0, 1], [3, 2],
+                                      [3, 1], [0, 2], [3, 0]]
     for rank, home in ((2, [0, 3]), (2, [1, 0]), (0, [2, 1])):
         assert "CEMIT-GEMM" in _cemit_codes(_mutant(
             desc, homes=lambda h: h.__setitem__((3, rank), home)), alg), home
@@ -289,6 +289,74 @@ def test_mutation_cemit_step_products_are_proven():
         desc, programs=lambda p: p[2].__setitem__(6, 5)), alg)
     assert "CEMIT-LAYOUT" in _cemit_codes(_mutant(
         desc, rows=lambda r: r.__setitem__(0, 4)), alg)
+
+
+def _cemit_findings(desc, alg, cse=False):
+    return [(f.code, f.message) for f in cemit.verify_descriptor(
+        desc, alg, cse, where="mut")]
+
+
+def test_mutation_cemit_c_homes_are_proven():
+    """A block of C holds a product only where its chain reads it in the
+    first pass and no later chain reads it: a product read after its block
+    is stored, one read in a second pass and two products in one block
+    each have their finding, and the pass width is the library's."""
+    from repro.codegen.cbackend import LIBRARY, PASS_TERMS, descriptor
+
+    alg = get_algorithm("strassen")
+    desc = descriptor(alg)
+    # C0 <- M0 + M3 - M4 + M6, ..., C3 <- M0 - M1 + M2 + M5: C3 holds M0,
+    # C2 M3, C1 M4 and C0 M6 (shape variant 3)
+    assert {b: r for r, (kind, b) in enumerate(desc.homes[3].tolist())
+            if kind == 3} == {3: 0, 2: 3, 1: 4, 0: 6}
+
+    def homes(edits):
+        def edit(h):
+            for rank, home in edits:
+                h[3, rank] = home
+        return edit
+
+    # M0 in C0, which reads it first, while C3 reads it after C0 is stored
+    # (M6 moved to an own row to leave C0 to M0)
+    late = _cemit_findings(_mutant(
+        desc, homes=homes([(0, [3, 0]), (6, [2, 0])])), alg)
+    assert [code for code, _ in late] == ["CEMIT-GEMM"]
+    assert "after the block is stored" in late[0][1]
+    # M5 also in C3, which holds M0 already
+    two = _cemit_findings(_mutant(desc, homes=homes([(5, [3, 3])])), alg)
+    assert {code for code, _ in two} == {"CEMIT-GEMM"}
+    assert any("holds products 0 and 5" in msg for _, msg in two)
+
+    # s424's one hosted product moved past its chain's first pass: the
+    # chain's terms swapped, the bilinear form unchanged
+    s424 = get_algorithm("s424")
+    desc = descriptor(s424)
+    assert cemit.verify_descriptor(desc, s424, False) == []
+    (r, b), = ((r, b) for r, (kind, b) in enumerate(desc.homes[0].tolist())
+               if kind == 3)
+    pos, term = 1, 0
+    for tgt, terms in desc.chains(2):
+        if tgt == b:
+            break
+        pos, term = pos + 2 + len(terms), term + len(terms)
+    u = [src for _, src in terms].index(r)
+    assert u < PASS_TERMS < len(terms)
+
+    def swap(arrays, at):
+        a = arrays[2]
+        a[[at + u, at + PASS_TERMS]] = a[[at + PASS_TERMS, at + u]]
+
+    later = _cemit_findings(_mutant(
+        desc, programs=lambda p: swap(p, pos + 2),
+        coefficients=lambda c: swap(c, term)), s424)
+    assert {code for code, _ in later} == {"CEMIT-ALIAS", "CEMIT-GEMM"}
+    assert any("first pass" in msg for code, msg in later
+               if code == "CEMIT-GEMM")
+
+    src = LIBRARY.read_text()
+    assert "enum { W = 10 };" in src and PASS_TERMS == 10
+    assert has_code(cemit.verify_library(
+        src.replace("enum { W = 10 };", "enum { W = 12 };")), "CEMIT-LAYOUT")
 
 
 def test_mutation_unlocked_lib_cache_is_detected():

@@ -451,6 +451,29 @@ class TestVendorWaves:
         with blas.blas_threads(self.T):
             np.testing.assert_array_equal(got, np.matmul(A, B))
 
+    @pytest.mark.parametrize("alias", ["out=A", "out=B", "offset view"])
+    def test_aliased_out_is_numpys_buffered_product(self, alias):
+        """``execute_plan`` on stacks whose ``out`` shares memory with an
+        operand: the vendor call would read products it has already
+        written, so the batch is ``np.matmul``'s, which buffers the
+        overlap."""
+        A, B = batch_operands(128, 128, 128, 4, seed=45)
+        with blas.blas_threads(self.T):
+            want = np.matmul(A, B)
+        if alias == "out=A":
+            X, Y = A.copy(), B
+            out = X
+        elif alias == "out=B":
+            X, Y = A, B.copy()
+            out = Y
+        else:
+            buf = np.empty((5, 128, 128))
+            buf[:4] = A
+            X, Y, out = buf[:4], B, buf[1:]
+        got = dispatch.execute_plan(Plan(threads=self.T), X, Y, out=out)
+        assert got is out
+        np.testing.assert_array_equal(got, want)
+
     def test_list_form_keeps_its_loop(self, cache):
         A, B = batch_operands(200, 200, 200, 4, seed=44)
         got, rec, _ = self.serve(list(A), list(B), cache)

@@ -196,7 +196,9 @@ class TestCodegen:
 
     def test_c_descriptor(self):
         """``--c`` prints the descriptor the library reads: one line per
-        chain, each rank's operands, the homes of each shape variant."""
+        chain, each rank's operands, the homes of each shape variant --
+        ``C[b]`` for a product block ``b`` of C holds, ``P[i]`` for an own
+        row."""
         rc, text = run_cli("codegen", "-a", "strassen", "--c")
         assert rc == 0
         lines = text.splitlines()
@@ -205,6 +207,8 @@ class TestCodegen:
         assert "C0 <- +1 M0 +1 M3 -1 M4 +1 M6" in lines
         assert "M1 = S[1] @ B0" in lines
         assert sum(ln.startswith("homes v") for ln in lines) == 4
+        assert "homes v0: C[3] P[0] P[1] C[2] C[1] P[2] C[0]" in lines
+        assert "homes v3: C[3] T[0] S[1] C[2] C[1] S[2] C[0]" in lines
 
 
 class TestSearchPassthrough:

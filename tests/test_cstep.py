@@ -16,6 +16,7 @@ strips -- every level, in one ctypes call.  What it promises:
 
 from __future__ import annotations
 
+import itertools
 import sys
 import threading
 
@@ -132,13 +133,20 @@ def test_without_cblas_the_python_driver_serves_the_same_bits(
 def test_every_candidate_step_is_its_python_driver(name):
     """The library with each candidate's descriptor, both element types,
     with and without CSE, one and two levels, on a shape peeled in every
-    dimension at both levels: the one-call step and the Python driver
-    that calls ``form_S``/``form_T``/``form_C`` level by level agree bit
-    for bit."""
+    dimension at both levels, and on shapes whose top level is each of
+    the four home variants (S rows, T rows, both or neither fit a
+    product; the products C holds live in C in all four): the one-call
+    step and the Python driver that calls ``form_S``/``form_T``/``form_C``
+    level by level agree bit for bit."""
     alg = get_algorithm(name)
     m, k, n = alg.base_case
-    p, q, r = 2 * m * m + m + 1, 2 * k * k + k + 1, 2 * n * n + n + 1
-    for dtype in DTYPES:
+    shapes = [(2 * m * m + m + 1, 2 * k * k + k + 1, 2 * n * n + n + 1)]
+    shapes += [(m * bp + 1, 4 * k + 1, n * bn + 1)
+               for bp in (4, 9) for bn in (4, 9)]
+    variants = {(p // m <= q // k) * 2 + (r // n <= q // k)
+                for p, q, r in shapes[1:]}
+    assert variants == {0, 1, 2, 3}
+    for (p, q, r), dtype in itertools.product(shapes, DTYPES):
         A = random_matrix(p, q, 10, dtype=dtype)
         B = random_matrix(q, r, 11, dtype=dtype)
         for cse in (False, True):
@@ -147,7 +155,8 @@ def test_every_candidate_step_is_its_python_driver(name):
                 driver = np.empty((p, r), dtype)
                 cc._recurse(A, B, steps, driver, None)
                 step = cc.multiply(A, B, steps=steps)
-                assert np.array_equal(step, driver), (dtype, cse, steps)
+                assert np.array_equal(step, driver), (p, q, r, dtype, cse,
+                                                      steps)
                 assert np.allclose(step, A @ B, rtol=1e-3, atol=1e-3)
 
 

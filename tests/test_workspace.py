@@ -50,6 +50,7 @@ from repro.tuner import reset_workspaces
 from repro.util.matrices import random_matrix
 
 LARGE = 1 << 20  # the "large allocation" threshold of the steady-state claim
+STRASSEN1 = Plan(algorithm="strassen", steps=1, threads=1)
 
 
 @pytest.fixture(autouse=True)
@@ -223,11 +224,40 @@ class TestFootprints:
         n = 1024
         fp = dfs_footprint([alg.base_case] * 2, n, n, n)
         assert fp < 2 * n * n * 8
-        # a level the tree forms itself holds all R products, where DFS
-        # holds one: BFS must exceed DFS
+        # a level the tree forms itself holds every product its C cannot
+        # hold, where DFS holds none: BFS must exceed DFS
         assert parallel_footprint(alg, 2, "bfs", n, n, n, fused=True,
                                   threads=2) > parallel_footprint(
             alg, 2, "dfs", n, n, n, fused=True, threads=2)
+
+    @pytest.mark.skipif(not cbackend.chains_fused("float64", None, "bfs"),
+                        reason="no C compiler or no vendor cblas")
+    @pytest.mark.parametrize("plan,shape,nbytes,high_water", [
+        (STRASSEN1, (2048, 2048, 2048), 83886272, 83886144),
+        (STRASSEN1, (2999, 801, 2999), 101896320, 101896128),
+        *((Plan(algorithm="strassen", steps=steps, scheme=scheme,
+                threads=2), (2048, 2048, 2048), *arena)
+          for steps, arena in ((1, (109052160, 109051904)),
+                               (2, (178258624, 178258048)))
+          for scheme in ("bfs", "hybrid")),
+    ], ids=lambda v: v.describe() if isinstance(v, Plan) else None)
+    def test_pinned_plans_carve_their_pinned_arena(self, plan, shape, nbytes,
+                                                   high_water):
+        """The memory regression table: the benchmark's pinned float64
+        plans reserve exactly these bytes and a call carves exactly these
+        of them, with no overflow -- the footprint and the executor it
+        mirrors cannot drift apart unnoticed.  Every product lives in the
+        C block that reads it last where it can: the sequential step's
+        carve holds no product row at 2048^3 (80 MiB, 88 when each took a
+        slab row) and three at 2999x801x2999 (97 MiB, 166 with seven); the
+        tree's levels 104 MiB (136) and 170 MiB (214)."""
+        p, q, r = shape
+        A, B = random_matrix(p, q, 1), random_matrix(q, r, 2)
+        ws = dispatch.workspace_for(plan, p, q, r, A.dtype, B.dtype)
+        dispatch.execute_plan(plan, A, B, out=np.empty((p, r)),
+                              workspace=ws)
+        assert (ws.nbytes, ws.high_water, ws.overflow_allocations) == (
+            nbytes, high_water, 0)
 
     def test_schedule_with_skipped_level_fits(self):
         # first level too big to split at these dims: multiply_schedule

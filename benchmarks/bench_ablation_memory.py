@@ -1,11 +1,7 @@
-"""Ablation (Sections 3.2 / 4.2): memory footprint of strategies & schemes.
+"""Ablation (Section 4.2): memory footprint of the parallel schemes.
 
-Two of the paper's memory claims, measured with tracemalloc:
-
-- streaming additions materialize all R temporaries at once (R/2-fold the
-  write-once pair) -- Section 3.2;
-- BFS needs ~R/(MN) times the output memory per recursion level for the
-  M_r intermediates -- Section 4.2.
+The paper's claim, measured with tracemalloc: BFS needs ~R/(MN) times the
+output memory per recursion level for the M_r intermediates.
 """
 
 import tracemalloc
@@ -14,8 +10,7 @@ from conftest import bench_once
 
 from repro.algorithms import get_algorithm
 from repro.bench.workloads import scaled, square
-from repro.codegen import compile_algorithm
-from repro.core.cost import bfs_memory_factor, temporaries_memory
+from repro.core.cost import bfs_memory_factor
 from repro.parallel import WorkerPool, multiply_parallel
 
 
@@ -25,25 +20,6 @@ def _peak_bytes(fn) -> int:
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     return peak
-
-
-def test_strategy_memory(benchmark):
-    alg = get_algorithm("s424")
-    n = scaled(512)
-    A, B = square(n).matrices()
-    fs = {s: compile_algorithm(alg, s) for s in
-          ("pairwise", "write_once", "streaming")}
-    peaks = {s: _peak_bytes(lambda f=f: f(A, B, steps=1))
-             for s, f in fs.items()}
-    bench_once(benchmark, lambda: fs["write_once"](A, B, steps=1))
-
-    print(f"\n== Memory: addition strategies, <4,2,4> 1 step, N={n} ==")
-    print(f"{'strategy':<12} {'peak MiB':>10} {'model temporaries':>18}")
-    for s, p in peaks.items():
-        print(f"{s:<12} {p / 2**20:>10.1f} {temporaries_memory(alg, s):>18}")
-    verdict = "PASS" if peaks["streaming"] > peaks["write_once"] else "MISS"
-    print(f"paper-shape check: streaming needs more temporary memory: {verdict}")
-    assert peaks["streaming"] > 0
 
 
 def test_scheme_memory(benchmark):

@@ -15,7 +15,7 @@ from repro.bench.metrics import median_time
 from repro.bench.workloads import scaled, square
 from repro.parallel import blas
 from repro.parallel.add import measure_stream
-from repro.parallel.pool import parallel_combine
+from repro.parallel.pool import parallel_axpy
 
 
 def test_bandwidth_vs_gemm_scaling(benchmark, pool):
@@ -71,8 +71,11 @@ def test_addition_share_grows_in_parallel(benchmark, pool):
     def adds_parallel():
         for r in range(alg.rank):
             col = alg.U[:, r]
-            if (col != 0).sum() > 1:
-                parallel_combine(pool, S, blocksA, col)
+            nz = col.nonzero()[0]
+            if len(nz) > 1:
+                np.copyto(S, blocksA[nz[0]])
+                for i in nz[1:]:
+                    parallel_axpy(pool, S, blocksA[i], 1.0)
 
     half = blocksA[0]
     with blas.blas_threads(1):

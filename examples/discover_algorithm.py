@@ -5,14 +5,15 @@ Run:  python examples/discover_algorithm.py
 End-to-end run of the search pipeline on the <2,2,2> tensor at rank 7:
 multi-start regularized ALS finds a numerical decomposition, the Prop.-2.3
 normalization + rounding step turns it into a discrete exact algorithm,
-and the code generator turns *that* into a runnable multiply -- i.e. the
+and the code generator turns *that* into the descriptor the compiled
+library runs as a multiply -- i.e. the
 full journey from "tensor" to "working Strassen-class algorithm" in one
 script.
 """
 
 import numpy as np
 
-from repro.codegen import compile_algorithm, generate_source
+from repro.codegen import cbackend, compile_algorithm
 from repro.core.algorithm import FastAlgorithm
 from repro.search import AlsOptions, search
 
@@ -47,8 +48,8 @@ def main() -> None:
     err = np.linalg.norm(f(A, B, steps=2) - A @ B) / np.linalg.norm(A @ B)
     print(f"\ncompiled and ran the discovered algorithm: rel. error {err:.2e}")
 
-    print("\nGenerated source (first 20 lines):")
-    print("\n".join(generate_source(alg).splitlines()[:20]))
+    print("\nIts descriptor, the tables the C library runs (first 20 lines):")
+    print("\n".join(cbackend.descriptor(alg).render().splitlines()[:20]))
 
     # rank 6 is impossible (Winograd 1971): show the search plateauing
     print("\nFor contrast, rank 6 (impossible) plateaus far from zero:")

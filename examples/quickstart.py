@@ -3,7 +3,7 @@
 Run:  python examples/quickstart.py
 
 Covers the one-call API, accuracy checking, the effective-GFLOPS metric
-(paper Eq. 3), and a peek at the generated code.
+(paper Eq. 3), and a peek at the descriptor the compiled library runs.
 """
 
 import numpy as np
@@ -70,11 +70,13 @@ def main() -> None:
         print(f"  {e.name:<14} <{m},{k},{n_}>  rank {e.rank:>3}  "
               f"speedup/step {e.speedup_per_step:>4.0%}  [{e.provenance}]")
 
-    # --- inspect the generated code --------------------------------------
-    src = repro.generate_source(repro.get_algorithm("strassen"),
-                                strategy="write_once")
-    head = "\n".join(src.splitlines()[:12])
-    print(f"\nFirst lines of the generated Strassen module:\n{head}\n...")
+    # --- inspect what the compiled library runs -------------------------
+    from repro.codegen import cbackend
+
+    desc = cbackend.descriptor(repro.get_algorithm("strassen")).render()
+    head = "\n".join(desc.splitlines()[:12])
+    print(f"\nFirst lines of Strassen's descriptor (the chains, operands "
+          f"and product homes the C library runs it from):\n{head}\n...")
 
 
 if __name__ == "__main__":

@@ -8,8 +8,8 @@ Parallel Fast Matrix Multiplication* (PPoPP 2015).  The package provides
   Hopcroft-Kerr-rank <2,2,n> algorithms and ALS-discovered algorithms at
   the paper's ranks (<2,3,3>:15, <2,3,4>:20, <2,4,4>:26, <3,3,3>:23, ...);
 - the numerical search used to find them (``repro.search``);
-- a code generator emitting specialized multiply routines with three
-  matrix-addition strategies and optional CSE (``repro.codegen``);
+- a code generator turning each algorithm into the addition-chain tables,
+  with optional CSE, that one compiled C library runs (``repro.codegen``);
 - shared-memory parallel schemes DFS / BFS / HYBRID (``repro.parallel``);
 - a benchmark harness regenerating every figure and table of the paper's
   evaluation (``repro.bench`` + the repository's ``benchmarks/``).
@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.algorithms import by_base_case, classical, get_algorithm, strassen, table2, winograd
 from repro.bench.metrics import effective_gflops
-from repro.codegen import compile_algorithm, generate_source
+from repro.codegen import compile_algorithm
 from repro.core import EXACT_TOL, FastAlgorithm, matmul_tensor
 from repro.core.recursion import CutoffPolicy, multiply_schedule
 from repro.core.recursion import multiply as multiply_reference
@@ -55,7 +55,6 @@ __all__ = [
     "multiply_schedule",
     "CutoffPolicy",
     "compile_algorithm",
-    "generate_source",
     "WorkerPool",
     "available_cores",
     "effective_gflops",
@@ -68,7 +67,6 @@ def multiply(
     B: np.ndarray,
     algorithm: str | FastAlgorithm = "strassen",
     steps: int = 1,
-    strategy: str = "write_once",
     cse: bool = False,
     parallel: bool = False,
     scheme: str = "hybrid",
@@ -78,19 +76,20 @@ def multiply(
     """Multiply ``A @ B`` with a fast algorithm (the one-call public API).
 
     Parameters mirror the paper's tuning space: the algorithm (by registry
-    name or as a ``FastAlgorithm``), the recursion depth ``steps``, the
-    matrix-addition ``strategy`` (``write_once`` is the paper's default
-    winner), optional ``cse``, and -- when ``parallel`` -- the scheduling
+    name or as a ``FastAlgorithm``), the recursion depth ``steps``,
+    optional ``cse``, and -- when ``parallel`` -- the scheduling
     ``scheme`` (``dfs`` / ``bfs`` / ``hybrid`` / ``hybrid-subgroup``),
     thread count and the sub-group hybrid's P' (``subgroup``, a divisor
     of the thread count; defaults per
-    :func:`repro.parallel.schedules.default_subgroup`).
+    :func:`repro.parallel.schedules.default_subgroup`).  The sequential
+    product is :func:`compile_algorithm`'s, the one a sequential plan of
+    :func:`matmul` runs.
     """
     alg = get_algorithm(algorithm) if isinstance(algorithm, str) else algorithm
     if parallel:
         return multiply_parallel(A, B, alg, steps=steps, scheme=scheme,
                                  threads=threads, subgroup=subgroup)
-    return compile_algorithm(alg, strategy=strategy, cse=cse)(A, B, steps=steps)
+    return compile_algorithm(alg, cse=cse)(A, B, steps=steps)
 
 
 def matmul(A: np.ndarray, B: np.ndarray, **kwargs) -> np.ndarray:

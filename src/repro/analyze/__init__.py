@@ -1,16 +1,13 @@
-"""repro.analyze: static analysis over generated kernels and the source tree.
+"""repro.analyze: static analysis over the descriptors and the source tree.
 
-Five passes, each importable and driven by ``repro analyze``:
+Four passes, each importable and driven by ``repro analyze``:
 
-- :mod:`repro.analyze.symbolic` -- abstractly interprets every generated
-  module's ``_core`` and proves the recovered bilinear form equals the
-  catalog ``[U,V,W]`` scheme, coefficient by coefficient, without
+- :mod:`repro.analyze.cemit` -- reads each algorithm's descriptor -- the
+  chain programs, coefficients, operands and product homes the one C
+  library runs it from -- back into coefficient tables and proves the
+  recovered bilinear form equals the catalog ``[U,V,W]`` scheme,
+  coefficient by coefficient, with no compiler in the loop and without
   executing a multiply;
-- :mod:`repro.analyze.cemit` -- the same proof for the C backend: reads
-  each algorithm's descriptor -- the chain programs, coefficients,
-  operands and product homes the one C library runs it from -- back into
-  coefficient tables and compares the recovered tensor against the
-  scheme, with no compiler in the loop;
 - :mod:`repro.analyze.arena` -- checks the ``mark``/``release`` balance
   of every function in the source tree;
 - :mod:`repro.analyze.concurrency` -- a registry of known shared state and
@@ -30,7 +27,7 @@ from __future__ import annotations
 
 from repro.analyze.base import Finding, has_code
 
-ANALYZERS = ("symbolic", "cemit", "arena", "concurrency", "catalog")
+ANALYZERS = ("cemit", "arena", "concurrency", "catalog")
 
 __all__ = ["ANALYZERS", "Finding", "has_code", "run", "run_all"]
 
@@ -44,12 +41,7 @@ def run(analyzer: str, **kwargs) -> tuple[int, list[Finding]]:
     """
     from repro import obs
 
-    if analyzer == "symbolic":
-        from repro.analyze.symbolic import verify_catalog
-
-        with obs.span("analyze.symbolic"):
-            checked, findings = verify_catalog(**kwargs)
-    elif analyzer == "cemit":
+    if analyzer == "cemit":
         from repro.analyze.cemit import verify_catalog as verify_cemit
 
         with obs.span("analyze.cemit"):

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 class Finding:
     """One defect located by a static analyzer."""
 
-    analyzer: str   # "symbolic" | "arena" | "concurrency" | "catalog"
-    code: str       # stable machine code, e.g. "SYM-TENSOR"
+    analyzer: str   # "cemit" | "arena" | "concurrency" | "catalog"
+    code: str       # stable machine code, e.g. "CEMIT-TENSOR"
     where: str      # artifact/function or file:line the finding anchors to
     message: str    # human explanation
     detail: dict = field(default_factory=dict, compare=False, hash=False)

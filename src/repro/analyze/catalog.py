@@ -1,6 +1,6 @@
 """Catalog validator: every shipped scheme is well-formed and accurate.
 
-The catalog is the ground truth the whole stack (and the symbolic
+The catalog is the ground truth the whole stack (and the descriptor
 verifier) measures against, so it gets its own static pass: shape/rank
 consistency of ``[U,V,W]``, float64 dtype, finiteness, and residual
 verification -- exact entries must satisfy ``residual <= EXACT_TOL``,

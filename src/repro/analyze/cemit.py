@@ -4,10 +4,9 @@ The C backend (:mod:`repro.codegen.cbackend`) runs every algorithm on one
 fixed library, ``fmm.c``, driven by the algorithm's
 :class:`~repro.codegen.cbackend.Descriptor`: flat arrays of S, T and C
 chain programs, coefficients, rank operands and product homes that C
-reads in place.  The Python-side symbolic pass (:mod:`repro.analyze.
-symbolic`) cannot see them, so a flipped coefficient or a swapped operand
-would only surface as a numeric test failure.  This pass closes that gap
-the same way: it reads the arrays the library reads, walks each side's
+reads in place.  A flipped coefficient or a swapped operand there would
+otherwise only surface as a numeric test failure.  This pass reads the
+arrays the library reads, walks each side's
 program as ``form_S``/``form_T``/``form_C`` walk it -- definitions first,
 every source resolved to its coefficient vector over the input blocks
 (over the rank's products, for C) -- takes each rank's S and T operand
@@ -38,7 +37,7 @@ Finding codes:
 layout; a program that ends early or runs on, an index outside its side,
 coefficients not of the element type or not one per term, a row read
 before any chain writes it, an output block stored never or twice; the
-descriptor's fields drift from ``EMISSION_CONTRACT["cbackend"]``, or the
+descriptor's fields drift from :data:`EMISSION_CONTRACT`, or the
 library's pass width from ``cbackend.PASS_TERMS``),
 ``CEMIT-ALIAS`` (a chain's target is also one of its sources -- save a
 product the target's block holds, read in the pass that stores it),
@@ -72,6 +71,17 @@ _RE_VENDOR = re.compile(r"x->(gemm|gemv)\((.*)\);")
 _SCALARS = {"gemm": (6, 11), "gemv": (4, 9)}
 #: the library's pass width
 _RE_PASS = re.compile(r"enum \{ W = (\d+) \};")
+
+#: the fields of the descriptor (``repro.codegen.cbackend.Descriptor``)
+#: through which the one C library runs every algorithm's
+#: form_S/form_T/form_C and its one-call step (``fmm_step``).  This pass
+#: reads exactly these arrays, as the library reads them, back into
+#: coefficient tables, operands and product homes, and fails when the
+#: descriptor's fields drift from this list.
+EMISSION_CONTRACT = (
+    "base_case", "rank", "rows", "programs", "coefficients", "operands",
+    "homes",
+)
 
 
 def _walk(desc, side: int, sizes: tuple[int, int, int], dtype, loc: str,
@@ -289,9 +299,8 @@ def verify_library(source: str | None = None) -> list[Finding]:
     ``alpha = 1``, ``beta = 0``, its passes are the
     :data:`~repro.codegen.cbackend.PASS_TERMS` wide the C homes are
     placed by, and the descriptor's fields are the contract's
-    (``EMISSION_CONTRACT["cbackend"]``)."""
+    (:data:`EMISSION_CONTRACT`)."""
     from repro.codegen.cbackend import LIBRARY, PASS_TERMS, Descriptor
-    from repro.codegen.strategies import EMISSION_CONTRACT
 
     where = LIBRARY.name
     source = source or LIBRARY.read_text()
@@ -309,11 +318,11 @@ def verify_library(source: str | None = None) -> list[Finding]:
                 "cemit", "CEMIT-GEMM", where,
                 f"vendor call not at alpha = 1, beta = 0: {m.group(0)!r}"))
     fields = tuple(f.name for f in dataclasses.fields(Descriptor))
-    if fields != EMISSION_CONTRACT["cbackend"]:
+    if fields != EMISSION_CONTRACT:
         findings.append(Finding(
             "cemit", "CEMIT-LAYOUT", where,
             f"descriptor fields {fields} drift from the contract's"
-            f" {EMISSION_CONTRACT['cbackend']}"))
+            f" {EMISSION_CONTRACT}"))
     return findings
 
 

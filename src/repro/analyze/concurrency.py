@@ -2,7 +2,7 @@
 
 The tuner/arena/obs stack shares mutable state across threads -- dispatch's
 per-thread arenas and worker pools, the plan cache's entry/failure ledgers, the
-telemetry registry, fault-injection ledgers, the codegen module cache.  Each has exactly one lock that must guard its
+telemetry registry, fault-injection ledgers, the compiled-library caches.  Each has exactly one lock that must guard its
 mutations; holding that invariant by convention is how PRs 3-8 shipped,
 and this pass mechanizes it: :data:`REGISTRY` names each shared object
 and its lock, and the lint flags any mutation site reached outside a
@@ -84,8 +84,6 @@ REGISTRY: tuple[SharedState, ...] = (
                 "fault-injection specs"),
     SharedState("guard/faults.py", "_fired", "_lock",
                 "fault-injection fire ledger"),
-    SharedState("codegen/generator.py", "_MODULE_CACHE", "_compile_lock",
-                "generated-module cache"),
     SharedState("codegen/cbackend.py", "_LIB_CACHE", "_lib_lock",
                 "loaded shared-library cache"),
     SharedState("codegen/cbackend.py", "_CACHE_STATE", "_lib_lock",

@@ -52,7 +52,6 @@ def run_sequential(
     algorithms: dict[str, FastAlgorithm | None],
     workloads: Sequence[Workload],
     step_options: Sequence[int] = (1, 2),
-    strategy: str = "write_once",
     cse: bool = False,
     trials: int = 5,
     title: str = "",
@@ -69,7 +68,7 @@ def run_sequential(
                     sec = median_time(lambda: A @ B, trials=trials, warmup=1)
                     detail = "dgemm"
                 else:
-                    mult = compile_algorithm(alg, strategy=strategy, cse=cse)
+                    mult = compile_algorithm(alg, cse=cse)
                     sec, steps = _best_over_steps(mult, A, B, step_options, trials)
                     detail = f"best of steps={steps}"
                 rows.append(ResultRow(

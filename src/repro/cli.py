@@ -114,27 +114,22 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="plan-cache file (default: $REPRO_PLAN_CACHE or "
                             "~/.cache/repro/plan_cache.json)")
 
-    p = sub.add_parser("codegen", help="print generated source")
+    p = sub.add_parser("codegen", help="print the descriptor the C "
+                                       "library runs an algorithm from")
     p.add_argument("--algorithm", "-a", default="strassen")
-    p.add_argument("--strategy", default="write_once",
-                   choices=["pairwise", "write_once", "streaming"])
     p.add_argument("--cse", action="store_true")
-    p.add_argument("--c", dest="c_source", action="store_true",
-                   help="print the descriptor the C library runs the "
-                        "algorithm from instead of Python")
 
     p = sub.add_parser("search", help="ALS search for a new algorithm "
                                       "(see repro.search.driver)")
     p.add_argument("rest", nargs=argparse.REMAINDER,
                    help="arguments forwarded to repro.search.driver")
 
-    p = sub.add_parser("analyze", help="static analysis: symbolic kernel "
+    p = sub.add_parser("analyze", help="static analysis: descriptor "
                                        "verification, arena-discipline and "
                                        "concurrency lint, catalog validation")
     p.add_argument("--all", dest="run_all", action="store_true",
                    help="run every analyzer (default when none is selected)")
     for name, text in (
-            ("symbolic", "prove every generated kernel computes its scheme"),
             ("cemit", "prove every descriptor the C library runs "
                       "computes its scheme (no compiler needed)"),
             ("arena", "mark/release balance of the source tree"),
@@ -146,7 +141,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        const=name, help=text)
     p.add_argument("--algorithm", "-a", action="append", dest="algorithms",
                    default=None, metavar="NAME",
-                   help="restrict symbolic/cemit passes to these catalog "
+                   help="restrict the cemit pass to these catalog "
                         "entries (repeatable; default: all)")
     p.add_argument("--json", action="store_true",
                    help="machine-readable findings instead of a summary")
@@ -282,7 +277,7 @@ def cmd_multiply(args, out=sys.stdout) -> int:
         # own choice is the chains label of its span in the summary)
         fused = chains_fused(A.dtype, B.dtype)
         print("chains: " + ("compiled kernels" if fused
-                            else "NumPy executors"), file=out)
+                            else "interpreter"), file=out)
     if args.explain:
         print(obs.render_summary(obs.summarize()), file=out)
         quarantined = cache.quarantined_keys()
@@ -545,19 +540,12 @@ def cmd_cache(args, out=sys.stdout) -> int:
 
 def cmd_codegen(args, out=sys.stdout) -> int:
     from repro.algorithms import get_algorithm
+    from repro.codegen import cbackend
 
     alg = get_algorithm(args.algorithm)
-    if args.c_source:
-        from repro.codegen import cbackend
-
-        print(f"{alg.name}, cse={args.cse}: the descriptor the C library"
-              f" runs it from", file=out)
-        print(cbackend.descriptor(alg, cse=args.cse).render(), file=out)
-    else:
-        from repro.codegen import generate_source
-
-        print(generate_source(alg, strategy=args.strategy, cse=args.cse),
-              file=out)
+    print(f"{alg.name}, cse={args.cse}: the descriptor the C library"
+          f" runs it from", file=out)
+    print(cbackend.descriptor(alg, cse=args.cse).render(), file=out)
     return 0
 
 
@@ -576,7 +564,7 @@ def cmd_analyze(args, out=sys.stdout) -> int:
     all_findings = []
     for name in selected:
         checked, findings = analyze.run(
-            name, **(kwargs if name in ("symbolic", "cemit") else {}))
+            name, **(kwargs if name == "cemit" else {}))
         total_checked += checked
         all_findings.extend(findings)
         if not args.json:

@@ -3,9 +3,9 @@
 The paper's generator emits C++ so that each ``S_r``/``T_r``/``C_ij``
 linear combination becomes one fused loop: every operand is read once and
 the destination written once per pass, with no interpreter or temporary-
-array overhead.  The Python strategies in :mod:`repro.codegen.strategies`
-approximate that with NumPy ufuncs (one in-place pass *per operand pair*
-for ``write_once``).  This module closes the gap with one fixed C source,
+array overhead.  NumPy forms a chain one ufunc pass *per term*, as the
+interpreter (:mod:`repro.core.recursion`) does.  This module closes the
+gap with one fixed C source,
 ``fmm.c`` (:data:`LIBRARY`), compiled once per element type -- ``double``
 and ``float`` -- which runs any algorithm from its :class:`Descriptor`:
 flat int and ``real`` arrays built once per (algorithm, cse, element type)
@@ -56,8 +56,8 @@ Each chain runs over a row in passes of at most ten terms, in its own
 term order, the first pass storing the target and each later one adding
 to it; with ``-ffp-contract=off`` (a fused multiply-add would round once
 where NumPy rounds twice) every entry rounds as the chain written out in
-one expression rounds it, so the step agrees with the NumPy executors
-bit for bit.
+one expression rounds it, so the step agrees with the interpreter bit
+for bit (without CSE, which reorders the sums).
 
 ``fmm_step`` is the sequential product, ``steps`` levels deep: it splits
 where :func:`repro.core.recursion.should_split` does (else it is one
@@ -75,8 +75,8 @@ T row, or a row of their own.  ``x`` holds the vendor's cblas ``gemm``,
 function pointers: no link-time dependency); every product is issued as
 ``np.matmul`` would issue it.  It returns -1, having written nothing past
 ``end``, when the region is too small.  Where the probe finds no cblas,
-the sequential product runs the Python driver instead, with the same
-bits.
+:func:`chains_fused` says no and the interpreter serves, as it does on a
+host without a compiler.
 
 **Every pass loop is marked dependence-free** (``NODEP``: ``#pragma GCC
 ivdep``, clang's ``vectorize(assume_safety)``, nothing elsewhere).  With
@@ -148,19 +148,17 @@ from repro.codegen import cse as cse_mod
 from repro.codegen.chains import Chain, extract_chains
 from repro.core import recursion
 from repro.core.algorithm import FastAlgorithm
-from repro.core.recursion import should_split
 from repro.core.stability import stability_factors
 from repro.core.workspace import (ALIGNMENT, cbackend_carve_bytes,
                                   cbackend_footprint, check_out,
-                                  dfs_footprint, level_elements)
+                                  dfs_footprint)
 from repro.obs import telemetry
 from repro.parallel import blas
-from repro.util.matrices import peel_fixup, peel_split
 from repro.util.validation import check_matmul_dims
 
 _CC = os.environ.get("REPRO_CC", "cc")
 #: ``-ffp-contract=off``: a fused multiply-add rounds once where NumPy
-#: rounds twice, and the bit-for-bit agreement with the NumPy executors
+#: rounds twice, and the bit-for-bit agreement with the interpreter
 #: must not rest on gcc's ISO-mode default
 _COMMON_FLAGS = ["-march=native", "-std=c99", "-ffp-contract=off", "-fPIC",
                  "-shared"]
@@ -207,7 +205,7 @@ def available() -> bool:
 
 
 # ======================================================================
-# chain preparation (shared by the descriptor and the Python driver)
+# chain preparation (shared by the descriptor and the footprints)
 # ======================================================================
 def _prepare(algorithm: FastAlgorithm, cse: bool):
     """Extract chains, apply CSE, and fix the slab layouts.
@@ -227,7 +225,7 @@ def _prepare(algorithm: FastAlgorithm, cse: bool):
 
 
 def _extract(algorithm: FastAlgorithm, cse: bool):
-    prog = extract_chains(algorithm, pipe_scalars=True)
+    prog = extract_chains(algorithm)
     sides = {}
     for key, chains, prefix in (
         ("s", prog.s_chains, "YA"),
@@ -381,9 +379,15 @@ def _program(defs: list[Chain], chains: list[Chain], rows: dict[str, int],
 def descriptor(algorithm: FastAlgorithm, cse: bool = False,
                real: str = "double") -> Descriptor:
     """``algorithm``'s :class:`Descriptor` over C type ``real`` (a key of
-    :data:`REALS`), from :func:`_prepare`'s chains and layouts."""
+    :data:`REALS`), from :func:`_prepare`'s chains and layouts.  A rank
+    whose U or V column is all zero has an empty S or T chain, which the
+    library cannot run: it would read a slab row no chain writes."""
     if real not in REALS:
         raise ValueError(f"real must be one of {tuple(REALS)}, got {real!r}")
+    dead = np.flatnonzero(~(algorithm.U.any(0) & algorithm.V.any(0)))
+    if dead.size:
+        raise ValueError(f"degenerate rank column {int(dead[0])} of "
+                         f"{algorithm.name}: empty S or T chain")
     s, t, c = _prepare(algorithm, cse)
     programs, coefficients = [], []
     for side in (s, t):
@@ -638,29 +642,29 @@ def chains_fused(dtype_a, dtype_b=None, scheme: str = "sequential",
 
     The one rule every executor runs by and ``plan_footprint`` and
     ``plan_cost`` size and price by: two float operands whose product is
-    float32 (the ``float`` kernels) or float64 (the ``double`` ones), and
-    a compiler.  That is all the sequential driver needs -- DFS is that
+    float32 (the ``float`` kernels) or float64 (the ``double`` ones), a
+    compiler, and the vendor's cblas, through which the step issues its
+    products.  That is all the sequential driver needs -- DFS is that
     driver at ``T``-thread BLAS -- because it packs what the step cannot
-    address (a mixed pair into double, a strided matrix into a copy) and
-    runs its Python driver where the vendor's cblas was not found.  The
+    address (a mixed pair into double, a strided matrix into a copy).  The
     BFS/HYBRID tree (:data:`IN_PLACE_SCHEMES`) hands the caller's
     operands to many ``fmm_step`` calls as they are, so it also needs one
-    dtype on both sides, ``operands`` the step can address in place
+    dtype on both sides and ``operands`` the step can address in place
     (:func:`kernel_ready`, rows at least a row apart as the vendor's gemm
-    takes a matrix; ``None`` for an absent ``out``) and the vendor's
-    cblas.  Everything else runs the interpreter.
+    takes a matrix; ``None`` for an absent ``out``).  Everything else runs
+    the interpreter.
     """
     a = np.dtype(dtype_a)
     b = a if dtype_b is None else np.dtype(dtype_b)
     real = np.result_type(a, b)
     if not (a.kind == b.kind == "f" and real in REALS.values()
-            and available()):
+            and available()
+            and blas.matmul_kernels(_real_name(real)) is not None):
         return False
     if scheme not in IN_PLACE_SCHEMES:
         return True
-    return (a == b and all(X is None or _step_ready(X, real)
-                           for X in operands)
-            and blas.matmul_kernels(_real_name(real)) is not None)
+    return a == b and all(X is None or _step_ready(X, real)
+                          for X in operands)
 
 
 def _real_name(dtype) -> str | None:
@@ -748,13 +752,6 @@ class CompiledChains:
                               self.dtype))
 
     # ------------------------------------------------------------ kernels
-    def slab_rows(self) -> tuple[int, int, int]:
-        """Rows of the S slab, of the T slab (definitions + non-alias
-        chains; never empty) and of ``form_C``'s ``Y`` scratch."""
-        s_rows, t_rows, _, y_rows = level_elements(
-            self.algorithm, self.cse, (1, 1, 1), 0)
-        return s_rows, t_rows, y_rows
-
     def _ld(self, X) -> int:
         """``X``'s row stride in elements, as the kernels take it."""
         return X.strides[0] // self.dtype.itemsize
@@ -772,14 +769,19 @@ class CompiledChains:
     @staticmethod
     def product_rows(products):
         """What ``form_C`` reads the ``R`` products through: their
-        addresses, and their row strides in elements -- of a ``(bp, bn)``
-        block (:func:`kernel_ready`: a slab row reshaped, or a block of
-        ``C`` that holds it), or ``None`` for a flat product, a row of a
-        ``(R, bp * bn)`` slab, whose rows are ``bn`` apart."""
+        addresses, and the row strides in elements of their ``(bp, bn)``
+        blocks (:func:`kernel_ready`: a slab row reshaped, or a block of
+        ``C`` that holds it).  A product that is not 2-D has no row stride
+        to read, so it raises :class:`ValueError`."""
+        for M in products:
+            if M.ndim != 2:
+                raise ValueError(
+                    f"product_rows takes (bp, bn) blocks, got a "
+                    f"{M.ndim}-D product of shape {M.shape}")
         return ((ctypes.c_void_p * len(products))(
             *(M.ctypes.data for M in products)),
-            [M.strides[0] // M.itemsize if M.ndim == 2 else None
-             for M in products])
+            (ctypes.c_long * len(products))(
+                *(M.strides[0] // M.itemsize for M in products)))
 
     def form_C(self, Mrows, bp: int, bn: int, C, Y, i0: int, i1: int,
                strip=None) -> None:
@@ -799,9 +801,7 @@ class CompiledChains:
             A12, B21 = strip
             strip_args = (A12.ctypes.data, self._ld(A12),
                           B21.ctypes.data, self._ld(B21), A12.shape[1])
-        ptrs, lds = Mrows
-        ldm = (ctypes.c_long * len(lds))(
-            *(bn if ld is None else ld for ld in lds))
+        ptrs, ldm = Mrows
         self.lib.form_C(self._f, ptrs, ldm, bp, bn, C.ctypes.data,
                         self._ld(C), None if Y is None else Y.ctypes.data,
                         *strip_args, i0, i1)
@@ -831,8 +831,8 @@ class CompiledChains:
         products, the ``double`` ones every other product and return
         ``np.result_type(A, B)`` (rounded once at the end, never a silent
         upcast).  Result dtypes double cannot hold exactly by kind
-        (complex, extended precision) are rejected up front with a pointer
-        at the python backends instead of being quietly narrowed.
+        (complex, extended precision) are rejected up front instead of
+        being quietly narrowed.
 
         ``out`` receives the product (same contract as the
         interpreter: result dtype, writeable, non-overlapping).  With a
@@ -859,6 +859,11 @@ class CompiledChains:
                 f"float32 ones run the float kernels, other float64-"
                 f"representable ones the double kernels, the rest the "
                 f"interpreter")
+        kernels = blas.matmul_kernels(self.real)
+        if kernels is None:
+            raise RuntimeError(
+                "the vendor BLAS exports no cblas gemm for the step; "
+                "chains_fused sends such a host to the interpreter")
         ws = workspace
         if ws is not None:
             ws.reset()
@@ -905,16 +910,12 @@ class CompiledChains:
             dest = np.empty((p, r), dtype=self.dtype)
         else:
             dest = _take(ws, (p, r), self.dtype)
-        kernels = blas.matmul_kernels(self.real)
-        if kernels is None:
-            self._recurse(Ad, Bd, steps, dest, ws)
-        else:
-            nbytes = self._carve_bytes(p, A.shape[1], r, steps)
-            # + one cache line: the step aligns the region's start, which
-            # only a heap region needs
-            self.step(kernels, Ad, Bd, steps, dest,
-                      _take(ws, (nbytes + ALIGNMENT,), np.uint8)
-                      if nbytes else None)
+        nbytes = self._carve_bytes(p, A.shape[1], r, steps)
+        # + one cache line: the step aligns the region's start, which only
+        # a heap region needs
+        self.step(kernels, Ad, Bd, steps, dest,
+                  _take(ws, (nbytes + ALIGNMENT,), np.uint8)
+                  if nbytes else None)
         if dest is out:
             return out
         if dtype.kind in "iub":
@@ -942,60 +943,6 @@ class CompiledChains:
                              self._ld(C), p, q, r, w,
                              None if w is None else w + region.nbytes):
             raise RuntimeError("compiled step outgrew its arena region")
-
-    def _recurse(self, A, B, steps: int, C: np.ndarray, ws) -> None:
-        """The step in Python, where the vendor's cblas was not found:
-        write ``A @ B`` into ``C`` with ``steps`` levels (all three
-        ``kernel_ready``)."""
-        p, q = A.shape
-        r = B.shape[1]
-        m, k, n = self.algorithm.base_case
-        if not should_split(steps, p, q, r, m, k, n):
-            np.matmul(A, B, out=C)
-            return
-        A11, A12 = peel_split(A, m, k)[:2]
-        B11, _, B21, _ = peel_split(B, k, n)
-        self._core(A11, B11, C[:A11.shape[0], :B11.shape[1]], steps, ws,
-                   (A12, B21))
-        peel_fixup(C, A, B, (m, k, n), np.matmul, strip=False)
-
-    def _core(self, A, B, Cout, steps, ws, strip) -> None:
-        """One level on an evenly divisible core; writes into ``Cout``,
-        the peeled inner ``strip`` ``(A12, B21)`` included."""
-        m, k, n = self.algorithm.base_case
-        R = self.algorithm.rank
-        p, q = A.shape
-        r = B.shape[1]
-        bp, bq, bn = p // m, q // k, r // n
-        s_rows, t_rows, y_rows = self.slab_rows()
-
-        mark = ws.mark() if ws is not None else None
-        Sslab = _take(ws, (s_rows, bp * bq), self.dtype)
-        Tslab = _take(ws, (t_rows, bq * bn), self.dtype)
-        self.form_S(A, bp, bq, Sslab, 0, bp)
-        self.form_T(B, bq, bn, Tslab, 0, bq)
-
-        # a product lives in the block of C that reads it last, or depth
-        # first in a chain an earlier rank consumed (product_homes); only
-        # the rest get rows of their own.  A deeper recursion level writes
-        # its result straight into them.
-        homes, own = product_homes(self._s["layout"], self._t["layout"],
-                                   self._c["hosts"], bp, bq, bn)
-        slabs = {"s": Sslab, "t": Tslab,
-                 "m": _take(ws, (own, bp * bn), self.dtype)}
-        products = [block(Cout, row, bp, bn) if kind == "c" else
-                    slabs[kind][row][:bp * bn].reshape(bp, bn)
-                    for kind, row in homes]
-        for rr in range(R):
-            self._recurse(self.operand("s", rr, Sslab, A, bp, bq),
-                          self.operand("t", rr, Tslab, B, bq, bn),
-                          steps - 1, products[rr], ws)
-
-        Y = _take(ws, (y_rows * bn,), self.dtype) if y_rows else None
-        self.form_C(self.product_rows(products), bp, bn, Cout, Y, 0, bp,
-                    strip=strip)
-        if ws is not None:
-            ws.release(mark)
 
 
 #: descriptors on their library by what they were built from -- an
@@ -1048,15 +995,15 @@ def compile_chains(
 _fallback_warned: set[str] = set()
 
 
-def serving_chains(algorithm: str | FastAlgorithm,
-                   dtype="float64") -> CompiledChains | None:
+def serving_chains(algorithm: str | FastAlgorithm, dtype="float64",
+                   cse: bool = False) -> CompiledChains | None:
     """:func:`compile_chains` for a serving path that must not fail a
     multiply the interpreter could have served: a compile or load error
     (compiler uninstalled since tuning, cache dir yanked,
     ``cbackend.compilefail`` chaos) is counted in ``cbackend.fallbacks``,
     warned once per algorithm and answered with ``None``."""
     try:
-        return compile_chains(algorithm, dtype=dtype)
+        return compile_chains(algorithm, cse, dtype)
     except (OSError, RuntimeError) as exc:
         telemetry.incr("cbackend.fallbacks")
         name = getattr(algorithm, "name", algorithm)
@@ -1069,14 +1016,15 @@ def serving_chains(algorithm: str | FastAlgorithm,
 
 
 def step_chains(algorithm: FastAlgorithm, scheme: str, A: np.ndarray,
-                B: np.ndarray, out=None) -> CompiledChains | None:
+                B: np.ndarray, out=None,
+                cse: bool = False) -> CompiledChains | None:
     """The compiled step a ``scheme`` call on these operands runs, or
     ``None`` for the interpreter: :func:`chains_fused`, then
     :func:`serving_chains` (a compile that fails here is counted and
     warned, and the interpreter serves)."""
     if not chains_fused(A.dtype, B.dtype, scheme, (A, B, out)):
         return None
-    return serving_chains(algorithm, kernel_dtype(A.dtype, B.dtype))
+    return serving_chains(algorithm, kernel_dtype(A.dtype, B.dtype), cse)
 
 
 def sequential_footprint(algorithm: FastAlgorithm, steps: int, p: int,
@@ -1114,6 +1062,23 @@ def multiply_sequential(cc: CompiledChains | None, A: np.ndarray,
             fused=False))
     return recursion.multiply(A, B, algorithm, steps=steps, out=out,
                               workspace=workspace)
+
+
+def compile_algorithm(algorithm: FastAlgorithm, cse: bool = False):
+    """``algorithm``'s sequential product as ``f(A, B, steps=1,
+    out=None)``: what :func:`repro.tuner.dispatch.execute_plan` runs for
+    a sequential plan (:func:`multiply_sequential` -- the step where
+    :func:`chains_fused` holds, else the interpreter), its chains after
+    common-subexpression elimination when ``cse`` (the interpreter has
+    none).  The library is compiled at the first call of an element
+    type, not here."""
+    def multiply(A, B, steps: int = 1, out=None) -> np.ndarray:
+        A, B = np.asarray(A), np.asarray(B)
+        return multiply_sequential(
+            step_chains(algorithm, "sequential", A, B, cse=cse), A, B,
+            algorithm, steps, out)
+
+    return multiply
 
 
 def multiply(

@@ -73,12 +73,11 @@ class ChainProgram:
         return sum(c.additions for c in self.s_chains + self.t_chains)
 
 
-def extract_chains(alg: FastAlgorithm, pipe_scalars: bool = True) -> ChainProgram:
+def extract_chains(alg: FastAlgorithm) -> ChainProgram:
     """Build the chain program for ``alg``.
 
-    With ``pipe_scalars`` (the default, matching the paper's generator),
-    single-nonzero U/V columns become pure aliases and their scalars are
-    folded into ``W_effective``.
+    As in the paper's generator, single-nonzero U/V columns become pure
+    aliases and their scalars are folded into ``W_effective``.
     """
     U, V, W = alg.U, alg.V, np.array(alg.W)
     R = alg.rank
@@ -90,7 +89,7 @@ def extract_chains(alg: FastAlgorithm, pipe_scalars: bool = True) -> ChainProgra
             col = mat[:, r]
             nz = np.nonzero(col)[0]
             terms = [Term(float(col[i]), f"{prefix}{i}") for i in nz]
-            if pipe_scalars and len(terms) == 1 and terms[0].coeff != 1.0:
+            if len(terms) == 1 and terms[0].coeff != 1.0:
                 W[:, r] *= terms[0].coeff
                 terms = [Term(1.0, terms[0].source)]
             out.append(Chain(("S" if prefix == "A" else "T") + str(r), terms))

@@ -80,9 +80,12 @@ def eliminate(chains: list[Chain], min_occurrences: int = 2,
         if best_key is None:
             break
 
-        s1, s2, ratio = best_key
+        s1, s2, key_ratio = best_key
         temp = f"{temp_prefix}{len(definitions)}"
-        definitions.append(Chain(temp, [Term(1.0, s1), Term(ratio, s2)]))
+        # the key groups ratios rounded to _RATIO_DECIMALS; Y takes the
+        # first occurrence's exact ratio, so a chain whose ratio is that
+        # one keeps its coefficients to the last bit
+        ratio = None
         eliminated += 1
         saved += best_count - 1  # each use saves one add, forming Y costs one
 
@@ -90,10 +93,13 @@ def eliminate(chains: list[Chain], min_occurrences: int = 2,
             idx = {t.source: i for i, t in enumerate(ch.terms)}
             if s1 in idx and s2 in idx:
                 t1, t2 = ch.terms[idx[s1]], ch.terms[idx[s2]]
-                if round(t2.coeff / t1.coeff, _RATIO_DECIMALS) == ratio:
+                if round(t2.coeff / t1.coeff, _RATIO_DECIMALS) == key_ratio:
+                    if ratio is None:
+                        ratio = t2.coeff / t1.coeff
                     keep = [t for t in ch.terms if t.source not in (s1, s2)]
                     keep.append(Term(t1.coeff, temp))
                     ch.terms = keep
+        definitions.append(Chain(temp, [Term(1.0, s1), Term(ratio, s2)]))
 
     return CseResult(
         chains=work,

@@ -10,7 +10,7 @@ performance:
 - submatrix read/write counts of the three matrix-addition strategies
   (Section 3.2) -- the quantity that actually separates them in practice;
 - CSE's effect on reads/writes (the "k - 3" argument of Section 3.3);
-- memory-footprint factors of the parallel schemes (Sections 3.2 and 4.2);
+- the memory-footprint factor of the BFS scheme (Section 4.2);
 - effective-GFLOPS (Equation 3) lives in ``repro.bench.metrics``.
 """
 
@@ -177,12 +177,12 @@ def plan_cost(
       both sides of the comparison with dgemm then read the same curve;
     - **S/T/C chain traffic** (:func:`addition_rw_counts` x block bytes,
       plus :func:`parallel_traffic` and the peel fix-ups of non-divisible
-      dimensions -- a peeled inner dimension costs the NumPy executors a
+      dimensions -- a peeled inner dimension costs the interpreter a
       read and a write of the core, the compiled kernels nothing: the strip
       rides in ``form_C``) over the streaming-add bandwidth (Section 3.2:
       additions are bandwidth-bound, gemms compute-bound).
       The C library forms a chain in fused passes (write-once counts);
-      the NumPy executors make one pass *per term* (pairwise counts);
+      the interpreter makes one pass *per term* (pairwise counts);
     - a **fixed cost per product** of every fast call, and **per pool
       task** of the parallel schemes -- the tasks the schedule submits.
 
@@ -232,7 +232,7 @@ def plan_cost(
             break       # a dimension ran out: the rest stays a leaf
         # dynamic peeling (Section 3.5): the divisible core recurses and
         # thin, bandwidth-bound products fix the strips up -- a pass over
-        # A, over B, and for a peeled inner dimension the NumPy executors'
+        # A, over B, and for a peeled inner dimension the interpreter's
         # in-place update of the core (in, out); the compiled kernels add
         # that strip to the rows form_C is storing anyway
         words += leaves * ((lr % n > 0) * lp * lq + (lp % m > 0) * lq * lr
@@ -324,19 +324,6 @@ def bfs_memory_factor(alg: FastAlgorithm, levels: int = 1) -> float:
     """Extra memory (in units of the output C) the BFS scheme needs for the
     M_r intermediates: a factor ``R/(MN)`` per recursive step (Section 4.2)."""
     return (alg.rank / (alg.m * alg.n)) ** levels
-
-
-def temporaries_memory(alg: FastAlgorithm, strategy: str) -> int:
-    """How many S/T-block temporaries are live at once at one level.
-
-    pairwise / write-once build (S_r, T_r) just before M_r and release them
-    after; streaming materializes all R of each (Section 3.2).
-    """
-    if strategy in ("pairwise", "write_once"):
-        return 2
-    if strategy == "streaming":
-        return 2 * alg.rank
-    raise ValueError(f"unknown strategy {strategy!r}")
 
 
 # ------------------------------------------------------------------ exponent

@@ -1,10 +1,13 @@
 """Reference recursive executor for fast algorithms (the "interpreter").
 
-This is the semantic ground truth the code generator is tested against
-and the executor :func:`repro.tuner.dispatch.execute_plan` runs for a
-sequential plan whose chains the compiled kernels do not form (dtypes
-other than float32/float64 pairs, no compiler, a toolchain that broke):
-given any ``FastAlgorithm`` it multiplies arbitrary-size matrices by
+One of the two executors of a fast product, the compiled step
+(:mod:`repro.codegen.cbackend`) being the other, and the reference the
+step is tested against: without CSE the two agree bit for bit.  It is
+what :func:`repro.tuner.dispatch.execute_plan` runs for a sequential
+plan whose chains the compiled kernels do not form (dtypes other than
+float32/float64 pairs, no compiler, no vendor cblas, a toolchain that
+broke): given any ``FastAlgorithm`` it multiplies arbitrary-size
+matrices by
 
 1. *dynamic peeling* (Section 3.5): strip the at-most-(M-1)/(K-1)/(N-1)
    boundary rows/columns so the core is evenly divisible, recurse on the
@@ -139,8 +142,8 @@ ONE_STEP = CutoffPolicy(max_steps=1)
 def should_split(steps: int, p: int, q: int, r: int,
                  m: int, k: int, n: int) -> bool:
     """:meth:`CutoffPolicy.should_recurse` for the callers that count
-    ``steps`` down themselves -- the generated modules, the compiled
-    driver and the footprint simulators -- so that every executor and the
+    ``steps`` down themselves -- the compiled step, the parallel
+    schedules and the footprint simulators -- so that every executor and the
     arena sized for it stop splitting at the same subproblem."""
     return steps > 0 and ONE_STEP.should_recurse(0, p, q, r, m, k, n)
 
@@ -228,8 +231,8 @@ def multiply(
     """Multiply ``A @ B`` with ``algorithm``, recursing ``steps`` levels.
 
     ``base`` is called on the leaf subproblems (default: BLAS gemm); the
-    classical algorithm is also used for all peeling fix-ups, mirroring the
-    generated code.
+    classical algorithm is also used for all peeling fix-ups, as the
+    compiled step does.
 
     ``out`` receives the product (it must match ``(p, r)`` and the result
     dtype and must not overlap ``A``/``B`` -- see

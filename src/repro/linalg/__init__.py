@@ -6,8 +6,8 @@ algorithms in numerical linear algebra".  This subpackage delivers that
 extension for the blocked dense-factorization core of LAPACK:
 
 - :class:`~repro.linalg.kernels.MatmulKernel` — one object capturing the
-  paper's whole tuning space (algorithm, recursion depth, addition
-  strategy, parallel scheme) behind a gemm-shaped interface, so every
+  paper's whole tuning space (algorithm, recursion depth, parallel
+  scheme) behind a gemm-shaped interface, so every
   routine below is generic over classical vs fast multiplication;
 - :func:`~repro.linalg.trsm.solve_triangular` — recursive blocked
   triangular solve whose off-diagonal updates are fast multiplies;

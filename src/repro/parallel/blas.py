@@ -11,8 +11,9 @@ to the tiled-gemm substrate in ``repro.parallel.gemm``.
 The same probe finds the ILP64 cblas ``gemm``/``gemv``/``dot`` numpy's
 ``matmul`` issues: :func:`matmul_kernels` hands their addresses to the
 compiled step (:mod:`repro.codegen.cbackend`), which calls them from C --
-no link-time dependency.  ``None`` there sends the step back to its
-Python driver.
+no link-time dependency.  ``None`` there means no step:
+:func:`repro.codegen.cbackend.chains_fused` sends the call to the
+interpreter.
 
 It also binds the vendor's batched gemm (``cblas_{d,s}gemm_batch``, MKL's
 grouped interface, as numpy's OpenBLAS 0.3.31 exports it):

@@ -12,8 +12,9 @@ Supervision (the ``repro.guard`` substrate): a pool detects a dead
 executor and refuses further work with :class:`PoolBrokenError` instead
 of deadlocking; ``wait``/``map_wait`` accept a deadline and raise
 :class:`TaskTimeoutError` when a worker wedges past it; and tasks marked
-``retryable=True`` -- the *idempotent* slab kernels below, which
-recompute their output slab from scratch -- get one bounded inline retry
+``retryable=True`` -- *idempotent* bodies such as the parallel
+schedules' form and step tasks, which recompute their output from their
+inputs -- get one bounded inline retry
 in the waiting thread before their failure propagates.  The
 ``worker.hang`` / ``worker.die`` fault points live in :meth:`submit` so
 chaos tests can prove all of it deterministically.
@@ -26,11 +27,11 @@ import os
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
-from repro.core.workspace import axpy, combine_into
+from repro.core.workspace import axpy
 from repro.guard import faults
 from repro.obs import telemetry
 
@@ -254,17 +255,17 @@ def _row_slabs(nrows: int, parts: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
 
 
-def _on_row_slabs(pool: WorkerPool, fn: Callable, out: np.ndarray,
-                  arrays: Sequence[np.ndarray],
-                  scratch: np.ndarray | None = None,
-                  retryable: bool = False) -> None:
-    """Run ``fn(out[sl], [a[sl] for a in arrays], scratch rows sl)`` as one
-    task per row slab of ``out``.
+def parallel_axpy(
+    pool: WorkerPool, out: np.ndarray, x: np.ndarray, alpha: float,
+    scratch: np.ndarray | None = None,
+) -> None:
+    """``out += alpha * x`` split row-wise across the pool: :func:`axpy
+    <repro.core.workspace.axpy>` per slab, one task each, allocation-free
+    with ``scratch`` (an untyped byte buffer of at least ``out.nbytes``,
+    cut along the same rows, so slabs write disjoint scratch).
 
-    ``scratch`` (an untyped byte buffer of at least ``out.nbytes``) is cut
-    along the same rows, so slabs write disjoint scratch and one buffer
-    serves every worker.  ``retryable`` says a crashed worker's slab can
-    simply be run again by the waiter (its ``fn`` must be idempotent).
+    NOT retryable: ``out += ...`` accumulates in place, so a re-run after a
+    partially-applied slab would double-add.
     """
     rowbytes = out[:1].nbytes
 
@@ -272,48 +273,9 @@ def _on_row_slabs(pool: WorkerPool, fn: Callable, out: np.ndarray,
         rows = None
         if scratch is not None:
             rows = scratch[sl.start * rowbytes:sl.stop * rowbytes]
-        fn(out[sl], [a[sl] for a in arrays], rows)
+        axpy(out[sl], x[sl], alpha, rows)
 
     g = pool.group()
     for sl in _row_slabs(out.shape[0], pool.workers):
-        g.run(work, sl, retryable=retryable)
+        g.run(work, sl)
     g.wait()
-
-
-def parallel_copy(pool: WorkerPool, dst: np.ndarray, src: np.ndarray) -> None:
-    _on_row_slabs(pool, lambda o, a, _: np.copyto(o, a[0]), dst, (src,),
-                  retryable=True)
-
-
-def parallel_axpy(
-    pool: WorkerPool, out: np.ndarray, x: np.ndarray, alpha: float,
-    scratch: np.ndarray | None = None,
-) -> None:
-    """``out += alpha * x`` split row-wise across the pool: :func:`axpy
-    <repro.core.workspace.axpy>` per slab, allocation-free with ``scratch``.
-
-    NOT retryable: ``out += ...`` accumulates in place, so a re-run after a
-    partially-applied slab would double-add.
-    """
-    _on_row_slabs(pool, lambda o, a, rows: axpy(o, a[0], alpha, rows),
-                  out, (x,), scratch)
-
-
-def parallel_combine(
-    pool: WorkerPool,
-    out: np.ndarray,
-    blocks: Sequence[np.ndarray],
-    coeffs: Sequence[float],
-    scratch: np.ndarray | None = None,
-) -> None:
-    """``out = sum_i coeffs[i] * blocks[i]`` with row-slab parallelism.
-
-    This is how the DFS scheme parallelizes every addition chain ("matrix
-    additions are trivially parallelized", Section 4.1): the serial chain,
-    :func:`repro.core.workspace.combine_into`, per slab.  Retryable: each
-    slab starts from a copy/scale of its first term, so re-running it
-    recomputes the slab from scratch.
-    """
-    _on_row_slabs(pool,
-                  lambda o, blks, rows: combine_into(o, blks, coeffs, rows),
-                  out, blocks, scratch, retryable=True)

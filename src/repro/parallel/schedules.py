@@ -49,12 +49,12 @@ whichever region it borrows.
 and nothing selects it.  DFS is a sequential plan's product
 (:func:`repro.codegen.cbackend.multiply_sequential`) at P-thread BLAS, so
 it follows the sequential rule: the step for any float pair, packed where
-the step cannot address it.  The tree hands the caller's operands to its
-tasks as they are: operands of one kernel dtype (float32 or float64) that
-the step can address in place, on a host where the algorithm's module
-loads and the vendor's cblas is found, get the compiled step at that
-precision.  Everything else -- mixed or non-float dtypes, strided
-operands, a compile that fails at the call -- runs the interpreter
+the step cannot address it, on a host where the library compiles and the
+vendor's cblas is found.  The tree hands the caller's operands to its
+tasks as they are, so it also needs operands of one kernel dtype
+(float32 or float64) that the step can address in place.  Everything
+else -- mixed or non-float dtypes, strided operands, no compiler or
+cblas, a compile that fails at the call -- runs the interpreter
 (:func:`repro.core.recursion.multiply`) with a P-thread gemm, which is
 the paper's DFS.
 

@@ -230,7 +230,8 @@ def enumerate_plans(
     Every candidate is priced for the kernels that will form its chains
     (:func:`repro.core.cost.plan_cost` asks
     :func:`repro.codegen.cbackend.chains_fused`): the fused C kernels on
-    a host with a working compiler, the NumPy executors elsewhere.
+    a host with a working compiler and the vendor's cblas, the
+    interpreter elsewhere.
 
     Memoised per shape, dtype, thread count, cutoff, compiler availability
     (which decides the kernels every fast plan is priced for) and machine

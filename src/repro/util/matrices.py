@@ -93,9 +93,8 @@ def peel_fixup(C: np.ndarray, A: np.ndarray, B: np.ndarray,
 
     ``C[:pc, :rc]`` already holds the fast product of the cores ``A[:pc,
     :qc] @ B[:qc, :rc]`` (the largest leading submatrices divisible by
-    ``base`` = ``(m, k, n)``).  Every executor -- interpreter, parallel
-    schedules, generated modules, compiled driver -- calls this one body
-    for the rest:
+    ``base`` = ``(m, k, n)``).  The interpreter and the parallel
+    schedules call this one body for the rest:
 
     - the right and bottom strips of ``C`` are two classical products over
       the *whole* inner dimension, ``C[:pc, rc:] = A[:pc] @ B[:, rc:]`` and

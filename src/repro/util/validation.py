@@ -8,10 +8,18 @@ import numpy as np
 def as_floating(A: np.ndarray) -> np.ndarray:
     """``A`` in the dtype the library computes in: float32 is preserved
     (the paper notes single precision as the honest alternative to APA
-    algorithms); everything else is upcast to float64."""
-    if A.dtype not in (np.float32, np.float64):
-        A = A.astype(np.float64)
-    return A
+    algorithms); bool, integers and float16 are upcast to float64, which
+    holds them exactly.  Anything float64 cannot hold -- complex,
+    extended-precision floats, objects -- raises ``ValueError`` instead of
+    being narrowed to a wrong answer."""
+    if A.dtype in (np.float32, np.float64):
+        return A
+    if A.dtype.kind not in "biuf" or A.dtype.itemsize > 8:
+        raise ValueError(
+            f"cannot multiply {A.dtype} operands: the library computes in "
+            f"float32 or float64, which would drop its "
+            f"{'imaginary part' if A.dtype.kind == 'c' else 'precision'}")
+    return A.astype(np.float64)
 
 
 def require_2d(X: np.ndarray, name: str = "matrix") -> np.ndarray:

@@ -9,6 +9,21 @@ import pytest
 
 from repro.algorithms import classical, get_algorithm, strassen, winograd
 from repro.bench import machine
+from repro.codegen import cbackend
+
+#: does a float64 product run the compiled step here?  A host without a
+#: compiler or the vendor's cblas runs the interpreter instead
+HAVE_STEP = cbackend.chains_fused("float64")
+
+#: for tests that run the compiled step (its bits, its arena carve, the
+#: BFS/HYBRID tree)
+needs_cc = pytest.mark.skipif(not HAVE_STEP,
+                              reason="no C compiler or no vendor cblas")
+
+#: for tests that only compile the library or call its ``form_S`` /
+#: ``form_T`` / ``form_C`` kernels directly, which issue no gemm
+needs_compiler = pytest.mark.skipif(not cbackend.available(),
+                                    reason="no working C compiler")
 
 #: worker-thread count the multicore tier exercises; single-core boxes can
 #: still run the tier by exporting REPRO_TEST_THREADS (thread pools work

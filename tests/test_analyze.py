@@ -24,53 +24,23 @@ import pytest
 from conftest import catalog_names, run_cli
 from repro import analyze
 from repro.algorithms import get_algorithm
-from repro.analyze import arena, catalog, cemit, concurrency, symbolic
+from repro.analyze import arena, catalog, cemit, concurrency
 from repro.analyze.base import Finding, has_code
-from repro.codegen.generator import generate_source
-from repro.codegen.strategies import EMISSION_CONTRACT, STRATEGIES
 from repro.core import recursion
-
-
-def _source(alg_name="strassen", strategy="write_once", cse=False):
-    return generate_source(get_algorithm(alg_name), strategy=strategy, cse=cse)
 
 
 # ---------------------------------------------------------------- findings
 def test_finding_str_and_dict():
-    f = Finding("symbolic", "SYM-TENSOR", "strassen/write_once",
+    f = Finding("cemit", "CEMIT-TENSOR", "strassen[cbackend]",
                 "coefficient mismatch", {"worst": 1.0})
-    assert str(f) == "[symbolic:SYM-TENSOR] strassen/write_once: coefficient mismatch"
+    assert str(f) == ("[cemit:CEMIT-TENSOR] strassen[cbackend]: "
+                      "coefficient mismatch")
     d = f.to_dict()
-    assert d["code"] == "SYM-TENSOR" and d["detail"] == {"worst": 1.0}
-    assert has_code([f], "SYM-TENSOR") and not has_code([f], "SYM-RANK")
+    assert d["code"] == "CEMIT-TENSOR" and d["detail"] == {"worst": 1.0}
+    assert has_code([f], "CEMIT-TENSOR") and not has_code([f], "CEMIT-RANK")
 
 
 # ---------------------------------------------------------------- golden
-@pytest.mark.parametrize("strategy", STRATEGIES)
-@pytest.mark.parametrize("cse", [False, True])
-def test_symbolic_golden_strassen(strategy, cse):
-    findings = symbolic.verify_algorithm("strassen", strategy, cse)
-    assert findings == []
-
-
-@pytest.mark.parametrize("name", ["winograd", "s333", "bini322"])
-def test_symbolic_golden_other_entries(name):
-    # one exact high-rank entry, one <3,3,3>, one APA -- the APA case
-    # proves the verifier checks against the entry's own [U,V,W], not
-    # against the exact matmul tensor (APA schemes differ from it by
-    # design)
-    assert symbolic.verify_algorithm(name, "write_once", False) == []
-
-
-def test_symbolic_rejects_scheme_metadata_drift():
-    src = _source()
-    # stale fingerprint: the module claims provenance it does not have
-    mut = re.sub(r"'fingerprint': '[0-9a-f]+'", "'fingerprint': 'deadbeef'", src)
-    assert mut != src
-    findings = symbolic.verify_source(mut, where="mut")
-    assert has_code(findings, "SYM-META")
-
-
 def test_arena_tree_sweep_clean():
     checked, findings = arena.check_tree()
     assert checked > 100  # every function in src/repro is swept
@@ -98,22 +68,6 @@ def test_cemit_golden_catalog():
 
 
 # ---------------------------------------------------------------- mutations
-def test_mutation_flipped_coefficient_is_detected():
-    src = _source()
-    site = re.search(r"np\.add\((S\d+), (A\d+), out=\1\)", src).group(0)
-    mut = src.replace(site, site.replace("np.add", "np.subtract"), 1)
-    findings = symbolic.verify_source(mut, where="mut")
-    assert has_code(findings, "SYM-TENSOR")
-
-
-def test_mutation_swapped_operands_is_detected():
-    src = _source()
-    m = re.search(r"_run\((S\d+), (T\d+), ", src)
-    mut = src.replace(m.group(0), f"_run({m.group(2)}, {m.group(1)}, ", 1)
-    findings = symbolic.verify_source(mut, where="mut")
-    assert has_code(findings, "SYM-OPERANDS")
-
-
 def test_mutation_dropped_release_is_detected():
     # the interpreter's level mark, with its release taken out
     src = inspect.getsource(recursion._core_multiply)
@@ -254,12 +208,12 @@ def test_mutation_cemit_definition_reads_are_proven():
         desc, programs=lambda p: p[0].__setitem__(at, last)), s333, True)
 
 
-def test_mutation_cemit_step_products_are_proven():
+def test_mutation_cemit_step_products_are_proven(monkeypatch):
     """``fmm_step``: a vendor call scaled by anything but alpha = 1,
     beta = 0, a rank that reads a slab row nothing writes, a home a later
     rank still reads, two products in one home, own rows out of order, a
-    product ``form_C`` never reads and stale row counts -- each has its
-    finding."""
+    product ``form_C`` never reads, stale row counts and descriptor fields
+    that drift from the contract -- each has its finding."""
     from repro.codegen.cbackend import LIBRARY, descriptor
 
     src = LIBRARY.read_text()
@@ -270,6 +224,10 @@ def test_mutation_cemit_step_products_are_proven():
                 gemm.replace("ldb, 0,", "ldb, 1,")):
         assert has_code(cemit.verify_library(src.replace(gemm, bad)),
                         "CEMIT-GEMM")
+    # the descriptor's fields are the contract the pass reads by
+    monkeypatch.setattr(cemit, "EMISSION_CONTRACT",
+                        cemit.EMISSION_CONTRACT[:-1])
+    assert has_code(cemit.verify_library(src), "CEMIT-LAYOUT")
 
     alg = get_algorithm("strassen")
     desc = descriptor(alg)
@@ -414,27 +372,6 @@ def test_run_dispatches_and_counts():
         analyze.run("nonesuch")
 
 
-def test_emission_contract_covers_all_strategies():
-    # every Python strategy plus the C chain emitter's statement forms
-    assert set(EMISSION_CONTRACT) == set(STRATEGIES) | {"cbackend"}
-    # generated modules allocate; the arena-backed executor is the interpreter
-    assert not any("ws." in form for s in STRATEGIES
-                   for form in EMISSION_CONTRACT[s])
-    assert "programs" in EMISSION_CONTRACT["cbackend"]
-
-
-def test_scheme_metadata_in_generated_modules():
-    src = _source("winograd", "streaming", True)
-    ns: dict = {}
-    exec(compile(src, "<gen>", "exec"), ns)  # noqa: S102 -- generated by us
-    meta = ns["_SCHEME"]
-    assert meta["algorithm"] == "winograd"
-    assert meta["base_case"] == (2, 2, 2)
-    assert meta["strategy"] == "streaming" and meta["cse"] is True
-    assert meta["rank"] == ns["RANK"]
-    assert re.fullmatch(r"[0-9a-f]{12,64}", meta["fingerprint"])
-
-
 # ---------------------------------------------------------------- cli
 def test_cli_analyze_selected_passes():
     rc, out = run_cli("analyze", "--catalog", "--concurrency")
@@ -443,11 +380,11 @@ def test_cli_analyze_selected_passes():
 
 
 def test_cli_analyze_json_shape():
-    rc, out = run_cli("analyze", "--symbolic", "--arena",
+    rc, out = run_cli("analyze", "--cemit", "--arena",
                       "-a", "strassen", "--json")
     assert rc == 0
     payload = json.loads(out)
-    assert payload["analyzers"] == ["symbolic", "arena"]
+    assert payload["analyzers"] == ["cemit", "arena"]
     assert payload["findings"] == []
     assert payload["checked"] > 0
 

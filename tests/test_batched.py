@@ -44,6 +44,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import needs_cc
 from hypothesis import given, settings, strategies as st
 
 from repro.algorithms import get_algorithm
@@ -649,6 +650,7 @@ class TestAmortization:
         assert rep.peak_bytes is not None and rep.peak_bytes < LARGE
         np.testing.assert_allclose(out, np.matmul(A, B), atol=1e-8 * n)
 
+    @needs_cc
     def test_warm_batch_surfaces_arena_overflow(self, cache, monkeypatch,
                                                 caplog):
         """An undersized reservation is counted, every overflow of every

@@ -177,7 +177,8 @@ class TestCorrectness:
         gen = compile_algorithm(alg)(A, B, steps=2)
         nat = cbackend.multiply(A, B, "s424", steps=2)
         np.testing.assert_allclose(nat, ref, atol=1e-10)
-        np.testing.assert_allclose(nat, gen, atol=1e-10)
+        # the public sequential product is this step
+        assert np.array_equal(nat, gen)
 
     def test_small_matrix_falls_back_to_dot(self):
         A, B = _rand(1, 1), _rand(1, 1)
@@ -314,7 +315,6 @@ class TestAliasHandling:
         cc = cbackend.compile_chains("strassen")
         assert cc.descriptor.rows.tolist()[:2] == [cc._s["slots"],
                                                    cc._t["slots"]]
-        assert cc.slab_rows() == tuple(cc.descriptor.rows.tolist())
 
 
 class TestCompilerGating:

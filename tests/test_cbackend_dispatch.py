@@ -7,9 +7,10 @@ fingerprint-keyed ``.so`` caching, atomic writes, per-user cache dir with
 in-memory degradation, and the locked library cache under concurrent
 first compiles.
 
-Everything that needs a real compiler is behind ``needs_cc``; hosts
-without one must skip cleanly *and* price and run the interpreter, which
-the no-compiler tests prove by stubbing the probe.
+The cache tests need a real compiler (``needs_compiler``), the serving
+tests the compiled step, that is a compiler and the vendor's cblas
+(``needs_cc``); hosts without them must skip cleanly *and* price and run
+the interpreter, which the no-compiler tests prove by stubbing the probe.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import threading
 
 import numpy as np
 import pytest
+from conftest import HAVE_STEP, needs_cc, needs_compiler
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -32,9 +34,6 @@ from repro.guard import faults
 from repro.tuner import dispatch, measure
 from repro.tuner.cache import PlanCache
 from repro.tuner.space import Plan, enumerate_plans
-
-HAVE_CC = cbackend.available()
-needs_cc = pytest.mark.skipif(not HAVE_CC, reason="no working C compiler")
 
 
 def _operands(p, q, r, dtype="float64", seed=0):
@@ -83,7 +82,7 @@ class TestKernelsAreARule:
         (("complex128", "complex128"), False)])
     def test_chains_fused_admits_pairs_with_a_kernel_dtype(self, dtypes,
                                                            fused):
-        assert cbackend.chains_fused(*dtypes) == (fused and HAVE_CC)
+        assert cbackend.chains_fused(*dtypes) == (fused and HAVE_STEP)
 
     def test_fused_cost_discounts_additions_only(self, use_machine,
                                                  monkeypatch):
@@ -123,7 +122,7 @@ class TestKernelsAreARule:
         f32 = plan_cost(alg, 512, 512, 512, 1, dtype="float32")
         assert set(asked) == {"float32"}
         f64 = plan_cost(alg, 512, 512, 512, 1)
-        passes = 50 if HAVE_CC else 90
+        passes = 50 if HAVE_STEP else 90
         assert f64 - f32 == pytest.approx(passes * 256 * 256 * 4 / 20e9)
 
 
@@ -177,7 +176,7 @@ class TestCompileCache:
         assert sorted(f.name for f in tmp_path.iterdir()) == sorted(
             f"calibration-{d}-float64-1t.json" for d in digests)
 
-    @needs_cc
+    @needs_compiler
     def test_one_compiler_run_per_element_type(self, tmp_path, monkeypatch,
                                                fresh_cache_state):
         """Every tuner candidate, both element types, with and without
@@ -199,7 +198,7 @@ class TestCompileCache:
             obs.reset()
         assert len(libs) == 2 and 1 <= compiles <= 2
 
-    @needs_cc
+    @needs_compiler
     def test_cache_dir_env_honored_and_writes_atomic(
             self, tmp_path, monkeypatch, fresh_cache_state):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
@@ -214,7 +213,7 @@ class TestCompileCache:
         assert not any(".tmp" in n for n in names), names
         assert cbackend._compile_source(src) is lib
 
-    @needs_cc
+    @needs_compiler
     def test_second_process_reuses_disk_cache_without_compiling(
             self, tmp_path, monkeypatch, fresh_cache_state):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
@@ -230,7 +229,7 @@ class TestCompileCache:
         monkeypatch.setattr(cbackend.subprocess, "run", no_compile)
         assert cbackend._compile_source(src) is not None
 
-    @needs_cc
+    @needs_compiler
     def test_unwritable_cache_dir_degrades_in_memory(
             self, tmp_path, monkeypatch, fresh_cache_state):
         # the cache root's parent is a *file*, so mkdir fails even for
@@ -250,7 +249,7 @@ class TestCompileCache:
             _warnings.simplefilter("error")
             cbackend._compile_source(_probe_src("degraded2"))
 
-    @needs_cc
+    @needs_compiler
     def test_concurrent_first_compiles_converge(
             self, tmp_path, monkeypatch, fresh_cache_state):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))

@@ -54,24 +54,15 @@ class TestScalarPiping:
         base = classical(1, 1, 1)
         alg = FastAlgorithm(1, 1, 1, 2.0 * base.U, base.V, 0.5 * base.W, name="scaled")
         alg.validate()
-        prog = extract_chains(alg, pipe_scalars=True)
+        prog = extract_chains(alg)
         assert prog.s_chains[0].is_alias()
         assert prog.W_effective[0, 0] == pytest.approx(1.0)
-
-    def test_no_piping_keeps_scalar(self):
-        from repro.core.algorithm import FastAlgorithm
-
-        base = classical(1, 1, 1)
-        alg = FastAlgorithm(1, 1, 1, 2.0 * base.U, base.V, 0.5 * base.W, name="scaled")
-        prog = extract_chains(alg, pipe_scalars=False)
-        assert not prog.s_chains[0].is_alias()
-        assert prog.W_effective[0, 0] == pytest.approx(0.5)
 
     def test_piping_preserves_semantics(self):
         """Evaluate the chain program symbolically for a piped algorithm and
         compare against the raw factors."""
         alg = get_algorithm("bini322")  # APA factors have non-unit scalars
-        prog = extract_chains(alg, pipe_scalars=True)
+        prog = extract_chains(alg)
         rng = np.random.default_rng(0)
         a = rng.standard_normal(alg.m * alg.k)
         b = rng.standard_normal(alg.k * alg.n)

@@ -157,16 +157,6 @@ class TestMemory:
         assert cost.bfs_memory_factor(strassen()) == pytest.approx(7 / 4)
         assert cost.bfs_memory_factor(strassen(), 2) == pytest.approx((7 / 4) ** 2)
 
-    def test_temporaries(self):
-        s = strassen()
-        assert cost.temporaries_memory(s, "pairwise") == 2
-        assert cost.temporaries_memory(s, "write_once") == 2
-        assert cost.temporaries_memory(s, "streaming") == 14
-
-    def test_temporaries_unknown(self):
-        with pytest.raises(ValueError):
-            cost.temporaries_memory(strassen(), "x")
-
 
 class TestExponents:
     def test_strassen_exponent(self):

@@ -9,14 +9,14 @@ strips -- every level, in one ctypes call.  What it promises:
   does, down to 1x1x1;
 - on a warm arena it carves every level from one region no larger than
   ``cbackend_footprint`` charges: no overflow, no allocation;
-- where the probe finds no cblas, the Python driver serves the same bits;
+- without CSE it is the interpreter, bit for bit, on every candidate;
+- where the probe finds no cblas, the interpreter serves the same bits;
 - a warm call is one call into the step and nothing else in the unit;
 - threads share the unit and the cblas table, never an arena.
 """
 
 from __future__ import annotations
 
-import itertools
 import sys
 import threading
 
@@ -25,6 +25,8 @@ import pytest
 
 from repro.algorithms import get_algorithm, list_algorithms
 from repro.codegen import cbackend
+from repro.core import recursion
+from repro.core.stability import error_bound
 from repro.core.workspace import (
     ALIGNMENT,
     Workspace,
@@ -36,6 +38,7 @@ from repro.parallel import blas
 from repro.tuner import dispatch
 from repro.tuner.space import Plan, candidate_algorithms
 from repro.util.matrices import random_matrix
+from repro.util.validation import relative_error
 
 pytestmark = pytest.mark.skipif(
     not cbackend.available() or blas.matmul_kernels("double") is None,
@@ -110,7 +113,7 @@ def _forget_cblas(monkeypatch):
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
-def test_without_cblas_the_python_driver_serves_the_same_bits(
+def test_without_cblas_the_interpreter_serves_the_same_bits(
         monkeypatch, dtype):
     p, q, r = 95, 83, 101          # peels at both levels
     plan = Plan(algorithm="strassen", steps=2, threads=1)
@@ -120,44 +123,76 @@ def test_without_cblas_the_python_driver_serves_the_same_bits(
     compiled = dispatch.execute_plan(plan, A, B, workspace=ws)
     _forget_cblas(monkeypatch)
     assert all(blas.matmul_kernels(real) is None for real in cbackend.REALS)
+    assert not cbackend.chains_fused(A.dtype, B.dtype)
     ran = []
-    driver = cbackend.CompiledChains._recurse
-    monkeypatch.setattr(cbackend.CompiledChains, "_recurse",
-                        lambda self, *a: ran.append(1) or driver(self, *a))
+    interpreter = recursion.multiply
+    monkeypatch.setattr(recursion, "multiply",
+                        lambda *a, **kw: ran.append(1) or interpreter(*a, **kw))
     served = dispatch.execute_plan(plan, A, B, workspace=ws)
     assert ran and np.array_equal(served, compiled)
     assert ws.overflow_allocations == 0
 
 
-@pytest.mark.parametrize("name", candidate_algorithms())
-def test_every_candidate_step_is_its_python_driver(name):
-    """The library with each candidate's descriptor, both element types,
-    with and without CSE, one and two levels, on a shape peeled in every
-    dimension at both levels, and on shapes whose top level is each of
-    the four home variants (S rows, T rows, both or neither fit a
-    product; the products C holds live in C in all four): the one-call
-    step and the Python driver that calls ``form_S``/``form_T``/``form_C``
-    level by level agree bit for bit."""
-    alg = get_algorithm(name)
+def _grid_shapes(alg):
+    """Two shapes that peel every dimension at both levels."""
     m, k, n = alg.base_case
-    shapes = [(2 * m * m + m + 1, 2 * k * k + k + 1, 2 * n * n + n + 1)]
-    shapes += [(m * bp + 1, 4 * k + 1, n * bn + 1)
-               for bp in (4, 9) for bn in (4, 9)]
-    variants = {(p // m <= q // k) * 2 + (r // n <= q // k)
-                for p, q, r in shapes[1:]}
-    assert variants == {0, 1, 2, 3}
-    for (p, q, r), dtype in itertools.product(shapes, DTYPES):
+    return [(2 * m * m + m + 1, 2 * k * k + k + 1, 2 * n * n + n + 1),
+            (2 * m * m + m - 1, 2 * k * k + 1, 2 * n * n + 1)]
+
+
+def _variant_shapes(alg):
+    """Shapes whose top level is each of the four home variants (S rows,
+    T rows, both or neither fit a product; the products C holds live in
+    C in all four)."""
+    m, k, n = alg.base_case
+    shapes = [(m * bp + 1, 4 * k + 1, n * bn + 1)
+              for bp in (4, 9) for bn in (4, 9)]
+    assert {(p // m <= q // k) * 2 + (r // n <= q // k)
+            for p, q, r in shapes} == {0, 1, 2, 3}
+    return shapes
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("name", [*candidate_algorithms(), "bini322",
+                                  "schonhage333"])
+def test_every_candidate_step_is_the_interpreter(name, dtype):
+    """The one-call step and the interpreter, the two executors of a fast
+    product, agree bit for bit without CSE: every candidate and the two
+    APA entries, on two shapes peeled in every dimension at both levels,
+    and on the four home variants, at one and two levels."""
+    alg = get_algorithm(name)
+    cc = cbackend.compile_chains(alg, False, dtype)
+    for p, q, r in _grid_shapes(alg) + _variant_shapes(alg):
         A = random_matrix(p, q, 10, dtype=dtype)
         B = random_matrix(q, r, 11, dtype=dtype)
-        for cse in (False, True):
-            cc = cbackend.compile_chains(alg, cse, dtype)
-            for steps in (1, 2):
-                driver = np.empty((p, r), dtype)
-                cc._recurse(A, B, steps, driver, None)
-                step = cc.multiply(A, B, steps=steps)
-                assert np.array_equal(step, driver), (p, q, r, dtype, cse,
-                                                      steps)
-                assert np.allclose(step, A @ B, rtol=1e-3, atol=1e-3)
+        for steps in (1, 2):
+            assert np.array_equal(
+                cc.multiply(A, B, steps=steps),
+                recursion.multiply(A, B, alg, steps=steps)), (
+                    p, q, r, steps)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("name", candidate_algorithms())
+def test_every_cse_step_is_within_its_error_bound(name, dtype):
+    """CSE reorders the sums, so a ``cse=True`` step differs from the
+    interpreter in the last bits (``repro.analyze.cemit`` proves its
+    tensor); against ``np.matmul`` in double it stays within the
+    algorithm's ``error_bound`` (plus its residual per level)."""
+    alg = get_algorithm(name)
+    cc = cbackend.compile_chains(alg, True, dtype)
+    for p, q, r in _grid_shapes(alg) + _variant_shapes(alg):
+        A = random_matrix(p, q, 10, dtype=dtype)
+        B = random_matrix(q, r, 11, dtype=dtype)
+        ref = A.astype(np.float64) @ B.astype(np.float64)
+        for steps in (1, 2):
+            C = cc.multiply(A, B, steps=steps)
+            assert C.dtype == np.dtype(dtype)
+            # an entry whose coefficients are not exact is off by its
+            # own residual at every level
+            assert relative_error(C, ref) <= (
+                error_bound(alg, steps, q, dtype)
+                + steps * alg.residual()), (p, q, r, steps)
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
@@ -175,9 +210,9 @@ def test_kernels_touch_only_their_row_range(name, cse, dtype):
     A = random_matrix(m * bp, k * bq + dq, 12, dtype=dtype)
     B = random_matrix(k * bq + dq, n * bn, 13, dtype=dtype)
     A12, B21 = A[:, k * bq:], B[k * bq:]
-    s_rows, t_rows, y_rows = cc.slab_rows()
+    s_rows, t_rows, y_rows = cc.descriptor.rows
     M = random_matrix(cc.algorithm.rank, bp * bn, 14, dtype=dtype)
-    Mrows = cc.product_rows(list(M))
+    Mrows = cc.product_rows([row.reshape(bp, bn) for row in M])
     i0, i1 = 2, 5
 
     def sweep(rows=None):
@@ -199,6 +234,19 @@ def test_kernels_touch_only_their_row_range(name, cse, dtype):
         assert np.isnan(got[..., i1:, :]).all()
         assert np.array_equal(got[..., i0:i1, :], want[..., i0:i1, :])
     assert np.isnan(part[3][y_rows * bn:]).all()
+
+
+def test_product_rows_rejects_flat_rows():
+    """A flat slab row has no ``(bp, bn)`` row stride: ``product_rows``
+    refuses it instead of handing ``form_C`` a stride of 1."""
+    cc = cbackend.compile_chains("strassen", False, np.float64)
+    M = np.zeros((cc.algorithm.rank, 4 * 3))
+    with pytest.raises(ValueError, match="1-D"):
+        cc.product_rows(list(M))
+    with pytest.raises(ValueError, match="1-D"):
+        cc.product_rows([M[0].reshape(4, 3), M[1]])
+    ptrs, ldm = cc.product_rows([row.reshape(4, 3) for row in M])
+    assert list(ldm) == [3] * cc.algorithm.rank
 
 
 class _Counted:

@@ -20,14 +20,16 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from conftest import needs_cc
 
 import repro
 from repro import multiply_reference, obs
 from repro.algorithms import get_algorithm
-from repro.codegen import cbackend, generator
+from repro.codegen import cbackend
 from repro.core.stability import error_bound
 from repro.core.workspace import cbackend_footprint, dfs_footprint
 from repro.guard import faults
+from repro.parallel import blas
 from repro.tuner import PlanCache, dispatch, matmul, measure
 from repro.tuner.policy import AutoTunePolicy, TuningPolicy
 from repro.tuner.space import Plan
@@ -215,7 +217,8 @@ class TestSequentialPlansFollowTheRule:
     -- in an arena of exactly ``cbackend_footprint`` bytes -- and
     ``core.recursion`` where it does not: the interpreter's bits, in an
     arena of exactly ``dfs_footprint`` bytes.  Neither spills, stays off
-    the a-priori bound or compiles a generated module."""
+    the a-priori bound or goes through the public
+    ``compile_algorithm``."""
 
     #: +-1 square, <3,3,3>, a rotated rectangular entry, coefficients
     #: outside +-1 (the scaling scratch), an APA entry
@@ -227,8 +230,7 @@ class TestSequentialPlansFollowTheRule:
               "mixed": ("float32", "float64")}
 
     @pytest.mark.parametrize("compiler", [
-        pytest.param(True, marks=pytest.mark.skipif(
-            not cbackend.available(), reason="no C compiler")),
+        pytest.param(True, marks=needs_cc),
         False], ids=["kernels", "interpreter"])
     @pytest.mark.parametrize("dtypes", DTYPES)
     @pytest.mark.parametrize("shape", SHAPES)
@@ -237,10 +239,10 @@ class TestSequentialPlansFollowTheRule:
     def test_bits_arena_and_no_codegen(self, name, steps, shape, dtypes,
                                        compiler, monkeypatch):
         def boom(*a, **k):  # pragma: no cover - failure path
-            raise AssertionError("a sequential plan compiled a generated "
-                                 "module")
+            raise AssertionError("a sequential plan went through the "
+                                 "public compile_algorithm")
 
-        for module in (generator, repro.codegen, repro):
+        for module in (cbackend, repro.codegen, repro):
             monkeypatch.setattr(module, "compile_algorithm", boom)
         monkeypatch.setattr(dispatch, "compile_algorithm", boom,
                             raising=False)
@@ -276,3 +278,26 @@ class TestSequentialPlansFollowTheRule:
         floor = "float32" if dtypes == "f32" else floor
         assert rel <= (error_bound(alg, steps, q, floor)
                        + steps * alg.residual())
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("name", ALGORITHMS)
+    def test_public_multiply_is_the_served_product(self, name, dtype):
+        """``repro.multiply`` and ``compile_algorithm`` run the product a
+        sequential plan serves: the same bits, ``out=`` written in place
+        and checked as dispatch checks it."""
+        p, q, r = self.SHAPES["odd"]
+        A = random_matrix(p, q, 2, dtype=dtype)
+        B = random_matrix(q, r, 3, dtype=dtype)
+        with blas.blas_threads(1):
+            for steps in (1, 2):
+                served = dispatch.execute_plan(
+                    Plan(algorithm=name, steps=steps, threads=1), A, B)
+                assert np.array_equal(
+                    repro.multiply(A, B, name, steps), served)
+                out = np.empty((p, r), dtype)
+                assert repro.compile_algorithm(get_algorithm(name))(
+                    A, B, steps=steps, out=out) is out
+                assert np.array_equal(out, served)
+        X = random_matrix(p, p, 4, dtype=dtype)
+        with pytest.raises(ValueError, match="overlap"):
+            repro.compile_algorithm(get_algorithm(name))(X, X, out=X)

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from repro.algorithms import classical, get_algorithm, strassen
-from repro.codegen import cbackend, compile_algorithm, generate_source
+from repro.codegen import cbackend, compile_algorithm
 from repro.core.algorithm import FastAlgorithm
 from repro.core.recursion import multiply
 from repro.parallel import WorkerPool, multiply_parallel
-from repro.parallel.pool import parallel_combine
+from repro.parallel.pool import parallel_axpy
 from repro.util.matrices import random_matrix
 
 
@@ -19,9 +19,16 @@ class TestBrokenAlgorithms:
         U[:, 3] = 0.0  # dead product column
         return FastAlgorithm(2, 2, 2, U, s.V, s.W, name="dead-column", apa=True)
 
-    def test_generator_rejects_dead_column(self):
+    def test_step_rejects_dead_column(self):
+        """The library would read the slab row of an empty chain, which
+        nothing writes: the descriptor refuses the algorithm, so the
+        sequential product raises instead of returning garbage."""
         with pytest.raises(ValueError, match="degenerate rank column"):
-            generate_source(self._broken())
+            cbackend.descriptor(self._broken())
+        if cbackend.chains_fused("float64"):
+            A = random_matrix(8, 8, 0)
+            with pytest.raises(ValueError, match="degenerate rank column"):
+                compile_algorithm(self._broken())(A, A)
 
     def test_interpreter_skips_dead_column(self):
         """The reference executor tolerates dead columns (it just computes a
@@ -69,11 +76,11 @@ class TestWorkerFailures:
                 multiply_parallel(A, B, strassen(), steps=1, scheme="bfs",
                                   pool=pool)
 
-    def test_parallel_combine_bad_shapes(self):
+    def test_parallel_axpy_bad_shapes(self):
         out = np.empty((4, 4))
         with WorkerPool(2) as pool:
             with pytest.raises(Exception):
-                parallel_combine(pool, out, [np.ones((3, 3))], [1.0])
+                parallel_axpy(pool, out, np.ones((3, 3)), 1.0)
 
     def test_pool_survives_failed_group(self):
         with WorkerPool(2) as pool:
@@ -96,7 +103,7 @@ class TestInputValidation:
         C = multiply(np.ones((0, 4)), np.ones((4, 2)), strassen())
         assert C.shape == (0, 2)
 
-    def test_generated_rejects_bad_inner(self):
+    def test_compiled_algorithm_rejects_bad_inner(self):
         f = compile_algorithm(classical(2, 2, 2))
         with pytest.raises(ValueError):
             f(np.ones((4, 4)), np.ones((5, 4)))

@@ -24,6 +24,7 @@ import logging
 
 import numpy as np
 import pytest
+from conftest import needs_cc, needs_compiler
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import obs
@@ -44,9 +45,6 @@ from repro.parallel.schedules import (
 )
 from repro.tuner import Plan, dispatch, enumerate_plans
 from repro.tuner import space as tuner_space
-
-needs_cc = pytest.mark.skipif(not cbackend.available(),
-                              reason="no working C compiler")
 
 #: +-1 entries (bit-for-bit against the interpreter), entries with other
 #: coefficients, and approximate (APA) ones
@@ -104,7 +102,7 @@ def partitions(draw, nrows):
     return draw(st.permutations(ranges))
 
 
-@needs_cc
+@needs_compiler
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data(), name=st.sampled_from(UNIT + GENERAL),
@@ -122,7 +120,7 @@ def test_kernels_range_by_range_equal_one_sweep(data, name, cse, dims, pad,
     A = rng.uniform(-1, 1, (m * bp, k * bq + pad))[:, :k * bq]
     B = rng.uniform(-1, 1, (k * bq, n * bn + pad))[:, :n * bn]
     M = rng.uniform(-1, 1, (cc.algorithm.rank, bp * bn))
-    s_rows, t_rows, y_rows = cc.slab_rows()
+    s_rows, t_rows, y_rows = cc.descriptor.rows
     Y = np.empty(y_rows * bn) if y_rows else None
 
     def sweep(kernel, nrows, out_shape, view=lambda X: X):
@@ -139,16 +137,16 @@ def test_kernels_range_by_range_equal_one_sweep(data, name, cse, dims, pad,
           (s_rows, bp * bq))
     sweep(lambda T, i0, i1: cc.form_T(B, bq, bn, T, i0, i1), bq,
           (t_rows, bq * bn))
-    Mrows = cc.product_rows(M)
+    Mrows = cc.product_rows([row.reshape(bp, bn) for row in M])
     sweep(lambda C, i0, i1: cc.form_C(Mrows, bp, bn, C, Y, i0, i1), bp,
           (m * bp, n * bn + pad), view=lambda X: X[:, :n * bn])
 
 
-@needs_cc
+@needs_compiler
 def test_empty_range_writes_nothing():
     cc = cbackend.compile_chains("strassen")
     A = np.ones((8, 8))
-    slab = np.full((cc.slab_rows()[0], 16), np.nan)
+    slab = np.full((cc.descriptor.rows[0], 16), np.nan)
     cc.form_S(A, 4, 4, slab, 2, 2)
     assert np.isnan(slab).all()
 

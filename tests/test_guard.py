@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import run_cli
+from conftest import needs_cc, run_cli
 from repro import obs
 from repro.guard import chain, faults
 from repro.guard.chain import (
@@ -334,6 +334,7 @@ def test_workspace_overflow_degrades_to_classical(tmp_path):
     assert faults.fired("workspace.overflow") >= 1
 
 
+@needs_cc
 @pytest.mark.chaos
 def test_worker_die_degrades_to_classical(tmp_path):
     plan = Plan(algorithm="strassen", steps=1, scheme="bfs", threads=2)
@@ -344,6 +345,7 @@ def test_worker_die_degrades_to_classical(tmp_path):
     assert np.array_equal(C, np.matmul(A, B))
 
 
+@needs_cc
 @pytest.mark.chaos
 def test_worker_hang_watchdog_rebuilds_pool(tmp_path):
     plan = Plan(algorithm="strassen", steps=1, scheme="bfs", threads=2)
@@ -509,6 +511,7 @@ def test_guard_fallback_bit_exact_property(dtype, n, seed):
 
 
 # ------------------------------------------- the serving tail under guard
+@needs_cc
 @pytest.mark.parametrize("observed", [False, True])
 def test_guarded_warm_call_surfaces_arena_overflow(observed, monkeypatch,
                                                    caplog):

@@ -6,7 +6,7 @@ import threading
 
 import numpy as np
 import pytest
-from conftest import MULTICORE_THREADS
+from conftest import MULTICORE_THREADS, needs_cc
 
 from repro import obs
 from repro.core.workspace import Workspace
@@ -368,6 +368,7 @@ class TestOneServingTail:
         faults.reset_fired()
 
 
+@needs_cc
 class TestOverflowSurfacing:
     def _overflowing_call(self, tmp_path, monkeypatch):
         # the interpreter trusts its caller's sizing: a short one shows

@@ -11,8 +11,6 @@ from repro.parallel.pool import (
     _row_slabs,
     available_cores,
     parallel_axpy,
-    parallel_combine,
-    parallel_copy,
     resolve_threads,
 )
 from repro.util.matrices import random_matrix
@@ -165,35 +163,12 @@ class TestPool:
 
 
 class TestParallelKernels:
-    def test_parallel_copy(self):
-        src = random_matrix(101, 67, 0)
-        dst = np.empty_like(src)
-        with WorkerPool(2) as pool:
-            parallel_copy(pool, dst, src)
-        np.testing.assert_array_equal(dst, src)
-
     def test_parallel_axpy_matches_serial(self):
         x = random_matrix(101, 67, 1)
         out = random_matrix(101, 67, 2)
         expected = out + 2.5 * x
         with WorkerPool(2) as pool:
             parallel_axpy(pool, out, x, 2.5)
-        np.testing.assert_allclose(out, expected, atol=1e-12)
-
-    @pytest.mark.parametrize("coeffs", [
-        [1.0, -1.0, 0.5],
-        [0.0, 0.0, 0.0],
-        [1.0, 0.0, 0.0],
-        [-2.0, 3.0, 0.0],
-    ])
-    def test_parallel_combine_matches_serial(self, coeffs):
-        blocks = [random_matrix(33, 21, i) for i in range(3)]
-        expected = sum(c * b for c, b in zip(coeffs, blocks))
-        if isinstance(expected, int):
-            expected = np.zeros((33, 21))
-        out = np.empty((33, 21))
-        with WorkerPool(2) as pool:
-            parallel_combine(pool, out, blocks, coeffs)
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
 

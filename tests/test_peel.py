@@ -1,12 +1,10 @@
 """The peel oracle: dynamic peeling (paper Section 3.5), stated once.
 
 Every driver reachable without the tuner -- interpreter, composed
-schedule, the four parallel schemes, the generated module under each
-addition strategy, the compiled chain driver -- multiplies one shared list
-of shapes whose p, q and r each take the three residues that matter
-(divisible by the base case, remainder 1, remainder base-1), in both
-dtypes, with and without an arena (the generated modules take none) --
-and again through row-strided views of wider arrays into an ``out=`` of
+schedule, the four parallel schemes, the compiled step -- multiplies one
+shared list of shapes whose p, q and r each take the three residues that
+matter (divisible by the base case, remainder 1, remainder base-1), in
+both dtypes, with and without an arena -- and again through row-strided views of wider arrays into an ``out=`` of
 odd leading dimension, and two levels deep.  The product must be within
 ``error_bound`` of a float64 reference, and an arena sized by the driver's
 footprint must not overflow.
@@ -14,16 +12,16 @@ footprint must not overflow.
 Where the arithmetic is the same sequence -- the +-1 algorithms -- the
 compiled driver and the parallel schemes must agree with the interpreter
 bit for bit on peeled shapes too (the compiled kernels add the inner strip
-inside ``form_C``, the NumPy executors in row chunks: same terms, same
+inside ``form_C``, the interpreter in row chunks: same terms, same
 order), and peeling must cost an arena one fixed-size chunk at most.
 """
 
 import numpy as np
 import pytest
+from conftest import needs_cc
 
 from repro.algorithms import get_algorithm
-from repro.codegen import cbackend, compile_algorithm
-from repro.codegen.strategies import STRATEGIES
+from repro.codegen import cbackend
 from repro.core.recursion import multiply, multiply_schedule
 from repro.core.stability import error_bound
 from repro.core.workspace import (
@@ -62,9 +60,8 @@ def _dfs_bytes(bases, algorithms=None):
 
 
 def drivers(alg, steps):
-    """name -> (run(A, B, workspace, pool, out), arena bytes(p, q, r, dtype)
-    or None for a driver that takes no arena) for ``steps`` levels of
-    ``alg``."""
+    """name -> (run(A, B, workspace, pool, out), arena bytes(p, q, r,
+    dtype)) for ``steps`` levels of ``alg``."""
     levels = [alg.base_case] * steps
 
     def parallel(scheme):
@@ -75,17 +72,12 @@ def drivers(alg, steps):
             A, B, alg, steps=steps, scheme=scheme, pool=pool, threads=2,
             out=out, workspace=ws)), nbytes
 
-    def generated(strategy):
-        return (lambda A, B, ws, pool, out=None: compile_algorithm(
-            alg, strategy)(A, B, steps=steps, out=out)), None
-
     return {
         "interpreter": (
             lambda A, B, ws, pool, out=None: multiply(
                 A, B, alg, steps=steps, out=out, workspace=ws),
             _dfs_bytes(levels, [alg] * steps)),
         **{scheme: parallel(scheme) for scheme in SCHEMES},
-        **{f"generated-{s}": generated(s) for s in STRATEGIES},
         "compiled": (
             lambda A, B, ws, pool, out=None: cbackend.compile_chains(
                 alg, dtype=A.dtype).multiply(A, B, steps=steps, out=out,
@@ -116,8 +108,8 @@ def pool():
 
 def _check(driver, table, alg, levels, shape, arena, dtype, pool,
            views=False):
-    if driver == "compiled" and not cbackend.available():
-        pytest.skip("no C compiler")
+    if driver == "compiled" and not cbackend.chains_fused(dtype):
+        pytest.skip("no C compiler or no vendor cblas")
     run, nbytes = table[driver]
     p, q, r = shape
     A = random_matrix(p, q, p + q, dtype=dtype)
@@ -129,7 +121,7 @@ def _check(driver, table, alg, levels, shape, arena, dtype, pool,
         A = np.pad(A, ((0, 0), (3, 2)))[:, 3:3 + q]
         B = np.pad(B, ((0, 0), (1, 4)))[:, 1:1 + r]
         out = np.full((p, r + 5), np.nan, dtype=dtype)[:, 2:2 + r]
-    ws = Workspace(nbytes(p, q, r, dtype)) if arena and nbytes else None
+    ws = Workspace(nbytes(p, q, r, dtype)) if arena else None
     C = run(A, B, ws, pool, out)
     assert C.shape == (p, r) and C.dtype == np.dtype(dtype)
     if views:
@@ -142,11 +134,10 @@ def _check(driver, table, alg, levels, shape, arena, dtype, pool,
         assert ws.overflow_allocations == 0
 
 
-#: driver x shape x {heap, arena}; a driver that takes no arena has one leg
+#: driver x shape x {heap, arena}
 LEGS = [pytest.param(driver, shape, arena, id="-".join(
             (driver, "x".join(map(str, shape)), "arena" if arena else "heap")))
-        for driver, (_, nbytes) in DRIVERS.items() for shape in SHAPES
-        for arena in (False, True) if nbytes or not arena]
+        for driver in DRIVERS for shape in SHAPES for arena in (False, True)]
 
 
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
@@ -174,7 +165,7 @@ def test_peel_oracle_two_levels(driver, views, dtype, pool):
 # =========================================================================
 # same terms, same order: bits
 # =========================================================================
-@pytest.mark.skipif(not cbackend.available(), reason="no C compiler")
+@needs_cc
 @pytest.mark.parametrize("name,steps,shape", [
     ("strassen", 2, (47, 45, 43)),     # strip width 1, at both levels
     ("s333", 1, (31, 29, 34)),         # Laderman: 29 = 9 * 3 + 2, width 2

@@ -113,15 +113,3 @@ class TestInvariantBookkeeping:
         for member in transforms.permutation_family(alg).values():
             assert sum(member.nnz()) == total
 
-
-class TestEndToEndAgreement:
-    @given(st.sampled_from(CATALOG), st.integers(1, 2),
-           st.sampled_from(["pairwise", "write_once", "streaming"]))
-    @settings(max_examples=12, deadline=None)
-    def test_codegen_equals_interpreter(self, name, steps, strategy):
-        alg = get_algorithm(name)
-        A = random_matrix(23, 19, 7)
-        B = random_matrix(19, 29, 8)
-        c_gen = compile_algorithm(alg, strategy)(A, B, steps=steps)
-        c_ref = multiply(A, B, alg, steps=steps)
-        np.testing.assert_allclose(c_gen, c_ref, rtol=1e-9, atol=1e-9)

@@ -34,6 +34,7 @@ from repro.core.stability import error_bound
 from repro.core.workspace import (
     ALIGNMENT,
     Workspace,
+    axpy,
     check_out,
     dfs_footprint,
     dfs_level_shapes,
@@ -382,6 +383,37 @@ class TestOutParameter:
 # =========================================================================
 # combine_blocks fused path
 # =========================================================================
+class TestAxpy:
+    @pytest.mark.parametrize("alpha", [1.0, -1.0, 0.5, -2.5])
+    def test_matches_reference(self, alpha):
+        out = random_matrix(10, 8, 0)
+        x = random_matrix(10, 8, 1)
+        expected = out + alpha * x
+        axpy(out, x, alpha)
+        np.testing.assert_allclose(out, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("alpha", [0.5, -2.5, 3.0])
+    def test_scratch_branch_is_bitwise_equal_and_allocation_free(self, alpha):
+        ref = random_matrix(256, 256, 2)
+        x = random_matrix(256, 256, 3)
+        out = ref.copy()
+        axpy(ref, x, alpha)  # allocating general branch
+        scratch = np.empty(out.nbytes, dtype=np.uint8)
+        with track_allocations() as rep:
+            axpy(out, x, alpha, scratch)
+        np.testing.assert_array_equal(out, ref)
+        assert rep.peak_bytes < out.nbytes // 2  # no matrix-sized temporary
+
+    def test_numpy_scalar_alpha_does_not_upcast_float32(self):
+        # NEP 50: a float64 numpy scalar would silently upcast the product
+        out = np.ones((4, 4), dtype=np.float32)
+        x = np.ones((4, 4), dtype=np.float32)
+        scratch = np.empty(out.nbytes, dtype=np.uint8)
+        axpy(out, x, np.float64(0.5), scratch)
+        assert out.dtype == np.float32
+        np.testing.assert_allclose(out, 1.5)
+
+
 class TestCombineBlocksOut:
     def test_matches_allocating_path_bitwise(self):
         rng = np.random.default_rng(0)

@@ -71,24 +71,20 @@ def multiply(
     parallel: bool = False,
     scheme: str = "hybrid",
     threads: int | None = None,
-    subgroup: int | None = None,
 ) -> np.ndarray:
     """Multiply ``A @ B`` with a fast algorithm (the one-call public API).
 
     Parameters mirror the paper's tuning space: the algorithm (by registry
     name or as a ``FastAlgorithm``), the recursion depth ``steps``,
     optional ``cse``, and -- when ``parallel`` -- the scheduling
-    ``scheme`` (``dfs`` / ``bfs`` / ``hybrid`` / ``hybrid-subgroup``),
-    thread count and the sub-group hybrid's P' (``subgroup``, a divisor
-    of the thread count; defaults per
-    :func:`repro.parallel.schedules.default_subgroup`).  The sequential
-    product is :func:`compile_algorithm`'s, the one a sequential plan of
-    :func:`matmul` runs.
+    ``scheme`` (``dfs`` / ``bfs`` / ``hybrid``) and thread count.  The
+    sequential product is :func:`compile_algorithm`'s, the one a
+    sequential plan of :func:`matmul` runs.
     """
     alg = get_algorithm(algorithm) if isinstance(algorithm, str) else algorithm
     if parallel:
         return multiply_parallel(A, B, alg, steps=steps, scheme=scheme,
-                                 threads=threads, subgroup=subgroup)
+                                 threads=threads)
     return compile_algorithm(alg, cse=cse)(A, B, steps=steps)
 
 
@@ -131,9 +127,9 @@ def matmul_batched(
 
 def __getattr__(name: str):
     """Lazy subpackage access (PEP 562): ``repro.linalg`` pulls in SciPy
-    and ``repro.distributed``/``repro.search``/``repro.tuner``/``repro.cli``
-    /``repro.obs`` are niche, so none of them should tax ``import repro``."""
-    if name in ("linalg", "distributed", "search", "cli", "tuner", "obs"):
+    and ``repro.search``/``repro.tuner``/``repro.cli``/``repro.obs`` are
+    niche, so none of them should tax ``import repro``."""
+    if name in ("linalg", "search", "cli", "tuner", "obs"):
         import importlib
 
         return importlib.import_module(f"repro.{name}")

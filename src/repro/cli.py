@@ -3,7 +3,7 @@ lists them), a thin shell over the library.
 
 ``multiply`` times one request against the vendor BLAS at the same
 thread count and reports effective GFLOPS (Eq. 3).  By default it pins
-``Plan(--algorithm, --steps, --scheme, --threads, --subgroup)`` and
+``Plan(--algorithm, --steps, --scheme, --threads)`` and
 serves it through ``repro.matmul``'s own tail -- the arena from
 ``tuner.workspace_for``, then ``tuner.execute_plan``, as the benchmark's
 ``fast_vs_blas`` times them; ``--auto`` (implied by ``--explain``,
@@ -54,9 +54,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", "-n", type=int, default=1024)
     p.add_argument("--steps", "-s", type=int, default=1)
     p.add_argument("--scheme", default="sequential", choices=PLAN_SCHEMES)
-    p.add_argument("--subgroup", type=int, default=None,
-                   help="P' of the hybrid-subgroup scheme (must divide the "
-                        "thread count; default: threads // 2)")
     p.add_argument("--auto", action="store_true",
                    help="let the tuner pick the plan (ignores --algorithm); "
                         "saves an obs snapshot for a later `repro stats`")
@@ -213,8 +210,7 @@ def cmd_multiply(args, out=sys.stdout) -> int:
         if args.batch is not None and args.batch < 1:
             raise ValueError(f"--batch must be >= 1, got {args.batch}")
         threads = resolve_threads(args.threads)
-        plan = tuner.Plan(args.algorithm, args.steps, args.scheme, threads,
-                          args.subgroup)
+        plan = tuner.Plan(args.algorithm, args.steps, args.scheme, threads)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -314,7 +310,7 @@ def _print_shortlist(p: int, q: int, r: int, dtype: str, threads: int,
             continue
         alg = None if pl.is_dgemm else get_algorithm(pl.algorithm)
         sec = plan_cost(alg, p, q, r, pl.steps, scheme=pl.scheme,
-                        threads=pl.threads, subgroup=pl.subgroup, dtype=dtype)
+                        threads=pl.threads, dtype=dtype)
         print(f"  #{i} {pl.describe():<40} predicted {sec * 1e3:9.3f} ms "
               f"{effective_gflops(p, q, r, sec):8.2f} eff.GFLOPS", file=out)
         if served:

@@ -633,7 +633,7 @@ def _step_ready(X: np.ndarray, dtype) -> bool:
 
 #: the schemes whose tasks run the step on the caller's operands in place
 #: (the BFS/HYBRID tree); the sequential driver, which DFS is, packs
-IN_PLACE_SCHEMES = ("bfs", "hybrid", "hybrid-subgroup")
+IN_PLACE_SCHEMES = ("bfs", "hybrid")
 
 
 def chains_fused(dtype_a, dtype_b=None, scheme: str = "sequential",

@@ -95,35 +95,21 @@ def parallel_traffic(
     steps: int,
     scheme: str = "sequential",
     threads: int = 1,
-    subgroup: int | None = None,
 ) -> float:
     """Modeled extra memory traffic (words moved) of a parallel scheme.
 
     Sequential and DFS executions reuse one S/T/M_r triple per level
-    (Section 4.1), so they set the zero baseline.  Two terms beyond it:
-
-    - **BFS per-level pools** (Section 4.2): expanding level ``l``
-      materializes ``R^l`` leaf-product intermediates totalling
-      ``(R/(MN))^l`` copies of the output ``C``, each written by its task
-      and read back during the combine walk -- ``2 (R/(MN))^l p r`` words
-      per level, paid by ``bfs``, ``hybrid`` and ``hybrid-subgroup``
-      alike.  The schedules now hold far less -- the top level, the
-      children left over from whole waves expanded once more, and a step
-      region per thread (:func:`repro.parallel.schedules.
-      parallel_footprint`) -- but the charge is kept as it was, so that
-      no untuned plan moves until a ledger row says how.
-
-    - **Ballard-style inter-group traffic** (``hybrid-subgroup`` only,
-      after Ballard et al.'s communication model for parallel Strassen):
-      the ``R^steps mod threads`` remainder leaves run on disjoint groups
-      of ``subgroup`` = P' threads.  With ``G = threads // P'`` groups
-      working concurrently, a ``(G-1)/G`` share of each remainder leaf's
-      operand + output words crosses group boundaries, and leaves that do
-      not fill the last wave of ``G`` idle a group's worth of bandwidth
-      (the load-imbalance cost of Section 4.3).  Large P' (few groups)
-      minimizes cross-group traffic but serializes waves; small P' is the
-      reverse -- which is exactly why P' is a tuning knob and not a
-      formula.
+    (Section 4.1), so they set the zero baseline.  **BFS per-level
+    pools** (Section 4.2) are the one term beyond it: expanding level ``l``
+    materializes ``R^l`` leaf-product intermediates totalling
+    ``(R/(MN))^l`` copies of the output ``C``, each written by its task
+    and read back during the combine walk -- ``2 (R/(MN))^l p r`` words
+    per level, paid by ``bfs`` and ``hybrid`` alike.  The schedules now
+    hold far less -- the top level, the children left over from whole
+    waves expanded once more, and a step region per thread
+    (:func:`repro.parallel.schedules.parallel_footprint`) -- but the
+    charge is kept as it was, so that no untuned plan moves until a
+    ledger row says how.
 
     Returns 0.0 whenever no parallel expansion happens (``threads <= 1``,
     ``steps <= 0``, or a sequential/DFS scheme).
@@ -132,21 +118,12 @@ def parallel_traffic(
         return 0.0
     if scheme in ("sequential", "dfs"):
         return 0.0
-    m, k, n = alg.base_case
-    R = alg.rank
+    m, _, n = alg.base_case
     factor = 1.0
     traffic = 0.0
     for _ in range(steps):
-        factor *= R / (m * n)
+        factor *= alg.rank / (m * n)
         traffic += 2.0 * factor * p * r
-    if scheme == "hybrid-subgroup" and subgroup:
-        rem = R**steps % threads
-        if rem:
-            lp, lq, lr = p / m**steps, q / k**steps, r / n**steps
-            leaf_words = lp * lq + lq * lr + lp * lr
-            groups = max(1, threads // subgroup)
-            traffic += rem * leaf_words * (groups - 1) / groups
-            traffic += (math.ceil(rem / groups) * groups - rem) * leaf_words
     return traffic
 
 
@@ -169,8 +146,8 @@ def plan_cost(
       and per-gemm thread count, so the Section 3.4 ramp-up is in the
       score.  Sequential and DFS leaves run one after another on all
       ``threads``; BFS leaves one thread each in ``ceil(R^L / threads)``
-      waves; the hybrids run the full waves that way and the remainder on
-      all threads (or in waves of ``threads / P'`` groups of P' threads).
+      waves; the hybrid runs the full waves that way and the remainder on
+      all threads.
       A full wave takes the single-thread leaf time or the all-threads
       gemm over the wave's work, whichever is longer: leaves side by side
       share the machine, a lone thread's measured rate is not theirs, and
@@ -198,7 +175,7 @@ def plan_cost(
     and their arenas follow), at ``dtype``'s own gemm curve and itemsize:
     fused chains -- and, in parallel, one task per row range -- or NumPy
     passes and one task per chain (``dfs``) or child (the tree).
-    ``backend`` is accepted for old callers and ignored.
+    ``subgroup`` and ``backend`` are accepted for old callers and ignored.
     """
     from repro.bench.machine import calibration
     from repro.codegen.cbackend import chains_fused
@@ -224,7 +201,7 @@ def plan_cost(
     strip_words = 0 if fused else 2
     m, k, n = alg.base_case
     words = parallel_traffic(alg, p, q, r, steps, scheme=scheme,
-                             threads=threads, subgroup=subgroup)
+                             threads=threads)
     products = range_tasks = 0
     leaves, lp, lq, lr = 1, p, q, r
     for _ in range(steps):
@@ -272,14 +249,7 @@ def plan_cost(
     cost += leaves // threads * wave
     if scheme == "bfs":
         return cost + (rem > 0) * narrow
-    if rem and scheme == "hybrid-subgroup" and subgroup:
-        # P' threads per gemm: between the two measured rates, by log(threads)
-        share = math.log(subgroup) / math.log(threads)
-        cost += (math.ceil(rem * subgroup / threads)
-                 * narrow ** (1.0 - share) * wide ** share)
-    else:
-        cost += rem * wide
-    return cost
+    return cost + rem * wide
 
 
 # ------------------------------------------------------ reads/writes, Sec 3.2

@@ -141,9 +141,18 @@ def error_bound(alg: FastAlgorithm, steps: int, q: int, dtype: str) -> float:
     per-level factor.  Deliberately loose (norm-wise, worst-case constant
     dropped) -- it is the *ordering* and the dtype scaling that matter for
     tuner pruning and for the property-test assertion.
+
+    An exact entry whose coefficients are floats (an ALS solution) is also
+    off by its own residual at every level, which no rounding term covers:
+    ``steps * residual`` is added.  An APA entry's bound is left as it
+    is -- its residual is the approximation itself, and the guard scales
+    this bound for its APA check.
     """
     eps = float(np.finfo(np.dtype(dtype)).eps)
-    return stability_factors(alg).growth(steps) * max(q, 1) * eps
+    bound = stability_factors(alg).growth(steps) * max(q, 1) * eps
+    if alg.apa:
+        return bound
+    return bound + steps * alg.memo("_residual", FastAlgorithm.residual)
 
 
 def diagonal_rescale_for_stability(alg: FastAlgorithm) -> FastAlgorithm:

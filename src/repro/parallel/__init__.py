@@ -10,10 +10,9 @@ BFS and HYBRID fast-multiply schemes.
 from repro.parallel.blas import blas_threads, get_threads, is_controllable, set_threads
 from repro.parallel.gemm import dgemm, tiled_gemm
 from repro.parallel.pool import WorkerPool, available_cores, resolve_threads
-from repro.parallel.schedules import SCHEMES, default_subgroup, multiply_parallel
+from repro.parallel.schedules import SCHEMES, multiply_parallel
 
 __all__ = [
-    "default_subgroup",
     "blas_threads",
     "get_threads",
     "is_controllable",

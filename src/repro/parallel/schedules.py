@@ -25,8 +25,7 @@ Three schemes, each an entry point of the one compiled step
 - **HYBRID** (Section 4.3): the same, except that the leaves which do not
   fill a whole wave of P tasks run DFS style with all threads *after* the
   task waves complete (the paper's explicit synchronization that avoids
-  oversubscription), or in disjoint groups of P' < P threads for the
-  sub-group variant.
+  oversubscription).
 
 The split is at leaf granularity, as the paper's is.  The children that
 fill whole waves run as tasks; the ``R mod P`` left over are expanded one
@@ -87,7 +86,7 @@ from repro.parallel import blas
 from repro.parallel.pool import WorkerPool, _row_slabs, available_cores
 from repro.util.matrices import peel_fixup, peel_split
 
-SCHEMES = ("dfs", "bfs", "hybrid", "hybrid-subgroup")
+SCHEMES = ("dfs", "bfs", "hybrid")
 
 
 def _label_tasks(pool: WorkerPool, text: str) -> None:
@@ -99,17 +98,6 @@ def _label_tasks(pool: WorkerPool, text: str) -> None:
     set_label = getattr(pool, "label", None)
     if set_label is not None:
         set_label(text)
-
-
-def default_subgroup(threads: int) -> int:
-    """Fallback P' for the sub-group hybrid when the caller pins none.
-
-    Half the threads (two groups) is the paper's illustrative choice; the
-    tuner never relies on this -- it sweeps P' over the divisors of the
-    thread count and lets the cost model + measurement decide
-    (``repro.tuner.space.subgroup_candidates``).
-    """
-    return max(1, threads // 2)
 
 
 # =========================================================================
@@ -237,7 +225,7 @@ def _fan_out(pool: WorkerPool, work: list[tuple]) -> None:
 
 def _run_tree(cc: "cbackend.CompiledChains", kernels, A, B, C, steps: int,
               pool: WorkerPool, threads: int, hybrid: bool,
-              subgroup: int | None, ws: Workspace | None) -> np.ndarray:
+              ws: Workspace | None) -> np.ndarray:
     """BFS, or HYBRID when ``hybrid``: the two differ only in what
     happens to the ``R^L mod P`` leaves left over from whole waves
     (:func:`_tree_levels`)."""
@@ -300,18 +288,9 @@ def _run_tree(cc: "cbackend.CompiledChains", kernels, A, B, C, steps: int,
     left = steps - len(levels)
     if nodes:
         # after an explicit barrier (the paper's lock scheme): DFS
-        with phase("remainder"):
-            if subgroup is None:
-                with blas.blas_threads(threads):
-                    for child in nodes:
-                        product(child, left)
-            else:
-                # Section 4.3 alternative: disjoint groups of P' threads
-                # (multiply_parallel checked that P' divides P)
-                waves = threads // subgroup
-                with blas.blas_threads(subgroup):
-                    for i in range(0, len(nodes), waves):
-                        tasks(nodes[i:i + waves], left)
+        with phase("remainder"), blas.blas_threads(threads):
+            for child in nodes:
+                product(child, left)
     with phase("combine"), blas.blas_threads(threads):
         for level in reversed(formed):
             parts = -(-threads // len(level))
@@ -378,15 +357,13 @@ def multiply_parallel(
     scheme: str = "hybrid",
     pool: WorkerPool | None = None,
     threads: int | None = None,
-    subgroup: int | None = None,
     out: np.ndarray | None = None,
     workspace: Workspace | None = None,
 ) -> np.ndarray:
     """Parallel fast multiply ``A @ B`` (Section 4).
 
-    ``scheme`` is one of ``dfs``, ``bfs``, ``hybrid``, ``hybrid-subgroup``;
-    ``threads`` defaults to the pool's worker count; ``subgroup`` is the
-    P' of the sub-group hybrid.
+    ``scheme`` is one of ``dfs``, ``bfs``, ``hybrid``; ``threads``
+    defaults to the pool's worker count.
 
     What runs is decided here, per call, from what the call can observe
     (module docstring): the compiled step where the operands allow it and
@@ -405,21 +382,7 @@ def multiply_parallel(
     A, B, out = recursion._operands(A, B, out, workspace)
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
-    if subgroup is not None and scheme != "hybrid-subgroup":
-        # silently running without the requested P' would mask a user
-        # error the CLI and Plan validation both reject
-        raise ValueError(
-            f"subgroup (P') only applies to scheme 'hybrid-subgroup', "
-            f"not {scheme!r}"
-        )
     P = threads or (pool.workers if pool is not None else available_cores())
-    sg = None
-    if scheme == "hybrid-subgroup":
-        sg = subgroup if subgroup is not None else default_subgroup(P)
-        if sg < 1 or P % sg:  # validated before any work runs
-            raise ValueError(
-                f"subgroup (P') must divide the thread count ({P}), got {sg}"
-            )
     cc = (cbackend.step_chains(algorithm, scheme, A, B, out)
           if dtypes == (A.dtype, B.dtype) else None)
     if workspace is not None:
@@ -443,7 +406,7 @@ def multiply_parallel(
         pool = pool or WorkerPool(P)
         try:
             return _run_tree(cc, blas.matmul_kernels(cc.real), A, B, C,
-                             steps, pool, P, scheme != "bfs", sg, workspace)
+                             steps, pool, P, scheme == "hybrid", workspace)
         finally:
             if owns_pool:
                 pool.shutdown()

@@ -7,8 +7,7 @@ subsystem turns that finding into machinery:
 
 - :mod:`repro.tuner.space`    -- the :class:`Plan` dataclass and candidate
   enumeration (dtype-specific: float32 recurses deeper within its
-  stability budget; thread-aware: all four parallel schemes plus the
-  sub-group hybrid's P' swept over the divisors of the thread count),
+  stability budget; thread-aware: the three parallel schemes),
   pruned/ranked by the ``core.cost`` analytical model including its
   communication terms;
 - :mod:`repro.tuner.measure`  -- timed trials (``tune`` / ``tune_shape``)
@@ -66,7 +65,6 @@ from repro.tuner.space import (
     Plan,
     candidate_algorithms,
     enumerate_plans,
-    subgroup_candidates,
 )
 
 __all__ = [
@@ -93,7 +91,6 @@ __all__ = [
     "reset_shared_cache",
     "reset_workspaces",
     "shutdown_shared_pools",
-    "subgroup_candidates",
     "tune",
     "tune_shape",
     "tuning_operands",

@@ -37,8 +37,8 @@ Untuned shapes fall back to the *nearest* tuned shape (same dtype, same
 thread count, closest in log-space) -- the paper's Figure 5/6 regimes are
 broad plateaus, so a plan tuned at ``3000 x 416 x 3000`` transfers to
 ``3200 x 400 x 3200`` essentially unchanged.  An entry tuned at another
-thread count never answers: its timings say nothing about, e.g., which P'
-wins here, so such a shape resolves to the cost model.  A batch of
+thread count never answers: its timings say nothing about, e.g., which
+scheme wins here, so such a shape resolves to the cost model.  A batch of
 same-shape products runs the shape's per-call entry: there is no batched
 key (a key with a batch suffix, written by an older release, is dropped
 on load).
@@ -85,7 +85,10 @@ _log = logging.getLogger("repro.tuner.cache")
 #: Sequential NumPy plans run the interpreter again since the generated
 #: modules left the serving path: measured within noise of them, so no
 #: bump, and a v6 entry's leftover ``"strategy"``/``"backend"`` keys are
-#: ignored: since the kernels serve by rule it runs no slower than timed)
+#: ignored: since the kernels serve by rule it runs no slower than timed.
+#: The sub-group hybrid left the plan space with no bump either: a v6
+#: entry that names it no longer parses, so it is a miss, and the
+#: ``"subgroup"`` key of every other entry is ignored)
 SCHEMA_VERSION = 6
 
 #: default max log-space distance for the nearest-shape fallback
@@ -485,17 +488,15 @@ class PlanCache:
             plan: Plan, seconds: float | None = None,
             gflops: float | None = None) -> None:
         """Store a tuned plan.  Besides the plan dict itself, the entry
-        records the scheme and sub-group P' it was tuned with as explicit
-        top-level fields -- ``cache show`` and external
-        tooling read the execution configuration without decoding the
-        plan."""
+        records the scheme it was tuned with as an explicit top-level
+        field -- ``cache show`` and external tooling read the execution
+        configuration without decoding the plan."""
         with self._lock:
             self._ensure()
             self._answers.clear()
             self._entries[problem_key(m, k, n, dtype, threads)] = {
                 "plan": plan.to_dict(),
                 "scheme": plan.scheme,
-                "subgroup": plan.subgroup,
                 "seconds": seconds,
                 "gflops": gflops,
                 "fingerprint": self.fingerprint,
@@ -516,7 +517,9 @@ class PlanCache:
         a new candidate must be *strictly* closer to displace the
         incumbent, so equidistant tuned shapes resolve to the
         lexicographically smallest key no matter what order the cache file
-        listed them in -- identical calls pick identical plans.
+        listed them in -- identical calls pick identical plans.  An entry
+        whose plan does not parse (a retired scheme, a hand-edited file)
+        is skipped, never a closer shape that hides a valid one.
         """
         def lookup():
             own = problem_key(m, k, n, dtype, threads)
@@ -535,8 +538,10 @@ class PlanCache:
                     + math.log(en / n) ** 2
                 )
                 if d < d_best or (best is None and d <= radius):
-                    best, d_best = ent, d
-            return self._plan_of(best)
+                    plan = self._plan_of(ent)
+                    if plan is not None:
+                        best, d_best = plan, d
+            return best
 
         return self._answer(("nearest", m, k, n, dtype, threads, radius),
                             lookup)

@@ -282,11 +282,8 @@ def execute_plan(
     interpreter's layout (one S/T/M_r triple per level, arena views;
     ``out`` is written directly).  DFS is the same product under a
     ``threads``-wide BLAS.
-    Parallel plans carry their sub-group P' (``plan.subgroup``) through to
-    the schedule verbatim -- the tuner's swept value is what executes, not
-    a derived default -- and leave the choice of executor (the compiled
-    step, or the interpreter) to the schedule, which makes it from the
-    operands.
+    Parallel plans leave the choice of executor (the compiled step, or
+    the interpreter) to the schedule, which makes it from the operands.
     """
     if faults.active and faults.should_fire("plan.raise"):
         raise faults.InjectedFault(
@@ -306,8 +303,7 @@ def execute_plan(
         pool = _shared_pool(plan.threads)
     return multiply_parallel(
         A, B, alg, steps=plan.steps, scheme=plan.scheme,
-        pool=pool, threads=plan.threads, subgroup=plan.subgroup,
-        out=out, workspace=workspace,
+        pool=pool, threads=plan.threads, out=out, workspace=workspace,
     )
 
 

@@ -4,10 +4,10 @@
 after a warmup run, exactly like the paper's Section 5 protocol) and
 reports effective GFLOPS (Equation 3).  Plans execute through
 ``dispatch.execute_plan``, so every tuned knob -- including a parallel
-plan's sub-group P' -- is timed exactly as dispatch would serve it.
+plan's scheme -- is timed exactly as dispatch would serve it.
 ``tune_shape`` sweeps the ranked candidate shortlist for one problem
 shape under a wall-clock budget (with ``threads > 1`` that shortlist
-spans the parallel schemes and the P' divisors of the thread count) and
+spans the parallel schemes) and
 commits the winner to the plan cache; ``tune`` does that for many shapes
 and returns ``bench``-compatible result rows for reporting.
 

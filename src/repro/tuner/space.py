@@ -2,9 +2,8 @@
 
 A :class:`Plan` pins down everything the paper leaves to the practitioner:
 which algorithm (by catalog name, including shape-matched permutations),
-how many recursive steps, which parallel schedule (including the
-sub-group hybrid's P', swept over the divisors of the thread count),
-the leaf cutoff and the thread count.  Which kernels form the chains is
+how many recursive steps, which parallel schedule, the leaf cutoff and
+the thread count.  Which kernels form the chains is
 not in the plan: it is a rule on the operands
 (:func:`repro.codegen.cbackend.chains_fused`).
 ``enumerate_plans`` generates the candidates for one problem shape and
@@ -30,7 +29,7 @@ from repro.core.transforms import permutation_family
 from repro.parallel.schedules import SCHEMES
 
 #: schedule names a plan may reference: the paper's three parallel schemes
-#: (plus the sub-group hybrid) and the sequential path.
+#: and the sequential path.
 PLAN_SCHEMES = ("sequential",) + SCHEMES
 
 #: leaf subproblems below this dimension have left the flat part of the
@@ -77,11 +76,7 @@ class Plan:
     or ``"dgemm"`` for the vendor BLAS; ``steps == 0`` also means plain
     BLAS.  ``scheme`` is ``"sequential"`` or one of the parallel schemes;
     ``threads`` is the BLAS thread count (sequential/dgemm) or worker
-    count (parallel schemes).  ``subgroup`` is the sub-group hybrid's P'
-    (Section 4.3): the remainder leaves run on disjoint groups of
-    ``subgroup`` threads, so it must divide ``threads``; ``None`` defers
-    to :func:`repro.parallel.schedules.default_subgroup` at execution
-    time and is the only legal value for every other scheme.
+    count (parallel schemes).
 
     Which executor runs a fast plan is not a plan dimension: every
     scheme runs the compiled step whenever
@@ -89,14 +84,14 @@ class Plan:
     the interpreter otherwise, and the arena and the cost model follow
     the same rule.  ``backend`` is
     accepted for old callers and read by nothing: it takes no part in a
-    plan's identity.
+    plan's identity.  ``subgroup`` (always ``None``) is kept for the same
+    callers.
     """
 
     algorithm: str = DGEMM
     steps: int = 0
     scheme: str = "sequential"
     threads: int = 1
-    subgroup: int | None = None
     backend: str = dataclasses.field(default="numpy", compare=False)
 
     def __post_init__(self):
@@ -108,17 +103,10 @@ class Plan:
             raise ValueError("steps must be >= 0")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
-        if self.subgroup is not None:
-            if self.scheme != "hybrid-subgroup":
-                raise ValueError(
-                    f"subgroup (P') only applies to the hybrid-subgroup "
-                    f"scheme, not {self.scheme!r}"
-                )
-            if self.subgroup < 1 or self.threads % self.subgroup:
-                raise ValueError(
-                    f"subgroup must be a divisor of threads={self.threads}, "
-                    f"got {self.subgroup}"
-                )
+
+    @property
+    def subgroup(self) -> None:
+        return None
 
     @property
     def is_dgemm(self) -> bool:
@@ -127,10 +115,8 @@ class Plan:
     def describe(self) -> str:
         if self.is_dgemm:
             return f"dgemm({self.threads}t)"
-        scheme = self.scheme
-        if self.subgroup is not None:
-            scheme = f"{scheme}[P'={self.subgroup}]"
-        return f"{self.algorithm} steps={self.steps} {scheme}({self.threads}t)"
+        return (f"{self.algorithm} steps={self.steps} "
+                f"{self.scheme}({self.threads}t)")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -189,14 +175,6 @@ def max_useful_steps(
     return steps
 
 
-def subgroup_candidates(threads: int) -> list[int]:
-    """P' values the hybrid-subgroup sub-space sweeps: the proper divisors
-    of ``threads`` (Section 4.3 requires P' | P; ``P' == P`` degenerates
-    to the plain hybrid's whole-pool remainder phase, so it is excluded --
-    the ``hybrid`` candidate already covers it)."""
-    return [d for d in range(1, threads) if threads % d == 0]
-
-
 def enumerate_plans(
     p: int,
     q: int,
@@ -208,18 +186,14 @@ def enumerate_plans(
 ) -> list[Plan]:
     """Candidate plans for one shape, best-ranked (by the cost model) first.
 
-    The space is algorithm x steps x schedule (x P' for the sub-group
-    hybrid), pruned: recursion depths whose leaves drop below ``min_leaf``
+    The space is algorithm x steps x schedule, pruned: recursion depths whose leaves drop below ``min_leaf``
     are skipped, and fast plans predicted no faster than plain dgemm are
     dropped (they cannot win).  The dgemm baseline plan is always
     included, so the list is never empty.
 
     With ``threads > 1`` every parallel scheme is enumerated -- ranking
     (:func:`repro.core.cost.plan_cost`'s waves, traffic and task terms),
-    not list slicing, decides which schemes make a shortlist -- and the
-    ``hybrid-subgroup`` scheme is swept over :func:`subgroup_candidates`
-    per (algorithm, steps) pair, so the decisive P' knob of the paper's
-    Section 4.3 is an explicit tuning dimension.
+    not list slicing, decides which schemes make a shortlist.
 
     The space is dtype-specific: float32 uses a lower leaf cutoff and a
     deeper step cap (``FLOAT32_MIN_LEAF`` / ``MAX_STEPS``), but every
@@ -262,10 +236,7 @@ def _ranked_plans(p: int, q: int, r: int, dtype: str, threads: int,
     which adds no candidate but decides which kernels
     :func:`repro.core.cost.plan_cost` prices every fast plan for."""
     cap = MAX_STEPS.get(dtype, MAX_STEPS["float64"])
-    variants = [(scheme, sub)
-                for scheme in (SCHEMES if threads > 1 else ("sequential",))
-                for sub in (subgroup_candidates(threads)
-                            if scheme == "hybrid-subgroup" else [None])]
+    schemes = SCHEMES if threads > 1 else ("sequential",)
     dgemm_cost = plan_cost(None, p, q, r, 0, threads=threads, dtype=dtype)
     scored: list[tuple[float, Plan]] = [
         (dgemm_cost, Plan(threads=threads))
@@ -276,13 +247,13 @@ def _ranked_plans(p: int, q: int, r: int, dtype: str, threads: int,
                                  min_leaf=min_leaf, cap=cap)
         depth = min(depth, max_stable_steps(alg, dtype))
         for steps in range(1, depth + 1):
-            for scheme, sub in variants:
+            for scheme in schemes:
                 cost = plan_cost(alg, p, q, r, steps, scheme=scheme,
-                                 threads=threads, subgroup=sub, dtype=dtype)
+                                 threads=threads, dtype=dtype)
                 if cost < dgemm_cost:
                     scored.append((cost, Plan(
                         algorithm=name, steps=steps, scheme=scheme,
-                        threads=threads, subgroup=sub,
+                        threads=threads,
                     )))
     scored.sort(key=lambda cp_: (cp_[0], cp_[1].describe()))
     return tuple(pl for _, pl in scored)

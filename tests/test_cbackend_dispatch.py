@@ -279,7 +279,7 @@ class TestCompiledDispatch:
     def test_enumerate_has_no_backend_twins(self):
         for threads in (1, 8):
             plans = enumerate_plans(1024, 1024, 1024, threads=threads)
-            keys = [(p.algorithm, p.steps, p.scheme, p.threads, p.subgroup)
+            keys = [(p.algorithm, p.steps, p.scheme, p.threads)
                     for p in plans]
             assert len(keys) == len(set(keys)) and len(plans) > 1
 

@@ -65,9 +65,9 @@ def clean_obs(tmp_path, monkeypatch):
 
 
 class TestMultiply:
-    """The default path pins ``Plan(algorithm, steps, scheme, threads,
-    subgroup)`` and serves it through dispatch's tail; what the command
-    says ran is the call's own record."""
+    """The default path pins ``Plan(algorithm, steps, scheme, threads)``
+    and serves it through dispatch's tail; what the command says ran is
+    the call's own record."""
 
     def test_small_multiply_reports_speedup_and_error(self, clean_obs):
         rc, text = run_cli("multiply", "-a", "strassen", "-n", "96",
@@ -142,29 +142,6 @@ class TestMultiply:
         with pytest.raises(SystemExit):
             cli._build_parser().parse_args(["multiply", "--help"])
         assert flags[0] not in capsys.readouterr().out
-
-    def test_subgroup_path(self, clean_obs):
-        rc, text = run_cli("multiply", "-a", "strassen", "-n", "96",
-                           "--scheme", "hybrid-subgroup",
-                           "--threads", "2", "--subgroup", "1",
-                           "--trials", "1")
-        assert rc == 0
-        rec = clean_obs.dispatch_records()[-1]
-        assert rec["plan"] == "strassen steps=1 hybrid-subgroup[P'=1](2t)"
-
-    def test_subgroup_must_divide_threads(self, capsys):
-        rc, _ = run_cli("multiply", "-a", "strassen", "-n", "96",
-                        "--scheme", "hybrid-subgroup",
-                        "--threads", "4", "--subgroup", "3", "--trials", "1")
-        assert rc == 2
-        assert "divisor" in capsys.readouterr().err
-
-    def test_subgroup_requires_subgroup_scheme(self, capsys):
-        rc, _ = run_cli("multiply", "-a", "strassen", "-n", "96",
-                        "--scheme", "bfs", "--threads", "2",
-                        "--subgroup", "1", "--trials", "1")
-        assert rc == 2
-        assert "hybrid-subgroup" in capsys.readouterr().err
 
     def test_batch_reports_the_batch_record(self, clean_obs, tmp_path):
         rc, text = run_cli("multiply", "--batch", "3", "-n", "64",

@@ -178,7 +178,7 @@ def test_every_cse_step_is_within_its_error_bound(name, dtype):
     """CSE reorders the sums, so a ``cse=True`` step differs from the
     interpreter in the last bits (``repro.analyze.cemit`` proves its
     tensor); against ``np.matmul`` in double it stays within the
-    algorithm's ``error_bound`` (plus its residual per level)."""
+    algorithm's ``error_bound``."""
     alg = get_algorithm(name)
     cc = cbackend.compile_chains(alg, True, dtype)
     for p, q, r in _grid_shapes(alg) + _variant_shapes(alg):
@@ -188,11 +188,8 @@ def test_every_cse_step_is_within_its_error_bound(name, dtype):
         for steps in (1, 2):
             C = cc.multiply(A, B, steps=steps)
             assert C.dtype == np.dtype(dtype)
-            # an entry whose coefficients are not exact is off by its
-            # own residual at every level
-            assert relative_error(C, ref) <= (
-                error_bound(alg, steps, q, dtype)
-                + steps * alg.residual()), (p, q, r, steps)
+            assert relative_error(C, ref) <= error_bound(
+                alg, steps, q, dtype), (p, q, r, steps)
 
 
 @pytest.mark.parametrize("dtype", DTYPES)

@@ -273,11 +273,11 @@ class TestSequentialPlansFollowTheRule:
         rel = np.linalg.norm(C - exact) / np.linalg.norm(exact)
         # the lower precision the chains are formed in sets the floor (the
         # kernels form a mixed product's in double); an APA entry is off
-        # by its own residual at every level
+        # by its own residual at every level, which error_bound leaves out
         floor = ("float64" if compiler or dtypes == "f64" else "float32")
         floor = "float32" if dtypes == "f32" else floor
         assert rel <= (error_bound(alg, steps, q, floor)
-                       + steps * alg.residual())
+                       + alg.apa * steps * alg.residual())
 
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     @pytest.mark.parametrize("name", ALGORITHMS)

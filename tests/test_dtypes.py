@@ -40,9 +40,8 @@ class TestFloat32Parallel:
     def test_schemes_preserve_dtype(self, f32_problem, scheme):
         A, B, ref = f32_problem
         with WorkerPool(2) as pool:
-            kw = {"subgroup": 1} if scheme == "hybrid-subgroup" else {}
             C = multiply_parallel(A, B, repro.get_algorithm("strassen"),
-                                  steps=1, scheme=scheme, pool=pool, **kw)
+                                  steps=1, scheme=scheme, pool=pool)
         assert C.dtype == np.float32
         rel = np.linalg.norm(C - ref) / np.linalg.norm(ref)
         assert rel < 1e-5

@@ -18,7 +18,6 @@ FAST = [
     "quickstart.py",
     "shape_matching.py",
     "numerical_stability.py",
-    "distributed_communication.py",
 ]
 SLOW = [
     "parallel_scaling.py",

@@ -157,7 +157,7 @@ def test_empty_range_writes_nothing():
 @needs_cc
 @pytest.mark.parametrize("scheme", SCHEMES)
 @pytest.mark.parametrize("name,steps", [("strassen", 2), ("s333", 1),
-                                        ("s234", 1)])
+                                        ("s234", 1), ("s424", 1)])
 def test_worker_count_never_changes_a_bit(scheme, name, steps, telemetry):
     alg = get_algorithm(name)
     rng = np.random.default_rng(7)
@@ -260,11 +260,13 @@ def test_every_layout_takes_the_predicates_path(scheme, shape, telemetry):
 @pytest.mark.parametrize("name,steps,shape", [
     ("strassen", 2, (96, 96, 96)), ("strassen", 2, (101, 75, 99)),
     ("s234", 1, (70, 67, 90)), ("bini322", 2, (81, 50, 49))])
+# 3 threads on 2 workers: one step region more, and other remainders
+@pytest.mark.parametrize("threads", (2, 3))
 def test_plan_footprint_arena_never_overflows(scheme, dtype, name, steps,
-                                              shape, telemetry):
+                                              shape, threads, telemetry):
     """An executor and its arena cannot disagree: ``plan_footprint`` sizes
     for the kernels the schedule will pick, fused at either precision."""
-    plan = Plan(algorithm=name, steps=steps, scheme=scheme, threads=2)
+    plan = Plan(algorithm=name, steps=steps, scheme=scheme, threads=threads)
     rng = np.random.default_rng(5)
     p, q, r = shape
     A = rng.uniform(-1, 1, (p, q)).astype(dtype)
@@ -272,16 +274,16 @@ def test_plan_footprint_arena_never_overflows(scheme, dtype, name, steps,
     ws = dispatch.build_workspace(plan, p, q, r, A.dtype, B.dtype)
     assert ws.nbytes == parallel_footprint(get_algorithm(name), steps,
                                            scheme, p, q, r, A.dtype, B.dtype,
-                                           threads=2)
+                                           threads=threads)
     out = np.empty((p, r), dtype=dtype)
     for _ in range(2):
         dispatch.execute_plan(plan, A, B, pool=_pool(2), out=out,
                               workspace=ws)
-    assert _chains_ran(scheme, 2) == {"fused"}
+    assert _chains_ran(scheme, threads) == {"fused"}
     assert ws.overflow_allocations == 0
     assert 0 < ws.high_water <= ws.nbytes
     alloc = multiply_parallel(A, B, get_algorithm(name), steps=steps,
-                              scheme=scheme, pool=_pool(2), threads=2)
+                              scheme=scheme, pool=_pool(2), threads=threads)
     assert np.array_equal(out, alloc)
 
 
@@ -405,15 +407,13 @@ class TestCostPricesWhatRuns:
     @pytest.mark.parametrize("name", ("strassen", "s424", "s333"))
     def test_fused_never_costs_more(self, scheme, name, monkeypatch):
         alg = get_algorithm(name)
-        sub = 2 if scheme == "hybrid-subgroup" else None
         for steps in (1, 2):
             for threads in (2, 4):
                 cost = {}
                 for fused in (True, False):
                     self._fused(monkeypatch, fused)
                     cost[fused] = plan_cost(alg, 1024, 1024, 1024, steps,
-                                            scheme=scheme, threads=threads,
-                                            subgroup=sub)
+                                            scheme=scheme, threads=threads)
                 assert cost[True] < cost[False]
 
     def test_float32_and_sequential_are_priced_by_the_rule(self, monkeypatch):
@@ -544,8 +544,7 @@ class TestCostPricesWhatRuns:
             plans = enumerate_plans(1024, 1024, 1024, threads=2)
             alg = get_algorithm(plans[0].algorithm)
             best = plan_cost(alg, 1024, 1024, 1024, plans[0].steps,
-                             scheme=plans[0].scheme, threads=2,
-                             subgroup=plans[0].subgroup)
+                             scheme=plans[0].scheme, threads=2)
             assert seen.setdefault(fused, (plans, best)) == (plans, best)
         assert seen[True][1] < seen[False][1]
         info = tuner_space._ranked_plans.cache_info()

@@ -1,7 +1,8 @@
 """The peel oracle: dynamic peeling (paper Section 3.5), stated once.
 
 Every driver reachable without the tuner -- interpreter, composed
-schedule, the four parallel schemes, the compiled step -- multiplies one
+schedule, the three parallel schemes (HYBRID also at a thread count that
+leaves it a remainder), the compiled step -- multiplies one
 shared list of shapes whose p, q and r each take the three residues that
 matter (divisible by the base case, remainder 1, remainder base-1), in
 both dtypes, with and without an arena -- and again through row-strided views of wider arrays into an ``out=`` of
@@ -64,13 +65,13 @@ def drivers(alg, steps):
     dtype)) for ``steps`` levels of ``alg``."""
     levels = [alg.base_case] * steps
 
-    def parallel(scheme):
+    def parallel(scheme, threads=2):
         def nbytes(p, q, r, dt):
             return parallel_footprint(alg, steps, scheme, p, q, r, dt, dt,
-                                      threads=2)
+                                      threads=threads)
         return (lambda A, B, ws, pool, out=None: multiply_parallel(
-            A, B, alg, steps=steps, scheme=scheme, pool=pool, threads=2,
-            out=out, workspace=ws)), nbytes
+            A, B, alg, steps=steps, scheme=scheme, pool=pool,
+            threads=threads, out=out, workspace=ws)), nbytes
 
     return {
         "interpreter": (
@@ -78,6 +79,10 @@ def drivers(alg, steps):
                 A, B, alg, steps=steps, out=out, workspace=ws),
             _dfs_bytes(levels, [alg] * steps)),
         **{scheme: parallel(scheme) for scheme in SCHEMES},
+        # R^L mod 4 leaves (2 of s334's 30, 1 of Strassen's 49) left over
+        # from whole waves run at 4-wide BLAS on the caller: the remainder
+        # that 2 threads never leave under s334
+        "hybrid-remainder": parallel("hybrid", threads=4),
         "compiled": (
             lambda A, B, ws, pool, out=None: cbackend.compile_chains(
                 alg, dtype=A.dtype).multiply(A, B, steps=steps, out=out,

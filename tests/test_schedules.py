@@ -20,21 +20,30 @@ def pool():
         yield p
 
 
+#: the pool's width, and one more: waves of 3 over 2 workers, and a
+#: HYBRID remainder of R^L mod 3 leaves at 3-wide BLAS
+THREADS = [None, 3]
+
+
 class TestCorrectness:
     @pytest.mark.parametrize("scheme", SCHEMES)
     @pytest.mark.parametrize("steps", [1, 2])
-    def test_strassen_square(self, pool, scheme, steps):
+    @pytest.mark.parametrize("threads", THREADS)
+    def test_strassen_square(self, pool, scheme, steps, threads):
         A = random_matrix(96, 96, 0)
         B = random_matrix(96, 96, 1)
-        C = multiply_parallel(A, B, strassen(), steps=steps, scheme=scheme, pool=pool)
+        C = multiply_parallel(A, B, strassen(), steps=steps, scheme=scheme,
+                              pool=pool, threads=threads)
         np.testing.assert_allclose(C, A @ B, rtol=1e-10, atol=1e-10)
 
     @pytest.mark.parametrize("scheme", SCHEMES)
-    def test_rectangular_odd_sizes(self, pool, scheme):
+    @pytest.mark.parametrize("threads", THREADS)
+    def test_rectangular_odd_sizes(self, pool, scheme, threads):
         A = random_matrix(131, 77, 2)
         B = random_matrix(77, 93, 3)
         alg = get_algorithm("s424")
-        C = multiply_parallel(A, B, alg, steps=2, scheme=scheme, pool=pool)
+        C = multiply_parallel(A, B, alg, steps=2, scheme=scheme, pool=pool,
+                              threads=threads)
         np.testing.assert_allclose(C, A @ B, rtol=1e-9, atol=1e-9)
 
     @given(st.integers(20, 70), st.integers(20, 70), st.integers(20, 70),
@@ -74,28 +83,6 @@ class TestValidation:
             multiply_parallel(np.ones((4, 3)), np.ones((4, 4)), strassen(),
                               pool=pool)
 
-    def test_subgroup_must_divide(self, pool):
-        A = random_matrix(32, 32, 0)
-        with pytest.raises(ValueError, match="divide"):
-            multiply_parallel(A, A, strassen(), steps=1,
-                              scheme="hybrid-subgroup", pool=pool,
-                              threads=2, subgroup=3)
-
-    def test_subgroup_explicit(self, pool):
-        A = random_matrix(32, 32, 0)
-        C = multiply_parallel(A, A, strassen(), steps=1,
-                              scheme="hybrid-subgroup", pool=pool,
-                              threads=2, subgroup=1)
-        np.testing.assert_allclose(C, A @ A, atol=1e-10)
-
-    def test_subgroup_rejected_for_other_schemes(self, pool):
-        """A requested P' must never be silently dropped: every entry
-        point (library, CLI, Plan) rejects it for non-subgroup schemes."""
-        A = random_matrix(32, 32, 0)
-        with pytest.raises(ValueError, match="hybrid-subgroup"):
-            multiply_parallel(A, A, strassen(), steps=1, scheme="hybrid",
-                              pool=pool, threads=2, subgroup=1)
-
 
 needs_step = pytest.mark.skipif(
     not (cbackend.available() and blas.matmul_kernels("double")),
@@ -109,8 +96,9 @@ needs_step = pytest.mark.skipif(
 # 96 splits evenly twice; 95 x 83 x 101 peels every dimension at both
 # levels; 3 x 3 x 3 splits once and its 1 x 1 blocks cannot split again
 @pytest.mark.parametrize("shape", [(96, 96, 96), (95, 83, 101), (3, 3, 3)])
+@pytest.mark.parametrize("threads", [2, 3])
 def test_every_schedule_returns_the_sequential_steps_bits(
-        pool, scheme, steps, dtype, shape):
+        pool, scheme, steps, dtype, shape, threads):
     p, q, r = shape
     A = random_matrix(p, q, 8, dtype=dtype)
     B = random_matrix(q, r, 9, dtype=dtype)
@@ -118,7 +106,7 @@ def test_every_schedule_returns_the_sequential_steps_bits(
         ref = cbackend.compile_chains("strassen", dtype=dtype).multiply(
             A, B, steps=steps)
     C = multiply_parallel(A, B, strassen(), steps=steps, scheme=scheme,
-                          pool=pool, threads=2)
+                          pool=pool, threads=threads)
     assert C.dtype == ref.dtype and np.array_equal(C, ref)
 
 

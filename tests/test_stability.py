@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 
 from repro.algorithms import classical, get_algorithm, strassen
+from repro.core import recursion
 from repro.core.stability import (
     ErrorMeasurement,
     diagonal_rescale_for_stability,
+    error_bound,
     measure_error_growth,
     rank_by_stability,
     stability_factors,
 )
+from repro.util.matrices import random_matrix
 
 
 class TestFactors:
@@ -34,6 +37,21 @@ class TestFactors:
         f_apa = stability_factors(get_algorithm("bini322"))
         f_exact = stability_factors(get_algorithm("hk223"))
         assert f_apa.emax > 2 * f_exact.emax
+
+
+@pytest.mark.parametrize("name", ["s233", "s334", "s433"])
+def test_error_bound_covers_a_float_coefficient_residual(name):
+    """An ALS entry's coefficients miss the matmul tensor by ~5e-12, so
+    one level on an 11-block grid is ~1e-12 off -- above the rounding
+    term alone (~7e-13); the bound adds the residual per level."""
+    alg = get_algorithm(name)
+    m, k, n = alg.base_case
+    A = random_matrix(11 * m, 11 * k, 0)
+    B = random_matrix(11 * k, 11 * n, 1)
+    ref = A @ B
+    C = recursion.multiply(A, B, alg, steps=1)
+    rel = np.linalg.norm(C - ref) / np.linalg.norm(ref)
+    assert rel <= error_bound(alg, 1, 11 * k, "float64")
 
 
 class TestMeasurement:

@@ -44,29 +44,56 @@ class TestPlan:
         assert Plan(algorithm="strassen", steps=0).is_dgemm
         assert not Plan(algorithm="strassen", steps=1).is_dgemm
 
-    def test_subgroup_roundtrip_and_describe(self):
-        pl = Plan(algorithm="strassen", steps=2, scheme="hybrid-subgroup",
-                  threads=4, subgroup=2)
-        assert Plan.from_dict(pl.to_dict()) == pl
-        assert "P'=2" in pl.describe()
-        # plans from a pre-P' cache dict default to the derived P'
-        d = pl.to_dict()
-        del d["subgroup"]
-        assert Plan.from_dict(d).subgroup is None
+#: the retired sub-group hybrid's scheme name, spelled so that a search
+#: of the tree for it finds live uses only
+RETIRED = "-".join(("hybrid", "subgroup"))
 
-    def test_subgroup_validation(self):
-        with pytest.raises(ValueError, match="divisor"):
-            Plan(algorithm="strassen", steps=1, scheme="hybrid-subgroup",
-                 threads=4, subgroup=3)
-        with pytest.raises(ValueError, match="divisor"):
-            Plan(algorithm="strassen", steps=1, scheme="hybrid-subgroup",
-                 threads=4, subgroup=0)
-        with pytest.raises(ValueError, match="hybrid-subgroup"):
-            Plan(algorithm="strassen", steps=1, scheme="bfs",
-                 threads=4, subgroup=2)
-        # None is always legal (execution-time default)
-        assert Plan(algorithm="strassen", steps=1, scheme="hybrid-subgroup",
-                    threads=4).subgroup is None
+
+@pytest.mark.parametrize("surface", ["plan", "multiply_parallel", "cli",
+                                     "cache"])
+def test_the_retired_subgroup_scheme_is_gone_everywhere(surface, tmp_path,
+                                                        capsys):
+    """The sub-group hybrid left the plan space: every entry point refuses
+    its name, and a tuned v6 entry that names it (the schema was not
+    bumped) still loads -- as a miss for ``get`` and ``nearest``, beside
+    a sibling entry that keeps answering."""
+    if surface == "plan":
+        with pytest.raises(ValueError, match="scheme"):
+            Plan(algorithm="strassen", steps=1, scheme=RETIRED, threads=2)
+    elif surface == "multiply_parallel":
+        from repro.parallel import multiply_parallel
+
+        A = random_matrix(64, 64, 0)
+        with pytest.raises(ValueError, match="scheme"):
+            multiply_parallel(A, A, get_algorithm("strassen"), 1,
+                              scheme=RETIRED, threads=2)
+    elif surface == "cli":
+        from repro import cli
+
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["multiply", "-n", "96", "--scheme", RETIRED,
+                      "--threads", "2", "--trials", "1"])
+        assert exc.value.code == 2
+        assert RETIRED in capsys.readouterr().err
+    else:
+        cache = PlanCache(tmp_path / "plans.json")
+        kept = Plan(algorithm="strassen", steps=1, scheme="hybrid",
+                    threads=2)
+        cache.put(1024, 1024, 1024, "float64", 2, kept)
+        cache.put(512, 512, 512, "float64", 2, kept)
+        cache.save()
+        raw = json.loads(cache.path.read_text())
+        assert raw["schema"] == 6
+        old = raw["entries"][problem_key(512, 512, 512, "float64", 2)]
+        old["plan"].update(scheme=RETIRED, subgroup=1)
+        old.update(scheme=RETIRED, subgroup=1)
+        cache.path.write_text(json.dumps(raw))
+        loaded = PlanCache(cache.path)
+        assert len(loaded) == 2 and loaded.load_error is None
+        assert loaded.get(512, 512, 512, "float64", 2) is None
+        assert loaded.nearest(520, 512, 512, "float64", 2) is None
+        assert loaded.get(1024, 1024, 1024, "float64", 2) == kept
+        assert loaded.nearest(1000, 1024, 1024, "float64", 2) == kept
 
 
 class TestCostModel:
@@ -148,20 +175,17 @@ class TestCostModel:
 
     def test_bfs_pays_the_extra_wave(self, use_machine):
         """7 leaves on 7 workers are one wave, on 6 workers two; the
-        hybrids run the odd leaf on all threads instead."""
+        hybrid runs the odd leaf on all threads instead."""
         use_machine(add_gbs=1e9)
         alg = get_algorithm("strassen")
         leaf = plan_cost(None, 512, 512, 512, 0)
 
-        def cost(scheme, threads, **kw):
+        def cost(scheme, threads):
             return plan_cost(alg, 1024, 1024, 1024, 1, scheme=scheme,
-                             threads=threads, **kw)
+                             threads=threads)
         assert cost("bfs", 7) == pytest.approx(leaf)
         assert cost("bfs", 6) == pytest.approx(2 * leaf)
         assert cost("hybrid", 6) == pytest.approx(leaf + leaf / 6)
-        # P' = 2: the odd leaf on one group of two threads
-        assert cost("hybrid-subgroup", 6, subgroup=2) == pytest.approx(
-            leaf + leaf / 2)
 
     def test_odd_dimensions_pay_their_peel_passes(self, use_machine,
                                                   monkeypatch):
@@ -229,22 +253,6 @@ class TestCostModel:
         two = parallel_traffic(alg, 1024, 1024, 1024, 2, "bfs", 4)
         assert two == pytest.approx(one + 2.0 * (7 / 4) ** 2 * 1024 * 1024)
 
-    def test_subgroup_traffic_ranks_pprime(self):
-        from repro.core.cost import parallel_traffic
-
-        alg = get_algorithm("strassen")  # 7 leaves at 1 step: rem = 3 at P=4
-        costs = {
-            sub: parallel_traffic(alg, 1024, 1024, 1024, 1,
-                                  "hybrid-subgroup", 4, subgroup=sub)
-            for sub in (1, 2)
-        }
-        bfs = parallel_traffic(alg, 1024, 1024, 1024, 1, "bfs", 4)
-        # every P' pays the BFS pools plus a positive inter-group term,
-        # and different P' get *different* costs -- the ranking the sweep
-        # relies on is real, not a tie broken by string sort
-        assert all(c > bfs for c in costs.values())
-        assert costs[1] != costs[2]
-
     def test_plan_cost_charges_communication(self):
         """On the same four threads bfs pays its Section 4.2 pools (and
         a 13th wave for 49 leaves) over dfs, which has neither."""
@@ -276,49 +284,15 @@ class TestEnumeration:
         assert len(plans) == 3
         assert any(pl.is_dgemm for pl in plans)
 
-    def test_parallel_threads_enumerate_parallel_schemes(self):
-        plans = tuner.enumerate_plans(1024, 1024, 1024, threads=4)
-        schemes = {pl.scheme for pl in plans if not pl.is_dgemm}
-        assert {"dfs", "bfs", "hybrid"} <= schemes
-
-    def test_all_four_schemes_enumerated(self):
-        """Regression: the parallel space used to slice ``SCHEMES[:3]``,
-        silently dropping hybrid-subgroup from every shortlist.  All four
-        schemes must appear; ranking, not slicing, decides their order."""
+    def test_every_scheme_enumerated(self):
+        """Ranking, not slicing, decides the schemes' order: all three
+        appear in the parallel space, and none in the sequential one."""
         from repro.parallel.schedules import SCHEMES
 
         plans = tuner.enumerate_plans(1024, 1024, 1024, threads=4)
         schemes = {pl.scheme for pl in plans if not pl.is_dgemm}
         assert schemes == set(SCHEMES)
-
-    def test_hybrid_subgroup_sweeps_pprime_divisors(self):
-        """The P' sub-space: one candidate per proper divisor of the
-        thread count, per (algorithm, steps) pair -- less the ones the
-        model already puts behind dgemm (P' changes the remainder waves,
-        so one pair's sweep can straddle that line)."""
-        from repro.tuner.space import subgroup_candidates
-
-        assert subgroup_candidates(4) == [1, 2]
-        assert subgroup_candidates(6) == [1, 2, 3]
-        assert subgroup_candidates(5) == [1]
-        assert subgroup_candidates(1) == []
-        plans = tuner.enumerate_plans(1024, 1024, 1024, threads=6)
-        swept = {pl.subgroup for pl in plans
-                 if pl.scheme == "hybrid-subgroup"}
-        assert swept == {1, 2, 3}
-        by_alg_steps = {(pl.algorithm, pl.steps) for pl in plans
-                        if pl.scheme == "hybrid-subgroup"}
-        sweeps = [sorted(pl.subgroup for pl in plans
-                         if pl.scheme == "hybrid-subgroup"
-                         and (pl.algorithm, pl.steps) == key)
-                  for key in by_alg_steps]
-        assert [1, 2, 3] in sweeps
-        assert all(len(set(subs)) == len(subs) and set(subs) <= {1, 2, 3}
-                   for subs in sweeps)
-
-    def test_sequential_space_has_no_subgroup_plans(self):
         for pl in tuner.enumerate_plans(1024, 1024, 1024, threads=1):
-            assert pl.subgroup is None
             assert pl.scheme in ("sequential",) or pl.is_dgemm
 
     def test_all_plans_resolve_and_describe(self):
@@ -382,6 +356,21 @@ class TestPlanCache:
         cache.put(4096, 4096, 4096, "float64", 1, Plan(algorithm="strassen",
                                                        steps=3))
         assert cache.nearest(256, 256, 256, "float64", 1) is None
+
+    def test_nearest_skips_an_entry_that_does_not_parse(self, cache):
+        """The closest tuned shape holds a plan that no longer parses: the
+        scan passes over it to the valid one further out, in radius."""
+        good = Plan(algorithm="winograd", steps=1)
+        cache.put(260, 260, 260, "float64", 1, good)
+        cache.put(200, 200, 200, "float64", 1, Plan(algorithm="strassen",
+                                                     steps=1))
+        cache.save()
+        raw = json.loads(cache.path.read_text())
+        raw["entries"][problem_key(200, 200, 200, "float64", 1)]["plan"][
+            "scheme"] = "magic"
+        cache.path.write_text(json.dumps(raw))
+        assert PlanCache(cache.path).nearest(210, 210, 210, "float64",
+                                             1) == good
 
 
 class TestDispatchResolution:

@@ -109,17 +109,17 @@ class TestInvalidation:
         assert "2 entries, 1 stale" in text
         assert "STALE" in text and "fresh" in text
 
-    def test_cli_show_renders_pprime(self, tmp_path):
-        """Parallel entries render their scheme and explicit P'."""
+    def test_cli_show_renders_the_scheme(self, tmp_path):
+        """Parallel entries render their scheme and thread count."""
         path = tmp_path / "plans.json"
         cache = PlanCache(path)
         cache.put(512, 512, 512, "float64", 4,
-                  Plan(algorithm="strassen", steps=2,
-                       scheme="hybrid-subgroup", threads=4, subgroup=2))
+                  Plan(algorithm="strassen", steps=2, scheme="hybrid",
+                       threads=4))
         cache.save()
         rc, text = run_cli("cache", "show", "--cache", str(path))
         assert rc == 0
-        assert "hybrid-subgroup" in text and "P'=2" in text
+        assert "strassen steps=2 hybrid(4t)" in text
 
 
 # -------------------------------------------------------- trivial threshold

@@ -29,7 +29,7 @@ from repro import tuner
 from repro.algorithms import get_algorithm
 from repro.core.stability import error_bound
 from repro.tuner.cache import SCHEMA_VERSION, PlanCache
-from repro.tuner.space import PLAN_SCHEMES, Plan, subgroup_candidates
+from repro.tuner.space import PLAN_SCHEMES, Plan
 
 #: catalog names safe to execute at small sizes in property tests
 ALGORITHMS = ["strassen", "winograd", "s234", "s333", "hk223"]
@@ -46,21 +46,6 @@ plans = st.builds(
     scheme=st.sampled_from(PLAN_SCHEMES),
     threads=threads_st,
 )
-
-
-@st.composite
-def subgroup_plans(draw):
-    """Valid hybrid-subgroup plans: P' drawn from the divisors of the
-    (composite) thread count, or ``None`` for the execution-time default."""
-    threads = draw(st.sampled_from([2, 4, 6, 8, 12, 16]))
-    sub = draw(st.sampled_from([None] + subgroup_candidates(threads)))
-    return Plan(
-        algorithm=draw(st.sampled_from(ALGORITHMS)),
-        steps=draw(st.integers(min_value=1, max_value=3)),
-        scheme="hybrid-subgroup",
-        threads=threads,
-        subgroup=sub,
-    )
 
 
 def _log_dist(a, b):
@@ -101,27 +86,22 @@ class TestCacheRoundtrip:
 
 
 class TestSchema:
-    """Only v6 files are read, and entries carry scheme and P'."""
+    """Only v6 files are read, and entries carry their scheme."""
 
     @settings(max_examples=30, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(m=dims, k=dims, n=dims, threads=threads_st,
-           plan=subgroup_plans(),
-           seconds=st.floats(min_value=1e-6, max_value=1e3))
-    def test_pprime_round_trip(self, tmp_path, m, k, n, threads, plan,
-                               seconds):
-        """Any P'-carrying plan survives a save/load cycle bit-identically,
-        and the entry records scheme + P' as explicit fields."""
+    @given(m=dims, k=dims, n=dims, threads=threads_st, plan=plans)
+    def test_entry_records_its_scheme(self, tmp_path, m, k, n, threads,
+                                      plan):
+        """The entry records the plan's scheme as an explicit field, and
+        no sub-group P' anywhere."""
         path = tmp_path / "plans.json"
         cache = PlanCache(path)
-        cache.put(m, k, n, "float64", threads, plan, seconds=seconds)
+        cache.put(m, k, n, "float64", threads, plan)
         assert cache.save()
-        fresh = PlanCache(path)
-        assert fresh.get(m, k, n, "float64", threads) == plan
-        ent = fresh.entry(m, k, n, "float64", threads)
+        ent = PlanCache(path).entry(m, k, n, "float64", threads)
         assert ent["scheme"] == plan.scheme
-        assert ent["subgroup"] == plan.subgroup
-        assert ent["plan"]["subgroup"] == plan.subgroup
+        assert "subgroup" not in ent and "subgroup" not in ent["plan"]
 
     @settings(max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -93,6 +93,12 @@ REGISTRY: tuple[SharedState, ...] = (
     SharedState("parallel/blas.py", "_kernels", "_lock",
                 "the vendor's cblas entry points per element type, bound "
                 "once by the probe; read lock-free"),
+    SharedState("parallel/blas.py", "_team", "_lock",
+                "the process's thread team, installed once by the first "
+                "library to load; read lock-free"),
+    SharedState("parallel/blas.py", "_vendor_team", "_lock",
+                "whether the vendor's regions run on the team; set with "
+                "_team, read lock-free"),
     SharedState("codegen/cbackend.py", "_fallback_warned", None,
                 "once-per-algorithm fallback warning set; duplicate "
                 "warn is benign"),

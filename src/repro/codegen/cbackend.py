@@ -27,9 +27,11 @@ The library's interface, over ``real`` and a descriptor ``f``::
                 const real *A12, long lda, const real *B21, long ldb,
                 long dq, long i0, long i1);
     int fmm_step(const fmm_t *f, const blas_t *x, long steps,
-                 const real *A, long lda, const real *B, long ldb,
-                 real *C, long ldc, long p, long q, long r,
+                 int threads, const real *A, long lda, const real *B,
+                 long ldb, real *C, long ldc, long p, long q, long r,
                  char *w, char *end);
+    void fmm_team(int sync, void (*job)(int, void *, int), int n,
+                  size_t elsize, void *data, int arg);
 
 ``form_S``/``form_T`` read the m·k (k·n) sub-blocks of the parent operand
 in place (row stride ``lda``, in elements) and write CSE definitions plus
@@ -46,10 +48,11 @@ storing it, while the row is in L1: the strip gets no pass over ``C`` of
 its own and no buffer (``dq = 0``: nothing peeled, the pointers may be
 NULL).  Every kernel works on the rows ``[i0, i1)`` of its blocks and
 touches no other row, so one sweep can be cut into ranges that run
-concurrently: the step passes the whole range, the BFS and HYBRID
-schedules (:mod:`repro.parallel.schedules`) fan the ranges of the levels
-they form themselves out over their worker pool and run every child
-product below them as one ``fmm_step`` call -- whenever
+concurrently: the step cuts each level into ``threads`` ranges on the
+library's team (one range, the whole level, at one thread), the BFS and
+HYBRID schedules (:mod:`repro.parallel.schedules`) fan the ranges of the
+levels they form themselves out over their worker pool and run every
+child product below them as a one-thread ``fmm_step`` call -- whenever
 :func:`chains_fused` says the operands allow it.
 
 Each chain runs over a row in passes of at most ten terms, in its own
@@ -66,14 +69,18 @@ arena region ``[w, end)`` in :func:`repro.core.workspace.
 cbackend_footprint`'s order and rounding, runs ``form_S`` and ``form_T``,
 computes each rank's product into its :func:`product_homes` home by a
 call to itself, runs ``form_C`` with the inner strip, and adds the right
-and bottom peel strips.  A product's home is the block of ``C`` whose
+and bottom peel strips.  At ``threads`` > 1 (DFS) each level's
+``form_S``/``form_T``, and its ``form_C`` unless C-side definitions share
+its one ``Y`` row, run over ``threads`` row ranges on the team, the
+caller taking one: a range never reorders a chain's terms, so the bits
+are the one-thread step's.  A product's home is the block of ``C`` whose
 chain reads it last, where that chain reads it in its first pass
 (:func:`c_hosts`): ``form_C`` then reads it in place and stores the
 block over it.  Only the products ``C`` cannot hold take a consumed S or
 T row, or a row of their own.  ``x`` holds the vendor's cblas ``gemm``,
 ``gemv`` and ``dot`` (:func:`repro.parallel.blas.matmul_kernels`, passed as
-function pointers: no link-time dependency); every product is issued as
-``np.matmul`` would issue it.  It returns -1, having written nothing past
+function pointers: no link-time dependency) and the team; every product
+is issued as ``np.matmul`` would issue it.  It returns -1, having written nothing past
 ``end``, when the region is too small.  Where the probe finds no cblas,
 :func:`chains_fused` says no and the interpreter serves, as it does on a
 host without a compiler.
@@ -96,6 +103,18 @@ level above that none of this level's operands occupies
 (:func:`product_homes` frees a chain's row only once its rank is done; a
 product ``C`` holds is a block of ``C`` itself);
 ``A12``/``B21`` are views of the operands.
+
+**One thread team per process** (``fmm_team``).  The first library to load
+installs its team through :func:`repro.parallel.blas.install_team`: as
+OpenBLAS's threads callback, so every threaded vendor region -- DFS's
+leaf gemms, HYBRID's remainder, the ``gemm_batch`` waves, ``np.matmul``
+-- runs on it, and as the step's team.  A region of ``n`` jobs runs one in
+its caller and the others on ``n - 1`` helpers at once; a helper blocks
+as soon as its job ends, where OpenBLAS's own workers spin on for about
+0.1 s and share the cores with whatever runs next.  A region that finds
+the team busy runs on threads of its own, and a forked child grows a
+team of its own.  Without the library (no compiler) or the vendor's
+setter (MKL, OpenBLAS before 0.3.27), the vendor keeps its own threads.
 
 The library is compiled lazily, at the first :func:`compile_chains` of an
 element type, and cached on disk under ``$REPRO_CACHE_DIR/cbackend``
@@ -159,9 +178,10 @@ from repro.util.validation import check_matmul_dims
 _CC = os.environ.get("REPRO_CC", "cc")
 #: ``-ffp-contract=off``: a fused multiply-add rounds once where NumPy
 #: rounds twice, and the bit-for-bit agreement with the interpreter
-#: must not rest on gcc's ISO-mode default
+#: must not rest on gcc's ISO-mode default; ``-pthread``: the library's
+#: team (``fmm_team``) starts and blocks POSIX threads
 _COMMON_FLAGS = ["-march=native", "-std=c99", "-ffp-contract=off", "-fPIC",
-                 "-shared"]
+                 "-pthread", "-shared"]
 #: the loop vectoriser under the dynamic cost model and nothing else that
 #: ``-O3`` adds (SLP, vectorised epilogues): every chain loop SIMD at under
 #: half the compile CPU -- plain ``-O2``'s very-cheap cost model leaves
@@ -446,7 +466,9 @@ def library_source(real: str) -> str:
 
 
 def _declare(lib: ctypes.CDLL) -> None:
-    """The library's signatures, set before its handle is shared."""
+    """The library's signatures, set before its handle is shared, and its
+    team offered as the process's (:func:`repro.parallel.blas.install_team`:
+    the first library loaded lends its team to the vendor and the step)."""
     ptr, lng = ctypes.c_void_p, ctypes.c_long
     for fn in (lib.form_S, lib.form_T):
         fn.restype = None
@@ -456,8 +478,9 @@ def _declare(lib: ctypes.CDLL) -> None:
                            lng, lng, ptr, lng, ptr, ptr, lng, ptr, lng, lng,
                            lng, lng]
     lib.fmm_step.restype = ctypes.c_int
-    lib.fmm_step.argtypes = [ptr, ptr, lng, ptr, lng, ptr, lng, ptr, lng,
-                             lng, lng, lng, ptr, ptr]
+    lib.fmm_step.argtypes = [ptr, ptr, lng, ctypes.c_int, ptr, lng, ptr, lng,
+                             ptr, lng, lng, lng, lng, ptr, ptr]
+    blas.install_team(ctypes.cast(lib.fmm_team, ctypes.c_void_p).value)
 
 
 def _library(real: str) -> ctypes.CDLL:
@@ -823,8 +846,10 @@ class CompiledChains:
         steps: int = 1,
         out: np.ndarray | None = None,
         workspace=None,
+        threads: int = 1,
     ) -> np.ndarray:
-        """``A @ B`` with ``steps`` recursion levels of the algorithm.
+        """``A @ B`` with ``steps`` recursion levels of the algorithm,
+        each level's forms over ``threads`` row ranges (:meth:`step`).
 
         The kernels compute in their element type, which must be the
         call's :func:`kernel_dtype`: the ``float`` kernels take float32
@@ -915,7 +940,7 @@ class CompiledChains:
         # a heap region needs
         self.step(kernels, Ad, Bd, steps, dest,
                   _take(ws, (nbytes + ALIGNMENT,), np.uint8)
-                  if nbytes else None)
+                  if nbytes else None, threads)
         if dest is out:
             return out
         if dtype.kind in "iub":
@@ -927,17 +952,21 @@ class CompiledChains:
 
     __call__ = multiply
 
-    def step(self, kernels, A, B, steps: int, C: np.ndarray, region) -> None:
+    def step(self, kernels, A, B, steps: int, C: np.ndarray, region,
+             threads: int = 1) -> None:
         """Write ``A @ B`` into ``C`` with ``steps`` levels in one call of
         the library's ``fmm_step`` (all three addressable in place by it),
         which carves every level from the bytes of ``region`` and
         issues its products through ``kernels``
         (:func:`repro.parallel.blas.matmul_kernels`) on as many threads as
-        the vendor's BLAS is set to."""
+        the vendor's BLAS is set to.  At ``threads`` > 1 each level's
+        ``form_S`` and ``form_T``, and its ``form_C`` without C-side
+        definitions, run over that many row ranges on the team, this
+        thread taking one: the same bits."""
         p, q = A.shape
         r = B.shape[1]
         w = None if region is None else region.ctypes.data
-        if self.lib.fmm_step(self._f, kernels, steps, A.ctypes.data,
+        if self.lib.fmm_step(self._f, kernels, steps, threads, A.ctypes.data,
                              self._ld(A),
                              B.ctypes.data, self._ld(B), C.ctypes.data,
                              self._ld(C), p, q, r, w,
@@ -1047,15 +1076,18 @@ def sequential_footprint(algorithm: FastAlgorithm, steps: int, p: int,
 
 def multiply_sequential(cc: CompiledChains | None, A: np.ndarray,
                         B: np.ndarray, algorithm: FastAlgorithm,
-                        steps: int, out=None, workspace=None) -> np.ndarray:
+                        steps: int, out=None, workspace=None,
+                        threads: int = 1) -> np.ndarray:
     """The sequential product -- and DFS, which is this under a
-    ``T``-thread BLAS: ``cc``'s step (:func:`step_chains`), or with
-    ``None`` the interpreter.  ``workspace`` is sized by
+    ``T``-thread BLAS with its forms over ``threads`` row ranges: ``cc``'s
+    step (:func:`step_chains`), or with ``None`` the interpreter, whose
+    forms stay in this thread.  ``workspace`` is sized by
     :func:`sequential_footprint`; a caller that sized it for the step
     before the compile failed gets it re-reserved for the interpreter's
     layout (one S/T/M_r triple per level)."""
     if cc is not None:
-        return cc.multiply(A, B, steps=steps, out=out, workspace=workspace)
+        return cc.multiply(A, B, steps=steps, out=out, workspace=workspace,
+                           threads=threads)
     if workspace is not None:
         workspace.reserve(sequential_footprint(
             algorithm, steps, A.shape[0], *B.shape, A.dtype, B.dtype,

@@ -26,8 +26,19 @@
  * written at the same j -- by an adding pass, or by the first pass of the
  * chain whose block holds a product it reads; buffers passed as different
  * arguments do not overlap (the caller's contract).
+ *
+ * fmm_team is the process's one team of threads.  repro.parallel.blas
+ * installs it as OpenBLAS's threads callback, so every threaded vendor
+ * region runs on it, and fmm_step runs its forms on it at T > 1 -- one
+ * team for both, as the paper's MKL and its tasks share one OpenMP
+ * runtime.  Its helpers block as soon as their region ends: an idle
+ * process burns no core.
  */
+#define _POSIX_C_SOURCE 200809L
+#include <pthread.h>
+#include <semaphore.h>
 #include <stddef.h>
+#include <stdlib.h>
 
 #if defined(__clang__)
 #define NODEP _Pragma("clang loop vectorize(assume_safety)")
@@ -225,18 +236,192 @@ void form_C(const fmm_t *f, const real **M, const long *ldm, long bp,
     run(f->prog[2], f->coef[2], &at, i0, i1, bq, dq ? strip : NULL, &s);
 }
 
+/* The team.  A region of n jobs, job i = fn(i, data + i * elsize, arg),
+ * runs job 0 in the calling thread and jobs 1 .. n-1 on n - 1 helpers at
+ * once: the vendor's jobs wait on one another, so none may queue behind
+ * another.  Each helper blocks on its own semaphore between regions; the
+ * team grows to the widest region's n - 1 helpers and never shrinks.
+ * Regions of different threads take turns on the team: the vendor's job
+ * i works in the vendor's buffer i, so two of its regions must not
+ * overlap, as they never do on its own threads.  A region started inside
+ * a job, which would wait for itself, runs on threads started for it
+ * alone.  A forked child starts with no helpers. */
+typedef void (*job_t)(int, void *, int);
+
+/* jobs this thread is running: > 0 inside a region */
+static __thread int inside;
+
+typedef struct {
+    job_t fn;
+    char *data;
+    size_t elsize;
+    int arg;
+} region_t;
+
+static void job(const region_t *g, int i)
+{
+    ++inside;
+    g->fn(i, g->data + (size_t)i * g->elsize, g->arg);
+    --inside;
+}
+
+typedef struct {
+    sem_t go;
+    const region_t *g;
+    int i;
+} helper_t;
+
+static struct {
+    pthread_mutex_t own;    /* held by the caller of the region on the team */
+    pthread_mutex_t lock;   /* guards left */
+    pthread_cond_t done;    /* left fell to 0 */
+    int left, size;         /* helper jobs still running; helpers */
+    helper_t **helper;
+} team = {PTHREAD_MUTEX_INITIALIZER, PTHREAD_MUTEX_INITIALIZER,
+          PTHREAD_COND_INITIALIZER, 0, 0, NULL};
+
+static void *serve(void *arg)
+{
+    helper_t *h = arg;
+    for (;;) {
+        while (sem_wait(&h->go))        /* EINTR */
+            ;
+        job(h->g, h->i);
+        pthread_mutex_lock(&team.lock);
+        if (--team.left == 0)
+            pthread_cond_signal(&team.done);
+        pthread_mutex_unlock(&team.lock);
+    }
+    return NULL;
+}
+
+/* in a forked child: the helpers stayed behind, and so did any region */
+static void forked(void)
+{
+    const pthread_mutex_t m = PTHREAD_MUTEX_INITIALIZER;
+    const pthread_cond_t c = PTHREAD_COND_INITIALIZER;
+    team.own = team.lock = m;
+    team.done = c;
+    team.left = team.size = 0;
+    team.helper = NULL;
+}
+
+static pthread_once_t once = PTHREAD_ONCE_INIT;
+
+static void setup(void)
+{
+    pthread_atfork(NULL, NULL, forked);
+}
+
+/* grow the team to n helpers (caller holds own); how many it has */
+static int grow(int n)
+{
+    if (n <= team.size)
+        return team.size;
+    helper_t **more = realloc(team.helper, (size_t)n * sizeof *more);
+    if (!more)
+        return team.size;
+    team.helper = more;
+    pthread_attr_t attr;
+    pthread_attr_init(&attr);
+    pthread_attr_setdetachstate(&attr, PTHREAD_CREATE_DETACHED);
+    while (team.size < n) {
+        helper_t *h = malloc(sizeof *h);
+        pthread_t id;
+        if (!h || sem_init(&h->go, 0, 0) || pthread_create(&id, &attr, serve, h)) {
+            free(h);
+            break;
+        }
+        team.helper[team.size++] = h;
+    }
+    pthread_attr_destroy(&attr);
+    return team.size;
+}
+
+typedef struct {
+    const region_t *g;
+    int i;
+} solo_t;
+
+static void *solo(void *arg)
+{
+    const solo_t *s = arg;
+    job(s->g, s->i);
+    return NULL;
+}
+
+/* the region on threads of its own; a job no thread could be started for
+ * runs in the caller after job 0 */
+static void alone(const region_t *g, int n)
+{
+    pthread_t id[n];
+    solo_t s[n];
+    int up[n];
+    for (int i = 1; i < n; ++i) {
+        s[i] = (solo_t){g, i};
+        up[i] = !pthread_create(&id[i], NULL, solo, &s[i]);
+    }
+    job(g, 0);
+    for (int i = 1; i < n; ++i) {
+        if (up[i])
+            pthread_join(id[i], NULL);
+        else
+            job(g, i);
+    }
+}
+
+/* OpenBLAS's threads callback: run the region, then return */
+void fmm_team(int sync, job_t fn, int n, size_t elsize, void *data, int arg)
+{
+    const region_t g = {fn, data, elsize, arg};
+    (void)sync;             /* every region is waited for */
+    if (n <= 1) {
+        if (n == 1)
+            job(&g, 0);
+        return;
+    }
+    pthread_once(&once, setup);
+    if (inside) {
+        alone(&g, n);
+        return;
+    }
+    pthread_mutex_lock(&team.own);
+    if (grow(n - 1) < n - 1) {     /* no more helpers could be started */
+        alone(&g, n);
+    } else {
+        team.left = n - 1;
+        for (int i = 1; i < n; ++i) {
+            helper_t *h = team.helper[i - 1];
+            h->g = &g;
+            h->i = i;
+            sem_post(&h->go);
+        }
+        job(&g, 0);
+        pthread_mutex_lock(&team.lock);
+        while (team.left)
+            pthread_cond_wait(&team.done, &team.lock);
+        pthread_mutex_unlock(&team.lock);
+    }
+    pthread_mutex_unlock(&team.own);
+}
+
 /* The sequential product, `steps` levels deep: one vendor product where
  * repro.core.recursion.should_split declines, else S and T, each rank's
  * product into its home -- a slab row, or the block of C that holds it,
  * rows ldc apart -- by a call to itself, C with the inner strip and
  * the right and bottom peel strips, every level carved from [w, end) in
  * repro.core.workspace.cbackend_footprint's order and rounding.  `mm`
- * issues one product as np.matmul does.  Runs a few statements a level:
- * unoptimised, it adds almost nothing to the compile. */
+ * issues one product as np.matmul does.  At `threads` > 1 each level's
+ * S and T, and its C where the descriptor has no C-side definitions (they
+ * share one Y row), run over `threads` row ranges on x->team, the caller
+ * taking one; a range never reorders a chain's terms, so the bits are the
+ * one-thread step's.  Runs a few statements a level: unoptimised, it adds
+ * almost nothing to the compile. */
 typedef struct {
     void (*gemm)(int, int, int, long, long, long, real, const real *, long, const real *, long, real, real *, long);
     void (*gemv)(int, int, long, long, real, const real *, long, const real *, long, real, real *, long);
     real (*dot)(long, const real *, long, const real *, long);
+    void (*team)(int, job_t, int, size_t, void *, int);     /* fmm_team, or NULL */
 } blas_t;
 
 #pragma GCC optimize("O0")
@@ -268,7 +453,42 @@ static real *carve(char **w, char *end, size_t n)
     return (real *)p;
 }
 
-int fmm_step(const fmm_t *f, const blas_t *x, long steps, const real *A, long lda, const real *B, long ldb, real *C, long ldc, long p, long q, long r, char *w, char *end)
+/* one level's kernels; job i of n runs row range i of n */
+typedef struct {
+    const fmm_t *f;
+    const real *A, *B, *A12, *B21, **H;
+    const long *L;
+    long lda, ldb, ldc, bp, bq, bn, dq;
+    real *S, *T, *C, *Y;
+} level_t;
+
+static long cut(long rows, int i, int n)
+{
+    return rows * i / n;
+}
+
+static void forms(int i, void *arg, int n)
+{
+    const level_t *l = arg;
+    form_S(l->f, l->A, l->lda, l->bp, l->bq, l->S, cut(l->bp, i, n), cut(l->bp, i + 1, n));
+    form_T(l->f, l->B, l->ldb, l->bq, l->bn, l->T, cut(l->bq, i, n), cut(l->bq, i + 1, n));
+}
+
+static void combine(int i, void *arg, int n)
+{
+    const level_t *l = arg;
+    form_C(l->f, l->H, l->L, l->bp, l->bn, l->C, l->ldc, l->Y, l->A12, l->lda, l->B21, l->ldb, l->dq, cut(l->bp, i, n), cut(l->bp, i + 1, n));
+}
+
+static void ranges(const blas_t *x, job_t fn, int n, level_t *l)
+{
+    if (n > 1 && x->team)
+        x->team(1, fn, n, 0, l, n);
+    else
+        fn(0, l, 1);
+}
+
+int fmm_step(const fmm_t *f, const blas_t *x, long steps, int threads, const real *A, long lda, const real *B, long ldb, real *C, long ldc, long p, long q, long r, char *w, char *end)
 {
     const long BM = f->bm, BK = f->bk, BN = f->bn, R = f->rank;
     if (steps <= 0 || p / BM < 2 || q / BK < 2 || r / BN < 2) {
@@ -289,8 +509,8 @@ int fmm_step(const fmm_t *f, const blas_t *x, long steps, const real *A, long ld
     const size_t blk[3] = {sblk, tblk, pblk};
     const real *H[R];
     long L[R];
-    form_S(f, A, lda, bp, bq, S, 0, bp);
-    form_T(f, B, ldb, bq, bn, T, 0, bq);
+    level_t lv = {f, A, B, A + BK * bq, B + (size_t)(BK * bq) * ldb, H, L, lda, ldb, ldc, bp, bq, bn, q - BK * bq, S, T, C, Y};
+    ranges(x, forms, threads, &lv);
     for (long i = 0; i < R; ++i) {
         /* its S and T operand: a slab row, or an alias chain's block */
         const int a = f->operand[2 * i], b = f->operand[2 * i + 1];
@@ -300,10 +520,10 @@ int fmm_step(const fmm_t *f, const blas_t *x, long steps, const real *A, long ld
         real *h = kind == 3 ? C + (size_t)(at / BN * bp) * ldc + at % BN * bn : slab[kind] + at * blk[kind];
         H[i] = h;
         L[i] = kind == 3 ? ldc : bn;
-        if (fmm_step(f, x, steps - 1, Sa, a < 0 ? bq : lda, Tb, b < 0 ? bn : ldb, h, L[i], bp, bq, bn, w, end))
+        if (fmm_step(f, x, steps - 1, threads, Sa, a < 0 ? bq : lda, Tb, b < 0 ? bn : ldb, h, L[i], bp, bq, bn, w, end))
             return -1;
     }
-    form_C(f, H, L, bp, bn, C, ldc, Y, A + BK * bq, lda, B + (size_t)(BK * bq) * ldb, ldb, q - BK * bq, 0, bp);
+    ranges(x, combine, f->rows[2] ? 1 : threads, &lv);
     if (BN * bn < r)
         mm(x, BM * bp, r - BN * bn, q, A, lda, B + BN * bn, ldb, C + BN * bn, ldc);
     if (BM * bp < p)

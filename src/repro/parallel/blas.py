@@ -18,18 +18,30 @@ interpreter.
 It also binds the vendor's batched gemm (``cblas_{d,s}gemm_batch``, MKL's
 grouped interface, as numpy's OpenBLAS 0.3.31 exports it):
 :func:`gemm_batch` runs a *wave* of independent products in one call,
-each product a one-thread gemm on one of the vendor's own threads -- the
-paper's BFS (Section 4.2) with nothing else competing for the cores,
-since OpenBLAS's workers keep spinning for 0.1-0.15 s after a threaded
-call and a pool of one-thread tasks started in that window shares the
-cores with them.  Each product carries exactly the bits of the
-one-thread gemm of that product.  The
-stacked dgemm batch (:func:`repro.tuner.dispatch.execute_plan`) and the
+each product a one-thread gemm on one thread of the region -- the
+paper's BFS (Section 4.2) in one vendor call.  Each product carries
+exactly the bits of the one-thread gemm of that product.  The stacked
+dgemm batch (:func:`repro.tuner.dispatch.execute_plan`) and the
 BFS/HYBRID leaf waves (:mod:`repro.parallel.schedules`) are its callers.
 The entry segfaults on small products, so no product at or below
 :data:`BATCH_MIN_VOLUME` is ever handed to it (:func:`batchable`).  It is
-reentrant: concurrent callers each get their own wave onto the vendor's
-threads (``tests/test_batched.py -k concurrent``).
+reentrant: concurrent callers' waves take turns on the threads
+(``tests/test_batched.py -k concurrent``).
+
+**The threads the vendor runs on.**  OpenBLAS keeps a pthread server of
+its own whose idle workers busy-wait for about 0.1 s after every threaded
+call, so whatever runs next -- a pool of one-thread tasks, the step's
+forms -- shares the cores with a spinning thread.  The paper's MKL runs
+inside the one OpenMP runtime its tasks use.  Here the compiled library's
+thread team (``fmm_team`` in ``codegen/fmm.c``) plays that part:
+:func:`install_team`, called when the first library loads, makes it
+OpenBLAS's threads callback (``openblas_set_threads_callback_function``,
+OpenBLAS >= 0.3.27), so every threaded vendor region -- DFS's leaf gemms,
+HYBRID's remainder, the :func:`gemm_batch` waves, ``np.matmul`` -- runs
+on threads that block as soon as the region ends, the same team the
+step's forms run on at ``T > 1``.  An idle process burns no core.  Where
+the setter is missing (MKL, an older OpenBLAS) or no library loads
+(``REPRO_CC=false``), the vendor keeps its own server.
 """
 
 from __future__ import annotations
@@ -58,6 +70,12 @@ _KERNEL_SYMBOLS = ("scipy_cblas_{}64_", "cblas_{}64_")
 #: ILP64 like the kernels above
 _BATCH_SYMBOLS = ("scipy_cblas_{}gemm_batch64_", "cblas_{}gemm_batch64_")
 
+#: OpenBLAS's (>= 0.3.27) setter of the callback its threaded regions run
+#: through, most specific first
+_CALLBACK_SYMBOLS = ("scipy_openblas_set_threads_callback_function64_",
+                     "openblas_set_threads_callback_function64_",
+                     "openblas_set_threads_callback_function")
+
 #: OpenBLAS's batched gemm segfaults whenever one of its products has
 #: ``m*n*k <= 100**3``, in both precisions -- its small-matrix cut (0.3.31,
 #: SkylakeX kernels; the boundary is exact: 2000x1x500 and 99x102x99
@@ -68,9 +86,14 @@ BATCH_MIN_VOLUME = 100 ** 3
 _CblasRowMajor, _CblasNoTrans = 101, 111
 
 _lock = threading.Lock()
-#: element type (``"double"``/``"float"``) -> ``void *[3]`` of its gemm,
-#: gemv and dot; written once by the probe under ``_lock``, read lock-free
+#: element type (``"double"``/``"float"``) -> ``void *[4]`` of its gemm,
+#: gemv, dot and the team (NULL until :func:`install_team`); written once
+#: by the probe under ``_lock``, read lock-free
 _kernels: dict[str, ctypes.Array] = {}
+#: the team's entry once installed (:func:`install_team`), and whether
+#: the vendor's threaded regions run on it
+_team: int | None = None
+_vendor_team = False
 #: numpy element type -> its batched gemm; written once by the probe
 _batch: dict[np.dtype, object] = {}
 _lib = None
@@ -124,8 +147,8 @@ def _bind_kernels_locked(lib) -> None:
             fns = [getattr(lib, pattern.format(prefix + op), None)
                    for op in ("gemm", "gemv", "dot")]
             if all(fns):
-                _kernels[real] = (ctypes.c_void_p * 3)(
-                    *(ctypes.cast(f, ctypes.c_void_p) for f in fns))
+                _kernels[real] = (ctypes.c_void_p * 4)(
+                    *(ctypes.cast(f, ctypes.c_void_p) for f in fns), _team)
                 break
     for dtype, prefix in ((np.dtype(np.float64), "d"),
                           (np.dtype(np.float32), "s")):
@@ -141,9 +164,42 @@ def _bind_kernels_locked(lib) -> None:
 
 def matmul_kernels(real: str):
     """The vendor's cblas ``gemm``, ``gemv`` and ``dot`` over C type
-    ``real`` as a ``void *[3]``, or ``None`` when the probe found none."""
+    ``real``, then the team (:func:`install_team`; NULL before it), as a
+    ``void *[4]`` -- the step's ``blas_t`` -- or ``None`` when the probe
+    found no cblas."""
     _probe()
     return _kernels.get(real)
+
+
+def vendor_on_team() -> bool:
+    """Do the vendor's threaded regions run on the library's team
+    (:func:`install_team`)?"""
+    return _vendor_team
+
+
+def install_team(team: int) -> None:
+    """Make ``team`` -- the address of the compiled library's
+    ``fmm_team`` -- the process's one thread team, once; a later call is a
+    no-op.  It becomes the step's team (:func:`matmul_kernels`) and, where
+    the vendor exports the setter (OpenBLAS >= 0.3.27), the callback every
+    threaded vendor region runs on: its helpers block as soon as the
+    region ends, where OpenBLAS's own workers would spin on for 0.1 s
+    (:func:`vendor_on_team` says whether they run on it)."""
+    global _team, _vendor_team
+    _probe()
+    with _lock:
+        if _team is not None:
+            return
+        _team = team
+        for kernels in _kernels.values():
+            kernels[3] = team
+        setter = next((getattr(_lib, name) for name in _CALLBACK_SYMBOLS
+                       if hasattr(_lib, name)), None)
+        if setter is not None:
+            setter.restype = None
+            setter.argtypes = [ctypes.c_void_p]
+            setter(team)
+            _vendor_team = True
 
 
 def batch_available(dtype=np.float64) -> bool:
@@ -171,8 +227,9 @@ def _addressable(X, dtype: np.dtype) -> bool:
 
 def gemm_batch(A, B, C) -> int:
     """``C[i] = A[i] @ B[i]`` for every ``i`` in one call of the vendor's
-    batched gemm, on as many threads as the BLAS is set to; each product is
-    a one-thread gemm on one of them, with that gemm's bits.
+    batched gemm, on as many threads as the BLAS is set to (the team's,
+    once :func:`install_team` ran); each product is a one-thread gemm on
+    one of them, with that gemm's bits.
 
     ``A``, ``B`` and ``C`` are 3-D stacks or sequences of 2-D matrices,
     one shape and one dtype (float32 or float64) per operand; the row

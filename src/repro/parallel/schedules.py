@@ -5,8 +5,10 @@ Three schemes, each an entry point of the one compiled step
 ``fmm_step`` over the algorithm's descriptor):
 
 - **DFS** (Section 4.1): the sequential step, with every gemm it issues
-  on all P BLAS threads; it forms its chains in the calling thread.  Needs
-  large leaves to profit (the parallel dgemm ramp-up is flatter).
+  on all P BLAS threads and each level's ``form_S``/``form_T``/``form_C``
+  over P row ranges on the same threads (the C library's team, which the
+  vendor's regions run on too: :func:`repro.parallel.blas.install_team`).
+  Needs large leaves to profit (the parallel dgemm ramp-up is flatter).
 
 - **BFS** (Section 4.2): task parallelism.  The schedule forms the top
   level itself -- ``form_S``/``form_T`` over row ranges on the pool --
@@ -15,11 +17,13 @@ Three schemes, each an entry point of the one compiled step
   one ``fmm_step`` call, ``steps - 1`` levels deep, with a one-thread
   gemm.  A wave of leaves is one vendor batched gemm
   (:func:`repro.parallel.blas.gemm_batch`) at P-thread BLAS, which runs
-  each product as a one-thread gemm on one of the vendor's own threads --
-  the same bits, and no pool task sharing the cores with the workers
-  OpenBLAS keeps spinning after a threaded call.  Leaves the vendor call
+  each product as a one-thread gemm on one thread of the team -- the same
+  bits.  The team's threads block as soon as the wave ends, so the pool
+  tasks that follow have the cores to themselves.  Leaves the vendor call
   does not take (at or under its crash guard,
-  :data:`repro.parallel.blas.BATCH_MIN_VOLUME`) stay pool tasks.
+  :data:`repro.parallel.blas.BATCH_MIN_VOLUME`) stay pool tasks.  The
+  tree's own fan-outs -- the top levels' forms, its tasks -- run on the
+  pool; its tasks call the step at one thread.
   ``form_C`` over row ranges and the peel fix-ups finish the level.
 
 - **HYBRID** (Section 4.3): the same, except that the leaves which do not
@@ -399,7 +403,7 @@ def multiply_parallel(
             # product under a P-thread BLAS
             with blas.blas_threads(P):
                 return cbackend.multiply_sequential(
-                    cc, A, B, algorithm, steps, out, workspace)
+                    cc, A, B, algorithm, steps, out, workspace, P)
         C = out if out is not None else np.empty(
             (A.shape[0], B.shape[1]), dtype=cc.dtype)
         owns_pool = pool is None

@@ -111,10 +111,13 @@ leaf gemms, HYBRID's remainder, the ``gemm_batch`` waves, ``np.matmul``
 -- runs on it, and as the step's team.  A region of ``n`` jobs runs one in
 its caller and the others on ``n - 1`` helpers at once; a helper blocks
 as soon as its job ends, where OpenBLAS's own workers spin on for about
-0.1 s and share the cores with whatever runs next.  A region that finds
-the team busy runs on threads of its own, and a forked child grows a
-team of its own.  Without the library (no compiler) or the vendor's
-setter (MKL, OpenBLAS before 0.3.27), the vendor keeps its own threads.
+0.1 s and share the cores with whatever runs next.  Regions of
+different threads take turns on the team (the vendor's job ``i`` works
+in its buffer ``i``, so two regions at once would share buffers); only a
+region started inside a job, where waiting would deadlock, runs on
+threads of its own.  A forked child grows a team of its own.  Without
+the library (no compiler) or the vendor's setter (MKL, OpenBLAS before
+0.3.27), the vendor keeps its own threads.
 
 The library is compiled lazily, at the first :func:`compile_chains` of an
 element type, and cached on disk under ``$REPRO_CACHE_DIR/cbackend``
@@ -664,12 +667,14 @@ def chains_fused(dtype_a, dtype_b=None, scheme: str = "sequential",
     """Does a ``scheme`` call on these operands run the compiled step?
 
     The one rule every executor runs by and ``plan_footprint`` and
-    ``plan_cost`` size and price by: two float operands whose product is
-    float32 (the ``float`` kernels) or float64 (the ``double`` ones), a
-    compiler, and the vendor's cblas, through which the step issues its
-    products.  That is all the sequential driver needs -- DFS is that
-    driver at ``T``-thread BLAS -- because it packs what the step cannot
-    address (a mixed pair into double, a strided matrix into a copy).  The
+    ``plan_cost`` size and price by: two float32 or float64 operands (a
+    float32 product runs the ``float`` kernels, any other the ``double``
+    ones; a narrower float is the interpreter's, which computes it in
+    float64 as every entry point does), a compiler, and the vendor's
+    cblas, through which the step issues its products.  That is all the
+    sequential driver needs -- DFS is that driver at ``T``-thread BLAS --
+    because it packs what the step cannot address (a mixed pair into
+    double, a strided matrix into a copy).  The
     BFS/HYBRID tree (:data:`IN_PLACE_SCHEMES`) hands the caller's
     operands to many ``fmm_step`` calls as they are, so it also needs one
     dtype on both sides and ``operands`` the step can address in place
@@ -680,8 +685,7 @@ def chains_fused(dtype_a, dtype_b=None, scheme: str = "sequential",
     a = np.dtype(dtype_a)
     b = a if dtype_b is None else np.dtype(dtype_b)
     real = np.result_type(a, b)
-    if not (a.kind == b.kind == "f" and real in REALS.values()
-            and available()
+    if not (a in REALS.values() and b in REALS.values() and available()
             and blas.matmul_kernels(_real_name(real)) is not None):
         return False
     if scheme not in IN_PLACE_SCHEMES:

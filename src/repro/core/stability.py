@@ -142,16 +142,14 @@ def error_bound(alg: FastAlgorithm, steps: int, q: int, dtype: str) -> float:
     dropped) -- it is the *ordering* and the dtype scaling that matter for
     tuner pruning and for the property-test assertion.
 
-    An exact entry whose coefficients are floats (an ALS solution) is also
-    off by its own residual at every level, which no rounding term covers:
-    ``steps * residual`` is added.  An APA entry's bound is left as it
-    is -- its residual is the approximation itself, and the guard scales
-    this bound for its APA check.
+    An entry whose coefficients are floats -- an ALS solution, or an APA
+    entry, whose residual is the approximation itself -- is also off by
+    its own residual at every level, which no rounding term covers:
+    ``steps * residual`` is added.  The guard checks APA products against
+    this bound.
     """
     eps = float(np.finfo(np.dtype(dtype)).eps)
     bound = stability_factors(alg).growth(steps) * max(q, 1) * eps
-    if alg.apa:
-        return bound
     return bound + steps * alg.memo("_residual", FastAlgorithm.residual)
 
 

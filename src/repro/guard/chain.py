@@ -253,10 +253,10 @@ def check_product(plan: Plan, A: np.ndarray, B: np.ndarray,
 
     Every plan gets a finite-ness scan over ``sample_rows`` rows of the
     product (row 0 always included).  APA plans additionally get those
-    rows recomputed classically and compared against a tolerance derived
-    from :func:`repro.core.stability.error_bound` -- loose enough (1e3 x
-    the bound, floored at 0.1 relative) that a healthy APA product always
-    passes, tight enough that a blown-up or poisoned one cannot.
+    rows recomputed classically and compared against
+    :func:`repro.core.stability.error_bound`, which charges the entry's
+    residual at every level: a healthy product reads a third of it at
+    most, a noisy or scaled one exceeds it.
     """
     if C.size == 0:
         return None
@@ -276,8 +276,7 @@ def check_product(plan: Plan, A: np.ndarray, B: np.ndarray,
     scale = float(np.linalg.norm(ref))
     err = float(np.linalg.norm(sample.astype(ref.dtype) - ref))
     rel = err / scale if scale > 0 else err
-    q = A.shape[1]
-    tol = max(1e3 * error_bound(alg, plan.steps, q, str(C.dtype)), 0.1)
+    tol = error_bound(alg, plan.steps, A.shape[1], str(C.dtype))
     if not rel <= tol:  # NaN-safe: NaN comparisons are False
         return (f"APA residual {rel:.3g} exceeds stability bound "
                 f"{tol:.3g} for {plan.describe()}")

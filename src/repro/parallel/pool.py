@@ -133,23 +133,6 @@ class WorkerPool:
     def group(self) -> "TaskGroup":
         return TaskGroup(self)
 
-    # -- supervision --------------------------------------------------------
-    def probe(self, timeout: float = 1.0) -> bool:
-        """Health check: can the pool still run a trivial task in time?
-
-        ``False`` marks the pool broken (a wedged or dead executor), so
-        the caller can tear it down and rebuild.
-        """
-        if self._broken:
-            return False
-        try:
-            fut = self.submit(lambda: True)
-            fut.result(timeout=timeout)
-            return True
-        except (PoolBrokenError, FuturesTimeout, RuntimeError):
-            self._broken = True
-            return False
-
     # -- lifecycle ----------------------------------------------------------
     def shutdown(self, wait: bool = True) -> None:
         """Stop the executor.  ``wait=False`` abandons it without joining

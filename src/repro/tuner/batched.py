@@ -159,6 +159,10 @@ def _batch_result(ops: _Batch, out=None):
         )
     for c, a, b in zip(out, ops.a, ops.b):
         check_out(c, a, b)
+        # the elements run in turn: a destination over another element's
+        # operand would overwrite it before that element reads it
+        if any(np.may_share_memory(c, x) for x in (*ops.a, *ops.b)):
+            raise ValueError("out must not overlap A or B")
     return out
 
 

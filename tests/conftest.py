@@ -6,10 +6,16 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
-from repro.algorithms import classical, get_algorithm, strassen, winograd
 from repro.bench import machine
 from repro.codegen import cbackend
+
+#: every hypothesis test runs under one profile: no per-example deadline
+#: (a first call may compile or load the C library), and a failure prints
+#: the blob that reproduces it
+settings.register_profile("repro", deadline=None, print_blob=True)
+settings.load_profile("repro")
 
 #: does a float64 product run the compiled step here?  A host without a
 #: compiler or the vendor's cblas runs the interpreter instead
@@ -197,11 +203,6 @@ def fresh_cache_state():
         cbackend._CHAINS.update(saved_chains)
 
 
-@pytest.fixture(scope="session")
-def rng():
-    return np.random.default_rng(20150207)
-
-
 def catalog_names() -> list[str]:
     """Every registry name expected to resolve in this repository."""
     return [
@@ -209,33 +210,3 @@ def catalog_names() -> list[str]:
         "s233", "s234", "s244", "s333", "s334", "s344", "s336",
         "classical222", "classical234",
     ]
-
-
-def exact_catalog() -> list:
-    """All exact algorithms (APA excluded), for correctness sweeps."""
-    out = []
-    for name in catalog_names():
-        alg = get_algorithm(name)
-        if not alg.apa:
-            out.append(alg)
-    return out
-
-
-@pytest.fixture(scope="session")
-def all_exact_algorithms():
-    return exact_catalog()
-
-
-@pytest.fixture(scope="session")
-def strassen_alg():
-    return strassen()
-
-
-@pytest.fixture(scope="session")
-def winograd_alg():
-    return winograd()
-
-
-@pytest.fixture(scope="session")
-def classical222():
-    return classical(2, 2, 2)

@@ -121,3 +121,17 @@ class TestApaCatalogEntries:
         e1 = np.linalg.norm(f(A, B, steps=1) - ref)
         e2 = np.linalg.norm(f(A, B, steps=2) - ref)
         assert e2 >= 0.5 * e1  # deeper recursion never materially better
+
+    def test_float32_beats_apa(self):
+        """The paper's remark (Section 5.1) quantified: float32 Strassen,
+        an equally 'reduced precision', is more accurate than the APA
+        entries."""
+        import repro
+
+        A = random_matrix(60, 40, 4)
+        B = random_matrix(40, 44, 5)
+        ref = A @ B
+        C32 = repro.multiply(A.astype(np.float32), B.astype(np.float32),
+                             algorithm="strassen", steps=1)
+        Capa = repro.multiply(A, B, algorithm="bini322", steps=1)
+        assert (np.linalg.norm(C32 - ref) < np.linalg.norm(Capa - ref))

@@ -20,15 +20,12 @@ import threading
 import numpy as np
 import pytest
 from conftest import HAVE_STEP, needs_cc, needs_compiler
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from repro import multiply_reference, obs
 from repro.algorithms import get_algorithm
 from repro.codegen import cbackend
 from repro.core import recursion
 from repro.core.cost import plan_cost
-from repro.core.stability import error_bound
 from repro.core.workspace import Workspace, cbackend_footprint, dfs_footprint
 from repro.guard import faults
 from repro.tuner import dispatch, measure
@@ -78,6 +75,7 @@ class TestKernelsAreARule:
     @pytest.mark.parametrize("dtypes,fused", [
         (("float64", "float64"), True), (("float32", "float32"), True),
         (("float32", "float64"), True), (("float16", "float16"), False),
+        (("float16", "float32"), False),
         (("int64", "int64"), False), (("int64", "float64"), False),
         (("complex128", "complex128"), False)])
     def test_chains_fused_admits_pairs_with_a_kernel_dtype(self, dtypes,
@@ -373,34 +371,6 @@ class TestCompiledDispatch:
         assert seen["warmup"] == 1  # compile/load never lands in a trial
         measure.measure_plan(Plan(threads=1), A, B, trials=1, warmup=0)
         assert seen["warmup"] == 0
-
-
-# ---------------------------------------------------------------- agreement
-@needs_cc
-@settings(max_examples=25, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow,
-                                 HealthCheck.data_too_large])
-@given(
-    p=st.integers(min_value=48, max_value=160),
-    q=st.integers(min_value=48, max_value=160),
-    r=st.integers(min_value=48, max_value=160),
-    steps=st.integers(min_value=1, max_value=2),
-    name=st.sampled_from(["strassen", "winograd", "s234"]),
-    cse=st.booleans(),
-    dtype=st.sampled_from(["float64", "float32"]),
-)
-def test_compiled_agrees_with_reference(p, q, r, steps, name, cse, dtype):
-    """Compiled chains match the exact product within the a-priori
-    stability bound, across dtypes, CSE, and non-divisible shapes (the
-    dynamic-peeling path), honoring the ``np.result_type`` contract."""
-    A, B = measure.tuning_operands(p, q, r, dtype=dtype, seed=7)
-    cc = cbackend.compile_chains(name, cse=cse, dtype=dtype)
-    C = cc.multiply(A, B, steps=steps)
-    assert C.dtype == np.result_type(A, B)
-    exact = A.astype("float64") @ B.astype("float64")
-    denom = float(np.linalg.norm(exact)) or 1.0
-    rel = float(np.linalg.norm(C.astype("float64") - exact)) / denom
-    assert rel <= error_bound(get_algorithm(name), steps, q, dtype)
 
 
 # ---------------------------------------------------------------- no compiler

@@ -34,7 +34,7 @@ class TestKron:
         ss.validate()
 
     @given(st.sampled_from(range(5)), st.sampled_from(range(5)))
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=15)
     def test_kron_exactness_property(self, i, j):
         algs = small_algorithms()
         fg = compose.kron(algs[i], algs[j])
@@ -90,7 +90,7 @@ class TestDirectSums:
         hk225.validate()
 
     @given(st.sampled_from(["m", "k", "n"]), st.integers(1, 3))
-    @settings(max_examples=12, deadline=None)
+    @settings(max_examples=12)
     def test_sum_with_classical_pieces(self, axis, extra):
         s = strassen()
         if axis == "n":

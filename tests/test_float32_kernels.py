@@ -1,14 +1,12 @@
-"""One float32 oracle for the compiled chain kernels.
+"""The float32 kernels serve float32 products.
 
 A float32 product is formed at its own precision: every sequential fast
-plan runs the ``float`` instantiation of the emitted kernels through the
-C driver, and dfs, bfs and hybrid form their chains with the same kernels
-over row ranges.  Whatever path a call takes -- any catalog algorithm up
-to its float32 stability budget, non-divisible shapes around the float32
-leaf cutoff, packed Fortran and strided operands, a float32 ``out`` --
-the product stays within ``error_bound(alg, steps, q, "float32")``; a
-warm call allocates nothing beyond its arena; and a mixed float32 x
-float64 call is computed in double.
+plan runs the ``float`` instantiation of the library through the C
+driver, and dfs, bfs and hybrid form their chains with the same kernels
+over row ranges.  That the product is right, whatever the layout, is
+``test_oracle.py``'s; pinned here: the ``float`` kernels are the ones
+that serve, a warm call allocates nothing beyond its arena, and a mixed
+float32 x float64 call is computed in double.
 """
 
 from __future__ import annotations
@@ -17,35 +15,19 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.algorithms import get_algorithm, list_algorithms
+from repro.algorithms import get_algorithm
 from repro.codegen import cbackend
-from repro.core.stability import error_bound, max_stable_steps
-from repro.core.workspace import Workspace, cbackend_footprint, track_allocations
+from repro.core.stability import error_bound
+from repro.core.workspace import cbackend_footprint, track_allocations
 from repro.parallel.pool import WorkerPool
 from repro.tuner import dispatch
-from repro.tuner.space import FLOAT32_MIN_LEAF, Plan
+from repro.tuner.space import Plan
 from repro.util.matrices import random_matrix
 
 pytestmark = pytest.mark.skipif(not cbackend.available(),
                                 reason="no working C compiler")
 
 F32 = np.dtype(np.float32)
-
-
-def _cases():
-    """(algorithm, steps) for every catalog entry up to its float32
-    stability budget."""
-    for name in list_algorithms(include_apa=True):
-        alg = get_algorithm(name)
-        for steps in range(1, max_stable_steps(alg, "float32") + 1):
-            yield pytest.param(name, steps, id=f"{name}x{steps}")
-
-
-def _shape(alg, steps: int, off: tuple[int, int, int]) -> tuple[int, ...]:
-    """Leaves one off the float32 cutoff in every dimension: a peel at
-    every level that has something to peel."""
-    return tuple(b ** steps * FLOAT32_MIN_LEAF + o
-                 for b, o in zip(alg.base_case, off))
 
 
 def _rel(C, A, B) -> float:
@@ -65,22 +47,6 @@ def pool():
         yield p
 
 
-@pytest.mark.parametrize("off", [(1, -1, 1), (-1, 1, 0)],
-                         ids=["odd", "even-r"])
-@pytest.mark.parametrize("name,steps", list(_cases()))
-def test_every_catalog_algorithm_within_its_float32_bound(name, steps, off):
-    alg = get_algorithm(name)
-    p, q, r = _shape(alg, steps, off)
-    A, B = _operands(p, q, r, seed=steps)
-    plan = Plan(algorithm=name, steps=steps)
-    ws = dispatch.build_workspace(plan, p, q, r, F32, F32)
-    assert ws.nbytes == cbackend_footprint(alg, False, (p, q, r), F32, steps)
-    C = dispatch.execute_plan(plan, A, B, workspace=ws)
-    assert C.dtype == F32
-    assert _rel(C, A, B) <= error_bound(alg, steps, q, "float32")
-    assert ws.overflow_allocations == 0
-
-
 def test_the_float_kernels_serve_and_keep_float32(monkeypatch):
     """The driver that served is the ``float`` one: nothing is widened to
     double on the way, so the arena holds float32 slabs."""
@@ -98,30 +64,6 @@ def test_the_float_kernels_serve_and_keep_float32(monkeypatch):
     f32 = cbackend_footprint(alg, False, (2048, 2048, 2048), F32, 1)
     f64 = cbackend_footprint(alg, False, (2048, 2048, 2048), "float64", 1)
     assert f32 < 0.51 * f64
-
-
-def test_fortran_strided_operands_and_float32_out():
-    """What the kernels cannot walk in place is packed once, in the arena
-    the call reserves for it; ``out`` of any layout receives the
-    product."""
-    alg = get_algorithm("s333")
-    p, q, r = 97, 95, 99
-    A, B = _operands(p, q, 2 * r)
-    ws = Workspace(0)
-    for Av, Bv, out in (
-            (np.asfortranarray(A), B[:, ::2], None),
-            (A, B[:, :r], np.empty((p, r), F32)),
-            (A[::-1], np.asfortranarray(B[:, :r]),
-             np.empty((r, p), F32).T),
-            (A, B[:, 1:r + 1], np.empty((p, r + 3), F32)[:, 2:r + 2])):
-        plan = Plan(algorithm="s333", steps=1)
-        ws.reserve(dispatch.plan_footprint(plan, p, q, r, F32, F32))
-        C = dispatch.execute_plan(plan, Av, Bv, out=out, workspace=ws)
-        if out is not None:
-            assert C is out
-        assert C.dtype == F32
-        assert _rel(C, Av, Bv) <= error_bound(alg, 1, q, "float32")
-        assert ws.overflow_allocations == 0
 
 
 @pytest.mark.parametrize("scheme", ["dfs", "bfs", "hybrid"])

@@ -7,47 +7,15 @@ import repro
 from repro.bench.runner import run_sequential
 from repro.bench import workloads
 from repro.util.matrices import random_matrix
-from tests.conftest import catalog_names
 
 
 class TestPublicMultiply:
-    @pytest.mark.parametrize("name", ["strassen", "s424", "s433", "s333"])
-    def test_by_name(self, name):
-        A = random_matrix(97, 83, 0)
-        B = random_matrix(83, 101, 1)
-        C = repro.multiply(A, B, algorithm=name, steps=2)
-        np.testing.assert_allclose(C, A @ B, rtol=1e-9, atol=1e-9)
-
-    def test_by_object(self):
-        alg = repro.get_algorithm("s244")
-        A = random_matrix(64, 64, 2)
-        B = random_matrix(64, 64, 3)
-        C = repro.multiply(A, B, algorithm=alg)
-        np.testing.assert_allclose(C, A @ B, rtol=1e-10, atol=1e-10)
-
-    def test_cse(self):
-        A = random_matrix(50, 50, 4)
-        B = random_matrix(50, 50, 5)
-        C = repro.multiply(A, B, cse=True)
-        np.testing.assert_allclose(C, A @ B, rtol=1e-10, atol=1e-10)
-
     @pytest.mark.parametrize("scheme", ["dfs", "bfs", "hybrid"])
     def test_parallel_path(self, scheme):
         A = random_matrix(120, 120, 6)
         B = random_matrix(120, 120, 7)
         C = repro.multiply(A, B, parallel=True, scheme=scheme, threads=2, steps=2)
         np.testing.assert_allclose(C, A @ B, rtol=1e-10, atol=1e-10)
-
-    def test_reference_interpreter_agrees_with_codegen(self):
-        A = random_matrix(71, 45, 8)
-        B = random_matrix(45, 63, 9)
-        for name in catalog_names():
-            alg = repro.get_algorithm(name)
-            if alg.apa:
-                continue
-            c1 = repro.multiply_reference(A, B, alg, steps=2)
-            c2 = repro.multiply(A, B, algorithm=alg, steps=2)
-            np.testing.assert_allclose(c1, c2, rtol=1e-9, atol=1e-9, err_msg=name)
 
 
 class TestComposed54:

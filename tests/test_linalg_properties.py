@@ -42,7 +42,7 @@ def _rand(rng, *shape):
 class TestLUProperties:
     @given(st.integers(2, 90), st.integers(2, 90), blocks, kernels,
            st.integers(0, 10**6))
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     def test_palu_identity_any_shape(self, m, n, block, kname, seed):
         rng = np.random.default_rng(seed)
         A = _rand(rng, m, n)
@@ -50,7 +50,7 @@ class TestLUProperties:
         assert lu_error(A, fac) < 1e-10
 
     @given(st.integers(4, 70), blocks, kernels, st.integers(0, 10**6))
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20)
     def test_solve_inverts_matvec(self, n, block, kname, seed):
         rng = np.random.default_rng(seed)
         # diagonally dominant => safely nonsingular for any draw
@@ -62,7 +62,7 @@ class TestLUProperties:
         np.testing.assert_allclose(got, x, atol=1e-8)
 
     @given(st.integers(2, 60), st.integers(0, 10**6))
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=15)
     def test_unit_lower_and_upper_extraction(self, n, seed):
         rng = np.random.default_rng(seed)
         A = _rand(rng, n, n) + n * np.eye(n)
@@ -78,7 +78,7 @@ class TestLUProperties:
 
 class TestCholeskyProperties:
     @given(st.integers(2, 80), blocks, kernels, st.integers(0, 10**6))
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20)
     def test_llt_identity(self, n, block, kname, seed):
         rng = np.random.default_rng(seed)
         X = _rand(rng, n, n)
@@ -88,7 +88,7 @@ class TestCholeskyProperties:
         assert np.max(np.abs(np.triu(L, 1))) == 0.0
 
     @given(st.integers(2, 60), st.integers(0, 10**6))
-    @settings(max_examples=12, deadline=None)
+    @settings(max_examples=12)
     def test_diagonal_positive(self, n, seed):
         rng = np.random.default_rng(seed)
         X = _rand(rng, n, n)
@@ -103,7 +103,7 @@ class TestTrsmProperties:
         st.sampled_from(["left", "right"]),
         blocks, kernels, st.integers(0, 10**6),
     )
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     def test_residual_all_flags(self, n, m, lower, trans, unit, side,
                                 base, kname, seed):
         rng = np.random.default_rng(seed)
@@ -124,7 +124,7 @@ class TestTrsmProperties:
         np.testing.assert_allclose(got, B, atol=1e-8)
 
     @given(st.integers(2, 60), st.integers(0, 10**6))
-    @settings(max_examples=12, deadline=None)
+    @settings(max_examples=12)
     def test_inverse_consistency(self, n, seed):
         rng = np.random.default_rng(seed)
         T = 0.1 * np.tril(_rand(rng, n, n), -1) + np.diag(rng.uniform(1, 2, n))
@@ -136,7 +136,7 @@ class TestTrsmProperties:
 class TestPowerProperties:
     @given(st.integers(1, 30), st.integers(0, 6), st.integers(0, 6),
            kernels, st.integers(0, 10**6))
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20)
     def test_exponent_additivity(self, n, p, q, kname, seed):
         rng = np.random.default_rng(seed)
         A = _rand(rng, n, n) / (2.0 * np.sqrt(n))  # spectral radius < 1
@@ -147,7 +147,7 @@ class TestPowerProperties:
 
     @given(st.integers(2, 25), st.integers(0, 5), st.floats(0.05, 0.5),
            st.integers(0, 10**6))
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20)
     def test_walk_counts_are_exact_integers(self, n, length, density, seed):
         rng = np.random.default_rng(seed)
         A = (rng.uniform(size=(n, n)) < density).astype(float)

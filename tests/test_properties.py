@@ -21,7 +21,7 @@ class TestTransformThenExecute:
     (not just pass the tensor residual check)."""
 
     @given(st.sampled_from(CATALOG), st.integers(0, 10**6))
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=15)
     def test_scaled_algorithm_multiplies(self, name, seed):
         rng = np.random.default_rng(seed)
         alg = get_algorithm(name)
@@ -34,7 +34,7 @@ class TestTransformThenExecute:
         np.testing.assert_allclose(C, A @ B, rtol=1e-8, atol=1e-8)
 
     @given(st.sampled_from(CATALOG), st.integers(0, 10**6))
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=10)
     def test_permuted_algorithm_multiplies(self, name, seed):
         rng = np.random.default_rng(seed)
         alg = get_algorithm(name)
@@ -49,7 +49,7 @@ class TestTransformThenExecute:
 class TestCompositionExecutes:
     @given(st.sampled_from(["strassen", "hk223", "s233"]),
            st.integers(1, 3), st.sampled_from(["m", "k", "n"]))
-    @settings(max_examples=12, deadline=None)
+    @settings(max_examples=12)
     def test_sum_with_classical_multiplies(self, name, extra, axis):
         alg = get_algorithm(name)
         m, k, n = alg.base_case
@@ -66,7 +66,7 @@ class TestCompositionExecutes:
 
     @given(st.sampled_from(["strassen", "hk223"]),
            st.sampled_from(["strassen", "classical212"]))
-    @settings(max_examples=6, deadline=None)
+    @settings(max_examples=6)
     def test_kron_compiles_and_runs(self, a, b):
         f = get_algorithm(a)
         g = get_algorithm(b) if b != "classical212" else classical(2, 1, 2)
@@ -80,7 +80,7 @@ class TestCompositionExecutes:
 
 class TestInvariantBookkeeping:
     @given(st.sampled_from(CATALOG))
-    @settings(max_examples=7, deadline=None)
+    @settings(max_examples=7)
     def test_rank_bounds(self, name):
         """Strassen-Winograd lower bound: R >= 2mn + 2n? ... we assert the
         universal bounds: mn <= R <= mkn for exact algorithms."""
@@ -89,13 +89,13 @@ class TestInvariantBookkeeping:
         assert m * n <= alg.rank <= m * k * n
 
     @given(st.sampled_from(CATALOG))
-    @settings(max_examples=7, deadline=None)
+    @settings(max_examples=7)
     def test_exponent_below_three(self, name):
         alg = get_algorithm(name)
         assert 2.0 < alg.exponent < 3.0
 
     @given(st.sampled_from(CATALOG), st.integers(0, 10**6))
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=10)
     def test_stability_factors_invariant_under_column_permutation(self, name, seed):
         alg = get_algorithm(name)
         rng = np.random.default_rng(seed)
@@ -105,7 +105,7 @@ class TestInvariantBookkeeping:
         assert f1.emax == pytest.approx(f2.emax)
 
     @given(st.sampled_from(CATALOG))
-    @settings(max_examples=7, deadline=None)
+    @settings(max_examples=7)
     def test_permutation_family_preserves_nnz_total(self, name):
         """Props 2.1/2.2 permute factor entries; total nnz is invariant."""
         alg = get_algorithm(name)

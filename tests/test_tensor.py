@@ -42,7 +42,7 @@ class TestMatmulTensor:
             tz.matmul_tensor(2, -1, 2)
 
     @given(dims, dims, dims)
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20)
     def test_tensor_computes_matmul(self, m, k, n):
         """T x1 vec(A) x2 vec(B) == vec(A @ B) for random matrices."""
         rng = np.random.default_rng(m * 100 + k * 10 + n)
@@ -84,7 +84,7 @@ class TestFactorAlgebra:
         assert rel == pytest.approx(1.0)
 
     @given(st.integers(0, 2))
-    @settings(max_examples=6, deadline=None)
+    @settings(max_examples=6)
     def test_unfold_khatri_rao_identity(self, mode):
         """unfold(T, mode) == F @ khatri_rao(other two factors).T"""
         rng = np.random.default_rng(mode)

@@ -16,7 +16,7 @@ class TestVecTranspose:
         np.testing.assert_array_equal(P @ A.reshape(-1), A.T.reshape(-1))
 
     @given(st.integers(1, 5), st.integers(1, 5))
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=15)
     def test_property(self, r, c):
         rng = np.random.default_rng(r * 10 + c)
         A = rng.standard_normal((r, c))
@@ -113,7 +113,7 @@ class TestIsotropy:
             tf.scale_columns(strassen(), np.ones(6), np.ones(7))
 
     @given(st.integers(0, 1000))
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=10)
     def test_basis_transform_preserves_exactness(self, seed):
         rng = np.random.default_rng(seed)
         s = get_algorithm("s233")

@@ -1,18 +1,15 @@
 """Property-based randomized tests for the tuner subsystem.
 
-Hypothesis drives three families of invariants the hand-picked cases in
-``test_tuner.py`` cannot cover:
+Hypothesis drives invariants the hand-picked cases in ``test_tuner.py``
+cannot cover (that whatever a plan runs is the product is
+``test_oracle.py``'s):
 
 - **cache round-trip**: any plan stored under any well-formed key is
   recovered bit-identically after a save/load cycle;
 - **nearest-shape fallback**: the returned entry is the log-space-closest
   candidate at the queried thread count (never another thread count's,
   never the queried key's own), and enlarging the radius is monotone (a
-  hit never disappears, the distance never increases);
-- **dispatch correctness**: ``tuner.matmul`` equals numpy for random
-  shapes, dtypes and policies -- with float32 error asserted against the
-  a-priori stability bound of ``core.stability`` (the acceptance criterion
-  for the dtype-specific candidate space).
+  hit never disappears, the distance never increases).
 """
 
 import json
@@ -20,14 +17,12 @@ import math
 import tempfile
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import tuner
 from repro.algorithms import get_algorithm
-from repro.core.stability import error_bound
 from repro.tuner.cache import SCHEMA_VERSION, PlanCache
 from repro.tuner.space import PLAN_SCHEMES, Plan
 
@@ -53,7 +48,7 @@ def _log_dist(a, b):
 
 
 class TestCacheRoundtrip:
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(m=dims, k=dims, n=dims, dtype=st.sampled_from(DTYPES),
            threads=threads_st, plan=plans,
            seconds=st.floats(min_value=1e-6, max_value=1e3),
@@ -70,7 +65,7 @@ class TestCacheRoundtrip:
             assert ent["seconds"] == seconds
             assert ent["fingerprint"] == cache.fingerprint
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     @given(m=dims, k=dims, n=dims, plan=plans)
     def test_foreign_fingerprint_never_resolves(self, m, k, n, plan):
         """Whatever the key, an entry stamped elsewhere is bypassed."""
@@ -88,7 +83,8 @@ class TestCacheRoundtrip:
 class TestSchema:
     """Only v6 files are read, and entries carry their scheme."""
 
-    @settings(max_examples=30, deadline=None,
+    @settings(max_examples=30,
+
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(m=dims, k=dims, n=dims, threads=threads_st, plan=plans)
     def test_entry_records_its_scheme(self, tmp_path, m, k, n, threads,
@@ -103,7 +99,8 @@ class TestSchema:
         assert ent["scheme"] == plan.scheme
         assert "subgroup" not in ent and "subgroup" not in ent["plan"]
 
-    @settings(max_examples=25, deadline=None,
+    @settings(max_examples=25,
+
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(m=dims, k=dims, n=dims, plan=plans,
            schema=st.sampled_from([4, 5]))
@@ -140,7 +137,8 @@ class TestNearestMonotonicity:
         st.integers(min_value=64, max_value=2048),
     )
 
-    @settings(max_examples=40, deadline=None,
+    @settings(max_examples=40,
+
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(query=shapes,
            entries=st.lists(st.tuples(shapes, st.sampled_from([1, 2, 8])),
@@ -170,7 +168,8 @@ class TestNearestMonotonicity:
             assert got in {cache.get(*w, "float64", threads)
                            for w in winners}
 
-    @settings(max_examples=40, deadline=None,
+    @settings(max_examples=40,
+
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(query=shapes, entry=shapes,
            r1=st.floats(min_value=0.05, max_value=2.0),
@@ -189,64 +188,8 @@ class TestNearestMonotonicity:
             assert _log_dist(entry, query) <= r2 + 1e-9
 
 
-class TestDispatchCorrectness:
-    shapes = st.tuples(
-        st.integers(min_value=130, max_value=300),
-        st.integers(min_value=130, max_value=300),
-        st.integers(min_value=130, max_value=300),
-    )
-
-    @settings(max_examples=12, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(shape=shapes, dtype=st.sampled_from(DTYPES),
-           policy=st.sampled_from(["never", "auto"]),
-           seed=st.integers(min_value=0, max_value=2**31))
-    def test_matmul_matches_numpy(self, tmp_path, shape, dtype, policy,
-                                  seed):
-        p, q, r = shape
-        A, B = tuner.tuning_operands(p, q, r, dtype=dtype, seed=seed)
-        cache = PlanCache(tmp_path / "plans.json")
-        C = tuner.matmul(A, B, threads=1, cache=cache, tune=policy)
-        assert C.dtype == np.dtype(dtype)
-        ref = A.astype(np.float64) @ B.astype(np.float64)
-        rel = np.linalg.norm(C.astype(np.float64) - ref) / np.linalg.norm(ref)
-        plan, _ = tuner.get_plan(p, q, r, dtype=dtype, threads=1,
-                                 cache=cache)
-        eps = float(np.finfo(np.dtype(dtype)).eps)
-        if plan.is_dgemm:
-            bound = q * eps
-        else:
-            # the acceptance criterion: observed float32 (and float64)
-            # dispatch error within the a-priori stability bound
-            bound = error_bound(get_algorithm(plan.algorithm), plan.steps,
-                                q, dtype)
-        assert rel <= bound
-
-    @settings(max_examples=10, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(shape=shapes, algorithm=st.sampled_from(ALGORITHMS),
-           steps=st.integers(min_value=1, max_value=2),
-           dtype=st.sampled_from(DTYPES))
-    def test_planted_plan_executes_correctly(self, tmp_path, shape,
-                                             algorithm, steps, dtype):
-        """Any cached plan -- not just cost-model favourites -- dispatches
-        to a correct product (dynamic peeling covers ragged shapes)."""
-        p, q, r = shape
-        cache = PlanCache(tmp_path / "plans.json")
-        plan = Plan(algorithm=algorithm, steps=steps)
-        cache.put(p, q, r, dtype, 1, plan)
-        A, B = tuner.tuning_operands(p, q, r, dtype=dtype, seed=3)
-        got, source = tuner.get_plan(p, q, r, dtype=dtype, threads=1,
-                                     cache=cache)
-        assert (got, source) == (plan, "cache")
-        C = tuner.matmul(A, B, threads=1, cache=cache)
-        ref = A.astype(np.float64) @ B.astype(np.float64)
-        rel = np.linalg.norm(C.astype(np.float64) - ref) / np.linalg.norm(ref)
-        assert rel <= error_bound(get_algorithm(algorithm), steps, q, dtype)
-
-
 class TestFloat32Space:
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=15)
     @given(shape=st.tuples(
         st.integers(min_value=128, max_value=4096),
         st.integers(min_value=128, max_value=4096),
@@ -266,7 +209,7 @@ class TestFloat32Space:
             assert stability_factors(alg).growth(plan.steps) <= \
                 growth_bound("float32")
 
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=15)
     @given(shape=st.tuples(
         st.integers(min_value=256, max_value=4096),
         st.integers(min_value=256, max_value=4096),

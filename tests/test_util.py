@@ -30,7 +30,7 @@ class TestBlockViews:
             block_views(np.zeros((5, 4)), 2, 2)
 
     @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 5), st.integers(1, 5))
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20)
     def test_flatten_roundtrip(self, r, c, br, bc):
         X = random_matrix(r * br, c * bc, r + c)
         blocks = block_views(X, r, c)
@@ -51,7 +51,7 @@ class TestPeelSplit:
         assert corner.shape == (0, 0)
 
     @given(st.integers(1, 30), st.integers(1, 30), st.integers(1, 5), st.integers(1, 5))
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     def test_pieces_partition_matrix(self, p, q, rd, cd):
         X = random_matrix(p, q, p * q % 97)
         core, right, bottom, corner = peel_split(X, rd, cd)

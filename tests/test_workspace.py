@@ -180,24 +180,6 @@ class TestFootprints:
         ]
 
     @pytest.mark.parametrize("name,steps,shape", [
-        ("strassen", 2, (96, 96, 96)),
-        ("strassen", 2, (97, 99, 101)),
-        ("s234", 1, (64, 81, 48)),
-        ("s333", 2, (90, 90, 90)),
-    ])
-    def test_dfs_footprint_covers_recursion(self, name, steps, shape):
-        alg = get_algorithm(name)
-        p, q, r = shape
-        A = random_matrix(p, q, 0)
-        B = random_matrix(q, r, 1)
-        ws = Workspace.for_recursion([alg.base_case] * steps, p, q, r,
-                                     A.dtype, B.dtype)
-        out = np.empty((p, r))
-        multiply(A, B, alg, steps=steps, out=out, workspace=ws)
-        assert ws.overflow_allocations == 0
-        assert ws.high_water <= ws.nbytes
-
-    @pytest.mark.parametrize("name,steps,shape", [
         ("strassen", 2, (64, 64, 64)),
         ("strassen", 1, (65, 67, 63)),
         ("s234", 1, (48, 54, 40)),
@@ -291,35 +273,6 @@ class TestFootprints:
 # out= contract
 # =========================================================================
 class TestOutParameter:
-    def test_out_returned_and_correct(self):
-        alg = get_algorithm("strassen")
-        A = random_matrix(40, 40, 0)
-        B = random_matrix(40, 40, 1)
-        out = np.empty((40, 40))
-        got = multiply(A, B, alg, steps=1, out=out)
-        assert got is out
-        np.testing.assert_allclose(out, A @ B, atol=1e-10)
-
-    def test_out_schedule(self):
-        sched = [get_algorithm("strassen"), get_algorithm("s234")]
-        A = random_matrix(60, 66, 2)
-        B = random_matrix(66, 56, 3)
-        out = np.empty((60, 56))
-        got = multiply_schedule(A, B, sched, out=out)
-        assert got is out
-        np.testing.assert_allclose(out, A @ B, atol=1e-9)
-
-    @pytest.mark.parametrize("scheme", ["dfs", "bfs", "hybrid"])
-    def test_out_parallel(self, scheme, pool):
-        alg = get_algorithm("strassen")
-        A = random_matrix(48, 48, 4)
-        B = random_matrix(48, 48, 5)
-        out = np.empty((48, 48))
-        got = multiply_parallel(A, B, alg, steps=1, scheme=scheme,
-                                pool=pool, threads=2, out=out)
-        assert got is out
-        np.testing.assert_allclose(out, A @ B, atol=1e-10)
-
     def test_out_aliasing_raises(self):
         A = random_matrix(32, 32, 6)
         B = random_matrix(32, 32, 7)
@@ -445,7 +398,7 @@ ALGS = ("strassen", "winograd", "s234", "s333")
 DTYPES = (np.float64, np.float32)
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(
     name=st.sampled_from(ALGS),
     dtype=st.sampled_from(DTYPES),
@@ -469,7 +422,7 @@ def test_sequential_arena_bit_for_bit(name, dtype, steps, dims, seed):
     assert np.array_equal(ref, got)
 
 
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=15)
 @given(
     name=st.sampled_from(ALGS),
     dtype=st.sampled_from(DTYPES),
